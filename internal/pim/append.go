@@ -45,9 +45,13 @@ func (e *Engine) ProgramAppendable(name string, n, capacityRows, dims, vectorsPe
 }
 
 // Append programs count additional rows into reserved headroom. rows(i)
-// must cover indices [oldN, oldN+count). Only fresh cells are written —
-// existing data is untouched, so the operation costs zero endurance on
-// programmed cells. Returns the modeled programming time of the delta.
+// must cover indices [0, oldN+count) and return the already-programmed
+// rows unchanged: the payload re-resolves its slab over the grown range
+// (the caller's array may have moved when it grew), so a row read costs
+// the same however many appends came before. Only fresh cells are
+// written — existing data is untouched, so the operation costs zero
+// endurance on programmed cells. Returns the modeled programming time of
+// the delta.
 func (a *AppendablePayload) Append(count int, rows func(i int) []uint32) (float64, error) {
 	if count <= 0 {
 		return 0, fmt.Errorf("pim: append count %d must be positive", count)
@@ -56,27 +60,19 @@ func (a *AppendablePayload) Append(count int, rows func(i int) []uint32) (float6
 	if newN > a.CapacityRows {
 		return 0, fmt.Errorf("pim: append of %d rows exceeds reservation (%d/%d used)", count, a.N, a.CapacityRows)
 	}
-	old := a.rows
-	oldN := a.N
-	a.rows = func(i int) []uint32 {
-		if i < oldN {
-			return old(i)
-		}
-		return rows(i)
+	slab, err := resolveSlab(a.Name, newN, a.Dims, rows)
+	if err != nil {
+		return 0, err
 	}
 	if a.eng.mode == ModeSimulate {
 		// Program the new rows into fresh tiles.
-		for i := oldN; i < newN; i++ {
-			row := rows(i)
-			if len(row) != a.Dims {
-				return 0, fmt.Errorf("pim: appended row %d has %d dims, want %d", i, len(row), a.Dims)
-			}
-			if err := a.appendTileRow(i, row); err != nil {
+		for i := a.N; i < newN; i++ {
+			if err := a.appendTileRow(i, slab[i*a.Dims:(i+1)*a.Dims]); err != nil {
 				return 0, err
 			}
 		}
 	}
-	a.N = newN
+	a.N, a.slab = newN, slab
 	// Extend the fault injector over any tiles the append grew into (it
 	// is extend-only: existing tiles keep their fault maps) and hook the
 	// freshly allocated simulate-mode tiles.
@@ -127,12 +123,11 @@ func (a *AppendablePayload) QueryAll(meter *arch.Meter, fn string, input []uint3
 	return a.eng.QueryAll(meter, fn, a.Payload, input, dst)
 }
 
-// Verify (exact mode helper): the payload's logical rows are reachable.
+// Verify (exact mode helper): the slab covers exactly the payload's
+// logical rows.
 func (a *AppendablePayload) Verify() error {
-	for i := 0; i < a.N; i++ {
-		if got := a.rows(i); len(got) != a.Dims {
-			return fmt.Errorf("pim: row %d has %d dims, want %d", i, len(got), a.Dims)
-		}
+	if len(a.slab) != a.N*a.Dims {
+		return fmt.Errorf("pim: payload %q slab holds %d values, want %d×%d", a.Name, len(a.slab), a.N, a.Dims)
 	}
 	return nil
 }

@@ -14,8 +14,9 @@ import (
 type Mode int
 
 const (
-	// ModeExact evaluates dot products with host integer arithmetic while
-	// accounting PIM activity analytically. This is what the mining
+	// ModeExact evaluates dot products with host integer arithmetic — one
+	// vec.IntDotRows sweep over the payload's row-major slab per query —
+	// while accounting PIM activity analytically. This is what the mining
 	// algorithms use: it is fast and bit-identical to the crossbar
 	// pipeline (property-tested).
 	ModeExact Mode = iota
@@ -130,7 +131,10 @@ type Payload struct {
 	// the architecture default of 32 for quantized integers).
 	OpBits int
 
-	rows func(i int) []uint32 // exact-mode row accessor
+	// slab holds the N programmed rows back to back (row-major, len
+	// N·Dims). It aliases the caller's storage when the rows already lie
+	// that way, and is a payload-owned packed copy otherwise (resolveSlab).
+	slab []uint32
 
 	// Simulate-mode tiling: groups × chunks crossbars, where each group
 	// holds perGroup vectors and each chunk covers up to m dimensions.
@@ -144,7 +148,41 @@ type Payload struct {
 
 // Row returns vector i (the fault injector's analytic path reads the
 // programmed levels through this in exact mode).
-func (p *Payload) Row(i int) []uint32 { return p.rows(i) }
+func (p *Payload) Row(i int) []uint32 { return p.slab[i*p.Dims : (i+1)*p.Dims] }
+
+// resolveSlab turns the row accessor handed to Program/Append into the
+// row-major slab the query path sweeps, visiting every row once and
+// rejecting any whose length is not dims. Every in-repo caller returns
+// back-to-back sub-slices of one array (EDIndex.Floor, FNNIndex.MuFloor,
+// ...): &rows(i)[0] == &slab[i·dims] verifies that row by row, and the
+// slab then aliases that array — nothing is copied. At the first row that
+// is not back to back the rows are packed into a payload-owned slab
+// instead, so query time has a single path either way.
+func resolveSlab(name string, n, dims int, rows func(i int) []uint32) ([]uint32, error) {
+	var slab []uint32
+	owned := false
+	for i := 0; i < n; i++ {
+		row := rows(i)
+		if len(row) != dims {
+			return nil, fmt.Errorf("pim: payload %q row %d has %d dims, want %d", name, i, len(row), dims)
+		}
+		lo, hi := i*dims, (i+1)*dims
+		switch {
+		case owned:
+			copy(slab[lo:hi], row)
+		case i == 0:
+			slab = row
+		case hi <= cap(slab) && &slab[:hi][lo] == &row[0]:
+			slab = slab[:hi]
+		default:
+			packed := make([]uint32, n*dims)
+			copy(packed, slab)
+			copy(packed[lo:hi], row)
+			slab, owned = packed, true
+		}
+	}
+	return slab, nil
+}
 
 // Layout returns the payload's tile geometry: vectors per crossbar group
 // and dimension chunks per group. It is defined in both modes — exact
@@ -176,8 +214,10 @@ type ProgramCost struct {
 func (pc ProgramCost) TotalNs() float64 { return pc.WriteNs + pc.BusNs }
 
 // Program lays a payload of n vectors × dims non-negative integers onto
-// the array. rows(i) must return vector i and stay valid for the engine's
-// lifetime. Programming enforces Theorem 4: a payload that does not fit
+// the array. rows(i) must return vector i (exactly dims long) and stay
+// valid and unmodified for the engine's lifetime: rows that lie back to
+// back in one array are aliased, not copied (resolveSlab). Programming
+// enforces Theorem 4: a payload that does not fit
 // the usable array (given how many sibling payloads the caller will
 // store — vectorsPerObject) is rejected, because re-programming would
 // burn ReRAM endurance (§V-C).
@@ -202,7 +242,11 @@ func (e *Engine) ProgramWidth(name string, n, dims, vectorsPerObject, opBits int
 		return nil, fmt.Errorf("pim: payload %q (%d×%d ×%d) exceeds PIM array capacity; compress with CapacityModel.ChooseS",
 			name, n, dims, vectorsPerObject)
 	}
-	p := &Payload{Name: name, N: n, Dims: dims, OpBits: opBits, rows: rows, gatherLevels: e.model.GatherLevels(dims)}
+	slab, err := resolveSlab(name, n, dims, rows)
+	if err != nil {
+		return nil, err
+	}
+	p := &Payload{Name: name, N: n, Dims: dims, OpBits: opBits, slab: slab, gatherLevels: e.model.GatherLevels(dims)}
 	p.cost = e.programCost(n, dims, opBits)
 	// The tile layout is defined in every mode: exact mode needs it for
 	// the fault injector's cell→vector geometry, simulate mode for tile
@@ -289,10 +333,7 @@ func (e *Engine) buildTiles(p *Payload) error {
 		}
 	}
 	for i := 0; i < p.N; i++ {
-		row := p.rows(i)
-		if len(row) != p.Dims {
-			return fmt.Errorf("pim: payload %q row %d has %d dims, want %d", p.Name, i, len(row), p.Dims)
-		}
+		row := p.Row(i)
 		g := i / p.perGroup
 		for c := 0; c < p.chunks; c++ {
 			lo := c * m
@@ -336,9 +377,7 @@ func (e *Engine) QueryAll(meter *arch.Meter, fn string, p *Payload, input []uint
 	dst = dst[:p.N]
 	switch e.mode {
 	case ModeExact:
-		for i := 0; i < p.N; i++ {
-			dst[i] = vec.IntDot(p.rows(i), input)
-		}
+		vec.IntDotRows(p.slab, p.Dims, input, dst)
 	case ModeSimulate:
 		if err := e.simulateQuery(p, input, dst); err != nil {
 			return nil, err

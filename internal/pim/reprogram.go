@@ -30,8 +30,8 @@ type PartitionedPayload struct {
 	N, Dims int
 	OpBits  int
 
-	rows       func(i int) []uint32
-	waveSize   int // vectors per wave
+	slab       []uint32 // the N rows back to back, as Payload.slab
+	waveSize   int      // vectors per wave
 	waves      int
 	reprogNs   float64 // programming time per wave (critical path + bus)
 	cellWrites int64   // cell writes per full pass over the dataset
@@ -64,6 +64,10 @@ func (e *Engine) ProgramPartitioned(name string, n, dims, vectorsPerObject, opBi
 	if lo == 0 {
 		return nil, fmt.Errorf("pim: even one %d-dim vector exceeds the PIM array", dims)
 	}
+	slab, err := resolveSlab(name, n, dims, rows)
+	if err != nil {
+		return nil, err
+	}
 	waveSize := lo
 	waves := (n + waveSize - 1) / waveSize
 	cost := e.programCost(waveSize, dims, opBits)
@@ -73,7 +77,7 @@ func (e *Engine) ProgramPartitioned(name string, n, dims, vectorsPerObject, opBi
 		N:          n,
 		Dims:       dims,
 		OpBits:     opBits,
-		rows:       rows,
+		slab:       slab,
 		waveSize:   waveSize,
 		waves:      waves,
 		reprogNs:   cost.TotalNs(),
@@ -95,9 +99,7 @@ func (p *PartitionedPayload) QueryAll(e *Engine, meter *arch.Meter, fn string, i
 		dst = make([]int64, p.N)
 	}
 	dst = dst[:p.N]
-	for i := 0; i < p.N; i++ {
-		dst[i] = vec.IntDot(p.rows(i), input)
-	}
+	vec.IntDotRows(p.slab, p.Dims, input, dst)
 	p.passes++
 	if meter != nil {
 		c := meter.C(fn)

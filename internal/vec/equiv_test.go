@@ -74,6 +74,52 @@ func TestIntDotMatchesRef(t *testing.T) {
 	}
 }
 
+// intDotRowsRef is the executable specification of IntDotRows: one
+// IntDotRef per row.
+func intDotRowsRef(rows []uint32, dims int, q []uint32, dst []int64) {
+	for r := range dst {
+		dst[r] = IntDotRef(rows[r*dims:(r+1)*dims], q)
+	}
+}
+
+// TestIntDotRowsMatchesRef crosses the four-row lockstep sweep, the
+// one-row path for the n%4 rows left over, both 4-wide blocks' tails and
+// the empty shapes with full-range operands: sums wrap modulo 2⁶⁴ exactly as
+// IntDotRef's do, so equality is exact even where int64 overflows.
+func TestIntDotRowsMatchesRef(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(13))
+	for _, dims := range []int{0, 1, 7, 8, 9, 105, 210, 420} {
+		for _, n := range []int{0, 1, 3, 4, 7, 4999, 5000} {
+			rows := make([]uint32, n*dims)
+			for i := range rows {
+				rows[i] = rng.Uint32()
+			}
+			q := make([]uint32, dims)
+			for i := range q {
+				q[i] = rng.Uint32()
+			}
+			if dims > 0 {
+				q[0] = math.MaxUint32
+				if n > 0 {
+					rows[0] = math.MaxUint32
+				}
+			}
+			got, want := make([]int64, n), make([]int64, n)
+			for i := range got {
+				got[i] = -1 // every slot must be written, zero rows included
+			}
+			IntDotRows(rows, dims, q, got)
+			intDotRowsRef(rows, dims, q, want)
+			for r := range want {
+				if got[r] != want[r] {
+					t.Fatalf("dims=%d n=%d row %d: IntDotRows=%d, IntDotRef=%d", dims, n, r, got[r], want[r])
+				}
+			}
+		}
+	}
+}
+
 func TestKernelsPanicOnMismatch(t *testing.T) {
 	t.Parallel()
 	mustPanic := func(name string, fn func()) {
@@ -86,6 +132,9 @@ func TestKernelsPanicOnMismatch(t *testing.T) {
 	}
 	mustPanic("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
 	mustPanic("IntDot", func() { IntDot([]uint32{1}, []uint32{1, 2}) })
+	mustPanic("IntDotRows/query", func() { IntDotRows(make([]uint32, 4), 2, make([]uint32, 3), make([]int64, 2)) })
+	mustPanic("IntDotRows/slab", func() { IntDotRows(make([]uint32, 5), 2, make([]uint32, 2), make([]int64, 2)) })
+	mustPanic("IntDotRows/dst", func() { IntDotRows(make([]uint32, 4), 2, make([]uint32, 2), make([]int64, 3)) })
 }
 
 // floatsFromBytes decodes len(data)/8 float64s, mapping non-finite values
@@ -106,7 +155,9 @@ func floatsFromBytes(data []byte) []float64 {
 
 // FuzzVecKernelEquivalence drives arbitrary float and integer payloads
 // through the optimized kernels and their references, requiring
-// bit-identical results at every split of the payload into (a, b).
+// bit-identical results at every split of the payload into (a, b), and —
+// the rows target — at every carving of the payload into a query and a
+// row-major slab of 1..24-wide rows.
 func FuzzVecKernelEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte("0123456789abcdef0123456789abcdef0123456789abcdef"), uint8(3))
@@ -116,7 +167,12 @@ func FuzzVecKernelEquivalence(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed, uint8(16))
+	f.Add(seed, uint8(8))  // rows target: 6 rows 9 wide: one lockstep pass and 2 left over, blocks + tail
+	f.Add(seed, uint8(23)) // rows target: one 24-wide row, whole blocks, no tail
+	f.Add(seed, uint8(4))  // rows target: 12 rows 5 wide: three lockstep passes, none left over
+	f.Add(seed, uint8(5))  // rows target: 10 rows 6 wide: two lockstep passes and 2 left over
 	f.Fuzz(func(t *testing.T, data []byte, splitRaw uint8) {
+		fuzzIntDotRows(t, data, 1+int(splitRaw)%24)
 		all := floatsFromBytes(data)
 		if len(all) == 0 {
 			return
@@ -141,6 +197,30 @@ func FuzzVecKernelEquivalence(f *testing.F) {
 			t.Fatalf("n=%d: IntDot=%d, IntDotRef=%d", n, got, want)
 		}
 	})
+}
+
+// fuzzIntDotRows reads data as little-endian uint32s, takes the first dims
+// as the query and as many whole rows as follow, and requires IntDotRows
+// to match a per-row IntDotRef loop.
+func fuzzIntDotRows(t *testing.T, data []byte, dims int) {
+	words := make([]uint32, len(data)/4)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint32(data[i*4:])
+	}
+	if len(words) < dims {
+		return
+	}
+	q, rest := words[:dims], words[dims:]
+	n := len(rest) / dims
+	rows := rest[:n*dims]
+	got, want := make([]int64, n), make([]int64, n)
+	IntDotRows(rows, dims, q, got)
+	intDotRowsRef(rows, dims, q, want)
+	for r := range want {
+		if got[r] != want[r] {
+			t.Fatalf("dims=%d n=%d row %d: IntDotRows=%d, IntDotRef=%d", dims, n, r, got[r], want[r])
+		}
+	}
 }
 
 // TestTopKAppendResultsMatchesResults pins the allocation-free result path

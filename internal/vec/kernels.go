@@ -1,14 +1,20 @@
 package vec
 
-// This file holds the unrolled hot-loop kernels behind Dot, IntDot and
-// SqNorm, plus the retained scalar references the kernel-equivalence
-// harness pins them against.
+// This file holds the unrolled hot-loop kernels behind Dot, IntDot,
+// IntDotRows and SqNorm; the retained scalar references the
+// kernel-equivalence harness pins them against live in kernels_ref.go.
 //
-// The loops use the slice-advancing idiom (index constants 0..3 under a
-// len>=4 guard, then a=a[4:]) so the compiler's prove pass eliminates
-// every bounds check — `go build -gcflags=-d=ssa/check_bce` reports no
-// IsInBounds in this file, which the CI kernel-verify job asserts — and
-// the 4-wide bodies vectorize under GOAMD64=v3.
+// The gc compiler does not auto-vectorise, under any GOAMD64 level: what
+// these bodies buy is unrolling, independent accumulators where the
+// arithmetic allows them, and no per-element bounds check — `go build
+// -gcflags=-d=ssa/check_bce` reports no IsInBounds in this file, which
+// the CI kernel-verify job asserts. Bounds-check-free is necessary, not
+// sufficient: the float kernels use the slice-advancing idiom (index
+// constants under a len guard, then a=a[4:]), which has no checks at all
+// but rewrites two three-word slice headers per step; the integer kernel
+// is index-blocked (one IsSliceInBounds re-slice per row per 4-element
+// block, a plain induction variable), which measured ~1.35× faster than
+// the slice-advancing form of the same body on a 5000×210 sweep.
 //
 // CRITICAL INVARIANT — float kernels preserve evaluation order. The float
 // accumulations run in strictly ascending index order into a single
@@ -36,22 +42,69 @@ func dotKernel(a, b []float64) float64 {
 	return s
 }
 
-// intDotKernel is the unrolled integer dot product. Four independent
-// accumulators break the add dependency chain (exact for integers).
-func intDotKernel(a, b []uint32) int64 {
-	var s0, s1, s2, s3 int64
-	for len(a) >= 4 && len(b) >= 4 {
-		s0 += int64(a[0]) * int64(b[0])
-		s1 += int64(a[1]) * int64(b[1])
-		s2 += int64(a[2]) * int64(b[2])
-		s3 += int64(a[3]) * int64(b[3])
-		a, b = a[4:], b[4:]
+// intDotRowsKernel is the hand-unrolled integer dot product: it sets
+// dst[r] = rows[r·len(q):(r+1)·len(q)]·q for every r. The caller has
+// checked len(rows) == len(dst)·len(q). The row loop and the 4-wide block
+// share one function, so a payload sweep pays no per-row call, closure or
+// re-validation.
+//
+// A sweep walks four rows in lockstep, one from each quarter of the slab,
+// against one load of q. A single front-to-back pass leaves the core with
+// one stream of cache misses to wait on, and how long that wait is depends
+// on what else the machine is doing: on a 5000×210 sweep it measured
+// 0.47-1.26 ms from a quiet to a busy spell of the same box. Four
+// independent streams keep four times the loads in flight: 0.41-0.85 ms,
+// faster in the quiet spells and half as sensitive to the busy ones. The
+// adds of a block are summed before they reach the accumulator, so one
+// accumulator per row keeps the multiplier busy (exact for integers,
+// modulo 2⁶⁴ like IntDotRef). The len(dst)%4 rows left over, and IntDot's
+// single row, run the same block one row at a time.
+func intDotRowsKernel(rows, q []uint32, dst []int64) {
+	dims := len(q)
+	h := len(dst) / 4
+	d0, d1, d2, d3 := dst[:h], dst[h:][:h], dst[2*h:][:h], dst[3*h:][:h]
+	for r := range d0 {
+		r0 := rows[r*dims : (r+1)*dims]
+		r1 := rows[(r+h)*dims : (r+h+1)*dims]
+		r2 := rows[(r+2*h)*dims : (r+2*h+1)*dims]
+		r3 := rows[(r+3*h)*dims : (r+3*h+1)*dims]
+		var s0, s1, s2, s3 int64
+		j := 0
+		for ; j+4 <= dims; j += 4 {
+			a, b, c, d := r0[j:j+4:j+4], r1[j:j+4:j+4], r2[j:j+4:j+4], r3[j:j+4:j+4]
+			k := q[j : j+4 : j+4]
+			k0, k1, k2, k3 := int64(k[0]), int64(k[1]), int64(k[2]), int64(k[3])
+			s0 += int64(a[0])*k0 + int64(a[1])*k1 + int64(a[2])*k2 + int64(a[3])*k3
+			s1 += int64(b[0])*k0 + int64(b[1])*k1 + int64(b[2])*k2 + int64(b[3])*k3
+			s2 += int64(c[0])*k0 + int64(c[1])*k1 + int64(c[2])*k2 + int64(c[3])*k3
+			s3 += int64(d[0])*k0 + int64(d[1])*k1 + int64(d[2])*k2 + int64(d[3])*k3
+		}
+		k := q[j:]
+		a, b, c, d := r0[j:][:len(k)], r1[j:][:len(k)], r2[j:][:len(k)], r3[j:][:len(k)]
+		for i, ki := range k {
+			s0 += int64(a[i]) * int64(ki)
+			s1 += int64(b[i]) * int64(ki)
+			s2 += int64(c[i]) * int64(ki)
+			s3 += int64(d[i]) * int64(ki)
+		}
+		d0[r], d1[r], d2[r], d3[r] = s0, s1, s2, s3
 	}
-	for len(a) > 0 && len(b) > 0 {
-		s0 += int64(a[0]) * int64(b[0])
-		a, b = a[1:], b[1:]
+	rest := dst[4*h:]
+	for i := range rest {
+		row := rows[(4*h+i)*dims : (4*h+i+1)*dims]
+		var s int64
+		j := 0
+		for ; j+4 <= dims; j += 4 {
+			a, k := row[j:j+4:j+4], q[j:j+4:j+4]
+			s += int64(a[0])*int64(k[0]) + int64(a[1])*int64(k[1]) + int64(a[2])*int64(k[2]) + int64(a[3])*int64(k[3])
+		}
+		k := q[j:]
+		a := row[j:][:len(k)]
+		for i, ki := range k {
+			s += int64(a[i]) * int64(ki)
+		}
+		rest[i] = s
 	}
-	return s0 + s1 + s2 + s3
 }
 
 // sqNormKernel is the unrolled squared norm. Single accumulator,

@@ -97,12 +97,31 @@ func Dot(a, b []float64) float64 {
 
 // IntDot returns the inner product of two non-negative integer vectors as
 // an int64, mirroring what the ReRAM crossbar computes in the analog domain.
+// It is the one-row case of IntDotRows (same kernel, same 4-wide block).
 // Differentially tested bit-identical to IntDotRef.
 func IntDot(a, b []uint32) int64 {
 	if len(a) != len(b) {
 		panicLens("intdot", len(a), len(b))
 	}
-	return intDotKernel(a, b)
+	var out [1]int64
+	intDotRowsKernel(a, b, out[:])
+	return out[0]
+}
+
+// IntDotRows computes the inner product of q with every row of a row-major
+// slab: dst[r] = rows[r·dims:(r+1)·dims]·q. This is the host stand-in for
+// the PIM array's one-pass dot product against a whole programmed payload.
+// Like IntDot it panics on a shape mismatch (len(q) != dims or
+// len(rows) != len(dst)·dims), and it is differentially tested
+// bit-identical to a per-row IntDotRef loop.
+func IntDotRows(rows []uint32, dims int, q []uint32, dst []int64) {
+	if len(q) != dims {
+		panicLens("intdotrows", dims, len(q))
+	}
+	if len(rows) != len(dst)*dims {
+		panic(fmt.Sprintf("vec: intdotrows of a %d-element slab as %d rows of %d", len(rows), len(dst), dims))
+	}
+	intDotRowsKernel(rows, q, dst)
 }
 
 // SqNorm returns the squared L2 norm Σ aᵢ². Differentially tested

@@ -85,14 +85,10 @@ type Crossbar struct {
 	// tracking (§V-C motivates avoiding re-programming).
 	writes []uint32
 
-	// planes is the word-parallel mirror of cells: for column c and cell
-	// bit t, the words planes[(c·h+t)·W : (c·h+t+1)·W] hold one bit per
-	// row (row r lives in word r/64, bit r%64) saying whether that cell's
-	// level has bit t set. DotAll computes column sums as
-	// Σ_t Σ_u 2^(t+u)·popcount(cellPlane_t & inputPlane_u), touching 64
-	// cells per uint64 op instead of one. Maintained by ProgramVector and
-	// Reset; never read by the endurance or programming paths.
-	planes     []uint64
+	// planes is the word-parallel mirror of cells that DotAll reads (see
+	// bitPlanes). Maintained by ProgramVector and Reset; never read by the
+	// endurance or programming paths.
+	planes     bitPlanes
 	planeWords int // W = ⌈M/64⌉ words per plane
 
 	opBits int // bits per stored operand (0 until first program)
@@ -105,19 +101,39 @@ type Crossbar struct {
 	// and drifted cells through this hook). Programming and endurance
 	// accounting always see the true cells.
 	readFault ReadFault
+	// faulted mirrors the levels readFault reports for the occupied cells,
+	// and is what DotAll reads while a hook is installed. Maintained by
+	// SetReadFault, ProgramVector and Reset alongside planes, so queries
+	// only ever read it; empty without a hook.
+	faulted bitPlanes
 }
 
 // ReadFault maps a programmed cell level to the level the analog read
 // actually observes. row/col are cell coordinates within the tile; the
 // returned level must stay within the cell's range [0, 2^CellBits).
 // The hook must be a pure function of its arguments: the word-parallel
-// read path materializes each faulted cell once per DotAll call instead
-// of once per compute cycle (internal/fault's frozen fault maps satisfy
-// this by construction).
+// read path materializes each faulted cell once, when the hook is
+// installed or the cell programmed, instead of once per compute cycle
+// (internal/fault's frozen fault maps satisfy this by construction).
 type ReadFault func(row, col int, programmed uint16) uint16
 
-// SetReadFault installs (or, with nil, removes) the cell-read fault hook.
-func (c *Crossbar) SetReadFault(f ReadFault) { c.readFault = f }
+// SetReadFault installs (or, with nil, removes) the cell-read fault hook
+// and materializes what it makes of the cells programmed so far. Like
+// programming, it must not run concurrently with queries.
+func (c *Crossbar) SetReadFault(f ReadFault) {
+	c.readFault = f
+	if f == nil {
+		c.faulted = bitPlanes{}
+		return
+	}
+	c.faulted = newBitPlanes(c.spec)
+	usedCols := c.nvecs * c.spec.CellsPerOperand(c.opBits)
+	for row := 0; row < c.dims; row++ {
+		for col := 0; col < usedCols; col++ {
+			c.faulted.set(row, col, f(row, col, c.cells[row*c.spec.M+col]))
+		}
+	}
+}
 
 // New creates an empty crossbar. It panics on an invalid spec, since specs
 // come from static configuration.
@@ -126,13 +142,12 @@ func New(spec Spec) *Crossbar {
 		panic(err)
 	}
 	n := spec.M * spec.M
-	w := (spec.M + 63) / 64
 	return &Crossbar{
 		spec:       spec,
 		cells:      make([]uint16, n),
 		writes:     make([]uint32, n),
-		planes:     make([]uint64, spec.M*spec.CellBits*w),
-		planeWords: w,
+		planes:     newBitPlanes(spec),
+		planeWords: spec.planeWords(),
 	}
 }
 
@@ -211,38 +226,65 @@ func (c *Crossbar) DotAll(input []uint32, inputBits int) ([]int64, int, error) {
 
 // DotAllInto is DotAll writing into dst (len must be Vectors()); the
 // steady-state query path reuses dst and the pooled plane scratch, so a
-// warmed-up simulate-mode query performs no allocations.
+// warmed-up simulate-mode query performs no allocations. It is
+// Input.Slice followed by DotInputInto; a caller injecting one input into
+// several tiles does those two steps itself.
 func (c *Crossbar) DotAllInto(input []uint32, inputBits int, dst []int64) (int, error) {
-	cycles, err := c.checkQuery(input, inputBits)
-	if err != nil {
+	in := inputPool.Get().(*Input)
+	defer inputPool.Put(in)
+	if err := in.Slice(c.spec, input, inputBits); err != nil {
 		return 0, err
+	}
+	return c.DotInputInto(in, dst)
+}
+
+// DotInputInto is DotAllInto for an input already validated and sliced
+// into bit planes. It only reads in, so one Input may be injected into
+// any number of tiles of the same height, concurrently.
+func (c *Crossbar) DotInputInto(in *Input, dst []int64) (int, error) {
+	if err := c.checkLayout(in.dims); err != nil {
+		return 0, err
+	}
+	if in.words != c.planeWords {
+		return 0, fmt.Errorf("crossbar: input sliced for %d-word planes, crossbar has %d", in.words, c.planeWords)
 	}
 	if len(dst) != c.nvecs {
 		return 0, fmt.Errorf("crossbar: result buffer has %d slots, %d vectors programmed", len(dst), c.nvecs)
 	}
-	c.dotWordParallel(input, inputBits, dst)
-	return cycles, nil
+	c.dotWordParallel(in, dst)
+	return c.spec.InputCycles(in.bits), nil
 }
 
-// checkQuery validates a query against the programmed layout and returns
-// the cycle count.
-func (c *Crossbar) checkQuery(input []uint32, inputBits int) (int, error) {
+// checkLayout validates a query's dimensionality against the programmed
+// layout.
+func (c *Crossbar) checkLayout(dims int) error {
 	if c.nvecs == 0 {
-		return 0, errors.New("crossbar: no vectors programmed")
+		return errors.New("crossbar: no vectors programmed")
 	}
-	if len(input) != c.dims {
-		return 0, fmt.Errorf("crossbar: input has %d dims, stored vectors have %d", len(input), c.dims)
+	if dims != c.dims {
+		return fmt.Errorf("crossbar: input has %d dims, stored vectors have %d", dims, c.dims)
 	}
+	return nil
+}
+
+// checkInput validates an input vector against its declared width and
+// returns the OR of its values: bit b is set iff some value has bit b.
+func checkInput(input []uint32, inputBits int) (uint32, error) {
 	if inputBits <= 0 || inputBits > 32 {
 		return 0, fmt.Errorf("crossbar: input width %d outside [1,32]", inputBits)
 	}
-	maxVal := uint64(1)<<uint(inputBits) - 1
+	var live uint32
 	for _, v := range input {
-		if uint64(v) > maxVal {
-			return 0, fmt.Errorf("crossbar: input value %d exceeds %d-bit width", v, inputBits)
+		live |= v
+	}
+	if maxVal := uint64(1)<<uint(inputBits) - 1; uint64(live) > maxVal {
+		for _, v := range input {
+			if uint64(v) > maxVal {
+				return 0, fmt.Errorf("crossbar: input value %d exceeds %d-bit width", v, inputBits)
+			}
 		}
 	}
-	return c.spec.InputCycles(inputBits), nil
+	return live, nil
 }
 
 // DotAllRef is the retained cell-at-a-time reference implementation of
@@ -250,10 +292,13 @@ func (c *Crossbar) checkQuery(input []uint32, inputBits int) (int, error) {
 // executable specification the kernel-equivalence tests and fuzzers pin
 // the word-parallel path against. It must never be optimized.
 func (c *Crossbar) DotAllRef(input []uint32, inputBits int) ([]int64, int, error) {
-	cycles, err := c.checkQuery(input, inputBits)
-	if err != nil {
+	if err := c.checkLayout(len(input)); err != nil {
 		return nil, 0, err
 	}
+	if _, err := checkInput(input, inputBits); err != nil {
+		return nil, 0, err
+	}
+	cycles := c.spec.InputCycles(inputBits)
 	cpo := c.spec.CellsPerOperand(c.opBits)
 	dacMask := uint32(1)<<uint(c.spec.DACBits) - 1
 	out := make([]int64, c.nvecs)
@@ -291,9 +336,8 @@ func (c *Crossbar) Reset() {
 	for i := range c.cells {
 		c.cells[i] = 0
 	}
-	for i := range c.planes {
-		c.planes[i] = 0
-	}
+	c.planes.clear()
+	c.faulted.clear()
 	c.opBits, c.dims, c.nvecs = 0, 0, 0
 }
 

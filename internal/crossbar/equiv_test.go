@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -9,8 +10,15 @@ import (
 // fresh crossbar of the given spec.
 func buildRandom(t testing.TB, spec Spec, rng *rand.Rand, nvecs, dims, opBits int) *Crossbar {
 	t.Helper()
+	return buildRandomValues(t, spec, rng, nvecs, dims, opBits, opBits)
+}
+
+// buildRandomValues is buildRandom with values of only valueBits bits, so
+// the operand's cell planes above valueBits stay empty.
+func buildRandomValues(t testing.TB, spec Spec, rng *rand.Rand, nvecs, dims, opBits, valueBits int) *Crossbar {
+	t.Helper()
 	c := New(spec)
-	maxVal := uint64(1)<<uint(opBits) - 1
+	maxVal := uint64(1)<<uint(valueBits) - 1
 	for v := 0; v < nvecs; v++ {
 		vals := make([]uint32, dims)
 		for i := range vals {
@@ -25,7 +33,10 @@ func buildRandom(t testing.TB, spec Spec, rng *rand.Rand, nvecs, dims, opBits in
 
 // TestDotAllMatchesRef pins the word-parallel DotAll bit-identical to the
 // retained cell-at-a-time reference across a grid of geometries, operand
-// widths and edge sizes (1 dim, non-multiple-of-64 dims, full crossbars).
+// widths and edge sizes (1 dim, non-multiple-of-64 dims, full crossbars),
+// and over the shapes an occupancy skip can get wrong: operands wider than
+// their values (the FNN payload: 20-bit values in 32-bit operands), 1-bit
+// operands (HD), an all-zero input, and a lone live input bit at bit 31.
 func TestDotAllMatchesRef(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
@@ -37,7 +48,8 @@ func TestDotAllMatchesRef(t *testing.T) {
 		{M: 3, CellBits: 5, DACBits: 7, ReadLatencyNs: 1, WriteLatencyNs: 1},
 	}
 	for _, spec := range specs {
-		for _, opBits := range []int{1, 2, 7, 8, 17, 32} {
+		for _, op := range [][2]int{{1, 1}, {2, 2}, {7, 7}, {8, 8}, {17, 17}, {32, 32}, {32, 20}, {17, 3}} {
+			opBits, valueBits := op[0], op[1]
 			cpo := spec.CellsPerOperand(opBits)
 			maxVecs := spec.M / cpo
 			if maxVecs == 0 {
@@ -48,12 +60,17 @@ func TestDotAllMatchesRef(t *testing.T) {
 					continue
 				}
 				nvecs := rng.Intn(maxVecs) + 1
-				c := buildRandom(t, spec, rng, nvecs, dims, opBits)
-				for _, inBits := range []int{1, 3, 8, 32} {
+				c := buildRandomValues(t, spec, rng, nvecs, dims, opBits, valueBits)
+				// Full-width inputs at four widths, then 20-bit values, all
+				// zeros, and bit 31 alone on some rows, declared 32 wide.
+				for _, in := range []struct {
+					bits int
+					mask uint32
+				}{{1, 1}, {3, 7}, {8, 0xff}, {32, 1<<32 - 1}, {32, 1<<20 - 1}, {32, 0}, {32, 1 << 31}} {
+					inBits := in.bits
 					input := make([]uint32, dims)
-					maxIn := uint64(1)<<uint(inBits) - 1
 					for i := range input {
-						input[i] = uint32(rng.Uint64() & maxIn)
+						input[i] = rng.Uint32() & in.mask
 					}
 					want, wantCyc, err := c.DotAllRef(input, inBits)
 					if err != nil {
@@ -68,8 +85,8 @@ func TestDotAllMatchesRef(t *testing.T) {
 					}
 					for v := range want {
 						if got[v] != want[v] {
-							t.Fatalf("spec M=%d h=%d dac=%d opBits=%d dims=%d inBits=%d vec %d: dot %d, ref %d",
-								spec.M, spec.CellBits, spec.DACBits, opBits, dims, inBits, v, got[v], want[v])
+							t.Fatalf("spec M=%d h=%d dac=%d opBits=%d valueBits=%d dims=%d input %+v vec %d: dot %d, ref %d",
+								spec.M, spec.CellBits, spec.DACBits, opBits, valueBits, dims, in, v, got[v], want[v])
 						}
 					}
 				}
@@ -132,6 +149,79 @@ func TestDotAllMatchesRefFaulted(t *testing.T) {
 	}
 }
 
+// TestDotAllMatchesRefFaultedEmptyPlane installs a stuck-at-1 bit in a
+// cell plane that is empty as programmed (4-bit values in 8-bit operands
+// leave each vector's two high cells at level 0). The walk must take
+// occupancy from the planes the read observes: skipping by the programmed
+// planes drops the fault's contribution. Both ways of getting there are
+// pinned — hook installed over programmed cells, and cells programmed
+// (after a Reset) under an installed hook — and removing the hook must
+// empty the plane again.
+func TestDotAllMatchesRefFaultedEmptyPlane(t *testing.T) {
+	t.Parallel()
+	spec := Spec{M: 96, CellBits: 2, DACBits: 2, ReadLatencyNs: 1, WriteLatencyNs: 1}
+	const nvecs, dims, opBits = 5, 77, 8
+	cpo := spec.CellsPerOperand(opBits)
+	stuck := func(row, col int, level uint16) uint16 {
+		if row == 70 && col == 2*cpo { // vector 2's most significant cell
+			return level | 2
+		}
+		return level
+	}
+	input := make([]uint32, dims)
+	for i := range input {
+		input[i] = 0xff
+	}
+	mustMatchRef := func(c *Crossbar, what string) []int64 {
+		t.Helper()
+		want, _, err := c.DotAllRef(input, 8)
+		if err != nil {
+			t.Fatalf("%s: DotAllRef: %v", what, err)
+		}
+		got, _, err := c.DotAll(input, 8)
+		if err != nil {
+			t.Fatalf("%s: DotAll: %v", what, err)
+		}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("%s: vec %d: dot %d, ref %d", what, v, got[v], want[v])
+			}
+		}
+		return got
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	c := buildRandomValues(t, spec, rng, nvecs, dims, opBits, 4)
+	clean := mustMatchRef(c, "clean")
+	c.SetReadFault(stuck)
+	faulted := mustMatchRef(c, "hook over programmed cells")
+	// Level bit 1 of the top cell weighs 2^7; the input row reads 0xff.
+	if faulted[2] != clean[2]+0xff<<7 {
+		t.Fatalf("stuck bit moved vec 2 from %d to %d, want +%d", clean[2], faulted[2], 0xff<<7)
+	}
+	c.SetReadFault(nil)
+	if again := mustMatchRef(c, "hook removed"); again[2] != clean[2] {
+		t.Fatalf("hook removed: vec 2 reads %d, clean %d", again[2], clean[2])
+	}
+
+	c.SetReadFault(stuck)
+	c.Reset()
+	vals := make([]uint32, dims)
+	for v := 0; v < nvecs; v++ {
+		for i := range vals {
+			vals[i] = rng.Uint32() & 0xf
+		}
+		if _, err := c.ProgramVector(vals, opBits); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faulted = mustMatchRef(c, "cells programmed under the hook")
+	c.SetReadFault(nil)
+	if clean = mustMatchRef(c, "hook removed again"); faulted[2] != clean[2]+0xff<<7 {
+		t.Fatalf("stuck bit under reprogramming moved vec 2 from %d to %d, want +%d", clean[2], faulted[2], 0xff<<7)
+	}
+}
+
 // TestDotAllAfterReset verifies the bit planes are rebuilt correctly after
 // Reset + re-program (Reset must clear them or stale bits would corrupt
 // the word-parallel sums).
@@ -168,6 +258,17 @@ func FuzzCrossbarEquivalence(f *testing.F) {
 	f.Add([]byte("00"), []byte("7"), byte(1), byte(1), byte(1), byte(1), byte(4))
 	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff"), []byte("\xff\xff"), byte(16), byte(16), byte(32), byte(32), byte(8))
 	f.Add([]byte("abcdefghij"), []byte("klm"), byte(3), byte(5), byte(7), byte(11), byte(65))
+	// Shapes an occupancy skip can get wrong. Payload byte p programs
+	// p·0x9e3779b1 cut to the operand: 0x00, 0xe9, 0x59, 0x22 and 0xb2 are
+	// the bytes that stay below 2^26, so the first seed is 32-bit operands
+	// whose high planes are empty. Query byte 0x00 is a zero input and 0x80
+	// the top bit alone of an 8-bit one. The last two are the HD shape
+	// (1-bit operands) and 70 dims on 2-word planes.
+	f.Add([]byte("\xe9\x59\x00\x22\xb2\xe9\x00\x00\x59\xb2\x22\xe9"), []byte("\xe9\x59\x22\xb2"), byte(1), byte(1), byte(31), byte(31), byte(95))
+	f.Add([]byte("0123456789ab"), []byte("\x00\x00\x00\x00"), byte(1), byte(1), byte(31), byte(31), byte(95))
+	f.Add([]byte("0123456789ab"), []byte("\x80\x00\x80\x80"), byte(1), byte(1), byte(7), byte(7), byte(95))
+	f.Add([]byte("0110100110010110"), []byte("\x01\x00\x01\x01"), byte(0), byte(0), byte(0), byte(0), byte(63))
+	f.Add(bytes.Repeat([]byte("0123456789"), 14), bytes.Repeat([]byte("abcdefg"), 10), byte(1), byte(1), byte(7), byte(7), byte(95))
 	f.Fuzz(func(t *testing.T, payload, query []byte, hRaw, dacRaw, opRaw, inRaw, mRaw byte) {
 		h := int(hRaw)%16 + 1
 		dac := int(dacRaw)%16 + 1

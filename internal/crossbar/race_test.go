@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// TestScratchPoolConcurrent hammers the shared dot-product scratch pool
-// from many goroutines querying distinct crossbars (the serve layer's
-// sharded engines do exactly this). Run under -race it proves pooled
-// scratch is never shared between in-flight queries; the result check
-// proves buffers are re-zeroed correctly on reuse.
+// TestScratchPoolConcurrent hammers the shared input-plane pool from many
+// goroutines, two to a crossbar (the serve layer's shard workers share an
+// engine's tiles exactly so), every other crossbar under a read-fault
+// hook. Run under -race it proves pooled scratch is never shared between
+// in-flight queries and that queries only read a crossbar — its planes
+// and the faulted ones materialized when the hook went in; the result
+// check proves buffers are re-zeroed correctly on reuse.
 func TestScratchPoolConcurrent(t *testing.T) {
 	t.Parallel()
 	spec := Spec{M: 96, CellBits: 2, DACBits: 2, ReadLatencyNs: 1, WriteLatencyNs: 1}
@@ -22,7 +24,19 @@ func TestScratchPoolConcurrent(t *testing.T) {
 	wants := make([][]int64, workers)
 	for w := 0; w < workers; w++ {
 		rng := rand.New(rand.NewSource(int64(100 + w)))
-		xbs[w] = buildRandom(t, spec, rng, 4, 77, 8)
+		if w%2 == 0 {
+			xbs[w] = buildRandom(t, spec, rng, 4, 77, 8)
+			if w%4 == 0 {
+				xbs[w].SetReadFault(func(row, col int, level uint16) uint16 {
+					if (row+col)%5 == 0 {
+						return level | 1
+					}
+					return level
+				})
+			}
+		} else {
+			xbs[w] = xbs[w-1]
+		}
 		in := make([]uint32, 77)
 		for i := range in {
 			in[i] = rng.Uint32() & 0xff

@@ -63,36 +63,71 @@ func heavyModel(seed int64) fault.Model {
 // one (cell-read hooks inside the bit-sliced crossbar simulator), for the
 // same model and seed, across multi-chunk payloads and many queries.
 func TestExactMatchesSimulate(t *testing.T) {
-	cfg := testConfig()
-	const n, dims = 37, 40 // 40 dims > M=16 → 3 chunks per group
-	rng := rand.New(rand.NewSource(7))
-	rows := randomRows(rng, n, dims)
-	model := heavyModel(99)
-
-	engines := make(map[string]*pim.Engine)
-	payloads := make(map[string]*pim.Payload)
-	for name, mode := range map[string]pim.Mode{"exact": pim.ModeExact, "simulate": pim.ModeSimulate} {
-		inj, err := fault.NewInjector(model, cfg.Crossbar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[name], payloads[name] = buildPayload(t, cfg, mode, inj, rows, n, dims)
+	type shape struct {
+		m, opBits int
+		alpha     float64 // values are ⌊alpha·u⌋, u uniform in [0,1), cut to opBits
 	}
+	// 40 dims > M → ≥ 2 chunks per group; 37 vectors → ≥ 2 groups at every
+	// width. Quantizer scale × operand width moves the payload from all
+	// planes empty as programmed (α = 1: only stuck-at-1 and drifted cells
+	// occupy any) through 20-bit values in 32-bit operands to all occupied.
+	shapes := []shape{{16, testOpBits, 1 << testOpBits}}
+	for _, opBits := range []int{8, 20, 32} {
+		for _, alpha := range []float64{1, 1e3, 1e6} {
+			shapes = append(shapes, shape{32, opBits, alpha})
+		}
+	}
+	const n, dims = 37, 40
+	for _, sh := range shapes {
+		cfg := testConfig()
+		cfg.Crossbar.M = sh.m
+		rng := rand.New(rand.NewSource(7))
+		mask := uint32(1)<<uint(sh.opBits) - 1
+		random := func(count int) []uint32 {
+			vals := make([]uint32, count)
+			for i := range vals {
+				vals[i] = uint32(sh.alpha*rng.Float64()) & mask
+			}
+			return vals
+		}
+		rows := random(n * dims)
+		model := heavyModel(99)
 
-	for q := 0; q < 10; q++ {
-		input := randomRows(rng, 1, dims)
-		got := map[string][]int64{}
-		for name, eng := range engines {
-			dst, err := eng.QueryAll(arch.NewMeter(), arch.FuncED, payloads[name], input, nil)
+		engines := make(map[string]*pim.Engine)
+		payloads := make(map[string]*pim.Payload)
+		for name, mode := range map[string]pim.Mode{"exact": pim.ModeExact, "simulate": pim.ModeSimulate} {
+			inj, err := fault.NewInjector(model, cfg.Crossbar)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got[name] = append([]int64(nil), dst...)
+			eng, err := pim.NewFaultyEngine(cfg, mode, inj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := eng.ProgramWidth("test/payload", n, dims, 1, sh.opBits, func(i int) []uint32 {
+				return rows[i*dims : (i+1)*dims]
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[name], payloads[name] = eng, p
 		}
-		for i := 0; i < n; i++ {
-			if got["exact"][i] != got["simulate"][i] {
-				t.Fatalf("query %d vector %d: exact %d != simulate %d",
-					q, i, got["exact"][i], got["simulate"][i])
+
+		for q := 0; q < 10; q++ {
+			input := random(dims)
+			got := map[string][]int64{}
+			for name, eng := range engines {
+				dst, err := eng.QueryAll(arch.NewMeter(), arch.FuncED, payloads[name], input, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[name] = append([]int64(nil), dst...)
+			}
+			for i := 0; i < n; i++ {
+				if got["exact"][i] != got["simulate"][i] {
+					t.Fatalf("%+v query %d vector %d: exact %d != simulate %d",
+						sh, q, i, got["exact"][i], got["simulate"][i])
+				}
 			}
 		}
 	}

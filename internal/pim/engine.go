@@ -402,36 +402,47 @@ func (e *Engine) QueryAll(meter *arch.Meter, fn string, p *Payload, input []uint
 	return dst, nil
 }
 
-// partPool holds the per-tile partial-dot buffers of simulateQuery, so a
-// warmed-up simulate-mode query allocates nothing and concurrent shard
-// engines never share a buffer.
-var partPool = sync.Pool{New: func() any { return new([]int64) }}
+// simScratch is simulateQuery's per-call scratch: the sliced input of the
+// dimension chunk in flight and one tile's partial dots.
+type simScratch struct {
+	in   crossbar.Input
+	part []int64
+}
 
-// simulateQuery runs the query through the functional crossbar tiles.
+// simPool holds simulateQuery's scratch, so a warmed-up simulate-mode
+// query allocates nothing and concurrent shard engines never share a
+// buffer.
+var simPool = sync.Pool{New: func() any { return new(simScratch) }}
+
+// simulateQuery runs the query through the functional crossbar tiles. A
+// dimension chunk of the input is validated and sliced into bit planes
+// once, then injected into every group's tile of that chunk; dst
+// accumulates the chunk partials (the gather crossbars' summation).
 func (e *Engine) simulateQuery(p *Payload, input []uint32, dst []int64) error {
-	m := e.cfg.Crossbar.M
-	pp := partPool.Get().(*[]int64)
-	defer partPool.Put(pp)
-	for g, tiles := range p.xbars {
-		base := g * p.perGroup
-		count := minInt(p.perGroup, p.N-base)
-		// Zero the group's outputs, then accumulate chunk partials
-		// (the gather crossbars' summation).
-		for v := 0; v < count; v++ {
-			dst[base+v] = 0
+	spec := e.cfg.Crossbar
+	sc := simPool.Get().(*simScratch)
+	defer simPool.Put(sc)
+	for i := range dst {
+		dst[i] = 0
+	}
+	for c := 0; c < p.chunks; c++ {
+		lo := c * spec.M
+		hi := minInt(lo+spec.M, p.Dims)
+		if err := sc.in.Slice(spec, input[lo:hi], p.OpBits); err != nil {
+			return fmt.Errorf("pim: querying payload %q chunk %d: %w", p.Name, c, err)
 		}
-		for c, xb := range tiles {
-			lo := c * m
-			hi := minInt(lo+m, p.Dims)
-			if cap(*pp) < xb.Vectors() {
-				*pp = make([]int64, xb.Vectors())
+		for g, tiles := range p.xbars {
+			xb := tiles[c]
+			if cap(sc.part) < xb.Vectors() {
+				sc.part = make([]int64, xb.Vectors())
 			}
-			part := (*pp)[:xb.Vectors()]
-			if _, err := xb.DotAllInto(input[lo:hi], p.OpBits, part); err != nil {
+			part := sc.part[:xb.Vectors()]
+			if _, err := xb.DotInputInto(&sc.in, part); err != nil {
 				return fmt.Errorf("pim: querying payload %q group %d chunk %d: %w", p.Name, g, c, err)
 			}
-			for v := 0; v < count; v++ {
-				dst[base+v] += part[v]
+			base := g * p.perGroup
+			for v, d := range part[:minInt(p.perGroup, p.N-base)] {
+				dst[base+v] += d
 			}
 		}
 	}

@@ -119,20 +119,22 @@ func smallCfg() arch.Config {
 
 func TestEngineExactMatchesSimulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		cfg := smallCfg()
-		n := 1 + rng.Intn(40)
-		dims := 1 + rng.Intn(30) // exercises multi-chunk payloads (dims > M=8)
+	// check programs n×dims values ⌊alpha·u⌋, u uniform in [0,1), cut to
+	// the operand width, into an exact and a simulate engine and requires
+	// identical dots and meters.
+	check := func(cfg arch.Config, n, dims int, alpha float64) {
+		t.Helper()
+		mask := uint32(1)<<uint(cfg.OperandBits) - 1
 		rows := make([][]uint32, n)
 		for i := range rows {
 			rows[i] = make([]uint32, dims)
 			for j := range rows[i] {
-				rows[i][j] = rng.Uint32() % 256
+				rows[i][j] = uint32(alpha*rng.Float64()) & mask
 			}
 		}
 		input := make([]uint32, dims)
 		for j := range input {
-			input[j] = rng.Uint32() % 256
+			input[j] = uint32(alpha*rng.Float64()) & mask
 		}
 		rowFn := func(i int) []uint32 { return rows[i] }
 
@@ -163,13 +165,31 @@ func TestEngineExactMatchesSimulate(t *testing.T) {
 		}
 		for i := range outE {
 			if outE[i] != outS[i] {
-				t.Fatalf("trial %d (n=%d dims=%d): exact[%d]=%d simulate=%d",
-					trial, n, dims, i, outE[i], outS[i])
+				t.Fatalf("op=%db alpha=%g n=%d dims=%d groups=%d: exact[%d]=%d simulate=%d",
+					cfg.OperandBits, alpha, n, dims, ps.Groups(), i, outE[i], outS[i])
 			}
 		}
 		// Identical activity accounting in both modes.
 		if me.Get("f") != ms.Get("f") {
 			t.Fatalf("meters diverge: exact=%+v simulate=%+v", me.Get("f"), ms.Get("f"))
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		// dims > M=8 exercises multi-chunk payloads.
+		check(smallCfg(), 1+rng.Intn(40), 1+rng.Intn(30), 256)
+	}
+	// Quantizer scale × operand width, always over ≥ 2 groups and ≥ 2
+	// chunks: one sliced input per chunk is shared by every group's tile,
+	// and the payloads range from all planes empty (α = 1) through the
+	// FNN shape (20-bit values in 32-bit operands) to every plane occupied
+	// (α beyond the operand width).
+	for _, opBits := range []int{8, 20, 32} {
+		for _, alpha := range []float64{1, 1e3, 1e6} {
+			cfg := smallCfg()
+			cfg.Crossbar.M = 32
+			cfg.OperandBits = opBits
+			perGroup := cfg.Crossbar.VectorsPerCrossbar(cfg.Crossbar.M, opBits)
+			check(cfg, 2*perGroup+1+rng.Intn(perGroup), cfg.Crossbar.M+1+rng.Intn(2*cfg.Crossbar.M), alpha)
 		}
 	}
 }

@@ -24,47 +24,58 @@ import (
 )
 
 // BenchmarkCrossbarDot compares the cell-at-a-time reference against the
-// word-parallel bit-plane kernel on the paper's Table 5 geometry. The
-// wordparallel case must stay at 0 allocs/op (pooled scratch).
+// word-parallel bit-plane kernel on the paper's Table 5 geometry, once
+// with every bit plane occupied (dense 8-bit operands) and once on the
+// FNN payload shape: 32-bit operands holding 20-bit ⌊α·µ⌋ values at
+// d=210, where the kernel skips the 12 empty planes on either side. The
+// wordparallel cases must stay at 0 allocs/op (pooled scratch).
 func BenchmarkCrossbarDot(b *testing.B) {
 	spec := crossbar.Spec{M: 256, CellBits: 2, DACBits: 2, ReadLatencyNs: 29.31, WriteLatencyNs: 50.88}
-	const dims, opBits = 256, 8
-	rng := rand.New(rand.NewSource(1))
-	xb := crossbar.New(spec)
-	for v := 0; v < spec.VectorsPerCrossbar(dims, opBits); v++ {
-		vals := make([]uint32, dims)
-		for i := range vals {
-			vals[i] = rng.Uint32() & 0xff
-		}
-		if _, err := xb.ProgramVector(vals, opBits); err != nil {
-			b.Fatal(err)
-		}
-	}
-	input := make([]uint32, dims)
-	for i := range input {
-		input[i] = rng.Uint32() & 0xff
-	}
-	dst := make([]int64, xb.Vectors())
-	b.Run("ref", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := xb.DotAllRef(input, opBits); err != nil {
+	for _, shape := range []struct {
+		suffix                  string
+		dims, opBits, valueBits int
+	}{
+		{"", 256, 8, 8},
+		{"-fnn", 210, 32, 20},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		mask := uint32(1)<<uint(shape.valueBits) - 1
+		xb := crossbar.New(spec)
+		vals := make([]uint32, shape.dims)
+		for v := 0; v < spec.VectorsPerCrossbar(shape.dims, shape.opBits); v++ {
+			for i := range vals {
+				vals[i] = rng.Uint32() & mask
+			}
+			if _, err := xb.ProgramVector(vals, shape.opBits); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("wordparallel", func(b *testing.B) {
-		if _, err := xb.DotAllInto(input, opBits, dst); err != nil {
-			b.Fatal(err) // warm the scratch pool before counting
+		input := make([]uint32, shape.dims)
+		for i := range input {
+			input[i] = rng.Uint32() & mask
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := xb.DotAllInto(input, opBits, dst); err != nil {
-				b.Fatal(err)
+		dst := make([]int64, xb.Vectors())
+		b.Run("ref"+shape.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := xb.DotAllRef(input, shape.opBits); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+		b.Run("wordparallel"+shape.suffix, func(b *testing.B) {
+			if _, err := xb.DotAllInto(input, shape.opBits, dst); err != nil {
+				b.Fatal(err) // warm the scratch pool before counting
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := xb.DotAllInto(input, shape.opBits, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkVecDistance times the unrolled distance kernels against their

@@ -14,10 +14,11 @@
 package netserve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -306,13 +307,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// readBody slurps the size-capped request body.
+// readBody slurps the size-capped request body into a buffer sized
+// from a declared Content-Length (an undeclared one grows as it
+// arrives). A declared length over the cap is refused before a byte is
+// read.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
+	if r.ContentLength > s.opts.MaxBodyBytes {
+		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", ErrBodyTooLarge, r.ContentLength, s.opts.MaxBodyBytes)
+	}
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		// MinRead spare bytes let ReadFrom see EOF without regrowing.
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, fmt.Errorf("%w: limit %d", ErrBodyTooLarge, tooLarge.Limit)
+		}
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return body, nil
+	return buf.Bytes(), nil
 }
 
 // searchOne is the admission-to-answer path shared by the single and

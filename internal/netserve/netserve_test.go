@@ -422,3 +422,54 @@ func TestDrainExactlyOnce(t *testing.T) {
 		t.Fatalf("second drain: %v", err)
 	}
 }
+
+// TestBodyTooLarge pins the size cap's verdict: a body one byte over
+// MaxBodyBytes is a typed 413 whether the length was declared (refused
+// before a byte is read) or the body arrived chunked (found while
+// reading), and a body exactly at the cap is served either way.
+func TestBodyTooLarge(t *testing.T) {
+	t.Parallel()
+	eng, ds := buildEngine(t, 60, 2, serve.Options{})
+	atCap, err := json.Marshal(netserve.QueryRequest{Query: ds.Queries(1, 5).Row(0), K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := netserve.New(netserve.Options{Engine: eng, MaxBodyBytes: int64(len(atCap))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Drain()
+
+	over := append(bytes.Clone(atCap), ' ') // still the same valid request
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		chunked bool
+		status  int
+	}{
+		{"declared, at the cap", atCap, false, http.StatusOK},
+		{"chunked, at the cap", atCap, true, http.StatusOK},
+		{"declared, one byte over", over, false, http.StatusRequestEntityTooLarge},
+		{"chunked, one byte over", over, true, http.StatusRequestEntityTooLarge},
+	} {
+		var body io.Reader = bytes.NewReader(tc.body)
+		if tc.chunked {
+			body = io.MultiReader(body) // hides the length from http.NewRequest
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/search", "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.status, data)
+		}
+		var eb netserve.ErrorBody
+		if tc.status != http.StatusOK && (json.Unmarshal(data, &eb) != nil || eb.Code != "body_too_large") {
+			t.Errorf("%s: error body %s, want code body_too_large", tc.name, data)
+		}
+	}
+}

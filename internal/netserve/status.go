@@ -21,6 +21,11 @@ import (
 // load balancers fail over instead of queueing into a dying process.
 var ErrDraining = errors.New("netserve: server draining")
 
+// ErrBodyTooLarge reports a request body over Options.MaxBodyBytes,
+// declared by Content-Length or found while reading. It maps to HTTP
+// 413: the body's size is what is wrong, whatever is in it.
+var ErrBodyTooLarge = errors.New("netserve: request body too large")
+
 // StatusClientClosed is nginx's non-standard 499 "client closed
 // request": the caller canceled, nothing to retry.
 const StatusClientClosed = 499
@@ -47,42 +52,42 @@ type mapping struct {
 // orderedMappings is the wire contract. 4xx/5xx semantics:
 //
 //	400  the request itself is malformed (bad JSON, dims, k, NaN/Inf)
+//	413  the request body is over the size cap
 //	429  the request was fine but refused by quota, admission or shed —
 //	     retryable after backing off (Retry-After is set)
 //	499  the client went away first
 //	503  the server is going away (drain, closed engine) — fail over
 //	504  the query was admitted but its deadline elapsed mid-flight
-func orderedMappings() []mapping {
-	return []mapping{
-		{ErrBadRequest, Verdict{http.StatusBadRequest, "bad_request", false}},
-		{quant.ErrNotFinite, Verdict{http.StatusBadRequest, "bad_request", false}},
-		{quant.ErrOutOfRange, Verdict{http.StatusBadRequest, "bad_request", false}},
-		// An explicit routing mode against an engine without a router is a
-		// client error: the client asked for a capability this deployment
-		// does not have (GET /v1/info advertises it).
-		{serve.ErrNoRouter, Verdict{http.StatusBadRequest, "no_router", false}},
-		{standing.ErrBadSubscription, Verdict{http.StatusBadRequest, "bad_subscription", false}},
-		{resilience.ErrQuotaExceeded, Verdict{http.StatusTooManyRequests, "quota_exceeded", true}},
-		{resilience.ErrOverloaded, Verdict{http.StatusTooManyRequests, "overloaded", true}},
-		{resilience.ErrShedDeadline, Verdict{http.StatusTooManyRequests, "shed_deadline", true}},
-		{resilience.ErrCircuitOpen, Verdict{http.StatusServiceUnavailable, "circuit_open", true}},
-		// Cluster degradation: no-quorum and rebalancing heal via
-		// anti-entropy repair, so retrying is honest advice; a node the
-		// operator addressed directly being down is not something a
-		// client retry fixes, so no Retry-After there.
-		{cluster.ErrNoQuorum, Verdict{http.StatusServiceUnavailable, "no_quorum", true}},
-		{cluster.ErrRebalancing, Verdict{http.StatusServiceUnavailable, "rebalancing", true}},
-		{cluster.ErrNodeDown, Verdict{http.StatusServiceUnavailable, "node_down", false}},
-		{ErrDraining, Verdict{http.StatusServiceUnavailable, "draining", false}},
-		{serve.ErrClosed, Verdict{http.StatusServiceUnavailable, "engine_closed", false}},
-		{standing.ErrClosed, Verdict{http.StatusServiceUnavailable, "standing_closed", false}},
-		// ErrQueryTimeout unwraps to context.DeadlineExceeded; its row must
-		// come first or every engine timeout would report as the generic
-		// caller deadline.
-		{serve.ErrQueryTimeout, Verdict{http.StatusGatewayTimeout, "query_timeout", false}},
-		{context.DeadlineExceeded, Verdict{http.StatusGatewayTimeout, "deadline_exceeded", false}},
-		{context.Canceled, Verdict{StatusClientClosed, "client_closed", false}},
-	}
+var orderedMappings = []mapping{
+	{ErrBadRequest, Verdict{http.StatusBadRequest, "bad_request", false}},
+	{quant.ErrNotFinite, Verdict{http.StatusBadRequest, "bad_request", false}},
+	{quant.ErrOutOfRange, Verdict{http.StatusBadRequest, "bad_request", false}},
+	{ErrBodyTooLarge, Verdict{http.StatusRequestEntityTooLarge, "body_too_large", false}},
+	// An explicit routing mode against an engine without a router is a
+	// client error: the client asked for a capability this deployment
+	// does not have (GET /v1/info advertises it).
+	{serve.ErrNoRouter, Verdict{http.StatusBadRequest, "no_router", false}},
+	{standing.ErrBadSubscription, Verdict{http.StatusBadRequest, "bad_subscription", false}},
+	{resilience.ErrQuotaExceeded, Verdict{http.StatusTooManyRequests, "quota_exceeded", true}},
+	{resilience.ErrOverloaded, Verdict{http.StatusTooManyRequests, "overloaded", true}},
+	{resilience.ErrShedDeadline, Verdict{http.StatusTooManyRequests, "shed_deadline", true}},
+	{resilience.ErrCircuitOpen, Verdict{http.StatusServiceUnavailable, "circuit_open", true}},
+	// Cluster degradation: no-quorum and rebalancing heal via
+	// anti-entropy repair, so retrying is honest advice; a node the
+	// operator addressed directly being down is not something a
+	// client retry fixes, so no Retry-After there.
+	{cluster.ErrNoQuorum, Verdict{http.StatusServiceUnavailable, "no_quorum", true}},
+	{cluster.ErrRebalancing, Verdict{http.StatusServiceUnavailable, "rebalancing", true}},
+	{cluster.ErrNodeDown, Verdict{http.StatusServiceUnavailable, "node_down", false}},
+	{ErrDraining, Verdict{http.StatusServiceUnavailable, "draining", false}},
+	{serve.ErrClosed, Verdict{http.StatusServiceUnavailable, "engine_closed", false}},
+	{standing.ErrClosed, Verdict{http.StatusServiceUnavailable, "standing_closed", false}},
+	// ErrQueryTimeout unwraps to context.DeadlineExceeded; its row must
+	// come first or every engine timeout would report as the generic
+	// caller deadline.
+	{serve.ErrQueryTimeout, Verdict{http.StatusGatewayTimeout, "query_timeout", false}},
+	{context.DeadlineExceeded, Verdict{http.StatusGatewayTimeout, "deadline_exceeded", false}},
+	{context.Canceled, Verdict{StatusClientClosed, "client_closed", false}},
 }
 
 // MappedSentinels returns every sentinel with an explicit wire verdict,
@@ -90,9 +95,8 @@ func orderedMappings() []mapping {
 // the facade's exported sentinels so a sentinel added without a wire
 // mapping fails loudly instead of silently becoming a 500.
 func MappedSentinels() []error {
-	ms := orderedMappings()
-	out := make([]error, len(ms))
-	for i, m := range ms {
+	out := make([]error, len(orderedMappings))
+	for i, m := range orderedMappings {
 		out[i] = m.sentinel
 	}
 	return out
@@ -101,7 +105,7 @@ func MappedSentinels() []error {
 // VerdictFor maps an error chain to its wire verdict via errors.Is in
 // declaration order; unmapped errors are a 500 "internal".
 func VerdictFor(err error) Verdict {
-	for _, m := range orderedMappings() {
+	for _, m := range orderedMappings {
 		if errors.Is(err, m.sentinel) {
 			return m.verdict
 		}

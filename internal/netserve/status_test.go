@@ -33,6 +33,7 @@ func TestStatusMapping(t *testing.T) {
 		{"bad request", wrap(netserve.ErrBadRequest), http.StatusBadRequest, "bad_request", false},
 		{"NaN query", wrap(quant.ErrNotFinite), http.StatusBadRequest, "bad_request", false},
 		{"out-of-range query", wrap(quant.ErrOutOfRange), http.StatusBadRequest, "bad_request", false},
+		{"oversize body", wrap(netserve.ErrBodyTooLarge), http.StatusRequestEntityTooLarge, "body_too_large", false},
 		{"mode without router", wrap(serve.ErrNoRouter), http.StatusBadRequest, "no_router", false},
 		{"bad subscription", wrap(standing.ErrBadSubscription), http.StatusBadRequest, "bad_subscription", false},
 		{"standing closed", wrap(standing.ErrClosed), http.StatusServiceUnavailable, "standing_closed", false},
@@ -83,6 +84,7 @@ func TestMappedSentinelsComplete(t *testing.T) {
 		netserve.ErrBadRequest,
 		quant.ErrNotFinite,
 		quant.ErrOutOfRange,
+		netserve.ErrBodyTooLarge,
 		serve.ErrNoRouter,
 		standing.ErrBadSubscription,
 		resilience.ErrQuotaExceeded,

@@ -56,29 +56,36 @@ type EventLine struct {
 // (data, dims, maxK), like the other wire decoders.
 func DecodeSubscribeRequest(data []byte, dims, maxK int) (*SubscribeRequest, error) {
 	var req SubscribeRequest
-	if err := decodeStrict(data, &req); err != nil {
+	s := scanner{data: data, dims: dims}
+	err := s.object(field{"tenant", &req.Tenant}, field{"query", &req.Query}, field{"k", &req.K},
+		field{"radius", &req.Radius}, field{"max_events", &req.MaxEvents})
+	if err == nil {
+		err = req.validate(dims, maxK)
+	}
+	if err != nil {
 		return nil, err
 	}
+	return &req, nil
+}
+
+func (req *SubscribeRequest) validate(dims, maxK int) error {
 	switch {
 	case req.K > 0 && req.Radius != 0:
-		return nil, fmt.Errorf("%w: set exactly one of k and radius", ErrBadRequest)
+		return fmt.Errorf("%w: set exactly one of k and radius", ErrBadRequest)
 	case req.K > 0:
 		if err := checkK(req.K, maxK); err != nil {
-			return nil, err
+			return err
 		}
 	case req.Radius > 0:
 		// JSON cannot carry NaN/Inf, so a decoded positive radius is
 		// finite by construction.
 	default:
-		return nil, fmt.Errorf("%w: set exactly one of k and radius", ErrBadRequest)
+		return fmt.Errorf("%w: set exactly one of k and radius", ErrBadRequest)
 	}
 	if req.MaxEvents < 0 {
-		return nil, fmt.Errorf("%w: max_events must be >= 0", ErrBadRequest)
+		return fmt.Errorf("%w: max_events must be >= 0", ErrBadRequest)
 	}
-	if err := checkQuery(req.Query, dims); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return checkQuery(req.Query, dims)
 }
 
 // eventLine converts a standing event to its wire form.

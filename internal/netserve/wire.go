@@ -2,13 +2,20 @@
 // front-end, and the strict decoders that gate what reaches the engine.
 // Decoding is deliberately a pure function of the request bytes plus the
 // engine's static shape (dims, caps) so it can be fuzzed in isolation
-// (FuzzDecodeQueryRequest) and so a malformed request is rejected with a
-// typed error before it costs any admission or crossbar budget.
+// (FuzzDecode{Query,Batch,Subscribe}Request) and so a malformed request
+// is rejected with a typed error before it costs any admission or
+// crossbar budget.
+//
+// The decoders run on the scanner in wirescan.go. Against the
+// encoding/json decoding they replaced (kept in oracle_test.go as the
+// fuzz targets' reference) they accept nothing new, give every field of
+// an accepted body the same value, and refuse four things it took:
+// trailing ']' or '}' after the body, null as a vector element (it was
+// served as 0.0), keys that differ from the field name in case
+// ("Query", "K"), and a repeated key (the last one won).
 package netserve
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -114,20 +121,6 @@ type ErrorBody struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-// decodeStrict unmarshals one JSON value with unknown fields rejected
-// and trailing garbage refused.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if dec.More() {
-		return fmt.Errorf("%w: trailing data after JSON body", ErrBadRequest)
-	}
-	return nil
-}
-
 // checkQuery validates one query vector against the engine shape: the
 // dimensionality must match and every value must satisfy the
 // quantization contract (finite, in [0,1]) — quant.Check's typed errors
@@ -163,52 +156,57 @@ func checkMode(mode string) (route.Mode, error) {
 // pure function of (data, dims, maxK) — the fuzz target.
 func DecodeQueryRequest(data []byte, dims, maxK int) (*QueryRequest, error) {
 	var req QueryRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return nil, err
+	s := scanner{data: data, dims: dims}
+	err := s.object(field{"tenant", &req.Tenant}, field{"query", &req.Query}, field{"k", &req.K}, field{"mode", &req.Mode})
+	if err == nil {
+		err = req.validate(dims, maxK)
 	}
-	if err := checkK(req.K, maxK); err != nil {
-		return nil, err
-	}
-	if _, err := checkMode(req.Mode); err != nil {
-		return nil, err
-	}
-	if err := checkQuery(req.Query, dims); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &req, nil
+}
+
+func (req *QueryRequest) validate(dims, maxK int) error {
+	if err := checkK(req.K, maxK); err != nil {
+		return err
+	}
+	if _, err := checkMode(req.Mode); err != nil {
+		return err
+	}
+	return checkQuery(req.Query, dims)
 }
 
 // DecodeBatchRequest parses and validates a batch body.
 func DecodeBatchRequest(data []byte, dims, maxK, maxBatch int) (*BatchRequest, error) {
 	var req BatchRequest
-	if err := decodeStrict(data, &req); err != nil {
+	s := scanner{data: data, dims: dims, maxRows: maxBatch}
+	err := s.object(field{"tenant", &req.Tenant}, field{"queries", &req.Queries}, field{"k", &req.K}, field{"mode", &req.Mode})
+	if err == nil {
+		err = req.validate(dims, maxK, maxBatch)
+	}
+	if err != nil {
 		return nil, err
-	}
-	if err := checkK(req.K, maxK); err != nil {
-		return nil, err
-	}
-	if _, err := checkMode(req.Mode); err != nil {
-		return nil, err
-	}
-	if len(req.Queries) == 0 || len(req.Queries) > maxBatch {
-		return nil, fmt.Errorf("%w: batch of %d queries outside 1..%d", ErrBadRequest, len(req.Queries), maxBatch)
-	}
-	for i, q := range req.Queries {
-		if err := checkQuery(q, dims); err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
 	}
 	return &req, nil
 }
 
-// queriesMatrix packs validated batch queries into the engine's dense
-// row-major form.
-func queriesMatrix(qs [][]float64, dims int) *vec.Matrix {
-	m := vec.NewMatrix(len(qs), dims)
-	for i, q := range qs {
-		copy(m.Row(i), q)
+func (req *BatchRequest) validate(dims, maxK, maxBatch int) error {
+	if err := checkK(req.K, maxK); err != nil {
+		return err
 	}
-	return m
+	if _, err := checkMode(req.Mode); err != nil {
+		return err
+	}
+	if len(req.Queries) == 0 || len(req.Queries) > maxBatch {
+		return fmt.Errorf("%w: batch of %d queries outside 1..%d", ErrBadRequest, len(req.Queries), maxBatch)
+	}
+	for i, q := range req.Queries {
+		if err := checkQuery(q, dims); err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // toWire converts engine neighbors to the wire form.

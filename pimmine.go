@@ -430,6 +430,10 @@ type (
 // requests, 503s new arrivals, and closes the engine.
 func NewNetServer(opts NetServerOptions) (*NetServer, error) { return netserve.New(opts) }
 
+// ErrBodyTooLarge: a request body over NetServerOptions.MaxBodyBytes,
+// declared or found while reading (HTTP 413).
+var ErrBodyTooLarge = netserve.ErrBodyTooLarge
+
 // Mutable serving (internal/delta + internal/serve): the query engine
 // with Insert/Update/Delete. Mutations land in a host-side delta buffer
 // (exact floats) with tombstones masking replaced or deleted

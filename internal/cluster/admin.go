@@ -21,7 +21,7 @@ func (e *Engine) nodeByID(id int) (*node, error) {
 // closed), as if the DIMM lost power. Shards it hosted drop below R
 // until Repair re-ships them. Killing a dead node is a no-op.
 func (e *Engine) KillNode(id int) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -62,7 +62,7 @@ func (e *Engine) killLocked(n *node) {
 // RestoreNode brings a killed or paused node back up, empty. Replicas
 // it lost come back only through Repair (anti-entropy re-replication).
 func (e *Engine) RestoreNode(id int) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -82,7 +82,7 @@ func (e *Engine) RestoreNode(id int) error {
 // its state; under churn its replicas go stale and are excluded from
 // reads until Repair catches them up. Pausing a dead node is an error.
 func (e *Engine) PauseNode(id int) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -105,7 +105,7 @@ func (e *Engine) PauseNode(id int) error {
 // still current (no writes landed meanwhile) — otherwise Repair must
 // re-ship first.
 func (e *Engine) UnpauseNode(id int) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func (e *Engine) UnpauseNode(id int) error {
 
 // SlowNode injects extra per-visit dwell on a node (0 clears it).
 func (e *Engine) SlowNode(id int, d time.Duration) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -145,7 +145,7 @@ func (e *Engine) SlowNode(id int, d time.Duration) error {
 // InjectFaults makes the node's next count shard visits fail, feeding
 // its breaker; reads fail over to replicas, bit-identically.
 func (e *Engine) InjectFaults(id, count int) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -166,7 +166,7 @@ func (e *Engine) InjectFaults(id, count int) error {
 // unreachable for queries and writes (an asymmetric partition: node 3
 // could still ship snapshots out if its outbound links are up).
 func (e *Engine) SetLink(from, to int, up bool) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -182,7 +182,7 @@ func (e *Engine) SetLink(from, to int, up bool) error {
 
 // HealLinks restores every link.
 func (e *Engine) HealLinks() error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -250,7 +250,7 @@ const (
 // killNodeIfSafe kills node id iff it is not already down and (force or
 // quorum-safe).
 func (e *Engine) killNodeIfSafe(id int, force bool) (disableResult, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return 0, err
 	}
@@ -273,7 +273,7 @@ func (e *Engine) killNodeIfSafe(id int, force bool) (disableResult, error) {
 
 // pauseNodeIfSafe pauses node id iff it is up and (force or quorum-safe).
 func (e *Engine) pauseNodeIfSafe(id int, force bool) (disableResult, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return 0, err
 	}
@@ -298,7 +298,7 @@ func (e *Engine) pauseNodeIfSafe(id int, force bool) (disableResult, error) {
 // severCoordLinkIfSafe severs the coordinator->id link iff it is intact,
 // the node is up, and (force or quorum-safe).
 func (e *Engine) severCoordLinkIfSafe(id int, force bool) (disableResult, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return 0, err
 	}

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -40,7 +39,6 @@ import (
 	"pimmine/internal/delta"
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
-	"pimmine/internal/pool"
 	"pimmine/internal/resilience"
 	"pimmine/internal/route"
 	"pimmine/internal/serve"
@@ -169,8 +167,9 @@ func (sh *cshard) snapshot() []*replica {
 }
 
 // Engine is a multi-node placement layer over replicated shard stores.
-// It satisfies the same query surface as serve.Engine (netserve's
-// queryEngine), returning *serve.Result.
+// It keeps placement, versioning and replica selection; queries run
+// through the same serve.Pipeline as the single-process engines, over a
+// shard source that visits the best available replica.
 type Engine struct {
 	d        int
 	initialN int // rows in the initial image (ids below this use bounds)
@@ -190,8 +189,9 @@ type Engine struct {
 	nextID int
 	routes map[int]int // inserted id -> shard
 
-	closeMu sync.RWMutex
-	closed  bool
+	// pipe is the query path; its lease gates mutations and admin
+	// operations against Close as well.
+	pipe *serve.Pipeline
 
 	standing *standing.Registry
 	met      *metrics
@@ -315,7 +315,7 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 		for _, nid := range nodeRing.pref(fmt.Sprintf("shard-%d", id), opts.Replicas) {
 			st, err := delta.New(part, e.replicaDeltaOptions(id, lo))
 			if err != nil {
-				e.closeStoresLocked()
+				e.closeStores()
 				return nil, fmt.Errorf("cluster: shard %d replica on node %d: %w", id, nid, err)
 			}
 			n := e.nodes[nid]
@@ -329,16 +329,12 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	}
 	e.met.nodesUp(opts.Nodes)
 
-	reg, err := standing.NewRegistry(standing.Options{
-		Requery: func(q []float64, k int) ([]vec.Neighbor, error) {
-			// Runs under e.mu via the mutation hooks: must not
-			// re-acquire engine locks.
-			return e.searchAll(context.Background(), q, k)
-		},
-		Buffer: opts.StandingBuffer,
-	})
+	e.pipe = serve.NewPipeline(source{e}, data.D, opts.Router, opts.Workers)
+	// The requery hook runs under e.mu via the mutation hooks, so it is
+	// the pipeline's bare fan-out: it must not re-acquire engine locks.
+	reg, err := standing.NewRegistry(standing.Options{Requery: e.pipe.Requery, Buffer: opts.StandingBuffer})
 	if err != nil {
-		e.closeStoresLocked()
+		e.closeStores()
 		return nil, err
 	}
 	e.standing = reg
@@ -354,7 +350,7 @@ func (e *Engine) replicaDeltaOptions(shardID, lo int) delta.Options {
 	}
 }
 
-func (e *Engine) closeStoresLocked() {
+func (e *Engine) closeStores() {
 	for _, sh := range e.shards {
 		if sh == nil {
 			continue
@@ -441,35 +437,14 @@ func (e *Engine) BreakerStates() []resilience.State {
 	return e.breakers.States()
 }
 
-// acquire guards the query/mutation surface against Close.
-func (e *Engine) acquire() (func(), error) {
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return nil, serve.ErrClosed
-	}
-	return e.closeMu.RUnlock, nil
-}
-
-// Close shuts the engine: standing subscriptions end, every replica
-// store closes. In-flight queries finish first.
+// Close shuts the engine: in-flight operations finish first, then
+// standing subscriptions end and every replica store closes.
 func (e *Engine) Close() error {
-	e.closeMu.Lock()
-	defer e.closeMu.Unlock()
-	if e.closed {
-		return nil
+	if e.pipe.Close() {
+		e.standing.Close()
+		e.closeStores()
 	}
-	e.closed = true
-	e.standing.Close()
-	e.closeStoresLocked()
 	return nil
-}
-
-type shardRes struct {
-	id       int
-	nn       []vec.Neighbor
-	meter    *arch.Meter
-	failover bool
 }
 
 // searchShard serves one shard from the best available replica.
@@ -481,7 +456,7 @@ type shardRes struct {
 // store fails (injected fault, closed by a concurrent kill) feeds its
 // breaker and the next candidate is tried — bit-identical replicas make
 // that fail-over invisible in the result.
-func (e *Engine) searchShard(sh *cshard, q []float64, k int) (shardRes, error) {
+func (e *Engine) searchShard(sh *cshard, q []float64, k int) (serve.ShardAnswer, error) {
 	reps := sh.snapshot()
 	cur := sh.version.Load()
 	avail := reps[:0:0]
@@ -497,12 +472,12 @@ func (e *Engine) searchShard(sh *cshard, q []float64, k int) (shardRes, error) {
 			for _, r := range reps {
 				if e.nodeLive(r.node) {
 					e.met.inc(e.met.rebalancing)
-					return shardRes{}, fmt.Errorf("shard %d: %w", sh.id, ErrRebalancing)
+					return serve.ShardAnswer{}, ErrRebalancing
 				}
 			}
 		}
 		e.met.inc(e.met.noQuorum)
-		return shardRes{}, fmt.Errorf("shard %d: %w", sh.id, ErrNoQuorum)
+		return serve.ShardAnswer{}, ErrNoQuorum
 	}
 	// Least-loaded first; ties keep preference order. Replicas are
 	// bit-identical, so balancing is free — it is also what keeps
@@ -511,7 +486,7 @@ func (e *Engine) searchShard(sh *cshard, q []float64, k int) (shardRes, error) {
 	sort.SliceStable(avail, func(i, j int) bool {
 		return avail[i].node.inflight.Load() < avail[j].node.inflight.Load()
 	})
-	res := shardRes{id: sh.id, meter: arch.NewMeter()}
+	res := serve.ShardAnswer{Meter: arch.NewMeter()}
 	var errs []error
 	// Pass 1: breaker-approved candidates. Pass 2: ignore breakers.
 	for pass := 0; pass < 2; pass++ {
@@ -523,173 +498,37 @@ func (e *Engine) searchShard(sh *cshard, q []float64, k int) (shardRes, error) {
 			if pass == 0 {
 				d, err := r.node.breaker.Allow()
 				if err != nil {
-					res.failover = true
+					res.BreakerOpen = true
 					continue
 				}
 				done = d
 			}
-			nn, err := r.node.visit(r.store, q, k, e.opts.NodeServiceTime, res.meter)
+			nn, err := r.node.visit(r.store, q, k, e.opts.NodeServiceTime, res.Meter)
 			done(err == nil)
 			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d node %d: %w", sh.id, r.node.id, err))
-				res.failover = true
+				errs = append(errs, fmt.Errorf("node %d: %w", r.node.id, err))
+				res.BreakerOpen = true
 				avail[i] = nil
 				continue
 			}
-			if res.failover {
+			if res.BreakerOpen {
 				e.met.inc(e.met.failovers)
 			}
-			res.nn = nn
+			res.Neighbors = nn
 			return res, nil
 		}
 	}
-	errs = append(errs, fmt.Errorf("shard %d: %w", sh.id, ErrNoQuorum))
+	errs = append(errs, ErrNoQuorum)
 	e.met.inc(e.met.noQuorum)
-	return shardRes{}, errors.Join(errs...)
-}
-
-// fanShards searches the given shard ids concurrently. Every shard's
-// outcome is collected; failures are joined in shard order rather than
-// first-error-wins, so a caller sees each dead shard, not just the
-// fastest one to fail.
-func (e *Engine) fanShards(ctx context.Context, ids []int, q []float64, k int) ([]shardRes, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, context.Cause(ctx)
-	}
-	type out struct {
-		res shardRes
-		err error
-	}
-	ch := make(chan out, len(ids))
-	for _, id := range ids {
-		go func(sh *cshard) {
-			if err := ctx.Err(); err != nil {
-				ch <- out{err: fmt.Errorf("shard %d: %w", sh.id, context.Cause(ctx))}
-				return
-			}
-			r, err := e.searchShard(sh, q, k)
-			ch <- out{res: r, err: err}
-		}(e.shards[id])
-	}
-	outs := make([]shardRes, 0, len(ids))
-	var errs []error
-	for range ids {
-		o := <-ch
-		if o.err != nil {
-			errs = append(errs, o.err)
-			continue
-		}
-		outs = append(outs, o.res)
-	}
-	if len(errs) > 0 {
-		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-		return nil, errors.Join(errs...)
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i].id < outs[j].id })
-	return outs, nil
-}
-
-// searchAll is the unrouted exact path: visit every shard, merge.
-// It takes no engine locks, so the standing-query requery hook (which
-// runs under the mutation lock) can use it directly.
-func (e *Engine) searchAll(ctx context.Context, q []float64, k int) ([]vec.Neighbor, error) {
-	ids := make([]int, len(e.shards))
-	for i := range ids {
-		ids[i] = i
-	}
-	outs, err := e.fanShards(ctx, ids, q, k)
-	if err != nil {
-		return nil, err
-	}
-	lists := make([][]vec.Neighbor, len(outs))
-	for i, o := range outs {
-		lists[i] = o.nn
-	}
-	return vec.MergeNeighbors(k, lists...), nil
-}
-
-// Search returns the exact k nearest neighbors of q under the engine's
-// default routing mode.
-func (e *Engine) Search(ctx context.Context, q []float64, k int) (*serve.Result, error) {
-	return e.SearchMode(ctx, q, k, route.ModeAuto)
-}
-
-// SearchMode is Search with an explicit routing mode, mirroring
-// serve.Engine.SearchMode.
-func (e *Engine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*serve.Result, error) {
-	release, err := e.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(q) != e.d {
-		return nil, fmt.Errorf("cluster: query dims %d != data dims %d", len(q), e.d)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("cluster: k %d must be positive", k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, context.Cause(ctx)
-	}
-	e.met.inc(e.met.queries)
-
-	r := e.opts.Router
-	if mode == route.ModeAuto {
-		if r == nil {
-			return e.assemble(ctx, q, k, nil, nil)
-		}
-		mode = r.DefaultMode()
-	}
-	if r == nil {
-		return nil, fmt.Errorf("cluster: mode %q: %w", mode, serve.ErrNoRouter)
-	}
-	switch mode {
-	case route.ModeExact:
-		return e.searchExactRouted(ctx, q, k, r)
-	case route.ModeApprox:
-		visit, est := r.ApproxPlan(q, 0)
-		info := &serve.RouteInfo{Mode: route.ModeApprox, Visited: len(visit),
-			Skipped: len(e.shards) - len(visit), EstRecall: est}
-		return e.assemble(ctx, q, k, visit, info)
-	default:
-		return nil, fmt.Errorf("cluster: unknown routing mode %q", mode)
-	}
-}
-
-// searchExactRouted is the two-wave exact plan, node-aware: the seed
-// shard (wave 1) is the lowest-bound shard that is actually servable,
-// so a dead best shard cannot stall the plan; wave 2 visits every shard
-// whose admissible lower bound beats the seeded kth distance. A shard
-// with no live replica only fails the query if the bound says it could
-// hold a top-k row — routing proves dead shards out of the answer.
-func (e *Engine) searchExactRouted(ctx context.Context, q []float64, k int, r *route.Router) (*serve.Result, error) {
-	order, lbs := r.ExactOrderAvail(q, e.shardServable)
-	first, err := e.fanShards(ctx, order[:1], q, k)
-	if err != nil {
-		return nil, err
-	}
-	tau := kthDist(first[0].nn, k)
-	visit := []int{order[0]}
-	for _, id := range order[1:] {
-		if lbs[id] <= tau {
-			visit = append(visit, id)
-		}
-	}
-	rest, err := e.fanShards(ctx, visit[1:], q, k)
-	if err != nil {
-		return nil, err
-	}
-	outs := append(first, rest...)
-	skipped := complementShards(visit, len(e.shards))
-	r.NoteOutcome(len(visit), len(skipped))
-	info := &serve.RouteInfo{Mode: route.ModeExact, Visited: len(visit),
-		Skipped: len(skipped), SkippedShards: skipped, EstRecall: 1}
-	return e.assembleOuts(outs, k, info)
+	return serve.ShardAnswer{}, errors.Join(errs...)
 }
 
 // shardServable reports whether a shard has at least one current
-// replica on a live, reachable node — the availability predicate the
-// router's node-aware exact order seeds from.
+// replica on a live, reachable node — the availability predicate exact
+// routing seeds τ from, so a dead best shard cannot stall the plan. A
+// shard with no live replica only fails a routed query if its bound says
+// it could hold a top-k row — routing proves dead shards out of the
+// answer.
 func (e *Engine) shardServable(id int) bool {
 	sh := e.shards[id]
 	cur := sh.version.Load()
@@ -701,96 +540,37 @@ func (e *Engine) shardServable(id int) bool {
 	return false
 }
 
-// assemble fans out over visit (nil = all shards) and merges.
-func (e *Engine) assemble(ctx context.Context, q []float64, k int, visit []int, info *serve.RouteInfo) (*serve.Result, error) {
-	if visit == nil {
-		visit = make([]int, len(e.shards))
-		for i := range visit {
-			visit[i] = i
-		}
-	}
-	outs, err := e.fanShards(ctx, visit, q, k)
-	if err != nil {
-		return nil, err
-	}
-	return e.assembleOuts(outs, k, info)
+// source is the pipeline's view of the cluster: a shard visit is
+// searchShard's replica pick (a fail-over is reported as the answer's
+// BreakerOpen); no shard is ever build-degraded.
+type source struct{ e *Engine }
+
+func (s source) NumShards() int        { return len(s.e.shards) }
+func (s source) Available(id int) bool { return s.e.shardServable(id) }
+func (s source) Degraded() []int       { return nil }
+
+func (s source) Visit(_ context.Context, _ *obs.Span, id int, q []float64, k int) (serve.ShardAnswer, error) {
+	return s.e.searchShard(s.e.shards[id], q, k)
 }
 
-func (e *Engine) assembleOuts(outs []shardRes, k int, info *serve.RouteInfo) (*serve.Result, error) {
-	sort.Slice(outs, func(i, j int) bool { return outs[i].id < outs[j].id })
-	total := arch.NewMeter()
-	shardMeters := make([]*arch.Meter, len(e.shards))
-	lists := make([][]vec.Neighbor, 0, len(outs))
-	var failover []int
-	for _, o := range outs {
-		lists = append(lists, o.nn)
-		shardMeters[o.id] = o.meter
-		total.Merge(o.meter)
-		if o.failover {
-			failover = append(failover, o.id)
-		}
-	}
-	return &serve.Result{
-		Neighbors:   vec.MergeNeighbors(k, lists...),
-		Meter:       total,
-		ShardMeters: shardMeters,
-		BreakerOpen: failover,
-		Routed:      info,
-	}, nil
+// Search returns the exact k nearest neighbors of q under the engine's
+// default routing mode.
+func (e *Engine) Search(ctx context.Context, q []float64, k int) (*serve.Result, error) {
+	return e.SearchMode(ctx, q, k, route.ModeAuto)
 }
 
-// SearchBatch answers queries (row-major, len = n*Dims) with at most
-// Workers queries in flight, joining every per-query failure.
+// SearchMode is Search with an explicit routing mode, mirroring
+// serve.Engine.SearchMode.
+func (e *Engine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*serve.Result, error) {
+	e.met.inc(e.met.queries)
+	return e.pipe.Search(ctx, q, k, mode)
+}
+
+// SearchBatch answers a query matrix with at most Workers queries in
+// flight (see serve.Pipeline.SearchBatch).
 func (e *Engine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*serve.BatchResult, error) {
-	release, err := e.acquire()
-	if err != nil {
-		return nil, err
+	if queries != nil {
+		e.met.add(e.met.queries, int64(queries.N))
 	}
-	defer release()
-	if queries == nil || queries.N == 0 {
-		return nil, fmt.Errorf("cluster: empty query batch")
-	}
-	if queries.D != e.d {
-		return nil, fmt.Errorf("cluster: query dims %d != data dims %d", queries.D, e.d)
-	}
-	results := make([]*serve.Result, queries.N)
-	err = pool.Run(ctx, queries.N, e.opts.Workers, func(int) (pool.Worker, error) {
-		return func(job int) error {
-			r, err := e.SearchMode(ctx, queries.Row(job), k, route.ModeAuto)
-			if err != nil {
-				return fmt.Errorf("query %d: %w", job, err)
-			}
-			results[job] = r
-			return nil
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := arch.NewMeter()
-	for _, r := range results {
-		total.Merge(r.Meter)
-	}
-	return &serve.BatchResult{Results: results, Meter: total}, nil
-}
-
-func kthDist(nn []vec.Neighbor, k int) float64 {
-	if len(nn) < k {
-		return math.Inf(1)
-	}
-	return nn[k-1].Dist
-}
-
-func complementShards(visit []int, n int) []int {
-	in := make([]bool, n)
-	for _, id := range visit {
-		in[id] = true
-	}
-	var out []int
-	for i := 0; i < n; i++ {
-		if !in[i] {
-			out = append(out, i)
-		}
-	}
-	return out
+	return e.pipe.SearchBatch(ctx, queries, k, route.ModeAuto)
 }

@@ -615,7 +615,7 @@ func TestRoutedExactSkipsDeadShard(t *testing.T) {
 	}
 	// Unrouted fan-out over the same engine must fail: it cannot prove
 	// the dead shard out.
-	if _, err := eng.assemble(ctx, q, 5, nil, nil); !errors.Is(err, ErrNoQuorum) {
+	if _, err := eng.pipe.Requery(q, 5); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("unrouted fan-out with dead shard: got %v, want ErrNoQuorum", err)
 	}
 }

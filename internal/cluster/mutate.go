@@ -108,7 +108,7 @@ func (e *Engine) commitLocked(sh *cshard, op func(*replica) error) error {
 // to a shard by consistent hash and the insert lands on every writable
 // replica of that shard.
 func (e *Engine) Insert(v []float64) (int, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return 0, err
 	}
@@ -132,7 +132,7 @@ func (e *Engine) Insert(v []float64) (int, error) {
 
 // Update replaces the vector stored under id on every writable replica.
 func (e *Engine) Update(id int, v []float64) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func (e *Engine) Update(id int, v []float64) error {
 
 // Delete tombstones id on every writable replica.
 func (e *Engine) Delete(id int) error {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -176,7 +176,7 @@ func (e *Engine) applyLocked(id int, op func(*replica) error, hook func()) error
 // across replica fail-over, because the requery hook serves from
 // whatever current replicas survive.
 func (e *Engine) SubscribeKNN(q []float64, k int) (*standing.Subscription, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (e *Engine) SubscribeKNN(q []float64, k int) (*standing.Subscription, error
 
 // SubscribeRadius opens a standing radius watch.
 func (e *Engine) SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func (e *Engine) SubscribeRadius(q []float64, radius float64) (*standing.Subscri
 // StandingView returns a copy of a kNN subscription's current result
 // view (nil for unknown or radius subscriptions).
 func (e *Engine) StandingView(id int) []vec.Neighbor {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return nil
 	}
@@ -211,21 +211,14 @@ func (e *Engine) StandingView(id int) []vec.Neighbor {
 	return e.standing.Current(id)
 }
 
-// Unsubscribe tears down a standing subscription.
-func (e *Engine) Unsubscribe(id int) error {
-	release, err := e.acquire()
-	if err != nil {
-		return err
-	}
-	defer release()
-	e.standing.Unsubscribe(id)
-	return nil
-}
+// Unsubscribe tears down a standing subscription. Safe on unknown ids
+// and after Close (which already ended every subscription).
+func (e *Engine) Unsubscribe(id int) { e.standing.Unsubscribe(id) }
 
 // Materialize flattens the live dataset (rows ascending by global id),
 // reading one current replica per shard.
 func (e *Engine) Materialize() (*vec.Matrix, []int, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,14 +16,14 @@ type metrics struct {
 	noQuorum       *obs.Counter
 	rebalancing    *obs.Counter
 	degradedWrites *obs.Counter
-	kills       *obs.Counter
-	repairs     *obs.Counter
-	rebalances  *obs.Counter
-	ships       *obs.Counter
-	shipBytes   *obs.Counter
-	shipNs      *obs.Counter
-	upGauge     *obs.Gauge
-	wear        []*obs.Gauge
+	kills          *obs.Counter
+	repairs        *obs.Counter
+	rebalances     *obs.Counter
+	ships          *obs.Counter
+	shipBytes      *obs.Counter
+	shipNs         *obs.Counter
+	upGauge        *obs.Gauge
+	wear           []*obs.Gauge
 }
 
 func newMetrics(o *obs.Observer, nodes int) *metrics {

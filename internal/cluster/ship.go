@@ -74,7 +74,7 @@ func restoreShard(snap *wal.Snapshot, shard int, opts delta.Options) (*delta.Sto
 // all cannot be repaired and contributes an ErrNoQuorum to the joined
 // error; the other shards are still repaired.
 func (e *Engine) Repair() (int, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return 0, err
 	}
@@ -178,7 +178,7 @@ func (e *Engine) leastWornTargetLocked(sh *cshard, src *replica) *node {
 // could take it, and returns whether a move happened. Wear only grows
 // on install, so repeated calls converge instead of ping-ponging.
 func (e *Engine) Rebalance() (bool, error) {
-	release, err := e.acquire()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return false, err
 	}

@@ -31,11 +31,11 @@ import (
 	"pimmine/internal/standing"
 )
 
-// queryEngine is the engine surface the wire layer consumes — satisfied
-// by *serve.Engine, *serve.MutableEngine and *cluster.Engine, so one
+// engine is the engine surface the wire layer consumes — satisfied by
+// *serve.Engine, *serve.MutableEngine and *cluster.Engine, so one
 // server fronts the immutable, durable-mutable, or multi-node
 // deployment shape.
-type queryEngine interface {
+type engine interface {
 	SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*serve.Result, error)
 	Dims() int
 	Rows() int
@@ -45,13 +45,12 @@ type queryEngine interface {
 	Close() error
 }
 
-// subscribeEngine is the standing-query surface, satisfied by the
-// mutable and cluster engines (Unsubscribe differs in signature between
-// the two, so the server keeps it as a closure instead).
-type subscribeEngine interface {
-	Dims() int
+// subscriber is the standing-query surface an engine may also have (the
+// mutable and cluster engines do); New finds it by type assertion.
+type subscriber interface {
 	SubscribeKNN(q []float64, k int) (*standing.Subscription, error)
 	SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error)
+	Unsubscribe(id int)
 }
 
 // DefaultTenant is the accounting identity of requests that carry no
@@ -110,9 +109,8 @@ type Options struct {
 // Server serves the engine over HTTP. It implements http.Handler;
 // NewHTTPServer wraps it for h2c. Safe for concurrent use.
 type Server struct {
-	eng   queryEngine
-	sub   subscribeEngine // non-nil when the engine supports subscriptions
-	unsub func(id int)    // tears down one subscription on stream end
+	eng   engine
+	sub   subscriber      // non-nil when the engine supports subscriptions
 	clu   *cluster.Engine // non-nil when serving Options.Cluster
 	opts  Options
 	ten   *tenants
@@ -136,30 +134,24 @@ type Server struct {
 
 // New builds a server over the configured engine.
 func New(opts Options) (*Server, error) {
-	var eng queryEngine
-	var sub subscribeEngine
-	var unsub func(id int)
+	var eng engine
 	set := 0
-	for _, on := range []bool{opts.Engine != nil, opts.Mutable != nil, opts.Cluster != nil} {
-		if on {
-			set++
-		}
+	if opts.Engine != nil {
+		eng = opts.Engine
+		set++
+	}
+	if opts.Mutable != nil {
+		eng = opts.Mutable
+		set++
+	}
+	if opts.Cluster != nil {
+		eng = opts.Cluster
+		set++
 	}
 	if set != 1 {
 		return nil, fmt.Errorf("netserve: set exactly one of Options.Engine, Options.Mutable and Options.Cluster (%d set)", set)
 	}
-	switch {
-	case opts.Engine != nil:
-		eng = opts.Engine
-	case opts.Mutable != nil:
-		eng = opts.Mutable
-		sub = opts.Mutable
-		unsub = func(id int) { opts.Mutable.Unsubscribe(id) }
-	case opts.Cluster != nil:
-		eng = opts.Cluster
-		sub = opts.Cluster
-		unsub = func(id int) { opts.Cluster.Unsubscribe(id) }
-	}
+	sub, _ := eng.(subscriber)
 	if opts.Slots <= 0 {
 		opts.Slots = eng.Workers()
 	}
@@ -186,7 +178,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		eng:     eng,
 		sub:     sub,
-		unsub:   unsub,
 		clu:     opts.Cluster,
 		opts:    opts,
 		ten:     ten,

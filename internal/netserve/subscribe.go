@@ -117,7 +117,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err, 0)
 		return
 	}
-	req, err := DecodeSubscribeRequest(body, s.sub.Dims(), s.opts.MaxK)
+	req, err := DecodeSubscribeRequest(body, s.eng.Dims(), s.opts.MaxK)
 	if err != nil {
 		s.writeError(w, err, 0)
 		return
@@ -135,7 +135,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err, 0)
 		return
 	}
-	defer s.unsub(sub.ID())
+	defer s.sub.Unsubscribe(sub.ID())
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

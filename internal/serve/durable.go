@@ -9,17 +9,12 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"pimmine/internal/delta"
-	"pimmine/internal/knn"
-	"pimmine/internal/obs"
-	"pimmine/internal/pim"
 	"pimmine/internal/standing"
 	"pimmine/internal/vec"
 	"pimmine/internal/wal"
@@ -67,50 +62,18 @@ var (
 	ErrNoDurableState = errors.New("serve: durability directory holds no recoverable state")
 )
 
-// initStanding wires the continuous-query registry. Its re-query
-// callback fans out over the stores directly — without engine locks —
-// because it runs while the caller already holds e.mu (member deletes)
-// and the store searches are lock-free by design.
-func (e *MutableEngine) initStanding(reg *obs.Registry) error {
-	var m *standing.Metrics
-	if reg != nil {
-		m = standing.NewMetrics(reg)
-	}
-	requery := func(q []float64, k int) ([]vec.Neighbor, error) {
-		outs, err := e.fanOutStores(context.Background(), q, k, nil)
-		if err != nil {
-			return nil, err
-		}
-		lists := make([][]vec.Neighbor, 0, len(outs))
-		for _, o := range outs {
-			lists = append(lists, o.nn)
-		}
-		return vec.MergeNeighbors(k, lists...), nil
-	}
-	r, err := standing.NewRegistry(standing.Options{
-		Requery: requery,
-		Buffer:  e.opts.StandingBuffer,
-		Metrics: m,
-	})
-	if err != nil {
-		return err
-	}
-	e.standing = r
-	return nil
-}
-
 // initDurabilityFresh opens the log for a newly built engine and seeds
 // the directory with an LSN-0 snapshot of the initial dataset, so
 // recovery always starts from a snapshot. A directory already holding
 // state is refused.
-func (e *MutableEngine) initDurabilityFresh(reg *obs.Registry) error {
+func (e *MutableEngine) initDurabilityFresh() error {
 	d := e.opts.Durability
 	if _, err := wal.LatestSnapshot(d.Dir); err == nil {
 		return ErrDurableState
 	} else if !errors.Is(err, wal.ErrNoSnapshot) {
 		return err
 	}
-	e.walM = wal.NewMetrics(reg)
+	e.walM = wal.NewMetrics(e.opts.Obs.Registry())
 	log, last, err := wal.Open(d.Dir, d.walOptions(e.walM))
 	if err != nil {
 		return err
@@ -151,7 +114,7 @@ func (e *MutableEngine) writeSnapshot(lsn int64) error {
 // new image makes redundant. Mutations stall for the duration (the
 // durability analogue of a compaction pause); queries do not.
 func (e *MutableEngine) Checkpoint() error {
-	release, err := e.acquireMut()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -202,95 +165,31 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 		}
 		return nil, err
 	}
-	s := len(snap.Shards)
-	opts.Shards = s
-	if err := checkRouter(opts.Router, s, snap.Dims); err != nil {
-		return nil, err
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	totalLive := 0
 	for _, sh := range snap.Shards {
 		totalLive += len(sh.IDs)
 	}
+	// The snapshot fixes the shard count, whatever the live row count, so
+	// it is also the row count defaults clamps shards against.
+	s := len(snap.Shards)
+	opts.Shards = s
 	if opts.CapacityN <= 0 {
-		opts.CapacityN = totalLive
-		if opts.CapacityN == 0 {
-			opts.CapacityN = 1
-		}
+		opts.CapacityN = max(totalLive, 1)
 	}
-	if opts.Variant == "" {
-		opts.Variant = VariantStandard
-	}
-	build, err := variantBuilder(opts.Options)
+	e, err := newMutableEngine(s, snap.Dims, opts)
 	if err != nil {
 		return nil, err
 	}
-	var res *engineResilience
-	if opts.Resilience != nil {
-		if res, err = newEngineResilience(opts.Resilience); err != nil {
+	e.nextID, e.rr, e.routes = snap.NextID, snap.RR, make(map[int]int, totalLive)
+	// Degenerate bounds: a restored engine's shards hold arbitrary id
+	// sets, so every id routes through the table instead of a contiguous
+	// range check.
+	e.bounds = make([]int, s+1)
+	for id, sh := range snap.Shards {
+		dopts, err := e.shardDeltaOptions(id, 0)
+		if err != nil {
 			return nil, err
 		}
-		if mc := opts.Resilience.MaxConcurrent; mc > 0 && opts.Workers > mc {
-			opts.Workers = mc
-		}
-	}
-	e := &MutableEngine{
-		d:      snap.Dims,
-		opts:   opts,
-		nextID: snap.NextID,
-		rr:     snap.RR,
-		routes: make(map[int]int, totalLive),
-		res:    res,
-		// Degenerate bounds: a restored engine's shards hold arbitrary
-		// id sets, so every id routes through the table instead of a
-		// contiguous range check.
-		bounds:   make([]int, s+1),
-		degraded: make([]bool, s),
-	}
-	var reg *obs.Registry
-	if opts.Obs != nil {
-		reg = opts.Obs.Registry()
-	}
-	shardCap := shardCapacity(opts.Options)
-	for id := range snap.Shards {
-		shardID := id
-		factory := func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			srch, ferr := build(m, capacityN)
-			if ferr != nil {
-				e.degraded[shardID] = true
-				return knn.NewStandard(m), nil
-			}
-			return srch, nil
-		}
-		dopts := delta.Options{
-			Factory:           factory,
-			MaxDelta:          opts.MaxDelta,
-			MaxTombstoneRatio: opts.MaxTombstoneRatio,
-			AutoCompact:       opts.AutoCompact,
-			CapacityRows:      shardCap,
-		}
-		if reg != nil {
-			dopts.Metrics = delta.NewMetrics(reg, obs.Label{Key: "shard", Value: fmt.Sprint(id)})
-		}
-		if r := opts.Router; r != nil {
-			dopts.OnMutate = func(v []float64) { r.Observe(shardID, v) }
-			dopts.OnCompact = func(base *vec.Matrix) { r.Refresh(shardID, base) }
-		}
-		if opts.WriteBudget > 0 {
-			if opts.Framework != nil {
-				model := pim.ModelFor(opts.Framework.Cfg)
-				dopts.Model = &model
-				dopts.Ledger, err = delta.NewLedger(opts.Framework.Cfg.NumCrossbars(), opts.WriteBudget)
-			} else {
-				dopts.Ledger, err = delta.NewLedger(2, opts.WriteBudget)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		sh := snap.Shards[id]
 		m := &vec.Matrix{N: len(sh.IDs), D: snap.Dims, Data: sh.Data}
 		st, err := delta.Restore(m, sh.IDs, snap.NextID, dopts)
 		if err != nil {
@@ -301,7 +200,7 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 			e.routes[gid] = id
 		}
 	}
-	e.walM = wal.NewMetrics(reg)
+	e.walM = wal.NewMetrics(e.opts.Obs.Registry())
 	// Open first: it truncates a torn tail, so replay below sees a
 	// clean log and new appends land on a record boundary.
 	log, _, err := wal.Open(d.Dir, d.walOptions(e.walM))
@@ -324,11 +223,6 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 	if e.walM != nil {
 		e.walM.ReplayedRecords.Set(int64(replayed))
 		e.walM.ReplaySeconds.Observe(time.Since(start).Seconds())
-	}
-	if err := e.initStanding(reg); err != nil {
-		log.Close()
-		closeStores(e.stores)
-		return nil, err
 	}
 	return e, nil
 }
@@ -379,7 +273,7 @@ func (e *MutableEngine) applyReplay(rec wal.Record) error {
 // with the mutation stream, so the init view plus the event sequence
 // exactly tracks the engine's applied mutations.
 func (e *MutableEngine) SubscribeKNN(q []float64, k int) (*standing.Subscription, error) {
-	release, err := e.acquireMut()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +290,7 @@ func (e *MutableEngine) SubscribeKNN(q []float64, k int) (*standing.Subscription
 // SubscribeRadius registers a radius watch: a KindMatch event for every
 // future insert within Euclidean distance radius of q.
 func (e *MutableEngine) SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error) {
-	release, err := e.acquireMut()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return nil, err
 	}

@@ -11,19 +11,16 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/delta"
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
 	"pimmine/internal/pim"
-	"pimmine/internal/pool"
 	"pimmine/internal/quant"
 	"pimmine/internal/route"
 	"pimmine/internal/standing"
@@ -81,17 +78,16 @@ type MutableEngine struct {
 	rr     int
 	routes map[int]int // inserted id → shard
 
-	// res carries admission control and deadline-aware shedding (nil when
-	// Options.Resilience is nil). The mutable engine takes no per-shard
-	// breakers: compaction rebuilds searchers each epoch, so a
-	// fault-storming epoch already heals through the delta layer's
-	// degraded-rebuild path rather than a breaker's cool-down.
-	res *engineResilience
+	// build is the variant's searcher constructor, re-run by every
+	// compaction. pipe is the query path over mutableSource; its lease
+	// gates mutations against Close too, so Close drains everything in
+	// flight.
+	build capFactory
+	pipe  *Pipeline
 
-	closeMu sync.RWMutex
-	closed  bool
-
-	degraded []bool // per shard: variant build failed, serving host scan
+	// degraded[i]: shard i's latest build failed and its current epoch
+	// serves the host scan. Written by compaction goroutines.
+	degraded []atomic.Bool
 
 	// log is the write-ahead log (nil when Durability.Dir is unset).
 	// Mutations append under e.mu before applying, so log order equals
@@ -105,6 +101,89 @@ type MutableEngine struct {
 	standing *standing.Registry
 }
 
+// newMutableEngine applies the option defaults for a dataset of n rows by
+// d dims and returns the engine wired but with no stores yet: the
+// constructors add opts.Shards of them, fresh or restored. The standing
+// registry's re-query callback is the pipeline's bare fan-out — no engine
+// locks — because it runs while the caller already holds e.mu (member
+// deletes) and the store searches are lock-free by design.
+func newMutableEngine(n, d int, opts MutableOptions) (*MutableEngine, error) {
+	res, err := opts.Options.defaults(n, d)
+	if err != nil {
+		return nil, err
+	}
+	e := &MutableEngine{d: d, opts: opts, routes: make(map[int]int), degraded: make([]atomic.Bool, opts.Shards)}
+	if e.build, err = variantBuilder(opts.Options); err != nil {
+		return nil, err
+	}
+	e.pipe = opts.pipeline(mutableSource{e}, d, res, nil)
+	var m *standing.Metrics
+	if reg := opts.Obs.Registry(); reg != nil {
+		m = standing.NewMetrics(reg)
+	}
+	e.standing, err = standing.NewRegistry(standing.Options{
+		Requery: e.pipe.Requery, Buffer: opts.StandingBuffer, Metrics: m})
+	return e, err
+}
+
+// shardDeltaOptions assembles one shard's delta.Options: how it builds
+// (and degrades), what triggers its compactions, and the metrics, routing
+// summary and endurance ledger that ride along.
+func (e *MutableEngine) shardDeltaOptions(id, idOffset int) (delta.Options, error) {
+	opts := e.opts
+	dopts := delta.Options{
+		// Graceful degradation mirrors the immutable engine: a variant
+		// build failure (e.g. dead crossbars after fault injection)
+		// falls back to the exact host scan for that epoch and is
+		// reported, never fatal; the next healthy rebuild clears the
+		// report. The ledger charge stands — the programming attempt
+		// happened.
+		Factory: func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+			srch, err := e.build(m, capacityN)
+			e.degraded[id].Store(err != nil)
+			if err != nil {
+				return knn.NewStandard(m), nil
+			}
+			return srch, nil
+		},
+		MaxDelta:          opts.MaxDelta,
+		MaxTombstoneRatio: opts.MaxTombstoneRatio,
+		AutoCompact:       opts.AutoCompact,
+		CapacityRows:      shardCapacity(opts.Options),
+		IDOffset:          idOffset,
+	}
+	if reg := opts.Obs.Registry(); reg != nil {
+		dopts.Metrics = delta.NewMetrics(reg, obs.Label{Key: "shard", Value: fmt.Sprint(id)})
+	}
+	if r := opts.Router; r != nil {
+		// Summary maintenance rides the store's mutation lock: every
+		// insert/update conservatively grows the shard's summary
+		// before the row becomes visible, and every compaction
+		// rebuilds it tight from the fresh live base image — so the
+		// published summary always covers the published snapshot and
+		// exact routing stays admissible through churn.
+		dopts.OnMutate = func(v []float64) { r.Observe(id, v) }
+		dopts.OnCompact = func(base *vec.Matrix) { r.Refresh(id, base) }
+	}
+	if opts.WriteBudget > 0 {
+		// PIM variants price images in Theorem 4 crossbars. Host
+		// variants get image-granularity accounting with double
+		// buffering (the old epoch holds its tile until the last reader
+		// drains).
+		tiles := 2
+		if opts.Framework != nil {
+			model := pim.ModelFor(opts.Framework.Cfg)
+			dopts.Model = &model
+			tiles = opts.Framework.Cfg.NumCrossbars()
+		}
+		var err error
+		if dopts.Ledger, err = delta.NewLedger(tiles, opts.WriteBudget); err != nil {
+			return dopts, err
+		}
+	}
+	return dopts, nil
+}
+
 // NewMutable partitions data row-wise into per-shard mutable stores.
 // Rows keep their ids (0..N-1) across mutations and compactions;
 // inserts extend the id space monotonically.
@@ -112,111 +191,22 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	if opts.Shards <= 0 {
-		if opts.Router != nil {
-			opts.Shards = opts.Router.NumShards()
-		} else {
-			opts.Shards = runtime.GOMAXPROCS(0)
-		}
-	}
-	if opts.Shards > data.N {
-		opts.Shards = data.N
-	}
-	if err := checkRouter(opts.Router, opts.Shards, data.D); err != nil {
-		return nil, err
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.CapacityN <= 0 {
-		opts.CapacityN = data.N
-	}
-	if opts.Variant == "" {
-		opts.Variant = VariantStandard
-	}
-	build, err := variantBuilder(opts.Options)
+	e, err := newMutableEngine(data.N, data.D, opts)
 	if err != nil {
 		return nil, err
 	}
-	var res *engineResilience
-	if opts.Resilience != nil {
-		if res, err = newEngineResilience(opts.Resilience); err != nil {
-			return nil, err
-		}
-		if mc := opts.Resilience.MaxConcurrent; mc > 0 && opts.Workers > mc {
-			opts.Workers = mc
-		}
-	}
-	e := &MutableEngine{
-		d:      data.D,
-		opts:   opts,
-		nextID: data.N,
-		routes: make(map[int]int),
-		res:    res,
-	}
-	shardCap := shardCapacity(opts.Options)
-	var reg *obs.Registry
-	if opts.Obs != nil {
-		reg = opts.Obs.Registry()
-	}
-	s := opts.Shards
+	e.nextID = data.N
+	s := e.opts.Shards
 	base, rem := data.N/s, data.N%s
 	lo := 0
-	e.degraded = make([]bool, s)
 	for id := 0; id < s; id++ {
 		rows := base
 		if id < rem {
 			rows++
 		}
-		shardID := id
-		// Graceful degradation mirrors the immutable engine: a variant
-		// build failure (e.g. dead crossbars after fault injection)
-		// falls back to the exact host scan for that epoch and is
-		// reported, never fatal. The ledger charge stands — the
-		// programming attempt happened.
-		factory := func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			srch, err := build(m, capacityN)
-			if err != nil {
-				e.degraded[shardID] = true
-				return knn.NewStandard(m), nil
-			}
-			return srch, nil
-		}
-		dopts := delta.Options{
-			Factory:           factory,
-			MaxDelta:          opts.MaxDelta,
-			MaxTombstoneRatio: opts.MaxTombstoneRatio,
-			AutoCompact:       opts.AutoCompact,
-			CapacityRows:      shardCap,
-			IDOffset:          lo,
-		}
-		if reg != nil {
-			dopts.Metrics = delta.NewMetrics(reg, obs.Label{Key: "shard", Value: fmt.Sprint(id)})
-		}
-		if r := opts.Router; r != nil {
-			// Summary maintenance rides the store's mutation lock: every
-			// insert/update conservatively grows the shard's summary
-			// before the row becomes visible, and every compaction
-			// rebuilds it tight from the fresh live base image — so the
-			// published summary always covers the published snapshot and
-			// exact routing stays admissible through churn.
-			dopts.OnMutate = func(v []float64) { r.Observe(shardID, v) }
-			dopts.OnCompact = func(base *vec.Matrix) { r.Refresh(shardID, base) }
-		}
-		if opts.WriteBudget > 0 {
-			if opts.Framework != nil {
-				model := pim.ModelFor(opts.Framework.Cfg)
-				dopts.Model = &model
-				dopts.Ledger, err = delta.NewLedger(opts.Framework.Cfg.NumCrossbars(), opts.WriteBudget)
-			} else {
-				// Host variants: image-granularity accounting with
-				// double buffering (old epoch holds its tile until the
-				// last reader drains).
-				dopts.Ledger, err = delta.NewLedger(2, opts.WriteBudget)
-			}
-			if err != nil {
-				return nil, err
-			}
+		dopts, err := e.shardDeltaOptions(id, lo)
+		if err != nil {
+			return nil, err
 		}
 		st, err := delta.New(data.Slice(lo, lo+rows), dopts)
 		if err != nil {
@@ -227,11 +217,8 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 		lo += rows
 	}
 	e.bounds = append(e.bounds, lo)
-	if err := e.initStanding(reg); err != nil {
-		return nil, err
-	}
 	if opts.Durability.Dir != "" {
-		if err := e.initDurabilityFresh(reg); err != nil {
+		if err := e.initDurabilityFresh(); err != nil {
 			return nil, err
 		}
 	}
@@ -248,8 +235,8 @@ func (e *MutableEngine) Router() *route.Router { return e.opts.Router }
 // the host fallback.
 func (e *MutableEngine) DegradedShards() []int {
 	var out []int
-	for i, d := range e.degraded {
-		if d {
+	for i := range e.degraded {
+		if e.degraded[i].Load() {
 			out = append(out, i)
 		}
 	}
@@ -299,7 +286,7 @@ func (e *MutableEngine) logMutation(op wal.Op, sh, id int, v []float64) error {
 // durable engine the insert is logged (and, under wal.SyncAlways,
 // fsynced) before it is applied.
 func (e *MutableEngine) Insert(v []float64) (int, error) {
-	release, err := e.acquireMut()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return 0, err
 	}
@@ -327,7 +314,7 @@ func (e *MutableEngine) Insert(v []float64) (int, error) {
 // Update replaces the vector of an existing id in place (the id, and
 // with it the tie order, is preserved).
 func (e *MutableEngine) Update(id int, v []float64) error {
-	release, err := e.acquireMut()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -353,7 +340,7 @@ func (e *MutableEngine) Update(id int, v []float64) error {
 
 // Delete removes an id.
 func (e *MutableEngine) Delete(id int) error {
-	release, err := e.acquireMut()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -375,178 +362,51 @@ func (e *MutableEngine) Delete(id int) error {
 	return nil
 }
 
-// acquireMut and acquireQuery gate operations against Close. Queries
-// and mutations both hold the read side; Close takes the write side, so
-// it drains everything in flight and is idempotent.
-func (e *MutableEngine) acquireMut() (func(), error) {
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return nil, ErrClosed
-	}
-	return e.closeMu.RUnlock, nil
-}
-
 // Search answers one exact kNN query over the live rows of every shard.
-// It never blocks on mutations or compactions. With Options.Resilience
-// set, admission control and deadline-aware shedding run in front of the
-// fan-out exactly as on the immutable engine (typed
-// resilience.ErrOverloaded / resilience.ErrShedDeadline rejections); an
-// Options.QueryTimeout surfaces as ErrQueryTimeout.
+// It never blocks on mutations or compactions, and runs the same
+// pipeline as the immutable engine: admission control and deadline-aware
+// shedding with Options.Resilience set (typed resilience.ErrOverloaded /
+// resilience.ErrShedDeadline rejections), Options.QueryTimeout surfacing
+// as ErrQueryTimeout.
 func (e *MutableEngine) Search(ctx context.Context, q []float64, k int) (*Result, error) {
-	return e.SearchMode(ctx, q, k, route.ModeAuto)
+	return e.pipe.Search(ctx, q, k, route.ModeAuto)
 }
 
 // SearchMode is Search with an explicit routing mode (see
 // Engine.SearchMode; the mutable engine routes over summaries kept
 // fresh through churn by the delta layer's OnMutate/OnCompact hooks).
 func (e *MutableEngine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*Result, error) {
-	release, err := e.acquireMut()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(q) != e.d {
-		return nil, fmt.Errorf("serve: query has %d dims, dataset has %d", len(q), e.d)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: need k >= 1, got %d", k)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if lrelease, lerr := e.res.admit(ctx); lerr != nil {
-		return nil, lerr
-	} else if lrelease != nil {
-		defer lrelease()
-	}
-	if e.opts.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, e.opts.QueryTimeout, ErrQueryTimeout)
-		defer cancel()
-	}
-	if serr := e.res.checkShed(ctx); serr != nil {
-		return nil, serr
-	}
-	start := time.Now()
-	outs, info, err := routeDispatch(e.opts.Router, len(e.stores), q, k, mode,
-		func(ids []int) ([]shardOut, error) { return e.fanOutStores(ctx, q, k, ids) },
-		func(ri *RouteInfo, _ time.Duration) { e.opts.Router.NoteOutcome(ri.Visited, ri.Skipped) })
-	if err != nil {
-		return nil, err
-	}
-	meters := make([]*arch.Meter, len(e.stores))
-	lists := make([][]vec.Neighbor, 0, len(outs))
-	for _, o := range outs {
-		meters[o.id] = o.meter
-		lists = append(lists, o.nn)
-	}
-	meter := arch.NewMeter()
-	for _, m := range meters {
-		if m != nil {
-			meter.Merge(m)
-		}
-	}
-	if e.res != nil {
-		e.res.shed.Observe(time.Since(start))
-	}
-	return &Result{
-		Neighbors:   vec.MergeNeighbors(k, lists...),
-		Meter:       meter,
-		ShardMeters: meters,
-		Degraded:    e.DegradedShards(),
-		Routed:      info,
-	}, nil
-}
-
-// fanOutStores dispatches one query to the given store ids in parallel
-// and collects every answer (ids nil = all stores).
-func (e *MutableEngine) fanOutStores(ctx context.Context, q []float64, k int, ids []int) ([]shardOut, error) {
-	if ids == nil {
-		ids = make([]int, len(e.stores))
-		for i := range ids {
-			ids[i] = i
-		}
-	}
-	type out struct {
-		shardOut
-		err error
-	}
-	ch := make(chan out, len(ids))
-	for _, i := range ids {
-		go func(i int, st *delta.Store) {
-			m := arch.NewMeter()
-			nn, err := st.Search(q, k, m)
-			ch <- out{shardOut: shardOut{id: i, nn: nn, meter: m}, err: err}
-		}(i, e.stores[i])
-	}
-	outs := make([]shardOut, 0, len(ids))
-	type shardErr struct {
-		id  int
-		err error
-	}
-	var fails []shardErr
-	for range ids {
-		select {
-		case o := <-ch:
-			if o.err != nil {
-				// Keep collecting: the caller sees every failed shard
-				// joined (matching the pool's errors.Join discipline),
-				// not just whichever one lost the race.
-				fails = append(fails, shardErr{id: o.id, err: o.err})
-				continue
-			}
-			outs = append(outs, o.shardOut)
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-	if len(fails) > 0 {
-		sort.Slice(fails, func(i, j int) bool { return fails[i].id < fails[j].id })
-		errs := make([]error, len(fails))
-		for i, f := range fails {
-			errs[i] = fmt.Errorf("serve: shard %d: %w", f.id, f.err)
-		}
-		return nil, errors.Join(errs...)
-	}
-	return outs, nil
+	return e.pipe.Search(ctx, q, k, mode)
 }
 
 // SearchBatch answers a query matrix through a bounded worker pool,
 // exactly like the immutable engine's batch path.
 func (e *MutableEngine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*BatchResult, error) {
-	return e.SearchBatchMode(ctx, queries, k, route.ModeAuto)
+	return e.pipe.SearchBatch(ctx, queries, k, route.ModeAuto)
 }
 
 // SearchBatchMode is SearchBatch with an explicit routing mode.
 func (e *MutableEngine) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
-	if queries == nil || queries.N == 0 {
-		return &BatchResult{Meter: arch.NewMeter()}, nil
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: batch needs k >= 1, got %d", k)
-	}
-	res := &BatchResult{
-		Results: make([]*Result, queries.N),
-		Meter:   arch.NewMeter(),
-	}
-	err := pool.Run(ctx, queries.N, e.opts.Workers, func(w int) (pool.Worker, error) {
-		return func(qi int) error {
-			r, err := e.SearchMode(ctx, queries.Row(qi), k, mode)
-			if err != nil {
-				return fmt.Errorf("serve: query %d: %w", qi, err)
-			}
-			res.Results[qi] = r
-			return nil
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range res.Results {
-		res.Meter.Merge(r.Meter)
-	}
-	return res, nil
+	return e.pipe.SearchBatch(ctx, queries, k, mode)
+}
+
+// mutableSource serves the pipeline from the engine's delta stores,
+// lock-free against mutations via their epoch snapshots. It takes no
+// per-shard breakers: compaction rebuilds searchers each epoch, so a
+// fault-storming epoch already heals through the delta layer's
+// degraded-rebuild path rather than a breaker's cool-down.
+type mutableSource struct{ e *MutableEngine }
+
+// NumShards is the configured count: the pipeline is built before the
+// constructors have added the stores.
+func (s mutableSource) NumShards() int     { return s.e.opts.Shards }
+func (s mutableSource) Available(int) bool { return true }
+func (s mutableSource) Degraded() []int    { return s.e.DegradedShards() }
+
+func (s mutableSource) Visit(_ context.Context, _ *obs.Span, id int, q []float64, k int) (ShardAnswer, error) {
+	m := arch.NewMeter()
+	nn, err := s.e.stores[id].Search(q, k, m)
+	return ShardAnswer{Neighbors: nn, Meter: m}, err
 }
 
 // Compact folds every shard's delta and tombstones into fresh base
@@ -554,7 +414,7 @@ func (e *MutableEngine) SearchBatchMode(ctx context.Context, queries *vec.Matrix
 // a no-op). The first error aborts and is returned; remaining shards
 // keep their current epochs.
 func (e *MutableEngine) Compact(meter *arch.Meter) error {
-	release, err := e.acquireMut()
+	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
 	}
@@ -622,11 +482,7 @@ func (e *MutableEngine) Materialize() (*vec.Matrix, []int) {
 // caller retrying after a failed flush can tell "already shut down"
 // from a fresh flush failure.
 func (e *MutableEngine) Close() error {
-	e.closeMu.Lock()
-	already := e.closed
-	e.closed = true
-	e.closeMu.Unlock()
-	if already {
+	if !e.pipe.Close() {
 		if e.log != nil {
 			return ErrClosed
 		}

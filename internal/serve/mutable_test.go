@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pimmine/internal/delta"
+	"pimmine/internal/knn"
 	"pimmine/internal/vec"
 )
 
@@ -318,4 +319,51 @@ func TestFanOutJoinsAllShardErrors(t *testing.T) {
 	if strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("healthy shard blamed in %v", err)
 	}
+}
+
+// TestShardDeltaOptionsTracksDegraded pins the degraded report to the
+// shard's latest build, not its worst: a failed variant build serves the
+// host scan and is reported, the next healthy rebuild clears it. Builds
+// run on compaction goroutines while every query reads the report, so
+// the reader below runs concurrently (meaningful under -race).
+func TestShardDeltaOptionsTracksDegraded(t *testing.T) {
+	t.Parallel()
+	builds := 0
+	e, err := newMutableEngine(8, 4, MutableOptions{Options: Options{Shards: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.build = func(m *vec.Matrix, _ int) (knn.Searcher, error) {
+		if builds++; builds == 1 {
+			return nil, errors.New("dead crossbars")
+		}
+		return knn.NewStandard(m), nil
+	}
+	dopts, err := e.shardDeltaOptions(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.DegradedShards()
+			}
+		}
+	}()
+	m := closeTestData(8, 4)
+	for i, want := range [][]int{{0}, nil} {
+		if s, err := dopts.Factory(m, 8); err != nil || s == nil {
+			t.Fatalf("build %d: searcher %v, err %v; a failed build must fall back, not fail", i, s, err)
+		}
+		if got := e.DegradedShards(); len(got) != len(want) || (len(got) == 1 && got[0] != want[0]) {
+			t.Fatalf("after build %d: DegradedShards() = %v, want %v", i, got, want)
+		}
+	}
+	close(stop)
+	<-done
 }

@@ -1,14 +1,11 @@
 // Overload protection: the serve-side wiring of internal/resilience.
-// The admission pipeline in front of every query is
-//
-//	acquire → admission control → engine deadline → shed → fan out
-//
-// and inside the fan-out each shard's PIM path sits behind a circuit
-// breaker with a transient-fault retry budget. Admission is the only
-// lossy stage — a rejected or shed query is a typed error
-// (resilience.ErrOverloaded / resilience.ErrShedDeadline) — while a
-// breaker refusal merely reroutes the shard to its exact host scan, so
-// every admitted query still returns exact results.
+// Admission control and deadline-aware shedding are stages of the query
+// pipeline (their order and the reasons for it are in pipeline.go); this
+// file holds their engine-wide handles and what sits inside a static
+// shard's visit — the PIM path behind a circuit breaker with a
+// transient-fault retry budget. A breaker refusal merely reroutes the
+// shard to its exact host scan, so every admitted query still returns
+// exact results.
 package serve
 
 import (
@@ -88,37 +85,25 @@ func classifyFaults(m *arch.Meter) (fail, transient bool) {
 	return fail, transient
 }
 
-// shardAnswer is one shard's contribution to a query, with the
-// resilience annotations the fan-out layer reports on spans and metrics.
-type shardAnswer struct {
-	nn    []vec.Neighbor
-	meter *arch.Meter
-	// breakerOpen reports that the shard's breaker refused the PIM path
-	// and the exact host scan served instead.
-	breakerOpen bool
-	// retries counts transient-fault retries spent on this shard.
-	retries int
-}
-
 // search runs one query on the shard through its breaker and retry
-// budget. The flow generalizes the one-shot DeadDot fallback of
-// internal/fault into a stateful loop: an open breaker serves the exact
-// host scan; a closed (or probing) breaker runs the PIM path, retries
-// once on a transient fault if the engine-wide budget allows, and
-// reports the final outcome back to the breaker.
-func (sh *shard) search(ctx context.Context, q []float64, k int) shardAnswer {
+// budget, and reports how many transient-fault retries it spent. The
+// flow generalizes the one-shot DeadDot fallback of internal/fault into
+// a stateful loop: an open breaker serves the exact host scan; a closed
+// (or probing) breaker runs the PIM path, retries once on a transient
+// fault if the engine-wide budget allows, and reports the final outcome
+// back to the breaker.
+func (sh *shard) search(ctx context.Context, q []float64, k int) (ans ShardAnswer, retries int) {
 	var done func(ok bool)
 	if sh.breaker != nil {
 		var err error
 		done, err = sh.breaker.Allow()
 		if err != nil { // resilience.ErrCircuitOpen: reroute, never fail
 			nn, m := sh.searchOnce(ctx, q, k, true)
-			return shardAnswer{nn: nn, meter: m, breakerOpen: true}
+			return ShardAnswer{Neighbors: nn, Meter: m, BreakerOpen: true}, 0
 		}
 	}
 	nn, m := sh.searchOnce(ctx, q, k, false)
 	fail, transient := classifyFaults(m)
-	retries := 0
 	if fail && transient && sh.retry.Allow() {
 		if resilience.Sleep(ctx, sh.retry.Backoff(0)) == nil {
 			retries = 1
@@ -134,7 +119,7 @@ func (sh *shard) search(ctx context.Context, q []float64, k int) shardAnswer {
 	if !fail {
 		sh.retry.OnSuccess()
 	}
-	return shardAnswer{nn: nn, meter: m, retries: retries}
+	return ShardAnswer{Neighbors: nn, Meter: m}, retries
 }
 
 // searchOnce is one attempt on one path: the shard's configured searcher

@@ -1,41 +1,11 @@
-// Shard routing: the serve-side wiring of internal/route. With
-// Options.Router set, every query passes the routing stage between
-// shedding and the fan-out:
-//
-//	acquire → admission → deadline → shed → ROUTE → fan out (visit set)
-//
-// Exact mode is a two-wave dispatch: the shard with the smallest summary
-// lower bound is searched first to seed τ (its k-th candidate distance),
-// then every remaining shard whose lower bound is ≤ τ is searched in
-// parallel and the rest are skipped. Admissibility makes the skip safe:
-// a skipped shard's true minimum distance is ≥ its lower bound > τ ≥ the
-// final k-th distance, so none of its rows belongs in the top-k — not
-// even on ties, since the exclusion is strict. Routed results are
-// therefore bit-identical to the unrouted engine (differential-tested
-// across all six mining tasks in route_diff_test.go).
-//
-// Approximate mode asks the router for the smallest shard prefix whose
-// estimated similarity mass reaches the recall target and dispatches
-// only that — no second wave, no exactness guarantee, a typed
-// Result.Routed annotation instead. When Config.AuditEvery is set, every
-// n-th approximate query also searches the skipped shards and reports
-// the measured recall next to the estimate (the audit work is
-// measurement overhead and deliberately excluded from the result's
-// meters).
-//
-// A skipped shard does no work at all for that query: its goroutine is
-// never started, so neither its searcher, its breaker, nor the breaker's
-// host-scan fallback runs (asserted by TestRoutedSkipNeverHostScans).
+// Shard routing: the serve-side types of internal/route. The routing
+// stage itself — two-wave exact, approximate, audit — and the argument
+// for why its skips are safe live in pipeline.go.
 package serve
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"sort"
-	"time"
 
-	"pimmine/internal/obs"
 	"pimmine/internal/route"
 )
 
@@ -76,191 +46,4 @@ func checkRouter(r *route.Router, shards, dims int) error {
 		return fmt.Errorf("serve: router built over %d dims, dataset has %d", r.Dims(), dims)
 	}
 	return nil
-}
-
-// dispatch runs the routing stage and fans the query out to the visit
-// set. Unrouted engines fan out to everything with a nil RouteInfo.
-func (e *Engine) dispatch(ctx context.Context, root *obs.Span, q []float64, k int, mode route.Mode) ([]shardOut, *RouteInfo, error) {
-	fan := func(ids []int) ([]shardOut, error) { return e.fanOut(ctx, root, q, k, ids) }
-	return routeDispatch(e.opts.Router, len(e.shards), q, k, mode, fan,
-		func(info *RouteInfo, d time.Duration) { e.noteRouted(root, info, d) })
-}
-
-// routeDispatch is the engine-agnostic routing stage: it decides the
-// visit set and drives the fan-out closure, which hides whether shards
-// are static searchers (Engine) or mutable delta stores (MutableEngine).
-// fan(nil) means "all shards".
-func routeDispatch(r *route.Router, nShards int, q []float64, k int, mode route.Mode,
-	fan func(ids []int) ([]shardOut, error), note func(*RouteInfo, time.Duration)) ([]shardOut, *RouteInfo, error) {
-	if r == nil {
-		if mode != route.ModeAuto {
-			return nil, nil, ErrNoRouter
-		}
-		outs, err := fan(nil)
-		return outs, nil, err
-	}
-	if mode == route.ModeAuto {
-		mode = r.DefaultMode()
-	}
-	start := time.Now()
-	switch mode {
-	case route.ModeExact:
-		order, lbs := r.ExactOrder(q)
-		routeDur := time.Since(start)
-		// Wave 1: the best-lower-bound shard seeds the pruning threshold.
-		first, err := fan(order[:1])
-		if err != nil {
-			return nil, nil, err
-		}
-		tau := firstKth(first, k)
-		visit := make([]int, 0, len(order)-1)
-		var skipped []int
-		for _, id := range order[1:] {
-			if lbs[id] <= tau {
-				visit = append(visit, id)
-			} else {
-				skipped = append(skipped, id)
-			}
-		}
-		rest, err := fan(visit)
-		if err != nil {
-			return nil, nil, err
-		}
-		outs := append(first, rest...)
-		sort.Ints(skipped)
-		info := &RouteInfo{Mode: route.ModeExact, Visited: 1 + len(visit),
-			Skipped: len(skipped), SkippedShards: skipped, EstRecall: 1}
-		note(info, routeDur)
-		return outs, info, nil
-
-	case route.ModeApprox:
-		visit, est := r.ApproxPlan(q, 0)
-		routeDur := time.Since(start)
-		skipped := complement(visit, nShards)
-		info := &RouteInfo{Mode: route.ModeApprox, Visited: len(visit),
-			Skipped: len(skipped), SkippedShards: skipped, EstRecall: est}
-		outs, err := fan(visit)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(skipped) > 0 && r.Audit() {
-			// Audit: search the skipped shards too and measure the routed
-			// answer's recall against the full fan-out. The audit outs are
-			// dropped — the served answer stays the routed one, and its
-			// meters model the routed work.
-			auditOuts, aerr := fan(skipped)
-			if aerr == nil {
-				info.Audited = true
-				info.MeasuredRecall = measureRecall(outs, auditOuts, k)
-			}
-		}
-		note(info, routeDur)
-		return outs, info, nil
-
-	default:
-		return nil, nil, fmt.Errorf("serve: unknown routing mode %q", mode)
-	}
-}
-
-// firstKth extracts the pruning threshold τ from the wave-1 answer: the
-// k-th candidate distance, or +Inf when the shard holds fewer than k
-// rows (then nothing can be proven out and every shard is visited).
-func firstKth(first []shardOut, k int) float64 {
-	if len(first) == 1 && len(first[0].nn) >= k {
-		return first[0].nn[k-1].Dist
-	}
-	return math.Inf(1)
-}
-
-// complement returns 0..n-1 minus the sorted-or-not visit set, ascending.
-func complement(visit []int, n int) []int {
-	in := make([]bool, n)
-	for _, id := range visit {
-		in[id] = true
-	}
-	var out []int
-	for id := 0; id < n; id++ {
-		if !in[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// measureRecall computes |routed top-k ∩ full top-k| / |full top-k|,
-// where the full top-k merges the routed and audited shard answers.
-func measureRecall(routed, audit []shardOut, k int) float64 {
-	var routedNN, allNN []vec2
-	for _, o := range routed {
-		for _, nn := range o.nn {
-			routedNN = append(routedNN, vec2{nn.Dist, nn.Index})
-			allNN = append(allNN, vec2{nn.Dist, nn.Index})
-		}
-	}
-	for _, o := range audit {
-		for _, nn := range o.nn {
-			allNN = append(allNN, vec2{nn.Dist, nn.Index})
-		}
-	}
-	sortVec2(routedNN)
-	sortVec2(allNN)
-	if len(routedNN) > k {
-		routedNN = routedNN[:k]
-	}
-	if len(allNN) > k {
-		allNN = allNN[:k]
-	}
-	if len(allNN) == 0 {
-		return 1
-	}
-	have := make(map[int]bool, len(routedNN))
-	for _, nn := range routedNN {
-		have[nn.idx] = true
-	}
-	hit := 0
-	for _, nn := range allNN {
-		if have[nn.idx] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(allNN))
-}
-
-type vec2 struct {
-	dist float64
-	idx  int
-}
-
-func sortVec2(s []vec2) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].dist != s[j].dist {
-			return s[i].dist < s[j].dist
-		}
-		return s[i].idx < s[j].idx
-	})
-}
-
-// noteRouted records one routed query on the router's cumulative stats,
-// the span tree, and the pim_route_* metrics (nil-safe throughout).
-func (e *Engine) noteRouted(root *obs.Span, info *RouteInfo, routeDur time.Duration) {
-	e.opts.Router.NoteOutcome(info.Visited, info.Skipped)
-	root.Annotate("routed",
-		obs.A("mode", string(info.Mode)),
-		obs.A("visited", info.Visited),
-		obs.A("skipped", info.Skipped),
-		obs.A("est_recall", info.EstRecall))
-	if e.eobs == nil {
-		return
-	}
-	e.eobs.routeQueries.Inc()
-	e.eobs.routeVisited.Add(int64(info.Visited))
-	e.eobs.routeSkipped.Add(int64(info.Skipped))
-	e.eobs.routeLatency.Observe(routeDur.Seconds())
-	if info.Mode == route.ModeApprox {
-		e.eobs.routeEstRecall.Observe(info.EstRecall)
-		if info.Audited {
-			e.eobs.routeAudits.Inc()
-			e.eobs.routeMeasuredRecall.Observe(info.MeasuredRecall)
-		}
-	}
 }

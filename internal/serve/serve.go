@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -160,32 +159,64 @@ type Engine struct {
 	opts     Options
 	eobs     *engineObs        // nil when Options.Obs is nil
 	res      *engineResilience // nil when Options.Resilience is nil
-
-	// closeMu gates the query paths against Close: queries hold the
-	// read side for their duration, so Close drains in-flight work.
-	closeMu sync.RWMutex
-	closed  bool
+	pipe     *Pipeline         // the query path, over staticSource
 }
 
 // Close drains in-flight queries and shuts the engine down; subsequent
 // queries return ErrClosed. It is idempotent — a second (or concurrent)
 // Close neither panics nor deadlocks, it just waits for the same drain.
 func (e *Engine) Close() error {
-	e.closeMu.Lock()
-	e.closed = true
-	e.closeMu.Unlock()
+	e.pipe.Close()
 	return nil
 }
 
-// acquire takes a query lease; the returned release must be called when
-// the query finishes. It fails once Close has run.
-func (e *Engine) acquire() (release func(), err error) {
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return nil, ErrClosed
+// defaults fills the zero fields for a dataset of n rows by d dims,
+// checks the router against the resulting shape and builds the
+// overload-protection handles (nil when Options.Resilience is nil).
+func (o *Options) defaults(n, d int) (*engineResilience, error) {
+	if o.Shards <= 0 {
+		if o.Router != nil {
+			o.Shards = o.Router.NumShards()
+		} else {
+			o.Shards = runtime.GOMAXPROCS(0)
+		}
 	}
-	return e.closeMu.RUnlock, nil
+	if o.Shards > n {
+		o.Shards = n
+	}
+	if err := checkRouter(o.Router, o.Shards, d); err != nil {
+		return nil, err
+	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
+	if o.CapacityN <= 0 {
+		o.CapacityN = n
+	}
+	if o.Variant == "" {
+		o.Variant = VariantStandard
+	}
+	if o.Resilience == nil {
+		return nil, nil
+	}
+	res, err := newEngineResilience(o.Resilience)
+	if err != nil {
+		return nil, err
+	}
+	// A batch must not reject its own jobs: the worker pool is the
+	// batch's admission, so it never outnumbers the concurrency cap.
+	if mc := o.Resilience.MaxConcurrent; mc > 0 && o.Workers > mc {
+		o.Workers = mc
+	}
+	return res, nil
+}
+
+// pipeline builds the query path over src with every stage these options
+// configure.
+func (o *Options) pipeline(src ShardSource, dims int, res *engineResilience, eobs *engineObs) *Pipeline {
+	p := NewPipeline(src, dims, o.Router, o.Workers)
+	p.timeout, p.res, p.eobs = o.QueryTimeout, res, eobs
+	return p
 }
 
 // New partitions data row-wise and builds one searcher per shard. A shard
@@ -196,46 +227,14 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	if opts.Shards <= 0 {
-		if opts.Router != nil {
-			opts.Shards = opts.Router.NumShards()
-		} else {
-			opts.Shards = runtime.GOMAXPROCS(0)
-		}
-	}
-	if opts.Shards > data.N {
-		opts.Shards = data.N
-	}
-	if err := checkRouter(opts.Router, opts.Shards, data.D); err != nil {
+	res, err := opts.defaults(data.N, data.D)
+	if err != nil {
 		return nil, err
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.CapacityN <= 0 {
-		opts.CapacityN = data.N
-	}
-	if opts.Variant == "" {
-		opts.Variant = VariantStandard
 	}
 	factory := opts.Factory
 	if factory == nil {
-		var err error
-		factory, err = variantFactory(opts)
-		if err != nil {
+		if factory, err = variantFactory(opts); err != nil {
 			return nil, err
-		}
-	}
-	var res *engineResilience
-	if opts.Resilience != nil {
-		var err error
-		if res, err = newEngineResilience(opts.Resilience); err != nil {
-			return nil, err
-		}
-		// A batch must not reject its own jobs: the worker pool is the
-		// batch's admission, so it never outnumbers the concurrency cap.
-		if mc := opts.Resilience.MaxConcurrent; mc > 0 && opts.Workers > mc {
-			opts.Workers = mc
 		}
 	}
 
@@ -276,6 +275,7 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if opts.Obs != nil {
 		e.eobs = newEngineObs(e, opts.Obs)
 	}
+	e.pipe = opts.pipeline(staticSource{e}, data.D, res, e.eobs)
 	return e, nil
 }
 
@@ -475,14 +475,6 @@ type Result struct {
 	Routed *RouteInfo
 }
 
-// shardOut carries one shard's contribution back to the query goroutine.
-type shardOut struct {
-	id          int
-	nn          []vec.Neighbor
-	meter       *arch.Meter
-	breakerOpen bool
-}
-
 // Search answers one kNN query by fanning out to every shard and merging
 // the per-shard top-k heaps into the exact global top-k. It honors ctx
 // cancellation and, when Options.QueryTimeout is set, a per-query
@@ -498,7 +490,7 @@ type shardOut struct {
 // With Options.Router set, Search routes in the router's default mode;
 // SearchMode overrides it per query.
 func (e *Engine) Search(ctx context.Context, q []float64, k int) (*Result, error) {
-	return e.SearchMode(ctx, q, k, route.ModeAuto)
+	return e.pipe.Search(ctx, q, k, route.ModeAuto)
 }
 
 // SearchMode is Search with an explicit routing mode: route.ModeExact
@@ -507,166 +499,67 @@ func (e *Engine) Search(ctx context.Context, q []float64, k int) (*Result, error
 // route.ModeApprox visits shards by sketch similarity toward the
 // router's recall target; route.ModeAuto takes the router's default.
 // An explicit mode on an engine without a router is ErrNoRouter.
-func (e *Engine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (res *Result, err error) {
-	release, err := e.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(q) != e.data.D {
-		return nil, fmt.Errorf("serve: query has %d dims, dataset has %d", len(q), e.data.D)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: need k >= 1, got %d", k)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Admission control: when the concurrency cap and its wait queue are
-	// both full, answer "no" now — a typed rejection in microseconds —
-	// instead of queueing into certain timeout and burning crossbar
-	// transfers on a query that cannot finish.
-	if lrelease, lerr := e.res.admit(ctx); lerr != nil {
-		e.eobs.noteRejected(lerr)
-		return nil, lerr
-	} else if lrelease != nil {
-		defer lrelease()
-	}
-	if e.opts.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, e.opts.QueryTimeout, ErrQueryTimeout)
-		defer cancel()
-	}
-	start := time.Now()
-	var root *obs.Span
-	if e.eobs != nil {
-		e.eobs.inflight.Add(1)
-		ctx, root = e.eobs.o.Tracer().Start(ctx, "engine.search")
-		root.SetAttr("k", k)
-		root.SetAttr("shards", len(e.shards))
-		defer func() {
-			e.eobs.inflight.Add(-1)
-			e.eobs.queries.Inc()
-			e.eobs.latency.Observe(time.Since(start).Seconds())
-			if err != nil {
-				e.eobs.errors.Inc()
-				root.SetAttr("error", err)
-			}
-			root.End()
-		}()
-	}
-	// Deadline-aware shedding: a query whose remaining deadline is below
-	// the observed p95 service time cannot finish; shed it before any
-	// PIM transfer budget (Eq. 13's Tcost) is spent on it.
-	if serr := e.res.checkShed(ctx); serr != nil {
-		e.eobs.noteShed()
-		root.Annotate("shed", obs.A("reason", serr.Error()))
-		return nil, serr
-	}
-
-	// Route, then fan out to the visit set (everything when unrouted).
-	outs, info, err := e.dispatch(ctx, root, q, k, mode)
-	if err != nil {
-		return nil, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, context.Cause(ctx) // a shard may have skipped its work
-	}
-	// Global top-k = k minimum under the (distance, index) total order —
-	// the same order every searcher's TopK heap resolves ties with, which
-	// is what makes the merge exactly equal to a sequential scan.
-	meters := make([]*arch.Meter, len(e.shards))
-	merged := make([]vec.Neighbor, 0, len(outs)*k)
-	var breakerOpen []int
-	for _, o := range outs {
-		merged = append(merged, o.nn...)
-		meters[o.id] = o.meter
-		if o.breakerOpen {
-			breakerOpen = append(breakerOpen, o.id)
-		}
-	}
-	merged = topK(merged, k)
-	meter := arch.NewMeter()
-	for _, m := range meters {
-		if m != nil {
-			meter.Merge(m)
-		}
-	}
-	// Feed the shedder only with completed queries: its p95 must track
-	// real service time, not the latency of rejections.
-	if e.res != nil {
-		e.res.shed.Observe(time.Since(start))
-	}
-	return &Result{Neighbors: merged, Meter: meter, ShardMeters: meters,
-		Degraded: e.DegradedShards(), BreakerOpen: breakerOpen, Routed: info}, nil
+func (e *Engine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*Result, error) {
+	return e.pipe.Search(ctx, q, k, mode)
 }
 
-// topK sorts candidates by the canonical (distance, index) total order
-// and truncates to k.
-func topK(merged []vec.Neighbor, k int) []vec.Neighbor {
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Dist != merged[j].Dist {
-			return merged[i].Dist < merged[j].Dist
-		}
-		return merged[i].Index < merged[j].Index
-	})
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
+// BatchResult is the outcome of a batch submission.
+type BatchResult struct {
+	// Results holds one Result per query row, in query order.
+	Results []*Result
+	// Meter merges every query's activity.
+	Meter *arch.Meter
 }
 
-// fanOut dispatches one query to the given shard ids in parallel and
-// collects every answer (ids nil = all shards). The channel is buffered
-// so a shard goroutine can always deliver and exit, even when the query
-// gave up on the deadline.
-func (e *Engine) fanOut(ctx context.Context, root *obs.Span, q []float64, k int, ids []int) ([]shardOut, error) {
-	n := len(ids)
-	if ids == nil {
-		n = len(e.shards)
-	}
-	out := make(chan shardOut, n)
-	dispatch := func(sh *shard) {
-		go func() {
-			if ctx.Err() != nil {
-				out <- shardOut{id: sh.id}
-				return
-			}
-			sp := root.StartChild(sh.name)
-			if e.eobs != nil {
-				e.eobs.shardQueries[sh.id].Inc()
-			}
-			ans := sh.search(obs.ContextWithSpan(ctx, sp), q, k)
-			annotateFaults(sp, ans.meter)
-			if ans.breakerOpen {
-				sp.Annotate("breaker-open", obs.A("path", "host-scan"))
-				e.eobs.noteBreakerHostServe()
-			}
-			if ans.retries > 0 {
-				sp.Annotate("pim-retry", obs.A("retries", ans.retries))
-				e.eobs.noteRetries(ans.retries)
-			}
-			sp.End()
-			out <- shardOut{id: sh.id, nn: ans.nn, meter: ans.meter, breakerOpen: ans.breakerOpen}
-		}()
-	}
-	if ids == nil {
-		for _, sh := range e.shards {
-			dispatch(sh)
-		}
-	} else {
-		for _, id := range ids {
-			dispatch(e.shards[id])
+// Neighbors flattens the per-query neighbor lists (convenience for
+// callers porting from knn.SearchBatch).
+func (b *BatchResult) Neighbors() [][]vec.Neighbor {
+	out := make([][]vec.Neighbor, len(b.Results))
+	for i, r := range b.Results {
+		if r != nil {
+			out[i] = r.Neighbors
 		}
 	}
-	outs := make([]shardOut, 0, n)
-	for i := 0; i < n; i++ {
-		select {
-		case o := <-out:
-			outs = append(outs, o)
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
+	return out
+}
+
+// SearchBatch answers a whole query matrix with at most Options.Workers
+// queries in flight at once (see Pipeline.SearchBatch).
+func (e *Engine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*BatchResult, error) {
+	return e.pipe.SearchBatch(ctx, queries, k, route.ModeAuto)
+}
+
+// SearchBatchMode is SearchBatch with an explicit routing mode (see
+// SearchMode).
+func (e *Engine) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
+	return e.pipe.SearchBatch(ctx, queries, k, mode)
+}
+
+// staticSource serves the pipeline from the engine's fixed shards: each
+// visit runs the shard's searcher behind its breaker and retry budget
+// (resilience.go) under a shard span.
+type staticSource struct{ e *Engine }
+
+func (s staticSource) NumShards() int     { return len(s.e.shards) }
+func (s staticSource) Available(int) bool { return true }
+func (s staticSource) Degraded() []int    { return s.e.DegradedShards() }
+
+func (s staticSource) Visit(ctx context.Context, root *obs.Span, id int, q []float64, k int) (ShardAnswer, error) {
+	sh, eo := s.e.shards[id], s.e.eobs
+	sp := root.StartChild(sh.name)
+	if eo != nil {
+		eo.shardQueries[id].Inc()
 	}
-	return outs, nil
+	ans, retries := sh.search(obs.ContextWithSpan(ctx, sp), q, k)
+	annotateFaults(sp, ans.Meter)
+	if ans.BreakerOpen {
+		sp.Annotate("breaker-open", obs.A("path", "host-scan"))
+		eo.noteBreakerHostServe()
+	}
+	if retries > 0 {
+		sp.Annotate("pim-retry", obs.A("retries", retries))
+		eo.noteRetries(retries)
+	}
+	sp.End()
+	return ans, nil
 }

@@ -20,14 +20,22 @@ func MergeNeighbors(k int, lists ...[]Neighbor) []Neighbor {
 	for _, l := range lists {
 		out = append(out, l...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
+	return SortNeighbors(out, k)
+}
+
+// SortNeighbors sorts nn in place by (Dist, Index) and truncates it to
+// its k best: the second half of MergeNeighbors, for callers that
+// concatenate into their own buffer. It is the one comparator every
+// merge in the repo resolves ties with.
+func SortNeighbors(nn []Neighbor, k int) []Neighbor {
+	sort.Slice(nn, func(i, j int) bool {
+		if nn[i].Dist != nn[j].Dist {
+			return nn[i].Dist < nn[j].Dist
 		}
-		return out[i].Index < out[j].Index
+		return nn[i].Index < nn[j].Index
 	})
-	if len(out) > k {
-		out = out[:k]
+	if len(nn) > k {
+		nn = nn[:k]
 	}
-	return out
+	return nn
 }

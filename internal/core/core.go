@@ -118,12 +118,12 @@ type KNNOptions struct {
 // KNNAcceleration is the framework's output for a kNN workload.
 type KNNAcceleration struct {
 	// Baseline is the host FNN cascade the framework profiled.
-	Baseline *knn.FNN
+	Baseline *knn.Cascade
 	// PIM is the default §V plan: bottleneck bound replaced by
 	// LB_PIM-FNN, remaining original bounds kept.
-	PIM *knn.FNNPIM
+	PIM *knn.Cascade
 	// Optimized applies the §V-D plan (possibly dropping host bounds).
-	Optimized *knn.FNNPIM
+	Optimized *knn.Cascade
 	// BaselineProfile is the §IV profile of the baseline on the pilot.
 	BaselineProfile *profile.Report
 	// OracleNs is Eq. 2's T_PIM-oracle for the pilot workload.
@@ -174,7 +174,7 @@ func (f *Framework) AccelerateKNN(data *vec.Matrix, opt KNNOptions) (*KNNAcceler
 	}
 
 	// 4. Measure pruning ratios on the pilot and optimize the plan.
-	candidates, err := f.measureKNNCandidates(data, baseline, pimAlg, opt)
+	candidates, hostSegsOf, err := f.measureKNNCandidates(data, baseline, pimAlg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +186,9 @@ func (f *Framework) AccelerateKNN(data *vec.Matrix, opt KNNOptions) (*KNNAcceler
 	f.Obs.Event("plan.chosen",
 		obs.A("plan", best.String()),
 		obs.A("reason", decision.Reason()))
-	var hostSegs []int
-	for _, b := range best.Bounds {
-		if !b.PIM {
-			var segs int
-			if _, err := fmt.Sscanf(b.Name, "LBFNN-%d", &segs); err == nil {
-				hostSegs = append(hostSegs, segs)
-			}
-		}
+	hostSegs, err := chosenHostSegs(best, hostSegsOf)
+	if err != nil {
+		return nil, err
 	}
 	optEng, err := f.NewEngine()
 	if err != nil {
@@ -216,14 +211,34 @@ func (f *Framework) AccelerateKNN(data *vec.Matrix, opt KNNOptions) (*KNNAcceler
 	}, nil
 }
 
+// chosenHostSegs maps the host bounds of the chosen plan back to the
+// granularities they were measured at. A chosen bound that was never a
+// candidate is an error: dropping it would build a different plan than
+// the one Eq. 13 priced.
+func chosenHostSegs(chosen plan.Plan, hostSegsOf map[string]int) ([]int, error) {
+	var hostSegs []int
+	for _, b := range chosen.Bounds {
+		if b.PIM {
+			continue
+		}
+		segs, ok := hostSegsOf[b.Name]
+		if !ok {
+			return nil, fmt.Errorf("core: plan %s chose %q, which is not a measured candidate bound", chosen, b.Name)
+		}
+		hostSegs = append(hostSegs, segs)
+	}
+	return hostSegs, nil
+}
+
 // measureKNNCandidates measures each candidate bound's independent
 // pruning ratio at the exact kNN threshold, averaged over the pilot
-// queries (§V-D's offline measurement).
-func (f *Framework) measureKNNCandidates(data *vec.Matrix, baseline *knn.FNN, pimAlg *knn.FNNPIM, opt KNNOptions) ([]plan.Bound, error) {
+// queries (§V-D's offline measurement). Beside the candidates it returns
+// each host candidate's granularity by bound name.
+func (f *Framework) measureKNNCandidates(data *vec.Matrix, baseline, pimAlg *knn.Cascade, opt KNNOptions) ([]plan.Bound, map[string]int, error) {
 	exact := knn.NewStandard(data)
 	pimIx, err := pimbound.BuildFNN(data, f.Quant, pimAlg.S())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	type cand struct {
 		host *bound.FNNIndex
@@ -231,7 +246,11 @@ func (f *Framework) measureKNNCandidates(data *vec.Matrix, baseline *knn.FNN, pi
 		sum  float64
 	}
 	cands := []*cand{{pim: pimIx}}
-	for _, ix := range baseline.Levels {
+	for _, segs := range baseline.Granularities() {
+		ix, err := bound.BuildFNN(data, segs)
+		if err != nil {
+			return nil, nil, err
+		}
 		cands = append(cands, &cand{host: ix})
 	}
 	lbs := make([]float64, data.N)
@@ -243,7 +262,7 @@ func (f *Framework) measureKNNCandidates(data *vec.Matrix, baseline *knn.FNN, pi
 			if c.pim != nil {
 				qf, err := c.pim.Query(qv)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				for i := 0; i < data.N; i++ {
 					dm, ds := c.pim.HostDots(i, qf)
@@ -252,7 +271,7 @@ func (f *Framework) measureKNNCandidates(data *vec.Matrix, baseline *knn.FNN, pi
 			} else {
 				mu, sigma, err := c.host.QueryStats(qv)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				for i := 0; i < data.N; i++ {
 					lbs[i] = c.host.LB(i, mu, sigma)
@@ -262,6 +281,7 @@ func (f *Framework) measureKNNCandidates(data *vec.Matrix, baseline *knn.FNN, pi
 		}
 	}
 	out := make([]plan.Bound, 0, len(cands))
+	hostSegsOf := make(map[string]int)
 	for _, c := range cands {
 		pr := c.sum / float64(opt.Pilot.N)
 		if c.pim != nil {
@@ -270,13 +290,15 @@ func (f *Framework) measureKNNCandidates(data *vec.Matrix, baseline *knn.FNN, pi
 				TransferDims: 3, PruneRatio: pr, PIM: true,
 			})
 		} else {
+			name := fmt.Sprintf("LBFNN-%d", c.host.Segs)
+			hostSegsOf[name] = c.host.Segs
 			out = append(out, plan.Bound{
-				Name: fmt.Sprintf("LBFNN-%d", c.host.Segs), Family: "FNN",
+				Name: name, Family: "FNN",
 				TransferDims: c.host.TransferDims(), PruneRatio: pr,
 			})
 		}
 	}
-	return out, nil
+	return out, hostSegsOf, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"pimmine/internal/dataset"
 	"pimmine/internal/kmeans"
 	"pimmine/internal/obs"
+	"pimmine/internal/plan"
 	"pimmine/internal/vec"
 )
 
@@ -82,6 +84,24 @@ func TestAccelerateKNNNeedsPilot(t *testing.T) {
 	data, _ := testData(t, 50, 16)
 	if _, err := f.AccelerateKNN(data, KNNOptions{}); err == nil {
 		t.Fatal("missing pilot must be rejected")
+	}
+}
+
+// The chosen plan is mapped back to host granularities through the table
+// of measured candidates, not by parsing bound names: a bound that was
+// never a candidate is an error, where it used to be dropped silently.
+func TestChosenHostSegs(t *testing.T) {
+	table := map[string]int{"LBFNN-7": 7, "LBFNN-28": 28, "LBFNN-105": 105}
+	decision := plan.Decision{Chosen: plan.Plan{Bounds: []plan.Bound{
+		{Name: "LBPIM-FNN-210", PIM: true}, {Name: "LBFNN-28"}, {Name: "LBFNN-105"},
+	}}}
+	segs, err := chosenHostSegs(decision.Chosen, table)
+	if err != nil || !reflect.DeepEqual(segs, []int{28, 105}) {
+		t.Fatalf("chosenHostSegs = %v, %v; want [28 105]", segs, err)
+	}
+	decision.Chosen.Bounds[1].Name = "LBSM-28"
+	if _, err := chosenHostSegs(decision.Chosen, table); err == nil || !strings.Contains(err.Error(), `"LBSM-28"`) {
+		t.Fatalf("a chosen bound that is not a candidate must be an error naming it, got %v", err)
 	}
 }
 

@@ -12,14 +12,12 @@ import (
 	"fmt"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/knn"
 	"pimmine/internal/measure"
 	"pimmine/internal/pim"
-	"pimmine/internal/pimbound"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
 )
-
-const operandBytes = 4
 
 // Label values in Result.Labels.
 const (
@@ -37,15 +35,12 @@ type Result struct {
 	CorePoints int
 }
 
-// Clusterer runs DBSCAN over a dataset. With a non-nil PIM index it runs
-// the PIM-optimized range queries.
+// Clusterer runs DBSCAN over a dataset. With a non-nil filter it runs the
+// PIM-optimized range queries.
 type Clusterer struct {
 	Data *vec.Matrix
 
-	eng  *pim.Engine
-	ix   *pimbound.EDIndex
-	pay  *pim.Payload
-	dots []int64
+	filter *knn.EDFilter // LB_PIM-ED over Data; nil on the host-only path
 }
 
 // New builds the host-only clusterer.
@@ -53,20 +48,16 @@ func New(data *vec.Matrix) *Clusterer { return &Clusterer{Data: data} }
 
 // NewPIM quantizes the dataset and programs it onto the array.
 func NewPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int) (*Clusterer, error) {
-	if !eng.Model().Fits(capacityN, data.D, 1) {
-		return nil, fmt.Errorf("dbscan: %d-dim floors for N=%d exceed PIM capacity", data.D, capacityN)
-	}
-	ix := pimbound.BuildED(data, q)
-	pay, err := eng.Program("dbscan/points", data.N, data.D, 1, ix.Floor)
+	f, err := knn.NewEDFilter(eng, data, q, capacityN, "dbscan/points")
 	if err != nil {
 		return nil, err
 	}
-	return &Clusterer{Data: data, eng: eng, ix: ix, pay: pay}, nil
+	return &Clusterer{Data: data, filter: f}, nil
 }
 
 // Name reports which path the clusterer runs.
 func (c *Clusterer) Name() string {
-	if c.ix != nil {
+	if c.filter != nil {
 		return "DBSCAN-PIM"
 	}
 	return "DBSCAN"
@@ -89,28 +80,19 @@ func (c *Clusterer) Run(eps float64, minPts int, meter *arch.Meter) (*Result, er
 	}
 	visited := make([]bool, n)
 	res := &Result{Labels: labels}
-	var exact, consults int64
+	var exact int64
 
 	// rangeQuery returns the indices within eps of point i (including i).
 	neighbors := make([]int, 0, 64)
 	rangeQuery := func(i int) []int {
 		neighbors = neighbors[:0]
-		var qf pimbound.EDQuery
-		if c.ix != nil {
-			qf = c.ix.Query(c.Data.Row(i))
-			var err error
-			c.dots, err = c.eng.QueryAll(meter, "LBPIM-ED", c.pay, qf.Floor, c.dots)
-			if err != nil {
-				panic(fmt.Sprintf("dbscan: PIM pass: %v", err))
-			}
-		}
 		p := c.Data.Row(i)
+		if err := c.filter.Prepare(p, meter); err != nil {
+			panic(fmt.Sprintf("dbscan: PIM pass: %v", err)) // p is a row of the programmed data
+		}
 		for j := 0; j < n; j++ {
-			if c.ix != nil {
-				consults++
-				if c.ix.LB(j, qf, c.dots[j]) > eps2 {
-					continue
-				}
+			if c.filter.LB(j) > eps2 {
+				continue
 			}
 			exact++
 			if measure.SqEuclidean(p, c.Data.Row(j)) <= eps2 {
@@ -154,19 +136,7 @@ func (c *Clusterer) Run(eps float64, minPts int, meter *arch.Meter) (*Result, er
 	}
 	res.Clusters = cluster
 
-	d := int64(c.Data.D)
-	ed := meter.C(arch.FuncED)
-	ed.Ops += exact * 3 * d
-	ed.SeqBytes += exact * d * operandBytes
-	ed.Branches += exact
-	ed.Calls += exact
-	if consults > 0 {
-		cc := meter.C("LBPIM-ED")
-		cc.Ops += consults * 8
-		cc.SeqBytes += consults * 2 * operandBytes
-		cc.Branches += consults
-		cc.Calls += consults
-	}
+	c.filter.RecordCosts(meter, exact, c.Data.D)
 	meter.C(arch.FuncOther).Ops += int64(n)
 	return res, nil
 }

@@ -14,33 +14,26 @@ import (
 	"fmt"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/knn"
 	"pimmine/internal/measure"
 	"pimmine/internal/pim"
-	"pimmine/internal/pimbound"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
 )
 
-const operandBytes = 4
-
 // Joiner joins an outer relation against a fixed inner relation S. With
-// a non-nil PIM index it runs the PIM-optimized path.
+// a non-nil filter it runs the PIM-optimized path.
 //
-// A Joiner owns per-row scratch (top-k collector, query floors, dot
-// buffer) reused across outer rows, so the refine loops of KNN/Eps and
-// the public KNNRow primitive perform zero heap allocations per row once
-// warmed up. The scratch makes a Joiner non-reentrant: one Joiner serves
-// one goroutine.
+// A Joiner owns per-row scratch (the top-k collector, and the filter's
+// query floors and dot buffer) reused across outer rows, so the refine
+// loops of KNN/Eps and the public KNNRow primitive perform zero heap
+// allocations per row once warmed up. The scratch makes a Joiner
+// non-reentrant: one Joiner serves one goroutine.
 type Joiner struct {
 	S *vec.Matrix
 
-	eng  *pim.Engine
-	ix   *pimbound.EDIndex
-	pay  *pim.Payload
-	dots []int64
-
+	filter *knn.EDFilter // LB_PIM-ED over S; nil on the host-only path
 	top    *vec.TopK
-	qFloor []uint32 // query floor scratch (PIM path)
 }
 
 // NewJoiner builds the host-only joiner over the inner relation.
@@ -49,31 +42,19 @@ func NewJoiner(s *vec.Matrix) *Joiner { return &Joiner{S: s} }
 // NewJoinerPIM quantizes the inner relation and programs it onto the
 // array.
 func NewJoinerPIM(eng *pim.Engine, s *vec.Matrix, q quant.Quantizer, capacityN int) (*Joiner, error) {
-	if !eng.Model().Fits(capacityN, s.D, 1) {
-		return nil, fmt.Errorf("join: %d-dim floors for N=%d exceed PIM capacity", s.D, capacityN)
-	}
-	ix := pimbound.BuildED(s, q)
-	pay, err := eng.Program("join/inner", s.N, s.D, 1, ix.Floor)
+	f, err := knn.NewEDFilter(eng, s, q, capacityN, "join/inner")
 	if err != nil {
 		return nil, err
 	}
-	return &Joiner{S: s, eng: eng, ix: ix, pay: pay, qFloor: make([]uint32, s.D)}, nil
+	return &Joiner{S: s, filter: f}, nil
 }
 
 // Name reports which path the joiner runs.
 func (j *Joiner) Name() string {
-	if j.ix != nil {
+	if j.filter != nil {
 		return "Joiner-PIM"
 	}
 	return "Joiner"
-}
-
-// prepare runs the PIM pass for one outer row (PIM path only).
-func (j *Joiner) prepare(r []float64, meter *arch.Meter) (pimbound.EDQuery, error) {
-	qf := j.ix.QueryInto(r, j.qFloor)
-	var err error
-	j.dots, err = j.eng.QueryAll(meter, "LBPIM-ED", j.pay, qf.Floor, j.dots)
-	return qf, err
 }
 
 // KNNRow computes the k nearest inner rows of one outer row, appending
@@ -89,33 +70,26 @@ func (j *Joiner) KNNRow(row []float64, k, exclude int, meter *arch.Meter, dst []
 	if len(row) != j.S.D {
 		return nil, fmt.Errorf("join: outer d=%d, inner d=%d", len(row), j.S.D)
 	}
-	var qf pimbound.EDQuery
-	if j.ix != nil {
-		var err error
-		if qf, err = j.prepare(row, meter); err != nil {
-			return nil, err
-		}
+	if err := j.filter.Prepare(row, meter); err != nil {
+		return nil, err
 	}
 	if j.top == nil {
 		j.top = vec.NewTopK(k)
 	} else {
 		j.top.Reset(k)
 	}
-	var exact, consults int64
+	var exact int64
 	for s := 0; s < j.S.N; s++ {
 		if s == exclude {
 			continue
 		}
-		if j.ix != nil {
-			consults++
-			if j.ix.LB(s, qf, j.dots[s]) > j.top.Threshold() {
-				continue
-			}
+		if j.filter.LB(s) > j.top.Threshold() {
+			continue
 		}
 		exact++
 		j.top.Push(s, measure.SqEuclidean(row, j.S.Row(s)))
 	}
-	j.recordCosts(meter, exact, consults)
+	j.filter.RecordCosts(meter, exact, j.S.D)
 	return j.top.AppendResults(dst), nil
 }
 
@@ -180,26 +154,19 @@ func (j *Joiner) Eps(r *vec.Matrix, eps float64, selfJoin bool, meter *arch.Mete
 	}
 	eps2 := eps * eps
 	var out []Pair
-	var exact, consults int64
+	var exact int64
 	for i := 0; i < r.N; i++ {
 		row := r.Row(i)
-		var qf pimbound.EDQuery
-		if j.ix != nil {
-			var err error
-			if qf, err = j.prepare(row, meter); err != nil {
-				return nil, err
-			}
+		if err := j.filter.Prepare(row, meter); err != nil {
+			return nil, err
 		}
 		start := 0
 		if selfJoin {
 			start = i + 1
 		}
 		for s := start; s < j.S.N; s++ {
-			if j.ix != nil {
-				consults++
-				if j.ix.LB(s, qf, j.dots[s]) > eps2 {
-					continue
-				}
+			if j.filter.LB(s) > eps2 {
+				continue
 			}
 			exact++
 			if d := measure.SqEuclidean(row, j.S.Row(s)); d <= eps2 {
@@ -207,22 +174,6 @@ func (j *Joiner) Eps(r *vec.Matrix, eps float64, selfJoin bool, meter *arch.Mete
 			}
 		}
 	}
-	j.recordCosts(meter, exact, consults)
+	j.filter.RecordCosts(meter, exact, j.S.D)
 	return out, nil
-}
-
-func (j *Joiner) recordCosts(meter *arch.Meter, exact, consults int64) {
-	d := int64(j.S.D)
-	ed := meter.C(arch.FuncED)
-	ed.Ops += exact * 3 * d
-	ed.SeqBytes += exact * d * operandBytes
-	ed.Branches += exact
-	ed.Calls += exact
-	if consults > 0 {
-		c := meter.C("LBPIM-ED")
-		c.Ops += consults * 8
-		c.SeqBytes += consults * 2 * operandBytes
-		c.Branches += consults
-		c.Calls += consults
-	}
 }

@@ -49,7 +49,11 @@ func searchersUnderTest(t *testing.T) []AppendSearcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []AppendSearcher{std, ost, sm, fnn, stdPIM, smPIM, ostPIM, fnnPIM}
+	fnnPIMOpt, err := NewFNNPIMOptimized(eng, data, q, data.N, []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []AppendSearcher{std, ost, sm, fnn, stdPIM, smPIM, ostPIM, fnnPIM, fnnPIMOpt}
 }
 
 func TestSearchAppendZeroAllocs(t *testing.T) {
@@ -76,6 +80,38 @@ func TestSearchAppendZeroAllocs(t *testing.T) {
 				t.Fatalf("%s: returned %d neighbors, want %d", s.Name(), len(dst), k)
 			}
 		})
+	}
+}
+
+// TestEDFilterZeroAllocs pins the filter every LB_PIM-ED mining task
+// shares: a warmed Prepare quantizes into retained scratch, so a Prepare +
+// LB sweep over all rows never touches the heap (outlier, dbscan and motif
+// used to allocate a floor vector per outer row).
+func TestEDFilterZeroAllocs(t *testing.T) {
+	data, queries := testData(t, 300, 64)
+	f, err := NewEDFilter(newEngine(t), data, defaultQuant(t), data.N, "alloc/points")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := arch.NewMeter()
+	var sum float64
+	var sweeps int64
+	sweep := func(q []float64) {
+		sweeps++
+		if err := f.Prepare(q, meter); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < data.N; i++ {
+			sum += f.LB(i)
+		}
+		f.RecordCosts(meter, 0, data.D)
+	}
+	sweep(queries.Row(1)) // warm up: size the dot buffer, create meter buckets
+	if allocs := testing.AllocsPerRun(20, func() { sweep(queries.Row(0)) }); allocs != 0 {
+		t.Fatalf("warmed Prepare + LB sweep allocated %.1f times, want 0", allocs)
+	}
+	if c := meter.Get("LBPIM-ED"); c.Calls != sweeps*int64(data.N+1) {
+		t.Fatalf("LBPIM-ED Calls = %d, want %d (one pass and N consultations per sweep)", c.Calls, sweeps*int64(data.N+1))
 	}
 }
 

@@ -36,159 +36,96 @@ func (s *Standard) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec
 	for i := 0; i < s.Data.N; i++ {
 		s.top.Push(i, measure.SqEuclidean(s.Data.Row(i), q))
 	}
-	costExactScan(meter.C(arch.FuncED), int64(s.Data.N), s.Data.D)
+	costExactRefine(meter.C(arch.FuncED), int64(s.Data.N), s.Data.D)
 	meter.C(arch.FuncOther).Ops += int64(s.Data.N) // heap maintenance
 	return s.top.AppendResults(dst)
 }
 
 // ---------------------------------------------------------------------------
-// OST: LB_OST filter + exact refinement.
+// Host cascades: OST, SM and FNN are stage lists over the bound package's
+// indexes. A host stage moves its index's TransferDims operands per
+// consulted object and runs no dot product on the array.
 // ---------------------------------------------------------------------------
 
-// OST prunes with the orthogonal-search-tree bound before refining.
-type OST struct {
-	Data   *vec.Matrix
-	Ix     *bound.OSTIndex
-	top    *vec.TopK
-	stages []StageStat
+// ostStage is LB_OST: the exact head partial distance plus the tail-norm
+// gap (Liaw et al. 2010).
+type ostStage struct {
+	ix    *bound.OSTIndex
+	q     []float64 // the query in flight: LB_OST reads its head directly
+	qTail float64
 }
+
+func (s *ostStage) name() string  { return "LBOST" }
+func (s *ostStage) operands() int { return s.ix.TransferDims() }
+func (s *ostStage) segs() int     { return s.ix.D0 }
+func (s *ostStage) pimDots() int  { return 0 }
+func (s *ostStage) prepare(q []float64, _ *arch.Meter) error {
+	s.q, s.qTail = q, s.ix.QueryTail(q)
+	return nil
+}
+func (s *ostStage) lb(i int) float64 { return s.ix.LB(i, s.q, s.qTail) }
 
 // NewOST builds the OST searcher with head length d0 (the paper's baseline
 // setting uses half the dimensions; callers may tune).
-func NewOST(data *vec.Matrix, d0 int) (*OST, error) {
+func NewOST(data *vec.Matrix, d0 int) (*Cascade, error) {
 	ix, err := bound.BuildOST(data, d0)
 	if err != nil {
 		return nil, err
 	}
-	return &OST{Data: data, Ix: ix}, nil
+	return newCascade(data, "OST", &ostStage{ix: ix}), nil
 }
 
-// Name implements Searcher.
-func (o *OST) Name() string { return "OST" }
-
-// LastStages implements Stager.
-func (o *OST) LastStages() []StageStat { return o.stages }
-
-// Search filters with LB_OST, then refines survivors with exact ED.
-func (o *OST) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return o.SearchAppend(q, k, meter, nil)
+// smStage is LB_SM, the segmented-mean bound (Yi & Faloutsos 2000).
+type smStage struct {
+	ix  *bound.SMIndex
+	qMu []float64 // query segment-mean scratch
 }
 
-// SearchAppend implements AppendSearcher.
-func (o *OST) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	qTail := o.Ix.QueryTail(q)
-	o.top = reuseTopK(o.top, k)
-	top := o.top
-	survivors := 0
-	for i := 0; i < o.Data.N; i++ {
-		if o.Ix.LB(i, q, qTail) > top.Threshold() {
-			continue
-		}
-		survivors++
-		top.Push(i, measure.SqEuclidean(o.Data.Row(i), q))
-	}
-	costBoundScan(meter.C("LBOST"), int64(o.Data.N), o.Ix.TransferDims())
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), o.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(o.Data.N)
-	o.stages = append(o.stages[:0],
-		StageStat{Name: "LBOST", In: o.Data.N, Out: survivors, TransferDims: o.Ix.TransferDims()},
-		StageStat{Name: "ED", In: survivors, Out: k, TransferDims: o.Data.D})
-	return top.AppendResults(dst)
+func (s *smStage) name() string  { return "LBSM" }
+func (s *smStage) operands() int { return s.ix.TransferDims() }
+func (s *smStage) segs() int     { return s.ix.Segs }
+func (s *smStage) pimDots() int  { return 0 }
+func (s *smStage) prepare(q []float64, _ *arch.Meter) error {
+	return s.ix.QueryMuInto(q, s.qMu)
 }
-
-// ---------------------------------------------------------------------------
-// SM: LB_SM filter + exact refinement.
-// ---------------------------------------------------------------------------
-
-// SM prunes with the segmented-mean bound before refining.
-type SM struct {
-	Data   *vec.Matrix
-	Ix     *bound.SMIndex
-	top    *vec.TopK
-	qMu    []float64 // query segment-mean scratch
-	stages []StageStat
-}
+func (s *smStage) lb(i int) float64 { return s.ix.LB(i, s.qMu) }
 
 // NewSM builds the SM searcher with segs segments.
-func NewSM(data *vec.Matrix, segs int) (*SM, error) {
+func NewSM(data *vec.Matrix, segs int) (*Cascade, error) {
 	ix, err := bound.BuildSM(data, segs)
 	if err != nil {
 		return nil, err
 	}
-	return &SM{Data: data, Ix: ix}, nil
+	return newCascade(data, "SM", &smStage{ix: ix, qMu: make([]float64, ix.Segs)}), nil
 }
 
-// Name implements Searcher.
-func (s *SM) Name() string { return "SM" }
-
-// LastStages implements Stager.
-func (s *SM) LastStages() []StageStat { return s.stages }
-
-// Search filters with LB_SM, then refines survivors with exact ED.
-func (s *SM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return s.SearchAppend(q, k, meter, nil)
+// fnnStage is LB_FNN at one granularity (Hwang et al. 2012).
+type fnnStage struct {
+	ix        *bound.FNNIndex
+	fname     string    // cached, so the hot path never fmt.Sprintfs
+	mu, sigma []float64 // query segment-statistics scratch
 }
 
-// SearchAppend implements AppendSearcher.
-func (s *SM) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	if s.qMu == nil {
-		s.qMu = make([]float64, s.Ix.Segs)
-	}
-	if err := s.Ix.QueryMuInto(q, s.qMu); err != nil {
-		panic(fmt.Sprintf("knn: SM query: %v", err)) // shape mismatch is a caller bug
-	}
-	s.top = reuseTopK(s.top, k)
-	top := s.top
-	survivors := 0
-	for i := 0; i < s.Data.N; i++ {
-		if s.Ix.LB(i, s.qMu) > top.Threshold() {
-			continue
-		}
-		survivors++
-		top.Push(i, measure.SqEuclidean(s.Data.Row(i), q))
-	}
-	costBoundScan(meter.C("LBSM"), int64(s.Data.N), s.Ix.TransferDims())
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), s.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(s.Data.N)
-	s.stages = append(s.stages[:0],
-		StageStat{Name: "LBSM", In: s.Data.N, Out: survivors, TransferDims: s.Ix.TransferDims()},
-		StageStat{Name: "ED", In: survivors, Out: k, TransferDims: s.Data.D})
-	return top.AppendResults(dst)
+func (s *fnnStage) name() string  { return s.fname }
+func (s *fnnStage) operands() int { return s.ix.TransferDims() }
+func (s *fnnStage) segs() int     { return s.ix.Segs }
+func (s *fnnStage) pimDots() int  { return 0 }
+func (s *fnnStage) prepare(q []float64, _ *arch.Meter) error {
+	return s.ix.QueryStatsInto(q, s.mu, s.sigma)
 }
+func (s *fnnStage) lb(i int) float64 { return s.ix.LB(i, s.mu, s.sigma) }
 
-// ---------------------------------------------------------------------------
-// FNN: cascade of LB_FNN bounds of increasing granularity + refinement.
-// ---------------------------------------------------------------------------
-
-// fnnQStats is one granularity's query-side segment statistics, reused
-// across queries by the cascaded searchers.
-type fnnQStats struct{ mu, sigma []float64 }
-
-// FNN applies the paper's three-level LB_FNN cascade (granularities near
-// d/64, d/16, d/4 — Fig 12a) before exact refinement.
-type FNN struct {
-	Data   *vec.Matrix
-	Levels []*bound.FNNIndex // ascending granularity
-
-	names   []string // per-level meter bucket / stage names
-	top     *vec.TopK
-	qs      []fnnQStats
-	entered []int
-	stages  []StageStat
-}
-
-// NewFNN builds the FNN searcher with the standard cascade for the data's
-// dimensionality.
-func NewFNN(data *vec.Matrix) (*FNN, error) {
-	levels := bound.FNNLevels(data.D)
-	return NewFNNWithLevels(data, levels[:])
-}
-
-// NewFNNWithLevels builds the cascade with explicit segment counts
-// (ascending). Duplicate granularities are collapsed.
-func NewFNNWithLevels(data *vec.Matrix, segCounts []int) (*FNN, error) {
-	f := &FNN{Data: data}
+// fnnStages builds one LB_FNN stage per granularity in segCounts, in
+// order, collapsing duplicates (for small d several of the paper's levels
+// round to one divisor) and skipping the granularity a PIM stage already
+// covers (0 for none): the host bound at equal granularity is subsumed by
+// the PIM one.
+func fnnStages(data *vec.Matrix, segCounts []int, covered int) ([]stage, error) {
+	var stages []stage
 	seen := map[int]bool{}
+	if covered > 0 {
+		seen[covered] = true
+	}
 	for _, segs := range segCounts {
 		if seen[segs] {
 			continue
@@ -198,69 +135,30 @@ func NewFNNWithLevels(data *vec.Matrix, segCounts []int) (*FNN, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Levels = append(f.Levels, ix)
-	}
-	if len(f.Levels) == 0 {
-		return nil, fmt.Errorf("knn: FNN needs at least one granularity")
-	}
-	for _, ix := range f.Levels {
-		f.names = append(f.names, fmt.Sprintf("LBFNN-%d", ix.Segs))
-		f.qs = append(f.qs, fnnQStats{mu: make([]float64, ix.Segs), sigma: make([]float64, ix.Segs)})
-	}
-	f.entered = make([]int, len(f.Levels)+1)
-	return f, nil
-}
-
-// Name implements Searcher.
-func (f *FNN) Name() string { return "FNN" }
-
-// LastStages implements Stager.
-func (f *FNN) LastStages() []StageStat { return f.stages }
-
-// Search runs the cascade. Each level is evaluated lazily: an object only
-// reaches level j+1 if level j failed to prune it, exactly as in Fig 12(a).
-func (f *FNN) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return f.SearchAppend(q, k, meter, nil)
-}
-
-// SearchAppend implements AppendSearcher.
-func (f *FNN) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	for li, ix := range f.Levels {
-		if err := ix.QueryStatsInto(q, f.qs[li].mu, f.qs[li].sigma); err != nil {
-			panic(fmt.Sprintf("knn: FNN query: %v", err))
-		}
-	}
-	f.top = reuseTopK(f.top, k)
-	top := f.top
-	entered := f.entered
-	for i := range entered {
-		entered[i] = 0
-	}
-	f.stages = f.stages[:0]
-	for i := 0; i < f.Data.N; i++ {
-		pruned := false
-		for li, ix := range f.Levels {
-			entered[li]++
-			if ix.LB(i, f.qs[li].mu, f.qs[li].sigma) > top.Threshold() {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		entered[len(f.Levels)]++
-		top.Push(i, measure.SqEuclidean(f.Data.Row(i), q))
-	}
-	for li, ix := range f.Levels {
-		costBoundScan(meter.C(f.names[li]), int64(entered[li]), ix.TransferDims())
-		f.stages = append(f.stages, StageStat{
-			Name: f.names[li], In: entered[li], Out: entered[li+1], TransferDims: ix.TransferDims(),
+		stages = append(stages, &fnnStage{
+			ix: ix, fname: fmt.Sprintf("LBFNN-%d", segs),
+			mu: make([]float64, segs), sigma: make([]float64, segs),
 		})
 	}
-	survivors := entered[len(f.Levels)]
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), f.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(f.Data.N)
-	f.stages = append(f.stages, StageStat{Name: "ED", In: survivors, Out: k, TransferDims: f.Data.D})
-	return top.AppendResults(dst)
+	return stages, nil
+}
+
+// NewFNN builds the FNN searcher with the paper's three-level cascade for
+// the data's dimensionality (granularities near d/64, d/16, d/4 — Fig 12a).
+func NewFNN(data *vec.Matrix) (*Cascade, error) {
+	levels := bound.FNNLevels(data.D)
+	return NewFNNWithLevels(data, levels[:])
+}
+
+// NewFNNWithLevels builds the cascade with explicit segment counts
+// (ascending). Duplicate granularities are collapsed.
+func NewFNNWithLevels(data *vec.Matrix, segCounts []int) (*Cascade, error) {
+	stages, err := fnnStages(data, segCounts, 0)
+	if err != nil {
+		return nil, err
+	}
+	if len(stages) == 0 {
+		return nil, fmt.Errorf("knn: FNN needs at least one granularity")
+	}
+	return newCascade(data, "FNN", stages...), nil
 }

@@ -12,6 +12,19 @@
 // plus Hamming-distance scans over binary codes (Fig 14) and CS/PCC
 // maximum-similarity scans (Fig 13d).
 //
+// The ED family is one loop. Every filter-and-refine variant above is a
+// Cascade (cascade.go): a dataset, a name and an ordered list of stages —
+// the execution plan of §V-D — walked lazily per object and followed by
+// exact refinement; that one loop owns the spans, the per-stage counts,
+// the modeled costs and LastStages. A stage is a lower bound with
+// query-side scratch: host stages over the bound package's indexes
+// (host.go), the LB_PIM-FNN and LB_PIM-ED stages over programmed payloads
+// (pimknn.go). The constructors only assemble stage lists. Standard stays
+// a separate exact scan because every differential test compares against
+// it. EDFilter (edfilter.go) is the LB_PIM-ED component on its own, shared
+// with the mining tasks that filter with it outside a kNN search
+// (outlier, join, dbscan, motif).
+//
 // Every algorithm performs the real computation — results are exact and
 // integration tests assert each variant returns the same neighbor set as
 // the exact scan — while recording modeled hardware activity into an
@@ -40,9 +53,11 @@ type Searcher interface {
 // goroutine, exactly as Search always has (SearchBatch builds one per
 // worker).
 //
-// Every searcher in this package implements AppendSearcher, and Search is
-// defined as SearchAppend(q, k, meter, nil) — so both entry points return
-// identical neighbors and record identical meter activity.
+// The ED family — Standard and every Cascade — implements AppendSearcher,
+// and its Search is defined as SearchAppend(q, k, meter, nil), so both
+// entry points return identical neighbors and record identical meter
+// activity. The CS/PCC, HD, Dynamic-PIM and Approx-PIM searchers implement
+// Searcher only.
 type AppendSearcher interface {
 	Searcher
 	SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor
@@ -128,15 +143,6 @@ func costBoundScan(c *arch.Counters, n int64, tdims int) {
 // (the scan order), so their traffic still prefetches like a sparse
 // sequential stream and is charged at the sequential rate.
 func costExactRefine(c *arch.Counters, n int64, d int) {
-	c.Ops += n * int64(3*d)
-	c.SeqBytes += n * int64(d) * operandBytes
-	c.Branches += n
-	c.Calls += n
-}
-
-// costExactScan records the host cost of exact ED over the whole dataset
-// in a sequential scan (the Standard baseline).
-func costExactScan(c *arch.Counters, n int64, d int) {
 	c.Ops += n * int64(3*d)
 	c.SeqBytes += n * int64(d) * operandBytes
 	c.Branches += n

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"reflect"
 	"testing"
 
 	"pimmine/internal/arch"
@@ -150,12 +151,42 @@ func TestMeterAccounting(t *testing.T) {
 	}
 	m2 := arch.NewMeter()
 	sp.Search(queries.Row(0), 5, m2)
-	pb := m2.Get(sp.filter.funcName())
+	pb := m2.Get(sp.LastStages()[0].Name)
 	if pb.PIMCycles == 0 || pb.PIMBufBytes == 0 {
 		t.Fatalf("Standard-PIM recorded no PIM activity: %+v", pb)
 	}
 	if m2.Get(arch.FuncED).SeqBytes == 0 {
 		t.Fatal("refinement must record memory traffic")
+	}
+}
+
+// For small d the paper's levels d/16 and d/4 round to one divisor; the
+// PIM constructors must keep that host level once, as NewFNNWithLevels
+// does, or its meter bucket is charged once per copy.
+func TestFNNPIMCollapsesDuplicateLevels(t *testing.T) {
+	data, queries := testData(t, 200, 7)
+	q := defaultQuant(t)
+	for _, build := range []func() (*Cascade, error){
+		func() (*Cascade, error) { return NewFNNPIM(newEngine(t), data, q, data.N) },
+		func() (*Cascade, error) { return NewFNNPIMOptimized(newEngine(t), data, q, data.N, []int{1, 1}) },
+	} {
+		s, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := arch.NewMeter()
+		s.Search(queries.Row(0), 10, m)
+		stages := s.LastStages()
+		var names []string
+		for _, st := range stages {
+			names = append(names, st.Name)
+		}
+		if want := []string{"LBPIM-FNN-7", "LBFNN-1", "ED"}; !reflect.DeepEqual(names, want) {
+			t.Fatalf("%s stages = %v, want %v", s.Name(), names, want)
+		}
+		if calls := m.Get("LBFNN-1").Calls; calls != int64(stages[0].Out) {
+			t.Fatalf("%s charged LBFNN-1 %d calls for %d survivors of the PIM stage", s.Name(), calls, stages[0].Out)
+		}
 	}
 }
 

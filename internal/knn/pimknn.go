@@ -1,28 +1,26 @@
 package knn
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/bound"
-	"pimmine/internal/measure"
-	"pimmine/internal/obs"
 	"pimmine/internal/pim"
 	"pimmine/internal/pimbound"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
 )
 
-// fnnFilter wraps an LB_PIM-FNN payload pair (⌊µ⌋ and ⌊σ⌋ crossbar
-// payloads, Fig 10) and evaluates Theorem 2's bound for every object.
+// fnnFilter is the LB_PIM-FNN stage: it wraps a payload pair (⌊µ⌋ and ⌊σ⌋
+// crossbar payloads, Fig 10) and evaluates Theorem 2's bound for every
+// object.
 type fnnFilter struct {
 	ix    *pimbound.FNNIndex
 	eng   *pim.Engine
 	muPay *pim.Payload
 	sgPay *pim.Payload
-	fname string // cached funcName, so the hot path never fmt.Sprintfs
+	fname string            // cached, so the hot path never fmt.Sprintfs
+	qf    pimbound.FNNQuery // the prepared query's features; aliases qMu, qSg
 
 	// Steady-state scratch: the QueryAllParallel argument slices, the
 	// query feature buffers and the dot-product destinations are built
@@ -59,345 +57,142 @@ func newFNNFilter(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, segs int
 	return f, nil
 }
 
-// funcName is the meter bucket / stage name for this filter.
-func (f *fnnFilter) funcName() string { return f.fname }
+func (f *fnnFilter) name() string { return f.fname }
+func (f *fnnFilter) segs() int    { return f.ix.Segs }
 
-// prepare runs the query's PIM passes and returns the query features;
-// bounds are then available for every object via lb. The ⌊µ⌋ and ⌊σ⌋
-// payloads live in disjoint crossbar groups (Fig 10's crossbar a /
-// crossbar b), so both dot products come out of one concurrent pass
-// (§V-C's parallel function groups).
-func (f *fnnFilter) prepare(q []float64, meter *arch.Meter) (pimbound.FNNQuery, error) {
+// operands is the per-consultation transfer: Φ(p̂) plus two dot products
+// (Φ(q̂) is cached) — Fig 8's 3·b bits.
+func (f *fnnFilter) operands() int { return 3 }
+func (f *fnnFilter) pimDots() int  { return 2 * f.ix.N() }
+
+// prepare runs the query's PIM passes; bounds are then available for
+// every object via lb. The ⌊µ⌋ and ⌊σ⌋ payloads live in disjoint crossbar
+// groups (Fig 10's crossbar a / crossbar b), so both dot products come
+// out of one concurrent pass (§V-C's parallel function groups).
+func (f *fnnFilter) prepare(q []float64, meter *arch.Meter) error {
 	qf, err := f.ix.QueryInto(q, f.qMu, f.qSg)
 	if err != nil {
-		return pimbound.FNNQuery{}, err
+		return err
 	}
+	f.qf = qf
 	f.inputs[0], f.inputs[1] = qf.MuFloor, qf.SigmaFloor
 	f.dsts[0], f.dsts[1] = f.dotsMu, f.dotsSg
 	dsts, err := f.eng.QueryAllParallel(meter, f.fname, f.pays, f.inputs, f.dsts)
 	if err != nil {
-		return pimbound.FNNQuery{}, err
+		return err
 	}
 	f.dotsMu, f.dotsSg = dsts[0], dsts[1]
-	return qf, nil
+	return nil
 }
 
-func (f *fnnFilter) lb(i int, qf pimbound.FNNQuery) float64 {
-	return f.ix.LB(i, qf, f.dotsMu[i], f.dotsSg[i])
-}
-
-// hostOperands is the per-consultation transfer: Φ(p̂) plus two dot
-// products (Φ(q̂) is cached) — Fig 8's 3·b bits.
-func (f *fnnFilter) hostOperands() int { return 3 }
+func (f *fnnFilter) lb(i int) float64 { return f.ix.LB(i, f.qf, f.dotsMu[i], f.dotsSg[i]) }
 
 // recordProgram charges the offline programming to a meter.
 func (f *fnnFilter) recordProgram(meter *arch.Meter) {
-	pim.RecordProgramCost(meter, f.funcName(), f.muPay)
-	pim.RecordProgramCost(meter, f.funcName(), f.sgPay)
+	pim.RecordProgramCost(meter, f.fname, f.muPay)
+	pim.RecordProgramCost(meter, f.fname, f.sgPay)
 }
 
-// ---------------------------------------------------------------------------
-// Standard-PIM: linear scan with a single LB_PIM-FNN filter at the
-// Theorem 4 dimensionality, then exact refinement. Matches §VI-C's
-// Standard-PIM (e.g. s=105 on MSD, s=50 on ImageNet when sized against
-// the full dataset cardinalities).
-// ---------------------------------------------------------------------------
-
-// StandardPIM is the PIM-optimized linear scan.
-type StandardPIM struct {
-	Data     *vec.Matrix
-	filter   *fnnFilter
-	spanName string
-	top      *vec.TopK
-	stages   []StageStat
-}
-
-// NewStandardPIM sizes the compressed dimensionality with Theorem 4
+// chooseFNNFilter sizes the compressed dimensionality with Theorem 4
 // against capacityN objects (pass the dataset's full-scale cardinality to
 // reproduce the paper's constraint; the generated data may be smaller) and
-// programs the payloads.
-func NewStandardPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int) (*StandardPIM, error) {
+// programs the LB_PIM-FNN payloads at that granularity.
+func chooseFNNFilter(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int, tag string) (*fnnFilter, error) {
 	s := eng.Model().ChooseS(capacityN, pim.Divisors(data.D), 2)
 	if s == 0 {
 		return nil, fmt.Errorf("knn: no compressed dimensionality of d=%d fits the PIM array for N=%d", data.D, capacityN)
 	}
-	f, err := newFNNFilter(eng, data, q, s, "standard-pim")
+	return newFNNFilter(eng, data, q, s, tag)
+}
+
+// NewStandardPIM builds the PIM-optimized linear scan: a single LB_PIM-FNN
+// filter at the Theorem 4 dimensionality, then exact refinement. Matches
+// §VI-C's Standard-PIM (e.g. s=105 on MSD, s=50 on ImageNet when sized
+// against the full dataset cardinalities).
+func NewStandardPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int) (*Cascade, error) {
+	f, err := chooseFNNFilter(eng, data, q, capacityN, "standard-pim")
 	if err != nil {
 		return nil, err
 	}
-	return &StandardPIM{Data: data, filter: f, spanName: "knn.Standard-PIM"}, nil
+	return newCascade(data, "Standard-PIM", f), nil
 }
 
-// S returns the Theorem 4 compressed dimensionality in use.
-func (s *StandardPIM) S() int { return s.filter.ix.Segs }
-
-// Name implements Searcher.
-func (s *StandardPIM) Name() string { return "Standard-PIM" }
-
-// LastStages implements Stager.
-func (s *StandardPIM) LastStages() []StageStat { return s.stages }
-
-// RecordPreprocessing charges offline payload programming to the meter.
-func (s *StandardPIM) RecordPreprocessing(meter *arch.Meter) { s.filter.recordProgram(meter) }
-
-// Search filters with LB_PIM-FNN and refines survivors exactly.
-func (s *StandardPIM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return s.searchAppend(context.Background(), q, k, meter, nil)
-}
-
-// SearchAppend implements AppendSearcher.
-func (s *StandardPIM) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	return s.searchAppend(context.Background(), q, k, meter, dst)
-}
-
-// SearchCtx implements ContextSearcher: Search with per-phase spans
-// (pim-dot, bound-eval, refine) emitted into the context's trace.
-func (s *StandardPIM) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return s.searchAppend(ctx, q, k, meter, nil)
-}
-
-func (s *StandardPIM) searchAppend(ctx context.Context, q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	_, sp := obs.StartSpan(ctx, s.spanName)
-	defer sp.End()
-	pd := sp.StartChild("pim-dot")
-	qf, err := s.filter.prepare(q, meter)
-	if err != nil {
-		panic(fmt.Sprintf("knn: Standard-PIM prepare: %v", err))
-	}
-	if pd != nil {
-		pd.SetAttr("func", s.filter.funcName())
-		pd.SetAttr("dots", 2*s.Data.N)
-	}
-	pd.End()
-	be := sp.StartChild("bound-eval")
-	traced := sp != nil
-	var refineDur time.Duration
-	s.top = reuseTopK(s.top, k)
-	top := s.top
-	survivors := 0
-	for i := 0; i < s.Data.N; i++ {
-		if s.filter.lb(i, qf) > top.Threshold() {
-			continue
-		}
-		survivors++
-		if traced {
-			t0 := time.Now()
-			top.Push(i, measure.SqEuclidean(s.Data.Row(i), q))
-			refineDur += time.Since(t0)
-		} else {
-			top.Push(i, measure.SqEuclidean(s.Data.Row(i), q))
-		}
-	}
-	fn := s.filter.funcName()
-	if traced {
-		be.Annotate(fn, obs.A("in", s.Data.N), obs.A("out", survivors))
-		be.AddChild("refine", refineDur, obs.A("in", survivors), obs.A("out", k), obs.A("transfer_dims", s.Data.D))
-		be.End()
-	}
-	costPIMBound(meter.C(fn), int64(s.Data.N), s.filter.hostOperands())
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), s.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(s.Data.N)
-	s.stages = append(s.stages[:0],
-		StageStat{Name: fn, In: s.Data.N, Out: survivors, TransferDims: s.filter.hostOperands()},
-		StageStat{Name: "ED", In: survivors, Out: k, TransferDims: s.Data.D})
-	return top.AppendResults(dst)
-}
-
-// ---------------------------------------------------------------------------
-// FNN-PIM: the FNN cascade with its bottleneck (coarsest) bound replaced
-// by LB_PIM-FNN at the Theorem 4 dimensionality; the finer original
-// bounds stay in place (§VI-C's default plan). FNN-PIM-optimize drops the
-// host bounds the §V-D plan optimizer rejects.
-// ---------------------------------------------------------------------------
-
-// FNNPIM is the PIM-optimized FNN cascade.
-type FNNPIM struct {
-	Data       *vec.Matrix
-	filter     *fnnFilter
-	HostLevels []*bound.FNNIndex // remaining original bounds, ascending granularity
-	variant    string
-	spanName   string
-
-	hostNames []string // per-host-level meter bucket / stage names
-	top       *vec.TopK
-	qs        []fnnQStats
-	entered   []int
-	stages    []StageStat
-}
-
-// NewFNNPIM builds the default plan: LB_PIM-FNN(s) followed by the
-// original cascade's finer levels (those with granularity above the
-// replaced bottleneck level).
-func NewFNNPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int) (*FNNPIM, error) {
+// NewFNNPIM builds the default plan of the PIM-optimized FNN cascade: the
+// bottleneck (coarsest) bound replaced by LB_PIM-FNN at the Theorem 4
+// dimensionality, the original cascade's finer levels kept (§VI-C).
+func NewFNNPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int) (*Cascade, error) {
 	levels := bound.FNNLevels(data.D)
 	return newFNNPIM(eng, data, q, capacityN, levels[1:], "FNN-PIM")
 }
 
 // NewFNNPIMOptimized builds FNN-PIM with an explicit set of retained host
 // granularities (possibly none), as selected by the §V-D plan optimizer.
-func NewFNNPIMOptimized(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int, hostSegs []int) (*FNNPIM, error) {
+func NewFNNPIMOptimized(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int, hostSegs []int) (*Cascade, error) {
 	return newFNNPIM(eng, data, q, capacityN, hostSegs, "FNN-PIM-optimize")
 }
 
-func newFNNPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int, hostSegs []int, variant string) (*FNNPIM, error) {
-	s := eng.Model().ChooseS(capacityN, pim.Divisors(data.D), 2)
-	if s == 0 {
-		return nil, fmt.Errorf("knn: no compressed dimensionality of d=%d fits the PIM array for N=%d", data.D, capacityN)
-	}
-	f, err := newFNNFilter(eng, data, q, s, variant)
+func newFNNPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int, hostSegs []int, variant string) (*Cascade, error) {
+	f, err := chooseFNNFilter(eng, data, q, capacityN, variant)
 	if err != nil {
 		return nil, err
 	}
-	a := &FNNPIM{Data: data, filter: f, variant: variant, spanName: "knn." + variant}
-	for _, segs := range hostSegs {
-		if segs == s {
-			continue // subsumed by the PIM bound at equal granularity
-		}
-		ix, err := bound.BuildFNN(data, segs)
-		if err != nil {
-			return nil, err
-		}
-		a.HostLevels = append(a.HostLevels, ix)
-		a.hostNames = append(a.hostNames, fmt.Sprintf("LBFNN-%d", segs))
-		a.qs = append(a.qs, fnnQStats{mu: make([]float64, segs), sigma: make([]float64, segs)})
-	}
-	a.entered = make([]int, len(a.HostLevels)+2) // [pim, host..., exact]
-	return a, nil
-}
-
-// S returns the Theorem 4 compressed dimensionality in use.
-func (a *FNNPIM) S() int { return a.filter.ix.Segs }
-
-// Name implements Searcher.
-func (a *FNNPIM) Name() string { return a.variant }
-
-// LastStages implements Stager.
-func (a *FNNPIM) LastStages() []StageStat { return a.stages }
-
-// RecordPreprocessing charges offline payload programming to the meter.
-func (a *FNNPIM) RecordPreprocessing(meter *arch.Meter) { a.filter.recordProgram(meter) }
-
-// Search runs the PIM bound first (it is computed in one batch on the
-// array), then the retained host bounds, then exact refinement.
-func (a *FNNPIM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return a.searchAppend(context.Background(), q, k, meter, nil)
-}
-
-// SearchAppend implements AppendSearcher.
-func (a *FNNPIM) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	return a.searchAppend(context.Background(), q, k, meter, dst)
-}
-
-// SearchCtx implements ContextSearcher: Search with per-phase spans
-// (pim-dot, bound-eval with one event per cascade stage, refine) emitted
-// into the context's trace.
-func (a *FNNPIM) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return a.searchAppend(ctx, q, k, meter, nil)
-}
-
-func (a *FNNPIM) searchAppend(ctx context.Context, q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	_, sp := obs.StartSpan(ctx, a.spanName)
-	defer sp.End()
-	pd := sp.StartChild("pim-dot")
-	qf, err := a.filter.prepare(q, meter)
+	host, err := fnnStages(data, hostSegs, f.segs())
 	if err != nil {
-		panic(fmt.Sprintf("knn: %s prepare: %v", a.variant, err))
+		return nil, err
 	}
-	if pd != nil {
-		pd.SetAttr("func", a.filter.funcName())
-		pd.SetAttr("dots", 2*a.Data.N)
-	}
-	pd.End()
-	qs := a.qs
-	for li, ix := range a.HostLevels {
-		if serr := ix.QueryStatsInto(q, qs[li].mu, qs[li].sigma); serr != nil {
-			panic(fmt.Sprintf("knn: %s query: %v", a.variant, serr))
-		}
-	}
-	be := sp.StartChild("bound-eval")
-	traced := sp != nil
-	var refineDur time.Duration
-	a.top = reuseTopK(a.top, k)
-	top := a.top
-	entered := a.entered // [pim, host..., exact]
-	for i := range entered {
-		entered[i] = 0
-	}
-	for i := 0; i < a.Data.N; i++ {
-		entered[0]++
-		if a.filter.lb(i, qf) > top.Threshold() {
-			continue
-		}
-		pruned := false
-		for li, ix := range a.HostLevels {
-			entered[1+li]++
-			if ix.LB(i, qs[li].mu, qs[li].sigma) > top.Threshold() {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		entered[1+len(a.HostLevels)]++
-		if traced {
-			t0 := time.Now()
-			top.Push(i, measure.SqEuclidean(a.Data.Row(i), q))
-			refineDur += time.Since(t0)
-		} else {
-			top.Push(i, measure.SqEuclidean(a.Data.Row(i), q))
-		}
-	}
-	fn := a.filter.funcName()
-	costPIMBound(meter.C(fn), int64(entered[0]), a.filter.hostOperands())
-	a.stages = a.stages[:0]
-	a.stages = append(a.stages, StageStat{
-		Name: fn, In: entered[0], Out: entered[1], TransferDims: a.filter.hostOperands(),
-	})
-	for li, ix := range a.HostLevels {
-		costBoundScan(meter.C(a.hostNames[li]), int64(entered[1+li]), ix.TransferDims())
-		a.stages = append(a.stages, StageStat{
-			Name: a.hostNames[li], In: entered[1+li], Out: entered[2+li], TransferDims: ix.TransferDims(),
-		})
-	}
-	survivors := entered[1+len(a.HostLevels)]
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), a.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(a.Data.N)
-	a.stages = append(a.stages, StageStat{Name: "ED", In: survivors, Out: k, TransferDims: a.Data.D})
-	if traced {
-		for _, st := range a.stages[:len(a.stages)-1] {
-			be.Annotate(st.Name, stageAttrs(st)...)
-		}
-		be.AddChild("refine", refineDur, obs.A("in", survivors), obs.A("out", k), obs.A("transfer_dims", a.Data.D))
-		be.End()
-	}
-	return top.AppendResults(dst)
+	return newCascade(data, variant, append([]stage{f}, host...)...), nil
 }
 
-// ---------------------------------------------------------------------------
-// SM-PIM: LB_SM's bottleneck replaced by its PIM-aware form — Theorem 1's
-// floor trick applied to the segment-mean vectors, scaled by the segment
-// length l:  LB_PIM-SM(p,q) = l · LB_PIM-ED(µ(p̂), µ(q̂)) ≤ LB_SM ≤ ED.
-// ---------------------------------------------------------------------------
-
-// SMPIM is the PIM-optimized segmented-mean searcher.
-type SMPIM struct {
-	Data   *vec.Matrix
-	Ix     *pimbound.EDIndex // over the µ vectors
-	L      int
-	eng    *pim.Engine
-	pay    *pim.Payload
-	dots   []int64
-	top    *vec.TopK
-	qMu    []float64 // query segment-mean scratch
-	qSg    []float64 // query segment-σ scratch (computed, discarded)
-	qFloor []uint32  // query floor scratch
-	stages []StageStat
+// edStage is the LB_PIM-ED stage over a projection of the data — Theorem
+// 1's floor trick applied to the vectors a host bound compares:
+//
+//	LB_PIM-SM(p,q)  = l · LB_PIM-ED(µ(p̂), µ(q̂)) ≤ LB_SM ≤ ED
+//	LB_PIM-OST(p,q) = LB_PIM-ED(p_head, q_head) + (‖p_tail‖ − ‖q_tail‖)²
+//
+// SM-PIM projects onto the segment means and scales by the segment length
+// l; OST-PIM projects onto the head prefix and keeps LB_OST's exact
+// tail-norm term (both tail norms are precomputed scalars).
+type edStage struct {
+	f     *EDFilter
+	ops   int       // Fig 8 operands per consultation: Φ, the dot (and ‖p_tail‖)
+	scale float64   // SM: l; OST: 1
+	qMu   []float64 // SM: query segment-mean scratch; nil selects the head prefix
+	qSg   []float64 // SM: query segment-σ scratch (computed, discarded)
+	tail  []float64 // OST: ‖p_tail‖ per object
+	qTail float64
 }
 
-// NewSMPIM derives segment means at granularity segs (compressed further
-// if Theorem 4 requires), quantizes them and programs the payload.
-func NewSMPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, segs, capacityN int) (*SMPIM, error) {
+func (e *edStage) name() string  { return e.f.fn }
+func (e *edStage) operands() int { return e.ops }
+func (e *edStage) segs() int     { return e.f.ix.D }
+func (e *edStage) pimDots() int  { return e.f.ix.N() }
+
+func (e *edStage) prepare(q []float64, meter *arch.Meter) error {
+	if e.qMu == nil {
+		e.qTail = vec.Norm(q[e.segs():])
+		return e.f.Prepare(q[:e.segs()], meter)
+	}
+	if err := vec.SegmentStatsInto(q, len(e.qMu), e.qMu, e.qSg); err != nil {
+		return err
+	}
+	return e.f.Prepare(e.qMu, meter)
+}
+
+func (e *edStage) lb(i int) float64 {
+	lb := float64(e.scale * e.f.lb(i)) // rounded here, so only dt·dt can fuse into the sum
+	if e.tail != nil {
+		dt := e.tail[i] - e.qTail
+		lb += dt * dt
+	}
+	return lb
+}
+
+func (e *edStage) recordProgram(meter *arch.Meter) { e.f.recordProgram(meter) }
+
+// NewSMPIM builds the PIM-optimized segmented-mean searcher: it derives
+// segment means at granularity segs (compressed further if Theorem 4
+// requires), quantizes them and programs the payload.
+func NewSMPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, segs, capacityN int) (*Cascade, error) {
 	// Respect capacity: shrink to the largest fitting divisor granularity.
 	if !eng.Model().Fits(capacityN, segs, 1) {
 		segs = eng.Model().ChooseS(capacityN, pim.Divisors(data.D), 1)
@@ -413,122 +208,19 @@ func NewSMPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, segs, capaci
 		}
 		copy(mus.Row(i), mu)
 	}
-	ix := pimbound.BuildED(mus, q)
-	a := &SMPIM{
-		Data: data, Ix: ix, L: data.D / segs, eng: eng,
-		qMu: make([]float64, segs), qSg: make([]float64, segs), qFloor: make([]uint32, segs),
-	}
-	var err error
-	a.pay, err = eng.Program("sm-pim/mu", data.N, segs, 1, ix.Floor)
+	f, err := newEDFilter(eng, mus, q, capacityN, "sm-pim/mu", "LBPIM-SM")
 	if err != nil {
 		return nil, err
 	}
-	return a, nil
+	return newCascade(data, "SM-PIM", &edStage{
+		f: f, ops: 2, scale: float64(data.D / segs),
+		qMu: make([]float64, segs), qSg: make([]float64, segs),
+	}), nil
 }
 
-// Name implements Searcher.
-func (a *SMPIM) Name() string { return "SM-PIM" }
-
-// LastStages implements Stager.
-func (a *SMPIM) LastStages() []StageStat { return a.stages }
-
-// RecordPreprocessing charges offline payload programming to the meter.
-func (a *SMPIM) RecordPreprocessing(meter *arch.Meter) {
-	pim.RecordProgramCost(meter, "LBPIM-SM", a.pay)
-}
-
-// Search filters with LB_PIM-SM and refines survivors exactly.
-func (a *SMPIM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return a.searchAppend(context.Background(), q, k, meter, nil)
-}
-
-// SearchAppend implements AppendSearcher.
-func (a *SMPIM) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	return a.searchAppend(context.Background(), q, k, meter, dst)
-}
-
-// SearchCtx implements ContextSearcher: Search with per-phase spans
-// emitted into the context's trace.
-func (a *SMPIM) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return a.searchAppend(ctx, q, k, meter, nil)
-}
-
-func (a *SMPIM) searchAppend(ctx context.Context, q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	_, sp := obs.StartSpan(ctx, "knn.SM-PIM")
-	defer sp.End()
-	if err := vec.SegmentStatsInto(q, a.Ix.D, a.qMu, a.qSg); err != nil {
-		panic(fmt.Sprintf("knn: SM-PIM query: %v", err))
-	}
-	qf := a.Ix.QueryInto(a.qMu, a.qFloor)
-	pd := sp.StartChild("pim-dot")
-	var err error
-	a.dots, err = a.eng.QueryAll(meter, "LBPIM-SM", a.pay, qf.Floor, a.dots)
-	if err != nil {
-		panic(fmt.Sprintf("knn: SM-PIM query-all: %v", err))
-	}
-	if pd != nil {
-		pd.SetAttr("func", "LBPIM-SM")
-		pd.SetAttr("dots", a.Data.N)
-	}
-	pd.End()
-	be := sp.StartChild("bound-eval")
-	traced := sp != nil
-	var refineDur time.Duration
-	a.top = reuseTopK(a.top, k)
-	top := a.top
-	survivors := 0
-	for i := 0; i < a.Data.N; i++ {
-		if float64(a.L)*a.Ix.LB(i, qf, a.dots[i]) > top.Threshold() {
-			continue
-		}
-		survivors++
-		if traced {
-			t0 := time.Now()
-			top.Push(i, measure.SqEuclidean(a.Data.Row(i), q))
-			refineDur += time.Since(t0)
-		} else {
-			top.Push(i, measure.SqEuclidean(a.Data.Row(i), q))
-		}
-	}
-	if traced {
-		be.Annotate("LBPIM-SM", obs.A("in", a.Data.N), obs.A("out", survivors))
-		be.AddChild("refine", refineDur, obs.A("in", survivors), obs.A("out", k), obs.A("transfer_dims", a.Data.D))
-		be.End()
-	}
-	costPIMBound(meter.C("LBPIM-SM"), int64(a.Data.N), 2)
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), a.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(a.Data.N)
-	a.stages = append(a.stages[:0],
-		StageStat{Name: "LBPIM-SM", In: a.Data.N, Out: survivors, TransferDims: 2},
-		StageStat{Name: "ED", In: survivors, Out: k, TransferDims: a.Data.D})
-	return top.AppendResults(dst)
-}
-
-// ---------------------------------------------------------------------------
-// OST-PIM: LB_OST's head partial distance replaced by Theorem 1's floor
-// trick over the head prefix, keeping the exact tail-norm term (both tail
-// norms are precomputed scalars):
-//
-//	LB_PIM-OST(p,q) = LB_PIM-ED(p_head, q_head) + (‖p_tail‖ − ‖q_tail‖)²
-// ---------------------------------------------------------------------------
-
-// OSTPIM is the PIM-optimized orthogonal-search-tree searcher.
-type OSTPIM struct {
-	Data   *vec.Matrix
-	Ix     *pimbound.EDIndex // over the head prefix
-	Tail   []float64         // ‖p_tail‖ per object
-	D0     int
-	eng    *pim.Engine
-	pay    *pim.Payload
-	dots   []int64
-	top    *vec.TopK
-	qFloor []uint32 // query head floor scratch
-	stages []StageStat
-}
-
-// NewOSTPIM builds the PIM head filter with head length d0, clamped to
-// Theorem 4 capacity.
-func NewOSTPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, d0, capacityN int) (*OSTPIM, error) {
+// NewOSTPIM builds the PIM-optimized orthogonal-search-tree searcher with
+// head length d0, clamped to Theorem 4 capacity.
+func NewOSTPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, d0, capacityN int) (*Cascade, error) {
 	if d0 <= 0 || d0 >= data.D {
 		return nil, fmt.Errorf("knn: OST-PIM head length %d outside (0,%d)", d0, data.D)
 	}
@@ -545,90 +237,9 @@ func NewOSTPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, d0, capacit
 		copy(heads.Row(i), row[:d0])
 		tails[i] = vec.Norm(row[d0:])
 	}
-	ix := pimbound.BuildED(heads, q)
-	a := &OSTPIM{Data: data, Ix: ix, Tail: tails, D0: d0, eng: eng, qFloor: make([]uint32, d0)}
-	var err error
-	a.pay, err = eng.Program("ost-pim/head", data.N, d0, 1, ix.Floor)
+	f, err := newEDFilter(eng, heads, q, capacityN, "ost-pim/head", "LBPIM-OST")
 	if err != nil {
 		return nil, err
 	}
-	return a, nil
-}
-
-// Name implements Searcher.
-func (a *OSTPIM) Name() string { return "OST-PIM" }
-
-// LastStages implements Stager.
-func (a *OSTPIM) LastStages() []StageStat { return a.stages }
-
-// RecordPreprocessing charges offline payload programming to the meter.
-func (a *OSTPIM) RecordPreprocessing(meter *arch.Meter) {
-	pim.RecordProgramCost(meter, "LBPIM-OST", a.pay)
-}
-
-// Search filters with LB_PIM-OST and refines survivors exactly.
-func (a *OSTPIM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return a.searchAppend(context.Background(), q, k, meter, nil)
-}
-
-// SearchAppend implements AppendSearcher.
-func (a *OSTPIM) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	return a.searchAppend(context.Background(), q, k, meter, dst)
-}
-
-// SearchCtx implements ContextSearcher: Search with per-phase spans
-// emitted into the context's trace.
-func (a *OSTPIM) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return a.searchAppend(ctx, q, k, meter, nil)
-}
-
-func (a *OSTPIM) searchAppend(ctx context.Context, q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	_, sp := obs.StartSpan(ctx, "knn.OST-PIM")
-	defer sp.End()
-	qf := a.Ix.QueryInto(q[:a.D0], a.qFloor)
-	qTail := vec.Norm(q[a.D0:])
-	pd := sp.StartChild("pim-dot")
-	var err error
-	a.dots, err = a.eng.QueryAll(meter, "LBPIM-OST", a.pay, qf.Floor, a.dots)
-	if err != nil {
-		panic(fmt.Sprintf("knn: OST-PIM query-all: %v", err))
-	}
-	if pd != nil {
-		pd.SetAttr("func", "LBPIM-OST")
-		pd.SetAttr("dots", a.Data.N)
-	}
-	pd.End()
-	be := sp.StartChild("bound-eval")
-	traced := sp != nil
-	var refineDur time.Duration
-	a.top = reuseTopK(a.top, k)
-	top := a.top
-	survivors := 0
-	for i := 0; i < a.Data.N; i++ {
-		dt := a.Tail[i] - qTail
-		if a.Ix.LB(i, qf, a.dots[i])+dt*dt > top.Threshold() {
-			continue
-		}
-		survivors++
-		if traced {
-			t0 := time.Now()
-			top.Push(i, measure.SqEuclidean(a.Data.Row(i), q))
-			refineDur += time.Since(t0)
-		} else {
-			top.Push(i, measure.SqEuclidean(a.Data.Row(i), q))
-		}
-	}
-	if traced {
-		be.Annotate("LBPIM-OST", obs.A("in", a.Data.N), obs.A("out", survivors))
-		be.AddChild("refine", refineDur, obs.A("in", survivors), obs.A("out", k), obs.A("transfer_dims", a.Data.D))
-		be.End()
-	}
-	// Per consultation: Φ(p_head), dot, ‖p_tail‖ → 3 operands.
-	costPIMBound(meter.C("LBPIM-OST"), int64(a.Data.N), 3)
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), a.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(a.Data.N)
-	a.stages = append(a.stages[:0],
-		StageStat{Name: "LBPIM-OST", In: a.Data.N, Out: survivors, TransferDims: 3},
-		StageStat{Name: "ED", In: survivors, Out: k, TransferDims: a.Data.D})
-	return top.AppendResults(dst)
+	return newCascade(data, "OST-PIM", &edStage{f: f, ops: 3, scale: 1, tail: tails}), nil
 }

@@ -2,7 +2,6 @@ package knn
 
 import (
 	"context"
-	"fmt"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/obs"
@@ -30,31 +29,6 @@ func SearchTraced(ctx context.Context, s Searcher, q []float64, k int, meter *ar
 	return s.Search(q, k, meter)
 }
 
-// stageAttrs renders one StageStat as span attributes.
-func stageAttrs(st StageStat) []obs.Attr {
-	return []obs.Attr{
-		obs.A("in", st.In), obs.A("out", st.Out),
-		obs.A("pruned", fmt.Sprintf("%.1f%%", 100*st.PruneRatio())),
-		obs.A("transfer_dims", st.TransferDims),
-	}
-}
-
-// hostStageSpans derives bound-eval and refine children from a completed
-// host search's stage statistics (the stages are interleaved in one scan
-// loop, so their wall time is not separable; counts and modeled transfer
-// dims carry the breakdown instead).
-func hostStageSpans(sp *obs.Span, stages []StageStat) {
-	if sp == nil || len(stages) == 0 {
-		return
-	}
-	be := sp.AddChild("bound-eval", 0)
-	for _, st := range stages[:len(stages)-1] {
-		be.Annotate(st.Name, stageAttrs(st)...)
-	}
-	last := stages[len(stages)-1]
-	be.AddChild("refine", 0, stageAttrs(last)...)
-}
-
 // SearchCtx implements ContextSearcher: the exact scan is pure
 // refinement.
 func (s *Standard) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
@@ -65,41 +39,10 @@ func (s *Standard) SearchCtx(ctx context.Context, q []float64, k int, meter *arc
 	return nn
 }
 
-// SearchCtx implements ContextSearcher.
-func (o *OST) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	_, sp := obs.StartSpan(ctx, "knn."+o.Name())
-	defer sp.End()
-	nn := o.Search(q, k, meter)
-	hostStageSpans(sp, o.stages)
-	return nn
-}
-
-// SearchCtx implements ContextSearcher.
-func (s *SM) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	_, sp := obs.StartSpan(ctx, "knn."+s.Name())
-	defer sp.End()
-	nn := s.Search(q, k, meter)
-	hostStageSpans(sp, s.stages)
-	return nn
-}
-
-// SearchCtx implements ContextSearcher.
-func (f *FNN) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	_, sp := obs.StartSpan(ctx, "knn."+f.Name())
-	defer sp.End()
-	nn := f.Search(q, k, meter)
-	hostStageSpans(sp, f.stages)
-	return nn
-}
-
 // Compile-time interface checks for the traced searchers.
 var (
 	_ ContextSearcher = (*Standard)(nil)
-	_ ContextSearcher = (*OST)(nil)
-	_ ContextSearcher = (*SM)(nil)
-	_ ContextSearcher = (*FNN)(nil)
-	_ ContextSearcher = (*StandardPIM)(nil)
-	_ ContextSearcher = (*FNNPIM)(nil)
-	_ ContextSearcher = (*SMPIM)(nil)
-	_ ContextSearcher = (*OSTPIM)(nil)
+	_ ContextSearcher = (*Cascade)(nil)
+	_ AppendSearcher  = (*Cascade)(nil)
+	_ Preprocessor    = (*Cascade)(nil)
 )

@@ -6,7 +6,6 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/measure"
-	"pimmine/internal/pimbound"
 )
 
 // Discord discovery is motif discovery's dual and the paper's other named
@@ -37,30 +36,21 @@ func (f *Finder) Discord(meter *arch.Meter) (Discord, error) {
 	}
 	best := Discord{I: -1, Dist: -1}
 	bestSq := -1.0
-	var exact, consults int64
+	var exact int64
 	for i := 0; i < n; i++ {
-		var qf pimbound.EDQuery
-		if f.ix != nil {
-			qf = f.ix.Query(f.Win.Row(i))
-			var err error
-			f.dots, err = f.eng.QueryAll(meter, "LBPIM-ED", f.pay, qf.Floor, f.dots)
-			if err != nil {
-				return Discord{}, err
-			}
-		}
 		p := f.Win.Row(i)
+		if err := f.filter.Prepare(p, meter); err != nil {
+			return Discord{}, err
+		}
 		nnSq := math.Inf(1)
 		for j := 0; j < n; j++ {
 			if absInt(i-j) < f.W {
 				continue // trivial match exclusion
 			}
-			if f.ix != nil {
-				consults++
-				// A neighbor provably farther than the current nearest
-				// cannot shrink it.
-				if f.ix.LB(j, qf, f.dots[j]) >= nnSq {
-					continue
-				}
+			// A neighbor provably farther than the current nearest cannot
+			// shrink it.
+			if f.filter.LB(j) >= nnSq {
+				continue
 			}
 			exact++
 			if d := measure.SqEuclidean(p, f.Win.Row(j)); d < nnSq {
@@ -75,6 +65,6 @@ func (f *Finder) Discord(meter *arch.Meter) (Discord, error) {
 			best = Discord{I: i, Dist: math.Sqrt(nnSq)}
 		}
 	}
-	f.recordCosts(meter, exact, consults)
+	f.filter.RecordCosts(meter, exact, f.W)
 	return best, nil
 }

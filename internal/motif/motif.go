@@ -17,14 +17,12 @@ import (
 	"sort"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/knn"
 	"pimmine/internal/measure"
 	"pimmine/internal/pim"
-	"pimmine/internal/pimbound"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
 )
-
-const operandBytes = 4
 
 // Motif is the best non-overlapping pair found.
 type Motif struct {
@@ -61,16 +59,13 @@ func Windows(series []float64, w int) (*vec.Matrix, float64, error) {
 	return m, span, nil
 }
 
-// Finder locates the top motif of one window matrix. With a non-nil PIM
-// index it runs the PIM-optimized path.
+// Finder locates the top motif of one window matrix. With a non-nil
+// filter it runs the PIM-optimized path.
 type Finder struct {
 	Win *vec.Matrix
 	W   int
 
-	eng  *pim.Engine
-	ix   *pimbound.EDIndex
-	pay  *pim.Payload
-	dots []int64
+	filter *knn.EDFilter // LB_PIM-ED over Win; nil on the host-only path
 }
 
 // NewFinder builds the host-only finder over pre-computed windows.
@@ -80,20 +75,16 @@ func NewFinder(windows *vec.Matrix) *Finder {
 
 // NewFinderPIM quantizes the windows and programs them onto the array.
 func NewFinderPIM(eng *pim.Engine, windows *vec.Matrix, q quant.Quantizer, capacityN int) (*Finder, error) {
-	if !eng.Model().Fits(capacityN, windows.D, 1) {
-		return nil, fmt.Errorf("motif: %d-dim windows for N=%d exceed PIM capacity", windows.D, capacityN)
-	}
-	ix := pimbound.BuildED(windows, q)
-	pay, err := eng.Program("motif/windows", windows.N, windows.D, 1, ix.Floor)
+	ed, err := knn.NewEDFilter(eng, windows, q, capacityN, "motif/windows")
 	if err != nil {
 		return nil, err
 	}
-	return &Finder{Win: windows, W: windows.D, eng: eng, ix: ix, pay: pay}, nil
+	return &Finder{Win: windows, W: windows.D, filter: ed}, nil
 }
 
 // Name reports which path the finder runs.
 func (f *Finder) Name() string {
-	if f.ix != nil {
+	if f.filter != nil {
 		return "Finder-PIM"
 	}
 	return "Finder"
@@ -108,24 +99,15 @@ func (f *Finder) Top(meter *arch.Meter) (Motif, error) {
 	}
 	best := Motif{I: -1, J: -1, Dist: math.Inf(1)}
 	bestSq := math.Inf(1)
-	var exact, consults int64
+	var exact int64
 	for i := 0; i < n; i++ {
-		var qf pimbound.EDQuery
-		if f.ix != nil {
-			qf = f.ix.Query(f.Win.Row(i))
-			var err error
-			f.dots, err = f.eng.QueryAll(meter, "LBPIM-ED", f.pay, qf.Floor, f.dots)
-			if err != nil {
-				return Motif{}, err
-			}
-		}
 		p := f.Win.Row(i)
+		if err := f.filter.Prepare(p, meter); err != nil {
+			return Motif{}, err
+		}
 		for j := i + f.W; j < n; j++ {
-			if f.ix != nil {
-				consults++
-				if f.ix.LB(j, qf, f.dots[j]) >= bestSq {
-					continue
-				}
+			if f.filter.LB(j) >= bestSq {
+				continue
 			}
 			exact++
 			if d := measure.SqEuclidean(p, f.Win.Row(j)); d < bestSq {
@@ -134,7 +116,7 @@ func (f *Finder) Top(meter *arch.Meter) (Motif, error) {
 			}
 		}
 	}
-	f.recordCosts(meter, exact, consults)
+	f.filter.RecordCosts(meter, exact, f.W)
 	return best, nil
 }
 
@@ -159,25 +141,16 @@ func (f *Finder) TopK(k int, meter *arch.Meter) ([]Motif, error) {
 		sq float64
 	}
 	cands := make([]cand, 0, n)
-	var exact, consults int64
+	var exact int64
 	for i := 0; i < n; i++ {
-		var qf pimbound.EDQuery
-		if f.ix != nil {
-			qf = f.ix.Query(f.Win.Row(i))
-			var err error
-			f.dots, err = f.eng.QueryAll(meter, "LBPIM-ED", f.pay, qf.Floor, f.dots)
-			if err != nil {
-				return nil, err
-			}
-		}
 		p := f.Win.Row(i)
+		if err := f.filter.Prepare(p, meter); err != nil {
+			return nil, err
+		}
 		bi := cand{m: Motif{I: -1}, sq: math.Inf(1)}
 		for j := i + f.W; j < n; j++ {
-			if f.ix != nil {
-				consults++
-				if f.ix.LB(j, qf, f.dots[j]) >= bi.sq {
-					continue
-				}
+			if f.filter.LB(j) >= bi.sq {
+				continue
 			}
 			exact++
 			if d := measure.SqEuclidean(p, f.Win.Row(j)); d < bi.sq {
@@ -188,7 +161,7 @@ func (f *Finder) TopK(k int, meter *arch.Meter) ([]Motif, error) {
 			cands = append(cands, bi)
 		}
 	}
-	f.recordCosts(meter, exact, consults)
+	f.filter.RecordCosts(meter, exact, f.W)
 	// Greedy selection by ascending distance with exclusion zones.
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].sq != cands[b].sq {
@@ -214,22 +187,6 @@ func (f *Finder) TopK(k int, meter *arch.Meter) ([]Motif, error) {
 		}
 	}
 	return out, nil
-}
-
-func (f *Finder) recordCosts(meter *arch.Meter, exact, consults int64) {
-	w := int64(f.W)
-	ed := meter.C(arch.FuncED)
-	ed.Ops += exact * 3 * w
-	ed.SeqBytes += exact * w * operandBytes
-	ed.Branches += exact
-	ed.Calls += exact
-	if consults > 0 {
-		c := meter.C("LBPIM-ED")
-		c.Ops += consults * 8
-		c.SeqBytes += consults * 2 * operandBytes
-		c.Branches += consults
-		c.Calls += consults
-	}
 }
 
 func absInt(x int) int {

@@ -22,25 +22,19 @@ import (
 	"sort"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/knn"
 	"pimmine/internal/measure"
 	"pimmine/internal/pim"
-	"pimmine/internal/pimbound"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
 )
 
-// operandBytes mirrors the modeled 32-bit operand width.
-const operandBytes = 4
-
 // Detector finds distance-based outliers over a dataset. With a non-nil
-// PIM index it runs the PIM-optimized path.
+// filter it runs the PIM-optimized path.
 type Detector struct {
 	Data *vec.Matrix
 
-	eng  *pim.Engine
-	ix   *pimbound.EDIndex
-	pay  *pim.Payload
-	dots []int64
+	filter *knn.EDFilter // LB_PIM-ED over Data; nil on the host-only path
 }
 
 // NewDetector builds the host-only detector.
@@ -50,34 +44,19 @@ func NewDetector(data *vec.Matrix) *Detector { return &Detector{Data: data} }
 // vectors are programmed once; each object's outlier test reuses one
 // batched dot-product pass.
 func NewDetectorPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int) (*Detector, error) {
-	if !eng.Model().Fits(capacityN, data.D, 1) {
-		return nil, fmt.Errorf("outlier: %d-dim floors for N=%d exceed PIM capacity", data.D, capacityN)
-	}
-	ix := pimbound.BuildED(data, q)
-	pay, err := eng.Program("outlier/points", data.N, data.D, 1, ix.Floor)
+	f, err := knn.NewEDFilter(eng, data, q, capacityN, "outlier/points")
 	if err != nil {
 		return nil, err
 	}
-	return &Detector{Data: data, eng: eng, ix: ix, pay: pay}, nil
+	return &Detector{Data: data, filter: f}, nil
 }
 
 // Name reports which path the detector runs.
 func (d *Detector) Name() string {
-	if d.ix != nil {
+	if d.filter != nil {
 		return "Detector-PIM"
 	}
 	return "Detector"
-}
-
-// prepare runs the PIM pass for object i's query side (PIM path only).
-func (d *Detector) prepare(i int, meter *arch.Meter) pimbound.EDQuery {
-	qf := d.ix.Query(d.Data.Row(i))
-	var err error
-	d.dots, err = d.eng.QueryAll(meter, "LBPIM-ED", d.pay, qf.Floor, d.dots)
-	if err != nil {
-		panic(fmt.Sprintf("outlier: PIM pass: %v", err))
-	}
-	return qf
 }
 
 // DB reports the DB(r, pi) outliers: objects with fewer than ⌈pi·N⌉
@@ -91,13 +70,12 @@ func (d *Detector) DB(r float64, pi float64, meter *arch.Meter) ([]int, error) {
 	need := int(math.Ceil(pi * float64(n)))
 	r2 := r * r
 	var out []int
-	var exact, consults int64
+	var exact int64
 	for i := 0; i < n; i++ {
-		var qf pimbound.EDQuery
-		if d.ix != nil {
-			qf = d.prepare(i, meter)
-		}
 		p := d.Data.Row(i)
+		if err := d.filter.Prepare(p, meter); err != nil {
+			return nil, err
+		}
 		neighbors := 0
 		// An object with ≥ need in-range neighbors is not an outlier; we
 		// can stop counting early either way.
@@ -105,11 +83,8 @@ func (d *Detector) DB(r float64, pi float64, meter *arch.Meter) ([]int, error) {
 			if j == i {
 				continue
 			}
-			if d.ix != nil {
-				consults++
-				if d.ix.LB(j, qf, d.dots[j]) > r2 {
-					continue // provably out of range
-				}
+			if d.filter.LB(j) > r2 {
+				continue // provably out of range
 			}
 			exact++
 			if measure.SqEuclidean(p, d.Data.Row(j)) <= r2 {
@@ -120,7 +95,7 @@ func (d *Detector) DB(r float64, pi float64, meter *arch.Meter) ([]int, error) {
 			out = append(out, i)
 		}
 	}
-	d.recordCosts(meter, exact, consults)
+	d.filter.RecordCosts(meter, exact, d.Data.D)
 	return out, nil
 }
 
@@ -140,24 +115,20 @@ func (d *Detector) TopN(n, k int, meter *arch.Meter) ([]Outlier, error) {
 	if k >= d.Data.N {
 		return nil, fmt.Errorf("outlier: k=%d must be below N=%d", k, d.Data.N)
 	}
-	var exact, consults int64
+	var exact int64
 	scores := make([]Outlier, d.Data.N)
 	for i := 0; i < d.Data.N; i++ {
-		var qf pimbound.EDQuery
-		if d.ix != nil {
-			qf = d.prepare(i, meter)
-		}
 		p := d.Data.Row(i)
+		if err := d.filter.Prepare(p, meter); err != nil {
+			return nil, err
+		}
 		top := vec.NewTopK(k)
 		for j := 0; j < d.Data.N; j++ {
 			if j == i {
 				continue
 			}
-			if d.ix != nil {
-				consults++
-				if d.ix.LB(j, qf, d.dots[j]) > top.Threshold() {
-					continue
-				}
+			if d.filter.LB(j) > top.Threshold() {
+				continue
 			}
 			exact++
 			top.Push(j, measure.SqEuclidean(p, d.Data.Row(j)))
@@ -165,7 +136,7 @@ func (d *Detector) TopN(n, k int, meter *arch.Meter) ([]Outlier, error) {
 		nn := top.Results()
 		scores[i] = Outlier{Index: i, Score: math.Sqrt(nn[len(nn)-1].Dist)}
 	}
-	d.recordCosts(meter, exact, consults)
+	d.filter.RecordCosts(meter, exact, d.Data.D)
 	sort.Slice(scores, func(a, b int) bool {
 		if scores[a].Score != scores[b].Score {
 			return scores[a].Score > scores[b].Score
@@ -176,22 +147,4 @@ func (d *Detector) TopN(n, k int, meter *arch.Meter) ([]Outlier, error) {
 		n = len(scores)
 	}
 	return scores[:n], nil
-}
-
-// recordCosts charges the modeled activity: exact distances stream
-// vectors; PIM consults move the Fig 8 operand pair.
-func (d *Detector) recordCosts(meter *arch.Meter, exact, consults int64) {
-	dd := int64(d.Data.D)
-	ed := meter.C(arch.FuncED)
-	ed.Ops += exact * 3 * dd
-	ed.SeqBytes += exact * dd * operandBytes
-	ed.Branches += exact
-	ed.Calls += exact
-	if consults > 0 {
-		c := meter.C("LBPIM-ED")
-		c.Ops += consults * 8
-		c.SeqBytes += consults * 2 * operandBytes
-		c.Branches += consults
-		c.Calls += consults
-	}
 }

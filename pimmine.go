@@ -710,7 +710,6 @@ func SqEuclidean(p, q []float64) float64 { return measure.SqEuclidean(p, q) }
 // Compile-time checks that the PIM searchers satisfy the public
 // interfaces.
 var (
-	_ KNNSearcher = (*knn.StandardPIM)(nil)
-	_ KNNSearcher = (*knn.FNNPIM)(nil)
+	_ KNNSearcher = (*knn.Cascade)(nil)
 	_ HDSearcher  = (*knn.HDPIM)(nil)
 )

@@ -82,41 +82,108 @@ func intDotRowsRef(rows []uint32, dims int, q []uint32, dst []int64) {
 	}
 }
 
-// TestIntDotRowsMatchesRef crosses the four-row lockstep sweep, the
-// one-row path for the n%4 rows left over, both 4-wide blocks' tails and
-// the empty shapes with full-range operands: sums wrap modulo 2⁶⁴ exactly as
-// IntDotRef's do, so equality is exact even where int64 overflows.
+// sweepBody is one way to sweep a slab: run writes the leading slots of dst
+// that are its to write and returns how many those are.
+type sweepBody struct {
+	name string
+	have bool // false: this CPU or GOARCH cannot run it
+	run  func(rows, q []uint32, dst []int64) int
+}
+
+// sweepBodies is IntDotRows itself — with its cut into bounded assembly
+// calls and its n%4 rows left over — and then every body of the lockstep
+// step, called directly, not through intDotRowsKernel's choice of one: the
+// Go body stays tested on a CPU with AVX2, and a wrong body cannot hide
+// behind the other. The assembly one needs h > 0 and dims > 0, which
+// intDotRowsKernel guarantees it.
+var sweepBodies = []sweepBody{
+	{"dispatch", true, func(rows, q []uint32, dst []int64) int {
+		IntDotRows(rows, len(q), q, dst)
+		return len(dst)
+	}},
+	{"go", true, func(rows, q []uint32, dst []int64) int {
+		intDotQuadsGo(rows, q, dst, len(dst)/4)
+		return len(dst) / 4 * 4
+	}},
+	{"avx2", hasAVX2, func(rows, q []uint32, dst []int64) int {
+		h := len(dst) / 4
+		if h == 0 || len(q) == 0 {
+			return 0
+		}
+		intDotQuadsAVX2(rows, q, dst, h, h)
+		return 4 * h
+	}},
+}
+
+// matchSweep requires b to write its slots of dst exactly as want has them
+// and not one slot more.
+func matchSweep(t *testing.T, b sweepBody, rows, q []uint32, want []int64) {
+	t.Helper()
+	got := make([]int64, len(want))
+	for i := range got {
+		got[i] = -1 // every slot must be written, zero rows included
+	}
+	end := b.run(rows, q, got)
+	for r := range want {
+		if r >= end && got[r] != -1 {
+			t.Fatalf("dims=%d n=%d: %s wrote slot %d, past its %d", len(q), len(want), b.name, r, end)
+		}
+		if r < end && got[r] != want[r] {
+			t.Fatalf("dims=%d n=%d row %d: %s=%d, IntDotRef=%d", len(q), len(want), r, b.name, got[r], want[r])
+		}
+	}
+}
+
+// fillUint32s overwrites s with full-range operands.
+func fillUint32s(rng *rand.Rand, s []uint32) {
+	for i := range s {
+		s[i] = rng.Uint32()
+	}
+}
+
+// matchSweeps is matchSweep on every body this CPU can run.
+func matchSweeps(t *testing.T, rows, q []uint32, want []int64) {
+	t.Helper()
+	for _, b := range sweepBodies {
+		if b.have {
+			matchSweep(t, b, rows, q, want)
+		}
+	}
+}
+
+// TestIntDotRowsMatchesRef crosses the four-row lockstep sweep in every
+// body, the one-row path for the n%4 rows left over, whole 8- and 4-wide
+// blocks, every length of masked tail, more steps than one assembly call
+// takes and the empty shapes, with full-range operands: sums wrap modulo
+// 2⁶⁴ exactly as IntDotRef's do, so equality is exact even where int64
+// overflows.
 func TestIntDotRowsMatchesRef(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(13))
-	for _, dims := range []int{0, 1, 7, 8, 9, 105, 210, 420} {
-		for _, n := range []int{0, 1, 3, 4, 7, 4999, 5000} {
-			rows := make([]uint32, n*dims)
-			for i := range rows {
-				rows[i] = rng.Uint32()
+	for _, b := range sweepBodies {
+		b := b
+		t.Run(b.name, func(t *testing.T) {
+			if !b.have {
+				t.Skip("this CPU cannot run the body")
 			}
-			q := make([]uint32, dims)
-			for i := range q {
-				q[i] = rng.Uint32()
-			}
-			if dims > 0 {
-				q[0] = math.MaxUint32
-				if n > 0 {
-					rows[0] = math.MaxUint32
+			rng := rand.New(rand.NewSource(13))
+			for _, dims := range []int{0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 32, 33, 105, 210, 420} {
+				overCap := 4*(quadCallElems/(4*max(dims, 1))+1) + 3
+				for _, n := range []int{0, 1, 3, 4, 7, 8, 64, 4999, 5000, overCap} {
+					rows, q := make([]uint32, n*dims), make([]uint32, dims)
+					fillUint32s(rng, rows)
+					fillUint32s(rng, q)
+					if dims > 0 {
+						q[0] = math.MaxUint32
+						if n > 0 {
+							rows[0] = math.MaxUint32
+						}
+					}
+					want := make([]int64, n)
+					intDotRowsRef(rows, dims, q, want)
+					matchSweep(t, b, rows, q, want)
 				}
 			}
-			got, want := make([]int64, n), make([]int64, n)
-			for i := range got {
-				got[i] = -1 // every slot must be written, zero rows included
-			}
-			IntDotRows(rows, dims, q, got)
-			intDotRowsRef(rows, dims, q, want)
-			for r := range want {
-				if got[r] != want[r] {
-					t.Fatalf("dims=%d n=%d row %d: IntDotRows=%d, IntDotRef=%d", dims, n, r, got[r], want[r])
-				}
-			}
-		}
+		})
 	}
 }
 
@@ -201,7 +268,7 @@ func FuzzVecKernelEquivalence(f *testing.F) {
 
 // fuzzIntDotRows reads data as little-endian uint32s, takes the first dims
 // as the query and as many whole rows as follow, and requires IntDotRows
-// to match a per-row IntDotRef loop.
+// and every quad body this CPU can run to match a per-row IntDotRef loop.
 func fuzzIntDotRows(t *testing.T, data []byte, dims int) {
 	words := make([]uint32, len(data)/4)
 	for i := range words {
@@ -213,14 +280,9 @@ func fuzzIntDotRows(t *testing.T, data []byte, dims int) {
 	q, rest := words[:dims], words[dims:]
 	n := len(rest) / dims
 	rows := rest[:n*dims]
-	got, want := make([]int64, n), make([]int64, n)
-	IntDotRows(rows, dims, q, got)
+	want := make([]int64, n)
 	intDotRowsRef(rows, dims, q, want)
-	for r := range want {
-		if got[r] != want[r] {
-			t.Fatalf("dims=%d n=%d row %d: IntDotRows=%d, IntDotRef=%d", dims, n, r, got[r], want[r])
-		}
-	}
+	matchSweeps(t, rows, q, want)
 }
 
 // TestTopKAppendResultsMatchesResults pins the allocation-free result path

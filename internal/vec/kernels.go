@@ -4,8 +4,16 @@ package vec
 // IntDotRows and SqNorm; the retained scalar references the
 // kernel-equivalence harness pins them against live in kernels_ref.go.
 //
+// One body is assembly: intDotQuadsAVX2 (intdot_amd64.s), the integer
+// sweep's four-row step at eight columns an instruction, past the one
+// IMULQ a cycle the Go step is held to. It keeps the lockstep: PR 15's
+// single-stream sweep was refused for the spread of its query_p95_refs,
+// and a faster body waits on its loads for more of its time, not less.
+// intDotRowsKernel takes it on amd64 when the CPU says it has AVX2 and the
+// OS saves YMM state (detectAVX2); no tag, variable or option selects it.
+//
 // The gc compiler does not auto-vectorise, under any GOAMD64 level: what
-// these bodies buy is unrolling, independent accumulators where the
+// the Go bodies buy is unrolling, independent accumulators where the
 // arithmetic allows them, and no per-element bounds check — `go build
 // -gcflags=-d=ssa/check_bce` reports no IsInBounds in this file, which
 // the CI kernel-verify job asserts. Bounds-check-free is necessary, not
@@ -42,11 +50,9 @@ func dotKernel(a, b []float64) float64 {
 	return s
 }
 
-// intDotRowsKernel is the hand-unrolled integer dot product: it sets
-// dst[r] = rows[r·len(q):(r+1)·len(q)]·q for every r. The caller has
-// checked len(rows) == len(dst)·len(q). The row loop and the 4-wide block
-// share one function, so a payload sweep pays no per-row call, closure or
-// re-validation.
+// intDotQuadsGo is the quad body in Go, the only one off amd64 and on x86
+// without AVX2: dst[r+i·h] = rows[(r+i·h)·len(q):][:len(q)]·q for r < h and
+// i < 4, with no per-row call, closure or re-validation.
 //
 // A sweep walks four rows in lockstep, one from each quarter of the slab,
 // against one load of q. A single front-to-back pass leaves the core with
@@ -57,11 +63,9 @@ func dotKernel(a, b []float64) float64 {
 // faster in the quiet spells and half as sensitive to the busy ones. The
 // adds of a block are summed before they reach the accumulator, so one
 // accumulator per row keeps the multiplier busy (exact for integers,
-// modulo 2⁶⁴ like IntDotRef). The len(dst)%4 rows left over, and IntDot's
-// single row, run the same block one row at a time.
-func intDotRowsKernel(rows, q []uint32, dst []int64) {
+// modulo 2⁶⁴ like IntDotRef).
+func intDotQuadsGo(rows, q []uint32, dst []int64, h int) {
 	dims := len(q)
-	h := len(dst) / 4
 	d0, d1, d2, d3 := dst[:h], dst[h:][:h], dst[2*h:][:h], dst[3*h:][:h]
 	for r := range d0 {
 		r0 := rows[r*dims : (r+1)*dims]
@@ -89,6 +93,27 @@ func intDotRowsKernel(rows, q []uint32, dst []int64) {
 		}
 		d0[r], d1[r], d2[r], d3[r] = s0, s1, s2, s3
 	}
+}
+
+// intDotRowsKernel is the integer dot product: it sets
+// dst[r] = rows[r·len(q):(r+1)·len(q)]·q for every r. The caller has
+// checked len(rows) == len(dst)·len(q). The first 4·(len(dst)/4) rows go
+// four at a time to a quad body — this is the one place that chooses it —
+// and the len(dst)%4 rows left over, and IntDot's single row, run the Go
+// body's 4-wide block one row at a time.
+func intDotRowsKernel(rows, q []uint32, dst []int64) {
+	dims := len(q)
+	h := len(dst) / 4
+	switch {
+	case h == 0: // IntDot's row, or under four of them: no quad, no call
+	case hasAVX2 && dims > 0:
+		steps := max(1, quadCallElems/(4*dims))
+		for r := 0; r < h; r += steps {
+			intDotQuadsAVX2(rows[r*dims:], q, dst[r:], h, min(steps, h-r))
+		}
+	default:
+		intDotQuadsGo(rows, q, dst, h)
+	}
 	rest := dst[4*h:]
 	for i := range rest {
 		row := rows[(4*h+i)*dims : (4*h+i+1)*dims]
@@ -106,6 +131,13 @@ func intDotRowsKernel(rows, q []uint32, dst []int64) {
 		rest[i] = s
 	}
 }
+
+// quadCallElems is the most multiply-adds one intDotQuadsAVX2 call covers.
+// Assembly is not asynchronously preemptible — the scheduler and a GC stop
+// wait for it to return — so the Go loop above cuts a sweep into calls of
+// ~25 µs at the streaming rate (a full-scale MSD payload, 992 272 × 210,
+// swept in one call would hold its P for ~40 ms).
+const quadCallElems = 1 << 17
 
 // sqNormKernel is the unrolled squared norm. Single accumulator,
 // ascending index order — bit-identical to SqNormRef.

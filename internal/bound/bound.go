@@ -88,12 +88,11 @@ func BuildSM(m *vec.Matrix, segs int) (*SMIndex, error) {
 		return nil, fmt.Errorf("bound: cannot split %d dims into %d segments", m.D, segs)
 	}
 	ix := &SMIndex{Segs: segs, L: m.D / segs, Mu: vec.NewMatrix(m.N, segs)}
+	sigma := make([]float64, segs) // computed, discarded
 	for i := 0; i < m.N; i++ {
-		mu, _, err := vec.SegmentStats(m.Row(i), segs)
-		if err != nil {
+		if err := vec.SegmentStatsInto(m.Row(i), segs, ix.Mu.Row(i), sigma); err != nil {
 			return nil, err
 		}
-		copy(ix.Mu.Row(i), mu)
 	}
 	return ix, nil
 }
@@ -158,12 +157,9 @@ func BuildFNN(m *vec.Matrix, segs int) (*FNNIndex, error) {
 	}
 	ix := &FNNIndex{Segs: segs, L: m.D / segs, Mu: vec.NewMatrix(m.N, segs), Sigma: vec.NewMatrix(m.N, segs)}
 	for i := 0; i < m.N; i++ {
-		mu, sigma, err := vec.SegmentStats(m.Row(i), segs)
-		if err != nil {
+		if err := vec.SegmentStatsInto(m.Row(i), segs, ix.Mu.Row(i), ix.Sigma.Row(i)); err != nil {
 			return nil, err
 		}
-		copy(ix.Mu.Row(i), mu)
-		copy(ix.Sigma.Row(i), sigma)
 	}
 	return ix, nil
 }

@@ -21,8 +21,9 @@ var update = flag.Bool("update", false, "rewrite testdata/candidates.golden from
 // plan drops included, which no exported result carries — with its
 // measured Pr(B) as Float64bits, on the three dataset profiles of knn's
 // decomposed.golden. Written at the commit that still rebuilt every
-// candidate's index for the measurement; measuring on the indexes the
-// cascades already hold must not move one ratio.
+// candidate's index for the measurement (core.measureKNNCandidates);
+// measuring on the indexes the cascades already hold must not move one
+// ratio.
 func TestCandidateTranscript(t *testing.T) {
 	f, err := Default()
 	if err != nil {
@@ -57,7 +58,7 @@ func TestCandidateTranscript(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands, _, err := f.measureKNNCandidates(ds.data, baseline, pimAlg, KNNOptions{Pilot: ds.pilot, K: 10, CapacityN: ds.capacityN})
+		cands, err := knn.Candidates(ds.data, ds.pilot, 10, pimAlg, baseline)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,13 +20,11 @@ import (
 	"sync/atomic"
 
 	"pimmine/internal/arch"
-	"pimmine/internal/bound"
 	"pimmine/internal/fault"
 	"pimmine/internal/kmeans"
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
 	"pimmine/internal/pim"
-	"pimmine/internal/pimbound"
 	"pimmine/internal/plan"
 	"pimmine/internal/profile"
 	"pimmine/internal/quant"
@@ -122,7 +120,8 @@ type KNNAcceleration struct {
 	// PIM is the default §V plan: bottleneck bound replaced by
 	// LB_PIM-FNN, remaining original bounds kept.
 	PIM *knn.Cascade
-	// Optimized applies the §V-D plan (possibly dropping host bounds).
+	// Optimized is Plan compiled to a cascade (knn.FromPlan): exactly the
+	// bounds Eq. 13 kept, in plan order.
 	Optimized *knn.Cascade
 	// BaselineProfile is the §IV profile of the baseline on the pilot.
 	BaselineProfile *profile.Report
@@ -173,8 +172,9 @@ func (f *Framework) AccelerateKNN(data *vec.Matrix, opt KNNOptions) (*KNNAcceler
 		return nil, err
 	}
 
-	// 4. Measure pruning ratios on the pilot and optimize the plan.
-	candidates, hostSegsOf, err := f.measureKNNCandidates(data, baseline, pimAlg, opt)
+	// 4. Measure pruning ratios on the pilot (on the indexes the two
+	// cascades already built), optimize the plan and compile it.
+	candidates, err := knn.Candidates(data, opt.Pilot, opt.K, pimAlg, baseline)
 	if err != nil {
 		return nil, err
 	}
@@ -186,15 +186,11 @@ func (f *Framework) AccelerateKNN(data *vec.Matrix, opt KNNOptions) (*KNNAcceler
 	f.Obs.Event("plan.chosen",
 		obs.A("plan", best.String()),
 		obs.A("reason", decision.Reason()))
-	hostSegs, err := chosenHostSegs(best, hostSegsOf)
-	if err != nil {
-		return nil, err
-	}
 	optEng, err := f.NewEngine()
 	if err != nil {
 		return nil, err
 	}
-	optimized, err := knn.NewFNNPIMOptimized(optEng, data, f.Quant, opt.CapacityN, hostSegs)
+	optimized, err := knn.FromPlan(best, optEng, data, f.Quant)
 	if err != nil {
 		return nil, err
 	}
@@ -209,96 +205,6 @@ func (f *Framework) AccelerateKNN(data *vec.Matrix, opt KNNOptions) (*KNNAcceler
 		PlanDecision:    decision,
 		S:               pimAlg.S(),
 	}, nil
-}
-
-// chosenHostSegs maps the host bounds of the chosen plan back to the
-// granularities they were measured at. A chosen bound that was never a
-// candidate is an error: dropping it would build a different plan than
-// the one Eq. 13 priced.
-func chosenHostSegs(chosen plan.Plan, hostSegsOf map[string]int) ([]int, error) {
-	var hostSegs []int
-	for _, b := range chosen.Bounds {
-		if b.PIM {
-			continue
-		}
-		segs, ok := hostSegsOf[b.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: plan %s chose %q, which is not a measured candidate bound", chosen, b.Name)
-		}
-		hostSegs = append(hostSegs, segs)
-	}
-	return hostSegs, nil
-}
-
-// measureKNNCandidates measures each candidate bound's independent
-// pruning ratio at the exact kNN threshold, averaged over the pilot
-// queries (§V-D's offline measurement). Beside the candidates it returns
-// each host candidate's granularity by bound name.
-func (f *Framework) measureKNNCandidates(data *vec.Matrix, baseline, pimAlg *knn.Cascade, opt KNNOptions) ([]plan.Bound, map[string]int, error) {
-	exact := knn.NewStandard(data)
-	pimIx, err := pimbound.BuildFNN(data, f.Quant, pimAlg.S())
-	if err != nil {
-		return nil, nil, err
-	}
-	type cand struct {
-		host *bound.FNNIndex
-		pim  *pimbound.FNNIndex
-		sum  float64
-	}
-	cands := []*cand{{pim: pimIx}}
-	for _, segs := range baseline.Granularities() {
-		ix, err := bound.BuildFNN(data, segs)
-		if err != nil {
-			return nil, nil, err
-		}
-		cands = append(cands, &cand{host: ix})
-	}
-	lbs := make([]float64, data.N)
-	for qi := 0; qi < opt.Pilot.N; qi++ {
-		qv := opt.Pilot.Row(qi)
-		nn := exact.Search(qv, opt.K, arch.NewMeter())
-		threshold := nn[len(nn)-1].Dist
-		for _, c := range cands {
-			if c.pim != nil {
-				qf, err := c.pim.Query(qv)
-				if err != nil {
-					return nil, nil, err
-				}
-				for i := 0; i < data.N; i++ {
-					dm, ds := c.pim.HostDots(i, qf)
-					lbs[i] = c.pim.LB(i, qf, dm, ds)
-				}
-			} else {
-				mu, sigma, err := c.host.QueryStats(qv)
-				if err != nil {
-					return nil, nil, err
-				}
-				for i := 0; i < data.N; i++ {
-					lbs[i] = c.host.LB(i, mu, sigma)
-				}
-			}
-			c.sum += plan.PruneRatio(lbs, threshold)
-		}
-	}
-	out := make([]plan.Bound, 0, len(cands))
-	hostSegsOf := make(map[string]int)
-	for _, c := range cands {
-		pr := c.sum / float64(opt.Pilot.N)
-		if c.pim != nil {
-			out = append(out, plan.Bound{
-				Name: fmt.Sprintf("LBPIM-FNN-%d", c.pim.Segs), Family: "FNN",
-				TransferDims: 3, PruneRatio: pr, PIM: true,
-			})
-		} else {
-			name := fmt.Sprintf("LBFNN-%d", c.host.Segs)
-			hostSegsOf[name] = c.host.Segs
-			out = append(out, plan.Bound{
-				Name: name, Family: "FNN",
-				TransferDims: c.host.TransferDims(), PruneRatio: pr,
-			})
-		}
-	}
-	return out, hostSegsOf, nil
 }
 
 // ---------------------------------------------------------------------------

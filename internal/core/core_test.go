@@ -9,7 +9,6 @@ import (
 	"pimmine/internal/dataset"
 	"pimmine/internal/kmeans"
 	"pimmine/internal/obs"
-	"pimmine/internal/plan"
 	"pimmine/internal/vec"
 )
 
@@ -87,21 +86,37 @@ func TestAccelerateKNNNeedsPilot(t *testing.T) {
 	}
 }
 
-// The chosen plan is mapped back to host granularities through the table
-// of measured candidates, not by parsing bound names: a bound that was
-// never a candidate is an error, where it used to be dropped silently.
-func TestChosenHostSegs(t *testing.T) {
-	table := map[string]int{"LBFNN-7": 7, "LBFNN-28": 28, "LBFNN-105": 105}
-	decision := plan.Decision{Chosen: plan.Plan{Bounds: []plan.Bound{
-		{Name: "LBPIM-FNN-210", PIM: true}, {Name: "LBFNN-28"}, {Name: "LBFNN-105"},
-	}}}
-	segs, err := chosenHostSegs(decision.Chosen, table)
-	if err != nil || !reflect.DeepEqual(segs, []int{28, 105}) {
-		t.Fatalf("chosenHostSegs = %v, %v; want [28 105]", segs, err)
+// Optimized is the chosen plan compiled stage for stage. The framework used
+// to turn the plan back into a constructor call that always led with the
+// PIM bound, so on data where Eq. 13 drops that bound (weak correlation
+// under a capacity that leaves it 8 segments) it priced one cascade and
+// ran another.
+func TestOptimizedIsThePlan(t *testing.T) {
+	f, err := Default()
+	if err != nil {
+		t.Fatal(err)
 	}
-	decision.Chosen.Bounds[1].Name = "LBSM-28"
-	if _, err := chosenHostSegs(decision.Chosen, table); err == nil || !strings.Contains(err.Error(), `"LBSM-28"`) {
-		t.Fatalf("a chosen bound that is not a candidate must be an error naming it, got %v", err)
+	prof := dataset.Profile{Name: "loose", FullN: 10_000_000, D: 256, Clusters: 8, Correlation: 0, Spread: 0.3}
+	ds := dataset.Generate(prof, 400, 7)
+	pilot := ds.Queries(3, 8)
+	acc, err := f.AccelerateKNN(ds.X, KNNOptions{Pilot: pilot, K: 10, CapacityN: prof.FullN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acc.Plan.Bounds) == 0 || acc.Plan.Bounds[0].PIM {
+		t.Fatalf("plan %s: this profile is here because Eq. 13 drops the PIM bound on it", acc.Plan)
+	}
+	want := acc.Baseline.Search(pilot.Row(0), 10, arch.NewMeter())
+	got := acc.Optimized.Search(pilot.Row(0), 10, arch.NewMeter())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("optimized cascade returned %v, baseline %v", got, want)
+	}
+	var ran []string
+	for _, st := range acc.Optimized.LastStages() {
+		ran = append(ran, st.Name)
+	}
+	if plan := strings.Split(acc.Plan.String(), " → "); !reflect.DeepEqual(ran, plan) {
+		t.Fatalf("Eq. 13 chose %v, the optimized cascade ran %v", plan, ran)
 	}
 }
 

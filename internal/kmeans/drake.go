@@ -60,16 +60,7 @@ func (dr *Drake) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resu
 		b = k - 1
 	}
 
-	var exactCount int64
-	exactDist := func(i, c int, p []float64, threshold float64) (float64, bool) {
-		if dr.assist != nil {
-			if lbPim := dr.assist.LBDist(i, c, meter); lbPim >= threshold {
-				return lbPim, false
-			}
-		}
-		exactCount++
-		return dist(p, centers.Row(c)), true
-	}
+	var exactCount int64 // exact distances of the assign step in flight
 
 	// rebuild recomputes a point's distance profile and candidate list of
 	// the current width b. Used at init and on fallback. With a PIM
@@ -84,7 +75,7 @@ func (dr *Drake) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resu
 	rebuild := func(i int, p []float64) {
 		bestD := math.Inf(1)
 		for c := 0; c < k; c++ {
-			dc, wasExact := exactDist(i, c, p, bestD)
+			dc, wasExact := dr.assist.Dist(i, c, p, centers.Row(c), bestD, &exactCount)
 			dists[c] = dc
 			isExact[c] = wasExact
 			if wasExact && dc < bestD {
@@ -132,10 +123,8 @@ func (dr *Drake) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resu
 
 	// Initial assignment (the PIM dots for the initial centers must be in
 	// place before the assist is consulted).
-	if dr.assist != nil {
-		if err := dr.assist.BeginIteration(centers, meter); err != nil {
-			panic(fmt.Sprintf("kmeans: %s init: %v", dr.Name(), err))
-		}
+	if err := dr.assist.BeginIteration(centers, meter); err != nil {
+		panic(fmt.Sprintf("kmeans: %s init: %v", dr.Name(), err))
 	}
 	for i := 0; i < n; i++ {
 		rebuild(i, dr.Data.Row(i))
@@ -147,10 +136,8 @@ func (dr *Drake) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resu
 	for iter := 1; iter < maxIters; iter++ {
 		shifts := updateCenters(dr.Data, assign, centers)
 		costUpdateStep(meter.C(arch.FuncOther), int64(n), d, k)
-		if dr.assist != nil {
-			if err := dr.assist.BeginIteration(centers, meter); err != nil {
-				panic(fmt.Sprintf("kmeans: %s iteration: %v", dr.Name(), err))
-			}
+		if err := dr.assist.BeginIteration(centers, meter); err != nil {
+			panic(fmt.Sprintf("kmeans: %s iteration: %v", dr.Name(), err))
 		}
 		maxShift := 0.0
 		for _, s := range shifts {
@@ -215,7 +202,7 @@ func (dr *Drake) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resu
 				if j+1 > deepest {
 					deepest = j + 1
 				}
-				dc, wasExact := exactDist(i, c, p, bestD)
+				dc, wasExact := dr.assist.Dist(i, c, p, centers.Row(c), bestD, &exactCount)
 				s.lb[j] = dc
 				if wasExact && dc < bestD {
 					best, bestD = c, dc
@@ -252,6 +239,7 @@ func (dr *Drake) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resu
 			b = maxIntDr(2, deepest+1)
 		}
 	}
+	dr.assist.RecordCosts(meter)
 	res.SSE = sse(dr.Data, assign, centers)
 	return res
 }

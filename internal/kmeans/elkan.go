@@ -44,27 +44,13 @@ func (e *Elkan) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resul
 	lb := vec.NewMatrix(n, k)
 	res := &Result{Assign: assign, Centers: centers}
 
-	// exactDist computes d(p,c) with optional PIM pre-filtering: when the
-	// PIM lower bound already reaches threshold, the exact computation is
-	// skipped and the bound value is returned with ok=false.
-	var exactCount int64
-	exactDist := func(i, c int, p []float64, threshold float64) (float64, bool) {
-		if e.assist != nil {
-			if lbPim := e.assist.LBDist(i, c, meter); lbPim >= threshold {
-				return lbPim, false
-			}
-		}
-		exactCount++
-		return dist(p, centers.Row(c)), true
-	}
+	var exactCount int64 // exact distances of the assign step in flight
 
 	// Initial assignment — iteration 1's assign step is a plain Lloyd
 	// assign, so the PIM assist applies: pruned centers store their
 	// (valid, near-tight) PIM lower bound instead of the exact distance.
-	if e.assist != nil {
-		if err := e.assist.BeginIteration(centers, meter); err != nil {
-			panic(fmt.Sprintf("kmeans: %s init: %v", e.Name(), err))
-		}
+	if err := e.assist.BeginIteration(centers, meter); err != nil {
+		panic(fmt.Sprintf("kmeans: %s init: %v", e.Name(), err))
 	}
 	exactCount = 0
 	for i := 0; i < n; i++ {
@@ -73,7 +59,7 @@ func (e *Elkan) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resul
 		exactCount++
 		lb.Row(i)[0] = bestD
 		for c := 1; c < k; c++ {
-			dc, wasExact := exactDist(i, c, p, bestD)
+			dc, wasExact := e.assist.Dist(i, c, p, centers.Row(c), bestD, &exactCount)
 			lb.Row(i)[c] = dc
 			if wasExact && dc < bestD {
 				best, bestD = c, dc
@@ -92,10 +78,8 @@ func (e *Elkan) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resul
 		// Update step from the previous assignment.
 		shifts := updateCenters(e.Data, assign, centers)
 		costUpdateStep(meter.C(arch.FuncOther), int64(n), d, k)
-		if e.assist != nil {
-			if err := e.assist.BeginIteration(centers, meter); err != nil {
-				panic(fmt.Sprintf("kmeans: %s iteration: %v", e.Name(), err))
-			}
+		if err := e.assist.BeginIteration(centers, meter); err != nil {
+			panic(fmt.Sprintf("kmeans: %s iteration: %v", e.Name(), err))
 		}
 
 		// Drift the bounds (the expensive maintenance the paper's
@@ -153,7 +137,7 @@ func (e *Elkan) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resul
 						continue
 					}
 				}
-				dc, wasExact := exactDist(i, c, p, ub[i])
+				dc, wasExact := e.assist.Dist(i, c, p, centers.Row(c), ub[i], &exactCount)
 				lb.Row(i)[c] = dc
 				if wasExact && dc < ub[i] {
 					a = c
@@ -172,6 +156,7 @@ func (e *Elkan) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Resul
 			break
 		}
 	}
+	e.assist.RecordCosts(meter)
 	res.SSE = sse(e.Data, assign, centers)
 	return res
 }

@@ -44,16 +44,7 @@ func (h *Hamerly) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 	lb := make([]float64, n)
 	res := &Result{Assign: assign, Centers: centers}
 
-	var exactCount int64
-	exactDist := func(i, c int, p []float64, threshold float64) (float64, bool) {
-		if h.assist != nil {
-			if lbPim := h.assist.LBDist(i, c, meter); lbPim >= threshold {
-				return lbPim, false
-			}
-		}
-		exactCount++
-		return dist(p, centers.Row(c)), true
-	}
+	var exactCount int64 // exact distances of the assign step in flight
 
 	// scanPoint assigns p exactly, producing ub = d(p, best) and
 	// lb = a lower bound on the second-closest center's distance.
@@ -63,7 +54,7 @@ func (h *Hamerly) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 		exactCount++
 		second := math.Inf(1)
 		for c := 1; c < k; c++ {
-			dc, wasExact := exactDist(i, c, p, bestD)
+			dc, wasExact := h.assist.Dist(i, c, p, centers.Row(c), bestD, &exactCount)
 			if wasExact && dc < bestD {
 				second = bestD
 				best, bestD = c, dc
@@ -81,10 +72,8 @@ func (h *Hamerly) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 	}
 
 	// Initial assignment (= iteration 1's assign step).
-	if h.assist != nil {
-		if err := h.assist.BeginIteration(centers, meter); err != nil {
-			panic(fmt.Sprintf("kmeans: %s init: %v", h.Name(), err))
-		}
+	if err := h.assist.BeginIteration(centers, meter); err != nil {
+		panic(fmt.Sprintf("kmeans: %s init: %v", h.Name(), err))
 	}
 	for i := 0; i < n; i++ {
 		scanPoint(i)
@@ -96,10 +85,8 @@ func (h *Hamerly) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 	for iter := 1; iter < maxIters; iter++ {
 		shifts := updateCenters(h.Data, assign, centers)
 		costUpdateStep(meter.C(arch.FuncOther), int64(n), d, k)
-		if h.assist != nil {
-			if err := h.assist.BeginIteration(centers, meter); err != nil {
-				panic(fmt.Sprintf("kmeans: %s iteration: %v", h.Name(), err))
-			}
+		if err := h.assist.BeginIteration(centers, meter); err != nil {
+			panic(fmt.Sprintf("kmeans: %s iteration: %v", h.Name(), err))
 		}
 		maxShift, secondShift := 0.0, 0.0
 		for _, s := range shifts {
@@ -169,6 +156,7 @@ func (h *Hamerly) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 			break
 		}
 	}
+	h.assist.RecordCosts(meter)
 	res.SSE = sse(h.Data, assign, centers)
 	return res
 }

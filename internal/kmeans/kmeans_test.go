@@ -198,6 +198,41 @@ func TestAssistAccounting(t *testing.T) {
 	}
 }
 
+// TestAssistBeginIterationZeroAllocs pins the assist's prepared queries:
+// the first iteration sizes one per center (floors, dot buffer), every
+// later one re-quantizes into them — the hand-written BeginIteration
+// cloned each center to clamp it and allocated its floors, k·12d bytes an
+// iteration. LBDist and RecordCosts look nothing up per consultation: the
+// G cost of a whole assign step is charged once, and equals the counter.
+func TestAssistBeginIterationZeroAllocs(t *testing.T) {
+	data := testData(t, 200, 16)
+	assist := newAssist(t, data)
+	centers, _ := InitCenters(data, 8, 1)
+	m := arch.NewMeter()
+	var consults int64
+	iteration := func() {
+		if err := assist.BeginIteration(centers, m); err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < data.N; p++ {
+			assist.LBDist(p, p%centers.N)
+			consults++
+		}
+		assist.RecordCosts(m)
+	}
+	iteration()
+	if allocs := testing.AllocsPerRun(10, iteration); allocs != 0 {
+		t.Fatalf("BeginIteration + LBDist sweep allocated %.1f times from the second iteration on, want 0", allocs)
+	}
+	passes := consults / int64(data.N) * int64(centers.N)
+	want := arch.Counters{Ops: 8 * consults, ALUOps: consults, SeqBytes: 8 * consults, Branches: consults, Calls: consults + passes}
+	got := m.Get(AssistFuncName)
+	got.PIMCycles, got.PIMBufBytes = 0, 0
+	if got != want {
+		t.Fatalf("%d consultations charged %+v, want %+v", consults, got, want)
+	}
+}
+
 func TestInitCentersPlusPlus(t *testing.T) {
 	data := testData(t, 600, 16)
 	pp1, err := InitCentersPlusPlus(data, 10, 3)

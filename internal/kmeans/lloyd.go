@@ -101,7 +101,7 @@ func (l *LloydPIM) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Re
 				if c == best {
 					continue
 				}
-				if l.assist.LBDist(i, c, meter) >= bestD {
+				if l.assist.LBDist(i, c) >= bestD {
 					continue
 				}
 				d := dist(p, centers.Row(c))
@@ -124,6 +124,7 @@ func (l *LloydPIM) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Re
 		updateCenters(l.Data, assign, centers)
 		costUpdateStep(meter.C(arch.FuncOther), int64(n), l.Data.D, k)
 	}
+	l.assist.RecordCosts(meter)
 	res.SSE = sse(l.Data, assign, centers)
 	return res
 }

@@ -59,24 +59,13 @@ func (y *Yinyang) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 	ub := make([]float64, n)
 	lb := vec.NewMatrix(n, t) // per-group lower bounds
 
-	var exactCount int64
-	exactDist := func(i, c int, p []float64, threshold float64) (float64, bool) {
-		if y.assist != nil {
-			if lbPim := y.assist.LBDist(i, c, meter); lbPim >= threshold {
-				return lbPim, false
-			}
-		}
-		exactCount++
-		return dist(p, centers.Row(c)), true
-	}
+	var exactCount int64 // exact distances of the assign step in flight
 
 	// Initial assignment — iteration 1's assign step is a plain Lloyd
 	// assign, so the PIM assist applies to it like any other: pruned
 	// centers contribute their (valid) lower bound to the group bounds.
-	if y.assist != nil {
-		if err := y.assist.BeginIteration(centers, meter); err != nil {
-			panic(fmt.Sprintf("kmeans: %s init: %v", y.Name(), err))
-		}
+	if err := y.assist.BeginIteration(centers, meter); err != nil {
+		panic(fmt.Sprintf("kmeans: %s init: %v", y.Name(), err))
 	}
 	exactCount = 0
 	vals := make([]float64, k) // exact distance or PIM bound per center
@@ -86,7 +75,7 @@ func (y *Yinyang) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 		exactCount++
 		vals[0] = bestD
 		for c := 1; c < k; c++ {
-			dc, wasExact := exactDist(i, c, p, bestD)
+			dc, wasExact := y.assist.Dist(i, c, p, centers.Row(c), bestD, &exactCount)
 			vals[c] = dc
 			if wasExact && dc < bestD {
 				best, bestD = c, dc
@@ -114,10 +103,8 @@ func (y *Yinyang) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 	for iter := 1; iter < maxIters; iter++ {
 		shifts := updateCenters(y.Data, assign, centers)
 		costUpdateStep(meter.C(arch.FuncOther), int64(n), d, k)
-		if y.assist != nil {
-			if err := y.assist.BeginIteration(centers, meter); err != nil {
-				panic(fmt.Sprintf("kmeans: %s iteration: %v", y.Name(), err))
-			}
+		if err := y.assist.BeginIteration(centers, meter); err != nil {
+			panic(fmt.Sprintf("kmeans: %s iteration: %v", y.Name(), err))
 		}
 		for g := range groups {
 			groupShift[g] = 0
@@ -169,7 +156,7 @@ func (y *Yinyang) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 					if c == a {
 						continue
 					}
-					dc, wasExact := exactDist(i, c, p, bestD)
+					dc, wasExact := y.assist.Dist(i, c, p, centers.Row(c), bestD, &exactCount)
 					if !wasExact {
 						// A PIM-pruned center still contributes its
 						// lower bound to the group bound.
@@ -212,6 +199,7 @@ func (y *Yinyang) Run(initial *vec.Matrix, maxIters int, meter *arch.Meter) *Res
 			break
 		}
 	}
+	y.assist.RecordCosts(meter)
 	res.SSE = sse(y.Data, assign, centers)
 	return res
 }

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/lsh"
+	"pimmine/internal/measure"
+	"pimmine/internal/pim"
 	"pimmine/internal/vec"
 )
 
@@ -13,8 +16,11 @@ import (
 // reintroduces per-query GC pressure on the hot path, so any allocation
 // fails the test outright.
 
-// searchersUnderTest builds every ED-family searcher over one dataset and
-// engine. All of them implement AppendSearcher.
+// searchersUnderTest builds every searcher with a float-vector query over
+// one dataset and engine: the ED family and the five the cascade took over
+// from hand-written scan loops that allocated a TopK, the query floors and
+// (CS/PCC, LEMP) a []StageStat per query. All of them implement
+// AppendSearcher.
 func searchersUnderTest(t *testing.T) []AppendSearcher {
 	t.Helper()
 	data, _ := testData(t, 300, 64)
@@ -53,7 +59,51 @@ func searchersUnderTest(t *testing.T) []AppendSearcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []AppendSearcher{std, ost, sm, fnn, stdPIM, smPIM, ostPIM, fnnPIM, fnnPIMOpt}
+	csPIM, err := NewSimPIM(eng, data, q, measure.CS, data.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pccPIM, err := NewSimPIM(eng, data, q, measure.PCC, data.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lemp, err := NewSimLEMP(data, data.D/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx, err := NewApproxPIM(eng, data, q, data.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := NewDynamicPIM(eng, data, q, data.N+10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []AppendSearcher{std, ost, sm, fnn, stdPIM, smPIM, ostPIM, fnnPIM, fnnPIMOpt, csPIM, pccPIM, lemp, approx, dyn}
+}
+
+// TestHDSearchAppendZeroAllocs is TestSearchAppendZeroAllocs for the one
+// moved searcher whose query is a packed code, on a healthy array (HD1 is
+// the answer) and a faulty one (HD1 filters, Hamming refines).
+func TestHDSearchAppendZeroAllocs(t *testing.T) {
+	const k = 10
+	data, queries := testData(t, 300, 64)
+	hasher := lsh.NewHasher(data.D, 128, 8)
+	codes, qCodes := hasher.HashAll(data), hasher.HashAll(queries)
+	for name, eng := range map[string]*pim.Engine{"healthy": newEngine(t), "faulty": faultyEngine(t, 55)} {
+		hp, err := NewHDPIM(eng, codes, len(codes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meter := arch.NewMeter()
+		dst := make([]vec.Neighbor, 0, k)
+		for _, qc := range qCodes {
+			dst = hp.SearchAppend(qc, k, meter, dst[:0])
+		}
+		if allocs := testing.AllocsPerRun(20, func() { dst = hp.SearchAppend(qCodes[0], k, meter, dst[:0]) }); allocs != 0 {
+			t.Fatalf("%s: steady-state SearchAppend allocated %.1f times per query, want 0", name, allocs)
+		}
+	}
 }
 
 func TestSearchAppendZeroAllocs(t *testing.T) {

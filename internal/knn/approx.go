@@ -1,86 +1,63 @@
 package knn
 
 import (
-	"fmt"
-
 	"pimmine/internal/arch"
 	"pimmine/internal/pim"
-	"pimmine/internal/pimbound"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
 )
 
-// ApproxPIM is the *counterpoint* the paper argues against in §II-A:
+// approxRow is the *counterpoint* the paper argues against in §II-A:
 // GraphR-style direct in-PIM approximation, where the quantized
 // fixed-point computation IS the answer — no bound, no refinement. The
 // squared distance is estimated entirely from PIM-side quantities as
 //
 //	ED̂(p,q) = (Φ̂(p̄) + Φ̂(q̄) − 2·⌊p̄⌋·⌊q̄⌋) / α²,  Φ̂(x̄) = Σ ⌊x̄ᵢ⌋²
 //
-// i.e. the exact formula evaluated on the floored integers. The paper:
-// "such precision loss may compromise the accuracy of results in data
-// mining tasks (e.g., kNN classification)". This searcher exists so the
-// ext-approx experiment can *measure* that recall loss against the exact
-// bound-based searchers, across α.
-type ApproxPIM struct {
-	Data *vec.Matrix
-	Ix   *pimbound.EDIndex
-	eng  *pim.Engine
-	pay  *pim.Payload
-	// phiFloor holds Σ⌊p̄ᵢ⌋² per object (the approximation's Φ — distinct
-	// from the bound's exact-float Φ).
-	phiFloor []float64
-	dots     []int64
+// i.e. the exact formula evaluated on the floored integers: a Table 4 row
+// over LB_PIM-ED's floors and dots with another Φ and G. The paper: "such
+// precision loss may compromise the accuracy of results in data mining
+// tasks (e.g., kNN classification)".
+type approxRow struct {
+	edRow
+	phiFloor []float64 // Σ⌊p̄ᵢ⌋² per object (distinct from the bound's exact-float Φ)
+	qPhi     float64
 }
 
-// NewApproxPIM quantizes the dataset and programs the floors. capacityN
-// follows the usual Theorem 4 admission check.
-func NewApproxPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int) (*ApproxPIM, error) {
-	if !eng.Model().Fits(capacityN, data.D, 1) {
-		return nil, fmt.Errorf("knn: %d-dim floors for N=%d exceed PIM capacity", data.D, capacityN)
+func (a *approxRow) prepare(q []float64, meter *arch.Meter) error {
+	if err := a.edRow.prepare(q, meter); err != nil {
+		return err
 	}
-	ix := pimbound.BuildED(data, q)
-	a := &ApproxPIM{Data: data, Ix: ix, phiFloor: make([]float64, data.N)}
-	for i := 0; i < data.N; i++ {
-		var phi float64
-		for _, f := range ix.Floor(i) {
-			phi += float64(f) * float64(f)
-		}
-		a.phiFloor[i] = phi
+	a.qPhi = sumSquares(a.floor)
+	return nil
+}
+
+func (a *approxRow) lb(i int) float64 {
+	alpha := a.ix.Q.Alpha
+	return (a.phiFloor[i] + a.qPhi - 2*float64(a.dots[i])) / (alpha * alpha)
+}
+
+func sumSquares(floor []uint32) float64 {
+	var phi float64
+	for _, f := range floor {
+		phi += float64(f) * float64(f)
 	}
-	var err error
-	a.pay, err = eng.Program("approx-pim/floors", data.N, data.D, 1, ix.Floor)
+	return phi
+}
+
+// NewApproxPIM builds the Approx-PIM searcher: a cascade of the estimate
+// alone, with no exact step, so it ranks objects purely by the quantized
+// distance. It exists so the ext-approx experiment can *measure* the
+// recall that costs against the exact bound-based searchers, across α.
+// capacityN follows the usual Theorem 4 admission check.
+func NewApproxPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int) (*Cascade, error) {
+	ix, pay, err := programED(eng, data, q, capacityN, "approx-pim/floors")
 	if err != nil {
 		return nil, err
 	}
-	a.eng = eng
-	return a, nil
-}
-
-// Name implements Searcher.
-func (a *ApproxPIM) Name() string { return "Approx-PIM" }
-
-// Search ranks objects purely by the quantized distance estimate. No
-// exact refinement happens — that is the point of the counterpoint.
-func (a *ApproxPIM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	qf := a.Ix.Query(q)
-	var qPhi float64
-	for _, f := range qf.Floor {
-		qPhi += float64(f) * float64(f)
+	st := &approxRow{edRow: *newEDRow(eng, pay, ix, "ED-approx"), phiFloor: make([]float64, data.N)}
+	for i := range st.phiFloor {
+		st.phiFloor[i] = sumSquares(ix.Floor(i))
 	}
-	var err error
-	a.dots, err = a.eng.QueryAll(meter, "ED-approx", a.pay, qf.Floor, a.dots)
-	if err != nil {
-		panic(fmt.Sprintf("knn: Approx-PIM query-all: %v", err))
-	}
-	alpha2 := a.Ix.Q.Alpha * a.Ix.Q.Alpha
-	top := vec.NewTopK(k)
-	for i := 0; i < a.Data.N; i++ {
-		est := (a.phiFloor[i] + qPhi - 2*float64(a.dots[i])) / alpha2
-		top.Push(i, est)
-	}
-	// Host combine: 2 operands per object, no refinement at all.
-	costPIMBound(meter.C("ED-approx"), int64(a.Data.N), 2)
-	meter.C(arch.FuncOther).Ops += int64(a.Data.N)
-	return top.Results()
+	return newWalk("Approx-PIM", data.N, st), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/bound"
 	"pimmine/internal/measure"
 	"pimmine/internal/pim"
 	"pimmine/internal/pimbound"
@@ -47,35 +48,44 @@ func (s *SimStandard) Search(q []float64, k int, meter *arch.Meter) []vec.Neighb
 		}
 		top.Push(i, -sim)
 	}
-	c := meter.C(fn)
-	n, d := int64(s.Data.N), s.Data.D
-	c.Ops += n * int64(4*d)
-	c.ALUOps += n * 2 // sqrt + division per object
-	c.SeqBytes += n * int64(d) * operandBytes
-	c.Branches += n
-	c.Calls += n
+	n := int64(s.Data.N)
+	costExactSim(meter.C(fn), n, s.Data.D)
 	meter.C(arch.FuncOther).Ops += n
 	return top.Results()
 }
 
-// SimPIM filters with the PIM upper bound UB_PIM-CS / UB_PIM-PCC (§V-B)
-// before exact refinement: objects whose upper-bounded similarity cannot
-// reach the current k-th best are pruned without touching their vectors.
-type SimPIM struct {
-	Data   *vec.Matrix
-	Kind   measure.Kind
-	Ix     *pimbound.CSIndex
-	eng    *pim.Engine
-	pay    *pim.Payload
-	dots   []int64
-	stages []StageStat
+// costExactSim records the host cost of exact d-dimensional CS or PCC on n
+// objects: one pass over the vector, then a sqrt and a division.
+func costExactSim(c *arch.Counters, n int64, d int) {
+	c.Ops += n * int64(4*d)
+	c.ALUOps += n * 2
+	c.SeqBytes += n * int64(d) * operandBytes
+	c.Branches += n
+	c.Calls += n
 }
 
-// NewSimPIM quantizes the dataset and programs the floor payload. The
+// newSimCascade builds a cascade whose exact step is the negated CS or PCC
+// over data. kind must be CS or PCC.
+func newSimCascade(data *vec.Matrix, name string, kind measure.Kind, st stage) *Cascade {
+	fn, sim := arch.FuncCS, measure.Cosine
+	if kind == measure.PCC {
+		fn, sim = arch.FuncPCC, measure.Pearson
+	}
+	c := newWalk(name, data.N, st)
+	c.exact = exactStep{
+		fn: fn, dims: data.D,
+		dist: func(i int) float64 { return -sim(data.Row(i), c.q) },
+		cost: func(ctr *arch.Counters, n int64) { costExactSim(ctr, n, data.D) },
+	}
+	return c
+}
+
+// NewSimPIM builds the PIM-optimized maximum-similarity scan: UB_PIM-CS or
+// UB_PIM-PCC (§V-B) over the quantized dataset, then exact refinement. The
 // full d dims are needed for the inner-product bound, so Theorem 4 must
 // admit them at full dimensionality (CS/PCC experiments run on datasets
 // where this holds; otherwise an error is returned).
-func NewSimPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, kind measure.Kind, capacityN int) (*SimPIM, error) {
+func NewSimPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, kind measure.Kind, capacityN int) (*Cascade, error) {
 	if kind != measure.CS && kind != measure.PCC {
 		return nil, fmt.Errorf("knn: SimPIM needs CS or PCC, got %v", kind)
 	}
@@ -83,82 +93,82 @@ func NewSimPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, kind measur
 		return nil, fmt.Errorf("knn: %d-dim floors for N=%d exceed PIM capacity", data.D, capacityN)
 	}
 	ix := pimbound.BuildCS(data, q)
-	a := &SimPIM{Data: data, Kind: kind, Ix: ix, eng: eng}
-	var err error
-	a.pay, err = eng.Program(fmt.Sprintf("sim-pim/%v", kind), data.N, data.D, 1, ix.Floor)
+	pay, err := eng.Program(fmt.Sprintf("sim-pim/%v", kind), data.N, data.D, 1, ix.Floor)
 	if err != nil {
 		return nil, err
 	}
-	return a, nil
-}
-
-// Name implements Searcher.
-func (a *SimPIM) Name() string { return "Standard-PIM" }
-
-// LastStages implements Stager.
-func (a *SimPIM) LastStages() []StageStat { return a.stages }
-
-// RecordPreprocessing charges offline payload programming to the meter.
-func (a *SimPIM) RecordPreprocessing(meter *arch.Meter) {
-	pim.RecordProgramCost(meter, a.boundName(), a.pay)
-}
-
-func (a *SimPIM) boundName() string {
-	if a.Kind == measure.CS {
-		return "UBPIM-CS"
+	// Per consultation: the dot, Σ⌊p̄⌋ and the norm or Φa (Fig 8; the query
+	// side is cached).
+	row := simRow{dotQuery: (&dotPayload{fn: "UBPIM-" + kind.String(), eng: eng, pay: pay, ops: 3}).newQuery(), ix: ix}
+	var st stage = &csRow{row}
+	if kind == measure.PCC {
+		st = &pccRow{row}
 	}
-	return "UBPIM-PCC"
+	return newSimCascade(data, "Standard-PIM", kind, st), nil
 }
 
-// Search prunes with the PIM upper bound and refines survivors exactly.
-func (a *SimPIM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	qf := a.Ix.Query(q)
-	var err error
-	a.dots, err = a.eng.QueryAll(meter, a.boundName(), a.pay, qf.Floor, a.dots)
+// simRow is what the UB_PIM-CS and UB_PIM-PCC rows of Table 4 share: one
+// floor payload and one prepared query. Each returns the negated upper
+// bound, which is a lower bound on the negated similarity the cascade
+// ranks, so an object is pruned exactly when even its upper-bounded
+// similarity cannot reach the current k-th best.
+type simRow struct {
+	dotQuery
+	ix *pimbound.CSIndex
+	qf pimbound.CSQuery
+}
+
+func (s *simRow) prepare(q []float64, meter *arch.Meter) error {
+	if err := s.checkDims(q); err != nil {
+		return err
+	}
+	s.qf = s.ix.QueryInto(q, s.floor)
+	return s.pass(meter)
+}
+
+type csRow struct{ simRow }
+
+func (s *csRow) lb(i int) float64 { return -s.ix.UBCS(i, &s.qf, s.dots[i]) }
+
+type pccRow struct{ simRow }
+
+func (s *pccRow) lb(i int) float64 { return -s.ix.UBPCC(i, &s.qf, s.dots[i]) }
+
+// partStage is Table 3's UB_part (Teflioudi et al., LEMP) as a host stage:
+// CS(p,q) ≤ UB_part(p,q) / (‖p‖‖q‖), negated like the PIM similarity
+// bounds. A zero norm on either side bounds the similarity by 0, matching
+// measure.Cosine's convention.
+type partStage struct {
+	hostBound
+	ix           *bound.PartIndex
+	q            []float64 // the query in flight: UB_part reads its head directly
+	qTail, qNorm float64
+}
+
+func (s *partStage) name() string { return "UBpart" }
+func (s *partStage) segs() int    { return s.ix.D0 }
+func (s *partStage) prepare(q []float64, _ *arch.Meter) error {
+	s.q, s.qTail, s.qNorm = q, s.ix.QueryTail(q), vec.Norm(q)
+	return nil
+}
+func (s *partStage) lb(i int) float64 {
+	var ub float64
+	if pn := s.ix.Norm[i]; pn > 0 && s.qNorm > 0 {
+		ub = s.ix.UBDot(i, s.q, s.qTail) / (pn * s.qNorm)
+	}
+	return -ub
+}
+
+// NewSimLEMP builds the host-side bound-based baseline for maximum cosine
+// similarity search with head length d0: objects whose UB_part-bounded
+// similarity cannot reach the current k-th best are pruned before the
+// exact computation. This is the CS analogue of the OST/SM/FNN ED
+// baselines — §II-C: "Prior works focus on devising upper bound UB ...
+// such as UB_part".
+func NewSimLEMP(data *vec.Matrix, d0 int) (*Cascade, error) {
+	ix, err := bound.BuildPart(data, d0)
 	if err != nil {
-		panic(fmt.Sprintf("knn: SimPIM query-all: %v", err))
+		return nil, err
 	}
-	top := vec.NewTopK(k)
-	survivors := 0
-	exactFn := arch.FuncCS
-	if a.Kind == measure.PCC {
-		exactFn = arch.FuncPCC
-	}
-	for i := 0; i < a.Data.N; i++ {
-		var ub float64
-		if a.Kind == measure.CS {
-			ub = a.Ix.UBCS(i, qf, a.dots[i])
-		} else {
-			ub = a.Ix.UBPCC(i, qf, a.dots[i])
-		}
-		// Prune when even the upper bound cannot beat the k-th best
-		// (threshold holds negated similarity).
-		if -ub > top.Threshold() {
-			continue
-		}
-		survivors++
-		var sim float64
-		if a.Kind == measure.CS {
-			sim = measure.Cosine(a.Data.Row(i), q)
-		} else {
-			sim = measure.Pearson(a.Data.Row(i), q)
-		}
-		top.Push(i, -sim)
-	}
-	// Per consultation: Φ values and the dot product (Fig 8) — 3 operands
-	// (dot, Σ⌊p̄⌋, norm/Φa; the query side is cached).
-	costPIMBound(meter.C(a.boundName()), int64(a.Data.N), 3)
-	n := int64(survivors)
-	c := meter.C(exactFn)
-	c.Ops += n * int64(4*a.Data.D)
-	c.ALUOps += n * 2
-	c.SeqBytes += n * int64(a.Data.D) * operandBytes
-	c.Branches += n
-	c.Calls += n
-	meter.C(arch.FuncOther).Ops += int64(a.Data.N)
-	a.stages = []StageStat{
-		{Name: a.boundName(), In: a.Data.N, Out: survivors, TransferDims: 3},
-		{Name: exactFn, In: survivors, Out: k, TransferDims: a.Data.D},
-	}
-	return top.Results()
+	return newSimCascade(data, "LEMP", measure.CS, &partStage{hostBound: hostBound{ix.TransferDims()}, ix: ix}), nil
 }

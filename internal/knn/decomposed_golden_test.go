@@ -273,10 +273,11 @@ func assistTranscript(t *testing.T, b *strings.Builder, q quant.Quantizer) {
 			}
 			for p := 0; p < ds.X.N; p += 37 {
 				for c := 0; c < centers.N; c++ {
-					fmt.Fprintf(b, "  iter %d lb %d %d %016x\n", it, p, c, math.Float64bits(a.LBDist(p, c, m)))
+					fmt.Fprintf(b, "  iter %d lb %d %d %016x\n", it, p, c, math.Float64bits(a.LBDist(p, c)))
 				}
 			}
 		}
+		a.RecordCosts(m)
 		writeMeter(b, "meter", m)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pimmine/internal/arch"
-	"pimmine/internal/measure"
 	"pimmine/internal/pim"
 	"pimmine/internal/pimbound"
 	"pimmine/internal/quant"
@@ -15,13 +14,15 @@ import (
 // exploration made concrete. It reserves crossbar headroom up front
 // (pim.AppendablePayload) so inserts program only fresh cells: zero
 // endurance cost on existing data, no re-programming, and searches stay
-// single-pass. The filter is LB_PIM-ED at full dimensionality, so the
-// reservation must satisfy Theorem 4 for the *reserved* row count.
+// single-pass. It is the cascade of one LB_PIM-ED stage at full
+// dimensionality over the payload's current contents, so the reservation
+// must satisfy Theorem 4 for the *reserved* row count; results match an
+// exact scan of the same contents.
 type DynamicPIM struct {
+	*Cascade
 	data *vec.Matrix // owned copy that grows with Add
-	Ix   *pimbound.EDIndex
+	ix   *pimbound.EDIndex
 	pay  *pim.AppendablePayload
-	dots []int64
 }
 
 // NewDynamicPIM indexes the initial data and reserves headroom for
@@ -36,11 +37,10 @@ func NewDynamicPIM(eng *pim.Engine, initial *vec.Matrix, q quant.Quantizer, rese
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicPIM{data: initial.Clone(), Ix: ix, pay: pay}, nil
+	data := initial.Clone()
+	st := newEDRow(eng, pay.Payload, ix, "LBPIM-ED")
+	return &DynamicPIM{Cascade: newCascade(data, "Dynamic-PIM", st), data: data, ix: ix, pay: pay}, nil
 }
-
-// Name implements Searcher.
-func (d *DynamicPIM) Name() string { return "Dynamic-PIM" }
 
 // Len returns the current number of indexed rows.
 func (d *DynamicPIM) Len() int { return d.data.N }
@@ -50,7 +50,9 @@ func (d *DynamicPIM) Headroom() int { return d.pay.CapacityRows - d.data.N }
 
 // Add inserts new rows (values in [0,1]). Only fresh crossbar cells are
 // programmed; the modeled programming time accumulates on the payload and
-// can be charged to a meter with RecordInsertCost.
+// can be charged to a meter with RecordInsertCost. The index, the owned
+// copy and the payload's slab all grow in place, so a stream of inserts
+// costs O(rows inserted), not a copy of the index per call.
 func (d *DynamicPIM) Add(rows *vec.Matrix) error {
 	if rows.D != d.data.D {
 		return fmt.Errorf("knn: adding %d-dim rows to %d-dim index", rows.D, d.data.D)
@@ -61,45 +63,19 @@ func (d *DynamicPIM) Add(rows *vec.Matrix) error {
 	if rows.N > d.Headroom() {
 		return fmt.Errorf("knn: adding %d rows exceeds headroom %d", rows.N, d.Headroom())
 	}
-	if err := d.Ix.AppendRows(rows); err != nil {
+	if err := d.ix.AppendRows(rows); err != nil {
 		return err
 	}
-	// Grow the owned data copy for exact refinement.
-	grown := vec.NewMatrix(d.data.N+rows.N, d.data.D)
-	copy(grown.Data, d.data.Data)
-	copy(grown.Data[d.data.N*d.data.D:], rows.Data)
-	d.data = grown
-	if _, err := d.pay.Append(rows.N, d.Ix.Floor); err != nil {
+	if _, err := d.pay.Append(rows.N, d.ix.Floor); err != nil {
 		return err
 	}
+	d.data.Data = append(d.data.Data, rows.Data...)
+	d.data.N += rows.N
+	d.n = d.data.N
 	return nil
 }
 
 // RecordInsertCost charges accumulated insert programming time to a meter.
 func (d *DynamicPIM) RecordInsertCost(m *arch.Meter) {
-	d.pay.RecordAppendCost(m, "LBPIM-ED")
-}
-
-// Search filters with LB_PIM-ED over the current contents and refines
-// survivors exactly; results match an exact scan of the same contents.
-func (d *DynamicPIM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	qf := d.Ix.Query(q)
-	var err error
-	d.dots, err = d.pay.QueryAll(meter, "LBPIM-ED", qf.Floor, d.dots)
-	if err != nil {
-		panic(fmt.Sprintf("knn: Dynamic-PIM query-all: %v", err))
-	}
-	top := vec.NewTopK(k)
-	survivors := 0
-	for i := 0; i < d.data.N; i++ {
-		if d.Ix.LB(i, qf, d.dots[i]) > top.Threshold() {
-			continue
-		}
-		survivors++
-		top.Push(i, measure.SqEuclidean(d.data.Row(i), q))
-	}
-	costPIMBound(meter.C("LBPIM-ED"), int64(d.data.N), 2)
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), d.data.D)
-	meter.C(arch.FuncOther).Ops += int64(d.data.N)
-	return top.Results()
+	d.pay.RecordAppendCost(m, d.stages[0].name())
 }

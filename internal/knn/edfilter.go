@@ -17,44 +17,69 @@ import (
 // Φ(p̄ᵢ), Φ(q̄) and the dot in O(1) — a lower bound on ED(rowᵢ, query), so
 // a candidate whose bound already exceeds the caller's threshold is
 // discarded without touching its vector and results stay exact. It is the
-// filter of the SM-PIM and OST-PIM cascades and of every mining task that
-// consults LB_PIM-ED before an exact distance (outlier, join, dbscan,
-// motif).
+// filter of every mining task that consults LB_PIM-ED before an exact
+// distance (outlier, join, dbscan, motif, k-means), and the same Table 4
+// row the SM-PIM, OST-PIM and Dynamic-PIM cascades walk (edStage).
 //
 // A nil *EDFilter is the host-only path: Prepare does nothing, LB never
 // prunes and RecordCosts charges the exact distances alone, so a task is
 // written once against the filter instead of wrapping every bound test in
-// a check for the PIM variant. The retained scratch (query floors, dot
-// buffer) makes a warmed-up Prepare + LB sweep allocation-free and the
-// filter non-reentrant: one filter serves one goroutine.
+// a check for the PIM variant. A filter is one prepared query over the
+// programmed rows: its retained scratch makes a warmed-up Prepare + LB
+// sweep allocation-free and the filter non-reentrant, one per goroutine.
 type EDFilter struct {
-	fn       string // meter bucket of the array pass and the host combine
-	ix       *pimbound.EDIndex
-	eng      *pim.Engine
-	pay      *pim.Payload
-	qf       pimbound.EDQuery // the prepared row's features; Floor aliases floor
-	floor    []uint32
-	dots     []int64
+	*edRow
 	consults int64 // LB calls since the last RecordCosts
 }
+
+// edRow is the LB_PIM-ED row of Table 4 (Theorem 1) as a prepared query
+// over programmed floors: Fig 8's operand pair is Φ(p̄) and the dot (Φ(q̄)
+// is computed once per query and cached).
+type edRow struct {
+	dotQuery
+	ix *pimbound.EDIndex
+	qf pimbound.EDQuery
+}
+
+func newEDRow(eng *pim.Engine, pay *pim.Payload, ix *pimbound.EDIndex, fn string) *edRow {
+	return &edRow{dotQuery: (&dotPayload{fn: fn, eng: eng, pay: pay, ops: 2}).newQuery(), ix: ix}
+}
+
+func (s *edRow) prepare(q []float64, meter *arch.Meter) error {
+	if err := s.checkDims(q); err != nil {
+		return err
+	}
+	s.qf = s.ix.QueryInto(q, s.floor)
+	return s.pass(meter)
+}
+
+func (s *edRow) lb(i int) float64 { return s.ix.LB(i, s.qf, s.dots[i]) }
 
 // NewEDFilter checks Theorem 4's capacity constraint for capacityN objects
 // of rows.D dimensions, quantizes the rows and programs their floors as
 // the named payload. Its activity is metered as "LBPIM-ED".
 func NewEDFilter(eng *pim.Engine, rows *vec.Matrix, q quant.Quantizer, capacityN int, payload string) (*EDFilter, error) {
-	return newEDFilter(eng, rows, q, capacityN, payload, "LBPIM-ED")
-}
-
-func newEDFilter(eng *pim.Engine, rows *vec.Matrix, q quant.Quantizer, capacityN int, payload, fn string) (*EDFilter, error) {
-	if !eng.Model().Fits(capacityN, rows.D, 1) {
-		return nil, fmt.Errorf("knn: payload %q: %d-dim floors for N=%d exceed PIM capacity", payload, rows.D, capacityN)
-	}
-	ix := pimbound.BuildED(rows, q)
-	pay, err := eng.Program(payload, rows.N, rows.D, 1, ix.Floor)
+	ix, pay, err := programED(eng, rows, q, capacityN, payload)
 	if err != nil {
 		return nil, err
 	}
-	return &EDFilter{fn: fn, ix: ix, eng: eng, pay: pay, floor: make([]uint32, rows.D)}, nil
+	return &EDFilter{edRow: newEDRow(eng, pay, ix, "LBPIM-ED")}, nil
+}
+
+// programED is the offline half of every row over LB_PIM-ED's floors.
+func programED(eng *pim.Engine, rows *vec.Matrix, q quant.Quantizer, capacityN int, payload string) (*pimbound.EDIndex, *pim.Payload, error) {
+	if !eng.Model().Fits(capacityN, rows.D, 1) {
+		return nil, nil, fmt.Errorf("knn: payload %q: %d-dim floors for N=%d exceed PIM capacity", payload, rows.D, capacityN)
+	}
+	ix := pimbound.BuildED(rows, q)
+	pay, err := eng.Program(payload, rows.N, rows.D, 1, ix.Floor)
+	return ix, pay, err
+}
+
+// Fork returns another prepared query over the filter's programmed rows,
+// with scratch and consultation count of its own.
+func (f *EDFilter) Fork() *EDFilter {
+	return &EDFilter{edRow: &edRow{dotQuery: f.newQuery(), ix: f.ix}}
 }
 
 // Prepare quantizes the query row into the retained scratch and runs its
@@ -63,13 +88,7 @@ func (f *EDFilter) Prepare(row []float64, meter *arch.Meter) error {
 	if f == nil {
 		return nil
 	}
-	if len(row) != f.ix.D {
-		return fmt.Errorf("knn: %s query has %d dims, filter has %d", f.fn, len(row), f.ix.D)
-	}
-	f.qf = f.ix.QueryInto(row, f.floor)
-	var err error
-	f.dots, err = f.eng.QueryAll(meter, f.fn, f.pay, f.floor, f.dots)
-	return err
+	return f.prepare(row, meter)
 }
 
 // LB returns LB_PIM-ED between programmed row i and the prepared query
@@ -82,18 +101,22 @@ func (f *EDFilter) LB(i int) float64 {
 	return f.lb(i)
 }
 
-func (f *EDFilter) lb(i int) float64 { return f.ix.LB(i, f.qf, f.dots[i]) }
-
 // RecordCosts charges one filter-and-refine sweep to the meter: exact
-// d-dimensional distances stream their vectors, and each LB consultation
-// since the last call moved Fig 8's operand pair (Φ(p̄) and the dot; Φ(q̄)
-// is computed once per query and cached).
+// d-dimensional distances stream their vectors, and the LB consultations
+// since the last call are charged by RecordConsults.
 func (f *EDFilter) RecordCosts(meter *arch.Meter, exact int64, d int) {
 	costExactRefine(meter.C(arch.FuncED), exact, d)
-	if f != nil && f.consults > 0 {
-		costPIMBound(meter.C(f.fn), f.consults, 2)
-		f.consults = 0
-	}
+	f.RecordConsults(meter)
 }
 
-func (f *EDFilter) recordProgram(meter *arch.Meter) { pim.RecordProgramCost(meter, f.fn, f.pay) }
+// RecordConsults charges the host combine of every LB consultation since
+// the last call and returns how many there were.
+func (f *EDFilter) RecordConsults(meter *arch.Meter) int64 {
+	if f == nil || f.consults == 0 {
+		return 0
+	}
+	n := f.consults
+	f.consults = 0
+	f.cost(meter.C(f.fn), n)
+	return n
+}

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"errors"
 	"fmt"
 
 	"pimmine/internal/arch"
@@ -58,19 +59,43 @@ func (h *HDStandard) Search(q measure.BitVector, k int, meter *arch.Meter) []vec
 // ---------------------------------------------------------------------------
 // HD-PIM: Table 4's exact PIM decomposition of the Hamming distance in
 // its single-payload form (see pimbound). Binary operands are exact
-// integers, so there is no refinement step at all.
+// integers, so on a healthy array there is no refinement step at all.
 // ---------------------------------------------------------------------------
 
-// HDPIM is the PIM-accelerated exact Hamming scan. It uses the
-// single-payload form HD(p,q) = Ones(p) + Ones(q) − 2·p·q (see
-// pimbound.HDIndex): one 1-bit crossbar payload, one dot-product pass per
-// query, two operands (Φ(p) and the dot product) moved per object — the
-// paper's "data transfer of 64-bit" per object.
+// hdRow is the HD1 row of Table 4, HD1(p,q) = Ones(p) + Ones(q) − 2·p·q,
+// over one 1-bit payload; Φ(q) is Ones(q).
+type hdRow struct {
+	dotQuery
+	ix    *pimbound.HDIndex
+	qOnes int
+}
+
+// prepare is a stage's float-vector entry point, which a packed code does
+// not come through: HDPIM.SearchAppend prepares the row itself.
+func (s *hdRow) prepare([]float64, *arch.Meter) error {
+	return errors.New("knn: the HD stage takes a packed code")
+}
+
+func (s *hdRow) lb(i int) float64 { return float64(s.ix.HD1(i, s.qOnes, s.dots[i])) }
+
+// cost is the host combine: two 32-bit operands per object — the dot
+// product and Φ(p)=Ones(p) (the paper's "data transfer of 64-bit" for HD)
+// — plus two adds and a shift.
+func (s *hdRow) cost(c *arch.Counters, n int64) {
+	c.SeqBytes += n * 2 * operandBytes
+	c.Ops += n * 3
+	c.Branches += n
+	c.Calls += n
+}
+
+// HDPIM is the PIM-accelerated exact Hamming scan: a cascade of the HD1
+// row alone — one 1-bit crossbar payload, one dot-product pass per query,
+// two operands moved per object — whose query is a packed code rather
+// than a float vector.
 type HDPIM struct {
-	Ix      *pimbound.HDIndex
-	eng     *pim.Engine
-	payBits *pim.Payload
-	dots    []int64
+	hdRow
+	c *Cascade
+	q measure.BitVector // the code in flight, for the fault-mode refinement
 }
 
 // NewHDPIM programs the single code payload as 1-bit operands: binary
@@ -79,6 +104,13 @@ type HDPIM struct {
 // fit the 2GB PIM array. The capacity check uses the full array for
 // binary payloads, since the weight-slicing periphery the default
 // utilization reserves is not needed at 1-bit operands.
+//
+// On a healthy array HD1 is the answer and the cascade has no exact step.
+// Under a fault injector (pim.Engine.Faulty) the corrected dots
+// overestimate the true dot products, so HD1 degrades from an exact value
+// to a lower bound; the cascade then filters with it and recomputes the
+// survivors' Hamming distances on the host, which keeps results
+// bit-identical to the exact scan.
 func NewHDPIM(eng *pim.Engine, codes []measure.BitVector, capacityN int) (*HDPIM, error) {
 	ix, err := pimbound.BuildHD(codes)
 	if err != nil {
@@ -92,70 +124,45 @@ func NewHDPIM(eng *pim.Engine, codes []measure.BitVector, capacityN int) (*HDPIM
 	if !model.FitsB(capacityN, ix.D, 1, 1) {
 		return nil, fmt.Errorf("knn: %d-bit codes for N=%d exceed PIM capacity", ix.D, capacityN)
 	}
-	a := &HDPIM{Ix: ix, eng: eng}
-	a.payBits, err = eng.ProgramWidth("hd-pim/bits", len(codes), ix.D, 1, 1, func(i int) []uint32 {
+	pay, err := eng.ProgramWidth("hd-pim/bits", len(codes), ix.D, 1, 1, func(i int) []uint32 {
 		return ix.Bits[i*ix.D : (i+1)*ix.D]
 	})
 	if err != nil {
 		return nil, err
 	}
-	return a, nil
+	h := &HDPIM{hdRow: hdRow{dotQuery: (&dotPayload{fn: arch.FuncHD, eng: eng, pay: pay, ops: 2}).newQuery(), ix: ix}}
+	h.c = newWalk("Standard-PIM", len(codes), &h.hdRow)
+	if eng.Faulty() {
+		words := int64((ix.D + 63) / 64)
+		h.c.exact = exactStep{
+			fn: arch.FuncHD, dims: (ix.D + 31) / 32,
+			dist: func(i int) float64 { return float64(measure.Hamming(ix.Codes[i], h.q)) },
+			// Survivors' codes are fetched with random access and
+			// re-scanned on the host.
+			cost: func(c *arch.Counters, n int64) {
+				c.RandBytes += n * int64(ix.D) / 8
+				c.Ops += n * words * 3
+			},
+		}
+	}
+	return h, nil
 }
 
 // Name implements HDSearcher.
-func (a *HDPIM) Name() string { return "Standard-PIM" }
+func (h *HDPIM) Name() string { return h.c.name }
 
-// RecordPreprocessing charges offline payload programming to the meter.
-func (a *HDPIM) RecordPreprocessing(meter *arch.Meter) {
-	pim.RecordProgramCost(meter, arch.FuncHD, a.payBits)
+// Search implements HDSearcher.
+func (h *HDPIM) Search(q measure.BitVector, k int, meter *arch.Meter) []vec.Neighbor {
+	return h.SearchAppend(q, k, meter, nil)
 }
 
-// Search computes exact Hamming distances entirely from PIM dot products.
-//
-// Under a fault injector (pim.Engine.Faulty) the corrected dots
-// overestimate the true dot products, so HD1 degrades from an exact value
-// to a lower bound; the search then switches to filter-and-refine — prune
-// with the bound, recompute survivors' Hamming distances on the host —
-// which keeps results bit-identical to the exact scan.
-func (a *HDPIM) Search(q measure.BitVector, k int, meter *arch.Meter) []vec.Neighbor {
-	qf := a.Ix.Query(q)
-	qOnes := q.Ones()
-	var err error
-	a.dots, err = a.eng.QueryAll(meter, arch.FuncHD, a.payBits, qf.Bits, a.dots)
-	if err != nil {
+// SearchAppend is Search appending to dst, allocation-free once warmed up
+// (see AppendSearcher).
+func (h *HDPIM) SearchAppend(q measure.BitVector, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
+	h.q, h.qOnes = q, q.Ones()
+	h.ix.QueryBitsInto(q, h.floor)
+	if err := h.pass(meter); err != nil {
 		panic(fmt.Sprintf("knn: HD-PIM query-all: %v", err))
 	}
-	top := vec.NewTopK(k)
-	n := len(a.dots)
-	if a.eng.Faulty() {
-		var refined int64
-		words := int64((a.Ix.D + 63) / 64)
-		for i := 0; i < n; i++ {
-			lb := float64(a.Ix.HD1(i, qOnes, a.dots[i]))
-			if lb > top.Threshold() {
-				continue
-			}
-			top.Push(i, float64(measure.Hamming(a.Ix.Codes[i], q)))
-			refined++
-		}
-		// Refinement cost: survivors' codes are fetched with random access
-		// and re-scanned on the host.
-		c := meter.C(arch.FuncHD)
-		c.RandBytes += refined * int64(a.Ix.D) / 8
-		c.Ops += refined * words * 3
-	} else {
-		for i := 0; i < n; i++ {
-			top.Push(i, float64(a.Ix.HD1(i, qOnes, a.dots[i])))
-		}
-	}
-	// Host combine: two 32-bit operands per object — the dot product and
-	// Φ(p)=Ones(p) (the paper's "data transfer of 64-bit" for HD) — plus
-	// two adds and a shift.
-	c := meter.C(arch.FuncHD)
-	c.SeqBytes += int64(n) * 8
-	c.Ops += int64(n) * 3
-	c.Branches += int64(n)
-	c.Calls += int64(n)
-	meter.C(arch.FuncOther).Ops += int64(n)
-	return top.Results()
+	return h.c.walk(nil, k, meter, dst)
 }

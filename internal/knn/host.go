@@ -47,18 +47,26 @@ func (s *Standard) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec
 // consulted object and runs no dot product on the array.
 // ---------------------------------------------------------------------------
 
+// hostBound is what every host stage shares: it moves its index's
+// TransferDims operands per consulted object in a sequential scan and runs
+// no dot product on the array.
+type hostBound struct{ tdims int }
+
+func (h hostBound) operands() int                  { return h.tdims }
+func (h hostBound) pimDots() int                   { return 0 }
+func (h hostBound) cost(c *arch.Counters, n int64) { costBoundScan(c, n, h.tdims) }
+
 // ostStage is LB_OST: the exact head partial distance plus the tail-norm
 // gap (Liaw et al. 2010).
 type ostStage struct {
+	hostBound
 	ix    *bound.OSTIndex
 	q     []float64 // the query in flight: LB_OST reads its head directly
 	qTail float64
 }
 
-func (s *ostStage) name() string  { return "LBOST" }
-func (s *ostStage) operands() int { return s.ix.TransferDims() }
-func (s *ostStage) segs() int     { return s.ix.D0 }
-func (s *ostStage) pimDots() int  { return 0 }
+func (s *ostStage) name() string { return "LBOST" }
+func (s *ostStage) segs() int    { return s.ix.D0 }
 func (s *ostStage) prepare(q []float64, _ *arch.Meter) error {
 	s.q, s.qTail = q, s.ix.QueryTail(q)
 	return nil
@@ -72,19 +80,18 @@ func NewOST(data *vec.Matrix, d0 int) (*Cascade, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCascade(data, "OST", &ostStage{ix: ix}), nil
+	return newCascade(data, "OST", &ostStage{hostBound: hostBound{ix.TransferDims()}, ix: ix}), nil
 }
 
 // smStage is LB_SM, the segmented-mean bound (Yi & Faloutsos 2000).
 type smStage struct {
+	hostBound
 	ix  *bound.SMIndex
 	qMu []float64 // query segment-mean scratch
 }
 
-func (s *smStage) name() string  { return "LBSM" }
-func (s *smStage) operands() int { return s.ix.TransferDims() }
-func (s *smStage) segs() int     { return s.ix.Segs }
-func (s *smStage) pimDots() int  { return 0 }
+func (s *smStage) name() string { return "LBSM" }
+func (s *smStage) segs() int    { return s.ix.Segs }
 func (s *smStage) prepare(q []float64, _ *arch.Meter) error {
 	return s.ix.QueryMuInto(q, s.qMu)
 }
@@ -96,20 +103,19 @@ func NewSM(data *vec.Matrix, segs int) (*Cascade, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCascade(data, "SM", &smStage{ix: ix, qMu: make([]float64, ix.Segs)}), nil
+	return newCascade(data, "SM", &smStage{hostBound: hostBound{ix.TransferDims()}, ix: ix, qMu: make([]float64, ix.Segs)}), nil
 }
 
 // fnnStage is LB_FNN at one granularity (Hwang et al. 2012).
 type fnnStage struct {
+	hostBound
 	ix        *bound.FNNIndex
 	fname     string    // cached, so the hot path never fmt.Sprintfs
 	mu, sigma []float64 // query segment-statistics scratch
 }
 
-func (s *fnnStage) name() string  { return s.fname }
-func (s *fnnStage) operands() int { return s.ix.TransferDims() }
-func (s *fnnStage) segs() int     { return s.ix.Segs }
-func (s *fnnStage) pimDots() int  { return 0 }
+func (s *fnnStage) name() string { return s.fname }
+func (s *fnnStage) segs() int    { return s.ix.Segs }
 func (s *fnnStage) prepare(q []float64, _ *arch.Meter) error {
 	return s.ix.QueryStatsInto(q, s.mu, s.sigma)
 }
@@ -136,7 +142,7 @@ func fnnStages(data *vec.Matrix, segCounts []int, covered int) ([]stage, error) 
 			return nil, err
 		}
 		stages = append(stages, &fnnStage{
-			ix: ix, fname: fmt.Sprintf("LBFNN-%d", segs),
+			hostBound: hostBound{ix.TransferDims()}, ix: ix, fname: fmt.Sprintf("LBFNN-%d", segs),
 			mu: make([]float64, segs), sigma: make([]float64, segs),
 		})
 	}

@@ -12,18 +12,22 @@
 // plus Hamming-distance scans over binary codes (Fig 14) and CS/PCC
 // maximum-similarity scans (Fig 13d).
 //
-// The ED family is one loop. Every filter-and-refine variant above is a
-// Cascade (cascade.go): a dataset, a name and an ordered list of stages —
-// the execution plan of §V-D — walked lazily per object and followed by
-// exact refinement; that one loop owns the spans, the per-stage counts,
-// the modeled costs and LastStages. A stage is a lower bound with
-// query-side scratch: host stages over the bound package's indexes
-// (host.go), the LB_PIM-FNN and LB_PIM-ED stages over programmed payloads
-// (pimknn.go). The constructors only assemble stage lists. Standard stays
-// a separate exact scan because every differential test compares against
-// it. EDFilter (edfilter.go) is the LB_PIM-ED component on its own, shared
-// with the mining tasks that filter with it outside a kNN search
-// (outlier, join, dbscan, motif).
+// Every filter-and-refine search is one loop. Each variant above — the ED
+// family, the CS/PCC searchers, HD-PIM, Approx-PIM, Dynamic-PIM — is a
+// Cascade (cascade.go): a name, an ordered list of stages — the execution
+// plan of §V-D, which FromPlan compiles directly (fromplan.go) — walked
+// lazily per object, and an exact step for the survivors (ED, −CS, −PCC,
+// Hamming, or none where the last stage's value is the answer); that one
+// loop owns the spans, the per-stage counts, the modeled costs and
+// LastStages. A stage is a bound with query-side scratch: host stages over
+// the bound package's indexes (host.go, cspcc.go), LB_PIM-FNN over its two
+// payloads (pimknn.go), and every single-payload function of Table 4 as a
+// value of one type (table4.go). The constructors only assemble stage
+// lists. Standard, SimStandard and HDStandard stay separate exact scans
+// because every differential test compares against them. EDFilter
+// (edfilter.go) is the LB_PIM-ED row on its own, shared with the mining
+// tasks that filter with it outside a kNN search (outlier, join, dbscan,
+// motif, k-means).
 //
 // Every algorithm performs the real computation — results are exact and
 // integration tests assert each variant returns the same neighbor set as
@@ -53,11 +57,11 @@ type Searcher interface {
 // goroutine, exactly as Search always has (SearchBatch builds one per
 // worker).
 //
-// The ED family — Standard and every Cascade — implements AppendSearcher,
-// and its Search is defined as SearchAppend(q, k, meter, nil), so both
-// entry points return identical neighbors and record identical meter
-// activity. The CS/PCC, HD, Dynamic-PIM and Approx-PIM searchers implement
-// Searcher only.
+// Standard and every Cascade implement AppendSearcher, and their Search is
+// defined as SearchAppend(q, k, meter, nil), so both entry points return
+// identical neighbors and record identical meter activity (HDPIM has the
+// same pair over packed codes). The exact similarity and Hamming scans
+// implement Searcher only.
 type AppendSearcher interface {
 	Searcher
 	SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor

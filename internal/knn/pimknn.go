@@ -87,8 +87,26 @@ func (f *fnnFilter) prepare(q []float64, meter *arch.Meter) error {
 
 func (f *fnnFilter) lb(i int) float64 { return f.ix.LB(i, f.qf, f.dotsMu[i], f.dotsSg[i]) }
 
-// recordProgram charges the offline programming to a meter.
-func (f *fnnFilter) recordProgram(meter *arch.Meter) {
+func (f *fnnFilter) cost(c *arch.Counters, n int64) { costPIMBound(c, n, f.operands()) }
+
+// hostBounds fills lbs with the bound of every object against q from dot
+// products taken on the host, which a healthy array returns bit for bit:
+// §V-D's offline measurement reads the bound without running, metering or
+// (under a fault model) disturbing the array.
+func (f *fnnFilter) hostBounds(q []float64, lbs []float64) error {
+	qf, err := f.ix.QueryInto(q, f.qMu, f.qSg)
+	if err != nil {
+		return err
+	}
+	for i := range lbs {
+		dotMu, dotSg := f.ix.HostDots(i, qf)
+		lbs[i] = f.ix.LB(i, qf, dotMu, dotSg)
+	}
+	return nil
+}
+
+// RecordPreprocessing charges the offline programming to a meter.
+func (f *fnnFilter) RecordPreprocessing(meter *arch.Meter) {
 	pim.RecordProgramCost(meter, f.fname, f.muPay)
 	pim.RecordProgramCost(meter, f.fname, f.sgPay)
 }
@@ -153,41 +171,33 @@ func newFNNPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN i
 // l; OST-PIM projects onto the head prefix and keeps LB_OST's exact
 // tail-norm term (both tail norms are precomputed scalars).
 type edStage struct {
-	f     *EDFilter
-	ops   int       // Fig 8 operands per consultation: Φ, the dot (and ‖p_tail‖)
-	scale float64   // SM: l; OST: 1
+	*edRow
+	scale float64   // SM: l; otherwise 1
 	qMu   []float64 // SM: query segment-mean scratch; nil selects the head prefix
 	qSg   []float64 // SM: query segment-σ scratch (computed, discarded)
 	tail  []float64 // OST: ‖p_tail‖ per object
 	qTail float64
 }
 
-func (e *edStage) name() string  { return e.f.fn }
-func (e *edStage) operands() int { return e.ops }
-func (e *edStage) segs() int     { return e.f.ix.D }
-func (e *edStage) pimDots() int  { return e.f.ix.N() }
-
 func (e *edStage) prepare(q []float64, meter *arch.Meter) error {
 	if e.qMu == nil {
 		e.qTail = vec.Norm(q[e.segs():])
-		return e.f.Prepare(q[:e.segs()], meter)
+		return e.edRow.prepare(q[:e.segs()], meter)
 	}
 	if err := vec.SegmentStatsInto(q, len(e.qMu), e.qMu, e.qSg); err != nil {
 		return err
 	}
-	return e.f.Prepare(e.qMu, meter)
+	return e.edRow.prepare(e.qMu, meter)
 }
 
 func (e *edStage) lb(i int) float64 {
-	lb := float64(e.scale * e.f.lb(i)) // rounded here, so only dt·dt can fuse into the sum
+	lb := float64(e.scale * e.edRow.lb(i)) // rounded here, so only dt·dt can fuse into the sum
 	if e.tail != nil {
 		dt := e.tail[i] - e.qTail
 		lb += dt * dt
 	}
 	return lb
 }
-
-func (e *edStage) recordProgram(meter *arch.Meter) { e.f.recordProgram(meter) }
 
 // NewSMPIM builds the PIM-optimized segmented-mean searcher: it derives
 // segment means at granularity segs (compressed further if Theorem 4
@@ -201,20 +211,19 @@ func NewSMPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, segs, capaci
 		}
 	}
 	mus := vec.NewMatrix(data.N, segs)
+	sigma := make([]float64, segs) // computed, discarded
 	for i := 0; i < data.N; i++ {
-		mu, _, err := vec.SegmentStats(data.Row(i), segs)
-		if err != nil {
+		if err := vec.SegmentStatsInto(data.Row(i), segs, mus.Row(i), sigma); err != nil {
 			return nil, err
 		}
-		copy(mus.Row(i), mu)
 	}
-	f, err := newEDFilter(eng, mus, q, capacityN, "sm-pim/mu", "LBPIM-SM")
+	ix, pay, err := programED(eng, mus, q, capacityN, "sm-pim/mu")
 	if err != nil {
 		return nil, err
 	}
 	return newCascade(data, "SM-PIM", &edStage{
-		f: f, ops: 2, scale: float64(data.D / segs),
-		qMu: make([]float64, segs), qSg: make([]float64, segs),
+		edRow: newEDRow(eng, pay, ix, "LBPIM-SM"), scale: float64(data.D / segs),
+		qMu: make([]float64, segs), qSg: sigma,
 	}), nil
 }
 
@@ -237,9 +246,11 @@ func NewOSTPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, d0, capacit
 		copy(heads.Row(i), row[:d0])
 		tails[i] = vec.Norm(row[d0:])
 	}
-	f, err := newEDFilter(eng, heads, q, capacityN, "ost-pim/head", "LBPIM-OST")
+	ix, pay, err := programED(eng, heads, q, capacityN, "ost-pim/head")
 	if err != nil {
 		return nil, err
 	}
-	return newCascade(data, "OST-PIM", &edStage{f: f, ops: 3, scale: 1, tail: tails}), nil
+	row := newEDRow(eng, pay, ix, "LBPIM-OST")
+	row.ops = 3 // Φ, the dot and ‖p_tail‖
+	return newCascade(data, "OST-PIM", &edStage{edRow: row, scale: 1, tail: tails}), nil
 }

@@ -294,7 +294,7 @@ func pacedFactory(delay time.Duration) serve.Factory {
 // (200 with a complete, valid body — all batch lines present) or is
 // refused with the typed 503; nothing is dropped mid-stream, and after
 // drain the engine is closed and new arrivals get the draining verdict.
-// Run under -race in CI (net-serve-smoke).
+// Run under -race in CI (build-and-test).
 func TestDrainExactlyOnce(t *testing.T) {
 	t.Parallel()
 	eng, ds := buildEngine(t, 80, 2, serve.Options{

@@ -14,12 +14,13 @@ func (ix *EDIndex) AppendRows(m *vec.Matrix) error {
 	if m.D != ix.D {
 		return fmt.Errorf("pimbound: appending %d-dim rows to %d-dim index", m.D, ix.D)
 	}
+	// Grow both arrays in place (append's amortised doubling: a stream of
+	// small appends costs O(rows appended), not a copy of the index each).
+	ix.Floors = append(ix.Floors, make([]uint32, m.N*ix.D)...)
+	ix.Phi = append(ix.Phi, make([]float64, m.N)...)
 	for i := 0; i < m.N; i++ {
-		floors := make([]uint32, ix.D)
-		phi := edFeatures(m.Row(i), ix.Q, floors)
-		ix.Floors = append(ix.Floors, floors...)
-		ix.Phi = append(ix.Phi, phi)
-		ix.n++
+		ix.Phi[ix.n+i] = edFeatures(m.Row(i), ix.Q, ix.Floor(ix.n+i))
 	}
+	ix.n += m.N
 	return nil
 }

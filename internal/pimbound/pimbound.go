@@ -298,10 +298,16 @@ func (ix *CSIndex) Floor(i int) []uint32 { return ix.Floors[i*ix.D : (i+1)*ix.D]
 
 // Query computes the query-side features once per query.
 func (ix *CSIndex) Query(qv []float64) CSQuery {
-	if len(qv) != ix.D {
-		panic(fmt.Sprintf("pimbound: query has %d dims, index has %d", len(qv), ix.D))
+	return ix.QueryInto(qv, make([]uint32, ix.D))
+}
+
+// QueryInto is Query writing the floors into a caller-owned buffer of len
+// D — the allocation-free form the steady-state search paths use. The
+// returned CSQuery aliases floor.
+func (ix *CSIndex) QueryInto(qv []float64, floor []uint32) CSQuery {
+	if len(qv) != ix.D || len(floor) != ix.D {
+		panic(fmt.Sprintf("pimbound: query of %d dims into a buffer of %d, index has %d", len(qv), len(floor), ix.D))
 	}
-	floor := make([]uint32, ix.D)
 	f := csFeatures(qv, ix.Q, floor)
 	f.Floor = floor
 	return f
@@ -309,14 +315,14 @@ func (ix *CSIndex) Query(qv []float64) CSQuery {
 
 // UBDot returns the upper bound on p·q for object i given the PIM dot
 // product.
-func (ix *CSIndex) UBDot(i int, qf CSQuery, dot int64) float64 {
+func (ix *CSIndex) UBDot(i int, qf *CSQuery, dot int64) float64 {
 	a2 := ix.Q.Alpha * ix.Q.Alpha
 	return (float64(dot) + ix.SumFlr[i] + qf.SumFlr + float64(ix.D)) / a2
 }
 
 // UBCS returns the upper bound on CS(p,q) for object i. Zero-norm vectors
 // get an upper bound of 0, matching measure.Cosine's convention.
-func (ix *CSIndex) UBCS(i int, qf CSQuery, dot int64) float64 {
+func (ix *CSIndex) UBCS(i int, qf *CSQuery, dot int64) float64 {
 	np := ix.Norm[i]
 	if np == 0 || qf.Norm == 0 {
 		return 0
@@ -326,7 +332,7 @@ func (ix *CSIndex) UBCS(i int, qf CSQuery, dot int64) float64 {
 
 // UBPCC returns the upper bound on PCC(p,q) for object i. Constant vectors
 // (Φa = 0) get an upper bound of 0, matching measure.Pearson's convention.
-func (ix *CSIndex) UBPCC(i int, qf CSQuery, dot int64) float64 {
+func (ix *CSIndex) UBPCC(i int, qf *CSQuery, dot int64) float64 {
 	den := ix.PhiA[i] * qf.PhiA
 	if den == 0 {
 		return 0
@@ -423,18 +429,24 @@ type HDQuery struct {
 
 // Query expands a query code. Panics on length mismatch.
 func (ix *HDIndex) Query(code measure.BitVector) HDQuery {
-	if code.Bits != ix.D {
-		panic(fmt.Sprintf("pimbound: query code has %d bits, index has %d", code.Bits, ix.D))
-	}
 	qf := HDQuery{Bits: make([]uint32, ix.D), Comp: make([]uint32, ix.D)}
-	for b := 0; b < ix.D; b++ {
-		if code.Get(b) {
-			qf.Bits[b] = 1
-		} else {
-			qf.Comp[b] = 1
-		}
+	ix.QueryBitsInto(code, qf.Bits)
+	for b, bit := range qf.Bits {
+		qf.Comp[b] = 1 - bit
 	}
 	return qf
+}
+
+// QueryBitsInto expands a query code into a caller-owned buffer of len D
+// — the single-payload form's only query-side operand, without an
+// allocation. Panics on length mismatch.
+func (ix *HDIndex) QueryBitsInto(code measure.BitVector, bits []uint32) {
+	if code.Bits != ix.D || len(bits) != ix.D {
+		panic(fmt.Sprintf("pimbound: query code of %d bits into a buffer of %d, index has %d", code.Bits, len(bits), ix.D))
+	}
+	for b := range bits {
+		bits[b] = uint32(code.Words[b/64] >> (b % 64) & 1)
+	}
 }
 
 // HD combines the two PIM dot products into the exact Hamming distance

@@ -112,8 +112,8 @@ func TestSimilarityUpperBoundsQuick(t *testing.T) {
 		ix := BuildCS(m, qz)
 		qf := ix.Query(qv)
 		dot := ix.HostDot(0, qf)
-		return ix.UBCS(0, qf, dot) >= measure.Cosine(p, qv)-1e-9 &&
-			ix.UBPCC(0, qf, dot) >= measure.Pearson(p, qv)-1e-9
+		return ix.UBCS(0, &qf, dot) >= measure.Cosine(p, qv)-1e-9 &&
+			ix.UBPCC(0, &qf, dot) >= measure.Pearson(p, qv)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)

@@ -176,13 +176,13 @@ func TestCSAndPCCUpperBounds(t *testing.T) {
 			qf := ix.Query(qv)
 			for i := 0; i < m.N; i++ {
 				dot := ix.HostDot(i, qf)
-				if ub := ix.UBDot(i, qf, dot); ub < vec.Dot(m.Row(i), qv)-1e-9 {
+				if ub := ix.UBDot(i, &qf, dot); ub < vec.Dot(m.Row(i), qv)-1e-9 {
 					t.Fatalf("UBDot=%v < dot=%v", ub, vec.Dot(m.Row(i), qv))
 				}
-				if ub := ix.UBCS(i, qf, dot); ub < measure.Cosine(m.Row(i), qv)-1e-9 {
+				if ub := ix.UBCS(i, &qf, dot); ub < measure.Cosine(m.Row(i), qv)-1e-9 {
 					t.Fatalf("UB_PIM-CS=%v < CS=%v", ub, measure.Cosine(m.Row(i), qv))
 				}
-				if ub := ix.UBPCC(i, qf, dot); ub < measure.Pearson(m.Row(i), qv)-1e-9 {
+				if ub := ix.UBPCC(i, &qf, dot); ub < measure.Pearson(m.Row(i), qv)-1e-9 {
 					t.Fatalf("UB_PIM-PCC=%v < PCC=%v", ub, measure.Pearson(m.Row(i), qv))
 				}
 			}
@@ -195,11 +195,11 @@ func TestCSZeroConventions(t *testing.T) {
 	m, _ := vec.FromRows([][]float64{{0, 0, 0}, {0.5, 0.5, 0.5}})
 	ix := BuildCS(m, q)
 	qf := ix.Query([]float64{0.1, 0.2, 0.3})
-	if got := ix.UBCS(0, qf, ix.HostDot(0, qf)); got != 0 {
+	if got := ix.UBCS(0, &qf, ix.HostDot(0, qf)); got != 0 {
 		t.Fatalf("UBCS of zero vector = %v, want 0", got)
 	}
 	// Constant vector → Φa = 0 → PCC upper bound 0.
-	if got := ix.UBPCC(1, qf, ix.HostDot(1, qf)); got != 0 {
+	if got := ix.UBPCC(1, &qf, ix.HostDot(1, qf)); got != 0 {
 		t.Fatalf("UBPCC of constant vector = %v, want 0", got)
 	}
 }

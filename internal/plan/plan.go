@@ -42,6 +42,11 @@ type Bound struct {
 	// per plan and it always runs first, since its dot products are
 	// produced for the whole dataset in one batch pass.
 	PIM bool
+	// Segs is the granularity the bound was measured at (0 for a bound
+	// that has none, such as the routing tier). The optimizer copies it
+	// through untouched: it is what lets a chosen plan be built
+	// (knn.FromPlan) without mapping bound names back to numbers.
+	Segs int
 }
 
 // Plan is an ordered bound sequence plus its Eq. 13 cost.

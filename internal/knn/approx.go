@@ -37,6 +37,15 @@ func (a *approxRow) lb(i int) float64 {
 	return (a.phiFloor[i] + a.qPhi - 2*float64(a.dots[i])) / (alpha * alpha)
 }
 
+func (a *approxRow) lbInto(dst []float64) {
+	alpha := a.ix.Q.Alpha
+	a2, qPhi := alpha*alpha, a.qPhi
+	phi, dots := a.phiFloor[:len(dst)], a.dots[:len(dst)]
+	for i := range dst {
+		dst[i] = (phi[i] + qPhi - float64(2*float64(dots[i]))) / a2
+	}
+}
+
 func sumSquares(floor []uint32) float64 {
 	var phi float64
 	for _, f := range floor {

@@ -3,6 +3,7 @@ package knn
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"pimmine/internal/arch"
@@ -35,6 +36,11 @@ type stage interface {
 	// a PIM stage that includes the array pass, metered under name().
 	prepare(q []float64, meter *arch.Meter) error
 	lb(i int) float64
+	// lbInto is the bound as a column: dst[i] = lb(i), to the bit, for the
+	// first len(dst) objects. It is how the walk consults its first stage
+	// — once per query — so the PIM stages write it as one call-free loop
+	// over their Φ and dot arrays.
+	lbInto(dst []float64)
 	// cost is the stage's meter rule: the host cost of n consultations.
 	cost(c *arch.Counters, n int64)
 }
@@ -43,8 +49,8 @@ type stage interface {
 // measure's exact value against the query in flight, and the meter rule
 // of computing it n times. The zero fn marks a cascade without one — its
 // last stage's value is the answer (HD from a healthy array, the
-// approximate ED of Approx-PIM), so dist is that stage's lb and nothing is
-// charged or reported as a refinement.
+// approximate ED of Approx-PIM), and nothing is charged or reported as a
+// refinement.
 type exactStep struct {
 	fn   string // meter bucket and StageStat name
 	dims int    // operands one evaluation moves (StageStat.TransferDims)
@@ -53,18 +59,28 @@ type exactStep struct {
 }
 
 // Cascade is the paper's filter-and-refine loop (§III-B, Fig 12a) over an
-// ordered list of bounds: every object is tested against the stages in
-// turn, lazily — it reaches stage j+1 only if stage j failed to prune it
-// — and the survivors of all stages take the exact step. OST, SM and FNN
-// are cascades of host bounds refined with exact ED; the *-PIM searchers
-// replace the bottleneck (coarsest) bound by its PIM-aware form, which is
-// placed first because the array evaluates it for all objects in one
-// batch; the CS/PCC, HD, Approx-PIM and Dynamic-PIM searchers are the same
-// walk with another exact step (or none).
+// ordered list of bounds: an object reaches stage j+1 only if stage j
+// failed to prune it, and the survivors of all stages take the exact step.
+// OST, SM and FNN are cascades of host bounds refined with exact ED; the
+// *-PIM searchers replace the bottleneck (coarsest) bound by its PIM-aware
+// form, which is placed first because the array evaluates it for all
+// objects in one batch; the CS/PCC, HD, Approx-PIM and Dynamic-PIM
+// searchers are the same walk with another exact step (or none).
+//
+// The walk does not consume that batch one object at a time against a
+// threshold that starts at +Inf (Fig 12a's loop spends its first k objects,
+// and k·ln(n/k) more, just finding a threshold). It takes three passes
+// over one column (walk): the first stage's bound of every object, the k
+// objects with the smallest bound visited first so the threshold starts
+// tight, then the rest in index order.
 //
 // A prune is strict (lb > threshold): an object whose bound ties the
 // current k-th distance may still tie it exactly and win on the smaller
-// index, so results equal the exact scan's including ties.
+// index. With TopK a total (dist, index) order and a threshold that never
+// rises, an object pruned in any visiting order lies strictly outside the
+// final k, so the answer does not depend on the order — it equals the exact
+// scan's, ties included. What the order does change is how many objects
+// get past each stage, which is what the per-stage counts report.
 type Cascade struct {
 	name     string
 	spanName string
@@ -73,13 +89,19 @@ type Cascade struct {
 	exact    exactStep
 	q        []float64 // the query in flight, for the exact step
 
-	top    *vec.TopK
-	passed []int // per stage, the candidates it failed to prune
-	stats  []StageStat
+	// Retained per-query scratch: a warmed-up search allocates nothing.
+	column    []float64      // the first stage's bound of every object
+	top       *vec.TopK      // the answer
+	seeds     *vec.TopK      // the k smallest of column
+	seedBuf   []vec.Neighbor // seeds in visiting order, then by index
+	passed    []int          // per stage, the candidates it failed to prune
+	stats     []StageStat
+	timed     bool // the walk in flight is traced: time the exact step
+	refineDur time.Duration
 }
 
-// newWalk builds a cascade over n objects whose exact step is the last
-// stage's value; the constructors of the other measures replace it.
+// newWalk builds a cascade over n objects without an exact step; the
+// constructors of the measures that have one add it.
 func newWalk(name string, n int, stages ...stage) *Cascade {
 	c := &Cascade{
 		name: name, spanName: "knn." + name, n: n, stages: stages,
@@ -87,7 +109,7 @@ func newWalk(name string, n int, stages ...stage) *Cascade {
 		stats:  make([]StageStat, 0, len(stages)+1),
 	}
 	if len(stages) > 0 {
-		c.exact.dist = stages[len(stages)-1].lb
+		c.column = make([]float64, n)
 	}
 	return c
 }
@@ -178,56 +200,131 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, meter *a
 	return dst
 }
 
-// walk is the index-order filter-and-refine loop over prepared stages. It
-// is apart from searchAppend so that a searcher whose query is not a
-// []float64 (HD's packed code) prepares its stage itself and runs the same
-// loop. A nil span is the untraced walk.
+// walk is the filter-and-refine loop over prepared stages, in three passes
+// over the column: (1) the first stage's bound of every object, one lbInto
+// call; (2) seed — the k objects with the smallest (bound, index) are
+// visited first, in that order, so the threshold is the k-th distance among
+// the most promising objects before anything is tested against it; (3)
+// scan — the rest in index order, pruned on the column. A cascade without
+// stages is a plain scan. walk is apart from searchAppend so that a
+// searcher whose query is not a []float64 (HD's packed code) prepares its
+// stage itself and runs the same loop. A nil span is the untraced walk.
 func (c *Cascade) walk(sp *obs.Span, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	traced := sp != nil
+	c.timed, c.refineDur = sp != nil, 0
 	be := sp.StartChild("bound-eval")
-	var refineDur time.Duration
 	c.top = reuseTopK(c.top, k)
-	top, stages, passed, exact := c.top, c.stages, c.passed, c.exact
-	clear(passed)
-scan:
-	for i := 0; i < c.n; i++ {
-		for si, st := range stages {
-			if st.lb(i) > top.Threshold() {
-				continue scan
-			}
-			passed[si]++
+	clear(c.passed)
+	if len(c.stages) == 0 {
+		for i := 0; i < c.n; i++ {
+			c.visit(i, 0)
 		}
-		if traced {
-			t0 := time.Now()
-			top.Push(i, exact.dist(i))
-			refineDur += time.Since(t0)
-		} else {
-			top.Push(i, exact.dist(i))
-		}
+	} else {
+		c.seedAndScan(be, k)
 	}
 
 	c.stats = c.stats[:0]
 	survivors := c.n // of the stages so far
-	for si, st := range stages {
+	for si, st := range c.stages {
 		st.cost(meter.C(st.name()), int64(survivors))
-		c.stats = append(c.stats, StageStat{Name: st.name(), In: survivors, Out: passed[si], TransferDims: st.operands()})
-		survivors = passed[si]
+		c.stats = append(c.stats, StageStat{Name: st.name(), In: survivors, Out: c.passed[si], TransferDims: st.operands()})
+		survivors = c.passed[si]
 	}
+	exact := c.exact
 	if exact.fn != "" {
 		exact.cost(meter.C(exact.fn), int64(survivors))
 		c.stats = append(c.stats, StageStat{Name: exact.fn, In: survivors, Out: k, TransferDims: exact.dims})
 	}
-	meter.C(arch.FuncOther).Ops += int64(c.n) // heap maintenance
-	if traced {
-		for _, st := range c.stats[:len(stages)] {
+	other := meter.C(arch.FuncOther)
+	other.Ops += int64(c.n) // heap maintenance
+	if len(c.stages) > 0 {
+		other.Ops += int64(c.n) // selecting the seeds
+	}
+	if c.timed {
+		for _, st := range c.stats[:len(c.stages)] {
 			be.Annotate(st.Name, stageAttrs(st)...)
 		}
 		if exact.fn != "" {
-			be.AddChild("refine", refineDur, obs.A("in", survivors), obs.A("out", k), obs.A("transfer_dims", exact.dims))
+			be.AddChild("refine", c.refineDur, obs.A("in", survivors), obs.A("out", k), obs.A("transfer_dims", exact.dims))
 		}
 		be.End()
 	}
-	return top.AppendResults(dst)
+	return c.top.AppendResults(dst)
+}
+
+// seedAndScan is the three passes of walk; be receives the seed event of a
+// traced walk: how many objects seeded the threshold, where that left it,
+// and what the column cost.
+func (c *Cascade) seedAndScan(be *obs.Span, k int) {
+	if cap(c.column) < c.n { // the index grew (DynamicPIM.Add)
+		c.column = make([]float64, c.n)
+	}
+	col := c.column[:c.n]
+	var t0 time.Time
+	if c.timed {
+		t0 = time.Now()
+	}
+	c.stages[0].lbInto(col)
+	var columnDur time.Duration
+	if c.timed {
+		columnDur = time.Since(t0)
+	}
+
+	// Rows arrive in index order, so one that ties the k-th smallest bound
+	// so far ranks after it: only a strictly smaller bound gets in.
+	c.seeds = reuseTopK(c.seeds, k)
+	thr := c.seeds.Threshold()
+	for i, b := range col {
+		if b < thr {
+			c.seeds.Push(i, b)
+			thr = c.seeds.Threshold()
+		}
+	}
+	c.seedBuf = c.seeds.AppendResults(c.seedBuf[:0])
+	for _, s := range c.seedBuf {
+		c.visit(s.Index, s.Dist)
+	}
+	tau := c.top.Threshold()
+	if c.timed {
+		be.Annotate("seed", obs.A("k", len(c.seedBuf)), obs.A("tau", tau),
+			obs.A("column_us", fmt.Sprintf("%.1f", float64(columnDur)/float64(time.Microsecond))))
+	}
+
+	slices.SortFunc(c.seedBuf, func(a, b vec.Neighbor) int { return a.Index - b.Index })
+	for i, b := range col {
+		if b > tau {
+			continue
+		}
+		if _, seeded := slices.BinarySearchFunc(c.seedBuf, i, func(s vec.Neighbor, i int) int { return s.Index - i }); seeded {
+			continue
+		}
+		c.visit(i, b)
+		tau = c.top.Threshold()
+	}
+}
+
+// visit takes object i, whose first-stage bound b did not prune it, through
+// the remaining stages and the exact step. Without an exact step the last
+// bound computed is the answer.
+func (c *Cascade) visit(i int, b float64) {
+	if len(c.stages) > 0 {
+		c.passed[0]++
+		for si, st := range c.stages[1:] {
+			if b = st.lb(i); b > c.top.Threshold() {
+				return
+			}
+			c.passed[si+1]++
+		}
+	}
+	if c.exact.dist != nil {
+		if c.timed {
+			t0 := time.Now()
+			b = c.exact.dist(i)
+			c.refineDur += time.Since(t0)
+		} else {
+			b = c.exact.dist(i)
+		}
+	}
+	c.top.Push(i, b)
 }
 
 // stageAttrs renders one StageStat as span attributes.

@@ -130,9 +130,41 @@ type csRow struct{ simRow }
 
 func (s *csRow) lb(i int) float64 { return -s.ix.UBCS(i, &s.qf, s.dots[i]) }
 
+// lbInto is −pimbound.CSIndex.UBCS over three streams (see
+// fnnFilter.lbInto); a zero norm on either side leaves the bound at −0.
+func (s *csRow) lbInto(dst []float64) {
+	a2 := s.ix.Q.Alpha * s.ix.Q.Alpha
+	qSum, qNorm, d := s.qf.SumFlr, s.qf.Norm, float64(s.ix.D)
+	dots, sum, norm := s.dots[:len(dst)], s.ix.SumFlr[:len(dst)], s.ix.Norm[:len(dst)]
+	for i := range dst {
+		var ub float64
+		if np := norm[i]; np != 0 && qNorm != 0 {
+			ub = (float64(dots[i]) + sum[i] + qSum + d) / a2 / (np * qNorm)
+		}
+		dst[i] = -ub
+	}
+}
+
 type pccRow struct{ simRow }
 
 func (s *pccRow) lb(i int) float64 { return -s.ix.UBPCC(i, &s.qf, s.dots[i]) }
+
+// lbInto is −pimbound.CSIndex.UBPCC over four streams; a constant vector
+// on either side leaves the bound at −0.
+func (s *pccRow) lbInto(dst []float64) {
+	a2 := s.ix.Q.Alpha * s.ix.Q.Alpha
+	qSum, qPhiA, qPhiB, d := s.qf.SumFlr, s.qf.PhiA, s.qf.PhiB, float64(s.ix.D)
+	dots, sum := s.dots[:len(dst)], s.ix.SumFlr[:len(dst)]
+	phiA, phiB := s.ix.PhiA[:len(dst)], s.ix.PhiB[:len(dst)]
+	for i := range dst {
+		var ub float64
+		if den := phiA[i] * qPhiA; den != 0 {
+			ubDot := (float64(dots[i]) + sum[i] + qSum + d) / a2
+			ub = (float64(d*ubDot) - float64(phiB[i]*qPhiB)) / den
+		}
+		dst[i] = -ub
+	}
+}
 
 // partStage is Table 3's UB_part (Teflioudi et al., LEMP) as a host stage:
 // CS(p,q) ≤ UB_part(p,q) / (‖p‖‖q‖), negated like the PIM similarity
@@ -157,6 +189,12 @@ func (s *partStage) lb(i int) float64 {
 		ub = s.ix.UBDot(i, s.q, s.qTail) / (pn * s.qNorm)
 	}
 	return -ub
+}
+
+func (s *partStage) lbInto(dst []float64) {
+	for i := range dst {
+		dst[i] = s.lb(i)
+	}
 }
 
 // NewSimLEMP builds the host-side bound-based baseline for maximum cosine

@@ -55,6 +55,16 @@ func (s *edRow) prepare(q []float64, meter *arch.Meter) error {
 
 func (s *edRow) lb(i int) float64 { return s.ix.LB(i, s.qf, s.dots[i]) }
 
+// lbInto is pimbound.EDIndex.LB over two streams (see fnnFilter.lbInto).
+func (s *edRow) lbInto(dst []float64) {
+	a2 := s.ix.Q.Alpha * s.ix.Q.Alpha
+	qPhi, d2 := s.qf.Phi, float64(2*float64(s.ix.D))
+	phi, dots := s.ix.Phi[:len(dst)], s.dots[:len(dst)]
+	for i := range dst {
+		dst[i] = (phi[i] + qPhi - float64(2*float64(dots[i])) - d2) / a2
+	}
+}
+
 // NewEDFilter checks Theorem 4's capacity constraint for capacityN objects
 // of rows.D dimensions, quantizes the rows and programs their floors as
 // the named payload. Its activity is metered as "LBPIM-ED".

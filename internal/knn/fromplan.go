@@ -39,9 +39,7 @@ func Candidates(data, pilot *vec.Matrix, k int, pimAlg, baseline *Cascade) ([]pl
 			if si == 0 {
 				err = filter.hostBounds(q, lbs)
 			} else if err = st.prepare(q, nil); err == nil {
-				for i := range lbs {
-					lbs[i] = st.lb(i)
-				}
+				st.lbInto(lbs)
 			}
 			if err != nil {
 				return nil, err

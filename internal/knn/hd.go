@@ -78,6 +78,14 @@ func (s *hdRow) prepare([]float64, *arch.Meter) error {
 
 func (s *hdRow) lb(i int) float64 { return float64(s.ix.HD1(i, s.qOnes, s.dots[i])) }
 
+func (s *hdRow) lbInto(dst []float64) {
+	qOnes := s.qOnes
+	ones, dots := s.ix.Ones[:len(dst)], s.dots[:len(dst)]
+	for i := range dst {
+		dst[i] = float64(ones[i] + qOnes - 2*int(dots[i]))
+	}
+}
+
 // cost is the host combine: two 32-bit operands per object — the dot
 // product and Φ(p)=Ones(p) (the paper's "data transfer of 64-bit" for HD)
 // — plus two adds and a shift.

@@ -72,6 +72,11 @@ func (s *ostStage) prepare(q []float64, _ *arch.Meter) error {
 	return nil
 }
 func (s *ostStage) lb(i int) float64 { return s.ix.LB(i, s.q, s.qTail) }
+func (s *ostStage) lbInto(dst []float64) {
+	for i := range dst {
+		dst[i] = s.ix.LB(i, s.q, s.qTail)
+	}
+}
 
 // NewOST builds the OST searcher with head length d0 (the paper's baseline
 // setting uses half the dimensions; callers may tune).
@@ -96,6 +101,11 @@ func (s *smStage) prepare(q []float64, _ *arch.Meter) error {
 	return s.ix.QueryMuInto(q, s.qMu)
 }
 func (s *smStage) lb(i int) float64 { return s.ix.LB(i, s.qMu) }
+func (s *smStage) lbInto(dst []float64) {
+	for i := range dst {
+		dst[i] = s.ix.LB(i, s.qMu)
+	}
+}
 
 // NewSM builds the SM searcher with segs segments.
 func NewSM(data *vec.Matrix, segs int) (*Cascade, error) {
@@ -120,6 +130,11 @@ func (s *fnnStage) prepare(q []float64, _ *arch.Meter) error {
 	return s.ix.QueryStatsInto(q, s.mu, s.sigma)
 }
 func (s *fnnStage) lb(i int) float64 { return s.ix.LB(i, s.mu, s.sigma) }
+func (s *fnnStage) lbInto(dst []float64) {
+	for i := range dst {
+		dst[i] = s.ix.LB(i, s.mu, s.sigma)
+	}
+}
 
 // fnnStages builds one LB_FNN stage per granularity in segCounts, in
 // order, collapsing duplicates (for small d several of the paper's levels

@@ -87,6 +87,19 @@ func (f *fnnFilter) prepare(q []float64, meter *arch.Meter) error {
 
 func (f *fnnFilter) lb(i int) float64 { return f.ix.LB(i, f.qf, f.dotsMu[i], f.dotsSg[i]) }
 
+// lbInto is pimbound.FNNIndex.LB over three streams with the query's
+// constants hoisted. Every product is rounded by an explicit conversion
+// before it is summed, so no platform contracts one into a fused
+// multiply-add and the column is lb(i) to the bit everywhere.
+func (f *fnnFilter) lbInto(dst []float64) {
+	a2 := f.ix.Q.Alpha * f.ix.Q.Alpha
+	scale, qPhi, segs4 := float64(f.ix.L)/a2, f.qf.Phi, float64(4*float64(f.ix.Segs))
+	phi, mu, sg := f.ix.Phi[:len(dst)], f.dotsMu[:len(dst)], f.dotsSg[:len(dst)]
+	for i := range dst {
+		dst[i] = scale * (phi[i] + qPhi - float64(2*float64(mu[i])) - float64(2*float64(sg[i])) - segs4)
+	}
+}
+
 func (f *fnnFilter) cost(c *arch.Counters, n int64) { costPIMBound(c, n, f.operands()) }
 
 // hostBounds fills lbs with the bound of every object against q from dot
@@ -190,13 +203,31 @@ func (e *edStage) prepare(q []float64, meter *arch.Meter) error {
 	return e.edRow.prepare(e.qMu, meter)
 }
 
+// lb rounds both products before they are summed, so none fuses into the
+// sum on any platform and lbInto can repeat it to the bit.
 func (e *edStage) lb(i int) float64 {
-	lb := float64(e.scale * e.edRow.lb(i)) // rounded here, so only dt·dt can fuse into the sum
+	lb := float64(e.scale * e.edRow.lb(i))
 	if e.tail != nil {
 		dt := e.tail[i] - e.qTail
-		lb += dt * dt
+		lb += float64(dt * dt)
 	}
 	return lb
+}
+
+func (e *edStage) lbInto(dst []float64) {
+	e.edRow.lbInto(dst)
+	scale := e.scale
+	for i := range dst {
+		dst[i] = float64(scale * dst[i])
+	}
+	if e.tail == nil {
+		return
+	}
+	tail, qTail := e.tail[:len(dst)], e.qTail
+	for i := range dst {
+		dt := tail[i] - qTail
+		dst[i] += float64(dt * dt)
+	}
 }
 
 // NewSMPIM builds the PIM-optimized segmented-mean searcher: it derives

@@ -19,9 +19,10 @@ import (
 
 // The moved searchers whose query is a []float64 get the cascade's span
 // tree with no span code of their own: a pim-dot span per PIM stage, then
-// bound-eval with one event per stage carrying in/out/transfer_dims, then
-// refine. On their hand-written loops SearchTraced fell back to a plain
-// Search and the trace stayed empty; Dynamic-PIM had no LastStages either.
+// bound-eval with the seed event and one event per stage carrying
+// in/out/transfer_dims, then refine. On their hand-written loops
+// SearchTraced fell back to a plain Search and the trace stayed empty;
+// Dynamic-PIM had no LastStages either.
 func TestMovedSearchersTraced(t *testing.T) {
 	data, queries := testData(t, 300, 64)
 	q := defaultQuant(t)
@@ -38,15 +39,16 @@ func TestMovedSearchersTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	stage := `[├└]─ %s  \[in=300 out=\d+ pruned=[\d.]+%% transfer_dims=%s\]`
+	seed := `seed  \[k=10 tau=-?[\d.]+ column_us=[\d.]+\]`
 	for _, tc := range []struct {
 		s     Searcher
 		lines []string // one pattern per rendered line under the root
 	}{
-		{csPIM, []string{`knn\.Standard-PIM`, `pim-dot  \[func=UBPIM-CS dots=300\]`, `bound-eval`,
+		{csPIM, []string{`knn\.Standard-PIM`, `pim-dot  \[func=UBPIM-CS dots=300\]`, `bound-eval`, seed,
 			fmt.Sprintf(stage, "UBPIM-CS", "3"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
-		{lemp, []string{`knn\.LEMP`, `bound-eval`,
+		{lemp, []string{`knn\.LEMP`, `bound-eval`, seed,
 			fmt.Sprintf(stage, "UBpart", "34"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
-		{dyn, []string{`knn\.Dynamic-PIM`, `pim-dot  \[func=LBPIM-ED dots=300\]`, `bound-eval`,
+		{dyn, []string{`knn\.Dynamic-PIM`, `pim-dot  \[func=LBPIM-ED dots=300\]`, `bound-eval`, seed,
 			fmt.Sprintf(stage, "LBPIM-ED", "2"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
 	} {
 		tr := obs.NewTracer(1, 1)

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"context"
+	"time"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/obs"
@@ -34,8 +35,9 @@ func SearchTraced(ctx context.Context, s Searcher, q []float64, k int, meter *ar
 func (s *Standard) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
 	_, sp := obs.StartSpan(ctx, "knn."+s.Name())
 	defer sp.End()
+	t0 := time.Now()
 	nn := s.Search(q, k, meter)
-	sp.AddChild("refine", 0, obs.A("in", s.Data.N), obs.A("out", k), obs.A("transfer_dims", s.Data.D))
+	sp.AddChild("refine", time.Since(t0), obs.A("in", s.Data.N), obs.A("out", k), obs.A("transfer_dims", s.Data.D))
 	return nn
 }
 

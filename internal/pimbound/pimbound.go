@@ -332,12 +332,14 @@ func (ix *CSIndex) UBCS(i int, qf *CSQuery, dot int64) float64 {
 
 // UBPCC returns the upper bound on PCC(p,q) for object i. Constant vectors
 // (Φa = 0) get an upper bound of 0, matching measure.Pearson's convention.
+// Both products are rounded before the subtraction, so the value is the
+// same bits on platforms that would otherwise fuse one into it.
 func (ix *CSIndex) UBPCC(i int, qf *CSQuery, dot int64) float64 {
 	den := ix.PhiA[i] * qf.PhiA
 	if den == 0 {
 		return 0
 	}
-	return (float64(ix.D)*ix.UBDot(i, qf, dot) - ix.PhiB[i]*qf.PhiB) / den
+	return (float64(float64(ix.D)*ix.UBDot(i, qf, dot)) - float64(ix.PhiB[i]*qf.PhiB)) / den
 }
 
 // HostDot computes the reference integer dot product on the host.

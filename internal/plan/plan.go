@@ -231,14 +231,17 @@ func RoutingBound(name string, skippedFrac float64, probeDims int) Bound {
 // PruneRatio measures Pr(B) from a bound's values against a fixed
 // threshold: the fraction of objects whose bound already excludes them
 // (§V-D measures this offline on a sample of queries; callers average
-// over queries).
+// over queries). Exclusion is strict, as in every walk: an object whose
+// bound equals the k-th distance — the k-th neighbour itself, under an
+// exact bound — can still tie it and win on the smaller index, so it is
+// refined, and pricing it as pruned would make Eq. 13 count it as free.
 func PruneRatio(lbs []float64, threshold float64) float64 {
 	if len(lbs) == 0 {
 		return 0
 	}
 	pruned := 0
 	for _, lb := range lbs {
-		if lb >= threshold {
+		if lb > threshold {
 			pruned++
 		}
 	}
@@ -246,14 +249,14 @@ func PruneRatio(lbs []float64, threshold float64) float64 {
 }
 
 // UpperPruneRatio is the similarity-measure analogue: objects whose upper
-// bound cannot reach the threshold are pruned.
+// bound cannot reach the threshold are pruned, and one that ties it is not.
 func UpperPruneRatio(ubs []float64, threshold float64) float64 {
 	if len(ubs) == 0 {
 		return 0
 	}
 	pruned := 0
 	for _, ub := range ubs {
-		if ub <= threshold {
+		if ub < threshold {
 			pruned++
 		}
 	}

@@ -115,17 +115,20 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
+// A bound that ties the threshold does not prune: the walks keep such an
+// object (lb > τ is their test), so Eq. 13 may not price it as free.
 func TestPruneRatio(t *testing.T) {
-	lbs := []float64{1, 2, 3, 4}
-	if got := PruneRatio(lbs, 3); got != 0.5 {
-		t.Fatalf("PruneRatio = %v, want 0.5 (lb≥threshold prunes)", got)
+	if got := PruneRatio([]float64{1, 2, 2, 3}, 2); got != 0.25 {
+		t.Fatalf("PruneRatio = %v, want 0.25 (only lb > threshold prunes; the two ties are refined)", got)
 	}
 	if PruneRatio(nil, 1) != 0 {
 		t.Fatal("empty input must give 0")
 	}
-	ubs := []float64{0.1, 0.5, 0.9}
-	if got := UpperPruneRatio(ubs, 0.5); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("UpperPruneRatio = %v, want 2/3", got)
+	if got := UpperPruneRatio([]float64{0.1, 0.5, 0.5, 0.9}, 0.5); got != 0.25 {
+		t.Fatalf("UpperPruneRatio = %v, want 0.25 (only ub < threshold prunes)", got)
+	}
+	if UpperPruneRatio(nil, 1) != 0 {
+		t.Fatal("empty input must give 0")
 	}
 }
 

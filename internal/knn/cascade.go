@@ -170,8 +170,8 @@ func (c *Cascade) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.
 }
 
 // SearchCtx implements ContextSearcher: Search with per-phase spans
-// (pim-dot per PIM stage, bound-eval with one event per stage, refine)
-// emitted into the context's trace.
+// (pim-dot per PIM stage, bound-eval with the seed event and one event per
+// stage, refine) emitted into the context's trace.
 func (c *Cascade) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
 	return c.searchAppend(ctx, q, k, meter, nil)
 }

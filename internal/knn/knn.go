@@ -15,19 +15,32 @@
 // Every filter-and-refine search is one loop. Each variant above — the ED
 // family, the CS/PCC searchers, HD-PIM, Approx-PIM, Dynamic-PIM — is a
 // Cascade (cascade.go): a name, an ordered list of stages — the execution
-// plan of §V-D, which FromPlan compiles directly (fromplan.go) — walked
-// lazily per object, and an exact step for the survivors (ED, −CS, −PCC,
-// Hamming, or none where the last stage's value is the answer); that one
-// loop owns the spans, the per-stage counts, the modeled costs and
-// LastStages. A stage is a bound with query-side scratch: host stages over
-// the bound package's indexes (host.go, cspcc.go), LB_PIM-FNN over its two
-// payloads (pimknn.go), and every single-payload function of Table 4 as a
-// value of one type (table4.go). The constructors only assemble stage
-// lists. Standard, SimStandard and HDStandard stay separate exact scans
-// because every differential test compares against them. EDFilter
-// (edfilter.go) is the LB_PIM-ED row on its own, shared with the mining
-// tasks that filter with it outside a kNN search (outlier, join, dbscan,
-// motif, k-means).
+// plan of §V-D, which FromPlan compiles directly (fromplan.go) — and an
+// exact step for the survivors (ED, −CS, −PCC, Hamming, or none where the
+// last stage's value is the answer); that one loop owns the spans, the
+// per-stage counts, the modeled costs and LastStages.
+//
+// The walk is columnar first bound → seed → index-order scan. The first
+// stage's bound of every object is written into one column (the array
+// hands all of them back before the host has looked at one object); the k
+// objects with the smallest bound are visited first, so the threshold
+// starts at the k-th distance among the most promising objects rather than
+// at +Inf; the rest are scanned in index order and pruned on the column.
+// An object that survives takes the later stages lazily, then the exact
+// step. The order cannot change the answer: TopK is a total (dist, index)
+// order and every prune is strict against a threshold that never rises,
+// so whatever is pruned lies strictly outside the final k in any order,
+// ties included. It changes only how few objects get past the first stage.
+//
+// A stage is a bound with query-side scratch: host stages over the bound
+// package's indexes (host.go, cspcc.go), LB_PIM-FNN over its two payloads
+// (pimknn.go), and every single-payload function of Table 4 as a value of
+// one type (table4.go). The constructors only assemble stage lists.
+// Standard, SimStandard and HDStandard stay separate exact scans because
+// every differential test compares against them. EDFilter (edfilter.go)
+// is the LB_PIM-ED row on its own, shared with the mining tasks that
+// filter with it outside a kNN search (outlier, join, dbscan, motif,
+// k-means).
 //
 // Every algorithm performs the real computation — results are exact and
 // integration tests assert each variant returns the same neighbor set as

@@ -68,11 +68,8 @@ type exactStep struct {
 // searchers are the same walk with another exact step (or none).
 //
 // The walk does not consume that batch one object at a time against a
-// threshold that starts at +Inf (Fig 12a's loop spends its first k objects,
-// and k·ln(n/k) more, just finding a threshold). It takes three passes
-// over one column (walk): the first stage's bound of every object, the k
-// objects with the smallest bound visited first so the threshold starts
-// tight, then the rest in index order.
+// threshold that starts at +Inf: Fig 12a's loop spends its first k objects,
+// and k·ln(n/k) more, just finding a threshold. See walk for its passes.
 //
 // A prune is strict (lb > threshold): an object whose bound ties the
 // current k-th distance may still tie it exactly and win on the smaller
@@ -216,7 +213,7 @@ func (c *Cascade) walk(sp *obs.Span, k int, meter *arch.Meter, dst []vec.Neighbo
 	clear(c.passed)
 	if len(c.stages) == 0 {
 		for i := 0; i < c.n; i++ {
-			c.visit(i, 0)
+			c.refine(i, 0)
 		}
 	} else {
 		c.seedAndScan(be, k)
@@ -303,18 +300,21 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 }
 
 // visit takes object i, whose first-stage bound b did not prune it, through
-// the remaining stages and the exact step. Without an exact step the last
-// bound computed is the answer.
+// the remaining stages and on to refine.
 func (c *Cascade) visit(i int, b float64) {
-	if len(c.stages) > 0 {
-		c.passed[0]++
-		for si, st := range c.stages[1:] {
-			if b = st.lb(i); b > c.top.Threshold() {
-				return
-			}
-			c.passed[si+1]++
+	c.passed[0]++
+	for si, st := range c.stages[1:] {
+		if b = st.lb(i); b > c.top.Threshold() {
+			return
 		}
+		c.passed[si+1]++
 	}
+	c.refine(i, b)
+}
+
+// refine offers object i to the answer at its exact value, or, in a cascade
+// without an exact step, at b, the last bound computed for it.
+func (c *Cascade) refine(i int, b float64) {
 	if c.exact.dist != nil {
 		if c.timed {
 			t0 := time.Now()

@@ -39,6 +39,13 @@ type edRow struct {
 	dotQuery
 	ix *pimbound.EDIndex
 	qf pimbound.EDQuery
+
+	// lazyStage state (see fnnFilter). Only a cascade sets lazy: EDFilter
+	// consults LB(i) row by row, in no order a threshold could lead, and
+	// the rows embedding edRow under another G (approxRow) stay eager too.
+	lazy  bool
+	loose bool
+	qd    []uint32
 }
 
 func newEDRow(eng *pim.Engine, pay *pim.Payload, ix *pimbound.EDIndex, fn string) *edRow {
@@ -50,8 +57,28 @@ func (s *edRow) prepare(q []float64, meter *arch.Meter) error {
 		return err
 	}
 	s.qf = s.ix.QueryInto(q, s.floor)
+	if s.lazy {
+		if s.dots, s.loose = s.eng.UpperAll(s.pay, s.floor, s.qd, s.dots); s.loose {
+			s.eng.ChargeQuery(meter, s.fn, s.pay)
+			return nil
+		}
+	}
+	return s.sweep(meter)
+}
+
+// sweep is the array pass for the prepared query (see fnnFilter.sweep).
+func (s *edRow) sweep(meter *arch.Meter) error {
+	s.loose = false
 	return s.pass(meter)
 }
+
+func (s *edRow) startLazy() bool {
+	s.qd = make([]uint32, s.pay.DigestDims())
+	s.lazy = len(s.qd) > 0
+	return s.lazy
+}
+
+func (s *edRow) isLoose() bool { return s.loose }
 
 func (s *edRow) lb(i int) float64 { return s.ix.LB(i, s.qf, s.dots[i]) }
 
@@ -62,6 +89,17 @@ func (s *edRow) lbInto(dst []float64) {
 	phi, dots := s.ix.Phi[:len(dst)], s.dots[:len(dst)]
 	for i := range dst {
 		dst[i] = (phi[i] + qPhi - float64(2*float64(dots[i])) - d2) / a2
+	}
+}
+
+// tighten is lbInto for the listed rows, over their exact dots.
+func (s *edRow) tighten(rows []int, col []float64) {
+	s.eng.DotRows(s.pay, s.floor, rows, s.dots)
+	a2 := s.ix.Q.Alpha * s.ix.Q.Alpha
+	qPhi, d2 := s.qf.Phi, float64(2*float64(s.ix.D))
+	phi, dots := s.ix.Phi[:len(col)], s.dots[:len(col)]
+	for _, i := range rows {
+		col[i] = (phi[i] + qPhi - float64(2*float64(dots[i])) - d2) / a2
 	}
 }
 

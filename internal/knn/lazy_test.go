@@ -1,0 +1,233 @@
+package knn
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"pimmine/internal/arch"
+	"pimmine/internal/dataset"
+	"pimmine/internal/pim"
+	"pimmine/internal/vec"
+)
+
+// dropLazy removes the lazy first stage from a cascade: what is left is the
+// cascade as it was before its payloads had a digest — prepare sweeps, the
+// walk reads an exact column. It is the reference side of the lazy-vs-eager
+// differential and exists only here; nothing outside a test can ask for it.
+func dropLazy(t *testing.T, c *Cascade) {
+	t.Helper()
+	if c.lazy == nil {
+		t.Fatalf("%s leads with no lazy stage", c.name)
+	}
+	switch s := c.stages[0].(type) {
+	case *fnnFilter:
+		s.lazy = false
+	case *edStage:
+		s.lazy = false
+	case *edRow:
+		s.lazy = false
+	default:
+		t.Fatalf("%s: lazy stage of type %T has no row in dropLazy", c.name, s)
+	}
+	c.lazy = nil
+}
+
+// lazyBuilds are the five constructors whose first stage turns lazy.
+// Dynamic-PIM is built over the first three quarters of the rows and given
+// the rest one row, then all the others, at a time. OST-PIM comes a second
+// time with a four-dimension head: a bound that orders the rows but lies
+// far below their distances, so few rows reach θ and many reach τ — the
+// one way a search gets to the sweep after seeding.
+var lazyBuilds = []struct {
+	name  string
+	build func(eng *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error)
+}{
+	{"FNN-PIM", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
+		return NewFNNPIM(e, data, defaultQuant(t), prof.FullN)
+	}},
+	{"Standard-PIM", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
+		return NewStandardPIM(e, data, defaultQuant(t), prof.FullN)
+	}},
+	{"SM-PIM", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
+		divs := pim.Divisors(data.D)
+		return NewSMPIM(e, data, defaultQuant(t), divs[len(divs)-2], data.N)
+	}},
+	{"OST-PIM", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
+		return NewOSTPIM(e, data, defaultQuant(t), data.D/2, data.N)
+	}},
+	{"OST-PIM head 4", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
+		return NewOSTPIM(e, data, defaultQuant(t), 4, data.N)
+	}},
+	{"Dynamic-PIM", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
+		head := data.Slice(0, 3*data.N/4)
+		dyn, err := NewDynamicPIM(e, head, defaultQuant(t), data.N)
+		if err != nil {
+			return nil, err
+		}
+		if err := dyn.Add(data.Slice(head.N, head.N+1)); err != nil {
+			return nil, err
+		}
+		if err := dyn.Add(data.Slice(head.N+1, data.N)); err != nil {
+			return nil, err
+		}
+		return dyn.Cascade, nil
+	}},
+}
+
+func sameMeters(t *testing.T, what string, got, want *arch.Meter) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Functions(), want.Functions()) {
+		t.Fatalf("%s: meter buckets %v, eager %v", what, got.Functions(), want.Functions())
+	}
+	for _, fn := range want.Functions() {
+		if got.Get(fn) != want.Get(fn) {
+			t.Fatalf("%s: bucket %s is %+v, eager %+v", what, fn, got.Get(fn), want.Get(fn))
+		}
+	}
+}
+
+// TestLazyMatchesEager is the differential the digest rests on: a cascade
+// that starts from upper-bounded dots and tightens only what its threshold
+// cannot rule out returns the neighbours, the per-stage counts and every
+// meter bucket of the same cascade sweeping every payload for every query —
+// on all eight dataset profiles, with duplicated rows so ties straddle the
+// k-th place, at k below, at and above n — and between them the searches
+// leave the first stage every way there is.
+func TestLazyMatchesEager(t *testing.T) {
+	const distinct, copies = 100, 4
+	exits := map[string]int{}
+	for _, prof := range dataset.Profiles {
+		ds := dataset.Generate(prof, distinct, 19)
+		data, queries := duplicated(ds.X, distinct, copies), ds.Queries(3, 20)
+		n := data.N
+		for _, b := range lazyBuilds {
+			lazy, err := b.build(newEngine(t), data, prof, t)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", b.name, prof.Name, err)
+			}
+			eager, err := b.build(newEngine(t), data, prof, t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropLazy(t, eager)
+			for _, k := range []int{1, 10, n - 1, n, n + 5} {
+				for qi := 0; qi < queries.N; qi++ {
+					what := fmt.Sprintf("%s on %s, k=%d, query %d", b.name, prof.Name, k, qi)
+					mGot, mWant := arch.NewMeter(), arch.NewMeter()
+					got := lazy.Search(queries.Row(qi), k, mGot)
+					want := eager.Search(queries.Row(qi), k, mWant)
+					sameNeighbors(t, what, got, want)
+					if !reflect.DeepEqual(lazy.LastStages(), eager.LastStages()) {
+						t.Fatalf("%s: stages %+v, eager %+v", what, lazy.LastStages(), eager.LastStages())
+					}
+					sameMeters(t, what, mGot, mWant)
+					if eager.exit != exitEager {
+						t.Fatalf("%s: the eager side left its first stage by %q", what, eager.exit)
+					}
+					exits[lazy.exit]++
+				}
+			}
+		}
+	}
+	t.Logf("first-stage exits: %v", exits)
+	for _, exit := range []string{exitLazy, exitTheta, exitTau} {
+		if exits[exit] == 0 {
+			t.Errorf("no search left its first stage by %q: %v", exit, exits)
+		}
+	}
+	if exits[exitEager] != 0 {
+		t.Errorf("%d lazy searches were answered eagerly: the digest refused a quantized query", exits[exitEager])
+	}
+}
+
+// TestNoDigestNoLazyStage pins where the capability is absent: under a
+// fault model and in simulate mode no payload is digested, so the same
+// constructors build cascades with no lazy stage, and so do the rows left
+// eager on a healthy exact array.
+func TestNoDigestNoLazyStage(t *testing.T) {
+	data, _ := testData(t, 64, 32)
+	prof := dataset.Profile{FullN: data.N}
+	sim, err := pim.NewEngine(arch.Default(), pim.ModeSimulate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, eng := range map[string]func() *pim.Engine{
+		"faulty":   func() *pim.Engine { return faultyEngine(t, 5) },
+		"simulate": func() *pim.Engine { return sim },
+	} {
+		for _, b := range lazyBuilds[:4] { // each under payload names of its own
+			c, err := b.build(eng(), data, prof, t)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, b.name, err)
+			}
+			if c.lazy != nil {
+				t.Fatalf("%s array: %s leads with a lazy stage", name, b.name)
+			}
+		}
+	}
+	approx, err := NewApproxPIM(newEngine(t), data, defaultQuant(t), data.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if approx.lazy != nil || approx.stages[0].(*approxRow).lazy {
+		t.Fatal("Approx-PIM, whose column is its answer, leads with a lazy stage")
+	}
+	// A PIM stage behind another stage is consulted row by row: eager.
+	lead, err := newFNNFilter(newEngine(t), data, defaultQuant(t), 8, "lead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := newFNNFilter(newEngine(t), data, defaultQuant(t), 16, "second")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := newCascade(data, "two-pim", lead, second); c.lazy != stage(lead) || !lead.lazy || second.lazy {
+		t.Fatalf("two PIM stages: lazy stage %v, lead lazy %v, second lazy %v", c.lazy, lead.lazy, second.lazy)
+	}
+}
+
+// TestInsertSearchStreamRegrowsScratch pins DynamicPIM.Add's "O(rows
+// inserted)" one layer up: over 64 cycles of a one-row Add and a Search the
+// column and the tightened-rows bitset regrow geometrically — a handful of
+// times, counted through their capacities — and the payload digests the 64
+// rows it was given and no other, while every answer stays the exact
+// scan's.
+func TestInsertSearchStreamRegrowsScratch(t *testing.T) {
+	const initial, cycles, k = 300, 64, 10
+	prof := dataset.Profile{Name: "t", FullN: initial + cycles, D: 48, Clusters: 8, Correlation: 0.8, Spread: 0.1}
+	all := dataset.Generate(prof, initial+cycles, 55)
+	queries := all.Queries(4, 56)
+	dyn, err := NewDynamicPIM(newEngine(t), all.X.Slice(0, initial), defaultQuant(t), initial+cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dyn.lazy == nil {
+		t.Fatal("Dynamic-PIM leads with no lazy stage")
+	}
+	if got := dyn.pay.Digested(); got != initial {
+		t.Fatalf("programming %d rows digested %d", initial, got)
+	}
+	colCap, bitCap, colGrows, bitGrows := cap(dyn.column), cap(dyn.tight), 0, 0
+	for c := 0; c < cycles; c++ {
+		n := initial + c + 1
+		if err := dyn.Add(all.X.Slice(n-1, n)); err != nil {
+			t.Fatal(err)
+		}
+		q := queries.Row(c % queries.N)
+		got := dyn.Search(q, k, arch.NewMeter())
+		sameNeighbors(t, fmt.Sprintf("after %d inserts", c+1), got, NewStandard(all.X.Slice(0, n)).Search(q, k, arch.NewMeter()))
+		if cap(dyn.column) != colCap {
+			colCap, colGrows = cap(dyn.column), colGrows+1
+		}
+		if cap(dyn.tight) != bitCap {
+			bitCap, bitGrows = cap(dyn.tight), bitGrows+1
+		}
+	}
+	if colGrows > 7 || bitGrows > 7 {
+		t.Fatalf("%d insert+search cycles regrew the column %d times and the bitset %d times, want at most 7 each", cycles, colGrows, bitGrows)
+	}
+	if got := dyn.pay.Digested(); got != initial+cycles {
+		t.Fatalf("%d one-row appends to %d rows digested %d rows in all, want %d", cycles, initial, got, initial+cycles)
+	}
+}

@@ -31,6 +31,13 @@ type fnnFilter struct {
 	qMu, qSg []uint32
 	dotsMu   []int64
 	dotsSg   []int64
+
+	// lazyStage state: whether a cascade leads with this stage over
+	// digested payloads, the query's group norms against each, and whether
+	// the dot arrays hold the digests' upper bounds for the query in flight.
+	lazy       bool
+	loose      bool
+	qdMu, qdSg []uint32
 }
 
 // newFNNFilter quantizes the dataset's segment statistics at granularity
@@ -75,7 +82,24 @@ func (f *fnnFilter) prepare(q []float64, meter *arch.Meter) error {
 		return err
 	}
 	f.qf = qf
-	f.inputs[0], f.inputs[1] = qf.MuFloor, qf.SigmaFloor
+	if f.lazy {
+		var okMu, okSg bool
+		f.dotsMu, okMu = f.eng.UpperAll(f.muPay, qf.MuFloor, f.qdMu, f.dotsMu)
+		f.dotsSg, okSg = f.eng.UpperAll(f.sgPay, qf.SigmaFloor, f.qdSg, f.dotsSg)
+		if f.loose = okMu && okSg; f.loose {
+			f.eng.ChargeQuery(meter, f.fname, f.pays...)
+			return nil
+		}
+	}
+	return f.sweep(meter)
+}
+
+// sweep is the array pass for the prepared query: every row's two exact
+// dots. The walk calls it, without a meter, for a query prepare answered
+// from the digests and already charged.
+func (f *fnnFilter) sweep(meter *arch.Meter) error {
+	f.loose = false
+	f.inputs[0], f.inputs[1] = f.qf.MuFloor, f.qf.SigmaFloor
 	f.dsts[0], f.dsts[1] = f.dotsMu, f.dotsSg
 	dsts, err := f.eng.QueryAllParallel(meter, f.fname, f.pays, f.inputs, f.dsts)
 	if err != nil {
@@ -84,6 +108,14 @@ func (f *fnnFilter) prepare(q []float64, meter *arch.Meter) error {
 	f.dotsMu, f.dotsSg = dsts[0], dsts[1]
 	return nil
 }
+
+func (f *fnnFilter) startLazy() bool {
+	f.qdMu, f.qdSg = make([]uint32, f.muPay.DigestDims()), make([]uint32, f.sgPay.DigestDims())
+	f.lazy = len(f.qdMu) > 0 && len(f.qdSg) > 0
+	return f.lazy
+}
+
+func (f *fnnFilter) isLoose() bool { return f.loose }
 
 func (f *fnnFilter) lb(i int) float64 { return f.ix.LB(i, f.qf, f.dotsMu[i], f.dotsSg[i]) }
 
@@ -97,6 +129,18 @@ func (f *fnnFilter) lbInto(dst []float64) {
 	phi, mu, sg := f.ix.Phi[:len(dst)], f.dotsMu[:len(dst)], f.dotsSg[:len(dst)]
 	for i := range dst {
 		dst[i] = scale * (phi[i] + qPhi - float64(2*float64(mu[i])) - float64(2*float64(sg[i])) - segs4)
+	}
+}
+
+// tighten is lbInto for the listed rows, over their exact dots.
+func (f *fnnFilter) tighten(rows []int, col []float64) {
+	f.eng.DotRows(f.muPay, f.qf.MuFloor, rows, f.dotsMu)
+	f.eng.DotRows(f.sgPay, f.qf.SigmaFloor, rows, f.dotsSg)
+	a2 := f.ix.Q.Alpha * f.ix.Q.Alpha
+	scale, qPhi, segs4 := float64(f.ix.L)/a2, f.qf.Phi, float64(4*float64(f.ix.Segs))
+	phi, mu, sg := f.ix.Phi[:len(col)], f.dotsMu[:len(col)], f.dotsSg[:len(col)]
+	for _, i := range rows {
+		col[i] = scale * (phi[i] + qPhi - float64(2*float64(mu[i])) - float64(2*float64(sg[i])) - segs4)
 	}
 }
 
@@ -227,6 +271,23 @@ func (e *edStage) lbInto(dst []float64) {
 	for i := range dst {
 		dt := tail[i] - qTail
 		dst[i] += float64(dt * dt)
+	}
+}
+
+// tighten is lbInto for the listed rows, over their exact dots.
+func (e *edStage) tighten(rows []int, col []float64) {
+	e.edRow.tighten(rows, col)
+	scale := e.scale
+	for _, i := range rows {
+		col[i] = float64(scale * col[i])
+	}
+	if e.tail == nil {
+		return
+	}
+	tail, qTail := e.tail[:len(col)], e.qTail
+	for _, i := range rows {
+		dt := tail[i] - qTail
+		col[i] += float64(dt * dt)
 	}
 }
 

@@ -39,16 +39,17 @@ func TestMovedSearchersTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	stage := `[├└]─ %s  \[in=300 out=\d+ pruned=[\d.]+%% transfer_dims=%s\]`
-	seed := `seed  \[k=10 tau=-?[\d.]+ column_us=[\d.]+\]`
+	seed := `seed  \[k=10 tau=-?[\d.]+ column_us=[\d.]+ loose=%s tightened=%s exit=%s\]`
+	eagerSeed := fmt.Sprintf(seed, "0", "0", "eager")
 	for _, tc := range []struct {
 		s     Searcher
 		lines []string // one pattern per rendered line under the root
 	}{
-		{csPIM, []string{`knn\.Standard-PIM`, `pim-dot  \[func=UBPIM-CS dots=300\]`, `bound-eval`, seed,
+		{csPIM, []string{`knn\.Standard-PIM`, `pim-dot  \[func=UBPIM-CS dots=300 lazy=false\]`, `bound-eval`, eagerSeed,
 			fmt.Sprintf(stage, "UBPIM-CS", "3"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
-		{lemp, []string{`knn\.LEMP`, `bound-eval`, seed,
+		{lemp, []string{`knn\.LEMP`, `bound-eval`, eagerSeed,
 			fmt.Sprintf(stage, "UBpart", "34"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
-		{dyn, []string{`knn\.Dynamic-PIM`, `pim-dot  \[func=LBPIM-ED dots=300\]`, `bound-eval`, seed,
+		{dyn, []string{`knn\.Dynamic-PIM`, `pim-dot  \[func=LBPIM-ED dots=300 lazy=true\]`, `bound-eval`, fmt.Sprintf(seed, `\d+`, `\d+`, "lazy"),
 			fmt.Sprintf(stage, "LBPIM-ED", "2"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
 	} {
 		tr := obs.NewTracer(1, 1)

@@ -397,8 +397,10 @@ func TestWalkRealisesPredictedPruning(t *testing.T) {
 }
 
 // TestSeedEvent pins what a trace says about how tight the walk started:
-// one seed event under bound-eval carrying k, the threshold the seeds left
-// and the cost of the column; and that the exact scan reports its one
+// one seed event under bound-eval carrying k, the threshold the seeds left,
+// the cost of the column and how a lazy first stage ended — carried by the
+// digest to the end, or fallen back to the sweep, which the pim-dot span
+// and the event then both say; and that the exact scan reports its one
 // phase, refinement, with the time it took.
 func TestSeedEvent(t *testing.T) {
 	data, queries := testData(t, 300, 64)
@@ -406,17 +408,19 @@ func TestSeedEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(s Searcher) string {
+	render := func(s Searcher, k int) string {
 		tr := obs.NewTracer(1, 1)
 		ctx, root := tr.Start(context.Background(), "root")
-		SearchTraced(ctx, s, queries.Row(0), 10, arch.NewMeter())
+		SearchTraced(ctx, s, queries.Row(0), k, arch.NewMeter())
 		root.End()
 		return tr.Recent(1)[0].Render()
 	}
+	seedEvent := regexp.MustCompile(`bound-eval[^\n]*\n[^\n]*─ seed  \[k=(\d+) tau=([-+.\de]+) column_us=[\d.]+ loose=(\d+) tightened=(\d+) exit=(\w+)\]`)
+	lazyDot := regexp.MustCompile(`─ pim-dot [^\n]*dots=600 lazy=true\]`)
 
-	tree := render(fnnPIM)
-	seed := regexp.MustCompile(`bound-eval[^\n]*\n[^\n]*─ seed  \[k=10 tau=([-+.\de]+) column_us=[\d.]+\]`).FindStringSubmatch(tree)
-	if seed == nil {
+	tree := render(fnnPIM, 10)
+	seed := seedEvent.FindStringSubmatch(tree)
+	if seed == nil || seed[1] != "10" {
 		t.Fatalf("no seed event first under bound-eval:\n%s", tree)
 	}
 	if n := len(regexp.MustCompile(`─ seed `).FindAllString(tree, -1)); n != 1 {
@@ -425,11 +429,23 @@ func TestSeedEvent(t *testing.T) {
 	// The seeds are the 10 smallest bounds; on this data they hold the
 	// true neighbours, so the threshold they leave is already final.
 	want := NewStandard(data).Search(queries.Row(0), 10, arch.NewMeter())
-	if tau := fmt.Sprint(want[9].Dist); seed[1] != tau {
-		t.Fatalf("seed event reports tau=%s, the exact 10th distance is %s", seed[1], tau)
+	if tau := fmt.Sprint(want[9].Dist); seed[2] != tau {
+		t.Fatalf("seed event reports tau=%s, the exact 10th distance is %s", seed[2], tau)
+	}
+	// The digest left a few dozen of the 300 rows at or below that
+	// threshold, and those were all the rows given exact dots.
+	if !lazyDot.MatchString(tree) || seed[5] != exitLazy || seed[3] != seed[4] || seed[3] == "0" || fnnPIM.nTight > data.N/4 {
+		t.Fatalf("a search the digest carried reports loose=%s tightened=%s exit=%s:\n%s", seed[3], seed[4], seed[5], tree)
 	}
 
-	tree = render(NewStandard(data))
+	// k above n/tightenShare: the k smallest bounds alone are more rows than
+	// a pass may list, so the stage sweeps before anything is seeded.
+	tree = render(fnnPIM, data.N/2)
+	if seed = seedEvent.FindStringSubmatch(tree); !lazyDot.MatchString(tree) || seed == nil || seed[5] != exitTheta || seed[4] != "0" {
+		t.Fatalf("a search that fell back to the sweep reports %v:\n%s", seed, tree)
+	}
+
+	tree = render(NewStandard(data), 10)
 	if !regexp.MustCompile(`─ refine \([\d.]+(µs|ms)[^\n]*\)  \[in=300 out=10 transfer_dims=64\]`).MatchString(tree) {
 		t.Fatalf("the exact scan's refine span carries no duration:\n%s", tree)
 	}

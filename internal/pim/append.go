@@ -73,6 +73,7 @@ func (a *AppendablePayload) Append(count int, rows func(i int) []uint32) (float6
 		}
 	}
 	a.N, a.slab = newN, slab
+	a.extendDigest()
 	// Extend the fault injector over any tiles the append grew into (it
 	// is extend-only: existing tiles keep their fault maps) and hook the
 	// freshly allocated simulate-mode tiles.

@@ -18,7 +18,9 @@ const (
 	// vec.IntDotRows sweep over the payload's row-major slab per query —
 	// while accounting PIM activity analytically. This is what the mining
 	// algorithms use: it is fast and bit-identical to the crossbar
-	// pipeline (property-tested).
+	// pipeline (property-tested). A healthy exact-mode payload also carries
+	// a digest (digest.go), from which UpperAll bounds every row's dot and
+	// DotRows then computes only the ones a caller still needs.
 	ModeExact Mode = iota
 	// ModeSimulate routes every dot product through the bit-sliced
 	// functional crossbar simulator, allocating real crossbar tiles.
@@ -69,8 +71,8 @@ type Engine struct {
 
 	inj FaultInjector
 	// Cumulative fault activity, kept on the engine (atomically, since
-	// serve-layer shards may query concurrently) so QueryAllParallel and
-	// callers without a meter still observe fault counts.
+	// serve-layer shards may query concurrently) so callers without a meter
+	// still observe fault counts.
 	faultDots     int64
 	recoveredDots int64
 }
@@ -135,6 +137,15 @@ type Payload struct {
 	// N·Dims). It aliases the caller's storage when the rows already lie
 	// that way, and is a payload-owned packed copy otherwise (resolveSlab).
 	slab []uint32
+
+	// digest holds N rows of digestDims ceil group norms of the slab's rows
+	// (digest.go), payload-owned; digestDims is 0 for a payload without
+	// one. digestMax is the largest norm in it, digested the rows digested
+	// so far.
+	digest     []uint32
+	digestDims int
+	digestMax  uint32
+	digested   int64
 
 	// Simulate-mode tiling: groups × chunks crossbars, where each group
 	// holds perGroup vectors and each chunk covers up to m dimensions.
@@ -265,6 +276,13 @@ func (e *Engine) ProgramWidth(name string, n, dims, vectorsPerObject, opBits int
 	if err := e.installFaults(p); err != nil {
 		return nil, err
 	}
+	// Only where the slab's own dots are what QueryAll returns: not through
+	// the simulator's tiles, not under a fault injector. A binary payload's
+	// group norm bounds nothing its 32×-denser sweep does not already give.
+	if e.mode == ModeExact && e.inj == nil && opBits > 1 {
+		p.digestDims = (dims + digestGroup - 1) / digestGroup
+		p.extendDigest()
+	}
 	e.payloads[name] = p
 	return p, nil
 }
@@ -359,47 +377,40 @@ func (p *Payload) Cost() ProgramCost { return p.cost }
 
 // QueryAll computes the dot product of input with every payload vector,
 // appending results to dst (allocated if nil) and recording the PIM
-// activity under fn in the meter:
-//
-//   - compute cycles: ⌈b/dac⌉ input-slicing cycles plus one cycle per
-//     gather level (all data crossbars fire in parallel — this is the
-//     massive-parallelism property of §II-A, and Theorem 4 guarantees the
-//     payload fits without re-programming);
-//   - buffer traffic: 8 bytes per result (the paper keeps the least
-//     significant 64 bits of PIM results).
+// activity under fn in the meter (charge has the rule).
 func (e *Engine) QueryAll(meter *arch.Meter, fn string, p *Payload, input []uint32, dst []int64) ([]int64, error) {
+	dst, faulty, recovered, err := e.sweep(p, input, dst)
+	if err != nil {
+		return nil, err
+	}
+	e.charge(meter, fn, faulty, recovered, p)
+	return dst, nil
+}
+
+// sweep is QueryAll without the meter: every row's dot as the array
+// returns it, and how many of them the fault injector corrected and
+// recovered (also added to the engine's cumulative counts).
+func (e *Engine) sweep(p *Payload, input []uint32, dst []int64) (out []int64, faulty, recovered int64, err error) {
 	if len(input) != p.Dims {
-		return nil, fmt.Errorf("pim: query has %d dims, payload %q has %d", len(input), p.Name, p.Dims)
+		return nil, 0, 0, fmt.Errorf("pim: query has %d dims, payload %q has %d", len(input), p.Name, p.Dims)
 	}
-	if cap(dst) < p.N {
-		dst = make([]int64, p.N)
-	}
-	dst = dst[:p.N]
+	dst = sized(dst, p.N)
 	switch e.mode {
 	case ModeExact:
 		vec.IntDotRows(p.slab, p.Dims, input, dst)
 	case ModeSimulate:
 		if err := e.simulateQuery(p, input, dst); err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 	default:
-		return nil, fmt.Errorf("pim: unknown mode %d", e.mode)
+		return nil, 0, 0, fmt.Errorf("pim: unknown mode %d", e.mode)
 	}
-	var faulty, recovered int64
 	if e.inj != nil {
 		faulty, recovered = e.inj.Apply(p, e.mode == ModeSimulate, input, dst)
 		atomic.AddInt64(&e.faultDots, faulty)
 		atomic.AddInt64(&e.recoveredDots, recovered)
 	}
-	if meter != nil {
-		c := meter.C(fn)
-		c.PIMCycles += int64(e.cfg.Crossbar.InputCycles(p.OpBits) + p.gatherLevels)
-		c.PIMBufBytes += int64(p.N) * 8
-		c.PIMFaults += faulty
-		c.PIMRecovered += recovered
-		c.Calls++
-	}
-	return dst, nil
+	return dst, faulty, recovered, nil
 }
 
 // simScratch is simulateQuery's per-call scratch: the sliced input of the

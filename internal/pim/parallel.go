@@ -28,31 +28,15 @@ func (e *Engine) QueryAllParallel(meter *arch.Meter, fn string, ps []*Payload, i
 	if len(dsts) != len(ps) {
 		return nil, fmt.Errorf("pim: %d payloads with %d result buffers", len(ps), len(dsts))
 	}
-	f0, r0 := e.FaultCounts()
-	var maxCycles, bufBytes int64
+	var faulty, recovered int64
 	for i, p := range ps {
-		// Run each pass without metering, accounting jointly below.
-		out, err := e.QueryAll(nil, fn, p, inputs[i], dsts[i])
+		out, f, r, err := e.sweep(p, inputs[i], dsts[i])
 		if err != nil {
 			return nil, err
 		}
 		dsts[i] = out
-		cycles := int64(e.cfg.Crossbar.InputCycles(p.OpBits) + p.gatherLevels)
-		if cycles > maxCycles {
-			maxCycles = cycles
-		}
-		bufBytes += int64(p.N) * 8
+		faulty, recovered = faulty+f, recovered+r
 	}
-	if meter != nil {
-		c := meter.C(fn)
-		c.PIMCycles += maxCycles // concurrent groups: critical path only
-		c.PIMBufBytes += bufBytes
-		// Fault activity of the joint pass, recovered from the engine's
-		// cumulative counters (the inner QueryAll calls ran meterless).
-		f1, r1 := e.FaultCounts()
-		c.PIMFaults += f1 - f0
-		c.PIMRecovered += r1 - r0
-		c.Calls++
-	}
+	e.charge(meter, fn, faulty, recovered, ps...) // concurrent groups: critical path only
 	return dsts, nil
 }

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -229,5 +230,68 @@ func TestInsertSearchStreamRegrowsScratch(t *testing.T) {
 	}
 	if got := dyn.pay.Digested(); got != initial+cycles {
 		t.Fatalf("%d one-row appends to %d rows digested %d rows in all, want %d", cycles, initial, got, initial+cycles)
+	}
+}
+
+// TestTightenMatchesLBInto pins the two halves of the lazy column to the
+// exact one for every lazy stage type: the digest's column under-estimates
+// it entry by entry — in floating point, which is what lets the walk prune
+// on it — and tighten writes lbInto's value, to the bit, over exact dots.
+func TestTightenMatchesLBInto(t *testing.T) {
+	prof, err := dataset.ByName("MSD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Generate(prof, 120, 31)
+	data, queries := ds.X, ds.Queries(4, 32)
+	all := make([]int, data.N)
+	for i := range all {
+		all[i] = i
+	}
+	seen := map[string]bool{}
+	for _, b := range lazyBuilds {
+		c, err := b.build(newEngine(t), data, prof, t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.lazy
+		seen[fmt.Sprintf("%T", st)] = true
+		for qi := 0; qi < queries.N; qi++ {
+			if err := st.prepare(queries.Row(qi), nil); err != nil {
+				t.Fatal(err)
+			}
+			if !st.isLoose() {
+				t.Fatalf("%s: the digest refused query %d", b.name, qi)
+			}
+			loose, tightened, exact := make([]float64, data.N), make([]float64, data.N), make([]float64, data.N)
+			st.lbInto(loose)
+			copy(tightened, loose)
+			st.tighten(all, tightened)
+			if err := st.sweep(nil); err != nil {
+				t.Fatal(err)
+			}
+			st.lbInto(exact)
+			below := 0
+			for i := range exact {
+				if !(loose[i] <= exact[i]) {
+					t.Fatalf("%s query %d row %d: digest bound %v above the exact bound %v", b.name, qi, i, loose[i], exact[i])
+				}
+				if loose[i] < exact[i] {
+					below++
+				}
+				if math.Float64bits(tightened[i]) != math.Float64bits(exact[i]) {
+					t.Fatalf("%s query %d row %d: tighten wrote %v (%016x), lbInto %v (%016x)", b.name, qi, i,
+						tightened[i], math.Float64bits(tightened[i]), exact[i], math.Float64bits(exact[i]))
+				}
+			}
+			if below == 0 {
+				t.Fatalf("%s query %d: no digest bound is below its exact bound: the column was never loose", b.name, qi)
+			}
+		}
+	}
+	for _, typ := range []string{"*knn.fnnFilter", "*knn.edStage", "*knn.edRow"} {
+		if !seen[typ] {
+			t.Fatalf("no lazy stage of type %s was tested", typ)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package knn
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -46,50 +45,6 @@ type stage interface {
 	cost(c *arch.Counters, n int64)
 }
 
-// lazyStage is a first stage that need not run its array pass to start the
-// walk. Its payloads carry a digest (pim.Engine.UpperAll) that bounds every
-// row's dot from above out of 1/32 of the bytes; the stage's G consumes the
-// dot as −2·dot through operations that each round monotonically, so the
-// same expression over the upper bounds is an under-estimate LB′ ≤ lb(i) —
-// in floating point, not only over the reals, which is why a stage over
-// two payloads takes one upper bound per payload and never a merged sum.
-// A walk that prunes on LB′ > τ prunes nothing lb(i) > τ would not; the
-// rows it cannot prune are the ones it asks the stage to tighten.
-type lazyStage interface {
-	stage
-	// startLazy is called once, by the cascade this stage leads: from then
-	// on prepare answers from the digests where they exist and accept the
-	// query. It reports whether they exist; prepare otherwise stays eager.
-	startLazy() bool
-	// isLoose reports whether the last prepare left upper bounds in the dot
-	// arrays, so that lb and lbInto now under-estimate.
-	isLoose() bool
-	// tighten gives the listed rows their exact dots and overwrites their
-	// entries of col, a column lbInto filled, with lb(i) to the bit.
-	tighten(rows []int, col []float64)
-	// sweep runs the whole array pass for the prepared query: afterwards
-	// nothing is loose. prepare has charged the query already, whichever way
-	// it answered, so the walk passes no meter.
-	sweep(meter *arch.Meter) error
-}
-
-// tightenShare bounds one tighten pass: a pass that would list more than
-// 1/tightenShare of the rows is not run, the stage sweeps instead. A
-// single-row dot measured 170 ns against 34 ns per row of the streaming
-// sweep (s = 210, the wire-knn shard), so past a fifth of the rows the
-// sweep is cheaper than the pass alone, and a query takes up to three
-// passes after paying for the digest (EXPERIMENTS.md "Lazy exact dots").
-const tightenShare = 8
-
-// The ways a walk ends its first stage, as the seed event's exit attribute
-// reports them.
-const (
-	exitEager = "eager" // no digest, or it refused the query: prepare swept
-	exitLazy  = "lazy"  // every row the threshold could not rule out was tightened
-	exitTheta = "theta" // too many rows at or below the seeds' largest bound: swept
-	exitTau   = "tau"   // too many rows at or below the seeded threshold: swept
-)
-
 // exactStep is what a cascade does with an object no stage pruned: the
 // measure's exact value against the query in flight, and the meter rule
 // of computing it n times. The zero fn marks a cascade without one — its
@@ -131,17 +86,13 @@ type Cascade struct {
 	exact    exactStep
 	q        []float64 // the query in flight, for the exact step
 
-	// lazy is the first stage when it answers from a digest, resolved at
-	// construction; nil walks the column as it is.
-	lazy lazyStage
+	// lazy is the walk's state over a first stage that answers from a
+	// digest (lazy.go), resolved at construction; nil walks the column as
+	// the stage's sweep left it.
+	lazy *lazyWalk
 
 	// Retained per-query scratch: a warmed-up search allocates nothing.
 	column    []float64      // the first stage's bound of every object
-	tight     []uint64       // lazy: bitset of the rows whose column entry is exact
-	rows      []int          // lazy: the rows of one tighten pass
-	exit      string         // how the last walk's first stage ended
-	nLoose    int            // lazy: rows at or below the threshold that decided exit
-	nTight    int            // lazy: rows tightened
 	top       *vec.TopK      // the answer
 	seeds     *vec.TopK      // the k smallest of column
 	seedBuf   []vec.Neighbor // seeds in visiting order, then by index
@@ -176,11 +127,7 @@ func newWalk(name string, n int, stages ...stage) *Cascade {
 func newCascade(data *vec.Matrix, name string, stages ...stage) *Cascade {
 	c := newWalk(name, data.N, stages...)
 	if len(stages) > 0 {
-		if ls, ok := stages[0].(lazyStage); ok && ls.startLazy() {
-			c.lazy = ls
-			c.tight = make([]uint64, (c.n+63)/64)
-			c.rows = make([]int, 0, c.n/tightenShare)
-		}
+		c.lazy = newLazyWalk(stages[0], c.n)
 	}
 	c.exact = exactStep{
 		fn: arch.FuncED, dims: data.D,
@@ -256,7 +203,7 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, meter *a
 		if pd != nil {
 			pd.SetAttr("func", st.name())
 			pd.SetAttr("dots", st.pimDots())
-			pd.SetAttr("lazy", c.lazy != nil && st == stage(c.lazy) && c.lazy.isLoose())
+			pd.SetAttr("lazy", c.lazy != nil && st == stage(c.lazy.lazyStage) && c.lazy.isLoose())
 			pd.End()
 		}
 	}
@@ -333,21 +280,16 @@ func (c *Cascade) walk(sp *obs.Span, k int, meter *arch.Meter, dst []vec.Neighbo
 // pruned its exact bound. A pass that would list more than n/tightenShare
 // rows is replaced by the stage's sweep and the exact column.
 func (c *Cascade) seedAndScan(be *obs.Span, k int) {
-	c.column = grown(c.column, c.n) // the index may have grown (DynamicPIM.Add)
+	c.column = vec.Resized(c.column, c.n) // the index may have grown (DynamicPIM.Add)
 	col := c.column
 	var t0 time.Time
 	if c.timed {
 		t0 = time.Now()
 	}
 	c.stages[0].lbInto(col)
-	c.exit, c.nLoose, c.nTight = exitEager, 0, 0
-	if c.lazy != nil && c.lazy.isLoose() {
-		c.exit = exitLazy
-		c.tight = grown(c.tight, (c.n+63)/64)
-		clear(c.tight)
-		if k > c.n/tightenShare || !c.tightenSeeds(col, k) {
-			c.sweepColumn(col, exitTheta)
-		}
+	lazy := c.lazy
+	if lazy != nil && lazy.begin(c.n) && (k > c.n/tightenShare || !c.tightenSeeds(col, k)) {
+		lazy.sweepColumn(col, exitTheta)
 	}
 	var columnDur time.Duration
 	if c.timed {
@@ -359,13 +301,17 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 		c.visit(s.Index, s.Dist)
 	}
 	tau := c.top.Threshold()
-	if c.exit == exitLazy && !c.tightenBelow(col, tau) {
-		c.sweepColumn(col, exitTau)
+	if lazy != nil && lazy.exit == exitLazy && !lazy.tightenBelow(col, tau) {
+		lazy.sweepColumn(col, exitTau)
 	}
 	if c.timed {
+		exit, loose, tightened := exitEager, 0, 0
+		if lazy != nil {
+			exit, loose, tightened = lazy.exit, lazy.nLoose, lazy.nTight
+		}
 		be.Annotate("seed", obs.A("k", len(c.seedBuf)), obs.A("tau", tau),
 			obs.A("column_us", fmt.Sprintf("%.1f", float64(columnDur)/float64(time.Microsecond))),
-			obs.A("loose", c.nLoose), obs.A("tightened", c.nTight), obs.A("exit", c.exit))
+			obs.A("loose", loose), obs.A("tightened", tightened), obs.A("exit", exit))
 	}
 
 	slices.SortFunc(c.seedBuf, func(a, b vec.Neighbor) int { return a.Index - b.Index })
@@ -395,74 +341,6 @@ func (c *Cascade) selectSeeds(col []float64, k int) {
 		}
 	}
 	c.seedBuf = c.seeds.AppendResults(c.seedBuf[:0])
-}
-
-// tightenSeeds is step (1) over a loose column, k ≤ n/tightenShare. It
-// reports false, with the column partly tightened, when more rows lie at or
-// below θ than one pass may list.
-func (c *Cascade) tightenSeeds(col []float64, k int) bool {
-	c.selectSeeds(col, k)
-	c.rows = c.rows[:0]
-	for _, s := range c.seedBuf {
-		c.rows = append(c.rows, s.Index)
-	}
-	c.tightenRows(col)
-	theta := math.Inf(-1)
-	for _, i := range c.rows {
-		theta = max(theta, col[i])
-	}
-	return c.tightenBelow(col, theta)
-}
-
-// tightenBelow tightens every row still loose whose entry of col is at most
-// thr, unless they are more than one pass may list: it then reports false
-// and leaves the column as it found it.
-func (c *Cascade) tightenBelow(col []float64, thr float64) bool {
-	most, found := c.n/tightenShare, 0
-	c.rows = c.rows[:0]
-	for i, b := range col {
-		if b <= thr && c.tight[i>>6]&(1<<(i&63)) == 0 {
-			if found < most {
-				c.rows = append(c.rows, i)
-			}
-			found++
-		}
-	}
-	c.nLoose = c.nTight + found
-	if found > most {
-		return false
-	}
-	c.tightenRows(col)
-	return true
-}
-
-// tightenRows runs one tighten pass over c.rows and marks them.
-func (c *Cascade) tightenRows(col []float64) {
-	c.lazy.tighten(c.rows, col)
-	for _, i := range c.rows {
-		c.tight[i>>6] |= 1 << (i & 63)
-	}
-	c.nTight += len(c.rows)
-}
-
-// sweepColumn gives up on the digest for the query in flight: the stage
-// runs its array pass and the column is refilled with exact bounds.
-func (c *Cascade) sweepColumn(col []float64, exit string) {
-	if err := c.lazy.sweep(nil); err != nil {
-		panic(fmt.Sprintf("knn: %s: %s sweep: %v", c.name, c.lazy.name(), err)) // prepare accepted this query
-	}
-	c.lazy.lbInto(col)
-	c.exit = exit
-}
-
-// grown returns s with length n, regrown geometrically when it is too
-// small, so a stream of one-row inserts regrows a searcher's scratch
-// O(log) times and not once per search.
-func grown[T any](s []T, n int) []T {
-	if cap(s) < n {
-		s = slices.Grow(s[:0], n)
-	}
-	return s[:n]
 }
 
 // visit takes object i, whose first-stage bound b did not prune it, through

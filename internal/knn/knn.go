@@ -32,6 +32,24 @@
 // so whatever is pruned lies strictly outside the final k in any order,
 // ties included. It changes only how few objects get past the first stage.
 //
+// On an exact-mode array the LB_PIM-FNN and LB_PIM-ED stages that lead an
+// ED cascade do not compute the dot products the walk will never read
+// (lazyStage, cascade.go). prepare fills the dot arrays with the payload
+// digest's upper bounds (pim.Engine.UpperAll: 1/32 of the bytes), so the
+// column holds under-estimates LB′ ≤ LB; the walk tightens — exact dots,
+// exact bound — the k smallest LB′, then every row at or below the largest
+// exact bound among them, which makes the k smallest (LB, index) exact and
+// the seeds the ones it would have picked; visits the seeds; tightens every
+// row still loose at or below the threshold they leave; and scans. A loose
+// entry has LB ≥ LB′ > τ and τ only falls, so it is pruned exactly where
+// its exact bound would have been: no decision differs, to the row, and no
+// meter differs either — the query is charged the array pass the model
+// still runs. When a tighten pass would list more than an eighth of the
+// rows (a weakly correlated dataset, k near n) the stage sweeps once and
+// the walk proceeds on the exact column. Simulate mode, faulty arrays,
+// binary payloads, the CS/PCC and Approx-PIM rows and a PIM stage that is
+// not first have no lazy stage and sweep as before.
+//
 // A stage is a bound with query-side scratch: host stages over the bound
 // package's indexes (host.go, cspcc.go), LB_PIM-FNN over its two payloads
 // (pimknn.go), and every single-payload function of Table 4 as a value of

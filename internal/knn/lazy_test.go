@@ -123,10 +123,7 @@ func TestLazyMatchesEager(t *testing.T) {
 						t.Fatalf("%s: stages %+v, eager %+v", what, lazy.LastStages(), eager.LastStages())
 					}
 					sameMeters(t, what, mGot, mWant)
-					if eager.exit != exitEager {
-						t.Fatalf("%s: the eager side left its first stage by %q", what, eager.exit)
-					}
-					exits[lazy.exit]++
+					exits[lazy.lazy.exit]++
 				}
 			}
 		}
@@ -183,7 +180,7 @@ func TestNoDigestNoLazyStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := newCascade(data, "two-pim", lead, second); c.lazy != stage(lead) || !lead.lazy || second.lazy {
+	if c := newCascade(data, "two-pim", lead, second); c.lazy == nil || c.lazy.lazyStage != lazyStage(lead) || !lead.lazy || second.lazy {
 		t.Fatalf("two PIM stages: lazy stage %v, lead lazy %v, second lazy %v", c.lazy, lead.lazy, second.lazy)
 	}
 }
@@ -209,7 +206,7 @@ func TestInsertSearchStreamRegrowsScratch(t *testing.T) {
 	if got := dyn.pay.Digested(); got != initial {
 		t.Fatalf("programming %d rows digested %d", initial, got)
 	}
-	colCap, bitCap, colGrows, bitGrows := cap(dyn.column), cap(dyn.tight), 0, 0
+	colCap, bitCap, colGrows, bitGrows := cap(dyn.column), cap(dyn.lazy.tight), 0, 0
 	for c := 0; c < cycles; c++ {
 		n := initial + c + 1
 		if err := dyn.Add(all.X.Slice(n-1, n)); err != nil {
@@ -221,8 +218,8 @@ func TestInsertSearchStreamRegrowsScratch(t *testing.T) {
 		if cap(dyn.column) != colCap {
 			colCap, colGrows = cap(dyn.column), colGrows+1
 		}
-		if cap(dyn.tight) != bitCap {
-			bitCap, bitGrows = cap(dyn.tight), bitGrows+1
+		if cap(dyn.lazy.tight) != bitCap {
+			bitCap, bitGrows = cap(dyn.lazy.tight), bitGrows+1
 		}
 	}
 	if colGrows > 7 || bitGrows > 7 {
@@ -254,7 +251,7 @@ func TestTightenMatchesLBInto(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := c.lazy
+		st := c.lazy.lazyStage
 		seen[fmt.Sprintf("%T", st)] = true
 		for qi := 0; qi < queries.N; qi++ {
 			if err := st.prepare(queries.Row(qi), nil); err != nil {

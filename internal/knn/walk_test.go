@@ -434,7 +434,7 @@ func TestSeedEvent(t *testing.T) {
 	}
 	// The digest left a few dozen of the 300 rows at or below that
 	// threshold, and those were all the rows given exact dots.
-	if !lazyDot.MatchString(tree) || seed[5] != exitLazy || seed[3] != seed[4] || seed[3] == "0" || fnnPIM.nTight > data.N/4 {
+	if !lazyDot.MatchString(tree) || seed[5] != exitLazy || seed[3] != seed[4] || seed[3] == "0" || fnnPIM.lazy.nTight > data.N/4 {
 		t.Fatalf("a search the digest carried reports loose=%s tightened=%s exit=%s:\n%s", seed[3], seed[4], seed[5], tree)
 	}
 

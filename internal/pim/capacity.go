@@ -14,6 +14,22 @@
 // accounting cycles identically to the crossbar pipeline. ModeSimulate
 // routes every dot product through internal/crossbar's bit-sliced
 // functional simulator; tests assert both modes agree bit-for-bit.
+//
+// On the modeled array all N dot products of a query are free; on the host
+// stand-in each costs the bytes of its row. So a healthy ModeExact payload
+// also carries a digest (digest.go) — per row, the ceil norms of its
+// groups of 32 adjacent values, 1/32 of the slab — and the engine has three
+// ways to answer a query: QueryAll sweeps every row; UpperAll sweeps the
+// digest against the query's own group norms and returns, by
+// Cauchy–Schwarz, an upper bound on every row's dot; DotRows computes the
+// exact dots of the rows a caller lists. A bound that consumes its dot
+// monotonically (all of pimbound's do) computed from the upper bound is an
+// under-estimate of itself, so a filter can prune on it and ask for exact
+// dots only where its threshold leaves it no choice (knn.Cascade does).
+// None of this is visible to the model: ChargeQuery charges such a query
+// what QueryAll charges — the array still fires every crossbar once — and
+// under a fault injector, in ModeSimulate and for binary payloads there is
+// no digest and nothing changes.
 package pim
 
 import (

@@ -38,11 +38,13 @@ const digestValueLimit = 1 << 29
 // of them reaches digestValueLimit.
 func ceilNorm(vals []uint32) (uint32, bool) {
 	var sum uint64
+	var any uint32 // some value reaches the limit exactly when their OR does
 	for _, v := range vals {
-		if v >= digestValueLimit {
-			return 0, false
-		}
+		any |= v
 		sum += uint64(v) * uint64(v)
+	}
+	if any >= digestValueLimit {
+		return 0, false
 	}
 	// The float root is within one of the integer one; settle it exactly.
 	r := uint64(math.Sqrt(float64(sum)))
@@ -126,7 +128,7 @@ func (e *Engine) UpperAll(p *Payload, input, qd []uint32, dst []int64) ([]int64,
 	if hi != 0 || lo > math.MaxInt64 {
 		return dst, false
 	}
-	dst = sized(dst, p.N)
+	dst = vec.Resized(dst, p.N)
 	vec.IntDotRows(p.digest, p.digestDims, qd, dst)
 	return dst, true
 }
@@ -174,14 +176,4 @@ func (e *Engine) charge(meter *arch.Meter, fn string, faulty, recovered int64, p
 	c.PIMFaults += faulty
 	c.PIMRecovered += recovered
 	c.Calls++
-}
-
-// sized returns dst with length n, regrown geometrically when it is too
-// small: a payload that grows a row at a time does not cost its readers a
-// fresh result array per query.
-func sized(dst []int64, n int) []int64 {
-	if cap(dst) < n {
-		dst = slices.Grow(dst[:0], n)
-	}
-	return dst[:n]
 }

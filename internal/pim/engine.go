@@ -394,7 +394,7 @@ func (e *Engine) sweep(p *Payload, input []uint32, dst []int64) (out []int64, fa
 	if len(input) != p.Dims {
 		return nil, 0, 0, fmt.Errorf("pim: query has %d dims, payload %q has %d", len(input), p.Name, p.Dims)
 	}
-	dst = sized(dst, p.N)
+	dst = vec.Resized(dst, p.N)
 	switch e.mode {
 	case ModeExact:
 		vec.IntDotRows(p.slab, p.Dims, input, dst)

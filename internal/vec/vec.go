@@ -11,6 +11,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Matrix is a dense row-major matrix of N rows by D columns. It is the
@@ -122,6 +123,17 @@ func IntDotRows(rows []uint32, dims int, q []uint32, dst []int64) {
 		panic(fmt.Sprintf("vec: intdotrows of a %d-element slab as %d rows of %d", len(rows), len(dst), dims))
 	}
 	intDotRowsKernel(rows, q, dst)
+}
+
+// Resized returns s with length n and unspecified contents, regrown
+// geometrically (append's amortised doubling) when its capacity is too
+// small: retained per-query scratch over an index that grows a row at a
+// time is regrown O(log) times, not once per query.
+func Resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = slices.Grow(s[:0], n)
+	}
+	return s[:n]
 }
 
 // SqNorm returns the squared L2 norm Σ aᵢ². Differentially tested

@@ -421,11 +421,13 @@ func TestOverloadGoodputProperty(t *testing.T) {
 		}()
 	}
 	// Let the offered load settle: cap slots held, queue full, the rest
-	// rejected (counts are deterministic; only the settling takes time).
+	// rejected (counts are deterministic; only the settling takes time —
+	// a goroutine that has not yet offered its query when the gate opens
+	// would be admitted, so the rejections are waited for too).
 	deadline := time.Now().Add(2 * time.Second)
-	for e.res.lim.InFlight() < cap || e.res.lim.Queued() < queue {
+	for e.res.lim.InFlight() < cap || e.res.lim.Queued() < queue || len(outs) < burst-expect {
 		if time.Now().After(deadline) {
-			t.Fatalf("load never settled: inflight=%d queued=%d", e.res.lim.InFlight(), e.res.lim.Queued())
+			t.Fatalf("load never settled: inflight=%d queued=%d rejected=%d", e.res.lim.InFlight(), e.res.lim.Queued(), len(outs))
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -192,7 +192,7 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, meter *a
 	_, sp := obs.StartSpan(ctx, c.spanName)
 	defer sp.End()
 	c.q = q
-	for _, st := range c.stages {
+	for si, st := range c.stages {
 		var pd *obs.Span
 		if st.pimDots() > 0 {
 			pd = sp.StartChild("pim-dot")
@@ -203,7 +203,7 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, meter *a
 		if pd != nil {
 			pd.SetAttr("func", st.name())
 			pd.SetAttr("dots", st.pimDots())
-			pd.SetAttr("lazy", c.lazy != nil && st == stage(c.lazy.lazyStage) && c.lazy.isLoose())
+			pd.SetAttr("lazy", si == 0 && c.lazy != nil && c.lazy.isLoose())
 			pd.End()
 		}
 	}

@@ -36,10 +36,10 @@ type lazyStage interface {
 }
 
 // tightenShare bounds one tighten pass: a pass that would list more than
-// 1/tightenShare of the rows is not run, the stage sweeps instead. A
-// single-row dot measured 170 ns against 34 ns per row of the streaming
-// sweep (s = 210, the wire-knn shard), so past a fifth of the rows the
-// sweep is cheaper than the pass alone, and a query takes up to three
+// 1/tightenShare of the rows is not run, the stage sweeps instead. A lone
+// row's dot measured 100–240 ns against 35 ns per row of the streaming
+// sweep (s = 210, the wire-knn shard): one pass costs 0.81 of a sweep at
+// n/8 and more than the sweep past n/5, and a query takes up to three
 // passes after paying for the digest (EXPERIMENTS.md "Lazy exact dots").
 const tightenShare = 8
 

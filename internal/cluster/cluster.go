@@ -130,7 +130,7 @@ type node struct {
 var errInjectedFault = errors.New("cluster: injected node fault")
 
 // visit runs one shard search on the node, holding its pipeline.
-func (n *node) visit(st *delta.Store, q []float64, k int, dwell time.Duration, m *arch.Meter) ([]vec.Neighbor, error) {
+func (n *node) visit(ctx context.Context, st *delta.Store, q []float64, k int, dwell time.Duration, m *arch.Meter) ([]vec.Neighbor, error) {
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
 	n.mu.Lock()
@@ -141,7 +141,7 @@ func (n *node) visit(st *delta.Store, q []float64, k int, dwell time.Duration, m
 	if f := n.faults.Load(); f > 0 && n.faults.CompareAndSwap(f, f-1) {
 		return nil, errInjectedFault
 	}
-	return st.Search(q, k, m)
+	return st.Search(ctx, q, k, m)
 }
 
 type replica struct {
@@ -456,7 +456,7 @@ func (e *Engine) Close() error {
 // store fails (injected fault, closed by a concurrent kill) feeds its
 // breaker and the next candidate is tried — bit-identical replicas make
 // that fail-over invisible in the result.
-func (e *Engine) searchShard(sh *cshard, q []float64, k int) (serve.ShardAnswer, error) {
+func (e *Engine) searchShard(ctx context.Context, sh *cshard, q []float64, k int) (serve.ShardAnswer, error) {
 	reps := sh.snapshot()
 	cur := sh.version.Load()
 	avail := reps[:0:0]
@@ -503,7 +503,7 @@ func (e *Engine) searchShard(sh *cshard, q []float64, k int) (serve.ShardAnswer,
 				}
 				done = d
 			}
-			nn, err := r.node.visit(r.store, q, k, e.opts.NodeServiceTime, res.Meter)
+			nn, err := r.node.visit(ctx, r.store, q, k, e.opts.NodeServiceTime, res.Meter)
 			done(err == nil)
 			if err != nil {
 				errs = append(errs, fmt.Errorf("node %d: %w", r.node.id, err))
@@ -549,8 +549,8 @@ func (s source) NumShards() int        { return len(s.e.shards) }
 func (s source) Available(id int) bool { return s.e.shardServable(id) }
 func (s source) Degraded() []int       { return nil }
 
-func (s source) Visit(_ context.Context, _ *obs.Span, id int, q []float64, k int) (serve.ShardAnswer, error) {
-	return s.e.searchShard(s.e.shards[id], q, k)
+func (s source) Visit(ctx context.Context, _ *obs.Span, id int, q []float64, k int) (serve.ShardAnswer, error) {
+	return s.e.searchShard(ctx, s.e.shards[id], q, k)
 }
 
 // Search returns the exact k nearest neighbors of q under the engine's

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pimmine/internal/delta"
 	"pimmine/internal/standing"
 	"pimmine/internal/vec"
 )
@@ -225,39 +226,15 @@ func (e *Engine) Materialize() (*vec.Matrix, []int, error) {
 	defer release()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	type part struct {
-		m   *vec.Matrix
-		ids []int
-	}
-	parts := make([]part, 0, len(e.shards))
-	total := 0
-	for _, sh := range e.shards {
+	stores := make([]*delta.Store, len(e.shards))
+	for i, sh := range e.shards {
 		r, err := e.currentReplicaLocked(sh)
 		if err != nil {
 			return nil, nil, err
 		}
-		m, ids := r.store.Materialize()
-		parts = append(parts, part{m, ids})
-		total += len(ids)
+		stores[i] = r.store
 	}
-	out := vec.NewMatrix(total, e.d)
-	ids := make([]int, 0, total)
-	// K-way merge by ascending id; per-shard id lists are ascending.
-	cursor := make([]int, len(parts))
-	for len(ids) < total {
-		best, bestID := -1, 0
-		for i, p := range parts {
-			if cursor[i] >= len(p.ids) {
-				continue
-			}
-			if best == -1 || p.ids[cursor[i]] < bestID {
-				best, bestID = i, p.ids[cursor[i]]
-			}
-		}
-		copy(out.Row(len(ids)), parts[best].m.Row(cursor[best]))
-		ids = append(ids, bestID)
-		cursor[best]++
-	}
+	out, ids := delta.MaterializeAll(stores)
 	return out, ids, nil
 }
 

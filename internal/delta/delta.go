@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -113,6 +114,7 @@ type baseIndex struct {
 
 	mu       sync.Mutex
 	searcher knn.Searcher
+	host     *knn.Standard // SearchHost's exact scan, built on first use
 
 	ledger *Ledger
 	tiles  []int
@@ -502,7 +504,9 @@ func (st *Store) Delete(id int) error {
 // Search answers one exact kNN query against the live rows (base minus
 // tombstones, plus delta), returning global ids in canonical
 // (dist, id) order — byte-identical to a fresh index built over
-// Materialize(). It never blocks on mutations or compaction.
+// Materialize(). It never blocks on mutations or compaction. The base
+// searcher runs under ctx's trace (knn.SearchTraced), so a traced visit
+// shows the searcher's span tree.
 //
 // Exactness: the base searcher over-fetches k+|tombstones| candidates,
 // so after masking, the k best live base rows survive (at most
@@ -510,7 +514,19 @@ func (st *Store) Delete(id int) error {
 // the base k-th distance with a strict prune, so tied delta rows still
 // compete; and both partial results are canonical under (dist, id), so
 // vec.MergeNeighbors loses nothing.
-func (st *Store) Search(q []float64, k int, meter *arch.Meter) ([]vec.Neighbor, error) {
+func (st *Store) Search(ctx context.Context, q []float64, k int, meter *arch.Meter) ([]vec.Neighbor, error) {
+	return st.search(ctx, q, k, meter, false)
+}
+
+// SearchHost is Search with the pinned epoch's base served by the exact
+// host scan (knn.Standard over the same rows) instead of its searcher —
+// the path a circuit breaker reroutes a fault-storming array to. Masking,
+// the delta merge and the answer are Search's.
+func (st *Store) SearchHost(ctx context.Context, q []float64, k int, meter *arch.Meter) ([]vec.Neighbor, error) {
+	return st.search(ctx, q, k, meter, true)
+}
+
+func (st *Store) search(ctx context.Context, q []float64, k int, meter *arch.Meter, host bool) ([]vec.Neighbor, error) {
 	if st.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -526,13 +542,22 @@ func (st *Store) Search(q []float64, k int, meter *arch.Meter) ([]vec.Neighbor, 
 	sn := st.pin()
 	defer sn.base.unref()
 
-	kb := k + len(sn.tomb)
-	sn.base.mu.Lock()
-	baseRaw := sn.base.searcher.Search(q, kb, meter)
-	sn.base.mu.Unlock()
-	baseNN := make([]vec.Neighbor, 0, k)
-	for _, nb := range baseRaw {
-		gid := sn.base.ids[nb.Index]
+	b := sn.base
+	b.mu.Lock()
+	s := b.searcher
+	if host {
+		if b.host == nil {
+			b.host = knn.NewStandard(b.data)
+		}
+		s = b.host
+	}
+	raw := knn.SearchTraced(ctx, s, q, k+len(sn.tomb), meter)
+	b.mu.Unlock()
+	// Translate to global ids in place on the searcher's own result,
+	// dropping tombstoned rows: no copy, no allocation of the store's.
+	baseNN := raw[:0]
+	for _, nb := range raw {
+		gid := b.ids[nb.Index]
 		if _, dead := sn.tomb[gid]; dead {
 			continue
 		}
@@ -562,6 +587,33 @@ func (st *Store) Materialize() (*vec.Matrix, []int) {
 	sn := st.pin()
 	defer sn.base.unref()
 	return materialize(sn, st.d)
+}
+
+// MaterializeAll merges the live rows of several stores that share one
+// id space (the shards of an engine) into one matrix in ascending id
+// order plus its id directory: a k-way merge of their Materialize images.
+func MaterializeAll(stores []*Store) (*vec.Matrix, []int) {
+	parts := make([]*vec.Matrix, len(stores))
+	partIDs := make([][]int, len(stores))
+	total, d := 0, 0
+	for i, st := range stores {
+		parts[i], partIDs[i] = st.Materialize()
+		total, d = total+len(partIDs[i]), st.d
+	}
+	out, ids := vec.NewMatrix(total, d), make([]int, 0, total)
+	cursor := make([]int, len(stores))
+	for len(ids) < total {
+		best := -1
+		for i, c := range cursor {
+			if c < len(partIDs[i]) && (best < 0 || partIDs[i][c] < partIDs[best][cursor[best]]) {
+				best = i
+			}
+		}
+		copy(out.Row(len(ids)), parts[best].Row(cursor[best]))
+		ids = append(ids, partIDs[best][cursor[best]])
+		cursor[best]++
+	}
+	return out, ids
 }
 
 // materialize merges live base rows and delta rows by ascending id.

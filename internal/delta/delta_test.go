@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -110,11 +111,16 @@ func TestStoreMutationsAndExactSearch(t *testing.T) {
 		}
 		q := randVec(rng, 6)
 		k := 1 + rng.Intn(8)
-		got, err := st.Search(q, k, arch.NewMeter())
+		got, err := st.Search(context.Background(), q, k, arch.NewMeter())
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameNeighbors(t, got, refSearch(st, q, k), "mid-churn")
+		host, err := st.SearchHost(context.Background(), q, k, arch.NewMeter())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameNeighbors(t, host, got, "mid-churn host scan")
 	}
 	m, ids := st.Materialize()
 	if m.N != len(live) || len(ids) != len(live) {
@@ -153,7 +159,7 @@ func TestStoreUpdateKeepsTieOrder(t *testing.T) {
 	if err := st.Update(0, []float64{0.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Search([]float64{0.5, 0.5}, 2, nil)
+	got, err := st.Search(context.Background(), []float64{0.5, 0.5}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +190,10 @@ func TestStoreValidation(t *testing.T) {
 	if err := st.Delete(99); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete missing err = %v", err)
 	}
-	if _, err := st.Search([]float64{0.1}, 1, nil); err == nil {
+	if _, err := st.Search(context.Background(), []float64{0.1}, 1, nil); err == nil {
 		t.Fatal("query dim mismatch accepted")
 	}
-	if _, err := st.Search([]float64{0.1, 0.2, 0.3}, 0, nil); err == nil {
+	if _, err := st.Search(context.Background(), []float64{0.1, 0.2, 0.3}, 0, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -207,7 +213,7 @@ func TestStoreCloseIdempotent(t *testing.T) {
 	if err := st.Delete(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("delete after close err = %v", err)
 	}
-	if _, err := st.Search([]float64{0.1, 0.2, 0.3}, 1, nil); !errors.Is(err, ErrClosed) {
+	if _, err := st.Search(context.Background(), []float64{0.1, 0.2, 0.3}, 1, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("search after close err = %v", err)
 	}
 	if err := st.Compact(nil); !errors.Is(err, ErrClosed) {
@@ -242,5 +248,84 @@ func TestStoreEpochAdvances(t *testing.T) {
 	}
 	if st.Epoch() != e0+2 {
 		t.Fatalf("no-op compact bumped epoch to %d", st.Epoch())
+	}
+}
+
+// TestSearchAddsNoAllocation: with an empty delta and no tombstones a
+// store visit allocates exactly what its base searcher does — ids are
+// translated in place on the searcher's own result.
+func TestSearchAddsNoAllocation(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(5))
+	var base knn.Searcher
+	st, err := New(randMatrix(rng, 64, 6), Options{IDOffset: 100, Factory: func(m *vec.Matrix, n int) (knn.Searcher, error) {
+		base, _ = hostFactory(m, n)
+		return base, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx, q, m := context.Background(), randVec(rng, 6), arch.NewMeter()
+	bare := testing.AllocsPerRun(50, func() { base.Search(q, 5, m) })
+	visit := testing.AllocsPerRun(50, func() {
+		if _, err := st.Search(ctx, q, 5, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if visit != bare {
+		t.Fatalf("Store.Search allocates %v per call, its base searcher %v", visit, bare)
+	}
+	got, err := st.Search(ctx, q, 5, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameNeighbors(t, got, refSearch(st, q, 5), "offset ids")
+}
+
+// TestMaterializeAllMergesByID: the k-way merge of several stores' live
+// images equals concatenating them and sorting by id, to the row bits.
+func TestMaterializeAllMergesByID(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(6))
+	const d = 3
+	for _, parts := range [][][]int{
+		{{0, 3, 7, 8}, {1, 2, 9}, {}, {4, 5, 6, 10, 11}}, // interleaved, one empty
+		{{2, 5}},
+		{{}, {}},
+	} {
+		type row struct {
+			id int
+			v  []float64
+		}
+		var stores []*Store
+		var want []row
+		for _, ids := range parts {
+			m := randMatrix(rng, len(ids), d)
+			st, err := Restore(m, ids, 100, Options{Factory: hostFactory})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			stores = append(stores, st)
+			for i, id := range ids {
+				want = append(want, row{id, m.Row(i)})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].id < want[j].id })
+		got, ids := MaterializeAll(stores)
+		if got.N != len(want) || len(ids) != len(want) || got.D != d {
+			t.Fatalf("%v: merged %d×%d rows, %d ids; want %d×%d", parts, got.N, got.D, len(ids), len(want), d)
+		}
+		for i, w := range want {
+			if ids[i] != w.id {
+				t.Fatalf("%v: row %d has id %d, want %d", parts, i, ids[i], w.id)
+			}
+			for c, x := range got.Row(i) {
+				if math.Float64bits(x) != math.Float64bits(w.v[c]) {
+					t.Fatalf("%v: row %d (id %d) col %d = %v, want %v", parts, i, w.id, c, x, w.v[c])
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -175,7 +176,7 @@ func TestGoldenDeltaKNN(t *testing.T) {
 
 	var live strings.Builder
 	for qi := 0; qi < queries.N; qi++ {
-		nn, err := st.Search(queries.Row(qi), k, arch.NewMeter())
+		nn, err := st.Search(context.Background(), queries.Row(qi), k, arch.NewMeter())
 		if err != nil {
 			t.Fatal(err)
 		}

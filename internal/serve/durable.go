@@ -96,7 +96,7 @@ func (e *MutableEngine) initDurabilityFresh() error {
 // of the engine.
 func (e *MutableEngine) writeSnapshot(lsn int64) error {
 	s := &wal.Snapshot{LSN: lsn, Dims: e.d, NextID: e.nextID, RR: e.rr}
-	for _, st := range e.stores {
+	for _, st := range e.src.stores {
 		m, ids := st.Materialize()
 		s.Shards = append(s.Shards, wal.ShardState{IDs: ids, Data: m.Data})
 	}
@@ -176,36 +176,36 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 	if opts.CapacityN <= 0 {
 		opts.CapacityN = max(totalLive, 1)
 	}
-	e, err := newMutableEngine(s, snap.Dims, opts)
+	e, err := newMutableEngine(s, snap.Dims, opts, func(e *MutableEngine) error {
+		e.nextID, e.rr, e.routes = snap.NextID, snap.RR, make(map[int]int, totalLive)
+		// Degenerate bounds: a restored engine's shards hold arbitrary id
+		// sets, so every id routes through the table instead of a
+		// contiguous range check.
+		e.bounds = make([]int, s+1)
+		for id, sh := range snap.Shards {
+			dopts, err := e.shardDeltaOptions(id, 0)
+			if err != nil {
+				return err
+			}
+			m := &vec.Matrix{N: len(sh.IDs), D: snap.Dims, Data: sh.Data}
+			if e.src.stores[id], err = delta.Restore(m, sh.IDs, snap.NextID, dopts); err != nil {
+				return fmt.Errorf("serve: restoring shard %d: %w", id, err)
+			}
+			for _, gid := range sh.IDs {
+				e.routes[gid] = id
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	e.nextID, e.rr, e.routes = snap.NextID, snap.RR, make(map[int]int, totalLive)
-	// Degenerate bounds: a restored engine's shards hold arbitrary id
-	// sets, so every id routes through the table instead of a contiguous
-	// range check.
-	e.bounds = make([]int, s+1)
-	for id, sh := range snap.Shards {
-		dopts, err := e.shardDeltaOptions(id, 0)
-		if err != nil {
-			return nil, err
-		}
-		m := &vec.Matrix{N: len(sh.IDs), D: snap.Dims, Data: sh.Data}
-		st, err := delta.Restore(m, sh.IDs, snap.NextID, dopts)
-		if err != nil {
-			return nil, fmt.Errorf("serve: restoring shard %d: %w", id, err)
-		}
-		e.stores = append(e.stores, st)
-		for _, gid := range sh.IDs {
-			e.routes[gid] = id
-		}
 	}
 	e.walM = wal.NewMetrics(e.opts.Obs.Registry())
 	// Open first: it truncates a torn tail, so replay below sees a
 	// clean log and new appends land on a record boundary.
 	log, _, err := wal.Open(d.Dir, d.walOptions(e.walM))
 	if err != nil {
-		closeStores(e.stores)
+		closeStores(e.src.stores)
 		return nil, err
 	}
 	start := time.Now()
@@ -216,7 +216,7 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 	})
 	if err != nil {
 		log.Close()
-		closeStores(e.stores)
+		closeStores(e.src.stores)
 		return nil, fmt.Errorf("serve: replaying wal: %w", err)
 	}
 	e.log = log
@@ -227,36 +227,30 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 	return e, nil
 }
 
-func closeStores(stores []*delta.Store) {
-	for _, st := range stores {
-		st.Close()
-	}
-}
-
 // applyReplay re-applies one logged mutation during recovery. The log
 // recorded mutations the engine had already validated and routed, so a
 // record that fails to apply means the log and snapshot disagree —
 // surfaced as an error, never papered over.
 func (e *MutableEngine) applyReplay(rec wal.Record) error {
-	if rec.Shard >= len(e.stores) {
-		return fmt.Errorf("%w: record routes to shard %d of %d", wal.ErrCorrupt, rec.Shard, len(e.stores))
+	if rec.Shard >= len(e.src.stores) {
+		return fmt.Errorf("%w: record routes to shard %d of %d", wal.ErrCorrupt, rec.Shard, len(e.src.stores))
 	}
 	switch rec.Op {
 	case wal.OpInsert:
-		if err := e.stores[rec.Shard].InsertAt(rec.ID, rec.Vec); err != nil {
+		if err := e.src.stores[rec.Shard].InsertAt(rec.ID, rec.Vec); err != nil {
 			return err
 		}
 		e.routes[rec.ID] = rec.Shard
 		if rec.ID >= e.nextID {
 			e.nextID = rec.ID + 1
 		}
-		e.rr = (rec.Shard + 1) % len(e.stores)
+		e.rr = (rec.Shard + 1) % len(e.src.stores)
 	case wal.OpUpdate:
-		if err := e.stores[rec.Shard].Update(rec.ID, rec.Vec); err != nil {
+		if err := e.src.stores[rec.Shard].Update(rec.ID, rec.Vec); err != nil {
 			return err
 		}
 	case wal.OpDelete:
-		if err := e.stores[rec.Shard].Delete(rec.ID); err != nil {
+		if err := e.src.stores[rec.Shard].Delete(rec.ID); err != nil {
 			return err
 		}
 		delete(e.routes, rec.ID)

@@ -1,12 +1,13 @@
-// Mutable serving: the sharded engine layered over internal/delta's
-// mutable stores. Each shard owns a delta.Store (host-side delta buffer,
-// tombstones, endurance-ledgered compaction) over its slice of the
-// dataset; the engine owns the global id space, routing initial ids by
-// contiguous range and inserted ids round-robin. Because ids are
-// allocated monotonically and every store keeps its rows in ascending
-// global-id order, per-shard results are canonical under (dist, id) and
-// the shard merge stays exact — byte-identical to a fresh engine built
-// over the merged live dataset.
+// Mutable serving: the sharded engine whose delta stores (host-side delta
+// buffer, tombstones, endurance-ledgered compaction) take mutations. The
+// shards are the static engine's — the same storeSource, so Factory,
+// breakers, retries, spans and metrics behave identically — and a
+// compaction rebuilds a shard through the same factory. The engine owns
+// the global id space, routing initial ids by contiguous range and
+// inserted ids round-robin. Because ids are allocated monotonically and
+// every store keeps its rows in ascending global-id order, per-shard
+// results are canonical under (dist, id) and the shard merge stays exact
+// — byte-identical to a fresh engine built over the merged live dataset.
 package serve
 
 import (
@@ -14,11 +15,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/delta"
-	"pimmine/internal/knn"
 	"pimmine/internal/obs"
 	"pimmine/internal/pim"
 	"pimmine/internal/quant"
@@ -30,10 +29,10 @@ import (
 
 // MutableOptions configures NewMutable.
 type MutableOptions struct {
-	// Options carries the shard count, variant, framework, capacity,
-	// worker pool and observability wiring, with the same defaults as
-	// the immutable engine. Options.Factory is ignored — mutable shards
-	// must be rebuildable, so searchers come from the variant builder.
+	// Options carries the shard count, variant or factory, framework,
+	// capacity, worker pool, resilience and observability wiring, with
+	// the same defaults and meaning as on the immutable engine; a
+	// compaction rebuilds its shard through the same Factory or variant.
 	Options
 
 	// MaxDelta and MaxTombstoneRatio are per-shard compaction triggers
@@ -67,9 +66,9 @@ type MutableOptions struct {
 // serialize on the engine's routing lock (mutation throughput is not
 // the design target; query concurrency is).
 type MutableEngine struct {
-	d      int
-	opts   MutableOptions
-	stores []*delta.Store
+	d    int
+	opts MutableOptions
+	src  *storeSource // the shards: one delta store each
 	// bounds[i]..bounds[i+1] is shard i's initial contiguous id range.
 	bounds []int
 
@@ -78,16 +77,9 @@ type MutableEngine struct {
 	rr     int
 	routes map[int]int // inserted id → shard
 
-	// build is the variant's searcher constructor, re-run by every
-	// compaction. pipe is the query path over mutableSource; its lease
-	// gates mutations against Close too, so Close drains everything in
-	// flight.
-	build capFactory
-	pipe  *Pipeline
-
-	// degraded[i]: shard i's latest build failed and its current epoch
-	// serves the host scan. Written by compaction goroutines.
-	degraded []atomic.Bool
+	// pipe is the query path over src; its lease gates mutations against
+	// Close too, so Close drains everything in flight.
+	pipe *Pipeline
 
 	// log is the write-ahead log (nil when Durability.Dir is unset).
 	// Mutations append under e.mu before applying, so log order equals
@@ -102,21 +94,26 @@ type MutableEngine struct {
 }
 
 // newMutableEngine applies the option defaults for a dataset of n rows by
-// d dims and returns the engine wired but with no stores yet: the
-// constructors add opts.Shards of them, fresh or restored. The standing
-// registry's re-query callback is the pipeline's bare fan-out — no engine
-// locks — because it runs while the caller already holds e.mu (member
-// deletes) and the store searches are lock-free by design.
-func newMutableEngine(n, d int, opts MutableOptions) (*MutableEngine, error) {
+// d dims, lets fill build the opts.Shards stores (fresh or restored) into
+// the engine's shard slots, and wires the query path over them. The
+// standing registry's re-query callback is the pipeline's bare fan-out —
+// no engine locks — because it runs while the caller already holds e.mu
+// (member deletes) and the store searches are lock-free by design.
+func newMutableEngine(n, d int, opts MutableOptions, fill func(*MutableEngine) error) (*MutableEngine, error) {
 	res, err := opts.Options.defaults(n, d)
 	if err != nil {
 		return nil, err
 	}
-	e := &MutableEngine{d: d, opts: opts, routes: make(map[int]int), degraded: make([]atomic.Bool, opts.Shards)}
-	if e.build, err = variantBuilder(opts.Options); err != nil {
+	build, err := opts.Options.builder()
+	if err != nil {
 		return nil, err
 	}
-	e.pipe = opts.pipeline(mutableSource{e}, d, res, nil)
+	e := &MutableEngine{d: d, opts: opts, routes: make(map[int]int)}
+	e.src = newStoreSource(&e.opts.Options, res, build)
+	if err := fill(e); err != nil {
+		return nil, err
+	}
+	e.pipe = e.opts.serve(e.src, d, res)
 	var m *standing.Metrics
 	if reg := opts.Obs.Registry(); reg != nil {
 		m = standing.NewMetrics(reg)
@@ -132,20 +129,7 @@ func newMutableEngine(n, d int, opts MutableOptions) (*MutableEngine, error) {
 func (e *MutableEngine) shardDeltaOptions(id, idOffset int) (delta.Options, error) {
 	opts := e.opts
 	dopts := delta.Options{
-		// Graceful degradation mirrors the immutable engine: a variant
-		// build failure (e.g. dead crossbars after fault injection)
-		// falls back to the exact host scan for that epoch and is
-		// reported, never fatal; the next healthy rebuild clears the
-		// report. The ledger charge stands — the programming attempt
-		// happened.
-		Factory: func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			srch, err := e.build(m, capacityN)
-			e.degraded[id].Store(err != nil)
-			if err != nil {
-				return knn.NewStandard(m), nil
-			}
-			return srch, nil
-		},
+		Factory:           e.src.factory(id),
 		MaxDelta:          opts.MaxDelta,
 		MaxTombstoneRatio: opts.MaxTombstoneRatio,
 		AutoCompact:       opts.AutoCompact,
@@ -191,32 +175,18 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	e, err := newMutableEngine(data.N, data.D, opts)
+	e, err := newMutableEngine(data.N, data.D, opts, func(e *MutableEngine) error {
+		e.nextID = data.N
+		err := e.src.partition(data, func(id, lo int) (delta.Options, error) {
+			e.bounds = append(e.bounds, lo)
+			return e.shardDeltaOptions(id, lo)
+		})
+		e.bounds = append(e.bounds, data.N)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.nextID = data.N
-	s := e.opts.Shards
-	base, rem := data.N/s, data.N%s
-	lo := 0
-	for id := 0; id < s; id++ {
-		rows := base
-		if id < rem {
-			rows++
-		}
-		dopts, err := e.shardDeltaOptions(id, lo)
-		if err != nil {
-			return nil, err
-		}
-		st, err := delta.New(data.Slice(lo, lo+rows), dopts)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", id, err)
-		}
-		e.stores = append(e.stores, st)
-		e.bounds = append(e.bounds, lo)
-		lo += rows
-	}
-	e.bounds = append(e.bounds, lo)
 	if opts.Durability.Dir != "" {
 		if err := e.initDurabilityFresh(); err != nil {
 			return nil, err
@@ -226,22 +196,14 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 }
 
 // NumShards returns the partition count in effect.
-func (e *MutableEngine) NumShards() int { return len(e.stores) }
+func (e *MutableEngine) NumShards() int { return len(e.src.stores) }
 
 // Router returns the attached shard router (nil when unrouted).
 func (e *MutableEngine) Router() *route.Router { return e.opts.Router }
 
 // DegradedShards returns the ids of shards whose current epoch serves
 // the host fallback.
-func (e *MutableEngine) DegradedShards() []int {
-	var out []int
-	for i := range e.degraded {
-		if e.degraded[i].Load() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (e *MutableEngine) DegradedShards() []int { return e.src.Degraded() }
 
 // shardOf locates the store owning an id: initial ids by range,
 // inserted ids through the routing table. Returns -1 when unknown.
@@ -301,11 +263,11 @@ func (e *MutableEngine) Insert(v []float64) (int, error) {
 	if err := e.logMutation(wal.OpInsert, sh, id, v); err != nil {
 		return 0, err
 	}
-	if err := e.stores[sh].InsertAt(id, v); err != nil {
+	if err := e.src.stores[sh].InsertAt(id, v); err != nil {
 		return 0, err
 	}
 	e.nextID++
-	e.rr = (e.rr + 1) % len(e.stores)
+	e.rr = (e.rr + 1) % len(e.src.stores)
 	e.routes[id] = sh
 	e.standing.OnInsert(id, v)
 	return id, nil
@@ -325,13 +287,13 @@ func (e *MutableEngine) Update(id int, v []float64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sh := e.shardOf(id)
-	if sh < 0 || !e.stores[sh].Has(id) {
+	if sh < 0 || !e.src.stores[sh].Has(id) {
 		return fmt.Errorf("%w: %d", delta.ErrNotFound, id)
 	}
 	if err := e.logMutation(wal.OpUpdate, sh, id, v); err != nil {
 		return err
 	}
-	if err := e.stores[sh].Update(id, v); err != nil {
+	if err := e.src.stores[sh].Update(id, v); err != nil {
 		return err
 	}
 	e.standing.OnUpdate(id, v)
@@ -348,13 +310,13 @@ func (e *MutableEngine) Delete(id int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sh := e.shardOf(id)
-	if sh < 0 || !e.stores[sh].Has(id) {
+	if sh < 0 || !e.src.stores[sh].Has(id) {
 		return fmt.Errorf("%w: %d", delta.ErrNotFound, id)
 	}
 	if err := e.logMutation(wal.OpDelete, sh, id, nil); err != nil {
 		return err
 	}
-	if err := e.stores[sh].Delete(id); err != nil {
+	if err := e.src.stores[sh].Delete(id); err != nil {
 		return err
 	}
 	delete(e.routes, id)
@@ -390,25 +352,6 @@ func (e *MutableEngine) SearchBatchMode(ctx context.Context, queries *vec.Matrix
 	return e.pipe.SearchBatch(ctx, queries, k, mode)
 }
 
-// mutableSource serves the pipeline from the engine's delta stores,
-// lock-free against mutations via their epoch snapshots. It takes no
-// per-shard breakers: compaction rebuilds searchers each epoch, so a
-// fault-storming epoch already heals through the delta layer's
-// degraded-rebuild path rather than a breaker's cool-down.
-type mutableSource struct{ e *MutableEngine }
-
-// NumShards is the configured count: the pipeline is built before the
-// constructors have added the stores.
-func (s mutableSource) NumShards() int     { return s.e.opts.Shards }
-func (s mutableSource) Available(int) bool { return true }
-func (s mutableSource) Degraded() []int    { return s.e.DegradedShards() }
-
-func (s mutableSource) Visit(_ context.Context, _ *obs.Span, id int, q []float64, k int) (ShardAnswer, error) {
-	m := arch.NewMeter()
-	nn, err := s.e.stores[id].Search(q, k, m)
-	return ShardAnswer{Neighbors: nn, Meter: m}, err
-}
-
 // Compact folds every shard's delta and tombstones into fresh base
 // images (shards compact independently; a shard with nothing to fold is
 // a no-op). The first error aborts and is returned; remaining shards
@@ -419,7 +362,7 @@ func (e *MutableEngine) Compact(meter *arch.Meter) error {
 		return err
 	}
 	defer release()
-	for i, st := range e.stores {
+	for i, st := range e.src.stores {
 		if err := st.Compact(meter); err != nil {
 			return fmt.Errorf("serve: shard %d: %w", i, err)
 		}
@@ -429,8 +372,8 @@ func (e *MutableEngine) Compact(meter *arch.Meter) error {
 
 // Stats aggregates per-shard delta statistics.
 func (e *MutableEngine) Stats() []delta.Stats {
-	out := make([]delta.Stats, len(e.stores))
-	for i, st := range e.stores {
+	out := make([]delta.Stats, len(e.src.stores))
+	for i, st := range e.src.stores {
 		out[i] = st.Stats()
 	}
 	return out
@@ -440,37 +383,7 @@ func (e *MutableEngine) Stats() []delta.Stats {
 // ascending global id order with the id directory — the dataset an
 // equivalent fresh engine would be built from.
 func (e *MutableEngine) Materialize() (*vec.Matrix, []int) {
-	type part struct {
-		m   *vec.Matrix
-		ids []int
-	}
-	parts := make([]part, len(e.stores))
-	total := 0
-	for i, st := range e.stores {
-		m, ids := st.Materialize()
-		parts[i] = part{m, ids}
-		total += len(ids)
-	}
-	// K-way merge by ascending id (per-shard lists are already sorted).
-	ids := make([]int, 0, total)
-	out := vec.NewMatrix(total, e.d)
-	cursor := make([]int, len(parts))
-	for row := 0; row < total; row++ {
-		best := -1
-		for i, p := range parts {
-			if cursor[i] >= len(p.ids) {
-				continue
-			}
-			if best < 0 || p.ids[cursor[i]] < parts[best].ids[cursor[best]] {
-				best = i
-			}
-		}
-		p := parts[best]
-		copy(out.Row(row), p.m.Row(cursor[best]))
-		ids = append(ids, p.ids[cursor[best]])
-		cursor[best]++
-	}
-	return out, ids
+	return delta.MaterializeAll(e.src.stores)
 }
 
 // Close shuts every shard store down (draining background compactions),
@@ -493,9 +406,7 @@ func (e *MutableEngine) Close() error {
 	if e.standing != nil {
 		e.standing.Close()
 	}
-	for _, st := range e.stores {
-		st.Close()
-	}
+	closeStores(e.src.stores)
 	if e.log != nil {
 		// The log's Close fsyncs the active segment first; a failure
 		// surfaces here (the engine is closed regardless — a second
@@ -514,7 +425,7 @@ func (e *MutableEngine) Dims() int { return e.d }
 // Rows returns the current live row count across shards.
 func (e *MutableEngine) Rows() int {
 	total := 0
-	for _, st := range e.stores {
+	for _, st := range e.src.stores {
 		total += st.Stats().LiveRows
 	}
 	return total

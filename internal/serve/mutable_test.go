@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -301,8 +303,8 @@ func TestFanOutJoinsAllShardErrors(t *testing.T) {
 	defer me.Close()
 
 	// Sabotage shards 0 and 2 directly; shard 1 stays healthy.
-	me.stores[0].Close()
-	me.stores[2].Close()
+	me.src.stores[0].Close()
+	me.src.stores[2].Close()
 
 	_, err = me.Search(context.Background(), data.Row(0), 3)
 	if err == nil {
@@ -325,15 +327,18 @@ func TestFanOutJoinsAllShardErrors(t *testing.T) {
 // shard's latest build, not its worst: a failed variant build serves the
 // host scan and is reported, the next healthy rebuild clears it. Builds
 // run on compaction goroutines while every query reads the report, so
-// the reader below runs concurrently (meaningful under -race).
+// the reader below runs concurrently (meaningful under -race). A custom
+// Options.Factory is what builds every epoch: handed shard ids 0..S−1 at
+// build and the compacted shard's id on Compact, it degrades that epoch
+// when it fails.
 func TestShardDeltaOptionsTracksDegraded(t *testing.T) {
 	t.Parallel()
 	builds := 0
-	e, err := newMutableEngine(8, 4, MutableOptions{Options: Options{Shards: 1}})
+	e, err := newMutableEngine(8, 4, MutableOptions{Options: Options{Shards: 1}}, func(*MutableEngine) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.build = func(m *vec.Matrix, _ int) (knn.Searcher, error) {
+	e.src.build = func(m *vec.Matrix, _, _ int) (knn.Searcher, error) {
 		if builds++; builds == 1 {
 			return nil, errors.New("dead crossbars")
 		}
@@ -366,4 +371,59 @@ func TestShardDeltaOptionsTracksDegraded(t *testing.T) {
 	}
 	close(stop)
 	<-done
+
+	// The custom Factory, through the public API. Three shards of ten
+	// rows: shard 1 owns ids 10..19.
+	data := closeTestData(30, 4)
+	var seen []int
+	failing := -1
+	me, err := NewMutable(data, MutableOptions{
+		Options: Options{Shards: 3, Factory: func(m *vec.Matrix, id int) (knn.Searcher, error) {
+			seen = append(seen, id)
+			if id == failing {
+				return nil, errors.New("dead crossbars")
+			}
+			return knn.NewFNN(m)
+		}},
+		MaxDelta: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer me.Close()
+	if !reflect.DeepEqual(seen, []int{0, 1, 2}) {
+		t.Fatalf("factory saw shard ids %v at build, want [0 1 2]", seen)
+	}
+	for i, step := range []struct {
+		fail     bool
+		degraded []int
+	}{{true, []int{1}}, {false, nil}} {
+		seen, failing = nil, -1
+		if step.fail {
+			failing = 1
+		}
+		if err := me.Delete(10 + i); err != nil {
+			t.Fatal(err)
+		}
+		if err := me.Compact(nil); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seen, []int{1}) {
+			t.Fatalf("compaction %d: factory saw shard ids %v, want [1]", i, seen)
+		}
+		if got := me.DegradedShards(); !reflect.DeepEqual(got, step.degraded) {
+			t.Fatalf("compaction %d: DegradedShards() = %v, want %v", i, got, step.degraded)
+		}
+		want := liveOracle(me, data, 3)
+		for qi := 0; qi < data.N; qi++ {
+			res, err := me.Search(context.Background(), data.Row(qi), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Degraded, step.degraded) {
+				t.Fatalf("compaction %d query %d: Result.Degraded = %v, want %v", i, qi, res.Degraded, step.degraded)
+			}
+			assertExact(t, fmt.Sprintf("compaction %d query %d", i, qi), res.Neighbors, want[qi])
+		}
+	}
 }

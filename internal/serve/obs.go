@@ -5,6 +5,7 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/obs"
+	"pimmine/internal/route"
 )
 
 // engineObs holds the engine's registered metric handles. A nil
@@ -71,9 +72,9 @@ func (eo *engineObs) noteBreakerHostServe() {
 	eo.breakerHost.Inc()
 }
 
-// newEngineObs registers the engine's metrics and scrape-time collectors
+// newEngineObs registers an engine's metrics and scrape-time collectors
 // with the observer's registry.
-func newEngineObs(e *Engine, o *obs.Observer) *engineObs {
+func newEngineObs(o *obs.Observer, src *storeSource, router *route.Router, res *engineResilience) *engineObs {
 	reg := o.Registry()
 	eo := &engineObs{
 		o:       o,
@@ -106,14 +107,14 @@ func newEngineObs(e *Engine, o *obs.Observer) *engineObs {
 		routeMeasuredRecall: reg.Histogram("pim_route_measured_recall",
 			"Audited (measured) recall of approximate answers.", recallBuckets),
 	}
-	eo.shardQueries = make([]*obs.Counter, len(e.shards))
-	for i := range e.shards {
+	eo.shardQueries = make([]*obs.Counter, len(src.stores))
+	for i := range eo.shardQueries {
 		eo.shardQueries[i] = reg.Counter("pim_serve_shard_queries_total",
 			"Per-shard query fan-out count.", obs.Label{Key: "shard", Value: fmt.Sprint(i)})
 	}
-	reg.RegisterCollector(e.collectMetrics)
-	if n := len(e.degraded); n > 0 {
-		o.Event("serve.degraded-shards", obs.A("shards", fmt.Sprint(e.degraded)))
+	reg.RegisterCollector(func(emit func(obs.Sample)) { collectMetrics(emit, src, router, res) })
+	if deg := src.Degraded(); len(deg) > 0 {
+		o.Event("serve.degraded-shards", obs.A("shards", fmt.Sprint(deg)))
 	}
 	return eo
 }
@@ -121,18 +122,18 @@ func newEngineObs(e *Engine, o *obs.Observer) *engineObs {
 // collectMetrics snapshots scrape-time state: shard topology, the merged
 // cumulative arch.Meter (per-function call counts plus aggregate hardware
 // activity), and the fault layer's corrected/recovered dot counters.
-func (e *Engine) collectMetrics(emit func(obs.Sample)) {
+func collectMetrics(emit func(obs.Sample), src *storeSource, router *route.Router, res *engineResilience) {
 	emit(obs.Sample{Name: "pim_serve_shards", Help: "Shard count in effect.",
-		Type: obs.TypeGauge, Value: float64(len(e.shards))})
+		Type: obs.TypeGauge, Value: float64(len(src.stores))})
 	emit(obs.Sample{Name: "pim_serve_degraded_shards", Help: "Shards serving the host-scan fallback.",
-		Type: obs.TypeGauge, Value: float64(len(e.degraded))})
-	for _, sh := range e.shards {
+		Type: obs.TypeGauge, Value: float64(len(src.Degraded()))})
+	for i, st := range src.stores {
 		emit(obs.Sample{Name: "pim_serve_shard_rows", Help: "Rows owned by each shard.",
-			Type: obs.TypeGauge, Labels: []obs.Label{{Key: "shard", Value: fmt.Sprint(sh.id)}},
-			Value: float64(sh.data.N)})
+			Type: obs.TypeGauge, Labels: []obs.Label{{Key: "shard", Value: fmt.Sprint(i)}},
+			Value: float64(st.Stats().LiveRows)})
 	}
 
-	m := e.Meter() // merged under per-shard locks
+	m := src.cumulative()
 	t := m.Total()
 	agg := []obs.Sample{
 		{Name: "pim_meter_ops_total", Help: "Modeled simple operations (cumulative, all shards)."},
@@ -158,19 +159,19 @@ func (e *Engine) collectMetrics(emit func(obs.Sample)) {
 			Value: float64(m.Get(fn).Calls)})
 	}
 
-	if r := e.opts.Router; r != nil {
+	if router != nil {
 		emit(obs.Sample{Name: "pim_route_selectivity",
 			Help: "Observed lifetime fraction of shards skipped by the routing tier.",
-			Type: obs.TypeGauge, Value: r.Selectivity()})
+			Type: obs.TypeGauge, Value: router.Selectivity()})
 	}
 
-	if e.res == nil {
+	if res == nil {
 		return
 	}
 	// Resilience state: breaker positions per shard, cumulative trips,
 	// limiter occupancy, retry tokens, and the shedder's p95 threshold
 	// (in µs — collector values truncate to integers at scrape time).
-	for i, st := range e.BreakerStates() {
+	for i, st := range src.breakers.States() {
 		emit(obs.Sample{Name: "pim_serve_breaker_state",
 			Help: "Per-shard circuit breaker state (0 closed, 1 open, 2 half-open).",
 			Type: obs.TypeGauge, Labels: []obs.Label{{Key: "shard", Value: fmt.Sprint(i)}},
@@ -178,8 +179,8 @@ func (e *Engine) collectMetrics(emit func(obs.Sample)) {
 	}
 	emit(obs.Sample{Name: "pim_serve_breaker_trips_total",
 		Help: "Circuit breaker trips across all shards.",
-		Type: obs.TypeCounter, Value: float64(e.BreakerTrips())})
-	if lim := e.res.lim; lim != nil {
+		Type: obs.TypeCounter, Value: float64(src.breakers.Trips())})
+	if lim := res.lim; lim != nil {
 		emit(obs.Sample{Name: "pim_serve_admitted_inflight",
 			Help: "Queries holding an admission slot.",
 			Type: obs.TypeGauge, Value: float64(lim.InFlight())})
@@ -187,12 +188,12 @@ func (e *Engine) collectMetrics(emit func(obs.Sample)) {
 			Help: "Queries waiting in the bounded admission queue.",
 			Type: obs.TypeGauge, Value: float64(lim.Queued())})
 	}
-	if rb := e.res.retry; rb != nil {
+	if rb := res.retry; rb != nil {
 		emit(obs.Sample{Name: "pim_serve_retry_tokens",
 			Help: "Retry-budget tokens currently available (floor).",
 			Type: obs.TypeGauge, Value: rb.Tokens()})
 	}
-	if p95, n := e.res.shed.P95(); n > 0 {
+	if p95, n := res.shed.P95(); n > 0 {
 		emit(obs.Sample{Name: "pim_serve_shed_p95_micros",
 			Help: "Observed p95 service time the shedder compares deadlines against.",
 			Type: obs.TypeGauge, Value: float64(p95.Microseconds())})

@@ -17,9 +17,15 @@ import (
 	"pimmine/internal/vec"
 )
 
-// TestObservedEngineTraceTree runs an observed engine with every query
-// sampled and asserts the acceptance-criterion span tree: engine.search →
-// shard → knn searcher → pim-dot / bound-eval → refine.
+// queryEngine is what the tests below ask of either serve engine.
+type queryEngine interface {
+	Search(ctx context.Context, q []float64, k int) (*Result, error)
+}
+
+// TestObservedEngineTraceTree runs an observed engine — static and
+// mutable — with every query sampled and asserts the acceptance-criterion
+// span tree: engine.search → shard → knn searcher → pim-dot / bound-eval
+// → refine, and that the engine's query counter counts.
 func TestObservedEngineTraceTree(t *testing.T) {
 	t.Parallel()
 	const k = 5
@@ -27,56 +33,72 @@ func TestObservedEngineTraceTree(t *testing.T) {
 	fw := testFramework(t)
 	want := oracle(data, queries, k)
 
-	o := obs.New(obs.Config{SampleRate: 1})
-	e, err := New(data, Options{
-		Shards: 3, Variant: VariantFNNPIM, Framework: fw, CapacityN: data.N, Obs: o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < queries.N; qi++ {
-		res, err := e.Search(context.Background(), queries.Row(qi), k)
+	for _, name := range []string{"static", "mutable"} {
+		o := obs.New(obs.Config{SampleRate: 1})
+		opts := Options{Shards: 3, Variant: VariantFNNPIM, Framework: fw, CapacityN: data.N, Obs: o}
+		var e queryEngine
+		var err error
+		if name == "static" {
+			e, err = New(data, opts)
+		} else {
+			var me *MutableEngine
+			if me, err = NewMutable(data, MutableOptions{Options: opts}); err == nil {
+				defer me.Close()
+			}
+			e = me
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExact(t, fmt.Sprintf("observed query %d", qi), res.Neighbors, want[qi])
-	}
+		for qi := 0; qi < queries.N; qi++ {
+			res, err := e.Search(context.Background(), queries.Row(qi), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertExact(t, fmt.Sprintf("%s observed query %d", name, qi), res.Neighbors, want[qi])
+		}
 
-	traces := o.Tracer().Recent(0)
-	if len(traces) != queries.N {
-		t.Fatalf("sampled %d traces, want %d", len(traces), queries.N)
-	}
-	tree := traces[0].Render()
-	for _, want := range []string{
-		"engine.search",
-		"shard 0", "shard 1", "shard 2",
-		"knn.FNN-PIM",
-		"pim-dot",
-		"bound-eval",
-		"refine",
-	} {
-		if !strings.Contains(tree, want) {
-			t.Errorf("trace missing span %q:\n%s", want, tree)
+		traces := o.Tracer().Recent(0)
+		if len(traces) != queries.N {
+			t.Fatalf("%s: sampled %d traces, want %d", name, len(traces), queries.N)
 		}
-	}
-	// Structural check: refine is nested under bound-eval, which is under
-	// the searcher span, which is under a shard span.
-	var shardDepth, searcherDepth, refineDepth int
-	for _, line := range strings.Split(tree, "\n") {
-		depth := strings.Count(line, "─ ") + strings.Count(line, "│")
-		_ = depth
-		switch {
-		case strings.Contains(line, "shard 0"):
-			shardDepth = indentOf(line)
-		case strings.Contains(line, "knn.FNN-PIM") && searcherDepth == 0:
-			searcherDepth = indentOf(line)
-		case strings.Contains(line, "refine") && refineDepth == 0:
-			refineDepth = indentOf(line)
+		tree := traces[0].Render()
+		for _, want := range []string{
+			"engine.search",
+			"shard 0", "shard 1", "shard 2",
+			"knn.FNN-PIM",
+			"pim-dot",
+			"bound-eval",
+			"refine",
+		} {
+			if !strings.Contains(tree, want) {
+				t.Errorf("%s: trace missing span %q:\n%s", name, want, tree)
+			}
 		}
-	}
-	if !(shardDepth < searcherDepth && searcherDepth < refineDepth) {
-		t.Errorf("span nesting wrong: shard@%d searcher@%d refine@%d\n%s",
-			shardDepth, searcherDepth, refineDepth, tree)
+		// Structural check: refine is nested under bound-eval, which is
+		// under the searcher span, which is under a shard span.
+		var shardDepth, searcherDepth, refineDepth int
+		for _, line := range strings.Split(tree, "\n") {
+			switch {
+			case strings.Contains(line, "shard 0"):
+				shardDepth = indentOf(line)
+			case strings.Contains(line, "knn.FNN-PIM") && searcherDepth == 0:
+				searcherDepth = indentOf(line)
+			case strings.Contains(line, "refine") && refineDepth == 0:
+				refineDepth = indentOf(line)
+			}
+		}
+		if !(shardDepth < searcherDepth && searcherDepth < refineDepth) {
+			t.Errorf("%s: span nesting wrong: shard@%d searcher@%d refine@%d\n%s",
+				name, shardDepth, searcherDepth, refineDepth, tree)
+		}
+		var b strings.Builder
+		if err := o.Registry().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("pim_serve_queries_total %d", queries.N); !strings.Contains(b.String(), want) {
+			t.Errorf("%s: metrics missing %q:\n%s", name, want, b.String())
+		}
 	}
 }
 

@@ -3,11 +3,11 @@
 //
 //	lease → validate → admission → deadline → shed → ROUTE → fan out → merge → annotate
 //
-// The static Engine, the MutableEngine and cluster.Engine each hand the
-// pipeline a ShardSource (how many shards, how to visit one, which are
-// servable, which are degraded) and keep only what is theirs: searchers
-// behind breakers, delta stores, replica selection. The pipeline never
-// asks which engine it serves.
+// An engine hands the pipeline a ShardSource (how many shards, how to
+// visit one, which are servable, which are degraded). There are two: the
+// static Engine and the MutableEngine share storeSource (delta stores
+// behind breakers), and cluster.Engine has its replica-picking source.
+// The pipeline never asks which engine it serves.
 //
 // Admission is the only lossy stage — a rejected or shed query is a typed
 // error (resilience.ErrOverloaded / resilience.ErrShedDeadline) in

@@ -1,8 +1,8 @@
 // Overload protection: the serve-side wiring of internal/resilience.
 // Admission control and deadline-aware shedding are stages of the query
 // pipeline (their order and the reasons for it are in pipeline.go); this
-// file holds their engine-wide handles and what sits inside a static
-// shard's visit — the PIM path behind a circuit breaker with a
+// file holds their engine-wide handles and what sits inside a shard's
+// visit, on either engine — the PIM path behind a circuit breaker with a
 // transient-fault retry budget. A breaker refusal merely reroutes the
 // shard to its exact host scan, so every admitted query still returns
 // exact results.
@@ -12,9 +12,7 @@ import (
 	"context"
 
 	"pimmine/internal/arch"
-	"pimmine/internal/knn"
 	"pimmine/internal/resilience"
-	"pimmine/internal/vec"
 )
 
 // ErrQueryTimeout marks a query that exceeded the engine-applied
@@ -40,8 +38,7 @@ type engineResilience struct {
 }
 
 // newEngineResilience validates the config and builds the engine-wide
-// handles (per-shard breakers are attached by the caller, which owns the
-// shards).
+// handles (per-shard breakers belong to the storeSource).
 func newEngineResilience(cfg *resilience.Config) (*engineResilience, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,77 +82,47 @@ func classifyFaults(m *arch.Meter) (fail, transient bool) {
 	return fail, transient
 }
 
-// search runs one query on the shard through its breaker and retry
+// search runs one query on shard id through its breaker and the retry
 // budget, and reports how many transient-fault retries it spent. The
 // flow generalizes the one-shot DeadDot fallback of internal/fault into
 // a stateful loop: an open breaker serves the exact host scan; a closed
 // (or probing) breaker runs the PIM path, retries once on a transient
 // fault if the engine-wide budget allows, and reports the final outcome
-// back to the breaker.
-func (sh *shard) search(ctx context.Context, q []float64, k int) (ans ShardAnswer, retries int) {
-	var done func(ok bool)
-	if sh.breaker != nil {
-		var err error
-		done, err = sh.breaker.Allow()
-		if err != nil { // resilience.ErrCircuitOpen: reroute, never fail
-			nn, m := sh.searchOnce(ctx, q, k, true)
-			return ShardAnswer{Neighbors: nn, Meter: m, BreakerOpen: true}, 0
-		}
+// back to the breaker. A degraded epoch already serves the host scan, so
+// it takes neither.
+func (s *storeSource) search(ctx context.Context, id int, q []float64, k int) (ans ShardAnswer, retries int, err error) {
+	if s.degraded[id].Load() {
+		ans.Neighbors, ans.Meter, err = s.once(ctx, id, q, k, false)
+		return ans, 0, err
 	}
-	nn, m := sh.searchOnce(ctx, q, k, false)
-	fail, transient := classifyFaults(m)
-	if fail && transient && sh.retry.Allow() {
-		if resilience.Sleep(ctx, sh.retry.Backoff(0)) == nil {
+	done, open := s.breakers.Get(id).Allow()
+	if open != nil { // resilience.ErrCircuitOpen: reroute, never fail
+		ans.Neighbors, ans.Meter, err = s.once(ctx, id, q, k, true)
+		ans.BreakerOpen = true
+		return ans, 0, err
+	}
+	ans.Neighbors, ans.Meter, err = s.once(ctx, id, q, k, false)
+	fail, transient := classifyFaults(ans.Meter)
+	if err == nil && fail && transient && s.retry.Allow() {
+		if resilience.Sleep(ctx, s.retry.Backoff(0)) == nil {
 			retries = 1
-			nn2, m2 := sh.searchOnce(ctx, q, k, false)
+			var m2 *arch.Meter
+			ans.Neighbors, m2, err = s.once(ctx, id, q, k, false)
 			fail, _ = classifyFaults(m2)
-			m.Merge(m2) // the query really did both attempts' work
-			nn = nn2
+			ans.Meter.Merge(m2) // the query really did both attempts' work
 		}
 	}
-	if done != nil {
-		done(!fail)
+	ok := err == nil && !fail
+	done(ok)
+	if ok {
+		s.retry.OnSuccess()
 	}
-	if !fail {
-		sh.retry.OnSuccess()
-	}
-	return ShardAnswer{Neighbors: nn, Meter: m}, retries
-}
-
-// searchOnce is one attempt on one path: the shard's configured searcher
-// or, when host is set, its exact host-scan fallback. Neighbors come
-// back translated to global indices.
-func (sh *shard) searchOnce(ctx context.Context, q []float64, k int, host bool) ([]vec.Neighbor, *arch.Meter) {
-	m := arch.NewMeter()
-	sh.mu.Lock()
-	s := sh.searcher
-	if host {
-		s = sh.host
-	}
-	nn := knn.SearchTraced(ctx, s, q, k, m)
-	sh.meter.Merge(m)
-	sh.mu.Unlock()
-	for i := range nn {
-		nn[i].Index += sh.offset
-	}
-	return nn, m
+	return ans, retries, err
 }
 
 // BreakerStates returns every shard's breaker state (StateClosed where
 // breakers are off or the shard is build-time degraded).
-func (e *Engine) BreakerStates() []resilience.State {
-	states := make([]resilience.State, len(e.shards))
-	for i, sh := range e.shards {
-		states[i] = sh.breaker.State()
-	}
-	return states
-}
+func (e *Engine) BreakerStates() []resilience.State { return e.src.breakers.States() }
 
 // BreakerTrips returns the cumulative trip count across all shards.
-func (e *Engine) BreakerTrips() int64 {
-	var n int64
-	for _, sh := range e.shards {
-		n += sh.breaker.Trips()
-	}
-	return n
-}
+func (e *Engine) BreakerTrips() int64 { return e.src.breakers.Trips() }

@@ -216,85 +216,143 @@ func TestQueryTimeoutTypedErrorChain(t *testing.T) {
 	}
 }
 
+// liveOracle is oracle over a mutable engine's live rows, answering in
+// global ids.
+func liveOracle(e *MutableEngine, queries *vec.Matrix, k int) [][]vec.Neighbor {
+	live, ids := e.Materialize()
+	out := oracle(live, queries, k)
+	for _, nn := range out {
+		for i := range nn {
+			nn[i].Index = ids[nn[i].Index]
+		}
+	}
+	return out
+}
+
 // TestBreakerTripsToHostAndRecovers drives one shard through the full
-// breaker arc: a fault storm trips it after FailureThreshold consecutive
-// failures, open-state queries serve the exact host scan (the PIM
-// searcher is not called, Result.BreakerOpen reports the shard, answers
-// match the oracle), and once the storm passes a half-open probe
-// re-admits PIM traffic and closes the breaker.
+// breaker arc, on the static engine and on the mutable one: a fault storm
+// trips it after FailureThreshold consecutive failures, open-state
+// queries serve the exact host scan (the PIM searcher is not called,
+// Result.BreakerOpen reports the shard, answers match the oracle — on the
+// mutable engine through a live delta and tombstones), and once the storm
+// passes a half-open probe re-admits PIM traffic and closes the breaker.
 func TestBreakerTripsToHostAndRecovers(t *testing.T) {
 	t.Parallel()
 	const k = 5
 	data, queries := testData(t, 80, 16, 4)
-	want := oracle(data, queries, k)
-	fs := &flakySearcher{}
 	cfg := resilience.Config{
 		Breaker: resilience.BreakerConfig{FailureThreshold: 2, CoolDown: 20 * time.Millisecond, HalfOpenProbes: 1},
 	}
-	e, err := New(data, Options{
-		Shards: 1,
-		Factory: func(m *vec.Matrix, _ int) (knn.Searcher, error) {
-			fs.inner = knn.NewStandard(m)
-			return fs, nil
-		},
-		Resilience: &cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Fault storm: two failing queries trip the breaker (no retry budget
-	// configured, so each failure is final).
-	fs.faulty.Store(true)
-	for i := 0; i < 2; i++ {
-		res, err := e.Search(context.Background(), queries.Row(0), k)
-		if err != nil {
-			t.Fatalf("faulty query %d errored: %v — faults must degrade, not fail", i, err)
+	for _, mutable := range []bool{false, true} {
+		fs := &flakySearcher{}
+		opts := Options{
+			Shards: 1,
+			Factory: func(m *vec.Matrix, _ int) (knn.Searcher, error) {
+				fs.inner = knn.NewStandard(m)
+				return fs, nil
+			},
+			Resilience: &cfg,
 		}
-		assertExact(t, fmt.Sprintf("faulty query %d", i), res.Neighbors, want[0])
+		want := oracle(data, queries, k)
+		var e queryEngine
+		var states func() []resilience.State
+		var trips func() int64
+		var churn func() // mutates a mutable engine's live rows; want follows
+		if mutable {
+			me, err := NewMutable(data, MutableOptions{Options: opts, MaxDelta: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer me.Close()
+			e, states, trips = me, me.src.breakers.States, me.src.breakers.Trips
+			churn = func() {
+				for qi := 0; qi < queries.N; qi++ { // a delta row near every query
+					if _, err := me.Insert(queries.Row(qi)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dead := map[int]bool{}
+				for _, nn := range want {
+					dead[nn[0].Index] = true
+				}
+				for id := range dead { // tombstones over the queries' best base rows
+					if err := me.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id := 0; ; id++ {
+					if !dead[id] {
+						if err := me.Update(id, queries.Row(1)); err != nil {
+							t.Fatal(err)
+						}
+						break
+					}
+				}
+				want = liveOracle(me, queries, k)
+			}
+		} else {
+			se, err := New(data, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, states, trips, churn = se, se.BreakerStates, se.BreakerTrips, func() {}
+		}
+		name := map[bool]string{false: "static", true: "mutable"}[mutable]
+
+		// Fault storm: two failing queries trip the breaker (no retry
+		// budget configured, so each failure is final).
+		fs.faulty.Store(true)
+		for i := 0; i < 2; i++ {
+			res, err := e.Search(context.Background(), queries.Row(0), k)
+			if err != nil {
+				t.Fatalf("%s: faulty query %d errored: %v — faults must degrade, not fail", name, i, err)
+			}
+			assertExact(t, fmt.Sprintf("%s faulty query %d", name, i), res.Neighbors, want[0])
+			if len(res.BreakerOpen) != 0 {
+				t.Fatalf("%s: breaker reported open before tripping: %v", name, res.BreakerOpen)
+			}
+		}
+		if got := states()[0]; got != resilience.StateOpen {
+			t.Fatalf("%s: breaker state after storm = %v, want open", name, got)
+		}
+		if got := trips(); got != 1 {
+			t.Fatalf("%s: trips = %d, want 1", name, got)
+		}
+
+		// Open: the host scan serves; the PIM searcher must not be touched.
+		churn()
+		pimCalls := fs.calls.Load()
+		for qi := 0; qi < 3; qi++ {
+			res, err := e.Search(context.Background(), queries.Row(qi), k)
+			if err != nil {
+				t.Fatalf("%s: open-breaker query %d: %v", name, qi, err)
+			}
+			assertExact(t, fmt.Sprintf("%s open-breaker query %d", name, qi), res.Neighbors, want[qi])
+			if len(res.BreakerOpen) != 1 || res.BreakerOpen[0] != 0 {
+				t.Fatalf("%s: query %d BreakerOpen = %v, want [0]", name, qi, res.BreakerOpen)
+			}
+		}
+		if fs.calls.Load() != pimCalls {
+			t.Fatalf("%s: open breaker still sent traffic to the PIM searcher", name)
+		}
+
+		// Storm over + cool-down elapsed: a probe succeeds and closes it.
+		fs.faulty.Store(false)
+		time.Sleep(cfg.Breaker.CoolDown + 5*time.Millisecond)
+		res, err := e.Search(context.Background(), queries.Row(3), k)
+		if err != nil {
+			t.Fatalf("%s: probe query: %v", name, err)
+		}
+		assertExact(t, name+" probe query", res.Neighbors, want[3])
 		if len(res.BreakerOpen) != 0 {
-			t.Fatalf("breaker reported open before tripping: %v", res.BreakerOpen)
+			t.Fatalf("%s: recovered query still reports BreakerOpen %v", name, res.BreakerOpen)
 		}
-	}
-	if got := e.BreakerStates()[0]; got != resilience.StateOpen {
-		t.Fatalf("breaker state after storm = %v, want open", got)
-	}
-	if got := e.BreakerTrips(); got != 1 {
-		t.Fatalf("trips = %d, want 1", got)
-	}
-
-	// Open: the host scan serves; the PIM searcher must not be touched.
-	pimCalls := fs.calls.Load()
-	for qi := 0; qi < 3; qi++ {
-		res, err := e.Search(context.Background(), queries.Row(qi), k)
-		if err != nil {
-			t.Fatalf("open-breaker query %d: %v", qi, err)
+		if got := states()[0]; got != resilience.StateClosed {
+			t.Fatalf("%s: breaker state after recovery = %v, want closed", name, got)
 		}
-		assertExact(t, fmt.Sprintf("open-breaker query %d", qi), res.Neighbors, want[qi])
-		if len(res.BreakerOpen) != 1 || res.BreakerOpen[0] != 0 {
-			t.Fatalf("query %d BreakerOpen = %v, want [0]", qi, res.BreakerOpen)
+		if fs.calls.Load() == pimCalls {
+			t.Fatalf("%s: recovered breaker never re-admitted PIM traffic", name)
 		}
-	}
-	if fs.calls.Load() != pimCalls {
-		t.Fatal("open breaker still sent traffic to the PIM searcher")
-	}
-
-	// Storm over + cool-down elapsed: a probe succeeds and closes it.
-	fs.faulty.Store(false)
-	time.Sleep(cfg.Breaker.CoolDown + 5*time.Millisecond)
-	res, err := e.Search(context.Background(), queries.Row(3), k)
-	if err != nil {
-		t.Fatalf("probe query: %v", err)
-	}
-	assertExact(t, "probe query", res.Neighbors, want[3])
-	if len(res.BreakerOpen) != 0 {
-		t.Fatalf("recovered query still reports BreakerOpen %v", res.BreakerOpen)
-	}
-	if got := e.BreakerStates()[0]; got != resilience.StateClosed {
-		t.Fatalf("breaker state after recovery = %v, want closed", got)
-	}
-	if fs.calls.Load() == pimCalls {
-		t.Fatal("recovered breaker never re-admitted PIM traffic")
 	}
 }
 
@@ -547,8 +605,7 @@ func TestResilienceRaceHammer(t *testing.T) {
 }
 
 // TestMutableEngineResilience checks the mutable engine shares the same
-// admission / shed / timeout pipeline (no breakers — compaction rebuilds
-// heal faulty epochs instead).
+// admission / shed / timeout pipeline.
 func TestMutableEngineResilience(t *testing.T) {
 	t.Parallel()
 	data, queries := testData(t, 60, 16, 2)

@@ -15,24 +15,27 @@
 // nothing and sharded results are bit-identical to a sequential scan
 // (property-tested in serve_test.go).
 //
-// Shard searchers reuse internal buffers and meters are not
-// goroutine-safe, so each shard serializes access with a mutex; queries
-// pipeline across shards, which is where batch throughput comes from.
-// A shard whose searcher construction fails degrades gracefully to the
-// host-side exact scan for that shard — results stay exact, the
-// degradation is reported on every Result, and the engine keeps serving.
+// Every shard of both engines is an internal/delta store — the static
+// Engine's with an empty delta and nothing that can compact it — served
+// through one ShardSource (storeSource). Shard searchers reuse internal
+// buffers, so searches on one shard serialize on the store's per-epoch
+// searcher lock; queries pipeline across shards, which is where batch
+// throughput comes from. A shard whose searcher construction fails
+// degrades gracefully to the host-side exact scan for that shard —
+// results stay exact, the degradation is reported on every Result, and
+// the engine keeps serving.
 package serve
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/bound"
 	"pimmine/internal/core"
+	"pimmine/internal/delta"
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
 	"pimmine/internal/pim"
@@ -65,9 +68,11 @@ func Variants() []Variant {
 	}
 }
 
-// Factory builds the searcher for one shard. Custom factories override
-// Options.Variant (tests use them to force the degraded path; callers can
-// plug in searchers the stock variants don't cover).
+// Factory builds the searcher for one shard: called as factory(m,
+// shardID) on the shard's first build and, on the mutable engine, on
+// every compaction. Custom factories override Options.Variant (tests use
+// them to force the degraded path; callers can plug in searchers the
+// stock variants don't cover).
 type Factory func(shard *vec.Matrix, shardID int) (knn.Searcher, error)
 
 // Options configures New.
@@ -90,7 +95,7 @@ type Options struct {
 	// QueryTimeout, when positive, is the per-query deadline applied on
 	// top of the caller's context.
 	QueryTimeout time.Duration
-	// Factory overrides Variant when non-nil.
+	// Factory overrides Variant when non-nil, on both engines.
 	Factory Factory
 	// Obs, when non-nil, wires the engine into the observability
 	// subsystem (internal/obs): query counters, latency histograms,
@@ -119,32 +124,8 @@ type Options struct {
 	// and shed queries return typed errors (resilience.ErrOverloaded,
 	// resilience.ErrShedDeadline); admitted queries always return exact
 	// results. When MaxConcurrent is set, Workers is clamped to it so a
-	// batch cannot reject its own jobs.
+	// batch cannot reject its own jobs. Both engines honour all of it.
 	Resilience *resilience.Config
-}
-
-// shard is one row-range of the dataset with its private searcher.
-// searcher, meter and the searcher's internal buffers are guarded by mu:
-// one query at a time per shard, with queries pipelining across shards.
-type shard struct {
-	id     int
-	name   string // span label, precomputed off the query hot path
-	offset int    // global index of local row 0
-	data   *vec.Matrix
-
-	mu       sync.Mutex
-	searcher knn.Searcher
-	meter    *arch.Meter // cumulative shard activity
-	degraded bool
-
-	// Overload protection (nil/unset unless Options.Resilience engages
-	// it): breaker gates the PIM path, host is the exact host-scan
-	// fallback served while the breaker is open, retry is the shared
-	// engine-wide transient-fault budget. The search flow lives in
-	// resilience.go.
-	breaker *resilience.Breaker
-	host    knn.Searcher
-	retry   *resilience.RetryBudget
 }
 
 // ErrClosed reports an operation on an engine after Close.
@@ -153,20 +134,20 @@ var ErrClosed = fmt.Errorf("serve: engine closed")
 // Engine is the sharded concurrent query engine. It is safe for
 // concurrent use by multiple goroutines.
 type Engine struct {
-	data     *vec.Matrix
-	shards   []*shard
-	degraded []int // shard ids that fell back to the host exact scan
-	opts     Options
-	eobs     *engineObs        // nil when Options.Obs is nil
-	res      *engineResilience // nil when Options.Resilience is nil
-	pipe     *Pipeline         // the query path, over staticSource
+	data *vec.Matrix
+	src  *storeSource // the shards: one store each, never compacted
+	opts Options
+	res  *engineResilience // nil when Options.Resilience is nil
+	pipe *Pipeline         // the query path, over src
 }
 
 // Close drains in-flight queries and shuts the engine down; subsequent
 // queries return ErrClosed. It is idempotent — a second (or concurrent)
 // Close neither panics nor deadlocks, it just waits for the same drain.
 func (e *Engine) Close() error {
-	e.pipe.Close()
+	if e.pipe.Close() {
+		closeStores(e.src.stores)
+	}
 	return nil
 }
 
@@ -211,11 +192,15 @@ func (o *Options) defaults(n, d int) (*engineResilience, error) {
 	return res, nil
 }
 
-// pipeline builds the query path over src with every stage these options
-// configure.
-func (o *Options) pipeline(src ShardSource, dims int, res *engineResilience, eobs *engineObs) *Pipeline {
+// serve wires the query path over src's built shards: the engine
+// metrics when Options.Obs is set, then the pipeline with every stage
+// these options configure.
+func (o *Options) serve(src *storeSource, dims int, res *engineResilience) *Pipeline {
+	if o.Obs != nil {
+		src.eobs = newEngineObs(o.Obs, src, o.Router, res)
+	}
 	p := NewPipeline(src, dims, o.Router, o.Workers)
-	p.timeout, p.res, p.eobs = o.QueryTimeout, res, eobs
+	p.timeout, p.res, p.eobs = o.QueryTimeout, res, src.eobs
 	return p
 }
 
@@ -231,51 +216,23 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	factory := opts.Factory
-	if factory == nil {
-		if factory, err = variantFactory(opts); err != nil {
-			return nil, err
-		}
+	build, err := opts.builder()
+	if err != nil {
+		return nil, err
 	}
-
-	e := &Engine{data: data, opts: opts, res: res}
-	s := opts.Shards
-	base, rem := data.N/s, data.N%s
-	lo := 0
-	for id := 0; id < s; id++ {
-		rows := base
-		if id < rem {
-			rows++
-		}
-		sh := &shard{id: id, name: fmt.Sprintf("shard %d", id), offset: lo, data: data.Slice(lo, lo+rows), meter: arch.NewMeter()}
-		searcher, err := factory(sh.data, id)
-		if err != nil {
-			// Graceful degradation: this shard serves the exact host
-			// scan; results stay exact, throughput modeling degrades.
-			searcher = knn.NewStandard(sh.data)
-			sh.degraded = true
-			e.degraded = append(e.degraded, id)
-		}
-		sh.searcher = searcher
-		e.shards = append(e.shards, sh)
-		lo += rows
+	// A static shard is built once, sized at its even share of CapacityN.
+	shardCap := shardCapacity(opts)
+	src := newStoreSource(&opts, res, func(m *vec.Matrix, id, _ int) (knn.Searcher, error) {
+		return build(m, id, shardCap)
+	})
+	err = src.partition(data, func(id, lo int) (delta.Options, error) {
+		return delta.Options{Factory: src.factory(id), IDOffset: lo}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if res != nil {
-		for _, sh := range e.shards {
-			if sh.degraded {
-				continue // already serving the host scan permanently
-			}
-			sh.retry = res.retry
-			if opts.Resilience.Breaker.FailureThreshold > 0 {
-				sh.breaker = resilience.NewBreaker(opts.Resilience.Breaker)
-				sh.host = knn.NewStandard(sh.data)
-			}
-		}
-	}
-	if opts.Obs != nil {
-		e.eobs = newEngineObs(e, opts.Obs)
-	}
-	e.pipe = opts.pipeline(staticSource{e}, data.D, res, e.eobs)
+	e := &Engine{data: data, src: src, opts: opts, res: res}
+	e.pipe = opts.serve(src, data.D, res)
 	return e, nil
 }
 
@@ -296,19 +253,30 @@ func checkAlive(s knn.Searcher, eng *pim.Engine, err error) (knn.Searcher, error
 	return s, nil
 }
 
-// capFactory builds a searcher over a matrix with an explicit Theorem 4
-// sizing cardinality. It is the capacity-parameterized core both the
-// static per-shard Factory and the mutable engine's compaction rebuilds
-// (internal/delta, which re-runs dimension selection as occupancy
-// changes) are derived from.
-type capFactory func(m *vec.Matrix, capacityN int) (knn.Searcher, error)
+// buildFunc builds shard id's searcher over m for one epoch, sized at the
+// Theorem 4 cardinality capacityN.
+type buildFunc func(m *vec.Matrix, id, capacityN int) (knn.Searcher, error)
+
+// builder returns the constructor every shard epoch is built with:
+// Options.Factory, handed the shard id (it sizes its own arrays), or else
+// the variant's.
+func (o *Options) builder() (buildFunc, error) {
+	if f := o.Factory; f != nil {
+		return func(m *vec.Matrix, id, _ int) (knn.Searcher, error) { return f(m, id) }, nil
+	}
+	build, err := variantBuilder(*o)
+	if err != nil {
+		return nil, err
+	}
+	return func(m *vec.Matrix, _, capacityN int) (knn.Searcher, error) { return build(m, capacityN) }, nil
+}
 
 // variantBuilder maps a Variant to a capacity-parameterized searcher
 // constructor. PIM variants build a fresh array per call — programming
 // is what burns endurance, so reuse is deliberately impossible here and
 // accounted for by the caller (the delta ledger or the one-shot shard
 // build).
-func variantBuilder(opts Options) (capFactory, error) {
+func variantBuilder(opts Options) (delta.Factory, error) {
 	fw := opts.Framework
 	needFW := func(v Variant) error {
 		if fw == nil {
@@ -392,21 +360,8 @@ func shardCapacity(opts Options) int {
 	return (opts.CapacityN + opts.Shards - 1) / opts.Shards
 }
 
-// variantFactory maps a Variant to a per-shard searcher constructor with
-// the shard capacity fixed at engine-build time.
-func variantFactory(opts Options) (Factory, error) {
-	build, err := variantBuilder(opts)
-	if err != nil {
-		return nil, err
-	}
-	shardCap := shardCapacity(opts)
-	return func(m *vec.Matrix, _ int) (knn.Searcher, error) {
-		return build(m, shardCap)
-	}, nil
-}
-
 // NumShards returns the partition count in effect.
-func (e *Engine) NumShards() int { return len(e.shards) }
+func (e *Engine) NumShards() int { return len(e.src.stores) }
 
 // Dims returns the dataset dimensionality (queries must match it).
 func (e *Engine) Dims() int { return e.data.D }
@@ -422,35 +377,20 @@ func (e *Engine) Router() *route.Router { return e.opts.Router }
 
 // ShardSizes returns the row count of every shard.
 func (e *Engine) ShardSizes() []int {
-	sizes := make([]int, len(e.shards))
-	for i, sh := range e.shards {
-		sizes[i] = sh.data.N
+	sizes := make([]int, len(e.src.stores))
+	for i, st := range e.src.stores {
+		sizes[i] = st.Stats().LiveRows
 	}
 	return sizes
 }
 
 // DegradedShards returns the ids of shards serving the host fallback
 // (nil when every shard built its configured searcher).
-func (e *Engine) DegradedShards() []int {
-	if len(e.degraded) == 0 {
-		return nil
-	}
-	out := make([]int, len(e.degraded))
-	copy(out, e.degraded)
-	return out
-}
+func (e *Engine) DegradedShards() []int { return e.src.Degraded() }
 
 // Meter returns a merged snapshot of the cumulative per-shard activity
 // since the engine was built.
-func (e *Engine) Meter() *arch.Meter {
-	total := arch.NewMeter()
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		total.Merge(sh.meter)
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (e *Engine) Meter() *arch.Meter { return e.src.cumulative() }
 
 // Result is one query's answer.
 type Result struct {
@@ -533,33 +473,4 @@ func (e *Engine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*
 // SearchMode).
 func (e *Engine) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
 	return e.pipe.SearchBatch(ctx, queries, k, mode)
-}
-
-// staticSource serves the pipeline from the engine's fixed shards: each
-// visit runs the shard's searcher behind its breaker and retry budget
-// (resilience.go) under a shard span.
-type staticSource struct{ e *Engine }
-
-func (s staticSource) NumShards() int     { return len(s.e.shards) }
-func (s staticSource) Available(int) bool { return true }
-func (s staticSource) Degraded() []int    { return s.e.DegradedShards() }
-
-func (s staticSource) Visit(ctx context.Context, root *obs.Span, id int, q []float64, k int) (ShardAnswer, error) {
-	sh, eo := s.e.shards[id], s.e.eobs
-	sp := root.StartChild(sh.name)
-	if eo != nil {
-		eo.shardQueries[id].Inc()
-	}
-	ans, retries := sh.search(obs.ContextWithSpan(ctx, sp), q, k)
-	annotateFaults(sp, ans.Meter)
-	if ans.BreakerOpen {
-		sp.Annotate("breaker-open", obs.A("path", "host-scan"))
-		eo.noteBreakerHostServe()
-	}
-	if retries > 0 {
-		sp.Annotate("pim-retry", obs.A("retries", retries))
-		eo.noteRetries(retries)
-	}
-	sp.End()
-	return ans, nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -325,18 +326,8 @@ func (e *Engine) severCoordLinkIfSafe(id int, force bool) (disableResult, error)
 // must hold e.mu across check and action (see the *IfSafe helpers).
 func (e *Engine) canDisable(id int) bool {
 	for _, sh := range e.shards {
-		cur := sh.version.Load()
-		ok := false
-		for _, r := range sh.snapshot() {
-			if r.node.id == id {
-				continue
-			}
-			if e.nodeLive(r.node) && r.version.Load() >= cur {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		others := slices.DeleteFunc(sh.snapshot(), func(r *replica) bool { return r.node.id == id })
+		if _, err := e.current(sh, others, nil); err != nil {
 			return false
 		}
 	}

@@ -10,9 +10,18 @@
 // it. The differential goldens in diff_test.go pin that across all six
 // mining tasks with any single node down.
 //
-// Reads pick, per shard, the least-loaded current replica on a live,
-// reachable node (breaker-approved first; breakers are ignored on the
-// second pass because serving an exact answer beats protecting a node).
+// Queries run through serve.Pipeline, which opens each visited shard's
+// "shard N" span. Under it a read picks the least-loaded current replica
+// (current: live, reachable node and version ≥ the shard's — one rule
+// for reads and writes) in a cluster.pick-replica span that records every
+// replica passed over and why, breaker-approved first (breakers are
+// ignored on the second pass because serving an exact answer beats
+// protecting a node). Each replica tried is one serve.Attempt, the serve
+// engines' store attempt, so a node's breaker counts errors and PIM-fault
+// meters alike. With Options.Obs set the cluster traces engine.search →
+// shard N → cluster.pick-replica → knn.* and exports the pipeline's
+// pim_serve_* and pim_route_* metrics beside its own pim_cluster_* ones.
+//
 // Writes apply to every writable (live and current) replica under the
 // engine mutation lock; replicas on paused or partitioned nodes go stale
 // (their version falls behind the shard's) and are excluded from reads
@@ -102,17 +111,14 @@ type Options struct {
 	// arch.Config.InternalBusGBs: crossing nodes costs more than
 	// crossing a bus).
 	LinkGBs float64
-	// NodeServiceTime simulates per-shard-visit dwell on a node; a
-	// node's visits serialize, which is what makes goodput scale with
-	// node count in the ext-cluster sweep (default 0: no dwell).
-	NodeServiceTime time.Duration
 	// MaxDelta / MaxTombstoneRatio configure each replica's delta store
 	// (defaults 256 / 0.25).
 	MaxDelta          int
 	MaxTombstoneRatio float64
 	// StandingBuffer sizes standing-subscription event channels.
 	StandingBuffer int
-	// Obs exports pim_cluster_* metrics when set.
+	// Obs, when set, exports the pim_cluster_* metrics and the query
+	// pipeline's, and samples span trees (see the package comment).
 	Obs *obs.Observer
 }
 
@@ -129,25 +135,28 @@ type node struct {
 
 var errInjectedFault = errors.New("cluster: injected node fault")
 
-// visit runs one shard search on the node, holding its pipeline.
-func (n *node) visit(ctx context.Context, st *delta.Store, q []float64, k int, dwell time.Duration, m *arch.Meter) ([]vec.Neighbor, error) {
+type replica struct {
+	node    *node
+	store   *delta.Store
+	version atomic.Uint64 // last mutation applied (or snapshot version installed)
+}
+
+// search is one store search on r's node, holding the node's pipeline:
+// an injected slow-down dwells first, and an injected fault fails the
+// visit before the store is touched.
+func (r *replica) search(ctx context.Context, q []float64, k int, m *arch.Meter) ([]vec.Neighbor, error) {
+	n := r.node
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if d := dwell + time.Duration(n.slow.Load()); d > 0 {
+	if d := time.Duration(n.slow.Load()); d > 0 {
 		time.Sleep(d)
 	}
 	if f := n.faults.Load(); f > 0 && n.faults.CompareAndSwap(f, f-1) {
 		return nil, errInjectedFault
 	}
-	return st.Search(ctx, q, k, m)
-}
-
-type replica struct {
-	node    *node
-	store   *delta.Store
-	version atomic.Uint64 // last mutation applied (or snapshot version installed)
+	return r.store.Search(ctx, q, k, m)
 }
 
 type cshard struct {
@@ -177,7 +186,7 @@ type Engine struct {
 	nodes    []*node
 	breakers *resilience.BreakerSet // one breaker per node
 	shards   []*cshard
-	bounds   []int // initial contiguous id range starts, bounds[i] = lo of shard i
+	bounds   []int // initial id ranges (route.EvenSplit): shard i owns bounds[i]..bounds[i+1]-1
 	idRing   *ring // inserted ids -> shards
 
 	// links[from][to]: directed reachability; index 0 is the
@@ -302,16 +311,11 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	e.idRing = newRing(opts.Shards, opts.VirtualNodes, opts.Seed+1)
 
 	e.shards = make([]*cshard, opts.Shards)
-	e.bounds = make([]int, opts.Shards)
-	base, rem := data.N/opts.Shards, data.N%opts.Shards
-	lo := 0
-	for id := 0; id < opts.Shards; id++ {
-		rows := base
-		if id < rem {
-			rows++
-		}
+	e.bounds = route.EvenSplit(data.N, opts.Shards)
+	for id := range e.shards {
+		lo := e.bounds[id]
 		sh := &cshard{id: id}
-		part := data.Slice(lo, lo+rows)
+		part := data.Slice(lo, e.bounds[id+1])
 		for _, nid := range nodeRing.pref(fmt.Sprintf("shard-%d", id), opts.Replicas) {
 			st, err := delta.New(part, e.replicaDeltaOptions(id, lo))
 			if err != nil {
@@ -324,12 +328,10 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 			sh.replicas = append(sh.replicas, &replica{node: n, store: st})
 		}
 		e.shards[id] = sh
-		e.bounds[id] = lo
-		lo += rows
 	}
 	e.met.nodesUp(opts.Nodes)
 
-	e.pipe = serve.NewPipeline(source{e}, data.D, opts.Router, opts.Workers)
+	e.pipe = serve.NewPipeline(source{e}, data.D, opts.Router, opts.Workers, opts.Obs)
 	// The requery hook runs under e.mu via the mutation hooks, so it is
 	// the pipeline's bare fan-out: it must not re-acquire engine locks.
 	reg, err := standing.NewRegistry(standing.Options{Requery: e.pipe.Requery, Buffer: opts.StandingBuffer})
@@ -421,11 +423,8 @@ func (e *Engine) ShipStats() ShipStats {
 func (e *Engine) Rows() int {
 	total := 0
 	for _, sh := range e.shards {
-		for _, r := range sh.snapshot() {
-			if r.version.Load() >= sh.version.Load() {
-				total += r.store.Stats().LiveRows
-				break
-			}
+		if reps, err := e.current(sh, sh.snapshot(), nil); err == nil {
+			total += reps[0].store.Stats().LiveRows
 		}
 	}
 	return total
@@ -447,75 +446,103 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// searchShard serves one shard from the best available replica.
-//
-// Pass 1 considers replicas that are current, on a live reachable node,
-// and whose breaker admits the call, least-loaded first. Pass 2 drops
-// the breaker condition: an open breaker reroutes load while healthy
-// replicas exist, but never costs an exact answer. A replica whose
-// store fails (injected fault, closed by a concurrent kill) feeds its
-// breaker and the next candidate is tried — bit-identical replicas make
-// that fail-over invisible in the result.
-func (e *Engine) searchShard(ctx context.Context, sh *cshard, q []float64, k int) (serve.ShardAnswer, error) {
-	reps := sh.snapshot()
+// current is the replica-currency rule: it filters reps — sh's replicas
+// in preference order, a copy the caller owns — in place down to those
+// that may serve reads and take writes: on a live, reachable node and at
+// sh's version. Each replica dropped is recorded on sp (nil: not
+// recorded). With none left the error says what a retry buys:
+// ErrRebalancing when a live replica is merely stale (anti-entropy will
+// catch it up), ErrNoQuorum when none is live.
+func (e *Engine) current(sh *cshard, reps []*replica, sp *obs.Span) ([]*replica, error) {
 	cur := sh.version.Load()
-	avail := reps[:0:0]
+	out, live := reps[:0], false
 	for _, r := range reps {
-		if e.nodeLive(r.node) && r.version.Load() >= cur {
-			avail = append(avail, r)
+		switch {
+		case !e.nodeLive(r.node):
+			skip(sp, r, "node down or unreachable")
+		case r.version.Load() < cur:
+			live = true
+			skip(sp, r, "stale")
+		default:
+			out = append(out, r)
 		}
 	}
-	if len(avail) == 0 {
-		if len(reps) > 0 {
-			// Live hosts may exist but hold stale copies: anti-entropy
-			// will catch them up, so tell the caller to retry.
-			for _, r := range reps {
-				if e.nodeLive(r.node) {
-					e.met.inc(e.met.rebalancing)
-					return serve.ShardAnswer{}, ErrRebalancing
-				}
-			}
+	switch {
+	case len(out) > 0:
+		return out, nil
+	case live:
+		return nil, ErrRebalancing
+	}
+	return nil, ErrNoQuorum
+}
+
+// skip records on a cluster.pick-replica span that r was passed over,
+// and why.
+func skip(sp *obs.Span, r *replica, why string) {
+	if sp != nil {
+		sp.Annotate("skip", obs.A("node", r.node.id), obs.A("reason", why))
+	}
+}
+
+// searchShard serves one shard from the best current replica, under a
+// cluster.pick-replica span naming the node that answered and every
+// replica passed over.
+//
+// Pass 1 tries the current replicas least-loaded first, each as one
+// serve.Attempt behind its node's breaker. Pass 2 drops the breaker: an
+// open breaker reroutes load while healthy replicas exist, but never
+// costs an exact answer. A replica whose visit fails (injected fault,
+// closed by a concurrent kill) feeds its breaker and the next candidate
+// is tried — bit-identical replicas make that fail-over invisible in the
+// result.
+func (e *Engine) searchShard(ctx context.Context, sh *cshard, q []float64, k int) (serve.ShardAnswer, error) {
+	ctx, sp := obs.StartSpan(ctx, "cluster.pick-replica")
+	defer sp.End()
+	avail, err := e.current(sh, sh.snapshot(), sp)
+	if err != nil {
+		if errors.Is(err, ErrRebalancing) {
+			e.met.inc(e.met.rebalancing)
+		} else {
+			e.met.inc(e.met.noQuorum)
 		}
-		e.met.inc(e.met.noQuorum)
-		return serve.ShardAnswer{}, ErrNoQuorum
+		return serve.ShardAnswer{}, err
 	}
 	// Least-loaded first; ties keep preference order. Replicas are
 	// bit-identical, so balancing is free — it is also what keeps
-	// goodput ≥ 80% after a node kill (the dead node's visits spread
-	// over every survivor instead of doubling one neighbor).
+	// goodput up after a node kill (the dead node's visits spread over
+	// every survivor instead of doubling one neighbor).
 	sort.SliceStable(avail, func(i, j int) bool {
 		return avail[i].node.inflight.Load() < avail[j].node.inflight.Load()
 	})
-	res := serve.ShardAnswer{Meter: arch.NewMeter()}
 	var errs []error
-	// Pass 1: breaker-approved candidates. Pass 2: ignore breakers.
+	failedOver := false
 	for pass := 0; pass < 2; pass++ {
 		for i, r := range avail {
 			if r == nil {
 				continue
 			}
-			done := func(bool) {}
-			if pass == 0 {
-				d, err := r.node.breaker.Allow()
-				if err != nil {
-					res.BreakerOpen = true
+			br := r.node.breaker
+			if pass == 1 {
+				br = nil
+			}
+			ans, _, err := serve.Attempt(ctx, r.search, br, nil, q, k)
+			if err != nil {
+				failedOver = true
+				if errors.Is(err, resilience.ErrCircuitOpen) {
+					skip(sp, r, "breaker open")
 					continue
 				}
-				done = d
-			}
-			nn, err := r.node.visit(ctx, r.store, q, k, e.opts.NodeServiceTime, res.Meter)
-			done(err == nil)
-			if err != nil {
+				skip(sp, r, "error: "+err.Error())
 				errs = append(errs, fmt.Errorf("node %d: %w", r.node.id, err))
-				res.BreakerOpen = true
 				avail[i] = nil
 				continue
 			}
-			if res.BreakerOpen {
+			if failedOver {
 				e.met.inc(e.met.failovers)
 			}
-			res.Neighbors = nn
-			return res, nil
+			sp.SetAttr("node", r.node.id)
+			ans.BreakerOpen = failedOver
+			return ans, nil
 		}
 	}
 	errs = append(errs, ErrNoQuorum)
@@ -523,33 +550,24 @@ func (e *Engine) searchShard(ctx context.Context, sh *cshard, q []float64, k int
 	return serve.ShardAnswer{}, errors.Join(errs...)
 }
 
-// shardServable reports whether a shard has at least one current
-// replica on a live, reachable node — the availability predicate exact
-// routing seeds τ from, so a dead best shard cannot stall the plan. A
-// shard with no live replica only fails a routed query if its bound says
-// it could hold a top-k row — routing proves dead shards out of the
-// answer.
-func (e *Engine) shardServable(id int) bool {
-	sh := e.shards[id]
-	cur := sh.version.Load()
-	for _, r := range sh.snapshot() {
-		if e.nodeLive(r.node) && r.version.Load() >= cur {
-			return true
-		}
-	}
-	return false
-}
-
 // source is the pipeline's view of the cluster: a shard visit is
 // searchShard's replica pick (a fail-over is reported as the answer's
-// BreakerOpen); no shard is ever build-degraded.
+// BreakerOpen), and a shard is available while it has a current replica
+// — exact routing seeds τ from those, so a dead best shard cannot stall
+// the plan, and a dead shard fails a routed query only if its bound says
+// it could hold a top-k row. No shard is ever build-degraded.
 type source struct{ e *Engine }
 
-func (s source) NumShards() int        { return len(s.e.shards) }
-func (s source) Available(id int) bool { return s.e.shardServable(id) }
-func (s source) Degraded() []int       { return nil }
+func (s source) NumShards() int  { return len(s.e.shards) }
+func (s source) Degraded() []int { return nil }
 
-func (s source) Visit(ctx context.Context, _ *obs.Span, id int, q []float64, k int) (serve.ShardAnswer, error) {
+func (s source) Available(id int) bool {
+	sh := s.e.shards[id]
+	_, err := s.e.current(sh, sh.snapshot(), nil)
+	return err == nil
+}
+
+func (s source) Visit(ctx context.Context, id int, q []float64, k int) (serve.ShardAnswer, error) {
 	return s.e.searchShard(ctx, s.e.shards[id], q, k)
 }
 

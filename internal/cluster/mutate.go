@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pimmine/internal/delta"
@@ -11,10 +12,11 @@ import (
 )
 
 // Writes apply to every writable replica of the owning shard under the
-// engine mutation lock. Writable means live AND current: a replica that
-// went stale while paused or partitioned stays excluded from writes
-// after its node rejoins — otherwise the first post-rejoin write would
-// stamp it current while it still misses the intermediate mutations.
+// engine mutation lock. Writable is what reads serve from (current): live
+// AND current. A replica that went stale while paused or partitioned
+// stays excluded from writes after its node rejoins — otherwise the
+// first post-rejoin write would stamp it current while it still misses
+// the intermediate mutations.
 // Stale replicas return to service only through Repair's snapshot ship,
 // so every current replica has seen the same prefix of the same
 // mutation sequence.
@@ -47,38 +49,12 @@ func (e *Engine) shardOf(id int) (int, error) {
 	return 0, fmt.Errorf("cluster: unknown id %d", id)
 }
 
-// writableReplicas returns the replicas a write may land on: live,
-// reachable, and current. Stale replicas are excluded even when their
-// node is back up; see the commit rule above.
-func (e *Engine) writableReplicas(sh *cshard) []*replica {
-	cur := sh.version.Load()
-	var out []*replica
-	for _, r := range sh.replicas {
-		if e.nodeLive(r.node) && r.version.Load() >= cur {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// writeRefusedLocked picks the typed error for a shard with no writable
-// replica: a live-but-stale copy means anti-entropy can fix it (retry
-// after Repair), no live copy at all means quorum is gone.
-func (e *Engine) writeRefusedLocked(sh *cshard) error {
-	for _, r := range sh.replicas {
-		if e.nodeLive(r.node) {
-			return ErrRebalancing
-		}
-	}
-	return ErrNoQuorum
-}
-
 // commitLocked runs op on every writable replica of sh and applies the
 // commit rule. Caller holds e.mu.
 func (e *Engine) commitLocked(sh *cshard, op func(*replica) error) error {
-	reps := e.writableReplicas(sh)
-	if len(reps) == 0 {
-		return e.writeRefusedLocked(sh)
+	reps, err := e.current(sh, slices.Clone(sh.replicas), nil)
+	if err != nil {
+		return err
 	}
 	var applied []*replica
 	var errs []error
@@ -228,31 +204,12 @@ func (e *Engine) Materialize() (*vec.Matrix, []int, error) {
 	defer e.mu.Unlock()
 	stores := make([]*delta.Store, len(e.shards))
 	for i, sh := range e.shards {
-		r, err := e.currentReplicaLocked(sh)
+		reps, err := e.current(sh, slices.Clone(sh.replicas), nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("cluster: shard %d: %w", sh.id, err)
 		}
-		stores[i] = r.store
+		stores[i] = reps[0].store
 	}
 	out, ids := delta.MaterializeAll(stores)
 	return out, ids, nil
-}
-
-// currentReplicaLocked picks any live current replica of sh.
-func (e *Engine) currentReplicaLocked(sh *cshard) (*replica, error) {
-	cur := sh.version.Load()
-	live := false
-	for _, r := range sh.replicas {
-		if !e.nodeLive(r.node) {
-			continue
-		}
-		live = true
-		if r.version.Load() >= cur {
-			return r, nil
-		}
-	}
-	if live {
-		return nil, fmt.Errorf("cluster: shard %d: %w", sh.id, ErrRebalancing)
-	}
-	return nil, fmt.Errorf("cluster: shard %d: %w", sh.id, ErrNoQuorum)
 }

@@ -24,8 +24,8 @@ type pipelineEngine interface {
 	Close() error
 }
 
-// slowSearcher dwells before every scan, pacing the two engines that
-// take a searcher factory the way NodeServiceTime paces a cluster node.
+// slowSearcher dwells before every scan, pacing a shard visit the same
+// way on every engine.
 type slowSearcher struct {
 	knn.Searcher
 	dwell time.Duration
@@ -38,9 +38,8 @@ func (s slowSearcher) Search(q []float64, k int, m *arch.Meter) []vec.Neighbor {
 
 // threeEngines builds the static, mutable and cluster engines over the
 // same data and shard split, each with its own router from the same
-// config (nil cfg = unrouted). dwell > 0 slows every shard visit where
-// the engine has a hook for it (the mutable engine ignores
-// Options.Factory, so callers give it enough rows to be slow instead).
+// config (nil cfg = unrouted), and every shard's searcher from one
+// factory: an exact scan behind a slowSearcher that dwells for dwell.
 func threeEngines(t *testing.T, data *vec.Matrix, shards, workers int, cfg *route.Config, dwell time.Duration) map[string]pipelineEngine {
 	t.Helper()
 	router := func() *route.Router {
@@ -53,23 +52,22 @@ func threeEngines(t *testing.T, data *vec.Matrix, shards, workers int, cfg *rout
 		}
 		return r
 	}
-	sopts := serve.Options{Shards: shards, Workers: workers, Router: router()}
-	if dwell > 0 {
-		sopts.Factory = func(m *vec.Matrix, _ int) (knn.Searcher, error) {
-			return slowSearcher{knn.NewStandard(m), dwell}, nil
-		}
+	slow := func(m *vec.Matrix, _ int) (knn.Searcher, error) {
+		return slowSearcher{knn.NewStandard(m), dwell}, nil
 	}
-	static, err := serve.New(data, sopts)
+	sopts := func() serve.Options {
+		return serve.Options{Shards: shards, Workers: workers, Router: router(), Factory: slow}
+	}
+	static, err := serve.New(data, sopts())
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	mutable, err := serve.NewMutable(data, serve.MutableOptions{
-		Options: serve.Options{Shards: shards, Workers: workers, Router: router()}})
+	mutable, err := serve.NewMutable(data, serve.MutableOptions{Options: sopts()})
 	if err != nil {
 		t.Fatalf("serve.NewMutable: %v", err)
 	}
 	clu, err := New(data, Options{Nodes: 3, Replicas: 2, Shards: shards, Workers: workers,
-		Router: router(), NodeServiceTime: dwell})
+		Router: router(), Factory: slow})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
@@ -172,9 +170,7 @@ func TestPipelineEdgeBehaviours(t *testing.T) {
 // lease deadlocks instead: its workers queue behind the pending Close.)
 func TestCloseDuringBatch(t *testing.T) {
 	t.Parallel()
-	// Enough rows that the mutable engine, which has no dwell hook, is
-	// still mid-batch when Close lands.
-	data := randMatrix(12000, 16, 7)
+	data := randMatrix(400, 16, 7)
 	queries := randMatrix(40, 16, 8)
 	ctx := context.Background()
 	engines := threeEngines(t, data, 4, 1, &route.Config{Seed: 3}, 2*time.Millisecond)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,16 +22,13 @@ func init() {
 
 // Cluster-experiment shape: a fixed shard count is placed over a
 // growing fleet of simulated PIM nodes, each node a serialized pipeline
-// with a pinned per-visit service time — so aggregate capacity grows
-// with the node count and goodput should scale near-linearly. The final
+// running the real searchers unpaced — no service-time sleep — so a
+// node's capacity is CPU time and goodput can scale with the node count
+// only as far as the runner has CPUs to give the extra nodes. The final
 // cell re-runs the largest fleet and kills one node mid-window: R-way
 // replication plus least-inflight replica selection must absorb the
-// loss, retaining most of the steady goodput with every surviving
-// answer still bit-exact.
-var (
-	clusterServiceDelay = raceScale * 300 * time.Microsecond
-	clusterWindow       = raceScale * 300 * time.Millisecond
-)
+// loss with every surviving answer still bit-exact.
+var clusterWindow = raceScale * 300 * time.Millisecond
 
 const clusterShards = 8
 
@@ -67,12 +65,11 @@ func ExtCluster(s *Suite) (*Table, error) {
 	}
 	build := func(nodes int) (*cluster.Engine, error) {
 		return cluster.New(ds.X, cluster.Options{
-			Nodes:           nodes,
-			Replicas:        reps(nodes),
-			Shards:          clusterShards,
-			Seed:            s.Seed,
-			NodeServiceTime: clusterServiceDelay,
-			Obs:             s.Obs,
+			Nodes:    nodes,
+			Replicas: reps(nodes),
+			Shards:   clusterShards,
+			Seed:     s.Seed,
+			Obs:      s.Obs,
 		})
 	}
 
@@ -211,15 +208,10 @@ func ExtCluster(s *Suite) (*Table, error) {
 			pctShare(c.typed, c.attempts),
 			fmt.Sprintf("%.0f%% retained", retained),
 		)
-		// Exactness is enforced per query; retention is timing-dependent
-		// on shared runners, so it warns rather than fails.
-		if retained < 80 {
-			t.Note("WARNING: goodput retained %.0f%% of steady after a mid-run node kill, below the 80%% target", retained)
-		}
 	}
-	t.Note("fixed %d shards placed by consistent hashing, %s pipeline service per shard visit; closed-loop clients, every success verified exact against the sequential scan",
-		clusterShards, clusterServiceDelay)
-	t.Note("kill cell: one node destroyed mid-window; R-way replicas plus least-inflight selection absorb the loss with answers bit-identical throughout")
+	t.Note("unpaced: fixed %d shards placed by consistent hashing, each shard visit costing its real search and no service-time sleep, so node scaling is bounded by the runner's CPUs (GOMAXPROCS %d); closed-loop clients, every success verified exact against the sequential scan",
+		clusterShards, runtime.GOMAXPROCS(0))
+	t.Note("kill cell: one node destroyed mid-window; R-way replicas plus least-inflight selection absorb the loss with answers bit-identical throughout (retention is timing-dependent and reported as measured)")
 	return t, nil
 }
 

@@ -220,10 +220,24 @@ func grandMean(shards []*vec.Matrix, d int) []float64 {
 	return c
 }
 
-// NewEven builds a router over the same contiguous row-wise partition
-// the serving engines use (N/s rows per shard, remainder spread over the
-// first shards) — the convenience constructor for attaching a router to
-// an engine built from the same dataset with Options.Shards = shards.
+// EvenSplit is the contiguous row-wise partition every engine places its
+// initial n rows by: shard i owns rows starts[i] up to starts[i+1], n/shards
+// of them plus one for each of the first n%shards shards. starts has
+// shards+1 entries, the last being n.
+func EvenSplit(n, shards int) []int {
+	starts := make([]int, shards+1)
+	for id := range shards {
+		starts[id+1] = starts[id] + n/shards
+		if id < n%shards {
+			starts[id+1]++
+		}
+	}
+	return starts
+}
+
+// NewEven builds a router over the EvenSplit partition the serving
+// engines use — the convenience constructor for attaching a router to an
+// engine built from the same dataset with Options.Shards = shards.
 func NewEven(cfg Config, data *vec.Matrix, shards int) (*Router, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("route: empty dataset")
@@ -231,16 +245,10 @@ func NewEven(cfg Config, data *vec.Matrix, shards int) (*Router, error) {
 	if shards <= 0 || shards > data.N {
 		return nil, fmt.Errorf("route: shard count %d outside 1..%d", shards, data.N)
 	}
-	parts := make([]*vec.Matrix, 0, shards)
-	base, rem := data.N/shards, data.N%shards
-	lo := 0
-	for id := 0; id < shards; id++ {
-		rows := base
-		if id < rem {
-			rows++
-		}
-		parts = append(parts, data.Slice(lo, lo+rows))
-		lo += rows
+	starts := EvenSplit(data.N, shards)
+	parts := make([]*vec.Matrix, shards)
+	for id := range parts {
+		parts[id] = data.Slice(starts[id], starts[id+1])
 	}
 	return New(cfg, parts)
 }

@@ -175,13 +175,9 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	e, err := newMutableEngine(data.N, data.D, opts, func(e *MutableEngine) error {
+	e, err := newMutableEngine(data.N, data.D, opts, func(e *MutableEngine) (err error) {
 		e.nextID = data.N
-		err := e.src.partition(data, func(id, lo int) (delta.Options, error) {
-			e.bounds = append(e.bounds, lo)
-			return e.shardDeltaOptions(id, lo)
-		})
-		e.bounds = append(e.bounds, data.N)
+		e.bounds, err = e.src.partition(data, e.shardDeltaOptions)
 		return err
 	})
 	if err != nil {

@@ -8,8 +8,9 @@ import (
 	"pimmine/internal/route"
 )
 
-// engineObs holds the engine's registered metric handles. A nil
-// *engineObs (observability off) keeps the hot path at one pointer check.
+// engineObs holds the pipeline's registered metric handles, the same on
+// every engine. A nil *engineObs (observability off) keeps the hot path
+// at one pointer check.
 type engineObs struct {
 	o            *obs.Observer
 	queries      *obs.Counter
@@ -19,12 +20,10 @@ type engineObs struct {
 	queueDepth   *obs.Gauge
 	shardQueries []*obs.Counter
 
-	// Resilience pipeline metrics (registered regardless of whether
+	// Admission metrics (registered regardless of whether
 	// Options.Resilience is set; they just stay zero without it).
-	rejected    *obs.Counter
-	shed        *obs.Counter
-	retries     *obs.Counter
-	breakerHost *obs.Counter
+	rejected *obs.Counter
+	shed     *obs.Counter
 
 	// Routing tier metrics (stay zero without Options.Router).
 	routeQueries        *obs.Counter
@@ -58,23 +57,9 @@ func (eo *engineObs) noteShed() {
 	eo.shed.Inc()
 }
 
-func (eo *engineObs) noteRetries(n int) {
-	if eo == nil {
-		return
-	}
-	eo.retries.Add(int64(n))
-}
-
-func (eo *engineObs) noteBreakerHostServe() {
-	if eo == nil {
-		return
-	}
-	eo.breakerHost.Inc()
-}
-
-// newEngineObs registers an engine's metrics and scrape-time collectors
-// with the observer's registry.
-func newEngineObs(o *obs.Observer, src *storeSource, router *route.Router, res *engineResilience) *engineObs {
+// newEngineObs registers a pipeline's metrics over shards shards with the
+// observer's registry.
+func newEngineObs(o *obs.Observer, shards int) *engineObs {
 	reg := o.Registry()
 	eo := &engineObs{
 		o:       o,
@@ -88,10 +73,6 @@ func newEngineObs(o *obs.Observer, src *storeSource, router *route.Router, res *
 			"Queries refused by admission control (resilience.ErrOverloaded)."),
 		shed: reg.Counter("pim_serve_shed_total",
 			"Queries shed because the remaining deadline was below the observed p95 (resilience.ErrShedDeadline)."),
-		retries: reg.Counter("pim_serve_pim_retries_total",
-			"Transient-fault PIM retries spent from the engine retry budget."),
-		breakerHost: reg.Counter("pim_serve_breaker_host_serves_total",
-			"Shard queries served by the exact host scan because the shard's circuit breaker was open."),
 		routeQueries: reg.Counter("pim_route_queries_total",
 			"Queries that passed through the shard-routing tier."),
 		routeVisited: reg.Counter("pim_route_shards_visited_total",
@@ -107,16 +88,27 @@ func newEngineObs(o *obs.Observer, src *storeSource, router *route.Router, res *
 		routeMeasuredRecall: reg.Histogram("pim_route_measured_recall",
 			"Audited (measured) recall of approximate answers.", recallBuckets),
 	}
-	eo.shardQueries = make([]*obs.Counter, len(src.stores))
+	eo.shardQueries = make([]*obs.Counter, shards)
 	for i := range eo.shardQueries {
 		eo.shardQueries[i] = reg.Counter("pim_serve_shard_queries_total",
 			"Per-shard query fan-out count.", obs.Label{Key: "shard", Value: fmt.Sprint(i)})
 	}
-	reg.RegisterCollector(func(emit func(obs.Sample)) { collectMetrics(emit, src, router, res) })
-	if deg := src.Degraded(); len(deg) > 0 {
+	return eo
+}
+
+// observe registers what only the store source knows with o (nil-safe):
+// its retry and breaker host-scan counters, and the scrape-time
+// collectors of shard topology, cumulative meters and resilience state.
+func (s *storeSource) observe(o *obs.Observer, router *route.Router, res *engineResilience) {
+	reg := o.Registry()
+	s.retries = reg.Counter("pim_serve_pim_retries_total",
+		"Transient-fault PIM retries spent from the engine retry budget.")
+	s.breakerHost = reg.Counter("pim_serve_breaker_host_serves_total",
+		"Shard queries served by the exact host scan because the shard's circuit breaker was open.")
+	reg.RegisterCollector(func(emit func(obs.Sample)) { collectMetrics(emit, s, router, res) })
+	if deg := s.Degraded(); len(deg) > 0 {
 		o.Event("serve.degraded-shards", obs.A("shards", fmt.Sprint(deg)))
 	}
-	return eo
 }
 
 // collectMetrics snapshots scrape-time state: shard topology, the merged
@@ -201,10 +193,10 @@ func collectMetrics(emit func(obs.Sample), src *storeSource, router *route.Route
 }
 
 // annotateFaults attaches fault-recovery events from a query's private
-// shard meter to the shard span (nil-safe; nothing is attached on
-// fault-free queries).
+// shard meter to the shard span (nil-safe on both; nothing is attached
+// on fault-free queries).
 func annotateFaults(sp *obs.Span, m *arch.Meter) {
-	if sp == nil {
+	if sp == nil || m == nil {
 		return
 	}
 	t := m.Total()

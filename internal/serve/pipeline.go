@@ -7,7 +7,16 @@
 // visit one, which are servable, which are degraded). There are two: the
 // static Engine and the MutableEngine share storeSource (delta stores
 // behind breakers), and cluster.Engine has its replica-picking source.
-// The pipeline never asks which engine it serves.
+// Both serve a visit through Attempt. The pipeline never asks which
+// engine it serves.
+//
+// The pipeline owns every frame around the sources' work, so all three
+// engines emit the same trace and the same pim_serve_* / pim_route_*
+// metrics from the observer handed to NewPipeline: the engine.search
+// root span with the query counters, and per visited shard a "shard N"
+// span (the source finds it in its ctx and hangs its own spans under it),
+// the pim_serve_shard_queries_total{shard} counter, and the
+// fault-recovery / breaker-open annotations read off the ShardAnswer.
 //
 // Admission is the only lossy stage — a rejected or shed query is a typed
 // error (resilience.ErrOverloaded / resilience.ErrShedDeadline) in
@@ -72,10 +81,9 @@ type ShardAnswer struct {
 // Implementations must be safe for concurrent use.
 type ShardSource interface {
 	NumShards() int
-	// Visit answers one query on one shard. root is the query's span
-	// (nil when unobserved); a source with a span vocabulary hangs its
-	// shard span under it.
-	Visit(ctx context.Context, root *obs.Span, shard int, q []float64, k int) (ShardAnswer, error)
+	// Visit answers one query on one shard. ctx carries the shard's span
+	// when the query is sampled (obs.SpanFromContext).
+	Visit(ctx context.Context, shard int, q []float64, k int) (ShardAnswer, error)
 	// Available reports whether a visit to the shard can succeed right
 	// now; exact routing seeds τ from the best available shard.
 	Available(shard int) bool
@@ -91,12 +99,13 @@ type Pipeline struct {
 	router  *route.Router
 	workers int
 	all     []int          // every shard id: the unrouted visit set, built once
+	names   []string       // shard span labels, built once
 	avail   func(int) bool // src.Available, bound once off the query path
+	eobs    *engineObs     // nil when unobserved
 
 	// Set by the serve engines only; the zero values switch each stage off.
 	timeout time.Duration
 	res     *engineResilience
-	eobs    *engineObs
 
 	// closeMu gates every operation against Close: operations hold the
 	// read side for their duration, so Close drains in-flight work.
@@ -106,12 +115,17 @@ type Pipeline struct {
 
 // NewPipeline builds the query path over src for dims-dimensional
 // queries, routed by router when non-nil, with at most workers batch
-// queries in flight.
-func NewPipeline(src ShardSource, dims int, router *route.Router, workers int) *Pipeline {
+// queries in flight. A non-nil o registers the pipeline's metrics and
+// samples its traces.
+func NewPipeline(src ShardSource, dims int, router *route.Router, workers int, o *obs.Observer) *Pipeline {
+	n := src.NumShards()
 	p := &Pipeline{src: src, dims: dims, router: router, workers: workers,
-		all: make([]int, src.NumShards()), avail: src.Available}
+		all: make([]int, n), names: make([]string, n), avail: src.Available}
 	for i := range p.all {
-		p.all[i] = i
+		p.all[i], p.names[i] = i, fmt.Sprintf("shard %d", i)
+	}
+	if o != nil {
+		p.eobs = newEngineObs(o, n)
 	}
 	return p
 }
@@ -475,7 +489,7 @@ func (p *Pipeline) fanOut(ctx context.Context, root *obs.Span, q []float64, k in
 		go func() {
 			o := shardOut{id: id}
 			if ctx.Err() == nil {
-				o.ShardAnswer, o.err = p.src.Visit(ctx, root, id, q, k)
+				o.ShardAnswer, o.err = p.visit(ctx, root, id, q, k)
 			}
 			ch <- o
 		}()
@@ -501,4 +515,21 @@ func (p *Pipeline) fanOut(ctx context.Context, root *obs.Span, q []float64, k in
 		return nil, errors.Join(errs...)
 	}
 	return outs, nil
+}
+
+// visit is one shard's frame, the same on every source: the shard span
+// the source's work hangs under, the per-shard fan-out counter, and the
+// annotations read off the answer.
+func (p *Pipeline) visit(ctx context.Context, root *obs.Span, id int, q []float64, k int) (ShardAnswer, error) {
+	sp := root.StartChild(p.names[id])
+	if p.eobs != nil {
+		p.eobs.shardQueries[id].Inc()
+	}
+	ans, err := p.src.Visit(obs.ContextWithSpan(ctx, sp), id, q, k)
+	annotateFaults(sp, ans.Meter)
+	if ans.BreakerOpen {
+		sp.Annotate("breaker-open")
+	}
+	sp.End()
+	return ans, err
 }

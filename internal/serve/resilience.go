@@ -2,10 +2,10 @@
 // Admission control and deadline-aware shedding are stages of the query
 // pipeline (their order and the reasons for it are in pipeline.go); this
 // file holds their engine-wide handles and what sits inside a shard's
-// visit, on either engine — the PIM path behind a circuit breaker with a
-// transient-fault retry budget. A breaker refusal merely reroutes the
-// shard to its exact host scan, so every admitted query still returns
-// exact results.
+// visit, on every engine — Attempt, the PIM path behind a circuit breaker
+// with a transient-fault retry budget. A breaker refusal merely reroutes
+// the shard (to its exact host scan, or to another replica), so every
+// admitted query still returns exact results.
 package serve
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/resilience"
+	"pimmine/internal/vec"
 )
 
 // ErrQueryTimeout marks a query that exceeded the engine-applied
@@ -82,32 +83,30 @@ func classifyFaults(m *arch.Meter) (fail, transient bool) {
 	return fail, transient
 }
 
-// search runs one query on shard id through its breaker and the retry
-// budget, and reports how many transient-fault retries it spent. The
-// flow generalizes the one-shot DeadDot fallback of internal/fault into
-// a stateful loop: an open breaker serves the exact host scan; a closed
-// (or probing) breaker runs the PIM path, retries once on a transient
-// fault if the engine-wide budget allows, and reports the final outcome
-// back to the breaker. A degraded epoch already serves the host scan, so
-// it takes neither.
-func (s *storeSource) search(ctx context.Context, id int, q []float64, k int) (ans ShardAnswer, retries int, err error) {
-	if s.degraded[id].Load() {
-		ans.Neighbors, ans.Meter, err = s.once(ctx, id, q, k, false)
+// Attempt is the one store attempt of every shard visit on every engine:
+// storeSource makes it once per shard, cluster.Engine once per replica
+// it tries. search — a delta.Store's Search or SearchHost, or a caller's
+// wrapper around one — runs under a private meter behind br (nil admits
+// every call); a refusal returns an error matching
+// resilience.ErrCircuitOpen before any work. The flow generalizes the
+// one-shot DeadDot fallback of internal/fault into a stateful loop: an
+// admitted attempt that hits a transient fault is retried once if retry
+// allows (nil: never), and the final outcome — ok only without an error
+// or a fault meter — goes back to br. retries counts the retries spent.
+func Attempt(ctx context.Context, search func(context.Context, []float64, int, *arch.Meter) ([]vec.Neighbor, error),
+	br *resilience.Breaker, retry *resilience.RetryBudget, q []float64, k int) (ans ShardAnswer, retries int, err error) {
+	done, err := br.Allow()
+	if err != nil {
 		return ans, 0, err
 	}
-	done, open := s.breakers.Get(id).Allow()
-	if open != nil { // resilience.ErrCircuitOpen: reroute, never fail
-		ans.Neighbors, ans.Meter, err = s.once(ctx, id, q, k, true)
-		ans.BreakerOpen = true
-		return ans, 0, err
-	}
-	ans.Neighbors, ans.Meter, err = s.once(ctx, id, q, k, false)
+	ans.Meter = arch.NewMeter()
+	ans.Neighbors, err = search(ctx, q, k, ans.Meter)
 	fail, transient := classifyFaults(ans.Meter)
-	if err == nil && fail && transient && s.retry.Allow() {
-		if resilience.Sleep(ctx, s.retry.Backoff(0)) == nil {
+	if err == nil && fail && transient && retry.Allow() {
+		if resilience.Sleep(ctx, retry.Backoff(0)) == nil {
 			retries = 1
-			var m2 *arch.Meter
-			ans.Neighbors, m2, err = s.once(ctx, id, q, k, false)
+			m2 := arch.NewMeter()
+			ans.Neighbors, err = search(ctx, q, k, m2)
 			fail, _ = classifyFaults(m2)
 			ans.Meter.Merge(m2) // the query really did both attempts' work
 		}
@@ -115,7 +114,7 @@ func (s *storeSource) search(ctx context.Context, id int, q []float64, k int) (a
 	ok := err == nil && !fail
 	done(ok)
 	if ok {
-		s.retry.OnSuccess()
+		retry.OnSuccess()
 	}
 	return ans, retries, err
 }

@@ -192,15 +192,13 @@ func (o *Options) defaults(n, d int) (*engineResilience, error) {
 	return res, nil
 }
 
-// serve wires the query path over src's built shards: the engine
-// metrics when Options.Obs is set, then the pipeline with every stage
-// these options configure.
+// serve wires the query path over src's built shards: src's own metrics
+// when Options.Obs is set, then the pipeline with every stage these
+// options configure.
 func (o *Options) serve(src *storeSource, dims int, res *engineResilience) *Pipeline {
-	if o.Obs != nil {
-		src.eobs = newEngineObs(o.Obs, src, o.Router, res)
-	}
-	p := NewPipeline(src, dims, o.Router, o.Workers)
-	p.timeout, p.res, p.eobs = o.QueryTimeout, res, src.eobs
+	src.observe(o.Obs, o.Router, res)
+	p := NewPipeline(src, dims, o.Router, o.Workers, o.Obs)
+	p.timeout, p.res = o.QueryTimeout, res
 	return p
 }
 
@@ -225,7 +223,7 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	src := newStoreSource(&opts, res, func(m *vec.Matrix, id, _ int) (knn.Searcher, error) {
 		return build(m, id, shardCap)
 	})
-	err = src.partition(data, func(id, lo int) (delta.Options, error) {
+	_, err = src.partition(data, func(id, lo int) (delta.Options, error) {
 		return delta.Options{Factory: src.factory(id), IDOffset: lo}, nil
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,18 +12,18 @@ import (
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
 	"pimmine/internal/resilience"
+	"pimmine/internal/route"
 	"pimmine/internal/vec"
 )
 
 // storeSource is the one ShardSource of both serve engines: shard i is
-// the delta.Store stores[i]. A visit runs under its shard span, behind
-// the shard's breaker and the retry budget (resilience.go), and lands in
-// the cumulative meter behind Engine.Meter. Stores are lock-free against
-// mutations and compaction, so the mutable engine's churn never blocks a
-// visit.
+// the delta.Store stores[i]. A visit is one Attempt behind the shard's
+// breaker and the retry budget (resilience.go), under the shard span the
+// pipeline opened, and lands in the cumulative meter behind
+// Engine.Meter. Stores are lock-free against mutations and compaction,
+// so the mutable engine's churn never blocks a visit.
 type storeSource struct {
 	stores []*delta.Store
-	names  []string // span labels, precomputed off the query hot path
 	// build constructs shard id's searcher for each epoch; factory wraps
 	// it into the store's delta.Factory.
 	build    buildFunc
@@ -33,7 +34,9 @@ type storeSource struct {
 	// the engine-wide transient-fault retry budget (nil when off).
 	breakers *resilience.BreakerSet
 	retry    *resilience.RetryBudget
-	eobs     *engineObs // nil when Options.Obs is nil
+
+	// Registered by observe; nil (and no-op) when Options.Obs is nil.
+	retries, breakerHost *obs.Counter
 
 	mu    sync.Mutex
 	meter *arch.Meter // cumulative activity of every shard
@@ -44,13 +47,9 @@ type storeSource struct {
 func newStoreSource(o *Options, res *engineResilience, build buildFunc) *storeSource {
 	s := &storeSource{
 		stores:   make([]*delta.Store, o.Shards),
-		names:    make([]string, o.Shards),
 		build:    build,
 		degraded: make([]atomic.Bool, o.Shards),
 		meter:    arch.NewMeter(),
-	}
-	for i := range s.names {
-		s.names[i] = fmt.Sprintf("shard %d", i)
 	}
 	var breaker resilience.BreakerConfig
 	if res != nil {
@@ -76,27 +75,22 @@ func (s *storeSource) factory(id int) delta.Factory {
 	}
 }
 
-// partition splits data row-wise into one contiguous range per slot and
-// builds each shard's store over its range, aliasing data's rows, with
-// the options dopts gives shard id whose first row is global row lo.
-func (s *storeSource) partition(data *vec.Matrix, dopts func(id, lo int) (delta.Options, error)) error {
-	base, rem := data.N/len(s.stores), data.N%len(s.stores)
-	lo := 0
+// partition splits data row-wise into one contiguous range per slot
+// (route.EvenSplit, whose range starts it returns) and builds each
+// shard's store over its range, aliasing data's rows, with the options
+// dopts gives shard id whose first row is global row lo.
+func (s *storeSource) partition(data *vec.Matrix, dopts func(id, lo int) (delta.Options, error)) ([]int, error) {
+	starts := route.EvenSplit(data.N, len(s.stores))
 	for id := range s.stores {
-		rows := base
-		if id < rem {
-			rows++
-		}
-		opts, err := dopts(id, lo)
+		opts, err := dopts(id, starts[id])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if s.stores[id], err = delta.New(data.Slice(lo, lo+rows), opts); err != nil {
-			return fmt.Errorf("serve: shard %d: %w", id, err)
+		if s.stores[id], err = delta.New(data.Slice(starts[id], starts[id+1]), opts); err != nil {
+			return nil, fmt.Errorf("serve: shard %d: %w", id, err)
 		}
-		lo += rows
 	}
-	return nil
+	return starts, nil
 }
 
 func (s *storeSource) NumShards() int     { return len(s.stores) }
@@ -114,39 +108,30 @@ func (s *storeSource) Degraded() []int {
 	return out
 }
 
-func (s *storeSource) Visit(ctx context.Context, root *obs.Span, id int, q []float64, k int) (ShardAnswer, error) {
-	sp := root.StartChild(s.names[id])
-	if s.eobs != nil {
-		s.eobs.shardQueries[id].Inc()
+// Visit is one Attempt on shard id's store behind its breaker and the
+// retry budget. A breaker refusal reroutes the shard to its exact host
+// scan, never to an error; a degraded epoch already serves the host scan,
+// so it takes neither.
+func (s *storeSource) Visit(ctx context.Context, id int, q []float64, k int) (ShardAnswer, error) {
+	st := s.stores[id]
+	br, retry := s.breakers.Get(id), s.retry
+	if s.degraded[id].Load() {
+		br, retry = nil, nil
 	}
-	ans, retries, err := s.search(obs.ContextWithSpan(ctx, sp), id, q, k)
-	annotateFaults(sp, ans.Meter)
-	if ans.BreakerOpen {
-		sp.Annotate("breaker-open", obs.A("path", "host-scan"))
-		s.eobs.noteBreakerHostServe()
+	ans, retries, err := Attempt(ctx, st.Search, br, retry, q, k)
+	if errors.Is(err, resilience.ErrCircuitOpen) {
+		ans, _, err = Attempt(ctx, st.SearchHost, nil, nil, q, k)
+		ans.BreakerOpen = true
+		s.breakerHost.Inc()
 	}
 	if retries > 0 {
-		sp.Annotate("pim-retry", obs.A("retries", retries))
-		s.eobs.noteRetries(retries)
+		obs.SpanFromContext(ctx).Annotate("pim-retry", obs.A("retries", retries))
+		s.retries.Add(int64(retries))
 	}
-	sp.End()
-	return ans, err
-}
-
-// once is one attempt on one path of shard id's store — its searcher or,
-// when host is set, its exact host scan — metered privately and into the
-// cumulative meter.
-func (s *storeSource) once(ctx context.Context, id int, q []float64, k int, host bool) ([]vec.Neighbor, *arch.Meter, error) {
-	search := (*delta.Store).Search
-	if host {
-		search = (*delta.Store).SearchHost
-	}
-	m := arch.NewMeter()
-	nn, err := search(s.stores[id], ctx, q, k, m)
 	s.mu.Lock()
-	s.meter.Merge(m)
+	s.meter.Merge(ans.Meter)
 	s.mu.Unlock()
-	return nn, m, err
+	return ans, err
 }
 
 // cumulative snapshots every shard's activity since the engine was built.

@@ -209,8 +209,8 @@ func ExtKernels(s *Suite) (*Table, error) {
 	// What a lazy first stage pays in place of that sweep (pim.UpperAll,
 	// pim.DotRows), through the engine's own entry points and over the same
 	// eight round-robin slabs, so rows are fetched from memory as a shard
-	// visit fetches them. Hit: the digest's sweep plus digestFixups
-	// single-row dots, the rows a wire-knn visit tightens. Miss: the
+	// visit fetches them. Hit: the digest's sweep plus the gathered dots of
+	// digestFixups rows, the rows a wire-knn visit tightens. Miss: the
 	// digest's sweep and then the full sweep anyway, what a query pays when
 	// the digest proves nothing (the GIST profile).
 	const digestFixups = 150
@@ -248,6 +248,33 @@ func ExtKernels(s *Suite) (*Table, error) {
 			return nil, fmt.Errorf("ext-kernels: DotRows diverges from the per-row reference at row %d", r)
 		}
 	}
+
+	// Those fix-ups alone: a vec.IntDot per listed row, as DotRows ran them
+	// before it gathered, against one IntDotGather pass, four listed rows in
+	// lockstep, over the same round-robin slabs.
+	perRow := func(dst []int64) {
+		slab := slabs[next%resSlabs]
+		for _, r := range fixups {
+			dst[r] = vec.IntDot(slab[r*sweepS:(r+1)*sweepS], sq)
+		}
+		next++
+	}
+	gathered := func(dst []int64) {
+		vec.IntDotGather(slabs[next%resSlabs], sq, fixups, dst)
+		next++
+	}
+	fixed := make([]int64, sweepN)
+	gathered(fixed) // the eight slabs are copies of one
+	for _, r := range fixups {
+		if fixed[r] != sweepRef[r] {
+			return nil, fmt.Errorf("ext-kernels: IntDotGather diverges from the per-row reference at row %d", r)
+		}
+	}
+	refNs = benchNs(func() { perRow(tightened) })
+	optNs = benchNs(func() { gathered(tightened) })
+	t.AddRow("IntDotGather", fmt.Sprintf("%d listed rows, per-row IntDot vs one gathered pass, N=%d s=%d round-robin", digestFixups, sweepN, sweepS),
+		ms2(refNs), ms2(optNs), speedup(refNs, optNs))
+
 	fullSweep := func() {
 		if sweepOpt, err = eng.QueryAll(nil, "", pays[next%resSlabs], sq, sweepOpt); err != nil {
 			panic(err) // the shape was accepted above
@@ -259,7 +286,7 @@ func ExtKernels(s *Suite) (*Table, error) {
 		eng.DotRows(pays[next%resSlabs], sq, fixups, upper)
 		next++
 	})
-	t.AddRow("IntDotRows-digest", fmt.Sprintf("full sweep vs digest sweep + %d single-row dots, N=%d s=%d round-robin", digestFixups, sweepN, sweepS),
+	t.AddRow("IntDotRows-digest", fmt.Sprintf("full sweep vs digest sweep + %d gathered dots, N=%d s=%d round-robin", digestFixups, sweepN, sweepS),
 		ms2(refNs), ms2(optNs), speedup(refNs, optNs))
 	refNs = benchNs(func() { fullSweep(); next++ }) // again: each quotient from neighbouring batches
 	missNs := benchNs(func() {
@@ -294,7 +321,8 @@ func ExtKernels(s *Suite) (*Table, error) {
 	t.AddRow("SegmentStats", fmt.Sprintf("d=%d s=%d", d, segs), ms2(refNs), ms2(optNs), speedup(refNs, optNs))
 	t.Note("all pairs verified bit-identical on the benchmark inputs before timing")
 	t.Note("IntDotRows-residency is not a ref/opt pair: equal MACs streamed from eight 4.2 MB slabs (Ref column) and from one cache-resident 168 KB slab (Opt column); the ratio is the most a sweep could gain from never missing cache. Near 1x the sweep is bound by the multiplier (the Go body reads 1.1-1.3x); the AVX2 body reads ~2x with the streaming column near 4.2 MB in 0.2 ms, 20 GB/s: it waits for bytes, so bytes per row and queries per byte read are what is left to take")
-	t.Note("IntDotRows-digest and -miss are not ref/opt pairs of one kernel either: Ref is the engine's full exact-mode sweep of a 5000 x 210 payload, Opt what a cascade's lazy first stage runs in its place, both over the eight round-robin slabs. 150 fix-ups is the measured mean a wire-knn shard visit tightens (153.1 of 5000 rows, 64 pool queries at seed 11, per payload); -miss is a query the digest proves nothing about, expected near 0.9x: the digest's sweep reads 1/32 of the bytes again")
+	t.Note("IntDotGather is the fix-ups alone: 150 listed rows spread over a streamed slab, each a cache miss of its own, one vec.IntDot at a time (Ref, what pim.DotRows ran before it gathered) against one vec.IntDotGather pass that walks four listed rows in lockstep (Opt: the AVX2 body where CPUID allows it, the Go four-row body elsewhere)")
+	t.Note("IntDotRows-digest and -miss are not ref/opt pairs of one kernel either: Ref is the engine's full exact-mode sweep of a 5000 x 210 payload, Opt what a cascade's lazy first stage runs in its place, both over the eight round-robin slabs. 150 fix-ups is the measured mean a wire-knn shard visit tightens (153.1 of 5000 rows, 64 pool queries at seed 11, per payload), computed as one gathered pass (pim.DotRows); -miss is a query the digest proves nothing about, expected near 0.9x: the digest's sweep reads 1/32 of the bytes again")
 	t.Note("measured wall clock (best of 3), not modeled PIM time; float kernels keep the reference's evaluation order, so their win is bounds-check elimination only; an integer sweep (IntDotRows) walks four rows in lockstep, one per quarter of the slab, eight columns an instruction in the AVX2 assembly body where CPUID allows it (3-4x the per-row reference) and in the 4-wide index-blocked Go body elsewhere (1.4-1.7x); IntDot is a lone row and always the Go body")
 	return t, nil
 }

@@ -266,7 +266,8 @@ func (c *Cascade) walk(sp *obs.Span, k int, meter *arch.Meter, dst []vec.Neighbo
 
 // seedAndScan is the three passes of walk; be receives the seed event of a
 // traced walk: how many objects seeded the threshold, where that left it,
-// what the column cost, and how a lazy first stage ended.
+// what the column cost, and how a lazy first stage ended and what its
+// tighten passes cost.
 //
 // Over a loose column — under-estimates LB′ ≤ LB from the digest — it makes
 // the decisions it makes over the exact one, to the row. (1) The k smallest
@@ -288,7 +289,7 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 	}
 	c.stages[0].lbInto(col)
 	lazy := c.lazy
-	if lazy != nil && lazy.begin(c.n) && (k > c.n/tightenShare || !c.tightenSeeds(col, k)) {
+	if lazy != nil && lazy.begin(c.n, c.timed) && (k > c.n/tightenShare || !c.tightenSeeds(col, k)) {
 		lazy.sweepColumn(col, exitTheta)
 	}
 	var columnDur time.Duration
@@ -305,13 +306,13 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 		lazy.sweepColumn(col, exitTau)
 	}
 	if c.timed {
-		exit, loose, tightened := exitEager, 0, 0
+		exit, loose, tightened, tightenDur := exitEager, 0, 0, time.Duration(0)
 		if lazy != nil {
-			exit, loose, tightened = lazy.exit, lazy.nLoose, lazy.nTight
+			exit, loose, tightened, tightenDur = lazy.exit, lazy.nLoose, lazy.nTight, lazy.tightenDur
 		}
 		be.Annotate("seed", obs.A("k", len(c.seedBuf)), obs.A("tau", tau),
-			obs.A("column_us", fmt.Sprintf("%.1f", float64(columnDur)/float64(time.Microsecond))),
-			obs.A("loose", loose), obs.A("tightened", tightened), obs.A("exit", exit))
+			obs.A("column_us", micros(columnDur)), obs.A("loose", loose), obs.A("tightened", tightened),
+			obs.A("tighten_us", micros(tightenDur)), obs.A("exit", exit))
 	}
 
 	slices.SortFunc(c.seedBuf, func(a, b vec.Neighbor) int { return a.Index - b.Index })
@@ -369,6 +370,11 @@ func (c *Cascade) refine(i int, b float64) {
 		}
 	}
 	c.top.Push(i, b)
+}
+
+// micros renders a duration as a span attribute in microseconds.
+func micros(d time.Duration) string {
+	return fmt.Sprintf("%.1f", float64(d)/float64(time.Microsecond))
 }
 
 // stageAttrs renders one StageStat as span attributes.

@@ -36,15 +36,17 @@
 // ED cascade do not compute the dot products the walk will never read
 // (lazyStage, cascade.go). prepare fills the dot arrays with the payload
 // digest's upper bounds (pim.Engine.UpperAll: 1/32 of the bytes), so the
-// column holds under-estimates LB′ ≤ LB; the walk tightens — exact dots,
-// exact bound — the k smallest LB′, then every row at or below the largest
-// exact bound among them, which makes the k smallest (LB, index) exact and
-// the seeds the ones it would have picked; visits the seeds; tightens every
-// row still loose at or below the threshold they leave; and scans. A loose
+// column holds under-estimates LB′ ≤ LB; the walk tightens — exact dots
+// of the listed rows, gathered four at a time (pim.Engine.DotRows), then
+// the exact bound — the k smallest LB′, then every row at or below the
+// largest exact bound among them, which makes the k smallest (LB, index)
+// exact and the seeds the ones it would have picked; visits the seeds;
+// tightens every row still loose at or below the threshold they leave;
+// and scans. A loose
 // entry has LB ≥ LB′ > τ and τ only falls, so it is pruned exactly where
 // its exact bound would have been: no decision differs, to the row, and no
 // meter differs either — the query is charged the array pass the model
-// still runs. When a tighten pass would list more than an eighth of the
+// still runs. When a tighten pass would list more than a quarter of the
 // rows (a weakly correlated dataset, k near n) the stage sweeps once and
 // the walk proceeds on the exact column. Simulate mode, faulty arrays,
 // binary payloads, the CS/PCC and Approx-PIM rows and a PIM stage that is

@@ -3,6 +3,7 @@ package knn
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/vec"
@@ -36,12 +37,16 @@ type lazyStage interface {
 }
 
 // tightenShare bounds one tighten pass: a pass that would list more than
-// 1/tightenShare of the rows is not run, the stage sweeps instead. A lone
-// row's dot measured 100–240 ns against 35 ns per row of the streaming
-// sweep (s = 210, the wire-knn shard): one pass costs 0.81 of a sweep at
-// n/8 and more than the sweep past n/5, and a query takes up to three
-// passes after paying for the digest (EXPERIMENTS.md "Lazy exact dots").
-const tightenShare = 8
+// 1/tightenShare of the rows is not run, the stage sweeps instead. A pass
+// gathers its rows four at a time (pim.Engine.DotRows); over evenly spread
+// rows of 5000×210 payloads visited round-robin (the wire-knn shard) it
+// costs 0.16 of a sweep at n/8, 0.33 at n/4, about half at n/3 and the
+// whole sweep at n/2, where the listed rows pull in every line the sweep
+// streams. Besides the k seeds a walk runs at most two passes, so at n/4 a
+// query the digest carries to the end still costs less than the sweep
+// (2·0.33 plus 0.03 for the digest), and one that falls back has paid at
+// most a third of a sweep for nothing (EXPERIMENTS.md "Gathered fix-ups").
+const tightenShare = 4
 
 // The ways a walk ends its first stage, as the seed event's exit attribute
 // reports them.
@@ -57,11 +62,13 @@ const (
 // (Cascade.seedAndScan has the argument).
 type lazyWalk struct {
 	lazyStage
-	tight  []uint64 // bitset of the rows whose column entry is exact
-	rows   []int    // the rows of one tighten pass
-	exit   string   // how the last walk left the first stage
-	nLoose int      // rows at or below the threshold that decided exit
-	nTight int      // rows tightened
+	tight      []uint64      // bitset of the rows whose column entry is exact
+	rows       []int         // the rows of one tighten pass
+	exit       string        // how the last walk left the first stage
+	nLoose     int           // rows at or below the threshold that decided exit
+	nTight     int           // rows tightened
+	timed      bool          // the walk is traced: tighten passes are timed
+	tightenDur time.Duration // time in the tighten passes of a timed walk
 }
 
 // newLazyWalk returns the walk state for a cascade of n objects led by
@@ -74,10 +81,10 @@ func newLazyWalk(first stage, n int) *lazyWalk {
 	return &lazyWalk{lazyStage: ls, tight: make([]uint64, (n+63)/64), rows: make([]int, 0, n/tightenShare)}
 }
 
-// begin starts the walk of a prepared query over n objects and reports
-// whether its column is loose.
-func (w *lazyWalk) begin(n int) bool {
-	w.exit, w.nLoose, w.nTight = exitEager, 0, 0
+// begin starts the walk of a prepared query over n objects, timing its
+// tighten passes when timed, and reports whether its column is loose.
+func (w *lazyWalk) begin(n int, timed bool) bool {
+	w.exit, w.nLoose, w.nTight, w.timed, w.tightenDur = exitEager, 0, 0, timed, 0
 	if !w.isLoose() {
 		return false
 	}
@@ -129,7 +136,13 @@ func (w *lazyWalk) tightenBelow(col []float64, thr float64) bool {
 
 // tightenRows runs one tighten pass over w.rows and marks them.
 func (w *lazyWalk) tightenRows(col []float64) {
-	w.tighten(w.rows, col)
+	if w.timed {
+		t0 := time.Now()
+		w.tighten(w.rows, col)
+		w.tightenDur += time.Since(t0)
+	} else {
+		w.tighten(w.rows, col)
+	}
 	for _, i := range w.rows {
 		w.tight[i>>6] |= 1 << (i & 63)
 	}

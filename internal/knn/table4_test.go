@@ -39,7 +39,7 @@ func TestMovedSearchersTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	stage := `[├└]─ %s  \[in=300 out=\d+ pruned=[\d.]+%% transfer_dims=%s\]`
-	seed := `seed  \[k=10 tau=-?[\d.]+ column_us=[\d.]+ loose=%s tightened=%s exit=%s\]`
+	seed := `seed  \[k=10 tau=-?[\d.]+ column_us=[\d.]+ loose=%s tightened=%s tighten_us=[\d.]+ exit=%s\]`
 	eagerSeed := fmt.Sprintf(seed, "0", "0", "eager")
 	for _, tc := range []struct {
 		s     Searcher

@@ -400,7 +400,8 @@ func TestWalkRealisesPredictedPruning(t *testing.T) {
 // one seed event under bound-eval carrying k, the threshold the seeds left,
 // the cost of the column and how a lazy first stage ended — carried by the
 // digest to the end, or fallen back to the sweep, which the pim-dot span
-// and the event then both say; and that the exact scan reports its one
+// and the event then both say — with the time its tighten passes took;
+// and that the exact scan reports its one
 // phase, refinement, with the time it took.
 func TestSeedEvent(t *testing.T) {
 	data, queries := testData(t, 300, 64)
@@ -415,7 +416,7 @@ func TestSeedEvent(t *testing.T) {
 		root.End()
 		return tr.Recent(1)[0].Render()
 	}
-	seedEvent := regexp.MustCompile(`bound-eval[^\n]*\n[^\n]*─ seed  \[k=(\d+) tau=([-+.\de]+) column_us=[\d.]+ loose=(\d+) tightened=(\d+) exit=(\w+)\]`)
+	seedEvent := regexp.MustCompile(`bound-eval[^\n]*\n[^\n]*─ seed  \[k=(\d+) tau=([-+.\de]+) column_us=[\d.]+ loose=(\d+) tightened=(\d+) tighten_us=([\d.]+) exit=(\w+)\]`)
 	lazyDot := regexp.MustCompile(`─ pim-dot [^\n]*dots=600 lazy=true\]`)
 
 	tree := render(fnnPIM, 10)
@@ -433,15 +434,17 @@ func TestSeedEvent(t *testing.T) {
 		t.Fatalf("seed event reports tau=%s, the exact 10th distance is %s", seed[2], tau)
 	}
 	// The digest left a few dozen of the 300 rows at or below that
-	// threshold, and those were all the rows given exact dots.
-	if !lazyDot.MatchString(tree) || seed[5] != exitLazy || seed[3] != seed[4] || seed[3] == "0" || fnnPIM.lazy.nTight > data.N/4 {
-		t.Fatalf("a search the digest carried reports loose=%s tightened=%s exit=%s:\n%s", seed[3], seed[4], seed[5], tree)
+	// threshold, and those were all the rows given exact dots, in tighten
+	// passes that took time.
+	if !lazyDot.MatchString(tree) || seed[6] != exitLazy || seed[3] != seed[4] || seed[3] == "0" || fnnPIM.lazy.nTight > data.N/4 || seed[5] == "0.0" {
+		t.Fatalf("a search the digest carried reports loose=%s tightened=%s tighten_us=%s exit=%s:\n%s", seed[3], seed[4], seed[5], seed[6], tree)
 	}
 
 	// k above n/tightenShare: the k smallest bounds alone are more rows than
-	// a pass may list, so the stage sweeps before anything is seeded.
+	// a pass may list, so the stage sweeps before anything is seeded or
+	// tightened.
 	tree = render(fnnPIM, data.N/2)
-	if seed = seedEvent.FindStringSubmatch(tree); !lazyDot.MatchString(tree) || seed == nil || seed[5] != exitTheta || seed[4] != "0" {
+	if seed = seedEvent.FindStringSubmatch(tree); !lazyDot.MatchString(tree) || seed == nil || seed[6] != exitTheta || seed[4] != "0" || seed[5] != "0.0" {
 		t.Fatalf("a search that fell back to the sweep reports %v:\n%s", seed, tree)
 	}
 

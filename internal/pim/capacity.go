@@ -22,7 +22,9 @@
 // ways to answer a query: QueryAll sweeps every row; UpperAll sweeps the
 // digest against the query's own group norms and returns, by
 // Cauchy–Schwarz, an upper bound on every row's dot; DotRows computes the
-// exact dots of the rows a caller lists. A bound that consumes its dot
+// exact dots of the rows a caller lists, in one vec.IntDotGather pass that
+// takes them four at a time, so four of their cache misses are in flight
+// at once where a row-by-row loop waits on one. A bound that consumes its dot
 // monotonically (all of pimbound's do) computed from the upper bound is an
 // under-estimate of itself, so a filter can prune on it and ask for exact
 // dots only where its threshold leaves it no choice (knn.Cascade does).

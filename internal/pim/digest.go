@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -136,11 +137,14 @@ func (e *Engine) UpperAll(p *Payload, input, qd []uint32, dst []int64) ([]int64,
 // DotRows sets dst[r] = row_r·input for the listed rows and leaves the rest
 // of dst alone: the slab's own dots, which are the array's in exact mode
 // without a fault injector — where UpperAll accepts a query — and are not
-// under one. Like UpperAll it meters nothing.
+// under one. It is one vec.IntDotGather over the slab, four listed rows in
+// lockstep, and panics on an input of the wrong length or a row outside the
+// payload. Like UpperAll it meters nothing.
 func (e *Engine) DotRows(p *Payload, input []uint32, rows []int, dst []int64) {
-	for _, r := range rows {
-		dst[r] = vec.IntDot(p.Row(r), input)
+	if len(input) != p.Dims {
+		panic(fmt.Sprintf("pim: %d-value input to payload %q of %d dims", len(input), p.Name, p.Dims))
 	}
+	vec.IntDotGather(p.slab, input, rows, dst)
 }
 
 // ChargeQuery records under fn what one query against ps costs the modeled

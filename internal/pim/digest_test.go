@@ -2,6 +2,7 @@ package pim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -165,6 +166,34 @@ func newTestEngine(t *testing.T, mode Mode) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestDotRowsPanicsAsRow pins DotRows' bad index to Payload.Row's: one
+// gathered call over the slab refuses a row outside the payload with the
+// panic the per-row Row call raised, whether it sits in a quad or is left
+// over.
+func TestDotRowsPanicsAsRow(t *testing.T) {
+	const n, dims = 5, 40
+	slab := make([]uint32, n*dims)
+	e := newTestEngine(t, ModeExact)
+	p, err := e.Program("bad-row", n, dims, 1, flatRows(slab, dims))
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := make([]uint32, dims)
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	for _, bad := range []int{n, -1} {
+		want := panicOf(func() { p.Row(bad) })
+		for _, rows := range [][]int{{0, 1, bad, 2}, {0, bad}} {
+			if got := panicOf(func() { e.DotRows(p, input, rows, make([]int64, n)) }); got != want || want == "" {
+				t.Fatalf("DotRows over %v panics %q, Row(%d) %q", rows, got, bad, want)
+			}
+		}
+	}
 }
 
 // fuzzDims are the row lengths FuzzDigestUpper draws from: one value, one

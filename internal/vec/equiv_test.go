@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -187,6 +188,156 @@ func TestIntDotRowsMatchesRef(t *testing.T) {
 	}
 }
 
+// gatherBody is one way to compute listed rows' dots: run writes the slots
+// of the leading listed rows that are its to write and returns how many
+// listed rows those are.
+type gatherBody struct {
+	name string
+	have bool // false: this CPU or GOARCH cannot run it
+	run  func(slab, q []uint32, rows []int, dst []int64) int
+}
+
+// gatherBodies is IntDotGather itself — with its index checks, its cut into
+// bounded assembly calls and its len(rows)%4 rows left over — and then
+// every gathered body called directly, as sweepBodies has the sweep's. The
+// assembly one needs a positive multiple of four rows and dims > 0, which
+// intDotGatherKernel guarantees it.
+var gatherBodies = []gatherBody{
+	{"dispatch", true, func(slab, q []uint32, rows []int, dst []int64) int {
+		IntDotGather(slab, q, rows, dst)
+		return len(rows)
+	}},
+	{"go", true, func(slab, q []uint32, rows []int, dst []int64) int {
+		n := len(rows) / 4 * 4
+		intDotGatherGo(slab, q, rows[:n], dst)
+		return n
+	}},
+	{"avx2", hasAVX2, func(slab, q []uint32, rows []int, dst []int64) int {
+		n := len(rows) / 4 * 4
+		if n == 0 || len(q) == 0 {
+			return 0
+		}
+		intDotGatherAVX2(slab, q, rows[:n], dst)
+		return n
+	}},
+}
+
+// matchGather requires b to write, for each of the leading listed rows it
+// covers, that row's IntDotRef into its slot of dst, and to leave every
+// other slot as it found it.
+func matchGather(t *testing.T, b gatherBody, slab, q []uint32, rows []int, n int) {
+	t.Helper()
+	const sentinel = -0x5a5a5a5a
+	got := make([]int64, n)
+	for i := range got {
+		got[i] = sentinel
+	}
+	end := b.run(slab, q, rows, got)
+	dims := len(q)
+	covered := map[int]bool{}
+	for _, r := range rows[:end] {
+		covered[r] = true
+	}
+	for r := range got {
+		if !covered[r] {
+			if got[r] != sentinel {
+				t.Fatalf("dims=%d rows=%v: %s wrote slot %d, which is not among the %d rows it covers", dims, rows, b.name, r, end)
+			}
+			continue
+		}
+		if want := IntDotRef(slab[r*dims:(r+1)*dims], q); got[r] != want {
+			t.Fatalf("dims=%d rows=%v row %d: %s=%d, IntDotRef=%d", dims, rows, r, b.name, got[r], want)
+		}
+	}
+}
+
+// matchGathers is matchGather on every gathered body this CPU can run.
+func matchGathers(t *testing.T, slab, q []uint32, rows []int, n int) {
+	t.Helper()
+	for _, b := range gatherBodies {
+		if b.have {
+			matchGather(t, b, slab, q, rows, n)
+		}
+	}
+}
+
+// TestIntDotGatherMatchesRef crosses the four-listed-rows lockstep in every
+// body with every count of rows left over (0–9 listed), rows listed
+// ascending, descending and more than once, whole blocks and every tail,
+// and — through the dispatch row — more quads than one assembly call takes,
+// with full-range operands; every slot not listed keeps its sentinel.
+func TestIntDotGatherMatchesRef(t *testing.T) {
+	t.Parallel()
+	for _, b := range gatherBodies {
+		b := b
+		t.Run(b.name, func(t *testing.T) {
+			if !b.have {
+				t.Skip("this CPU cannot run the body")
+			}
+			rng := rand.New(rand.NewSource(19))
+			const n = 24 // rows in the slab
+			for _, dims := range []int{1, 7, 8, 9, 31, 32, 33, 210, 4096} {
+				slab, q := make([]uint32, n*dims), make([]uint32, dims)
+				fillUint32s(rng, slab)
+				fillUint32s(rng, q)
+				q[0], slab[len(slab)-1] = math.MaxUint32, math.MaxUint32
+				overCap := 4*(quadCallElems/(4*dims)+1) + 3
+				for _, count := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, overCap} {
+					asc := make([]int, count)
+					for i := range asc {
+						asc[i] = (i*5 + 3) % n // every n listed rows, each row once
+					}
+					slices.Sort(asc)
+					desc := slices.Clone(asc)
+					slices.Reverse(desc)
+					dup := make([]int, count)
+					for i := range dup {
+						dup[i] = rng.Intn(n / 4) // a quarter of the rows: most listed twice or more
+					}
+					for _, rows := range [][]int{asc, desc, dup} {
+						matchGather(t, b, slab, q, rows, n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestIntDotGatherPanicsBeforeWriting pins the checks the assembly relies
+// on: a listed row past the slab's length (even inside its capacity), a
+// negative one, or one whose slot is past dst panics, and before any slot
+// of the quad it sits in, or of any other, is written.
+func TestIntDotGatherPanicsBeforeWriting(t *testing.T) {
+	t.Parallel()
+	slab, q := make([]uint32, 3*4), []uint32{1, 2, 3, 4}
+	for i := range slab {
+		slab[i] = 1
+	}
+	for _, tc := range []struct {
+		slab  []uint32
+		rows  []int
+		slots int
+	}{
+		{slab, []int{2, 1, 0, 3}, 4},
+		{slab, []int{0, 1, -1, 2}, 3},
+		{slab[:8], []int{0, 1, 0, 1, 2}, 3},
+		{slab, []int{0, 1, 2, 0}, 2},
+	} {
+		dst := make([]int64, tc.slots)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("rows %v of a %d-row slab into %d slots: no panic", tc.rows, len(tc.slab)/4, tc.slots)
+				}
+			}()
+			IntDotGather(tc.slab, q, tc.rows, dst)
+		}()
+		if slices.ContainsFunc(dst, func(v int64) bool { return v != 0 }) {
+			t.Fatalf("rows %v: a panicking gather wrote %v", tc.rows, dst)
+		}
+	}
+}
+
 func TestKernelsPanicOnMismatch(t *testing.T) {
 	t.Parallel()
 	mustPanic := func(name string, fn func()) {
@@ -224,7 +375,8 @@ func floatsFromBytes(data []byte) []float64 {
 // through the optimized kernels and their references, requiring
 // bit-identical results at every split of the payload into (a, b), and —
 // the rows target — at every carving of the payload into a query and a
-// row-major slab of 1..24-wide rows.
+// row-major slab of 1..24-wide rows, swept whole and gathered at a list of
+// its rows.
 func FuzzVecKernelEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte("0123456789abcdef0123456789abcdef0123456789abcdef"), uint8(3))
@@ -269,6 +421,8 @@ func FuzzVecKernelEquivalence(f *testing.F) {
 // fuzzIntDotRows reads data as little-endian uint32s, takes the first dims
 // as the query and as many whole rows as follow, and requires IntDotRows
 // and every quad body this CPU can run to match a per-row IntDotRef loop.
+// Then it lists len(data)%12 of those rows, the i-th being data[i] modulo
+// their count, and requires every gathered body to match IntDotRef on them.
 func fuzzIntDotRows(t *testing.T, data []byte, dims int) {
 	words := make([]uint32, len(data)/4)
 	for i := range words {
@@ -283,6 +437,14 @@ func fuzzIntDotRows(t *testing.T, data []byte, dims int) {
 	want := make([]int64, n)
 	intDotRowsRef(rows, dims, q, want)
 	matchSweeps(t, rows, q, want)
+	if n == 0 {
+		return
+	}
+	listed := make([]int, len(data)%12)
+	for i := range listed {
+		listed[i] = int(data[i]) % n
+	}
+	matchGathers(t, rows, q, listed, n)
 }
 
 // TestTopKAppendResultsMatchesResults pins the allocation-free result path

@@ -29,9 +29,11 @@ func guarded(t *testing.T, n int) []uint32 {
 }
 
 // TestIntDotRowsNoOverRead pins the alias-the-caller's-array contract on
-// every body: a payload slab and a query are whatever memory the caller
-// had, and either may end where its mapping does. A body that finishes a
-// row with a full-width load fails this test with SIGSEGV.
+// every body, swept and gathered: a payload slab and a query are whatever
+// memory the caller had, and either may end where its mapping does. A body
+// that finishes a row with a full-width load fails this test with SIGSEGV.
+// The gathered lists hold the slab's last row inside a quad and, in the
+// second, among the rows left over as well.
 func TestIntDotRowsNoOverRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, dims := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 210} {
@@ -42,6 +44,8 @@ func TestIntDotRowsNoOverRead(t *testing.T) {
 			want := make([]int64, n)
 			intDotRowsRef(rows, dims, q, want)
 			matchSweeps(t, rows, q, want)
+			matchGathers(t, rows, q, []int{0, n - 1, 1, 2}, n)
+			matchGathers(t, rows, q, []int{n - 1, 2, 0, 1, 3, n - 1}, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package vec
 
-// hasAVX2 reports whether intDotQuadsAVX2 may run. It is read once, from
+// hasAVX2 reports whether the assembly bodies (intDotQuadsAVX2,
+// intDotGatherAVX2) may run. It is read once, from
 // the CPU itself: go.mod has no dependency to ask.
 var hasAVX2 = detectAVX2()
 
@@ -21,6 +22,9 @@ func detectAVX2() bool {
 
 //go:noescape
 func intDotQuadsAVX2(rows, q []uint32, dst []int64, h, steps int)
+
+//go:noescape
+func intDotGatherAVX2(slab, q []uint32, rows []int, dst []int64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -32,6 +32,46 @@
 	VPADDQ       X7, X, X; \
 	VMOVQ        X, addr
 
+// Both bodies below walk four rows in lockstep, at SI, R9, R10 and R11, into
+// the accumulators Y0…Y3, against one load of q (DI) per block: ZERO4 clears
+// the accumulators, BLOCK4 is BLOCK on the four rows at byte offset AX, and
+// TAIL4 is TAIL on them.
+#define ZERO4 \
+	VPXOR Y0, Y0, Y0; \
+	VPXOR Y1, Y1, Y1; \
+	VPXOR Y2, Y2, Y2; \
+	VPXOR Y3, Y3, Y3
+#define BLOCK4 \
+	VMOVDQU (DI)(AX*1), Y4; \
+	VPSRLQ  $32, Y4, Y5; \
+	BLOCK(SI, Y0); \
+	BLOCK(R9, Y1); \
+	BLOCK(R10, Y2); \
+	BLOCK(R11, Y3)
+#define TAIL4 \
+	VPMASKMOVD (DI)(AX*1), Y15, Y4; \
+	VPSRLQ     $32, Y4, Y5; \
+	TAIL(SI, Y0); \
+	TAIL(R9, Y1); \
+	TAIL(R10, Y2); \
+	TAIL(R11, Y3)
+
+// ROWBYTES takes dims in CX and leaves Y15 = lane i is all ones where
+// i < dims%8 (the tail's load mask), CX = bytes in a row and R12 = bytes of
+// it in whole blocks. It clobbers AX and Y14.
+#define ROWBYTES \
+	MOVQ         $0x0706050403020100, AX; \
+	VMOVQ        AX, X14; \
+	VPMOVZXBD    X14, Y14; \
+	MOVQ         CX, AX; \
+	ANDQ         $7, AX; \
+	VMOVQ        AX, X15; \
+	VPBROADCASTD X15, Y15; \
+	VPCMPGTD     Y14, Y15, Y15; \
+	SHLQ         $2, CX; \
+	MOVQ         CX, R12; \
+	ANDQ         $-32, R12
+
 // func intDotQuadsAVX2(rows, q []uint32, dst []int64, h, steps int)
 //
 // The four-rows-in-lockstep step of intDotQuadsGo, steps times: for
@@ -45,23 +85,10 @@ TEXT ·intDotQuadsAVX2(SB), NOSPLIT, $0-88
 	MOVQ dst_base+48(FP), DX
 	MOVQ h+72(FP), BX
 	MOVQ steps+80(FP), R8
+	ROWBYTES
 
-	// Y15 = lane i is all ones where i < dims%8: the tail's load mask.
-	MOVQ         $0x0706050403020100, AX
-	VMOVQ        AX, X14
-	VPMOVZXBD    X14, Y14
-	MOVQ         CX, AX
-	ANDQ         $7, AX
-	VMOVQ        AX, X15
-	VPBROADCASTD X15, Y15
-	VPCMPGTD     Y14, Y15, Y15
-
-	// CX = bytes in a row, R12 = bytes of it in whole blocks. SI, R9, R10,
-	// R11 = the step's row in each quarter of the slab, h rows apart; DX,
-	// DX+BX, DX+2·BX, DX+R13 = their slots in dst.
-	SHLQ  $2, CX
-	MOVQ  CX, R12
-	ANDQ  $-32, R12
+	// SI, R9, R10, R11 = the step's row in each quarter of the slab, h rows
+	// apart; DX, DX+BX, DX+2·BX, DX+R13 = their slots in dst.
 	MOVQ  BX, R11
 	IMULQ CX, R11
 	LEAQ  (SI)(R11*1), R9
@@ -71,34 +98,21 @@ TEXT ·intDotQuadsAVX2(SB), NOSPLIT, $0-88
 	LEAQ  (BX)(BX*2), R13
 
 step:
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	XORQ  AX, AX
-	CMPQ  AX, R12
-	JAE   tail
+	ZERO4
+	XORQ AX, AX
+	CMPQ AX, R12
+	JAE  tail
 
 block:
-	VMOVDQU (DI)(AX*1), Y4
-	VPSRLQ  $32, Y4, Y5
-	BLOCK(SI, Y0)
-	BLOCK(R9, Y1)
-	BLOCK(R10, Y2)
-	BLOCK(R11, Y3)
-	ADDQ    $32, AX
-	CMPQ    AX, R12
-	JB      block
+	BLOCK4
+	ADDQ $32, AX
+	CMPQ AX, R12
+	JB   block
 
 tail:
-	CMPQ       AX, CX
-	JAE        sum
-	VPMASKMOVD (DI)(AX*1), Y15, Y4
-	VPSRLQ     $32, Y4, Y5
-	TAIL(SI, Y0)
-	TAIL(R9, Y1)
-	TAIL(R10, Y2)
-	TAIL(R11, Y3)
+	CMPQ AX, CX
+	JAE  sum
+	TAIL4
 
 sum:
 	HSUM(Y0, X0, (DX))
@@ -112,6 +126,68 @@ sum:
 	ADDQ $8, DX
 	DECQ R8
 	JNZ  step
+	VZEROUPPER
+	RET
+
+// func intDotGatherAVX2(slab, q []uint32, rows []int, dst []int64)
+//
+// The four-listed-rows-in-lockstep step of intDotGatherGo, len(rows)/4
+// times: dst[r] = slab[r·dims:][:dims]·q for every r of rows, where
+// dims = len(q). The caller guarantees dims > 0, that len(rows) is a
+// positive multiple of four, and that every listed row lies inside slab and
+// every listed slot inside dst; no len or cap but q's and rows' is read.
+TEXT ·intDotGatherAVX2(SB), NOSPLIT, $0-96
+	MOVQ slab_base+0(FP), R13
+	MOVQ q_base+24(FP), DI
+	MOVQ q_len+32(FP), CX
+	MOVQ rows_base+48(FP), BX
+	MOVQ rows_len+56(FP), R8
+	MOVQ dst_base+72(FP), DX
+	SHRQ $2, R8
+	ROWBYTES
+
+gstep:
+	// SI, R9, R10, R11 = the four rows listed at BX.
+	MOVQ  (BX), SI
+	MOVQ  8(BX), R9
+	MOVQ  16(BX), R10
+	MOVQ  24(BX), R11
+	IMULQ CX, SI
+	IMULQ CX, R9
+	IMULQ CX, R10
+	IMULQ CX, R11
+	ADDQ  R13, SI
+	ADDQ  R13, R9
+	ADDQ  R13, R10
+	ADDQ  R13, R11
+	ZERO4
+	XORQ  AX, AX
+	CMPQ  AX, R12
+	JAE   gtail
+
+gblock:
+	BLOCK4
+	ADDQ $32, AX
+	CMPQ AX, R12
+	JB   gblock
+
+gtail:
+	CMPQ AX, CX
+	JAE  gsum
+	TAIL4
+
+gsum:
+	MOVQ (BX), AX
+	HSUM(Y0, X0, (DX)(AX*8))
+	MOVQ 8(BX), AX
+	HSUM(Y1, X1, (DX)(AX*8))
+	MOVQ 16(BX), AX
+	HSUM(Y2, X2, (DX)(AX*8))
+	MOVQ 24(BX), AX
+	HSUM(Y3, X3, (DX)(AX*8))
+	ADDQ $32, BX
+	DECQ R8
+	JNZ  gstep
 	VZEROUPPER
 	RET
 

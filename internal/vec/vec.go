@@ -125,6 +125,23 @@ func IntDotRows(rows []uint32, dims int, q []uint32, dst []int64) {
 	intDotRowsKernel(rows, q, dst)
 }
 
+// IntDotGather sets dst[r] = slab[r·dims:(r+1)·dims]·q, where
+// dims = len(q), for every listed r and leaves every other entry of dst
+// alone: the few exact dots of a payload a lazy first stage asks for
+// instead of a sweep. Rows may come in any order and more than once. Every
+// index is checked before anything is written, and one whose row does not
+// lie inside len(slab), or whose slot does not lie inside dst, panics as a
+// slice expression does. Differentially tested bit-identical to IntDotRef
+// on every listed row.
+func IntDotGather(slab, q []uint32, rows []int, dst []int64) {
+	dims := len(q)
+	slab = slab[:len(slab):len(slab)] // a row past len(slab) is not one, whatever the cap
+	for _, r := range rows {
+		_, _ = slab[r*dims:(r+1)*dims], dst[r]
+	}
+	intDotGatherKernel(slab, q, rows, dst)
+}
+
 // Resized returns s with length n and unspecified contents, regrown
 // geometrically (append's amortised doubling) when its capacity is too
 // small: retained per-query scratch over an index that grows a row at a

@@ -11,6 +11,14 @@
 // and a cheap online evaluation against precomputed query features. All
 // bounds are on the squared Euclidean distance, matching Table 2's
 // definition of ED.
+//
+// The derivations hold over the reals. Where one is an equality — LB_FNN
+// of a query with no variance in its segments, LB_OST of rows with the
+// same tail norm — the computed bound can round past the computed
+// distance, and a filter-and-refine walk would prune a row that ties the
+// k-th distance, or a ceiling it was given, and may have won on its index.
+// So every lower bound is discounted by lbSlack, and UB_part inflated by
+// it, as the routing tier's summaries are (internal/route).
 package bound
 
 import (
@@ -19,6 +27,11 @@ import (
 
 	"pimmine/internal/vec"
 )
+
+// lbSlack is the relative discount that keeps the computed bounds
+// admissible against computed distances: one part in 10^9, far above the
+// rounding of a d-term sum and far below any gap a bound prunes on.
+const lbSlack = 1 - 1e-9
 
 // ---------------------------------------------------------------------------
 // LB_OST: partial distance on a head prefix plus the squared difference of
@@ -60,7 +73,7 @@ func (ix *OSTIndex) LB(i int, q []float64, qTail float64) float64 {
 		head += d * d
 	}
 	dt := ix.Tail[i] - qTail
-	return head + dt*dt
+	return (head + dt*dt) * lbSlack
 }
 
 // TransferDims reports how many operands must move from memory to evaluate
@@ -128,7 +141,7 @@ func (ix *SMIndex) LB(i int, qMu []float64) float64 {
 		d := p[j] - qMu[j]
 		s += d * d
 	}
-	return float64(ix.L) * s
+	return float64(ix.L) * s * lbSlack
 }
 
 // TransferDims reports operands moved per object to evaluate the bound.
@@ -184,7 +197,7 @@ func (ix *FNNIndex) LB(i int, qMu, qSigma []float64) float64 {
 		dsg := ps[j] - qSigma[j]
 		s += dm*dm + dsg*dsg
 	}
-	return float64(ix.L) * s
+	return float64(ix.L) * s * lbSlack
 }
 
 // TransferDims reports operands moved per object to evaluate the bound
@@ -257,7 +270,8 @@ func (ix *PartIndex) UBDot(i int, q []float64, qTail float64) float64 {
 	for j := 0; j < ix.D0; j++ {
 		head += p[j] * q[j]
 	}
-	return head + ix.Tail[i]*qTail
+	ub := head + ix.Tail[i]*qTail
+	return ub + math.Abs(ub)*(1-lbSlack)
 }
 
 // QueryTail returns ‖q_tail‖ for the query.

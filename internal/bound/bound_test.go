@@ -120,7 +120,7 @@ func TestFNNLowerBoundsED(t *testing.T) {
 }
 
 // Finer FNN granularity gives a tighter (or equal) bound on average; at
-// full granularity (segs=d) the bound equals ED exactly.
+// full granularity (segs=d) the bound equals ED, discounted by lbSlack.
 func TestFNNFullGranularityIsExact(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(10))
@@ -134,7 +134,7 @@ func TestFNNFullGranularityIsExact(t *testing.T) {
 	for i := 0; i < m.N; i++ {
 		lb := ix.LB(i, qMu, qSigma)
 		ed := measure.SqEuclidean(m.Row(i), q)
-		if math.Abs(lb-ed) > 1e-9 {
+		if lb > ed || math.Abs(lb-ed*lbSlack) > 1e-12 {
 			t.Fatalf("segs=d: LB_FNN=%v != ED=%v", lb, ed)
 		}
 	}

@@ -144,7 +144,7 @@ type replica struct {
 // search is one store search on r's node, holding the node's pipeline:
 // an injected slow-down dwells first, and an injected fault fails the
 // visit before the store is touched.
-func (r *replica) search(ctx context.Context, q []float64, k int, m *arch.Meter) ([]vec.Neighbor, error) {
+func (r *replica) search(ctx context.Context, q []float64, k int, ceiling float64, m *arch.Meter) ([]vec.Neighbor, error) {
 	n := r.node
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
@@ -156,7 +156,7 @@ func (r *replica) search(ctx context.Context, q []float64, k int, m *arch.Meter)
 	if f := n.faults.Load(); f > 0 && n.faults.CompareAndSwap(f, f-1) {
 		return nil, errInjectedFault
 	}
-	return r.store.Search(ctx, q, k, m)
+	return r.store.Search(ctx, q, k, ceiling, m)
 }
 
 type cshard struct {
@@ -181,13 +181,12 @@ func (sh *cshard) snapshot() []*replica {
 // shard source that visits the best available replica.
 type Engine struct {
 	d        int
-	initialN int // rows in the initial image (ids below this use bounds)
 	opts     Options
 	nodes    []*node
 	breakers *resilience.BreakerSet // one breaker per node
 	shards   []*cshard
-	bounds   []int // initial id ranges (route.EvenSplit): shard i owns bounds[i]..bounds[i+1]-1
-	idRing   *ring // inserted ids -> shards
+	owner    []int32 // owner[id]: the shard initial id id was placed on (route.Partition)
+	idRing   *ring   // inserted ids -> shards
 
 	// links[from][to]: directed reachability; index 0 is the
 	// coordinator/host, 1+i is node i. Asymmetric partitions sever
@@ -220,9 +219,9 @@ type ShipStats struct {
 }
 
 // New builds the placement layer over data. The initial image is split
-// into contiguous shard ranges exactly like serve.Engine (so routed and
-// unrouted engines agree shard-for-shard); each shard is then installed
-// on its R preferred nodes.
+// into shards exactly like serve.Engine's (route.Partition: the router's
+// placement, or contiguous ranges when unrouted), so the engines agree
+// shard for shard; each shard is then installed on its R preferred nodes.
 func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("cluster: empty dataset")
@@ -285,12 +284,16 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 		}
 	}
 
+	place, err := route.Partition(opts.Router, data.N, opts.Shards)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	e := &Engine{
-		d:        data.D,
-		initialN: data.N,
-		opts:     opts,
-		nextID:   data.N,
-		routes:   make(map[int]int),
+		d:      data.D,
+		opts:   opts,
+		nextID: data.N,
+		routes: make(map[int]int),
+		owner:  make([]int32, data.N),
 	}
 	e.met = newMetrics(opts.Obs, opts.Nodes)
 
@@ -311,13 +314,16 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	e.idRing = newRing(opts.Shards, opts.VirtualNodes, opts.Seed+1)
 
 	e.shards = make([]*cshard, opts.Shards)
-	e.bounds = route.EvenSplit(data.N, opts.Shards)
-	for id := range e.shards {
-		lo := e.bounds[id]
+	for id, ids := range place {
 		sh := &cshard{id: id}
-		part := data.Slice(lo, e.bounds[id+1])
+		part := data.Rows(ids)
+		for _, gid := range ids {
+			e.owner[gid] = int32(id)
+		}
 		for _, nid := range nodeRing.pref(fmt.Sprintf("shard-%d", id), opts.Replicas) {
-			st, err := delta.New(part, e.replicaDeltaOptions(id, lo))
+			dopts := e.replicaDeltaOptions()
+			dopts.IDs = ids
+			st, err := delta.New(part, dopts)
 			if err != nil {
 				e.closeStores()
 				return nil, fmt.Errorf("cluster: shard %d replica on node %d: %w", id, nid, err)
@@ -343,12 +349,11 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-func (e *Engine) replicaDeltaOptions(shardID, lo int) delta.Options {
+func (e *Engine) replicaDeltaOptions() delta.Options {
 	return delta.Options{
 		Factory:           e.opts.Factory,
 		MaxDelta:          e.opts.MaxDelta,
 		MaxTombstoneRatio: e.opts.MaxTombstoneRatio,
-		IDOffset:          lo,
 	}
 }
 
@@ -495,7 +500,7 @@ func skip(sp *obs.Span, r *replica, why string) {
 // closed by a concurrent kill) feeds its breaker and the next candidate
 // is tried — bit-identical replicas make that fail-over invisible in the
 // result.
-func (e *Engine) searchShard(ctx context.Context, sh *cshard, q []float64, k int) (serve.ShardAnswer, error) {
+func (e *Engine) searchShard(ctx context.Context, sh *cshard, q []float64, k int, ceiling float64) (serve.ShardAnswer, error) {
 	ctx, sp := obs.StartSpan(ctx, "cluster.pick-replica")
 	defer sp.End()
 	avail, err := e.current(sh, sh.snapshot(), sp)
@@ -525,7 +530,7 @@ func (e *Engine) searchShard(ctx context.Context, sh *cshard, q []float64, k int
 			if pass == 1 {
 				br = nil
 			}
-			ans, _, err := serve.Attempt(ctx, r.search, br, nil, q, k)
+			ans, _, err := serve.Attempt(ctx, r.search, br, nil, q, k, ceiling)
 			if err != nil {
 				failedOver = true
 				if errors.Is(err, resilience.ErrCircuitOpen) {
@@ -567,8 +572,8 @@ func (s source) Available(id int) bool {
 	return err == nil
 }
 
-func (s source) Visit(ctx context.Context, id int, q []float64, k int) (serve.ShardAnswer, error) {
-	return s.e.searchShard(ctx, s.e.shards[id], q, k)
+func (s source) Visit(ctx context.Context, id int, q []float64, k int, ceiling float64) (serve.ShardAnswer, error) {
+	return s.e.searchShard(ctx, s.e.shards[id], q, k, ceiling)
 }
 
 // Search returns the exact k nearest neighbors of q under the engine's

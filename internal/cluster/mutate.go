@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"pimmine/internal/delta"
 	"pimmine/internal/standing"
@@ -33,15 +32,15 @@ import (
 // exist (anti-entropy will make a retry succeed), ErrNoQuorum when no
 // replica is live.
 
-// shardOf maps a global id to its shard: initial ids by the contiguous
-// range split, inserted ids by the consistent-hash id ring (recorded in
-// routes at insert time).
+// shardOf maps a global id to its shard: initial ids by where they were
+// placed, inserted ids by the consistent-hash id ring (recorded in routes
+// at insert time).
 func (e *Engine) shardOf(id int) (int, error) {
 	if id < 0 {
 		return 0, fmt.Errorf("cluster: negative id %d", id)
 	}
-	if id < e.initialN {
-		return sort.SearchInts(e.bounds, id+1) - 1, nil
+	if id < len(e.owner) {
+		return int(e.owner[id]), nil
 	}
 	if sh, ok := e.routes[id]; ok {
 		return sh, nil

@@ -41,7 +41,7 @@ func (e *Engine) shipLocked(sh *cshard, src *replica, dst *node) (*replica, erro
 	if err != nil {
 		return nil, fmt.Errorf("cluster: ship shard %d: %w", sh.id, err)
 	}
-	st, err := restoreShard(dec, 0, e.replicaDeltaOptions(sh.id, 0))
+	st, err := restoreShard(dec, 0, e.replicaDeltaOptions())
 	if err != nil {
 		return nil, fmt.Errorf("cluster: install shard %d on node %d: %w", sh.id, dst.id, err)
 	}

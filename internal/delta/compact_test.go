@@ -3,6 +3,7 @@ package delta
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func TestCompactFoldsDeltaAndTombstones(t *testing.T) {
 	}
 	wantM, wantIDs := st.Materialize()
 	q := randVec(rng, 4)
-	before, err := st.Search(context.Background(), q, 9, nil)
+	before, err := st.Search(context.Background(), q, 9, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestCompactFoldsDeltaAndTombstones(t *testing.T) {
 			t.Fatalf("data changed at %d", i)
 		}
 	}
-	after, err := st.Search(context.Background(), q, 9, nil)
+	after, err := st.Search(context.Background(), q, 9, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestCompactRefusesEmpty(t *testing.T) {
 		t.Fatalf("empty compact err = %v", err)
 	}
 	// The tombstoned base still serves (zero results, no error).
-	nn, err := st.Search(context.Background(), []float64{0.5, 0.5}, 2, nil)
+	nn, err := st.Search(context.Background(), []float64{0.5, 0.5}, 2, math.Inf(1), nil)
 	if err != nil || len(nn) != 0 {
 		t.Fatalf("search over fully deleted store: %v, %v", nn, err)
 	}
@@ -167,7 +168,7 @@ func TestCompactionEnduranceBudgetProperty(t *testing.T) {
 			// Queries stay exact regardless of endurance state.
 			if step%10 == 9 {
 				q := randVec(rng, 4)
-				got, err := st.Search(context.Background(), q, 3, nil)
+				got, err := st.Search(context.Background(), q, 3, math.Inf(1), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,7 +211,7 @@ func TestAutoCompactTriggers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	q := randVec(rng, 4)
-	got, err := st.Search(context.Background(), q, 5, nil)
+	got, err := st.Search(context.Background(), q, 5, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestHammerConcurrentMutateSearchCompact(t *testing.T) {
 				}
 				q := randVec(rr, 4)
 				k := 1 + rr.Intn(10)
-				nn, err := st.Search(context.Background(), q, k, meter)
+				nn, err := st.Search(context.Background(), q, k, math.Inf(1), meter)
 				if err != nil {
 					if errors.Is(err, ErrClosed) {
 						return

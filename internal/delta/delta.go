@@ -3,7 +3,6 @@ package delta
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,10 +72,12 @@ type Options struct {
 	// AutoCompact runs compaction in a background goroutine when a
 	// threshold trips; otherwise callers compact explicitly.
 	AutoCompact bool
-	// IDOffset shifts the initial rows' ids to offset..offset+N-1
-	// (default 0). Sharded engines use contiguous offsets so every
-	// store answers directly in the global id space.
-	IDOffset int
+	// IDs is the ascending global id of each initial row, one per row
+	// (default 0..N-1). Sharded engines hand each store its shard's
+	// placement (route.Partition), so every store answers directly in the
+	// global id space; the store keeps the slice as its base id
+	// directory, and the caller must not modify it afterwards.
+	IDs []int
 	// Metrics, when wired (see NewMetrics), publishes delta fill,
 	// tombstone count, compaction counters/latency and remaining
 	// endurance budget to an obs registry.
@@ -218,11 +219,18 @@ func New(data *vec.Matrix, opts Options) (*Store, error) {
 	if opts.CapacityRows <= 0 {
 		opts.CapacityRows = data.N
 	}
-	if opts.IDOffset < 0 {
-		return nil, fmt.Errorf("delta: negative IDOffset %d", opts.IDOffset)
+	ids := opts.IDs
+	if ids == nil {
+		ids = make([]int, data.N)
+		for i := range ids {
+			ids[i] = i
+		}
 	}
-	st := &Store{opts: opts, d: data.D, nextID: opts.IDOffset + data.N}
-	base, err := st.buildBase(data, identityIDs(opts.IDOffset, data.N))
+	if err := checkIDs(ids, data.N); err != nil {
+		return nil, err
+	}
+	st := &Store{opts: opts, d: data.D, nextID: ids[len(ids)-1] + 1}
+	base, err := st.buildBase(data, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -235,12 +243,18 @@ func New(data *vec.Matrix, opts Options) (*Store, error) {
 	return st, nil
 }
 
-func identityIDs(offset, n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = offset + i
+// checkIDs validates an id directory of n rows: one non-negative id per
+// row, strictly ascending.
+func checkIDs(ids []int, n int) error {
+	if len(ids) != n {
+		return fmt.Errorf("delta: %d rows but %d ids", n, len(ids))
 	}
-	return ids
+	for i, id := range ids {
+		if id < 0 || (i > 0 && id <= ids[i-1]) {
+			return fmt.Errorf("delta: ids not strictly ascending and non-negative at %d (%d)", i, id)
+		}
+	}
+	return nil
 }
 
 // buildBase prices, reserves endurance for, and constructs one epoch's
@@ -505,28 +519,35 @@ func (st *Store) Delete(id int) error {
 // tombstones, plus delta), returning global ids in canonical
 // (dist, id) order — byte-identical to a fresh index built over
 // Materialize(). It never blocks on mutations or compaction. The base
-// searcher runs under ctx's trace (knn.SearchTraced), so a traced visit
+// searcher runs under ctx's trace (knn.SearchCapped), so a traced visit
 // shows the searcher's span tree.
+//
+// ceiling is what the caller already knows about the answer: every row of
+// the k nearest whose distance is at most ceiling is returned, and rows
+// above it may be dropped (+Inf asks for all k). A base searcher that can
+// stop short of the ceiling does (knn.CeilingSearcher); the others return
+// their whole k, a superset.
 //
 // Exactness: the base searcher over-fetches k+|tombstones| candidates,
 // so after masking, the k best live base rows survive (at most
-// |tombstones| dead rows can precede them); the delta scan is capped by
-// the base k-th distance with a strict prune, so tied delta rows still
-// compete; and both partial results are canonical under (dist, id), so
-// vec.MergeNeighbors loses nothing.
-func (st *Store) Search(ctx context.Context, q []float64, k int, meter *arch.Meter) ([]vec.Neighbor, error) {
-	return st.search(ctx, q, k, meter, false)
+// |tombstones| dead rows can precede them) — those at or below the
+// ceiling, under one; the delta scan is capped by the lesser of the
+// ceiling and the base k-th distance with a strict prune, so tied delta
+// rows still compete; and both partial results are canonical under
+// (dist, id), so vec.MergeNeighbors loses nothing.
+func (st *Store) Search(ctx context.Context, q []float64, k int, ceiling float64, meter *arch.Meter) ([]vec.Neighbor, error) {
+	return st.search(ctx, q, k, ceiling, meter, false)
 }
 
 // SearchHost is Search with the pinned epoch's base served by the exact
 // host scan (knn.Standard over the same rows) instead of its searcher —
 // the path a circuit breaker reroutes a fault-storming array to. Masking,
 // the delta merge and the answer are Search's.
-func (st *Store) SearchHost(ctx context.Context, q []float64, k int, meter *arch.Meter) ([]vec.Neighbor, error) {
-	return st.search(ctx, q, k, meter, true)
+func (st *Store) SearchHost(ctx context.Context, q []float64, k int, ceiling float64, meter *arch.Meter) ([]vec.Neighbor, error) {
+	return st.search(ctx, q, k, ceiling, meter, true)
 }
 
-func (st *Store) search(ctx context.Context, q []float64, k int, meter *arch.Meter, host bool) ([]vec.Neighbor, error) {
+func (st *Store) search(ctx context.Context, q []float64, k int, ceiling float64, meter *arch.Meter, host bool) ([]vec.Neighbor, error) {
 	if st.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -551,7 +572,7 @@ func (st *Store) search(ctx context.Context, q []float64, k int, meter *arch.Met
 		}
 		s = b.host
 	}
-	raw := knn.SearchTraced(ctx, s, q, k+len(sn.tomb), meter)
+	raw := knn.SearchCapped(ctx, s, q, k+len(sn.tomb), ceiling, meter)
 	b.mu.Unlock()
 	// Translate to global ids in place on the searcher's own result,
 	// dropping tombstoned rows: no copy, no allocation of the store's.
@@ -569,9 +590,9 @@ func (st *Store) search(ctx context.Context, q []float64, k int, meter *arch.Met
 	if len(sn.deltaIDs) == 0 {
 		return baseNN, nil
 	}
-	cap := math.Inf(1)
+	cap := ceiling
 	if len(baseNN) >= k {
-		cap = baseNN[k-1].Dist
+		cap = min(cap, baseNN[k-1].Dist)
 	}
 	deltaNN := knn.DeltaScan(sn.delta, sn.deltaOST, q, k, cap, meter)
 	for i := range deltaNN {

@@ -111,12 +111,12 @@ func TestStoreMutationsAndExactSearch(t *testing.T) {
 		}
 		q := randVec(rng, 6)
 		k := 1 + rng.Intn(8)
-		got, err := st.Search(context.Background(), q, k, arch.NewMeter())
+		got, err := st.Search(context.Background(), q, k, math.Inf(1), arch.NewMeter())
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameNeighbors(t, got, refSearch(st, q, k), "mid-churn")
-		host, err := st.SearchHost(context.Background(), q, k, arch.NewMeter())
+		host, err := st.SearchHost(context.Background(), q, k, math.Inf(1), arch.NewMeter())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestStoreUpdateKeepsTieOrder(t *testing.T) {
 	if err := st.Update(0, []float64{0.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Search(context.Background(), []float64{0.5, 0.5}, 2, nil)
+	got, err := st.Search(context.Background(), []float64{0.5, 0.5}, 2, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +190,10 @@ func TestStoreValidation(t *testing.T) {
 	if err := st.Delete(99); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete missing err = %v", err)
 	}
-	if _, err := st.Search(context.Background(), []float64{0.1}, 1, nil); err == nil {
+	if _, err := st.Search(context.Background(), []float64{0.1}, 1, math.Inf(1), nil); err == nil {
 		t.Fatal("query dim mismatch accepted")
 	}
-	if _, err := st.Search(context.Background(), []float64{0.1, 0.2, 0.3}, 0, nil); err == nil {
+	if _, err := st.Search(context.Background(), []float64{0.1, 0.2, 0.3}, 0, math.Inf(1), nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -213,7 +213,7 @@ func TestStoreCloseIdempotent(t *testing.T) {
 	if err := st.Delete(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("delete after close err = %v", err)
 	}
-	if _, err := st.Search(context.Background(), []float64{0.1, 0.2, 0.3}, 1, nil); !errors.Is(err, ErrClosed) {
+	if _, err := st.Search(context.Background(), []float64{0.1, 0.2, 0.3}, 1, math.Inf(1), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("search after close err = %v", err)
 	}
 	if err := st.Compact(nil); !errors.Is(err, ErrClosed) {
@@ -258,7 +258,11 @@ func TestSearchAddsNoAllocation(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	var base knn.Searcher
-	st, err := New(randMatrix(rng, 64, 6), Options{IDOffset: 100, Factory: func(m *vec.Matrix, n int) (knn.Searcher, error) {
+	ids := make([]int, 64) // a placed shard's ascending, gapped id directory
+	for i := range ids {
+		ids[i] = 100 + 3*i
+	}
+	st, err := New(randMatrix(rng, 64, 6), Options{IDs: ids, Factory: func(m *vec.Matrix, n int) (knn.Searcher, error) {
 		base, _ = hostFactory(m, n)
 		return base, nil
 	}})
@@ -269,18 +273,18 @@ func TestSearchAddsNoAllocation(t *testing.T) {
 	ctx, q, m := context.Background(), randVec(rng, 6), arch.NewMeter()
 	bare := testing.AllocsPerRun(50, func() { base.Search(q, 5, m) })
 	visit := testing.AllocsPerRun(50, func() {
-		if _, err := st.Search(ctx, q, 5, m); err != nil {
+		if _, err := st.Search(ctx, q, 5, math.Inf(1), m); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if visit != bare {
 		t.Fatalf("Store.Search allocates %v per call, its base searcher %v", visit, bare)
 	}
-	got, err := st.Search(ctx, q, 5, m)
+	got, err := st.Search(ctx, q, 5, math.Inf(1), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameNeighbors(t, got, refSearch(st, q, 5), "offset ids")
+	assertSameNeighbors(t, got, refSearch(st, q, 5), "placed ids")
 }
 
 // TestMaterializeAllMergesByID: the k-way merge of several stores' live

@@ -176,7 +176,7 @@ func TestGoldenDeltaKNN(t *testing.T) {
 
 	var live strings.Builder
 	for qi := 0; qi < queries.N; qi++ {
-		nn, err := st.Search(context.Background(), queries.Row(qi), k, arch.NewMeter())
+		nn, err := st.Search(context.Background(), queries.Row(qi), k, math.Inf(1), arch.NewMeter())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,10 +17,10 @@ func init() {
 }
 
 // routeClustered generates a clustered dataset with rows grouped by
-// mixture component, so the engine's contiguous shards are content-local
-// — the regime the routing tier is built for. (Interleaved rows give
-// every shard the same bounding box and nothing can ever be pruned;
-// real deployments get locality from time- or key-partitioned ingest.)
+// mixture component, so contiguous shards are content-local — the
+// locality time- or key-partitioned ingest gives a deployment. (Interleaved
+// rows give every contiguous shard the same bounding box and nothing can be
+// pruned; route.NewEven's norm placement is the answer there.)
 func routeClustered(n, d, clusters int, spread float64, seed int64) *vec.Matrix {
 	prof := dataset.Profile{Name: "route-sweep", FullN: n, D: d, Clusters: clusters, Correlation: 0.4, Spread: spread}
 	ds := dataset.Generate(prof, n, seed)
@@ -40,7 +40,9 @@ func routeClustered(n, d, clusters int, spread float64, seed int64) *vec.Matrix 
 // ExtRoute sweeps the sketch-based shard-routing tier: for each shard
 // count, the same query stream runs unrouted (full fan-out), with exact
 // routing (admissible pruning, bit-identical results — verified on every
-// run) and with approximate routing at the suite's recall target. The
+// run) and with approximate routing at the suite's recall target, both
+// over the ingest's contiguous shards (route.New), and with exact routing
+// over rows the router placed by norm (route.NewEven). The
 // table reports shards visited per query, modeled work, wall-clock p95
 // latency, and — for the approximate mode — the measured recall against
 // the unrouted truth.
@@ -80,11 +82,25 @@ func ExtRoute(s *Suite) (*Table, error) {
 		// A light size prior: the sweep measures how far sketch mass alone
 		// can carry routing; the default 0.3 hedge would force a near-full
 		// fan-out at high recall targets regardless of the sketches.
-		r, err := route.NewEven(route.Config{Recall: target, SizePrior: 0.05, Seed: s.Seed}, data, shards)
+		cfg := route.Config{Recall: target, SizePrior: 0.05, Seed: s.Seed}
+		starts := route.EvenSplit(data.N, shards)
+		parts := make([]*vec.Matrix, shards)
+		for id := range parts {
+			parts[id] = data.Slice(starts[id], starts[id+1])
+		}
+		r, err := route.New(cfg, parts)
 		if err != nil {
 			return nil, err
 		}
 		routed, err := serve.New(data, serve.Options{Shards: shards, Router: r, Obs: s.Obs})
+		if err != nil {
+			return nil, err
+		}
+		byNorm, err := route.NewEven(cfg, data, shards)
+		if err != nil {
+			return nil, err
+		}
+		placed, err := serve.New(data, serve.Options{Shards: shards, Router: byNorm})
 		if err != nil {
 			return nil, err
 		}
@@ -145,6 +161,9 @@ func ExtRoute(s *Suite) (*Table, error) {
 			{"approx", func(q []float64, k int) (*serve.Result, error) {
 				return routed.SearchMode(ctx, q, k, route.ModeApprox)
 			}, false},
+			{"exact (norm)", func(q []float64, k int) (*serve.Result, error) {
+				return placed.SearchMode(ctx, q, k, route.ModeExact)
+			}, true},
 		}
 		for _, mr := range runs {
 			vis, work, p95, rec, err := run(mr.search, mr.exact)
@@ -165,7 +184,7 @@ func ExtRoute(s *Suite) (*Table, error) {
 			)
 		}
 	}
-	t.Note("rows grouped by cluster so shards are content-local; exact routing is verified bit-identical to the unrouted fan-out on every query; approx recall is measured against the unrouted truth over %d queries", nq)
+	t.Note("rows grouped by cluster so contiguous shards are content-local; exact (norm) places the same rows by norm (route.NewEven) instead; exact routing is verified bit-identical to the unrouted fan-out on every query; approx recall is measured against the unrouted truth over %d queries", nq)
 	return t, nil
 }
 

@@ -3,6 +3,7 @@ package knn
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -85,6 +86,7 @@ type Cascade struct {
 	stages   []stage
 	exact    exactStep
 	q        []float64 // the query in flight, for the exact step
+	ceil     float64   // the walk in flight returns no row above it
 
 	// lazy is the walk's state over a first stage that answers from a
 	// digest (lazy.go), resolved at construction; nil walks the column as
@@ -173,22 +175,29 @@ func (c *Cascade) RecordPreprocessing(meter *arch.Meter) {
 
 // Search implements Searcher.
 func (c *Cascade) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return c.searchAppend(context.Background(), q, k, meter, nil)
+	return c.searchAppend(context.Background(), q, k, math.Inf(1), meter, nil)
 }
 
 // SearchAppend implements AppendSearcher.
 func (c *Cascade) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	return c.searchAppend(context.Background(), q, k, meter, dst)
+	return c.searchAppend(context.Background(), q, k, math.Inf(1), meter, dst)
 }
 
 // SearchCtx implements ContextSearcher: Search with per-phase spans
 // (pim-dot per PIM stage, bound-eval with the seed event and one event per
 // stage, refine) emitted into the context's trace.
 func (c *Cascade) SearchCtx(ctx context.Context, q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return c.searchAppend(ctx, q, k, meter, nil)
+	return c.searchAppend(ctx, q, k, math.Inf(1), meter, nil)
 }
 
-func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
+// SearchCeiling implements CeilingSearcher: SearchCtx pruning on the lesser
+// of ceiling and its own k-th distance, so it returns the rows of the k
+// nearest at or below ceiling and nothing else.
+func (c *Cascade) SearchCeiling(ctx context.Context, q []float64, k int, ceiling float64, meter *arch.Meter) []vec.Neighbor {
+	return c.searchAppend(ctx, q, k, ceiling, meter, nil)
+}
+
+func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, ceiling float64, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
 	_, sp := obs.StartSpan(ctx, c.spanName)
 	defer sp.End()
 	c.q = q
@@ -208,7 +217,7 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, meter *a
 		}
 	}
 
-	dst = c.walk(sp, k, meter, dst)
+	dst = c.walk(sp, k, ceiling, meter, dst)
 	c.q = nil // do not keep the caller's buffer (a row of a batch arena) alive
 	return dst
 }
@@ -222,8 +231,15 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, meter *a
 // stages is a plain scan. walk is apart from searchAppend so that a
 // searcher whose query is not a []float64 (HD's packed code) prepares its
 // stage itself and runs the same loop. A nil span is the untraced walk.
-func (c *Cascade) walk(sp *obs.Span, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	c.timed, c.refineDur = sp != nil, 0
+//
+// Every prune is against threshold(): the lesser of ceiling and the k-th
+// distance so far, and refine keeps no row above ceiling. A row of the
+// uncapped answer at or below ceiling is never pruned — its bound is at
+// most its distance, and the k-th distance never falls below the final
+// one — so the walk returns exactly the uncapped answer's rows at or
+// below ceiling (+Inf: all of it).
+func (c *Cascade) walk(sp *obs.Span, k int, ceiling float64, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
+	c.timed, c.refineDur, c.ceil = sp != nil, 0, ceiling
 	be := sp.StartChild("bound-eval")
 	c.top = reuseTopK(c.top, k)
 	clear(c.passed)
@@ -289,7 +305,7 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 	}
 	c.stages[0].lbInto(col)
 	lazy := c.lazy
-	if lazy != nil && lazy.begin(c.n, c.timed) && (k > c.n/tightenShare || !c.tightenSeeds(col, k)) {
+	if lazy != nil && lazy.begin(c.n, c.timed) && (k > c.n/tightenShare || !c.tightenSeeds(col, k, c.ceil)) {
 		lazy.sweepColumn(col, exitTheta)
 	}
 	var columnDur time.Duration
@@ -298,10 +314,16 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 	}
 
 	c.selectSeeds(col, k)
-	for _, s := range c.seedBuf {
+	// The seeds come in ascending bound order: once one is above the
+	// ceiling, so is every later one, and the scan prunes them all.
+	for i, s := range c.seedBuf {
+		if s.Dist > c.ceil {
+			c.seedBuf = c.seedBuf[:i]
+			break
+		}
 		c.visit(s.Index, s.Dist)
 	}
-	tau := c.top.Threshold()
+	tau := c.threshold()
 	if lazy != nil && lazy.exit == exitLazy && !lazy.tightenBelow(col, tau) {
 		lazy.sweepColumn(col, exitTau)
 	}
@@ -310,7 +332,7 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 		if lazy != nil {
 			exit, loose, tightened, tightenDur = lazy.exit, lazy.nLoose, lazy.nTight, lazy.tightenDur
 		}
-		be.Annotate("seed", obs.A("k", len(c.seedBuf)), obs.A("tau", tau),
+		be.Annotate("seed", obs.A("k", len(c.seedBuf)), obs.A("tau", tau), obs.A("ceiling", c.ceil),
 			obs.A("column_us", micros(columnDur)), obs.A("loose", loose), obs.A("tightened", tightened),
 			obs.A("tighten_us", micros(tightenDur)), obs.A("exit", exit))
 	}
@@ -324,8 +346,17 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 			continue
 		}
 		c.visit(i, b)
-		tau = c.top.Threshold()
+		tau = c.threshold()
 	}
+}
+
+// threshold is what the walk prunes against: the lesser of the ceiling and
+// the k-th distance so far.
+func (c *Cascade) threshold() float64 {
+	if t := c.top.Threshold(); t < c.ceil {
+		return t
+	}
+	return c.ceil
 }
 
 // selectSeeds leaves in seedBuf the k smallest (bound, index) of col, in
@@ -349,7 +380,7 @@ func (c *Cascade) selectSeeds(col []float64, k int) {
 func (c *Cascade) visit(i int, b float64) {
 	c.passed[0]++
 	for si, st := range c.stages[1:] {
-		if b = st.lb(i); b > c.top.Threshold() {
+		if b = st.lb(i); b > c.threshold() {
 			return
 		}
 		c.passed[si+1]++
@@ -358,7 +389,8 @@ func (c *Cascade) visit(i int, b float64) {
 }
 
 // refine offers object i to the answer at its exact value, or, in a cascade
-// without an exact step, at b, the last bound computed for it.
+// without an exact step, at b, the last bound computed for it — unless that
+// is above the ceiling.
 func (c *Cascade) refine(i int, b float64) {
 	if c.exact.dist != nil {
 		if c.timed {
@@ -369,7 +401,9 @@ func (c *Cascade) refine(i int, b float64) {
 			b = c.exact.dist(i)
 		}
 	}
-	c.top.Push(i, b)
+	if b <= c.ceil {
+		c.top.Push(i, b)
+	}
 }
 
 // micros renders a duration as a span attribute in microseconds.

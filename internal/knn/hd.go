@@ -3,6 +3,7 @@ package knn
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/measure"
@@ -167,10 +168,16 @@ func (h *HDPIM) Search(q measure.BitVector, k int, meter *arch.Meter) []vec.Neig
 // SearchAppend is Search appending to dst, allocation-free once warmed up
 // (see AppendSearcher).
 func (h *HDPIM) SearchAppend(q measure.BitVector, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
+	return h.searchAppend(q, k, math.Inf(1), meter, dst)
+}
+
+// searchAppend is SearchAppend returning no row above ceiling (see
+// Cascade.walk).
+func (h *HDPIM) searchAppend(q measure.BitVector, k int, ceiling float64, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
 	h.q, h.qOnes = q, q.Ones()
 	h.ix.QueryBitsInto(q, h.floor)
 	if err := h.pass(meter); err != nil {
 		panic(fmt.Sprintf("knn: HD-PIM query-all: %v", err))
 	}
-	return h.c.walk(nil, k, meter, dst)
+	return h.c.walk(nil, k, ceiling, meter, dst)
 }

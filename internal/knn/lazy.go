@@ -96,8 +96,12 @@ func (w *lazyWalk) begin(n int, timed bool) bool {
 
 // tightenSeeds is step (1) over a loose column, k ≤ n/tightenShare. It
 // reports false, with the column partly tightened, when more rows lie at or
-// below θ than one pass may list.
-func (c *Cascade) tightenSeeds(col []float64, k int) bool {
+// below min(θ, ceiling) than one pass may list. Capping θ keeps the step
+// sound: a row above the ceiling is pruned whatever its exact bound, and
+// every row of the k smallest (LB, index) at or below it has
+// LB′ ≤ LB ≤ min(θ, ceiling), so the seeds the walk visits are still the
+// ones the exact column gives.
+func (c *Cascade) tightenSeeds(col []float64, k int, ceiling float64) bool {
 	w := c.lazy
 	c.selectSeeds(col, k)
 	w.rows = w.rows[:0]
@@ -109,7 +113,7 @@ func (c *Cascade) tightenSeeds(col []float64, k int) bool {
 	for _, i := range w.rows {
 		theta = max(theta, col[i])
 	}
-	return w.tightenBelow(col, theta)
+	return w.tightenBelow(col, min(theta, ceiling))
 }
 
 // tightenBelow tightens every row still loose whose entry of col is at most

@@ -274,38 +274,10 @@ func walkEngines(t *testing.T) map[string]func() *pim.Engine {
 // transcripts, a cascade with no stage, and the two with no exact step, at
 // k below, at and above n.
 func TestWalkOrderInvariant(t *testing.T) {
-	base, queries := testData(t, 12, 64)
-	data := duplicated(base, 12, 5)
+	data, queries := walkData(t)
 	n := data.N
 	q := defaultQuant(t)
-	std := NewStandard(data)
-	simStd := func(kind measure.Kind) Searcher {
-		s, err := NewSimStandard(data, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	type build func(eng *pim.Engine) (Searcher, error)
-	cascades := []struct {
-		name  string
-		exact Searcher
-		build build
-	}{
-		{"OST", std, func(*pim.Engine) (Searcher, error) { return NewOST(data, data.D/2) }},
-		{"SM", std, func(*pim.Engine) (Searcher, error) { return NewSM(data, 16) }},
-		{"FNN", std, func(*pim.Engine) (Searcher, error) { return NewFNN(data) }},
-		{"Standard-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewStandardPIM(e, data, q, n) }},
-		{"OST-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewOSTPIM(e, data, q, data.D/2, n) }},
-		{"SM-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewSMPIM(e, data, q, 16, n) }},
-		{"FNN-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewFNNPIM(e, data, q, n) }},
-		{"FNN-PIM-optimize", std, func(e *pim.Engine) (Searcher, error) { return NewFNNPIMOptimized(e, data, q, n, []int{16}) }},
-		{"Dynamic-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewDynamicPIM(e, data, q, n+8) }},
-		{"no-stage", std, func(e *pim.Engine) (Searcher, error) { return FromPlan(plan.Plan{}, e, data, q) }},
-		{"CS-PIM", simStd(measure.CS), func(e *pim.Engine) (Searcher, error) { return NewSimPIM(e, data, q, measure.CS, n) }},
-		{"PCC-PIM", simStd(measure.PCC), func(e *pim.Engine) (Searcher, error) { return NewSimPIM(e, data, q, measure.PCC, n) }},
-		{"LEMP", simStd(measure.CS), func(*pim.Engine) (Searcher, error) { return NewSimLEMP(data, data.D/2) }},
-	}
+	cascades := walkCascades(t, data)
 	hasher := lsh.NewHasher(data.D, 128, 8)
 	codes, qCodes := hasher.HashAll(data), hasher.HashAll(queries)
 	hdStd := NewHDStandard(codes)
@@ -354,6 +326,191 @@ func TestWalkOrderInvariant(t *testing.T) {
 				}
 				sameNeighbors(t, what("Approx-PIM", qi), got, top.Results())
 			}
+		}
+	}
+}
+
+// walkData is the order-invariance differential's dataset: twelve rows
+// five times over, so ties straddle every k that is not a multiple of 5.
+func walkData(t *testing.T) (data, queries *vec.Matrix) {
+	base, queries := testData(t, 12, 64)
+	return duplicated(base, 12, 5), queries
+}
+
+// walkCase is one cascade of the order-invariance differential and the
+// exact scan it must agree with.
+type walkCase struct {
+	name  string
+	exact Searcher
+	build func(eng *pim.Engine) (Searcher, error)
+}
+
+// walkCascades are every constructor of the two transcripts, a cascade
+// with no stage and the similarity searchers, over data.
+func walkCascades(t *testing.T, data *vec.Matrix) []walkCase {
+	n := data.N
+	q := defaultQuant(t)
+	std := NewStandard(data)
+	simStd := func(kind measure.Kind) Searcher {
+		s, err := NewSimStandard(data, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	return []walkCase{
+		{"OST", std, func(*pim.Engine) (Searcher, error) { return NewOST(data, data.D/2) }},
+		{"SM", std, func(*pim.Engine) (Searcher, error) { return NewSM(data, 16) }},
+		{"FNN", std, func(*pim.Engine) (Searcher, error) { return NewFNN(data) }},
+		{"Standard-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewStandardPIM(e, data, q, n) }},
+		{"OST-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewOSTPIM(e, data, q, data.D/2, n) }},
+		{"SM-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewSMPIM(e, data, q, 16, n) }},
+		{"FNN-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewFNNPIM(e, data, q, n) }},
+		{"FNN-PIM-optimize", std, func(e *pim.Engine) (Searcher, error) { return NewFNNPIMOptimized(e, data, q, n, []int{16}) }},
+		{"Dynamic-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewDynamicPIM(e, data, q, n+8) }},
+		{"no-stage", std, func(e *pim.Engine) (Searcher, error) { return FromPlan(plan.Plan{}, e, data, q) }},
+		{"CS-PIM", simStd(measure.CS), func(e *pim.Engine) (Searcher, error) { return NewSimPIM(e, data, q, measure.CS, n) }},
+		{"PCC-PIM", simStd(measure.PCC), func(e *pim.Engine) (Searcher, error) { return NewSimPIM(e, data, q, measure.PCC, n) }},
+		{"LEMP", simStd(measure.CS), func(*pim.Engine) (Searcher, error) { return NewSimLEMP(data, data.D/2) }},
+	}
+}
+
+// capped is want, the uncapped answer, filtered to distances at or below
+// ceiling: what a search capped at ceiling must return.
+func capped(want []vec.Neighbor, ceiling float64) []vec.Neighbor {
+	out := []vec.Neighbor{}
+	for _, nb := range want {
+		if nb.Dist <= ceiling {
+			out = append(out, nb)
+		}
+	}
+	return out
+}
+
+// TestCeilingMatchesUncapped pins the ceiling contract on every cascade of
+// TestWalkOrderInvariant — lazy and, through dropLazy, eager; HD-PIM and
+// Approx-PIM included — on every array: a search capped at ceiling returns
+// exactly the uncapped answer's rows at or below it, to the bit, ties
+// across the ceiling included. The ceilings are below every distance
+// (−1), zero, one the duplicated rows tie on, the k-th distance and +Inf.
+func TestCeilingMatchesUncapped(t *testing.T) {
+	data, queries := walkData(t)
+	n := data.N
+	hasher := lsh.NewHasher(data.D, 128, 8)
+	codes, qCodes := hasher.HashAll(data), hasher.HashAll(queries)
+	ceilings := func(want []vec.Neighbor) []float64 {
+		return []float64{-1, 0, want[len(want)/2].Dist, want[len(want)-1].Dist, math.Inf(1)}
+	}
+	lazies := 0
+	for engName, newEng := range walkEngines(t) {
+		type capper func(qi, k int, ceiling float64) []vec.Neighbor
+		var searchers []struct {
+			name string
+			find capper
+		}
+		add := func(name string, find capper) {
+			searchers = append(searchers, struct {
+				name string
+				find capper
+			}{name, find})
+		}
+		for _, tc := range walkCascades(t, data) {
+			for _, eager := range []bool{false, true} {
+				s, err := tc.build(newEng())
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, ok := s.(*Cascade)
+				if dyn, isDyn := s.(*DynamicPIM); isDyn {
+					c, ok = dyn.Cascade, true
+				}
+				if !ok {
+					if eager {
+						continue
+					}
+					t.Fatalf("%s is a %T, not a cascade", tc.name, s)
+				}
+				name := tc.name
+				if eager {
+					if c.lazy == nil {
+						continue
+					}
+					dropLazy(t, c)
+					name += " (eager)"
+				} else if c.lazy != nil {
+					lazies++
+				}
+				add(name, func(qi, k int, ceiling float64) []vec.Neighbor {
+					return c.SearchCeiling(context.Background(), queries.Row(qi), k, ceiling, arch.NewMeter())
+				})
+			}
+		}
+		hp, err := NewHDPIM(newEng(), codes, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add("HD-PIM", func(qi, k int, ceiling float64) []vec.Neighbor {
+			return hp.searchAppend(qCodes[qi], k, ceiling, arch.NewMeter(), nil)
+		})
+		ap, err := NewApproxPIM(newEng(), data, defaultQuant(t), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add("Approx-PIM", func(qi, k int, ceiling float64) []vec.Neighbor {
+			return ap.SearchCeiling(context.Background(), queries.Row(qi), k, ceiling, arch.NewMeter())
+		})
+
+		for _, s := range searchers {
+			for _, k := range []int{1, n - 1, n, n + 5} {
+				for qi := 0; qi < queries.N; qi++ {
+					want := s.find(qi, k, math.Inf(1))
+					for _, ceiling := range ceilings(want) {
+						what := fmt.Sprintf("%s array, %s, k=%d, query %d, ceiling %v", engName, s.name, k, qi, ceiling)
+						sameNeighbors(t, what, s.find(qi, k, ceiling), capped(want, ceiling))
+					}
+				}
+			}
+		}
+	}
+	if lazies == 0 {
+		t.Fatal("no cascade under test led with a lazy stage")
+	}
+}
+
+// ctxWrapper is a searcher that wraps another behind SearchCtx only, as a
+// timing wrapper does: it takes no ceiling itself.
+type ctxWrapper struct{ inner Searcher }
+
+func (w ctxWrapper) Name() string { return w.inner.Name() }
+func (w ctxWrapper) Search(q []float64, k int, m *arch.Meter) []vec.Neighbor {
+	return w.inner.Search(q, k, m)
+}
+func (w ctxWrapper) SearchCtx(ctx context.Context, q []float64, k int, m *arch.Meter) []vec.Neighbor {
+	return SearchTraced(ctx, w.inner, q, k, m)
+}
+
+// TestSearchCappedThroughWrapper pins that a wrapper searching its inner
+// cascade through SearchTraced is transparent to a ceiling: SearchCapped
+// hands it on in the ctx, and the answer and every meter bucket are the
+// cascade's own under the same ceiling.
+func TestSearchCappedThroughWrapper(t *testing.T) {
+	data, queries := testData(t, 300, 64)
+	c, err := NewFNNPIM(newEngine(t), data, defaultQuant(t), data.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for qi := 0; qi < queries.N; qi++ {
+		q := queries.Row(qi)
+		ceiling := NewStandard(data).Search(q, 10, arch.NewMeter())[4].Dist
+		mDirect, mWrapped := arch.NewMeter(), arch.NewMeter()
+		want := SearchCapped(ctx, c, q, 10, ceiling, mDirect)
+		got := SearchCapped(ctx, ctxWrapper{c}, q, 10, ceiling, mWrapped)
+		what := fmt.Sprintf("query %d", qi)
+		sameNeighbors(t, what, got, want)
+		sameMeters(t, what, mWrapped, mDirect)
+		if len(want) != 5 {
+			t.Fatalf("%s: capped at the 5th distance, %d neighbours", what, len(want))
 		}
 	}
 }
@@ -409,14 +566,15 @@ func TestSeedEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(s Searcher, k int) string {
+	renderCapped := func(s Searcher, k int, ceiling float64) string {
 		tr := obs.NewTracer(1, 1)
 		ctx, root := tr.Start(context.Background(), "root")
-		SearchTraced(ctx, s, queries.Row(0), k, arch.NewMeter())
+		SearchCapped(ctx, s, queries.Row(0), k, ceiling, arch.NewMeter())
 		root.End()
 		return tr.Recent(1)[0].Render()
 	}
-	seedEvent := regexp.MustCompile(`bound-eval[^\n]*\n[^\n]*─ seed  \[k=(\d+) tau=([-+.\de]+) column_us=[\d.]+ loose=(\d+) tightened=(\d+) tighten_us=([\d.]+) exit=(\w+)\]`)
+	render := func(s Searcher, k int) string { return renderCapped(s, k, math.Inf(1)) }
+	seedEvent := regexp.MustCompile(`bound-eval[^\n]*\n[^\n]*─ seed  \[k=(\d+) tau=([-+.\de]+) ceiling=([-+.\deInf]+) column_us=[\d.]+ loose=(\d+) tightened=(\d+) tighten_us=([\d.]+) exit=(\w+)\]`)
 	lazyDot := regexp.MustCompile(`─ pim-dot [^\n]*dots=600 lazy=true\]`)
 
 	tree := render(fnnPIM, 10)
@@ -436,15 +594,26 @@ func TestSeedEvent(t *testing.T) {
 	// The digest left a few dozen of the 300 rows at or below that
 	// threshold, and those were all the rows given exact dots, in tighten
 	// passes that took time.
-	if !lazyDot.MatchString(tree) || seed[6] != exitLazy || seed[3] != seed[4] || seed[3] == "0" || fnnPIM.lazy.nTight > data.N/4 || seed[5] == "0.0" {
-		t.Fatalf("a search the digest carried reports loose=%s tightened=%s tighten_us=%s exit=%s:\n%s", seed[3], seed[4], seed[5], seed[6], tree)
+	if !lazyDot.MatchString(tree) || seed[7] != exitLazy || seed[4] != seed[5] || seed[4] == "0" || fnnPIM.lazy.nTight > data.N/4 || seed[6] == "0.0" {
+		t.Fatalf("a search the digest carried reports loose=%s tightened=%s tighten_us=%s exit=%s:\n%s", seed[4], seed[5], seed[6], seed[7], tree)
+	}
+	if seed[3] != "+Inf" {
+		t.Fatalf("an uncapped search reports ceiling=%s:\n%s", seed[3], tree)
+	}
+
+	// A ceiling below the 10th distance: the event carries it, and the
+	// threshold the seeds leave is the ceiling, not their k-th distance.
+	ceiling := want[4].Dist
+	tree = renderCapped(fnnPIM, 10, ceiling)
+	if seed = seedEvent.FindStringSubmatch(tree); seed == nil || seed[3] != fmt.Sprint(ceiling) || seed[2] != fmt.Sprint(ceiling) {
+		t.Fatalf("a search capped at %v reports %v:\n%s", ceiling, seed, tree)
 	}
 
 	// k above n/tightenShare: the k smallest bounds alone are more rows than
 	// a pass may list, so the stage sweeps before anything is seeded or
 	// tightened.
 	tree = render(fnnPIM, data.N/2)
-	if seed = seedEvent.FindStringSubmatch(tree); !lazyDot.MatchString(tree) || seed == nil || seed[6] != exitTheta || seed[4] != "0" || seed[5] != "0.0" {
+	if seed = seedEvent.FindStringSubmatch(tree); !lazyDot.MatchString(tree) || seed == nil || seed[7] != exitTheta || seed[5] != "0" || seed[6] != "0.0" {
 		t.Fatalf("a search that fell back to the sweep reports %v:\n%s", seed, tree)
 	}
 

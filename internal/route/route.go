@@ -24,6 +24,14 @@
 //     the LSH Ensemble move (Zhu et al., PVLDB 2016) of query-time
 //     tuned per-partition sketches, trading exactness for latency.
 //
+// A summary can only skip what placement lets it: contiguous row ranges of
+// one distribution give every shard the whole dataset's box and norm
+// range. So placement belongs to the router. NewEven places rows by Place,
+// an equi-depth split on the norm, and every engine with a router
+// partitions by Router.Placement (Partition); an unrouted engine keeps
+// contiguous ranges. Ids stay global, so answers and ties do not depend on
+// where a row lives.
+//
 // Summaries stay sound under churn by being conservative: inserts and
 // updates only expand a summary (Router.Observe), deletions leave it a
 // superset of the live rows (still admissible, merely less tight), and
@@ -32,9 +40,11 @@
 package route
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,8 +80,8 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// ErrShardMismatch reports a router whose shard count disagrees with the
-// engine it is being attached to. Serving engines reject this at
+// ErrShardMismatch reports a router whose shard count, dimensionality or
+// placed rows disagree with the engine it is being attached to. Serving engines reject this at
 // construction time (errors.Is-matchable) instead of failing at query
 // time.
 var ErrShardMismatch = errors.New("route: router shard count disagrees with engine")
@@ -161,6 +171,12 @@ type Router struct {
 	mu     []sync.Mutex // per-shard writer lock (COW updates)
 	shards []atomic.Pointer[Summary]
 
+	// place lists the ascending ids of the initial rows each shard holds:
+	// what the summaries were built over, and so what an engine must
+	// partition by (Partition).
+	place [][]int
+	rows  int // initial rows placed
+
 	// Cumulative routing outcomes, feeding PlanBound and pim_route_*.
 	visited atomic.Int64
 	skipped atomic.Int64
@@ -168,7 +184,10 @@ type Router struct {
 }
 
 // New builds a router over explicit shard slices (one matrix per shard,
-// in shard-id order). Every shard must share the dimensionality.
+// in shard-id order). Every shard must share the dimensionality. The
+// placement it records is consecutive ranges of the matrices' sizes: shard
+// 0 holds the first rows of the dataset they were cut from, shard 1 the
+// next, and so on.
 func New(cfg Config, shards []*vec.Matrix) (*Router, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -188,18 +207,31 @@ func New(cfg Config, shards []*vec.Matrix) (*Router, error) {
 			return nil, fmt.Errorf("route: shard %d has %d dims, shard 0 has %d", i, m.D, d)
 		}
 	}
+	starts := make([]int, len(shards)+1)
+	for i, m := range shards {
+		starts[i+1] = starts[i] + m.N
+	}
+	return newRouter(cfg, shards, ranges(starts), grandMean(shards, d)), nil
+}
+
+// newRouter builds the summaries of parts under a validated cfg, shard i
+// holding the initial rows place[i], with center as the sketch pivot.
+func newRouter(cfg Config, parts []*vec.Matrix, place [][]int, center []float64) *Router {
+	d := parts[0].D
 	r := &Router{
 		cfg:    cfg,
 		d:      d,
 		hasher: lsh.NewHasher(d, cfg.Bits, cfg.Seed),
-		center: grandMean(shards, d),
-		mu:     make([]sync.Mutex, len(shards)),
-		shards: make([]atomic.Pointer[Summary], len(shards)),
+		center: center,
+		mu:     make([]sync.Mutex, len(parts)),
+		shards: make([]atomic.Pointer[Summary], len(parts)),
+		place:  place,
 	}
-	for i, m := range shards {
+	for i, m := range parts {
 		r.shards[i].Store(r.build(m))
+		r.rows += m.N
 	}
-	return r, nil
+	return r
 }
 
 // grandMean is the mean row over every shard — the sketch pivot.
@@ -220,10 +252,10 @@ func grandMean(shards []*vec.Matrix, d int) []float64 {
 	return c
 }
 
-// EvenSplit is the contiguous row-wise partition every engine places its
-// initial n rows by: shard i owns rows starts[i] up to starts[i+1], n/shards
-// of them plus one for each of the first n%shards shards. starts has
-// shards+1 entries, the last being n.
+// EvenSplit is the shard sizes of every partition: shard i gets
+// starts[i+1]−starts[i] rows, n/shards of them plus one for each of the
+// first n%shards shards. starts has shards+1 entries, the last being n.
+// An unrouted engine holds rows starts[i] up to starts[i+1] on shard i.
 func EvenSplit(n, shards int) []int {
 	starts := make([]int, shards+1)
 	for id := range shards {
@@ -235,23 +267,118 @@ func EvenSplit(n, shards int) []int {
 	return starts
 }
 
-// NewEven builds a router over the EvenSplit partition the serving
-// engines use — the convenience constructor for attaching a router to an
-// engine built from the same dataset with Options.Shards = shards.
+// ranges lists the ids of the contiguous ranges starts delimits, one
+// backing array for all of them.
+func ranges(starts []int) [][]int {
+	n := len(starts) - 1
+	ids := make([]int, starts[n])
+	for i := range ids {
+		ids[i] = i
+	}
+	out := make([][]int, n)
+	for s := range out {
+		out[s] = ids[starts[s]:starts[s+1]:starts[s+1]]
+	}
+	return out
+}
+
+// Place is the placement exact routing is built for: an equi-depth split of
+// data's rows on their Euclidean norm. Ranked by (‖v‖, id), shard i takes
+// the i-th run of EvenSplit's sizes, as an ascending id list. A shard then
+// covers a narrow band of norms, which Summary.LowerBound's norm-range
+// bound reads with no new summary code: contiguous ranges of one
+// distribution give every shard the whole dataset's box and norm range,
+// and nothing can be skipped. LSH Ensemble partitions its domains the same
+// way, equi-depth on the quantity its per-partition parameters read.
+func Place(data *vec.Matrix, shards int) [][]int { return place(data, shards, nil) }
+
+// place is Place, adding every row into sum when it is non-nil: NewEven's
+// sketch pivot, summed in row order in the one pass that reads the norms.
+func place(data *vec.Matrix, shards int, sum []float64) [][]int {
+	// A squared norm is never negative, so its bits rank as ‖v‖ does and
+	// two integer compares order a pair of keys.
+	type key struct{ norm, id uint64 }
+	keys := make([]key, data.N)
+	for i := range keys {
+		row := data.Row(i)
+		keys[i] = key{math.Float64bits(vec.SqNorm(row)), uint64(i)}
+		if sum != nil {
+			for j, x := range row {
+				sum[j] += x
+			}
+		}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.norm != b.norm {
+			return cmp.Compare(a.norm, b.norm)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	// Deal the ids out in id order, so every list comes out ascending.
+	starts := EvenSplit(data.N, shards)
+	owner := make([]int32, data.N)
+	for s := range shards {
+		for _, k := range keys[starts[s]:starts[s+1]] {
+			owner[k.id] = int32(s)
+		}
+	}
+	place := ranges(starts)
+	filled := make([]int, shards)
+	for id, s := range owner {
+		place[s][filled[s]] = id
+		filled[s]++
+	}
+	return place
+}
+
+// NewEven builds the router exact routing is built for: over data split by
+// Place into shards. An engine built from the same dataset with this
+// router and Options.Shards = shards partitions by its placement
+// (Partition), so each shard holds the rows its summary describes.
 func NewEven(cfg Config, data *vec.Matrix, shards int) (*Router, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("route: empty dataset")
 	}
 	if shards <= 0 || shards > data.N {
 		return nil, fmt.Errorf("route: shard count %d outside 1..%d", shards, data.N)
 	}
-	starts := EvenSplit(data.N, shards)
-	parts := make([]*vec.Matrix, shards)
-	for id := range parts {
-		parts[id] = data.Slice(starts[id], starts[id+1])
+	// The sketch pivot is the mean in row order, whatever the placement.
+	center := make([]float64, data.D)
+	place := place(data, shards, center)
+	for j := range center {
+		center[j] /= float64(data.N)
 	}
-	return New(cfg, parts)
+	parts := make([]*vec.Matrix, shards)
+	for id, ids := range place {
+		parts[id] = data.Rows(ids)
+	}
+	return newRouter(cfg, parts, place, center), nil
 }
+
+// Partition is the one rule every engine places its n initial rows on
+// shards by: the router's placement when r is non-nil — the rows its
+// summaries describe — and EvenSplit's contiguous ranges when unrouted,
+// where nothing is skipped and placing buys nothing. Each list is
+// ascending; an engine hands it to its shard's store as the store's id
+// directory. A router that placed other than n rows is ErrShardMismatch.
+func Partition(r *Router, n, shards int) ([][]int, error) {
+	if r == nil {
+		return ranges(EvenSplit(n, shards)), nil
+	}
+	if r.rows != n {
+		return nil, fmt.Errorf("route: %w: router placed %d rows, engine has %d", ErrShardMismatch, r.rows, n)
+	}
+	return r.place, nil
+}
+
+// Placement returns the ascending ids of the initial rows each shard
+// holds, shard by shard (Place's split for NewEven, consecutive ranges for
+// New). The lists are the router's own: callers must not modify them.
+func (r *Router) Placement() [][]int { return r.place }
 
 // build constructs one shard's summary (tight bounds + fresh sketch).
 func (r *Router) build(m *vec.Matrix) *Summary {

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -80,18 +81,12 @@ func TestLowerBoundsAdmissible(t *testing.T) {
 	}
 	prof := dataset.Profile{Name: "route", FullN: 240, D: 12, Clusters: 6, Correlation: 0.4, Spread: 0.08}
 	qs := dataset.Generate(prof, 240, 7).Queries(20, 3)
-	base, rem := data.N/shards, data.N%shards
 	for qi := 0; qi < qs.N; qi++ {
 		q := qs.Row(qi)
 		lbs := r.LowerBounds(q, nil)
-		lo := 0
-		for id := 0; id < shards; id++ {
-			rows := base
-			if id < rem {
-				rows++
-			}
+		for id, ids := range r.Placement() {
 			truth := math.Inf(1)
-			for i := lo; i < lo+rows; i++ {
+			for _, i := range ids {
 				if d := measure.SqEuclidean(data.Row(i), q); d < truth {
 					truth = d
 				}
@@ -99,8 +94,68 @@ func TestLowerBoundsAdmissible(t *testing.T) {
 			if lbs[id] > truth {
 				t.Fatalf("query %d shard %d: LB %v exceeds true min %v", qi, id, lbs[id], truth)
 			}
-			lo += rows
 		}
+	}
+}
+
+// TestPlaceIsEquiDepth pins Place: shard sizes differ by at most one, every
+// id lands on exactly one shard in an ascending list, and the shards are
+// norm bands — every norm of shard i is at most every norm of shard i+1,
+// with tied norms split by id. The data repeats rows, so norms tie.
+func TestPlaceIsEquiDepth(t *testing.T) {
+	t.Parallel()
+	base := clustered(50, 6, 5, 3)
+	data := vec.NewMatrix(203, base.D)
+	for i := 0; i < data.N; i++ {
+		copy(data.Row(i), base.Row(i%base.N))
+	}
+	norm := func(i int) float64 { return vec.SqNorm(data.Row(i)) }
+	for _, shards := range []int{1, 2, 5, 7, data.N} {
+		place := Place(data, shards)
+		if len(place) != shards {
+			t.Fatalf("%d shards: %d lists", shards, len(place))
+		}
+		seen := make([]bool, data.N)
+		for s, ids := range place {
+			if n := len(ids); n < data.N/shards || n > data.N/shards+1 {
+				t.Fatalf("%d shards: shard %d holds %d rows", shards, s, n)
+			}
+			for j, id := range ids {
+				if seen[id] {
+					t.Fatalf("%d shards: id %d placed twice", shards, id)
+				}
+				seen[id] = true
+				if j > 0 && ids[j-1] >= id {
+					t.Fatalf("%d shards: shard %d list not ascending at %d", shards, s, j)
+				}
+			}
+			if s == 0 {
+				continue
+			}
+			for _, a := range place[s-1] {
+				for _, b := range ids {
+					if na, nb := norm(a), norm(b); na > nb || (na == nb && a > b) {
+						t.Fatalf("%d shards: row %d of shard %d ranks after row %d of shard %d", shards, a, s-1, b, s)
+					}
+				}
+			}
+		}
+		for id, ok := range seen {
+			if !ok {
+				t.Fatalf("%d shards: id %d placed nowhere", shards, id)
+			}
+		}
+	}
+	// New records consecutive ranges of its matrices' sizes.
+	r, err := New(Config{}, []*vec.Matrix{data.Slice(0, 3), data.Slice(3, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Placement(); !reflect.DeepEqual(got, [][]int{{0, 1, 2}, {3, 4, 5, 6, 7, 8, 9}}) {
+		t.Fatalf("New placement %v", got)
+	}
+	if _, err := Partition(r, 11, 2); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("Partition of a 10-row router over 11 rows: %v", err)
 	}
 }
 
@@ -185,9 +240,7 @@ func TestObserveGrowsAndRefreshTightens(t *testing.T) {
 		t.Fatalf("LB for observed row = %v, want 0", after)
 	}
 	// Refresh from the original rows restores the tight bound.
-	base, rem := data.N/4, data.N%4
-	_ = rem
-	r.Refresh(0, data.Slice(0, base))
+	r.Refresh(0, data.Rows(r.Placement()[0]))
 	if again := r.LowerBounds(out, nil)[0]; again != before {
 		t.Fatalf("refreshed LB %v, want original %v", again, before)
 	}

@@ -177,13 +177,11 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 		opts.CapacityN = max(totalLive, 1)
 	}
 	e, err := newMutableEngine(s, snap.Dims, opts, func(e *MutableEngine) error {
+		// A restored engine's shards hold arbitrary id sets, so every id
+		// routes through the table; there is no owner table.
 		e.nextID, e.rr, e.routes = snap.NextID, snap.RR, make(map[int]int, totalLive)
-		// Degenerate bounds: a restored engine's shards hold arbitrary id
-		// sets, so every id routes through the table instead of a
-		// contiguous range check.
-		e.bounds = make([]int, s+1)
 		for id, sh := range snap.Shards {
-			dopts, err := e.shardDeltaOptions(id, 0)
+			dopts, err := e.shardDeltaOptions(id)
 			if err != nil {
 				return err
 			}

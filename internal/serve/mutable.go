@@ -3,8 +3,9 @@
 // shards are the static engine's — the same storeSource, so Factory,
 // breakers, retries, spans and metrics behave identically — and a
 // compaction rebuilds a shard through the same factory. The engine owns
-// the global id space, routing initial ids by contiguous range and
-// inserted ids round-robin. Because ids are allocated monotonically and
+// the global id space: initial ids live where route.Partition placed them
+// (the router's placement, or contiguous ranges when unrouted), inserted
+// ids round-robin. Because ids are allocated monotonically and
 // every store keeps its rows in ascending global-id order, per-shard
 // results are canonical under (dist, id) and the shard merge stays exact
 // — byte-identical to a fresh engine built over the merged live dataset.
@@ -13,7 +14,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"pimmine/internal/arch"
@@ -69,8 +69,9 @@ type MutableEngine struct {
 	d    int
 	opts MutableOptions
 	src  *storeSource // the shards: one delta store each
-	// bounds[i]..bounds[i+1] is shard i's initial contiguous id range.
-	bounds []int
+	// owner[id] is the shard initial id id was placed on (nil on a
+	// recovered engine, whose ids all live in routes).
+	owner []int32
 
 	mu     sync.Mutex // guards nextID, rr, routes, and store mutation order
 	nextID int
@@ -126,7 +127,7 @@ func newMutableEngine(n, d int, opts MutableOptions, fill func(*MutableEngine) e
 // shardDeltaOptions assembles one shard's delta.Options: how it builds
 // (and degrades), what triggers its compactions, and the metrics, routing
 // summary and endurance ledger that ride along.
-func (e *MutableEngine) shardDeltaOptions(id, idOffset int) (delta.Options, error) {
+func (e *MutableEngine) shardDeltaOptions(id int) (delta.Options, error) {
 	opts := e.opts
 	dopts := delta.Options{
 		Factory:           e.src.factory(id),
@@ -134,7 +135,6 @@ func (e *MutableEngine) shardDeltaOptions(id, idOffset int) (delta.Options, erro
 		MaxTombstoneRatio: opts.MaxTombstoneRatio,
 		AutoCompact:       opts.AutoCompact,
 		CapacityRows:      shardCapacity(opts.Options),
-		IDOffset:          idOffset,
 	}
 	if reg := opts.Obs.Registry(); reg != nil {
 		dopts.Metrics = delta.NewMetrics(reg, obs.Label{Key: "shard", Value: fmt.Sprint(id)})
@@ -175,10 +175,19 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	e, err := newMutableEngine(data.N, data.D, opts, func(e *MutableEngine) (err error) {
+	e, err := newMutableEngine(data.N, data.D, opts, func(e *MutableEngine) error {
 		e.nextID = data.N
-		e.bounds, err = e.src.partition(data, e.shardDeltaOptions)
-		return err
+		place, err := e.src.partition(data, e.opts.Router, e.shardDeltaOptions)
+		if err != nil {
+			return err
+		}
+		e.owner = make([]int32, data.N)
+		for sh, ids := range place {
+			for _, id := range ids {
+				e.owner[id] = int32(sh)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -201,12 +210,11 @@ func (e *MutableEngine) Router() *route.Router { return e.opts.Router }
 // the host fallback.
 func (e *MutableEngine) DegradedShards() []int { return e.src.Degraded() }
 
-// shardOf locates the store owning an id: initial ids by range,
-// inserted ids through the routing table. Returns -1 when unknown.
+// shardOf locates the store owning an id: initial ids by where they were
+// placed, inserted ids through the routing table. Returns -1 when unknown.
 func (e *MutableEngine) shardOf(id int) int {
-	if id >= 0 && id < e.bounds[len(e.bounds)-1] {
-		// bounds is ascending; the owning shard is the last lower bound.
-		return sort.SearchInts(e.bounds, id+1) - 1
+	if id >= 0 && id < len(e.owner) {
+		return int(e.owner[id])
 	}
 	if sh, ok := e.routes[id]; ok {
 		return sh

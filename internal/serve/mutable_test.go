@@ -344,7 +344,7 @@ func TestShardDeltaOptionsTracksDegraded(t *testing.T) {
 		}
 		return knn.NewStandard(m), nil
 	}
-	dopts, err := e.shardDeltaOptions(0, 0)
+	dopts, err := e.shardDeltaOptions(0)
 	if err != nil {
 		t.Fatal(err)
 	}

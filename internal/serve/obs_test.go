@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
+	"pimmine/internal/route"
 	"pimmine/internal/vec"
 )
 
@@ -99,6 +102,67 @@ func TestObservedEngineTraceTree(t *testing.T) {
 		if want := fmt.Sprintf("pim_serve_queries_total %d", queries.N); !strings.Contains(b.String(), want) {
 			t.Errorf("%s: metrics missing %q:\n%s", name, want, b.String())
 		}
+	}
+}
+
+// TestRoutedTraceCarriesTau pins where wave 1's τ goes in a traced routed
+// query: the routed annotation on engine.search carries it as tau, the one
+// wave-1 shard's seed event reports no ceiling, and every wave-2 shard's
+// seed event reports τ as its ceiling — the threshold its walk started at.
+func TestRoutedTraceCarriesTau(t *testing.T) {
+	t.Parallel()
+	const k = 5
+	data, queries := testData(t, 400, 32, 16)
+	r, err := route.NewEven(route.Config{}, data, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(obs.Config{SampleRate: 1})
+	e, err := New(data, Options{Shards: 4, Variant: VariantFNNPIM, Framework: testFramework(t), CapacityN: data.N, Router: r, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	routed := regexp.MustCompile(`routed  \[mode=exact visited=(\d+) skipped=\d+ est_recall=1 tau=([^\]\s]+)\]`)
+	ceilings := regexp.MustCompile(`─ seed  \[[^\]]* ceiling=([^\]\s]+) `)
+	checked := 0
+	for qi := 0; qi < queries.N; qi++ {
+		res, err := e.Search(context.Background(), queries.Row(qi), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := o.Tracer().Recent(1)[0].Render()
+		m := routed.FindStringSubmatch(tree)
+		if m == nil || m[1] != fmt.Sprint(res.Routed.Visited) {
+			t.Fatalf("query %d: no routed annotation with tau for %+v:\n%s", qi, res.Routed, tree)
+		}
+		tau, err := strconv.ParseFloat(m[2], 64)
+		if err != nil || tau < res.Neighbors[k-1].Dist {
+			t.Fatalf("query %d: tau=%s below the answer's k-th distance %v", qi, m[2], res.Neighbors[k-1].Dist)
+		}
+		seen := ceilings.FindAllStringSubmatch(tree, -1)
+		if len(seen) != res.Routed.Visited {
+			t.Fatalf("query %d: %d seed events for %d shards visited:\n%s", qi, len(seen), res.Routed.Visited, tree)
+		}
+		uncapped := 0
+		for _, c := range seen {
+			switch c[1] {
+			case "+Inf":
+				uncapped++
+			case m[2]:
+			default:
+				t.Fatalf("query %d: a shard walked under ceiling=%s, routed tau=%s:\n%s", qi, c[1], m[2], tree)
+			}
+		}
+		if uncapped != 1 {
+			t.Fatalf("query %d: %d uncapped walks, want wave 1's alone:\n%s", qi, uncapped, tree)
+		}
+		if res.Routed.Visited > 1 {
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no query reached wave 2: nothing walked under a ceiling")
 	}
 }
 

@@ -30,7 +30,10 @@
 // searched in parallel and the rest are skipped. Admissibility makes the
 // skip safe: a skipped shard's true minimum distance is ≥ its lower bound
 // > τ ≥ the final k-th distance, so none of its rows belongs in the top-k
-// — not even on ties, since the exclusion is strict. Routed results are
+// — not even on ties, since the exclusion is strict. Wave 2 hands τ to
+// each shard as its ceiling: no row above τ can be in the answer, so a
+// shard need return only its rows at or below τ, and its walk prunes on τ
+// from the first seed instead of finding its own threshold. Routed results are
 // therefore bit-identical to the unrouted engine (differential-tested
 // across all six mining tasks in route_diff_test.go), and a shard no
 // source can serve only fails the query if its bound survives τ.
@@ -81,9 +84,11 @@ type ShardAnswer struct {
 // Implementations must be safe for concurrent use.
 type ShardSource interface {
 	NumShards() int
-	// Visit answers one query on one shard. ctx carries the shard's span
-	// when the query is sampled (obs.SpanFromContext).
-	Visit(ctx context.Context, shard int, q []float64, k int) (ShardAnswer, error)
+	// Visit answers one query on one shard: every row of the shard's k
+	// nearest whose distance is at most ceiling, and maybe others (+Inf:
+	// all k). ctx carries the shard's span when the query is sampled
+	// (obs.SpanFromContext).
+	Visit(ctx context.Context, shard int, q []float64, k int, ceiling float64) (ShardAnswer, error)
 	// Available reports whether a visit to the shard can succeed right
 	// now; exact routing seeds τ from the best available shard.
 	Available(shard int) bool
@@ -299,7 +304,7 @@ func (p *Pipeline) SearchBatch(ctx context.Context, queries *vec.Matrix, k int, 
 // hook, which runs under an engine's mutation lock inside an operation
 // that already holds a lease, so it must take no engine lock itself.
 func (p *Pipeline) Requery(q []float64, k int) ([]vec.Neighbor, error) {
-	outs, err := p.fanOut(context.Background(), nil, q, k, p.all)
+	outs, err := p.fanOut(context.Background(), nil, q, k, math.Inf(1), p.all)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +343,7 @@ func (p *Pipeline) route(ctx context.Context, root *obs.Span, q []float64, k int
 		if mode != route.ModeAuto {
 			return nil, nil, ErrNoRouter
 		}
-		outs, err := p.fanOut(ctx, root, q, k, p.all)
+		outs, err := p.fanOut(ctx, root, q, k, math.Inf(1), p.all)
 		return outs, nil, err
 	}
 	if mode == route.ModeAuto {
@@ -348,6 +353,7 @@ func (p *Pipeline) route(ctx context.Context, root *obs.Span, q []float64, k int
 	var outs []shardOut
 	var info *RouteInfo
 	var routeDur time.Duration
+	tau := math.Inf(1)
 	switch mode {
 	case route.ModeExact:
 		order, lbs := r.ExactOrderAvail(q, p.avail)
@@ -356,11 +362,10 @@ func (p *Pipeline) route(ctx context.Context, root *obs.Span, q []float64, k int
 		// threshold τ, its k-th candidate distance — +Inf when it holds
 		// fewer than k rows, so nothing is proven out and every shard is
 		// visited.
-		first, err := p.fanOut(ctx, root, q, k, order[:1])
+		first, err := p.fanOut(ctx, root, q, k, math.Inf(1), order[:1])
 		if err != nil {
 			return nil, nil, err
 		}
-		tau := math.Inf(1)
 		if nn := first[0].Neighbors; len(nn) >= k {
 			tau = nn[k-1].Dist
 		}
@@ -373,7 +378,7 @@ func (p *Pipeline) route(ctx context.Context, root *obs.Span, q []float64, k int
 				skipped = append(skipped, id)
 			}
 		}
-		rest, err := p.fanOut(ctx, root, q, k, visit)
+		rest, err := p.fanOut(ctx, root, q, k, tau, visit)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -389,7 +394,7 @@ func (p *Pipeline) route(ctx context.Context, root *obs.Span, q []float64, k int
 		info = &RouteInfo{Mode: route.ModeApprox, Visited: len(visit),
 			Skipped: len(skipped), SkippedShards: skipped, EstRecall: est}
 		var err error
-		if outs, err = p.fanOut(ctx, root, q, k, visit); err != nil {
+		if outs, err = p.fanOut(ctx, root, q, k, math.Inf(1), visit); err != nil {
 			return nil, nil, err
 		}
 		if len(skipped) > 0 && r.Audit() {
@@ -397,7 +402,7 @@ func (p *Pipeline) route(ctx context.Context, root *obs.Span, q []float64, k int
 			// answer's recall against the full fan-out. The audit outs are
 			// dropped — the served answer stays the routed one, and its
 			// meters model the routed work.
-			if audit, aerr := p.fanOut(ctx, root, q, k, skipped); aerr == nil {
+			if audit, aerr := p.fanOut(ctx, root, q, k, math.Inf(1), skipped); aerr == nil {
 				info.Audited = true
 				info.MeasuredRecall = measureRecall(outs, audit, k)
 			}
@@ -406,7 +411,7 @@ func (p *Pipeline) route(ctx context.Context, root *obs.Span, q []float64, k int
 	default:
 		return nil, nil, fmt.Errorf("serve: unknown routing mode %q", mode)
 	}
-	p.noteRouted(root, info, routeDur)
+	p.noteRouted(root, info, routeDur, tau)
 	return outs, info, nil
 }
 
@@ -451,14 +456,16 @@ func measureRecall(routed, audit []shardOut, k int) float64 {
 }
 
 // noteRouted records one routed query on the router's cumulative stats,
-// the span tree, and the pim_route_* metrics (nil-safe throughout).
-func (p *Pipeline) noteRouted(root *obs.Span, info *RouteInfo, routeDur time.Duration) {
+// the span tree — with tau, the ceiling wave 2 was handed (+Inf when there
+// was none) — and the pim_route_* metrics (nil-safe throughout).
+func (p *Pipeline) noteRouted(root *obs.Span, info *RouteInfo, routeDur time.Duration, tau float64) {
 	p.router.NoteOutcome(info.Visited, info.Skipped)
 	root.Annotate("routed",
 		obs.A("mode", string(info.Mode)),
 		obs.A("visited", info.Visited),
 		obs.A("skipped", info.Skipped),
-		obs.A("est_recall", info.EstRecall))
+		obs.A("est_recall", info.EstRecall),
+		obs.A("tau", tau))
 	eo := p.eobs
 	if eo == nil {
 		return
@@ -476,20 +483,21 @@ func (p *Pipeline) noteRouted(root *obs.Span, info *RouteInfo, routeDur time.Dur
 	}
 }
 
-// fanOut visits the given shards in parallel and collects every answer.
+// fanOut visits the given shards in parallel, each with the given ceiling
+// (ShardSource.Visit), and collects every answer.
 // The channel is buffered so a shard goroutine can always deliver and
 // exit, even when the query gave up on its deadline. Every shard's
 // outcome is collected before failing: the caller sees each failed shard
 // joined in shard order (the pool's errors.Join discipline; the
 // placement layer's quorum accounting depends on seeing them all), not
 // whichever one lost the race.
-func (p *Pipeline) fanOut(ctx context.Context, root *obs.Span, q []float64, k int, ids []int) ([]shardOut, error) {
+func (p *Pipeline) fanOut(ctx context.Context, root *obs.Span, q []float64, k int, ceiling float64, ids []int) ([]shardOut, error) {
 	ch := make(chan shardOut, len(ids))
 	for _, id := range ids {
 		go func() {
 			o := shardOut{id: id}
 			if ctx.Err() == nil {
-				o.ShardAnswer, o.err = p.visit(ctx, root, id, q, k)
+				o.ShardAnswer, o.err = p.visit(ctx, root, id, q, k, ceiling)
 			}
 			ch <- o
 		}()
@@ -520,12 +528,12 @@ func (p *Pipeline) fanOut(ctx context.Context, root *obs.Span, q []float64, k in
 // visit is one shard's frame, the same on every source: the shard span
 // the source's work hangs under, the per-shard fan-out counter, and the
 // annotations read off the answer.
-func (p *Pipeline) visit(ctx context.Context, root *obs.Span, id int, q []float64, k int) (ShardAnswer, error) {
+func (p *Pipeline) visit(ctx context.Context, root *obs.Span, id int, q []float64, k int, ceiling float64) (ShardAnswer, error) {
 	sp := root.StartChild(p.names[id])
 	if p.eobs != nil {
 		p.eobs.shardQueries[id].Inc()
 	}
-	ans, err := p.src.Visit(obs.ContextWithSpan(ctx, sp), id, q, k)
+	ans, err := p.src.Visit(obs.ContextWithSpan(ctx, sp), id, q, k, ceiling)
 	annotateFaults(sp, ans.Meter)
 	if ans.BreakerOpen {
 		sp.Annotate("breaker-open")

@@ -86,27 +86,28 @@ func classifyFaults(m *arch.Meter) (fail, transient bool) {
 // Attempt is the one store attempt of every shard visit on every engine:
 // storeSource makes it once per shard, cluster.Engine once per replica
 // it tries. search — a delta.Store's Search or SearchHost, or a caller's
-// wrapper around one — runs under a private meter behind br (nil admits
-// every call); a refusal returns an error matching
+// wrapper around one — runs with the visit's ceiling (ShardSource.Visit)
+// under a private meter behind br (nil admits every call); a refusal
+// returns an error matching
 // resilience.ErrCircuitOpen before any work. The flow generalizes the
 // one-shot DeadDot fallback of internal/fault into a stateful loop: an
 // admitted attempt that hits a transient fault is retried once if retry
 // allows (nil: never), and the final outcome — ok only without an error
 // or a fault meter — goes back to br. retries counts the retries spent.
-func Attempt(ctx context.Context, search func(context.Context, []float64, int, *arch.Meter) ([]vec.Neighbor, error),
-	br *resilience.Breaker, retry *resilience.RetryBudget, q []float64, k int) (ans ShardAnswer, retries int, err error) {
+func Attempt(ctx context.Context, search func(context.Context, []float64, int, float64, *arch.Meter) ([]vec.Neighbor, error),
+	br *resilience.Breaker, retry *resilience.RetryBudget, q []float64, k int, ceiling float64) (ans ShardAnswer, retries int, err error) {
 	done, err := br.Allow()
 	if err != nil {
 		return ans, 0, err
 	}
 	ans.Meter = arch.NewMeter()
-	ans.Neighbors, err = search(ctx, q, k, ans.Meter)
+	ans.Neighbors, err = search(ctx, q, k, ceiling, ans.Meter)
 	fail, transient := classifyFaults(ans.Meter)
 	if err == nil && fail && transient && retry.Allow() {
 		if resilience.Sleep(ctx, retry.Backoff(0)) == nil {
 			retries = 1
 			m2 := arch.NewMeter()
-			ans.Neighbors, err = search(ctx, q, k, m2)
+			ans.Neighbors, err = search(ctx, q, k, ceiling, m2)
 			fail, _ = classifyFaults(m2)
 			ans.Meter.Merge(m2) // the query really did both attempts' work
 		}

@@ -2,7 +2,11 @@
 // serving layer that turns the per-query searchers of internal/knn into
 // a multi-tenant kNN service.
 //
-// The dataset is partitioned row-wise into S shards. Each shard owns an
+// The dataset is partitioned row-wise into S shards: by the router's
+// placement when Options.Router is set (route.Partition — rows the router
+// can prove out of a query stay together), in contiguous ranges otherwise.
+// A shard is a view of the caller's rows, never a copy, and answers in the
+// global id space, so where a row lives changes no answer. Each shard owns an
 // independent searcher — for the PIM variants, an independent PIM array
 // sized with Theorem 4 against the shard's slice of the full-scale
 // cardinality, mirroring how near-data systems partition a corpus across
@@ -223,8 +227,8 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	src := newStoreSource(&opts, res, func(m *vec.Matrix, id, _ int) (knn.Searcher, error) {
 		return build(m, id, shardCap)
 	})
-	_, err = src.partition(data, func(id, lo int) (delta.Options, error) {
-		return delta.Options{Factory: src.factory(id), IDOffset: lo}, nil
+	_, err = src.partition(data, opts.Router, func(id int) (delta.Options, error) {
+		return delta.Options{Factory: src.factory(id)}, nil
 	})
 	if err != nil {
 		return nil, err

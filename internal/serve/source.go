@@ -75,22 +75,27 @@ func (s *storeSource) factory(id int) delta.Factory {
 	}
 }
 
-// partition splits data row-wise into one contiguous range per slot
-// (route.EvenSplit, whose range starts it returns) and builds each
-// shard's store over its range, aliasing data's rows, with the options
-// dopts gives shard id whose first row is global row lo.
-func (s *storeSource) partition(data *vec.Matrix, dopts func(id, lo int) (delta.Options, error)) ([]int, error) {
-	starts := route.EvenSplit(data.N, len(s.stores))
-	for id := range s.stores {
-		opts, err := dopts(id, starts[id])
+// partition builds every shard's store over the rows route.Partition
+// places on it — the router's placement, or contiguous ranges when
+// unrouted — as a view of data's rows (vec.Matrix.Rows: no copy) whose id
+// directory is the shard's ascending id list, with the options dopts gives
+// shard id. It returns the placement.
+func (s *storeSource) partition(data *vec.Matrix, router *route.Router, dopts func(id int) (delta.Options, error)) ([][]int, error) {
+	place, err := route.Partition(router, data.N, len(s.stores))
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	for id, ids := range place {
+		opts, err := dopts(id)
 		if err != nil {
 			return nil, err
 		}
-		if s.stores[id], err = delta.New(data.Slice(starts[id], starts[id+1]), opts); err != nil {
+		opts.IDs = ids
+		if s.stores[id], err = delta.New(data.Rows(ids), opts); err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", id, err)
 		}
 	}
-	return starts, nil
+	return place, nil
 }
 
 func (s *storeSource) NumShards() int     { return len(s.stores) }
@@ -112,15 +117,15 @@ func (s *storeSource) Degraded() []int {
 // retry budget. A breaker refusal reroutes the shard to its exact host
 // scan, never to an error; a degraded epoch already serves the host scan,
 // so it takes neither.
-func (s *storeSource) Visit(ctx context.Context, id int, q []float64, k int) (ShardAnswer, error) {
+func (s *storeSource) Visit(ctx context.Context, id int, q []float64, k int, ceiling float64) (ShardAnswer, error) {
 	st := s.stores[id]
 	br, retry := s.breakers.Get(id), s.retry
 	if s.degraded[id].Load() {
 		br, retry = nil, nil
 	}
-	ans, retries, err := Attempt(ctx, st.Search, br, retry, q, k)
+	ans, retries, err := Attempt(ctx, st.Search, br, retry, q, k, ceiling)
 	if errors.Is(err, resilience.ErrCircuitOpen) {
-		ans, _, err = Attempt(ctx, st.SearchHost, nil, nil, q, k)
+		ans, _, err = Attempt(ctx, st.SearchHost, nil, nil, q, k, ceiling)
 		ans.BreakerOpen = true
 		s.breakerHost.Inc()
 	}

@@ -16,9 +16,17 @@ import (
 
 // Matrix is a dense row-major matrix of N rows by D columns. It is the
 // canonical in-memory representation of a dataset: one row per object.
+//
+// A matrix Rows returns over a list that is not one run is a view: its Data
+// is nil and Row(i) reads row ids[i] of the parent's storage. Every reader
+// of a shard goes through Row, N and D, so a view serves wherever a shard
+// is read; code that reaches for Data on one fails loudly.
 type Matrix struct {
 	N, D int
-	Data []float64 // len == N*D
+	Data []float64 // len == N*D; nil on a view
+
+	parent []float64 // a view's rows: row i is parent[ids[i]*D:]
+	ids    []int
 }
 
 // NewMatrix allocates an N×D zero matrix.
@@ -48,7 +56,11 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 
 // Row returns row i as a slice sharing the matrix's storage.
 func (m *Matrix) Row(i int) []float64 {
-	return m.Data[i*m.D : (i+1)*m.D : (i+1)*m.D]
+	data := m.Data
+	if m.ids != nil {
+		data, i = m.parent, m.ids[i]
+	}
+	return data[i*m.D : (i+1)*m.D : (i+1)*m.D]
 }
 
 // Slice returns rows [lo,hi) as a matrix view sharing m's storage — the
@@ -59,13 +71,54 @@ func (m *Matrix) Slice(lo, hi int) *Matrix {
 	if lo < 0 || hi < lo || hi > m.N {
 		panic(fmt.Sprintf("vec: slice [%d,%d) outside matrix of %d rows", lo, hi, m.N))
 	}
+	if m.ids != nil {
+		return &Matrix{N: hi - lo, D: m.D, parent: m.parent, ids: m.ids[lo:hi:hi]}
+	}
 	return &Matrix{N: hi - lo, D: m.D, Data: m.Data[lo*m.D : hi*m.D : hi*m.D]}
 }
 
-// Clone returns a deep copy of the matrix.
+// Rows returns the listed rows of m, in list order, sharing m's storage: a
+// shard placed by something other than contiguous ranges, with no copy of
+// the data. A list that is one ascending run lo, lo+1, … is Slice; any
+// other makes a view (see Matrix), which keeps ids, so the caller must not
+// modify them afterwards. An id outside m panics, as in Slice.
+func (m *Matrix) Rows(ids []int) *Matrix {
+	run := true
+	for i, id := range ids {
+		if id < 0 || id >= m.N {
+			panic(fmt.Sprintf("vec: row %d outside matrix of %d rows", id, m.N))
+		}
+		run = run && id == ids[0]+i
+	}
+	switch {
+	case len(ids) == 0:
+		return m.Slice(0, 0)
+	case run:
+		return m.Slice(ids[0], ids[0]+len(ids))
+	case m.ids != nil: // a view of a view reads the first parent
+		mapped := make([]int, len(ids))
+		for i, id := range ids {
+			mapped[i] = m.ids[id]
+		}
+		ids = mapped
+	}
+	parent := m.parent
+	if m.ids == nil {
+		parent = m.Data
+	}
+	return &Matrix{N: len(ids), D: m.D, parent: parent, ids: ids}
+}
+
+// Clone returns a deep copy of the matrix; a view's is dense.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.N, m.D)
-	copy(c.Data, m.Data)
+	if m.ids == nil {
+		copy(c.Data, m.Data)
+		return c
+	}
+	for i := range m.N {
+		copy(c.Row(i), m.Row(i))
+	}
 	return c
 }
 

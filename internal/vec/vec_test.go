@@ -57,6 +57,61 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestRowsView pins Rows: a run is Slice over the same storage, any other
+// list a view with nil Data whose Row, Slice and Clone read the parent's
+// listed rows — a view of a view included — and an id outside the matrix
+// panics.
+func TestRowsView(t *testing.T) {
+	t.Parallel()
+	m := NewMatrix(6, 2)
+	for i := range m.Data {
+		m.Data[i] = float64(i)
+	}
+	run := m.Rows([]int{2, 3, 4})
+	if run.Data == nil || run.N != 3 || &run.Row(0)[0] != &m.Row(2)[0] {
+		t.Fatalf("a run is not Slice(2, 5): %+v", run)
+	}
+	ids := []int{0, 3, 5, 4}
+	v := m.Rows(ids)
+	if v.Data != nil || v.N != 4 || v.D != 2 {
+		t.Fatalf("view of %v: N=%d D=%d Data=%v", ids, v.N, v.D, v.Data)
+	}
+	for i, id := range ids {
+		if row := v.Row(i); &row[0] != &m.Row(id)[0] || len(row) != 2 || cap(row) != 2 {
+			t.Fatalf("view row %d does not alias parent row %d with a full slice expression", i, id)
+		}
+	}
+	s := v.Slice(1, 3)
+	if s.Data != nil || s.N != 2 || s.Row(0)[0] != 6 || s.Row(1)[1] != 11 {
+		t.Fatalf("Slice(1, 3) of the view reads %v %v", s.Row(0), s.Row(1))
+	}
+	c := v.Clone()
+	if c.Data == nil || c.N != 4 {
+		t.Fatal("Clone of a view is not dense")
+	}
+	for i, id := range ids {
+		if c.Row(i)[0] != m.Row(id)[0] || c.Row(i)[1] != m.Row(id)[1] {
+			t.Fatalf("Clone row %d = %v, parent row %d = %v", i, c.Row(i), id, m.Row(id))
+		}
+	}
+	c.Row(0)[0] = -1
+	if m.Row(0)[0] == -1 {
+		t.Fatal("Clone of a view shares storage")
+	}
+	if vv := v.Rows([]int{3, 1}); vv.Data != nil || vv.Row(0)[0] != 8 || vv.Row(1)[0] != 6 {
+		t.Fatalf("view of a view reads %v %v, want parent rows 4 and 3", vv.Row(0), vv.Row(1))
+	}
+	if e := m.Rows(nil); e.N != 0 {
+		t.Fatalf("Rows(nil) has %d rows", e.N)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rows accepted an id past the last row")
+		}
+	}()
+	m.Rows([]int{1, 6})
+}
+
 func TestBytes(t *testing.T) {
 	t.Parallel()
 	m := NewMatrix(10, 8)

@@ -689,9 +689,12 @@ var (
 // "approx").
 func ParseRouteMode(s string) (RouteMode, error) { return route.ParseMode(s) }
 
-// NewRouter builds a router whose per-shard summaries cover data
-// partitioned the way NewQueryEngine/NewMutableEngine partition it
-// (contiguous row ranges, remainder spread over the leading shards).
+// NewRouter builds a router over data placed into shards by norm: an
+// equi-depth split on ‖v‖ (ties by id, sizes differing by at most one
+// row), so each shard's norm range excludes it from queries it cannot
+// answer. NewQueryEngine, NewMutableEngine and NewClusterEngine built over
+// the same data with this router partition by its placement; without a
+// router they keep contiguous row ranges.
 func NewRouter(cfg RouterConfig, data *Matrix, shards int) (*Router, error) {
 	return route.NewEven(cfg, data, shards)
 }

@@ -7,28 +7,18 @@
 //
 // With no ids, every registered experiment runs. Available ids:
 // table1 table5 table6 table7 fig5 fig6 fig7 fig13a-fig13d fig14-fig18,
-// plus extensions (ext-*). The serving mode, `pimbench ext-serve`,
-// sweeps the sharded concurrent query engine from 1 shard up to -shards
-// and reports wall-clock throughput alongside the modeled per-query time.
+// plus extensions (ext-*).
 // `pimbench ext-fault` sweeps injected crossbar fault severity and prints
 // the degradation curve: recall stays exact at every severity while
 // faulty/recovered dot counts and modeled latency grow.
-// `pimbench -churn` (or the ids ext-churn and ext-durable) replays mixed
-// read/write traffic against the mutable engine and reports query latency
-// vs. delta fill, compaction pauses, and endurance-budget drain; the
-// durable sweep crash-recovers a WAL-backed engine after every mutation
-// burst and reports replay time vs. log length plus the log truncation a
-// checkpoint buys.
-// `pimbench ext-overload` drives closed-loop clients at 1×/2×/4× an
-// engine's known capacity and reports goodput with and without the
-// overload-protection layer (internal/resilience): past capacity the
-// baseline congestion-collapses into timeouts while admission control
-// and deadline shedding keep the resilient engine near peak goodput,
-// answering the excess with typed errors in microseconds.
-// `pimbench ext-serve-net` drives tenant-tagged HTTP clients through the
-// network front-end (internal/netserve) at 1×/2× capacity with a 10:1
-// hot-tenant skew and reports goodput plus Jain's fairness index for a
-// shared queue versus per-tenant weighted-fair queueing.
+// `pimbench ext-durable` crash-recovers a WAL-backed mutable engine after
+// every mutation burst and reports replay time vs. log length plus the
+// log truncation a checkpoint buys.
+// `pimbench ext-route` sweeps shard routing from 2 shards up to -shards,
+// and `pimbench ext-cluster` sweeps goodput over 1,2,4,… up to -nodes
+// replicated nodes with one node killed mid-run.
+// Serving throughput and latency under load are measured wall clock, with
+// every answer checked, by the bench/e2e workloads (bench/run.sh).
 //
 // Flag combinations are validated before anything runs — including
 // before the -list early exit: bad -format values, -out without -format
@@ -78,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	queries := fs.Int("queries", 5, "query batch size for kNN experiments")
 	seed := fs.Int64("seed", 1, "generation seed")
 	full := fs.Bool("full", false, "run the expensive sweeps (Table 7 k up to 1024)")
-	shards := fs.Int("shards", 8, "max shard count for the ext-serve sweep")
+	shards := fs.Int("shards", 8, "max shard count for the ext-route sweep (2,4,… up to this)")
 	recall := fs.Float64("recall", 0.95, "target recall for the ext-route approximate mode, in (0, 1]")
 	nodes := fs.Int("nodes", 8, "max node count for the ext-cluster sweep (1,2,4,… up to this)")
 	replicas := fs.Int("replicas", 2, "ext-cluster replication factor (must not exceed -nodes)")
@@ -88,16 +78,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/traces on this address (e.g. :9090)")
 	traceSample := fs.Int("trace-sample", 1, "with -metrics-addr: trace one query in N (0 disables tracing)")
 	hold := fs.Duration("hold", 0, "with -metrics-addr: keep serving for this long after experiments finish")
-	churn := fs.Bool("churn", false, "run the mutable-engine churn workloads (shorthand for the ext-churn and ext-durable experiment ids)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	ids := fs.Args()
-	if *churn {
-		ids = append(ids, "ext-churn", "ext-durable")
-	}
 	if len(ids) == 0 {
 		ids = exp.IDs()
 	}

@@ -18,14 +18,14 @@ func TestRunExitCodes(t *testing.T) {
 	}{
 		{"list ok", []string{"-list"}, 0},
 		{"unknown flag", []string{"-no-such-flag"}, 2},
-		{"bad scale", []string{"-scale", "0", "ext-overload"}, 2},
+		{"bad scale", []string{"-scale", "0", "ext-fault"}, 2},
 		{"bad scale with list", []string{"-list", "-scale", "0"}, 2},
 		{"bad format with list", []string{"-list", "-format", "bogus"}, 2},
-		{"bad format", []string{"-format", "bogus", "ext-serve-net"}, 2},
-		{"out without json", []string{"-out", t.TempDir(), "ext-serve-net"}, 2},
+		{"bad format", []string{"-format", "bogus", "ext-route"}, 2},
+		{"out without json", []string{"-out", t.TempDir(), "ext-route"}, 2},
 		{"unknown id", []string{"no-such-experiment"}, 2},
-		{"trace-sample without metrics", []string{"-trace-sample", "4", "ext-overload"}, 2},
-		{"hold without metrics", []string{"-hold", "5s", "ext-overload"}, 2},
+		{"trace-sample without metrics", []string{"-trace-sample", "4", "ext-cluster"}, 2},
+		{"hold without metrics", []string{"-hold", "5s", "ext-cluster"}, 2},
 		{"negative queries", []string{"-queries", "-1", "table1"}, 2},
 		{"zero nodes", []string{"-nodes", "0", "ext-cluster"}, 2},
 		{"negative replicas", []string{"-replicas", "-1", "ext-cluster"}, 2},
@@ -44,13 +44,14 @@ func TestRunExitCodes(t *testing.T) {
 }
 
 // TestRunListShowsAllExperiments keeps -list as the discovery surface:
-// the network-serving and overload sweeps must be registered.
+// the paper's tables and figures and the gated or committed extension
+// sweeps must be registered.
 func TestRunListShowsAllExperiments(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if got := run([]string{"-list"}, &stdout, &stderr); got != 0 {
 		t.Fatalf("run(-list) = %d: %s", got, stderr.String())
 	}
-	for _, id := range []string{"ext-serve-net", "ext-overload", "ext-serve", "ext-cluster", "table1"} {
+	for _, id := range []string{"table1", "fig17", "ext-fault", "ext-route", "ext-durable", "ext-cluster", "ext-kernels"} {
 		if !strings.Contains(stdout.String(), id) {
 			t.Errorf("-list output missing %q", id)
 		}

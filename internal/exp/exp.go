@@ -38,7 +38,8 @@ type Suite struct {
 	// Full enables the expensive sweeps (k up to 1024 in Table 7);
 	// default runs keep k ≤ 64 so the whole suite stays fast.
 	Full bool
-	// Shards caps the ext-serve shard sweep (1,2,4,… up to Shards).
+	// Shards caps the ext-route shard sweep (2,4,… up to Shards;
+	// pimbench -shards, default 8).
 	Shards int
 	// Recall is the ext-route approximate mode's target recall
 	// (pimbench -recall, default 0.95).

@@ -42,7 +42,7 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestIDsComplete(t *testing.T) {
 	want := []string{
-		"ext-approx", "ext-churn", "ext-cluster", "ext-dbscan", "ext-durable", "ext-fault", "ext-join", "ext-kernels", "ext-motif", "ext-outlier", "ext-overload", "ext-route", "ext-scale", "ext-serve", "ext-serve-net",
+		"ext-approx", "ext-cluster", "ext-dbscan", "ext-durable", "ext-fault", "ext-join", "ext-kernels", "ext-motif", "ext-outlier", "ext-route", "ext-scale",
 		"fig13a", "fig13b", "fig13c", "fig13d", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig5", "fig6", "fig7", "table1", "table5",
 		"table6", "table7",
@@ -68,11 +68,7 @@ func TestFig13aShapes(t *testing.T) {
 	}
 	sp := make(map[string]float64)
 	for _, row := range tbl.Rows {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[5], "x"), 64)
-		if err != nil {
-			t.Fatalf("bad speedup cell %q", row[5])
-		}
-		sp[row[0]] = v
+		sp[row[0]] = xCell(t, row[5])
 	}
 	// PIM never materially loses, wins clearly wherever the bound has
 	// pruning power, and GIST benefits least: its Theorem 4 granularity
@@ -238,10 +234,7 @@ func TestExtScaleMonotone(t *testing.T) {
 	}
 	prev := 0.0
 	for _, row := range tbl.Rows {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[4], "x"), 64)
-		if err != nil {
-			t.Fatalf("bad speedup cell %q", row[4])
-		}
+		v := xCell(t, row[4])
 		if v < prev*0.95 { // allow tiny noise, require growth overall
 			t.Fatalf("speedup shrank with N: %v after %v", v, prev)
 		}
@@ -249,5 +242,87 @@ func TestExtScaleMonotone(t *testing.T) {
 	}
 	if prev < 2 {
 		t.Fatalf("largest-scale speedup %vx too small", prev)
+	}
+}
+
+// xCell parses a speed-up or slowdown cell ("9.0x", "1.00x").
+func xCell(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "x"), 64)
+	if err != nil {
+		t.Fatalf("bad ratio cell %q", cell)
+	}
+	return v
+}
+
+// column is the index of a header cell.
+func column(t *testing.T, tbl *Table, name string) int {
+	t.Helper()
+	for i, h := range tbl.Header {
+		if h == name {
+			return i
+		}
+	}
+	t.Fatalf("%s: no %q column in %v", tbl.ID, name, tbl.Header)
+	return -1
+}
+
+// The mining-task extensions: the PIM path wins every row (6.5–25.9× on
+// the fast suite), and ext-outlier's wins by computing fewer exact
+// distances, not by metering them differently.
+func TestExtMiningSpeedups(t *testing.T) {
+	s := fastSuite()
+	for _, run := range []Runner{ExtOutlier, ExtMotif, ExtJoin, ExtDBSCAN} {
+		tbl, err := run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := column(t, tbl, "Speedup")
+		for _, row := range tbl.Rows {
+			if v := xCell(t, row[sp]); v <= 1 {
+				t.Errorf("%s %s: PIM speedup %.1fx, want > 1.0x", tbl.ID, row[0], v)
+			}
+		}
+		if tbl.ID != "ext-outlier" {
+			continue
+		}
+		ed := column(t, tbl, "ExactDistances(host→PIM)")
+		for _, row := range tbl.Rows {
+			host, pim, ok := strings.Cut(row[ed], " → ")
+			h, herr := strconv.Atoi(host)
+			p, perr := strconv.Atoi(pim)
+			if !ok || herr != nil || perr != nil {
+				t.Fatalf("bad exact-distance cell %q", row[ed])
+			}
+			if p >= h {
+				t.Errorf("%s: PIM computed %d exact distances, host %d", row[0], p, h)
+			}
+		}
+	}
+}
+
+// ext-fault: the clean row is the 1.00× baseline, no fault model is
+// cheaper than it, and total crossbar failure degrades every shard to the
+// host scan (1.00 / 3.94 / 5.92 / 6.21 / 8.93 / 8.93× on the fast suite).
+func TestExtFaultShapes(t *testing.T) {
+	s := fastSuite()
+	tbl, err := ExtFault(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := column(t, tbl, "Slowdown")
+	degraded := column(t, tbl, "Degraded shards")
+	rows := make(map[string][]string, len(tbl.Rows))
+	for _, row := range tbl.Rows {
+		rows[row[0]] = row
+		if v := xCell(t, row[slow]); v < 1 {
+			t.Errorf("%s: slowdown %.2fx below the clean run", row[0], v)
+		}
+	}
+	if got := rows["none"][slow]; got != "1.00x" {
+		t.Errorf("none: slowdown %q, want 1.00x", got)
+	}
+	if got := rows["crossbar fail p=1.0"][degraded]; got != "3/3" {
+		t.Errorf("crossbar fail p=1.0: %q degraded shards, want 3/3", got)
 	}
 }

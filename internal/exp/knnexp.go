@@ -372,12 +372,14 @@ func Fig17(s *Suite) (*Table, error) {
 		}
 		hostMs := s.modeledMs(mHost)
 
-		// FNN-PIM-optimize: one granularity, Φ precompute, ReRAM program.
+		// FNN-PIM-optimize: one granularity, Φ precompute, ReRAM program —
+		// the Theorem 4 LB_PIM-FNN payloads alone, which is what
+		// Standard-PIM programs.
 		eng, err := s.engine()
 		if err != nil {
 			return nil, err
 		}
-		pimAlg, err := knn.NewFNNPIMOptimized(eng, data, s.Quant, w.fullN, nil)
+		pimAlg, err := knn.NewStandardPIM(eng, data, s.Quant, w.fullN)
 		if err != nil {
 			return nil, err
 		}

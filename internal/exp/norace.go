@@ -4,7 +4,4 @@ package exp
 
 // See race.go: without the race detector experiments run at their
 // calibrated speed.
-const (
-	raceEnabled = false
-	raceScale   = 1
-)
+const raceScale = 1

@@ -55,7 +55,7 @@ func searchersUnderTest(t *testing.T) []AppendSearcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fnnPIMOpt, err := NewFNNPIMOptimized(eng, data, q, data.N, []int{1, 4})
+	fnnPIMOpt, err := newFNNPIM(eng, data, q, data.N, []int{1, 4}, "FNN-PIM-optimize")
 	if err != nil {
 		t.Fatal(err)
 	}

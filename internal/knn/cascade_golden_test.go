@@ -21,6 +21,7 @@ import (
 	"pimmine/internal/obs"
 	"pimmine/internal/outlier"
 	"pimmine/internal/pim"
+	"pimmine/internal/plan"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
 )
@@ -93,7 +94,12 @@ func searcherTranscript(t *testing.T, b *strings.Builder, label string, data, qu
 		func(e *pim.Engine) (knn.Searcher, error) { return knn.NewSMPIM(e, data, q, levels[2], capacityN) },
 		func(e *pim.Engine) (knn.Searcher, error) { return knn.NewFNNPIM(e, data, q, capacityN) },
 		func(e *pim.Engine) (knn.Searcher, error) {
-			return knn.NewFNNPIMOptimized(e, data, q, capacityN, levels[2:])
+			// The PIM bound at the Theorem 4 s, then the finest host level.
+			s := e.Model().ChooseS(capacityN, pim.Divisors(data.D), 2)
+			return knn.FromPlan(plan.Plan{Bounds: []plan.Bound{
+				{Family: "FNN", PIM: true, Segs: s},
+				{Family: "FNN", Segs: levels[2]},
+			}}, e, data, q)
 		},
 	}
 	for _, mk := range build {

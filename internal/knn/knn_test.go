@@ -85,7 +85,7 @@ func TestAllEDSearchersExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fnnPIMOpt, err := NewFNNPIMOptimized(eng, data, q, data.N, nil)
+	fnnPIMOpt, err := newFNNPIM(eng, data, q, data.N, nil, "FNN-PIM-optimize")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,9 @@ func TestFNNPIMCollapsesDuplicateLevels(t *testing.T) {
 	q := defaultQuant(t)
 	for _, build := range []func() (*Cascade, error){
 		func() (*Cascade, error) { return NewFNNPIM(newEngine(t), data, q, data.N) },
-		func() (*Cascade, error) { return NewFNNPIMOptimized(newEngine(t), data, q, data.N, []int{1, 1}) },
+		func() (*Cascade, error) {
+			return newFNNPIM(newEngine(t), data, q, data.N, []int{1, 1}, "FNN-PIM-optimize")
+		},
 	} {
 		s, err := build()
 		if err != nil {

@@ -200,12 +200,9 @@ func NewFNNPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN i
 	return newFNNPIM(eng, data, q, capacityN, levels[1:], "FNN-PIM")
 }
 
-// NewFNNPIMOptimized builds FNN-PIM with an explicit set of retained host
-// granularities (possibly none), as selected by the §V-D plan optimizer.
-func NewFNNPIMOptimized(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int, hostSegs []int) (*Cascade, error) {
-	return newFNNPIM(eng, data, q, capacityN, hostSegs, "FNN-PIM-optimize")
-}
-
+// newFNNPIM builds FNN-PIM with an explicit set of retained host
+// granularities behind the Theorem 4 PIM bound. A §V-D plan compiles
+// through FromPlan instead.
 func newFNNPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN int, hostSegs []int, variant string) (*Cascade, error) {
 	f, err := chooseFNNFilter(eng, data, q, capacityN, variant)
 	if err != nil {

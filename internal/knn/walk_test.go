@@ -366,7 +366,9 @@ func walkCascades(t *testing.T, data *vec.Matrix) []walkCase {
 		{"OST-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewOSTPIM(e, data, q, data.D/2, n) }},
 		{"SM-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewSMPIM(e, data, q, 16, n) }},
 		{"FNN-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewFNNPIM(e, data, q, n) }},
-		{"FNN-PIM-optimize", std, func(e *pim.Engine) (Searcher, error) { return NewFNNPIMOptimized(e, data, q, n, []int{16}) }},
+		{"FNN-PIM-optimize", std, func(e *pim.Engine) (Searcher, error) {
+			return newFNNPIM(e, data, q, n, []int{16}, "FNN-PIM-optimize")
+		}},
 		{"Dynamic-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewDynamicPIM(e, data, q, n+8) }},
 		{"no-stage", std, func(e *pim.Engine) (Searcher, error) { return FromPlan(plan.Plan{}, e, data, q) }},
 		{"CS-PIM", simStd(measure.CS), func(e *pim.Engine) (Searcher, error) { return NewSimPIM(e, data, q, measure.CS, n) }},

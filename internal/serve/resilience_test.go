@@ -427,12 +427,11 @@ func TestRetryBudgetRetriesTransient(t *testing.T) {
 	_ = before
 }
 
-// TestOverloadGoodputProperty is the deterministic core of the
-// ext-overload experiment's acceptance criterion: at 4× the admission
-// capacity, every admitted query completes exactly (goodput = capacity,
-// ≥80% of peak by construction) and every excess query fails fast with
-// the typed rejection — no query hangs, no query returns inexact
-// results, no untyped error escapes.
+// TestOverloadGoodputProperty pins what admission control buys under
+// overload: at 4× the admission capacity, every admitted query completes
+// exactly (goodput = capacity, ≥80% of peak by construction) and every
+// excess query fails fast with the typed rejection — no query hangs, no
+// query returns inexact results, no untyped error escapes.
 func TestOverloadGoodputProperty(t *testing.T) {
 	t.Parallel()
 	const (

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+
+	"pimmine/internal/vec"
 )
 
 // This file holds the word-parallel DotAll kernel: instead of walking the
@@ -71,15 +73,22 @@ func (c *Crossbar) setPlanes(row, col int, level uint16) {
 
 // Input is one input vector sliced into bit planes, the form the
 // word-parallel kernel injects: plane b holds bit b of every row, laid
-// out like a cell plane. It depends on the crossbar height only, so a
-// query spanning several tiles of one dimension chunk slices its input
-// once (Slice) and hands the same Input to each (DotInputInto).
+// out like a cell plane. Only the L live planes (those with some row set)
+// are kept, packed back to back in the order the walk streams them: the
+// first 4·⌊W/4⌋ words of every live plane as 4-word blocks, block-major,
+// then the W mod 4 remainder words, word-major. It depends on the
+// crossbar height only, so a query spanning several tiles of one
+// dimension chunk slices its input once (Slice) and hands the same Input
+// to each (DotInputInto).
 type Input struct {
-	planes []uint64 // 32·W words; only the planes named by live are defined
-	live   uint32   // bit b set iff some value has bit b set
-	dims   int
-	bits   int // declared width: sets the modeled cycle count
-	words  int // W = ⌈M/64⌉
+	quads   [][4]uint64 // quads[j·L+l]: words 4j..4j+3 of live plane l, j < blocks
+	tail    []uint64    // tail[i·L+l]: word 4·blocks+i of live plane l
+	weights []int64     // weights[l] = 2^b for live plane l's input bit b, b ascending
+	planes  []uint64    // Slice's scratch: 32·W words, plane b at b·W
+	blocks  int         // ⌊W/4⌋
+	dims    int
+	bits    int // declared width: sets the modeled cycle count
+	words   int // W = ⌈M/64⌉
 }
 
 // inputPool holds DotAllInto's per-call Input, so steady-state queries
@@ -98,11 +107,9 @@ func (in *Input) Slice(spec Spec, input []uint32, inputBits int) error {
 		return err
 	}
 	w := spec.planeWords()
-	if cap(in.planes) < 32*w {
-		in.planes = make([]uint64, 32*w)
-	}
-	in.planes = in.planes[:32*w]
-	in.live, in.dims, in.bits, in.words = live, len(input), inputBits, w
+	in.dims, in.bits, in.words, in.blocks = len(input), inputBits, w, w/4
+	// One plane per input bit, then the live ones packed.
+	in.planes = vec.Resized(in.planes, 32*w)
 	for l := live; l != 0; l &= l - 1 {
 		clear(in.planes[bits.TrailingZeros32(l)*w:][:w])
 	}
@@ -112,14 +119,37 @@ func (in *Input) Slice(spec Spec, input []uint32, inputBits int) error {
 			in.planes[bits.TrailingZeros32(v)*w+row>>6] |= bit
 		}
 	}
+	nl := bits.OnesCount32(live)
+	in.weights = vec.Resized(in.weights, nl)
+	in.quads = vec.Resized(in.quads, in.blocks*nl)
+	in.tail = vec.Resized(in.tail, (w-4*in.blocks)*nl)
+	for l := range in.weights {
+		b := bits.TrailingZeros32(live)
+		live &= live - 1
+		in.weights[l] = 1 << b
+		plane := in.planes[b*w:][:w]
+		for j := 0; j < in.blocks; j++ {
+			in.quads[j*nl+l] = [4]uint64(plane[4*j:])
+		}
+		for i, x := range plane[4*in.blocks:] {
+			in.tail[i*nl+l] = x
+		}
+	}
 	return nil
 }
 
 // dotWordParallel writes the dot product of in with every programmed
 // vector into out (len == nvecs). Input bit b is the bit the DACs inject
 // as bit b%dac of cycle b/dac, so 2^b is the reference's slice weight
-// times its per-cycle S&A shift. Kept last in this file: CI's check_bce
-// step allows no IsInBounds from this line down.
+// times its per-cycle S&A shift. Cell bit t of weight-slice k adds that
+// slice's S&A shift, so every occupied cell plane carries one shift,
+// t + wShift, and one result slot. The tile's occupied planes are walked
+// two at a time in column order (pairSum; on Table 5's h = 2 with every
+// column full or empty, a pair is a whole column), so a pair may span
+// columns and vectors; an odd one out at the end is walked as a pair with
+// itself, half of which is kept. One walk for every geometry. Kept above
+// pairSum at the end of this file: CI's check_bce step allows no
+// IsInBounds from this line down.
 func (c *Crossbar) dotWordParallel(in *Input, out []int64) {
 	h := c.spec.CellBits
 	w := c.planeWords
@@ -130,28 +160,67 @@ func (c *Crossbar) dotWordParallel(in *Input, out []int64) {
 	if c.readFault != nil {
 		obs = &c.faulted
 	}
+	clear(out)
+	var held []uint64 // an occupied plane waiting for its pair
+	var heldShift uint
+	var heldDot *int64
 	for v := range out {
-		var dot int64
+		dot := &out[v]
 		for k, occ := range obs.occ[v*cpo:][:cpo] {
-			col := v*cpo + k
 			// S&A: weight-slice position, identically to the reference.
 			wShift := uint((cpo - 1 - k) * h)
 			for ; occ != 0; occ &= occ - 1 {
 				t := bits.TrailingZeros16(occ)
-				tp := obs.words[(col*h+t)*w:][:w]
-				var colSum int64
-				for live := in.live; live != 0; live &= live - 1 {
-					b := bits.TrailingZeros32(live)
-					up := in.planes[b*w:][:len(tp)]
-					pc := 0
-					for i := range tp {
-						pc += bits.OnesCount64(tp[i] & up[i])
-					}
-					colSum += int64(pc) << uint(b)
+				tp, shift := obs.words[((v*cpo+k)*h+t)*w:][:w], uint(t)+wShift
+				if held == nil {
+					held, heldShift, heldDot = tp, shift, dot
+					continue
 				}
-				dot += colSum << uint(t) << wShift
+				s0, s1 := in.pairSum(held, tp)
+				*heldDot += s0 << heldShift
+				*dot += s1 << shift
+				held = nil
 			}
 		}
-		out[v] = dot
 	}
+	if held != nil {
+		s, _ := in.pairSum(held, held)
+		*heldDot += s << heldShift
+	}
+}
+
+// pairSum returns Σ_b 2^b·|p0 ∧ input_b| and the same for p1, over the
+// live input planes b. Each 4-word block of both cell planes is held in
+// registers while the live input planes stream past it: per live plane,
+// 4 loads, 8 AND+POPCNT and two weighted adds. The W mod 4 remainder
+// words follow one at a time.
+func (in *Input) pairSum(p0, p1 []uint64) (s0, s1 int64) {
+	weights := in.weights
+	nl := len(weights)
+	for j := 0; j < in.blocks; j++ {
+		a, b := p0[4*j:][:4], p1[4*j:][:4]
+		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+		blk := in.quads[j*nl:][:nl]
+		for l, wt := range weights {
+			x := &blk[l]
+			s0 += int64(bits.OnesCount64(a0&x[0])+bits.OnesCount64(a1&x[1])+
+				bits.OnesCount64(a2&x[2])+bits.OnesCount64(a3&x[3])) * wt
+			s1 += int64(bits.OnesCount64(b0&x[0])+bits.OnesCount64(b1&x[1])+
+				bits.OnesCount64(b2&x[2])+bits.OnesCount64(b3&x[3])) * wt
+		}
+	}
+	tail := in.tail
+	p0 = p0[4*in.blocks:]
+	p1 = p1[4*in.blocks:][:len(p0)]
+	for i, a := range p0 {
+		b := p1[i]
+		tw := tail[:nl]
+		tail = tail[nl:]
+		for l, wt := range weights {
+			s0 += int64(bits.OnesCount64(a&tw[l])) * wt
+			s1 += int64(bits.OnesCount64(b&tw[l])) * wt
+		}
+	}
+	return s0, s1
 }

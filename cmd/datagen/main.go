@@ -1,7 +1,8 @@
 // Command datagen inspects the synthetic Table 6 dataset generators:
 // it prints per-profile statistics (shape, value range, cluster balance,
 // segment-statistic informativeness) and can dump a generated dataset as
-// CSV for external tooling.
+// CSV (a header row naming the columns, the label column last) for
+// cmd/pimmine and external tooling.
 //
 // Usage:
 //
@@ -10,11 +11,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"pimmine/internal/dataset"
 	"pimmine/internal/vec"
@@ -44,7 +43,10 @@ func main() {
 		}
 		ds := dataset.Generate(p, rows, *seed)
 		if *csv {
-			dump(ds)
+			if err := ds.WriteCSV(os.Stdout); err != nil {
+				fmt.Fprintln(os.Stderr, "datagen:", err)
+				os.Exit(1)
+			}
 			continue
 		}
 		describe(ds)
@@ -88,19 +90,4 @@ func describe(ds *dataset.Dataset) {
 	}
 	fmt.Printf("%-9s fullN=%-8d d=%-5d generated=%-6d clusters=%d (sizes %d..%d) corr=%.2f segRatio=%.2f\n",
 		p.Name, p.FullN, p.D, ds.X.N, p.Clusters, minC, maxC, p.Correlation, ratio)
-}
-
-func dump(ds *dataset.Dataset) {
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for i := 0; i < ds.X.N; i++ {
-		row := ds.X.Row(i)
-		for j, v := range row {
-			if j > 0 {
-				w.WriteByte(',')
-			}
-			w.WriteString(strconv.FormatFloat(v, 'g', 8, 64))
-		}
-		fmt.Fprintf(w, ",%d\n", ds.Labels[i])
-	}
 }

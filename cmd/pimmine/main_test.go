@@ -3,9 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pimmine"
+	"pimmine/internal/dataset"
 )
 
 func writeTemp(t *testing.T, content string) string {
@@ -19,7 +21,7 @@ func writeTemp(t *testing.T, content string) string {
 
 func TestLoadCSV(t *testing.T) {
 	path := writeTemp(t, "1.5,2.5,3\n# comment\n\n4,5,6\n")
-	m, err := loadCSV(path, false)
+	m, err := loadCSV(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,29 +30,67 @@ func TestLoadCSV(t *testing.T) {
 	}
 }
 
+// A header row names the columns; only the one headed "label" is
+// dropped, and without a header every column is a feature.
 func TestLoadCSVDropLabel(t *testing.T) {
-	path := writeTemp(t, "1,2,7\n3,4,9\n")
-	m, err := loadCSV(path, true)
+	m, err := loadCSV(writeTemp(t, "a,label,b\n1,7,2\n3,9,4\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.D != 2 {
-		t.Fatalf("label column not dropped: d=%d", m.D)
+	if m.N != 2 || m.D != 2 || m.Row(1)[0] != 3 || m.Row(1)[1] != 4 {
+		t.Fatalf("loaded %dx%d, row1=%v; want the label column dropped", m.N, m.D, m.Row(1))
+	}
+	m, err = loadCSV(writeTemp(t, "0.1,0.2,0.3\n0.4,0.5,0.6\n0.9,0.8,0.7\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.D != 3 || m.Row(2)[2] != 0.7 {
+		t.Fatalf("headerless float file: d=%d row2=%v, want every column kept", m.D, m.Row(2))
+	}
+}
+
+// A cmd/datagen -csv dump loads with the profile's dimensionality.
+func TestLoadCSVDatagenDump(t *testing.T) {
+	prof, err := dataset.ByName("Year")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Generate(prof, 20, 3)
+	path := filepath.Join(t.TempDir(), "dump.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.WriteCSV(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := loadCSV(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.N != 20 || m.D != prof.D {
+		t.Fatalf("datagen dump loaded %dx%d, want 20x%d", m.N, m.D, prof.D)
 	}
 }
 
 func TestLoadCSVErrors(t *testing.T) {
-	if _, err := loadCSV(filepath.Join(t.TempDir(), "missing.csv"), false); err == nil {
+	if _, err := loadCSV(filepath.Join(t.TempDir(), "missing.csv")); err == nil {
 		t.Fatal("missing file must error")
 	}
-	if _, err := loadCSV(writeTemp(t, "1,notanumber\n"), false); err == nil {
+	if _, err := loadCSV(writeTemp(t, "1,notanumber\n")); err == nil {
 		t.Fatal("bad float must error")
 	}
-	if _, err := loadCSV(writeTemp(t, "1,2\n3\n"), false); err == nil {
+	if _, err := loadCSV(writeTemp(t, "1,2\n3\n")); err == nil {
 		t.Fatal("ragged rows must error")
 	}
-	if _, err := loadCSV(writeTemp(t, "# only comments\n"), false); err == nil {
+	if _, err := loadCSV(writeTemp(t, "# only comments\n")); err == nil {
 		t.Fatal("empty data must error")
+	}
+	if _, err := loadCSV(writeTemp(t, "a,b\n")); err == nil {
+		t.Fatal("a header without rows must error")
 	}
 }
 
@@ -106,5 +146,30 @@ func TestRunClusterEndToEnd(t *testing.T) {
 	}
 	if err := runCluster([]string{"-data", data, "-k", "2", "-algo", "nope"}); err == nil {
 		t.Fatal("unknown algorithm must error")
+	}
+}
+
+// Every subcommand refuses a count flag below 1 with an error naming the
+// flag.
+func TestCountFlagsRejectBelowOne(t *testing.T) {
+	data := writeTemp(t, "0,0\n1,1\n0.5,0.5\n")
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+		flag string
+	}{
+		{"search k=0", runSearch, []string{"-data", data, "-query", data, "-k", "0"}, "-k"},
+		{"cluster k=0", runCluster, []string{"-data", data, "-k", "0"}, "-k"},
+		{"cluster k=-1", runCluster, []string{"-data", data, "-k", "-1"}, "-k"},
+		{"outliers top=0", runOutliers, []string{"-data", data, "-top", "0"}, "-top"},
+		{"outliers k=0", runOutliers, []string{"-data", data, "-k", "0"}, "-k"},
+		{"motifs top=0", runMotifs, []string{"-series", data, "-w", "2", "-top", "0"}, "-top"},
+		{"join k=0", runJoin, []string{"-data", data, "-query", data, "-k", "0"}, "-k"},
+	} {
+		err := tc.run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" must be at least 1") {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.flag)
+		}
 	}
 }

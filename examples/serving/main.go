@@ -38,14 +38,15 @@ func main() {
 	// shard, a per-query deadline, and a bounded batch pool — observed:
 	// the Observer collects live metrics and traces one query in eight.
 	observer := pimmine.NewObserver(pimmine.ObserverConfig{SampleRate: 8})
-	eng, err := pimmine.NewObservedEngine(ds.X, pimmine.QueryEngineOptions{
+	eng, err := pimmine.NewQueryEngine(ds.X, pimmine.QueryEngineOptions{
 		Shards:       4,
 		Variant:      pimmine.ServeFNNPIM,
 		Framework:    fw,
 		CapacityN:    prof.FullN,
 		Workers:      4,
 		QueryTimeout: 2 * time.Second,
-	}, observer)
+		Obs:          observer,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -112,26 +112,6 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Classifier.
-	cls, err := pimmine.NewKNNClassifier(pimmine.NewExactKNN(ds.X), ds.Labels, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l, v := cls.Classify(outer.Row(0), pimmine.NewMeter()); l < 0 || v < 1 {
-		t.Fatalf("classifier returned (%d, %d)", l, v)
-	}
-
-	// Batch search.
-	res, err := pimmine.SearchKNNBatch(func() (pimmine.KNNSearcher, error) {
-		return pimmine.NewExactKNN(ds.X), nil
-	}, outer, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Neighbors) != outer.N {
-		t.Fatalf("batch returned %d rows", len(res.Neighbors))
-	}
-
 	// Hamerly through the framework.
 	fw, err := pimmine.NewFramework(pimmine.DefaultConfig(), pimmine.DefaultAlpha)
 	if err != nil {
@@ -141,8 +121,12 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	std, err := fw.AccelerateKMeans(ds.X, pimmine.Standard, pimmine.KMeansOptions{K: 6, MaxIters: 15, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	initial, _ := pimmine.KMeansInitCenters(ds.X, 6, 2)
-	lloyd := pimmine.NewLloyd(ds.X).Run(initial, 15, pimmine.NewMeter())
+	lloyd := std.Baseline.Run(initial, 15, pimmine.NewMeter())
 	ham := acc.PIM.Run(initial, 15, pimmine.NewMeter())
 	for i := range lloyd.Assign {
 		if lloyd.Assign[i] != ham.Assign[i] {
@@ -178,7 +162,7 @@ func ExampleNewFramework() {
 func ExampleQuantizer() {
 	for _, alpha := range []float64{1e3, 1e6} {
 		q, _ := pimmine.NewQuantizer(alpha)
-		fmt.Printf("alpha=%.0e error bound (d=420): %.2e\n", alpha, pimmine.ErrorBound(q, 420))
+		fmt.Printf("alpha=%.0e error bound (d=420): %.2e\n", alpha, q.ErrorBound(420))
 	}
 	// Output:
 	// alpha=1e+03 error bound (d=420): 1.68e+00

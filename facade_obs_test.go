@@ -9,8 +9,8 @@ import (
 )
 
 // TestFacadeObservedEngine drives the observability surface end to end
-// through the public facade: observed serving, scraped metrics, and a
-// rendered trace.
+// through the public facade: serving with QueryEngineOptions.Obs set,
+// scraped metrics, and a rendered trace.
 func TestFacadeObservedEngine(t *testing.T) {
 	prof, err := pimmine.DatasetByName("MSD")
 	if err != nil {
@@ -24,12 +24,13 @@ func TestFacadeObservedEngine(t *testing.T) {
 	}
 
 	o := pimmine.NewObserver(pimmine.ObserverConfig{SampleRate: 1})
-	eng, err := pimmine.NewObservedEngine(ds.X, pimmine.QueryEngineOptions{
+	eng, err := pimmine.NewQueryEngine(ds.X, pimmine.QueryEngineOptions{
 		Shards:    2,
 		Variant:   pimmine.ServeFNNPIM,
 		Framework: fw,
 		CapacityN: prof.FullN,
-	}, o)
+		Obs:       o,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,19 +74,5 @@ func TestFacadeObservedEngine(t *testing.T) {
 		if !strings.Contains(tree, want) {
 			t.Errorf("facade trace missing %q:\n%s", want, tree)
 		}
-	}
-
-	// A nil observer must serve unobserved without blowing up.
-	plain, err := pimmine.NewObservedEngine(ds.X, pimmine.QueryEngineOptions{
-		Shards:    2,
-		Variant:   pimmine.ServeFNNPIM,
-		Framework: fw,
-		CapacityN: prof.FullN,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Search(context.Background(), queries.Row(0), 5); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -210,6 +210,9 @@ func TestRepairRestoresReplicationAfterKill(t *testing.T) {
 	if err := eng.KillNode(2); err != nil {
 		t.Fatalf("KillNode: %v", err)
 	}
+	if up := eng.NodesUp(); up != 3 {
+		t.Fatalf("NodesUp after a kill = %d, want 3", up)
+	}
 	ships, err := eng.Repair()
 	if err != nil {
 		t.Fatalf("Repair: %v", err)

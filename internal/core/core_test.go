@@ -8,7 +8,9 @@ import (
 	"pimmine/internal/arch"
 	"pimmine/internal/dataset"
 	"pimmine/internal/kmeans"
+	"pimmine/internal/knn"
 	"pimmine/internal/obs"
+	"pimmine/internal/pim"
 	"pimmine/internal/vec"
 )
 
@@ -73,6 +75,40 @@ func TestAccelerateKNNEndToEnd(t *testing.T) {
 		for i := range want {
 			if got[i].Dist != want[i].Dist {
 				t.Fatalf("%s: neighbor %d dist %v, want %v", s.Name(), i, got[i].Dist, want[i].Dist)
+			}
+		}
+	}
+}
+
+// TestSimulatedEngineEndToEnd is the full-stack check: with every PIM dot
+// product run through the bit-sliced crossbar simulator, the framework's
+// accelerated searcher still returns exactly the linear scan's neighbors.
+func TestSimulatedEngineEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulate mode is slow")
+	}
+	prof, err := dataset.ByName("Year") // smallest d keeps tiles cheap
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Generate(prof, 120, 11)
+	queries := ds.Queries(2, 12)
+	f, err := New(arch.Default(), 1e6, pim.ModeSimulate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := f.AccelerateKNN(ds.X, KNNOptions{K: 5, Pilot: queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := knn.NewStandard(ds.X)
+	for qi := 0; qi < queries.N; qi++ {
+		q := queries.Row(qi)
+		want := exact.Search(q, 5, arch.NewMeter())
+		got := acc.PIM.Search(q, 5, arch.NewMeter())
+		for i := range want {
+			if got[i].Dist != want[i].Dist {
+				t.Fatalf("simulated engine inexact at query %d pos %d", qi, i)
 			}
 		}
 	}

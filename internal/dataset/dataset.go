@@ -23,9 +23,12 @@
 package dataset
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"pimmine/internal/vec"
 )
@@ -152,6 +155,25 @@ func (ds *Dataset) Queries(nq int, seed int64) *vec.Matrix {
 		}
 	}
 	return q
+}
+
+// WriteCSV writes the dataset as CSV: a header row naming the columns
+// x0..x(d-1) and label, then one row per object with its mixture label
+// last.
+func (ds *Dataset) WriteCSV(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	for j := 0; j < ds.X.D; j++ {
+		fmt.Fprintf(bw, "x%d,", j)
+	}
+	bw.WriteString("label\n")
+	for i := 0; i < ds.X.N; i++ {
+		for _, v := range ds.X.Row(i) {
+			bw.WriteString(strconv.FormatFloat(v, 'g', 8, 64))
+			bw.WriteByte(',')
+		}
+		fmt.Fprintf(bw, "%d\n", ds.Labels[i])
+	}
+	return bw.Flush()
 }
 
 // smoothVector draws a d-dim vector whose increments follow an AR(1)

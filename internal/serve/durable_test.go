@@ -522,12 +522,21 @@ func TestMutableStandingSubscription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SubscribeKNN([]float64{1}, 5); err == nil {
-		t.Fatal("dimension mismatch accepted")
+	if _, err := e.SubscribeKNN([]float64{1}, 5); !errors.Is(err, standing.ErrBadSubscription) {
+		t.Fatalf("dimension mismatch = %v, want ErrBadSubscription", err)
 	}
 	init := <-sub.Events()
 	if init.Kind != standing.KindInit {
 		t.Fatalf("first event kind = %v", init.Kind)
+	}
+	// Inserting the query itself must change the view, and the update
+	// names that insert as its trigger, at distance 0.
+	self, err := e.Insert(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := <-sub.Events(); ev.Kind != standing.KindUpdate || ev.Trigger != self || ev.Dist != 0 {
+		t.Fatalf("self-insert event = %+v, want an update triggered by %d at distance 0", ev, self)
 	}
 	rng := rand.New(rand.NewSource(81))
 	for op := 0; op < 60; op++ {

@@ -77,6 +77,9 @@ func TestAdmissionControlRejectsTyped(t *testing.T) {
 	if !errors.Is(err, resilience.ErrOverloaded) {
 		t.Fatalf("saturated engine returned %v, want ErrOverloaded", err)
 	}
+	if errors.Is(err, resilience.ErrShedDeadline) || errors.Is(err, resilience.ErrCircuitOpen) {
+		t.Fatalf("overload error matched a sibling sentinel: %v", err)
+	}
 	if waited := time.Since(rejectStart); waited > delay/2 {
 		t.Fatalf("rejection took %s — it queued instead of failing fast", waited)
 	}
@@ -165,8 +168,12 @@ func TestShedDeadlineTyped(t *testing.T) {
 	calls := fs.calls.Load()
 	doomed, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := e.Search(doomed, queries.Row(1), 3); !errors.Is(err, resilience.ErrShedDeadline) {
+	_, err = e.Search(doomed, queries.Row(1), 3)
+	if !errors.Is(err, resilience.ErrShedDeadline) {
 		t.Fatalf("doomed query got %v, want ErrShedDeadline", err)
+	}
+	if errors.Is(err, resilience.ErrOverloaded) || errors.Is(err, ErrQueryTimeout) {
+		t.Fatalf("shed error matched a sibling sentinel: %v", err)
 	}
 	if got := fs.calls.Load(); got != calls {
 		t.Fatal("shed query still reached the shard searcher")
@@ -213,6 +220,56 @@ func TestQueryTimeoutTypedErrorChain(t *testing.T) {
 	}
 	if errors.Is(err, ErrQueryTimeout) {
 		t.Fatal("caller deadline must not masquerade as the engine's QueryTimeout")
+	}
+}
+
+// TestResilienceSentinelsDistinct: no typed rejection of the serving
+// pipeline matches another under errors.Is, so a caller can tell them
+// apart.
+func TestResilienceSentinelsDistinct(t *testing.T) {
+	sentinels := []error{
+		resilience.ErrOverloaded, resilience.ErrShedDeadline, resilience.ErrCircuitOpen,
+		resilience.ErrQuotaExceeded, ErrQueryTimeout, ErrClosed,
+	}
+	for i, a := range sentinels {
+		for j, b := range sentinels {
+			if i != j && errors.Is(a, b) {
+				t.Fatalf("sentinel %v matches sentinel %v", a, b)
+			}
+		}
+	}
+}
+
+// TestDefaultResilienceServes: with every knob of resilience.Default on,
+// unhurried traffic is neither rejected nor shed, and single queries and
+// a batch return the oracle's answers.
+func TestDefaultResilienceServes(t *testing.T) {
+	t.Parallel()
+	const k = 5
+	data, queries := testData(t, 120, 16, 4)
+	cfg := resilience.Default(4)
+	e, err := New(data, Options{Shards: 2, Workers: 4, Resilience: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	want := oracle(data, queries, k)
+	for qi := 0; qi < queries.N; qi++ {
+		res, err := e.Search(context.Background(), queries.Row(qi), k)
+		if err != nil {
+			t.Fatalf("query %d: %v", qi, err)
+		}
+		assertExact(t, fmt.Sprintf("query %d", qi), res.Neighbors, want[qi])
+	}
+	batch, err := e.SearchBatch(context.Background(), queries, k)
+	if err != nil {
+		t.Fatalf("batch under default resilience: %v", err)
+	}
+	if len(batch.Results) != queries.N {
+		t.Fatalf("batch returned %d results for %d queries", len(batch.Results), queries.N)
+	}
+	for qi, res := range batch.Results {
+		assertExact(t, fmt.Sprintf("batch query %d", qi), res.Neighbors, want[qi])
 	}
 }
 

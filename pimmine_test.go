@@ -61,7 +61,11 @@ func TestFacadeKMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lloyd := pimmine.NewLloyd(ds.X).Run(initial, 20, pimmine.NewMeter())
+	std, err := fw.AccelerateKMeans(ds.X, pimmine.Standard, pimmine.KMeansOptions{K: 8, MaxIters: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lloyd := std.Baseline.Run(initial, 20, pimmine.NewMeter())
 	got := acc.PIM.Run(initial, 20, pimmine.NewMeter())
 	for i := range lloyd.Assign {
 		if lloyd.Assign[i] != got.Assign[i] {
@@ -89,62 +93,6 @@ func TestFacadeHamming(t *testing.T) {
 	for i := range want {
 		if want[i].Dist != got[i].Dist {
 			t.Fatalf("HD facade mismatch at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-	if pimmine.HammingDistance(codes[0], codes[0]) != 0 {
-		t.Fatal("HD(x,x) != 0")
-	}
-}
-
-func TestFacadeHelpers(t *testing.T) {
-	if len(pimmine.DatasetProfiles()) != 8 {
-		t.Fatalf("want 8 Table 6 profiles")
-	}
-	q, err := pimmine.NewQuantizer(pimmine.DefaultAlpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eb := pimmine.ErrorBound(q, 420); eb <= 0 {
-		t.Fatalf("ErrorBound = %v", eb)
-	}
-	if pimmine.SqEuclidean([]float64{0, 0}, []float64{3, 4}) != 25 {
-		t.Fatal("SqEuclidean wrong")
-	}
-	m := pimmine.NewMeter()
-	m.C("ED").Ops = 42
-	r := pimmine.NewProfile("x", pimmine.DefaultConfig(), m)
-	if r.Bottleneck() != "ED" {
-		t.Fatalf("profile bottleneck = %q", r.Bottleneck())
-	}
-}
-
-// Full-stack check: with the simulated (bit-sliced crossbar) engine, the
-// framework's accelerated searcher still returns exactly the linear
-// scan's neighbors — the deepest end-to-end path in the repository.
-func TestSimulatedEngineEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulate mode is slow")
-	}
-	prof, _ := pimmine.DatasetByName("Year") // smallest d keeps tiles cheap
-	ds := pimmine.GenerateDataset(prof, 120, 11)
-	queries := ds.Queries(2, 12)
-	fw, err := pimmine.NewSimulatedFramework(pimmine.DefaultConfig(), pimmine.DefaultAlpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := fw.AccelerateKNN(ds.X, pimmine.KNNOptions{K: 5, Pilot: queries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := pimmine.NewExactKNN(ds.X)
-	for qi := 0; qi < queries.N; qi++ {
-		q := queries.Row(qi)
-		want := exact.Search(q, 5, pimmine.NewMeter())
-		got := acc.PIM.Search(q, 5, pimmine.NewMeter())
-		for i := range want {
-			if got[i].Dist != want[i].Dist {
-				t.Fatalf("simulated engine inexact at query %d pos %d", qi, i)
-			}
 		}
 	}
 }

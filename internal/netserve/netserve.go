@@ -8,7 +8,7 @@
 // requests complete; new arrivals get an immediate 503).
 //
 // The wire adds no approximation: a served result is byte-identical to
-// the same call against the in-process facade (pinned by the
+// the same call against the in-process engine (pinned by the
 // differential suite in netserve_test.go — JSON float64 round-trips are
 // bit-exact).
 package netserve

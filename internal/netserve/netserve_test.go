@@ -43,7 +43,7 @@ func buildEngine(t *testing.T, n, shards int, opts serve.Options) (*serve.Engine
 }
 
 // renderDirect and renderWire print neighbors with float64 bits in hex,
-// so "byte-identical to the direct facade call" is checked at full
+// so "byte-identical to the direct engine call" is checked at full
 // precision — JSON's shortest-form float64 encoding round-trips
 // bit-exactly, and these renders prove the wire kept every bit.
 func renderDirect(nn []vec.Neighbor) string {
@@ -81,7 +81,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 }
 
 // TestWireDifferential proves wire results are byte-identical to direct
-// facade calls: the same engine answers over HTTP and in-process, and
+// engine calls: the same engine answers over HTTP and in-process, and
 // every neighbor must match down to the float64 bit pattern, for the
 // single endpoint and for every line of a streaming batch.
 func TestWireDifferential(t *testing.T) {

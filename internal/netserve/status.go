@@ -92,7 +92,7 @@ var orderedMappings = []mapping{
 
 // MappedSentinels returns every sentinel with an explicit wire verdict,
 // in matching order. The status-mapping test walks this list against
-// the facade's exported sentinels so a sentinel added without a wire
+// the serving packages' exported sentinels so a sentinel added without a wire
 // mapping fails loudly instead of silently becoming a 500.
 func MappedSentinels() []error {
 	out := make([]error, len(orderedMappings))

@@ -17,7 +17,7 @@ import (
 
 // TestStatusMapping pins the full error-chain → status-code contract,
 // matching through wrapped chains exactly as the server does. Every
-// facade-visible sentinel appears; the engine-timeout vs caller-deadline
+// exported serving sentinel appears; the engine-timeout vs caller-deadline
 // distinction (both match context.DeadlineExceeded, only one is the
 // engine's fault) is the row most worth guarding.
 func TestStatusMapping(t *testing.T) {

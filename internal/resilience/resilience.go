@@ -39,8 +39,7 @@ import (
 	"time"
 )
 
-// The typed sentinels. Callers match them with errors.Is; the serving
-// layer re-exports them through the pimmine facade.
+// The typed sentinels. Callers match them with errors.Is.
 var (
 	// ErrOverloaded reports a query rejected by admission control: the
 	// concurrency limit and its wait queue were both full.

@@ -19,11 +19,29 @@
 // internal/arch can convert activity into modeled time. Analog
 // non-idealities are not modeled; the paper likewise assumes exact analog
 // dot products and relies on integer operands for exactness.
+//
+// DotAll does not replay the pipeline cell by cell. The S&A recombination
+// is linear, so over integers mod 2^64 (what both the pipeline's int64
+// accumulators and the host compute)
+//
+//	Σ_cyc Σ_k (Σ_row slice_cyc(row)·level_k(row)) << cyc·dac << (cpo−1−k)·h
+//	    = Σ_row input(row) · Σ_k level_k(row) << (cpo−1−k)·h
+//
+// and the inner sum is the operand the read observes: the programmed value
+// on a healthy tile, the recombination of the faulted levels under a
+// read-fault hook. Each tile keeps those operands vector-major and answers
+// a query with one integer sweep (vec.IntDotRows). That is host work only;
+// the modeled array still spends ⌈b/dac⌉ cycles on every column.
+// DotAllRef keeps the cell-at-a-time form and the equivalence harness pins
+// the two bit-identical.
 package crossbar
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+
+	"pimmine/internal/vec"
 )
 
 // Spec describes the crossbar geometry and peripheral circuit widths.
@@ -85,11 +103,15 @@ type Crossbar struct {
 	// tracking (§V-C motivates avoiding re-programming).
 	writes []uint32
 
-	// planes is the word-parallel mirror of cells that DotAll reads (see
-	// bitPlanes). Maintained by ProgramVector and Reset; never read by the
-	// endurance or programming paths.
-	planes     bitPlanes
-	planeWords int // W = ⌈M/64⌉ words per plane
+	// operands holds the low 32 bits of every stored operand as the analog
+	// read observes it, vector-major (nvecs × dims): what DotAll sweeps.
+	// high holds the bits above 32, in the same layout, and is nil unless
+	// some observed operand has one — only a read-fault hook on a tile
+	// with cpo·h > 32 can raise an operand past its 32-bit programmed
+	// value. Both are maintained by ProgramVector, SetReadFault and Reset
+	// (observe), never read by the endurance or programming paths.
+	operands []uint32
+	high     []uint32
 
 	opBits int // bits per stored operand (0 until first program)
 	dims   int // dimensionality of stored vectors
@@ -101,36 +123,54 @@ type Crossbar struct {
 	// and drifted cells through this hook). Programming and endurance
 	// accounting always see the true cells.
 	readFault ReadFault
-	// faulted mirrors the levels readFault reports for the occupied cells,
-	// and is what DotAll reads while a hook is installed. Maintained by
-	// SetReadFault, ProgramVector and Reset alongside planes, so queries
-	// only ever read it; empty without a hook.
-	faulted bitPlanes
 }
 
 // ReadFault maps a programmed cell level to the level the analog read
 // actually observes. row/col are cell coordinates within the tile; the
 // returned level must stay within the cell's range [0, 2^CellBits).
-// The hook must be a pure function of its arguments: the word-parallel
-// read path materializes each faulted cell once, when the hook is
-// installed or the cell programmed, instead of once per compute cycle
-// (internal/fault's frozen fault maps satisfy this by construction).
+// The hook must be a pure function of its arguments: DotAll reads each
+// faulted cell as recombined when the hook was installed or the cell
+// programmed, not once per compute cycle (internal/fault's frozen fault
+// maps satisfy this by construction).
 type ReadFault func(row, col int, programmed uint16) uint16
 
 // SetReadFault installs (or, with nil, removes) the cell-read fault hook
-// and materializes what it makes of the cells programmed so far. Like
+// and recombines what it makes of the cells programmed so far. Like
 // programming, it must not run concurrently with queries.
 func (c *Crossbar) SetReadFault(f ReadFault) {
 	c.readFault = f
-	if f == nil {
-		c.faulted = bitPlanes{}
-		return
+	c.high = nil
+	c.observe(0)
+}
+
+// observe recombines the operands of vectors from..nvecs−1 from their
+// cells, through the read-fault hook when one is installed, into operands
+// and high. The S&A shift is the reference's: weight slice k of cpo weighs
+// 2^((cpo−1−k)·h).
+func (c *Crossbar) observe(from int) {
+	cpo := c.spec.CellsPerOperand(c.opBits)
+	h := uint(c.spec.CellBits)
+	if c.high != nil {
+		c.high = append(c.high, make([]uint32, len(c.operands)-len(c.high))...)
 	}
-	c.faulted = newBitPlanes(c.spec)
-	usedCols := c.nvecs * c.spec.CellsPerOperand(c.opBits)
-	for row := 0; row < c.dims; row++ {
-		for col := 0; col < usedCols; col++ {
-			c.faulted.set(row, col, f(row, col, c.cells[row*c.spec.M+col]))
+	for v := from; v < c.nvecs; v++ {
+		col0 := v * cpo
+		for row := 0; row < c.dims; row++ {
+			var op uint64
+			for k, level := range c.cells[row*c.spec.M+col0:][:cpo] {
+				if c.readFault != nil {
+					level = c.readFault(row, col0+k, level)
+				}
+				op = op<<h + uint64(level)
+			}
+			i := v*c.dims + row
+			c.operands[i] = uint32(op)
+			if c.high == nil && op>>32 != 0 {
+				c.high = make([]uint32, len(c.operands))
+			}
+			if c.high != nil {
+				c.high[i] = uint32(op >> 32)
+			}
 		}
 	}
 }
@@ -143,11 +183,9 @@ func New(spec Spec) *Crossbar {
 	}
 	n := spec.M * spec.M
 	return &Crossbar{
-		spec:       spec,
-		cells:      make([]uint16, n),
-		writes:     make([]uint32, n),
-		planes:     newBitPlanes(spec),
-		planeWords: spec.planeWords(),
+		spec:   spec,
+		cells:  make([]uint16, n),
+		writes: make([]uint32, n),
 	}
 }
 
@@ -164,7 +202,7 @@ func (c *Crossbar) Dims() int { return c.dims }
 // into the next free column group. All vectors programmed into one
 // crossbar must share dims and operandBits. Returns the write time in ns
 // (rows are written in parallel across the column group: one write op per
-// occupied row).
+// occupied row). A rejected vector writes no cell.
 func (c *Crossbar) ProgramVector(values []uint32, operandBits int) (float64, error) {
 	if len(values) == 0 || len(values) > c.spec.M {
 		return 0, fmt.Errorf("crossbar: vector of %d dims does not fit %d rows", len(values), c.spec.M)
@@ -181,24 +219,29 @@ func (c *Crossbar) ProgramVector(values []uint32, operandBits int) (float64, err
 		return 0, fmt.Errorf("crossbar: full (%d vectors of %d columns each)", c.nvecs, cpo)
 	}
 	maxVal := uint64(1)<<uint(operandBits) - 1
-	col0 := c.nvecs * cpo
-	for row, v := range values {
+	for _, v := range values {
 		if uint64(v) > maxVal {
 			return 0, fmt.Errorf("crossbar: value %d exceeds %d-bit operand", v, operandBits)
 		}
+	}
+	col0 := c.nvecs * cpo
+	for row, v := range values {
 		// MSB-first cell order, as in Fig 2's '25' → 01|10|01 example.
 		for k := 0; k < cpo; k++ {
 			shift := uint((cpo - 1 - k) * c.spec.CellBits)
-			cell := uint16(v >> shift & (1<<uint(c.spec.CellBits) - 1))
 			idx := row*c.spec.M + col0 + k
-			c.cells[idx] = cell
+			c.cells[idx] = uint16(v >> shift & (1<<uint(c.spec.CellBits) - 1))
 			c.writes[idx]++
-			c.setPlanes(row, col0+k, cell)
 		}
+	}
+	if c.nvecs == 0 {
+		c.operands = slices.Grow(c.operands[:0], c.spec.M/cpo*len(values))
 	}
 	c.opBits = operandBits
 	c.dims = len(values)
 	c.nvecs++
+	c.operands = append(c.operands, make([]uint32, len(values))...)
+	c.observe(c.nvecs - 1)
 	// One row-parallel write op per occupied row.
 	return float64(len(values)) * c.spec.WriteLatencyNs, nil
 }
@@ -211,10 +254,10 @@ func (c *Crossbar) ProgramVector(values []uint32, operandBits int) (float64, err
 // The computation is bit-exact: per cycle each column accumulates the
 // analog sum of inputSlice×cell products, the ADC digitizes it, and the
 // S&A circuit shifts partial results by the DAC width per input cycle and
-// by the cell width per weight-slice position. Internally the column sums
-// are evaluated word-parallel over bit planes (64 cells per uint64 op);
-// DotAllRef retains the cell-at-a-time form and the equivalence harness
-// pins the two bit-identical.
+// by the cell width per weight-slice position. Internally the sum is taken
+// over the observed operands (see the package comment); DotAllRef retains
+// the cell-at-a-time form and the equivalence harness pins the two
+// bit-identical.
 func (c *Crossbar) DotAll(input []uint32, inputBits int) ([]int64, int, error) {
 	out := make([]int64, c.nvecs)
 	cycles, err := c.DotAllInto(input, inputBits, out)
@@ -224,35 +267,26 @@ func (c *Crossbar) DotAll(input []uint32, inputBits int) ([]int64, int, error) {
 	return out, cycles, nil
 }
 
-// DotAllInto is DotAll writing into dst (len must be Vectors()); the
-// steady-state query path reuses dst and the pooled plane scratch, so a
-// warmed-up simulate-mode query performs no allocations. It is
-// Input.Slice followed by DotInputInto; a caller injecting one input into
-// several tiles does those two steps itself.
+// DotAllInto is DotAll writing into dst (len must be Vectors()); it
+// allocates nothing and only reads the crossbar, so any number of queries
+// may share a tile concurrently.
 func (c *Crossbar) DotAllInto(input []uint32, inputBits int, dst []int64) (int, error) {
-	in := inputPool.Get().(*Input)
-	defer inputPool.Put(in)
-	if err := in.Slice(c.spec, input, inputBits); err != nil {
+	if err := c.checkLayout(len(input)); err != nil {
 		return 0, err
 	}
-	return c.DotInputInto(in, dst)
-}
-
-// DotInputInto is DotAllInto for an input already validated and sliced
-// into bit planes. It only reads in, so one Input may be injected into
-// any number of tiles of the same height, concurrently.
-func (c *Crossbar) DotInputInto(in *Input, dst []int64) (int, error) {
-	if err := c.checkLayout(in.dims); err != nil {
+	if err := checkInput(input, inputBits); err != nil {
 		return 0, err
-	}
-	if in.words != c.planeWords {
-		return 0, fmt.Errorf("crossbar: input sliced for %d-word planes, crossbar has %d", in.words, c.planeWords)
 	}
 	if len(dst) != c.nvecs {
 		return 0, fmt.Errorf("crossbar: result buffer has %d slots, %d vectors programmed", len(dst), c.nvecs)
 	}
-	c.dotWordParallel(in, dst)
-	return c.spec.InputCycles(in.bits), nil
+	vec.IntDotRows(c.operands, c.dims, input, dst)
+	if c.high != nil {
+		for v := range dst {
+			dst[v] += vec.IntDot(c.high[v*c.dims:][:c.dims], input) << 32
+		}
+	}
+	return c.spec.InputCycles(inputBits), nil
 }
 
 // checkLayout validates a query's dimensionality against the programmed
@@ -267,35 +301,29 @@ func (c *Crossbar) checkLayout(dims int) error {
 	return nil
 }
 
-// checkInput validates an input vector against its declared width and
-// returns the OR of its values: bit b is set iff some value has bit b.
-func checkInput(input []uint32, inputBits int) (uint32, error) {
+// checkInput validates an input vector against its declared width.
+func checkInput(input []uint32, inputBits int) error {
 	if inputBits <= 0 || inputBits > 32 {
-		return 0, fmt.Errorf("crossbar: input width %d outside [1,32]", inputBits)
+		return fmt.Errorf("crossbar: input width %d outside [1,32]", inputBits)
 	}
-	var live uint32
+	maxVal := uint64(1)<<uint(inputBits) - 1
 	for _, v := range input {
-		live |= v
-	}
-	if maxVal := uint64(1)<<uint(inputBits) - 1; uint64(live) > maxVal {
-		for _, v := range input {
-			if uint64(v) > maxVal {
-				return 0, fmt.Errorf("crossbar: input value %d exceeds %d-bit width", v, inputBits)
-			}
+		if uint64(v) > maxVal {
+			return fmt.Errorf("crossbar: input value %d exceeds %d-bit width", v, inputBits)
 		}
 	}
-	return live, nil
+	return nil
 }
 
 // DotAllRef is the retained cell-at-a-time reference implementation of
 // DotAll — a direct transcription of the Fig 2/3 pipeline, kept as the
 // executable specification the kernel-equivalence tests and fuzzers pin
-// the word-parallel path against. It must never be optimized.
+// the operand sweep against. It must never be optimized.
 func (c *Crossbar) DotAllRef(input []uint32, inputBits int) ([]int64, int, error) {
 	if err := c.checkLayout(len(input)); err != nil {
 		return nil, 0, err
 	}
-	if _, err := checkInput(input, inputBits); err != nil {
+	if err := checkInput(input, inputBits); err != nil {
 		return nil, 0, err
 	}
 	cycles := c.spec.InputCycles(inputBits)
@@ -336,8 +364,7 @@ func (c *Crossbar) Reset() {
 	for i := range c.cells {
 		c.cells[i] = 0
 	}
-	c.planes.clear()
-	c.faulted.clear()
+	c.operands, c.high = c.operands[:0], nil
 	c.opBits, c.dims, c.nvecs = 0, 0, 0
 }
 

@@ -172,6 +172,38 @@ func TestProgramValidation(t *testing.T) {
 	}
 }
 
+// TestRejectedProgramLeavesNoTrace programs a vector whose last value is
+// too wide for its operand: the rejection must come before any cell is
+// written, so the next vector lands in a clean column group — its dot
+// reads what the reference reads — and the rejected rows cost no wear.
+func TestRejectedProgramLeavesNoTrace(t *testing.T) {
+	c := New(tinySpec())
+	if _, err := c.ProgramVector([]uint32{3, 3, 9}, 2); err == nil {
+		t.Fatal("value exceeding operand width must be rejected")
+	}
+	if c.Vectors() != 0 {
+		t.Fatalf("rejected vector counted: %d vectors", c.Vectors())
+	}
+	if _, err := c.ProgramVector([]uint32{0, 0, 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	input := []uint32{1, 1, 1}
+	want, _, err := c.DotAllRef(input, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.DotAll(input, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want[0] || got[0] != 1 {
+		t.Errorf("after a rejected program: dot %d, ref %d, want 1", got[0], want[0])
+	}
+	if st := c.Endurance(); st.MaxWrites != 1 || st.TotalWrites != 3 {
+		t.Errorf("rejected vector wore cells: %+v, want 3 cells written once", st)
+	}
+}
+
 func TestCrossbarFull(t *testing.T) {
 	c := New(tinySpec()) // 3 columns, 2-bit cells
 	// 4-bit operands need 2 cells → only 1 vector fits in 3 columns.

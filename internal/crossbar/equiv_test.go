@@ -15,7 +15,7 @@ func buildRandom(t testing.TB, spec Spec, rng *rand.Rand, nvecs, dims, opBits in
 }
 
 // buildRandomValues is buildRandom with values of only valueBits bits, so
-// the operand's cell planes above valueBits stay empty.
+// the operand's cell bits above valueBits stay empty.
 func buildRandomValues(t testing.TB, spec Spec, rng *rand.Rand, nvecs, dims, opBits, valueBits int) *Crossbar {
 	t.Helper()
 	c := New(spec)
@@ -32,12 +32,13 @@ func buildRandomValues(t testing.TB, spec Spec, rng *rand.Rand, nvecs, dims, opB
 	return c
 }
 
-// TestDotAllMatchesRef pins the word-parallel DotAll bit-identical to the
-// retained cell-at-a-time reference across a grid of geometries, operand
-// widths and edge sizes (1 dim, non-multiple-of-64 dims, full crossbars),
-// and over the shapes an occupancy skip can get wrong: operands wider than
-// their values (the FNN payload: 20-bit values in 32-bit operands), 1-bit
-// operands (HD), an all-zero input, and a lone live input bit at bit 31.
+// TestDotAllMatchesRef pins the operand sweep of DotAll bit-identical to
+// the retained cell-at-a-time reference across a grid of geometries,
+// operand widths and edge sizes (1 dim, odd dims, full crossbars), and
+// over operands wider than their values (the FNN payload: 20-bit values in
+// 32-bit operands), 1-bit operands (HD), an all-zero input, a lone input
+// bit at bit 31 and full 32-bit operands times full 32-bit inputs, whose
+// products wrap mod 2^64 in both.
 func TestDotAllMatchesRef(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
@@ -97,10 +98,10 @@ func TestDotAllMatchesRef(t *testing.T) {
 }
 
 // TestDotAllMatchesRefFaulted pins the equivalence with a read-fault hook
-// installed: the word-parallel path materializes faulted planes once per
-// call, the reference consults the hook per cycle; both must agree because
-// the hook is pure. M=96 walks 2-word planes (remainder words only), M=256
-// Table 5's 4-word block at the FNN dimensionality.
+// installed: DotAll recombines the faulted operands once, when the hook
+// goes in, the reference consults the hook per cycle; both must agree
+// because the hook is pure. M=96 at 77 dims leaves the sweep a ragged
+// tail, M=256 is Table 5 at the FNN dimensionality.
 func TestDotAllMatchesRefFaulted(t *testing.T) {
 	t.Parallel()
 	for _, g := range []struct{ m, dims int }{{96, 77}, {256, 210}} {
@@ -136,7 +137,7 @@ func TestDotAllMatchesRefFaulted(t *testing.T) {
 					t.Fatalf("faulted vec %d: dot %d, ref %d", v, got[v], want[v])
 				}
 			}
-			// Removing the hook must restore the clean planes exactly.
+			// Removing the hook must restore the clean operands exactly.
 			c.SetReadFault(nil)
 			clean, _, err := c.DotAllRef(input, 8)
 			if err != nil {
@@ -156,16 +157,14 @@ func TestDotAllMatchesRefFaulted(t *testing.T) {
 }
 
 // TestDotAllMatchesRefFaultedEmptyPlane installs a stuck-at-1 bit in a
-// cell plane that is empty as programmed (4-bit values in 8-bit operands
-// leave each vector's two high cells at level 0). The walk must take
-// occupancy from the planes the read observes: skipping by the programmed
-// planes drops the fault's contribution. The stuck bit also makes the
-// tile's count of occupied planes odd, so the walk's odd plane out is read
-// from the faulted planes. Both ways of getting there are pinned — hook
-// installed over programmed cells, and cells programmed (after a Reset)
-// under an installed hook — and removing the hook must empty the plane
-// again. M=96 has 2-word planes, M=256 Table 5's 4-word block, with the
-// stuck row in its last word.
+// cell that is empty as programmed (4-bit values in 8-bit operands leave
+// each vector's two high cells at level 0). The operand DotAll sweeps must
+// be recombined from the levels the read observes: the programmed value
+// drops the fault's contribution. Both ways of getting there are pinned —
+// hook installed over programmed cells, and cells programmed (after a
+// Reset) under an installed hook — and removing the hook must restore the
+// programmed operand. M=96 and M=256 (Table 5), the stuck row near the
+// end of each.
 func TestDotAllMatchesRefFaultedEmptyPlane(t *testing.T) {
 	t.Parallel()
 	for _, g := range []struct{ m, dims, row int }{{96, 77, 70}, {256, 210, 200}} {
@@ -235,9 +234,85 @@ func TestDotAllMatchesRefFaultedEmptyPlane(t *testing.T) {
 	}
 }
 
-// TestDotAllAfterReset verifies the bit planes are rebuilt correctly after
-// Reset + re-program (Reset must clear them or stale bits would corrupt
-// the word-parallel sums).
+// TestDotAllMatchesRefWideObservedOperand drives the high slab: with
+// h ∈ {3, 5, 7} a 32-bit operand spans 33 or 35 bits of cells, and a
+// stuck-at-max hook on every operand's most significant cell observes
+// more than 2^32. DotAll must still equal the reference, once with the
+// hook installed over programmed cells and once with vectors programmed
+// under it (after a Reset) where only vector 2 is stuck, so the slab is
+// allocated part-way through programming and grows after. Removing the
+// hook must drop the slab.
+func TestDotAllMatchesRefWideObservedOperand(t *testing.T) {
+	t.Parallel()
+	for _, h := range []int{3, 5, 7} {
+		t.Run(fmt.Sprintf("h=%d", h), func(t *testing.T) {
+			const nvecs, dims, opBits = 5, 50, 32
+			spec := Spec{M: 64, CellBits: h, DACBits: 2, ReadLatencyNs: 1, WriteLatencyNs: 1}
+			cpo := spec.CellsPerOperand(opBits)
+			maxLevel := uint16(1)<<uint(h) - 1
+			rng := rand.New(rand.NewSource(int64(h)))
+			input := make([]uint32, dims)
+			for i := range input {
+				input[i] = rng.Uint32()
+			}
+			mustMatchRef := func(c *Crossbar, what string, wide bool) {
+				t.Helper()
+				want, _, err := c.DotAllRef(input, 32)
+				if err != nil {
+					t.Fatalf("%s: DotAllRef: %v", what, err)
+				}
+				got, _, err := c.DotAll(input, 32)
+				if err != nil {
+					t.Fatalf("%s: DotAll: %v", what, err)
+				}
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("%s: vec %d: dot %d, ref %d", what, v, got[v], want[v])
+					}
+				}
+				if (c.high != nil) != wide {
+					t.Fatalf("%s: high slab present = %v, want %v", what, c.high != nil, wide)
+				}
+			}
+
+			c := buildRandom(t, spec, rng, nvecs, dims, opBits)
+			mustMatchRef(c, "clean", false)
+			c.SetReadFault(func(row, col int, level uint16) uint16 {
+				if col%cpo == 0 {
+					return maxLevel
+				}
+				return level
+			})
+			mustMatchRef(c, "every top cell stuck at max", true)
+			c.SetReadFault(nil)
+			mustMatchRef(c, "hook removed", false)
+
+			c.SetReadFault(func(row, col int, level uint16) uint16 {
+				if col == 2*cpo && row%3 == 0 {
+					return maxLevel
+				}
+				return level
+			})
+			c.Reset()
+			vals := make([]uint32, dims)
+			for v := 0; v < nvecs; v++ {
+				for i := range vals {
+					vals[i] = rng.Uint32()
+				}
+				if _, err := c.ProgramVector(vals, opBits); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustMatchRef(c, "vector 2 programmed under the hook", true)
+			c.SetReadFault(nil)
+			mustMatchRef(c, "hook removed again", false)
+		})
+	}
+}
+
+// TestDotAllAfterReset verifies the operands are rebuilt correctly after
+// Reset + re-program (Reset must drop them or the sweep would read the
+// old vector).
 func TestDotAllAfterReset(t *testing.T) {
 	t.Parallel()
 	spec := Spec{M: 8, CellBits: 2, DACBits: 2, ReadLatencyNs: 1, WriteLatencyNs: 1}
@@ -263,35 +338,37 @@ func TestDotAllAfterReset(t *testing.T) {
 	}
 }
 
-// FuzzCrossbarEquivalence drives random geometries (M up to 320, so planes
-// of up to five words: the walk's 4-word block and its remainder),
-// cell/DAC widths, operand widths, value widths and payload bytes through
-// both DotAll implementations and requires bit-identical dots and cycle
-// counts.
+// FuzzCrossbarEquivalence drives random geometries (M up to 320), cell/DAC
+// widths, operand widths, value widths, payload bytes and read faults
+// through both DotAll implementations and requires bit-identical dots and
+// cycle counts.
 func FuzzCrossbarEquivalence(f *testing.F) {
-	f.Add([]byte("0123456789abcdef0123456789abcdef"), []byte("fedcba98"), byte(2), byte(2), byte(8), byte(8), uint16(16), byte(0))
-	f.Add([]byte("00"), []byte("7"), byte(1), byte(1), byte(1), byte(1), uint16(4), byte(0))
-	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff"), []byte("\xff\xff"), byte(16), byte(16), byte(32), byte(32), uint16(8), byte(0))
-	f.Add([]byte("abcdefghij"), []byte("klm"), byte(3), byte(5), byte(7), byte(11), uint16(65), byte(0))
-	// Shapes an occupancy skip can get wrong. Payload byte p programs
-	// p·0x9e3779b1 cut to the operand: 0x00, 0xe9, 0x59, 0x22 and 0xb2 are
-	// the bytes that stay below 2^26, so the first seed is 32-bit operands
-	// whose high planes are empty. Query byte 0x00 is a zero input and 0x80
-	// the top bit alone of an 8-bit one. The last two are the HD shape
-	// (1-bit operands) and 70 dims on 2-word planes.
-	f.Add([]byte("\xe9\x59\x00\x22\xb2\xe9\x00\x00\x59\xb2\x22\xe9"), []byte("\xe9\x59\x22\xb2"), byte(1), byte(1), byte(31), byte(31), uint16(95), byte(0))
-	f.Add([]byte("0123456789ab"), []byte("\x00\x00\x00\x00"), byte(1), byte(1), byte(31), byte(31), uint16(95), byte(0))
-	f.Add([]byte("0123456789ab"), []byte("\x80\x00\x80\x80"), byte(1), byte(1), byte(7), byte(7), uint16(95), byte(0))
-	f.Add([]byte("0110100110010110"), []byte("\x01\x00\x01\x01"), byte(0), byte(0), byte(0), byte(0), uint16(63), byte(0))
-	f.Add(bytes.Repeat([]byte("0123456789"), 14), bytes.Repeat([]byte("abcdefg"), 10), byte(1), byte(1), byte(7), byte(7), uint16(95), byte(0))
-	// The 4-word block and its tail. The Table 5 FNN shape: M=256 (W=4, one
-	// block), h=2, d=210, 32-bit operands and inputs holding 20-bit values,
-	// sixteen vectors. M=257: a block plus a remainder word holding row 256
-	// alone. h=3: three planes to a column, so the walk has an odd plane out.
-	f.Add(bytes.Repeat([]byte("0123456789abcdefg"), 198)[:16*210], bytes.Repeat([]byte("fedcba9876543"), 17)[:210], byte(1), byte(1), byte(31), byte(31), uint16(255), byte(12))
-	f.Add(bytes.Repeat([]byte("0123456789abcdefg"), 46)[:3*257], bytes.Repeat([]byte("zyxwvutsrqponmlkj"), 16)[:257], byte(1), byte(1), byte(7), byte(7), uint16(256), byte(0))
-	f.Add(bytes.Repeat([]byte("abcdefghij"), 100), bytes.Repeat([]byte("0123456789"), 20), byte(2), byte(2), byte(8), byte(7), uint16(255), byte(0))
-	f.Fuzz(func(t *testing.T, payload, query []byte, hRaw, dacRaw, opRaw, inRaw byte, mRaw uint16, valRaw byte) {
+	f.Add([]byte("0123456789abcdef0123456789abcdef"), []byte("fedcba98"), byte(2), byte(2), byte(8), byte(8), uint16(16), byte(0), byte(0))
+	f.Add([]byte("00"), []byte("7"), byte(1), byte(1), byte(1), byte(1), uint16(4), byte(0), byte(0))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff"), []byte("\xff\xff"), byte(16), byte(16), byte(32), byte(32), uint16(8), byte(0), byte(0))
+	f.Add([]byte("abcdefghij"), []byte("klm"), byte(3), byte(5), byte(7), byte(11), uint16(65), byte(0), byte(0))
+	// Payload byte p programs p·0x9e3779b1 cut to the operand: 0x00, 0xe9,
+	// 0x59, 0x22 and 0xb2 are the bytes that stay below 2^26, so the first
+	// seed is 32-bit operands whose high cells are empty. Query byte 0x00 is
+	// a zero input and 0x80 the top bit alone of an 8-bit one. The last two
+	// are the HD shape (1-bit operands) and 70 dims.
+	f.Add([]byte("\xe9\x59\x00\x22\xb2\xe9\x00\x00\x59\xb2\x22\xe9"), []byte("\xe9\x59\x22\xb2"), byte(1), byte(1), byte(31), byte(31), uint16(95), byte(0), byte(0))
+	f.Add([]byte("0123456789ab"), []byte("\x00\x00\x00\x00"), byte(1), byte(1), byte(31), byte(31), uint16(95), byte(0), byte(0))
+	f.Add([]byte("0123456789ab"), []byte("\x80\x00\x80\x80"), byte(1), byte(1), byte(7), byte(7), uint16(95), byte(0), byte(0))
+	f.Add([]byte("0110100110010110"), []byte("\x01\x00\x01\x01"), byte(0), byte(0), byte(0), byte(0), uint16(63), byte(0), byte(0))
+	f.Add(bytes.Repeat([]byte("0123456789"), 14), bytes.Repeat([]byte("abcdefg"), 10), byte(1), byte(1), byte(7), byte(7), uint16(95), byte(0), byte(0))
+	// The Table 5 FNN shape: M=256, h=2, d=210, 32-bit operands and inputs
+	// holding 20-bit values, sixteen vectors. M=257: row 256 alone past
+	// 256. h=3: three bits to a cell.
+	f.Add(bytes.Repeat([]byte("0123456789abcdefg"), 198)[:16*210], bytes.Repeat([]byte("fedcba9876543"), 17)[:210], byte(1), byte(1), byte(31), byte(31), uint16(255), byte(12), byte(0))
+	f.Add(bytes.Repeat([]byte("0123456789abcdefg"), 46)[:3*257], bytes.Repeat([]byte("zyxwvutsrqponmlkj"), 16)[:257], byte(1), byte(1), byte(7), byte(7), uint16(256), byte(0), byte(0))
+	f.Add(bytes.Repeat([]byte("abcdefghij"), 100), bytes.Repeat([]byte("0123456789"), 20), byte(2), byte(2), byte(8), byte(7), uint16(255), byte(0), byte(0))
+	// Read faults: the FNN shape under a hook installed after programming,
+	// and h=3 32-bit operands programmed under one, whose stuck-at-max top
+	// cells observe operands past 2^32 (the high slab).
+	f.Add(bytes.Repeat([]byte("0123456789abcdefg"), 198)[:16*210], bytes.Repeat([]byte("fedcba9876543"), 17)[:210], byte(1), byte(1), byte(31), byte(31), uint16(255), byte(12), byte(2))
+	f.Add(bytes.Repeat([]byte("abcdefghij"), 60), bytes.Repeat([]byte("0123456789"), 6), byte(2), byte(1), byte(31), byte(31), uint16(99), byte(0), byte(7))
+	f.Fuzz(func(t *testing.T, payload, query []byte, hRaw, dacRaw, opRaw, inRaw byte, mRaw uint16, valRaw, faultRaw byte) {
 		h := int(hRaw)%16 + 1
 		dac := int(dacRaw)%16 + 1
 		opBits := int(opRaw)%32 + 1
@@ -319,7 +396,29 @@ func FuzzCrossbarEquivalence(f *testing.F) {
 		if nvecs == 0 {
 			return
 		}
+		// faultRaw selects a read fault: 0 none, otherwise a pure hook that
+		// sticks some cells at the maximum level or at 0 and flips low bits
+		// of others, installed before programming when odd, after when even.
+		var hook ReadFault
+		if faultRaw != 0 {
+			maxLevel := uint16(1)<<uint(h) - 1
+			sel := int(faultRaw)
+			hook = func(row, col int, level uint16) uint16 {
+				switch (row*31 + col*17 + sel) % 7 {
+				case 0:
+					return maxLevel
+				case 1:
+					return 0
+				case 2:
+					return level ^ uint16(sel)&maxLevel
+				}
+				return level
+			}
+		}
 		c := New(spec)
+		if faultRaw%2 == 1 {
+			c.SetReadFault(hook)
+		}
 		vals := make([]uint32, dims)
 		for v := 0; v < nvecs; v++ {
 			for i := range vals {
@@ -328,6 +427,9 @@ func FuzzCrossbarEquivalence(f *testing.F) {
 			if _, err := c.ProgramVector(vals, opBits); err != nil {
 				t.Fatalf("ProgramVector: %v", err)
 			}
+		}
+		if faultRaw%2 == 0 {
+			c.SetReadFault(hook)
 		}
 		input := make([]uint32, dims)
 		for i := range input {
@@ -346,8 +448,8 @@ func FuzzCrossbarEquivalence(f *testing.F) {
 		}
 		for v := range want {
 			if got[v] != want[v] {
-				t.Fatalf("m=%d h=%d dac=%d op=%d in=%d dims=%d vec %d: dot %d, ref %d",
-					m, h, dac, opBits, inBits, dims, v, got[v], want[v])
+				t.Fatalf("m=%d h=%d dac=%d op=%d in=%d dims=%d fault=%d vec %d: dot %d, ref %d",
+					m, h, dac, opBits, inBits, dims, faultRaw, v, got[v], want[v])
 			}
 		}
 	})

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// TestScratchPoolConcurrent hammers the shared input-plane pool from many
-// goroutines, two to a crossbar (the serve layer's shard workers share an
-// engine's tiles exactly so), every other crossbar under a read-fault
-// hook. Run under -race it proves pooled scratch is never shared between
-// in-flight queries and that queries only read a crossbar — its planes
-// and the faulted ones materialized when the hook went in; the result
-// check proves buffers are re-zeroed correctly on reuse.
+// TestScratchPoolConcurrent hammers DotAllInto from many goroutines, two
+// to a crossbar (the serve layer's shard workers share an engine's tiles
+// exactly so), every other crossbar under a read-fault hook. Run under
+// -race it proves queries only read a crossbar — its operands, faulted
+// ones recombined when the hook went in; the result check proves every
+// call overwrites its whole result buffer.
 func TestScratchPoolConcurrent(t *testing.T) {
 	t.Parallel()
 	spec := Spec{M: 96, CellBits: 2, DACBits: 2, ReadLatencyNs: 1, WriteLatencyNs: 1}

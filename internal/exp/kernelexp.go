@@ -59,14 +59,15 @@ func ExtKernels(s *Suite) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 
-	// Word-parallel bit-plane crossbar vs cell-at-a-time reference, on the
-	// paper's Table 5 geometry (M=256, 2-bit cells, 2-bit DACs). Dense
-	// 8-bit operands occupy every bit plane. The HD decomposition shape
-	// (Table 4) has 1-bit operands and input: one cell per operand, and the
-	// planes collapse to a single AND+popcount per 64 cells. The FNN
+	// The crossbar's operand sweep (one integer dot per vector over the
+	// operands the tile's read observes) vs the cell-at-a-time reference,
+	// on the paper's Table 5 geometry (M=256, 2-bit cells, 2-bit DACs).
+	// Dense 8-bit operands take four cells each. The HD decomposition shape
+	// (Table 4) has 1-bit operands and input: one cell per operand, so the
+	// reference does least there and the sweep's lead is smallest. The FNN
 	// payload shape is 32-bit operands holding 20-bit ⌊α·µ⌋ values at
-	// s=210: 12 of the 32 planes on either side are empty and the
-	// word-parallel walk skips them, the reference cannot.
+	// s=210: sixteen cells and sixteen input cycles per operand for the
+	// reference, one multiply-add for the sweep.
 	spec := crossbar.Spec{M: 256, CellBits: 2, DACBits: 2, ReadLatencyNs: 29.31, WriteLatencyNs: 50.88}
 	for _, sh := range []struct {
 		name                    string

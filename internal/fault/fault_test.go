@@ -68,9 +68,10 @@ func TestExactMatchesSimulate(t *testing.T) {
 		alpha     float64 // values are ⌊alpha·u⌋, u uniform in [0,1), cut to opBits
 	}
 	// 40 dims > M → ≥ 2 chunks per group; 37 vectors → ≥ 2 groups at every
-	// width. Quantizer scale × operand width moves the payload from all
-	// planes empty as programmed (α = 1: only stuck-at-1 and drifted cells
-	// occupy any) through 20-bit values in 32-bit operands to all occupied.
+	// width. Quantizer scale × operand width moves the payload from cells
+	// almost all empty as programmed (α = 1: only stuck-at-1 and drifted
+	// cells raise an operand) through 20-bit values in 32-bit operands to
+	// every cell bit in use.
 	shapes := []shape{{16, testOpBits, 1 << testOpBits}}
 	for _, opBits := range []int{8, 20, 32} {
 		for _, alpha := range []float64{1, 1e3, 1e6} {

@@ -23,8 +23,11 @@ const (
 	// DotRows then computes only the ones a caller still needs.
 	ModeExact Mode = iota
 	// ModeSimulate routes every dot product through the bit-sliced
-	// functional crossbar simulator, allocating real crossbar tiles.
-	// Intended for verification and small demos.
+	// functional crossbar simulator, allocating real crossbar tiles: each
+	// tile answers with one integer sweep over the operands its analog
+	// read observes (read-fault hook included), pinned bit-identical to
+	// the cell-at-a-time pipeline (crossbar.DotAllRef). Intended for
+	// verification and small demos.
 	ModeSimulate
 )
 
@@ -413,10 +416,8 @@ func (e *Engine) sweep(p *Payload, input []uint32, dst []int64) (out []int64, fa
 	return dst, faulty, recovered, nil
 }
 
-// simScratch is simulateQuery's per-call scratch: the sliced input of the
-// dimension chunk in flight and one tile's partial dots.
+// simScratch is simulateQuery's per-call scratch: one tile's partial dots.
 type simScratch struct {
-	in   crossbar.Input
 	part []int64
 }
 
@@ -425,10 +426,11 @@ type simScratch struct {
 // buffer.
 var simPool = sync.Pool{New: func() any { return new(simScratch) }}
 
-// simulateQuery runs the query through the functional crossbar tiles. A
-// dimension chunk of the input is validated and sliced into bit planes
-// once, then injected into every group's tile of that chunk; dst
-// accumulates the chunk partials (the gather crossbars' summation).
+// simulateQuery runs the query through the functional crossbar tiles: a
+// dimension chunk of the input is injected into every group's tile of
+// that chunk (crossbar.DotAllInto, one integer sweep over the operands the
+// tile's read observes), and dst accumulates the chunk partials (the
+// gather crossbars' summation).
 func (e *Engine) simulateQuery(p *Payload, input []uint32, dst []int64) error {
 	spec := e.cfg.Crossbar
 	sc := simPool.Get().(*simScratch)
@@ -439,16 +441,13 @@ func (e *Engine) simulateQuery(p *Payload, input []uint32, dst []int64) error {
 	for c := 0; c < p.chunks; c++ {
 		lo := c * spec.M
 		hi := minInt(lo+spec.M, p.Dims)
-		if err := sc.in.Slice(spec, input[lo:hi], p.OpBits); err != nil {
-			return fmt.Errorf("pim: querying payload %q chunk %d: %w", p.Name, c, err)
-		}
 		for g, tiles := range p.xbars {
 			xb := tiles[c]
 			if cap(sc.part) < xb.Vectors() {
 				sc.part = make([]int64, xb.Vectors())
 			}
 			part := sc.part[:xb.Vectors()]
-			if _, err := xb.DotInputInto(&sc.in, part); err != nil {
+			if _, err := xb.DotAllInto(input[lo:hi], p.OpBits, part); err != nil {
 				return fmt.Errorf("pim: querying payload %q group %d chunk %d: %w", p.Name, g, c, err)
 			}
 			base := g * p.perGroup

@@ -179,9 +179,9 @@ func TestEngineExactMatchesSimulate(t *testing.T) {
 		check(smallCfg(), 1+rng.Intn(40), 1+rng.Intn(30), 256)
 	}
 	// Quantizer scale × operand width, always over ≥ 2 groups and ≥ 2
-	// chunks: one sliced input per chunk is shared by every group's tile,
-	// and the payloads range from all planes empty (α = 1) through the
-	// FNN shape (20-bit values in 32-bit operands) to every plane occupied
+	// chunks: one input chunk is injected into every group's tile, and the
+	// payloads range from almost all cells empty (α = 1) through the FNN
+	// shape (20-bit values in 32-bit operands) to every cell bit in use
 	// (α beyond the operand width).
 	for _, opBits := range []int{8, 20, 32} {
 		for _, alpha := range []float64{1, 1e3, 1e6} {

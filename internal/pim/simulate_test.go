@@ -42,9 +42,9 @@ func visitShape(tb testing.TB) (*Engine, [2]*Payload, []uint32) {
 }
 
 // TestSimulateQueryZeroAllocs pins the simulate-mode query path's
-// steady state: once the pooled scratch (the sliced input's packed planes
-// and the tile partials) has grown, a QueryAll over a two-chunk payload
-// allocates nothing, and its dots are still the host's.
+// steady state: once the pooled tile partials have grown, a QueryAll over
+// a two-chunk payload allocates nothing, and its dots are still the
+// host's.
 func TestSimulateQueryZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch")
@@ -70,7 +70,7 @@ func TestSimulateQueryZeroAllocs(t *testing.T) {
 
 // BenchmarkSimulateQuery times one cluster-xbar shard visit's PIM passes
 // in simulate mode: QueryAll over the mu and the sigma payload, each two
-// chunks of one 256-row crossbar, so four bit-plane walks per op.
+// chunks of one 256-row crossbar, so four tile sweeps per op.
 //
 //	go test ./internal/pim -run '^$' -bench SimulateQuery -benchmem
 func BenchmarkSimulateQuery(b *testing.B) {

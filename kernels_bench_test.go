@@ -1,7 +1,7 @@
 // Kernel-layer microbenchmarks: the optimized hot-path kernels against
 // their retained scalar references, with allocation reporting. The CI
 // bench-smoke step runs these and fails if any steady-state path
-// (wordparallel crossbar dot, SearchAppend, KNNRow) reports a nonzero
+// (the crossbar's operand sweep, SearchAppend, KNNRow) reports a nonzero
 // allocs/op — the executable form of the zero-alloc contract that the
 // AllocsPerRun tests pin per package.
 //
@@ -24,11 +24,12 @@ import (
 )
 
 // BenchmarkCrossbarDot compares the cell-at-a-time reference against the
-// word-parallel bit-plane kernel on the paper's Table 5 geometry, once
-// with every bit plane occupied (dense 8-bit operands) and once on the
-// FNN payload shape: 32-bit operands holding 20-bit ⌊α·µ⌋ values at
-// d=210, where the kernel skips the 12 empty planes on either side. The
-// wordparallel cases must stay at 0 allocs/op (pooled scratch).
+// operand sweep (one vec.IntDotRows over the tile's observed operands) on
+// the paper's Table 5 geometry, once with dense 8-bit operands and once on
+// the FNN payload shape: 32-bit operands holding 20-bit ⌊α·µ⌋ values at
+// d=210, sixteen cells per operand that the reference walks one at a time
+// and the sweep reads as one integer. The sweep cases must stay at 0
+// allocs/op.
 func BenchmarkCrossbarDot(b *testing.B) {
 	spec := crossbar.Spec{M: 256, CellBits: 2, DACBits: 2, ReadLatencyNs: 29.31, WriteLatencyNs: 50.88}
 	for _, shape := range []struct {
@@ -63,12 +64,8 @@ func BenchmarkCrossbarDot(b *testing.B) {
 				}
 			}
 		})
-		b.Run("wordparallel"+shape.suffix, func(b *testing.B) {
-			if _, err := xb.DotAllInto(input, shape.opBits, dst); err != nil {
-				b.Fatal(err) // warm the scratch pool before counting
-			}
+		b.Run("sweep"+shape.suffix, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := xb.DotAllInto(input, shape.opBits, dst); err != nil {
 					b.Fatal(err)

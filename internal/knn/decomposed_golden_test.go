@@ -22,11 +22,11 @@ import (
 )
 
 // TestDecomposedTranscript is cascade.golden's twin for everything PR 19
-// left outside the cascade: the CS/PCC, LEMP, HD, Approx-PIM and
-// Dynamic-PIM searchers, k-means' PIM assist and the framework's §V-D
-// pipeline. Same line format, same -update flag. The golden was written
-// by the hand-written scan loops those searchers used to own (one per
-// file) and is committed unchanged by the refactor that turns them into
+// left outside the cascade: the CS/PCC, LEMP, HD and Approx-PIM
+// searchers, k-means' PIM assist and the framework's §V-D pipeline. Same
+// line format, same -update flag. The golden was written by the
+// hand-written scan loops those searchers used to own (one per file) and
+// is committed unchanged by the refactor that turns them into
 // stage lists — a diff here means the one walk no longer computes what
 // the six loops did. Every searcher is asked for by its concrete
 // constructor, never through a type assertion, so a capability the
@@ -55,7 +55,6 @@ func TestDecomposedTranscript(t *testing.T) {
 		approxTranscript(t, &b, ds.label, ds.data, ds.queries, q)
 	}
 	hdTranscript(t, &b)
-	dynamicTranscript(t, &b, q)
 	assistTranscript(t, &b, q)
 	frameworkTranscript(t, &b, "test-300x64", test.X, test.Queries(5, 43), test.X.N)
 	frameworkTranscript(t, &b, "msd-500x420", msd.X, msd.Queries(3, 8), msdProf.FullN/4)
@@ -204,35 +203,6 @@ func hdTranscript(t *testing.T, b *strings.Builder) {
 			writeQuery(b, qi, func(m *arch.Meter) []vec.Neighbor { return hp.Search(qc, transcriptK, m) })
 		}
 	}
-}
-
-// dynamicTranscript covers search → Add → search → RecordInsertCost.
-func dynamicTranscript(t *testing.T, b *strings.Builder, q quant.Quantizer) {
-	t.Helper()
-	prof := dataset.Profile{Name: "dyn", FullN: 600, D: 48, Clusters: 8, Correlation: 0.8, Spread: 0.1}
-	all := dataset.Generate(prof, 600, 55)
-	queries := all.Queries(3, 56)
-	dyn, err := knn.NewDynamicPIM(newEngine(t), all.X.Slice(0, 250), q, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(b, "== dyn-600x48 %s\n", dyn.Name())
-	search := func() {
-		fmt.Fprintf(b, "len %d headroom %d\n", dyn.Len(), dyn.Headroom())
-		for qi := 0; qi < queries.N; qi++ {
-			writeQuery(b, qi, func(m *arch.Meter) []vec.Neighbor { return dyn.Search(queries.Row(qi), transcriptK, m) })
-		}
-	}
-	search()
-	for _, cut := range [][2]int{{250, 251}, {251, 600}} {
-		if err := dyn.Add(all.X.Slice(cut[0], cut[1])); err != nil {
-			t.Fatal(err)
-		}
-		search()
-	}
-	m := arch.NewMeter()
-	dyn.RecordInsertCost(m)
-	writeMeter(b, "insert", m)
 }
 
 // assistTranscript covers k-means' LB_PIM-ED assist outside any

@@ -49,12 +49,8 @@ func (st *Store) Stats() Stats {
 	return out
 }
 
-// NeedsCompaction reports whether any compaction trigger has tripped:
+// needsCompaction reports whether any compaction trigger has tripped:
 // delta fill, tombstone ratio, or modeled per-query delta cost.
-func (st *Store) NeedsCompaction() bool {
-	return st.needsCompaction(st.snap.Load())
-}
-
 func (st *Store) needsCompaction(sn *snapshot) bool {
 	if len(sn.deltaIDs) >= st.opts.MaxDelta {
 		return true

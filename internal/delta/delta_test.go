@@ -255,7 +255,7 @@ func TestStoreEpochAdvances(t *testing.T) {
 // store visit allocates exactly what its base searcher does — ids are
 // translated in place on the searcher's own result.
 func TestSearchAddsNoAllocation(t *testing.T) {
-	t.Parallel()
+	// Not parallel: AllocsPerRun counts every goroutine's mallocs.
 	rng := rand.New(rand.NewSource(5))
 	var base knn.Searcher
 	ids := make([]int, 64) // a placed shard's ascending, gapped id directory

@@ -159,14 +159,13 @@ type tile struct {
 // payloadFaults is the per-payload fault state.
 type payloadFaults struct {
 	seed    uint64
-	covered int                // groups with derived tiles so far
 	tiles   map[[2]int]*tile   // (group, chunk) → map
 	vecs    map[int][]vecFault // vector index → its faulty cells
 	deadGrp map[int]bool       // groups containing a dead tile
 }
 
 // Injector implements pim.FaultInjector for one engine. Safe for
-// concurrent use: Attach extends state under a write lock, query-path
+// concurrent use: Attach adds a payload under a write lock, query-path
 // reads take a read lock.
 type Injector struct {
 	model    Model
@@ -197,36 +196,29 @@ func NewInjector(m Model, spec crossbar.Spec) (*Injector, error) {
 // Model returns the fault model in effect.
 func (in *Injector) Model() Model { return in.model }
 
-// Attach implements pim.FaultInjector: it derives fault maps for every
-// tile covering the payload's current N that is not yet mapped. Extension
-// is append-only — earlier tiles keep their faults — so re-attaching
-// after an append never rewrites history, mirroring how real cell defects
-// are discovered once and remembered.
+// Attach implements pim.FaultInjector: it derives the fault map of every
+// tile covering the payload, once, when the payload is programmed —
+// mirroring how real cell defects are discovered once and remembered.
 func (in *Injector) Attach(p *pim.Payload) error {
 	perGroup, chunks := p.Layout()
 	if perGroup <= 0 {
 		return fmt.Errorf("fault: payload %q has no tile layout", p.Name)
 	}
+	pf := &payloadFaults{
+		seed:    splitmix(uint64(in.model.Seed) ^ hashString(p.Name)),
+		tiles:   make(map[[2]int]*tile),
+		vecs:    make(map[int][]vecFault),
+		deadGrp: make(map[int]bool),
+	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	pf := in.payloads[p.Name]
-	if pf == nil {
-		pf = &payloadFaults{
-			seed:    splitmix(uint64(in.model.Seed) ^ hashString(p.Name)),
-			tiles:   make(map[[2]int]*tile),
-			vecs:    make(map[int][]vecFault),
-			deadGrp: make(map[int]bool),
-		}
-		in.payloads[p.Name] = pf
-	}
-	groups := p.Groups()
 	cpo := in.spec.CellsPerOperand(p.OpBits)
-	for g := pf.covered; g < groups; g++ {
+	for g := 0; g < p.Groups(); g++ {
 		for c := 0; c < chunks; c++ {
 			in.deriveTile(pf, p, g, c, perGroup, cpo)
 		}
 	}
-	pf.covered = groups
+	in.payloads[p.Name] = pf
 	return nil
 }
 

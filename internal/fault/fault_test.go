@@ -294,67 +294,6 @@ func TestZeroModelIsTransparent(t *testing.T) {
 	}
 }
 
-// TestAppendExtendsFaultMaps: growing an appendable payload keeps the
-// exact/simulate differential property — the injector extends its fault
-// maps over fresh tiles without rewriting existing ones.
-func TestAppendExtendsFaultMaps(t *testing.T) {
-	cfg := testConfig()
-	const dims, n0, extra = 16, 3, 9 // perGroup = 4 → append crosses groups
-	rng := rand.New(rand.NewSource(31))
-	rows := randomRows(rng, n0+extra, dims)
-	model := heavyModel(13)
-
-	type built struct {
-		eng *pim.Engine
-		ap  *pim.AppendablePayload
-	}
-	b := map[string]built{}
-	for name, mode := range map[string]pim.Mode{"exact": pim.ModeExact, "simulate": pim.ModeSimulate} {
-		inj, err := fault.NewInjector(model, cfg.Crossbar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := pim.NewFaultyEngine(cfg, mode, inj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ap, err := eng.ProgramAppendable("test/append", n0, n0+extra, dims, 1, testOpBits, func(i int) []uint32 {
-			return rows[i*dims : (i+1)*dims]
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ap.Append(extra, func(i int) []uint32 {
-			return rows[i*dims : (i+1)*dims]
-		}); err != nil {
-			t.Fatal(err)
-		}
-		b[name] = built{eng, ap}
-	}
-
-	input := randomRows(rng, 1, dims)
-	var exact, sim []int64
-	for name, bb := range b {
-		dst, err := bb.ap.QueryAll(arch.NewMeter(), arch.FuncED, input, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "exact" {
-			exact = append([]int64(nil), dst...)
-		} else {
-			sim = append([]int64(nil), dst...)
-		}
-	}
-	if len(exact) != n0+extra {
-		t.Fatalf("got %d dots, want %d", len(exact), n0+extra)
-	}
-	for i := range exact {
-		if exact[i] != sim[i] {
-			t.Fatalf("vector %d after append: exact %d != simulate %d", i, exact[i], sim[i])
-		}
-	}
-}
-
 func TestModelValidate(t *testing.T) {
 	bad := []fault.Model{
 		{StuckAt0: -0.1},

@@ -131,6 +131,24 @@ func TestAcceleratedVariantsComputeFewerDistances(t *testing.T) {
 	}
 }
 
+// The host Lloyd computes every (point, center) distance once an
+// iteration: n·k exact distances, no more, whatever the assignments do.
+func TestLloydCountsEveryDistance(t *testing.T) {
+	data := testData(t, 300, 16)
+	initial, err := InitCenters(data, 12, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := arch.NewMeter()
+	res := NewLloyd(data).Run(initial, 50, m)
+	if res.Iterations < 2 {
+		t.Fatalf("ran %d iterations: no assignment moved", res.Iterations)
+	}
+	if got, want := m.Get(arch.FuncED).Calls, int64(res.Iterations)*int64(data.N)*12; got != want {
+		t.Fatalf("%d iterations computed %d exact distances, want n·k·iterations = %d", res.Iterations, got, want)
+	}
+}
+
 // Elkan's bound maintenance is heavy (k bounds per point); Yinyang's is
 // light (k/10 groups). The meters must reflect that ordering — it drives
 // the paper's observation that Elkan-PIM barely helps.

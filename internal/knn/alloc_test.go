@@ -75,11 +75,13 @@ func searchersUnderTest(t *testing.T) []AppendSearcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := NewDynamicPIM(eng, data, q, data.N+10)
+	// One segment per dimension: LB_PIM-ED over the full rows. Its payload
+	// takes the SM-PIM name, so it needs an engine of its own.
+	smFull, err := NewSMPIM(newEngine(t), data, q, data.D, data.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []AppendSearcher{std, ost, sm, fnn, stdPIM, smPIM, ostPIM, fnnPIM, fnnPIMOpt, csPIM, pccPIM, lemp, approx, dyn}
+	return []AppendSearcher{std, ost, sm, fnn, stdPIM, smPIM, ostPIM, fnnPIM, fnnPIMOpt, csPIM, pccPIM, lemp, approx, smFull}
 }
 
 // TestHDSearchAppendZeroAllocs is TestSearchAppendZeroAllocs for the one

@@ -65,8 +65,8 @@ type exactStep struct {
 // OST, SM and FNN are cascades of host bounds refined with exact ED; the
 // *-PIM searchers replace the bottleneck (coarsest) bound by its PIM-aware
 // form, which is placed first because the array evaluates it for all
-// objects in one batch; the CS/PCC, HD, Approx-PIM and Dynamic-PIM
-// searchers are the same walk with another exact step (or none).
+// objects in one batch; the CS/PCC, HD and Approx-PIM searchers are the
+// same walk with another exact step (or none).
 //
 // The walk does not consume that batch one object at a time against a
 // threshold that starts at +Inf: Fig 12a's loop spends its first k objects,
@@ -297,7 +297,6 @@ func (c *Cascade) walk(sp *obs.Span, k int, ceiling float64, meter *arch.Meter, 
 // pruned its exact bound. A pass that would list more than n/tightenShare
 // rows is replaced by the stage's sweep and the exact column.
 func (c *Cascade) seedAndScan(be *obs.Span, k int) {
-	c.column = vec.Resized(c.column, c.n) // the index may have grown (DynamicPIM.Add)
 	col := c.column
 	var t0 time.Time
 	if c.timed {
@@ -305,7 +304,7 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 	}
 	c.stages[0].lbInto(col)
 	lazy := c.lazy
-	if lazy != nil && lazy.begin(c.n, c.timed) && (k > c.n/tightenShare || !c.tightenSeeds(col, k, c.ceil)) {
+	if lazy != nil && lazy.begin(c.timed) && (k > c.n/tightenShare || !c.tightenSeeds(col, k, c.ceil)) {
 		lazy.sweepColumn(col, exitTheta)
 	}
 	var columnDur time.Duration

@@ -19,7 +19,7 @@ import (
 // discarded without touching its vector and results stay exact. It is the
 // filter of every mining task that consults LB_PIM-ED before an exact
 // distance (outlier, join, dbscan, motif, k-means), and the same Table 4
-// row the SM-PIM, OST-PIM and Dynamic-PIM cascades walk (edStage).
+// row the SM-PIM and OST-PIM cascades walk (edStage).
 //
 // A nil *EDFilter is the host-only path: Prepare does nothing, LB never
 // prunes and RecordCosts charges the exact distances alone, so a task is

@@ -13,9 +13,9 @@
 // maximum-similarity scans (Fig 13d).
 //
 // Every filter-and-refine search is one loop. Each variant above — the ED
-// family, the CS/PCC searchers, HD-PIM, Approx-PIM, Dynamic-PIM — is a
-// Cascade (cascade.go): a name, an ordered list of stages — the execution
-// plan of §V-D, which FromPlan compiles directly (fromplan.go) — and an
+// family, the CS/PCC searchers, HD-PIM and Approx-PIM — is a Cascade
+// (cascade.go): a name, an ordered list of stages — the execution plan of
+// §V-D, which FromPlan compiles directly (fromplan.go) — and an
 // exact step for the survivors (ED, −CS, −PCC, Hamming, or none where the
 // last stage's value is the answer); that one loop owns the spans, the
 // per-stage counts, the modeled costs and LastStages.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pimmine/internal/arch"
-	"pimmine/internal/vec"
 )
 
 // lazyStage is a first stage that need not run its array pass to start the
@@ -81,15 +80,14 @@ func newLazyWalk(first stage, n int) *lazyWalk {
 	return &lazyWalk{lazyStage: ls, tight: make([]uint64, (n+63)/64), rows: make([]int, 0, n/tightenShare)}
 }
 
-// begin starts the walk of a prepared query over n objects, timing its
-// tighten passes when timed, and reports whether its column is loose.
-func (w *lazyWalk) begin(n int, timed bool) bool {
+// begin starts the walk of a prepared query, timing its tighten passes
+// when timed, and reports whether its column is loose.
+func (w *lazyWalk) begin(timed bool) bool {
 	w.exit, w.nLoose, w.nTight, w.timed, w.tightenDur = exitEager, 0, 0, timed, 0
 	if !w.isLoose() {
 		return false
 	}
 	w.exit = exitLazy
-	w.tight = vec.Resized(w.tight, (n+63)/64) // the index may have grown
 	clear(w.tight)
 	return true
 }

@@ -27,20 +27,18 @@ func dropLazy(t *testing.T, c *Cascade) {
 		s.lazy = false
 	case *edStage:
 		s.lazy = false
-	case *edRow:
-		s.lazy = false
 	default:
 		t.Fatalf("%s: lazy stage of type %T has no row in dropLazy", c.name, s)
 	}
 	c.lazy = nil
 }
 
-// lazyBuilds are the five constructors whose first stage turns lazy.
-// Dynamic-PIM is built over the first three quarters of the rows and given
-// the rest one row, then all the others, at a time. OST-PIM comes a second
-// time with a four-dimension head: a bound that orders the rows but lies
-// far below their distances, so few rows reach θ and many reach τ — the
-// one way a search gets to the sweep after seeding.
+// lazyBuilds are the four constructors whose first stage turns lazy.
+// SM-PIM comes a second time at one segment per dimension, LB_PIM-ED over
+// the full rows. OST-PIM comes a second time with a four-dimension head: a
+// bound that orders the rows but lies far below their distances, so few
+// rows reach θ and many reach τ — the one way a search gets to the sweep
+// after seeding.
 var lazyBuilds = []struct {
 	name  string
 	build func(eng *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error)
@@ -61,19 +59,12 @@ var lazyBuilds = []struct {
 	{"OST-PIM head 4", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
 		return NewOSTPIM(e, data, defaultQuant(t), 4, data.N)
 	}},
-	{"Dynamic-PIM", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
-		head := data.Slice(0, 3*data.N/4)
-		dyn, err := NewDynamicPIM(e, head, defaultQuant(t), data.N)
-		if err != nil {
-			return nil, err
+	{"SM-PIM full", func(e *pim.Engine, data *vec.Matrix, prof dataset.Profile, t *testing.T) (*Cascade, error) {
+		c, err := NewSMPIM(e, data, defaultQuant(t), data.D, data.N)
+		if err == nil && c.S() != data.D {
+			t.Fatalf("SM-PIM at %d dims shrank to %d segments", data.D, c.S())
 		}
-		if err := dyn.Add(data.Slice(head.N, head.N+1)); err != nil {
-			return nil, err
-		}
-		if err := dyn.Add(data.Slice(head.N+1, data.N)); err != nil {
-			return nil, err
-		}
-		return dyn.Cascade, nil
+		return c, err
 	}},
 }
 
@@ -194,51 +185,6 @@ func TestNoDigestNoLazyStage(t *testing.T) {
 	}
 }
 
-// TestInsertSearchStreamRegrowsScratch pins DynamicPIM.Add's "O(rows
-// inserted)" one layer up: over 64 cycles of a one-row Add and a Search the
-// column and the tightened-rows bitset regrow geometrically — a handful of
-// times, counted through their capacities — and the payload digests the 64
-// rows it was given and no other, while every answer stays the exact
-// scan's.
-func TestInsertSearchStreamRegrowsScratch(t *testing.T) {
-	const initial, cycles, k = 300, 64, 10
-	prof := dataset.Profile{Name: "t", FullN: initial + cycles, D: 48, Clusters: 8, Correlation: 0.8, Spread: 0.1}
-	all := dataset.Generate(prof, initial+cycles, 55)
-	queries := all.Queries(4, 56)
-	dyn, err := NewDynamicPIM(newEngine(t), all.X.Slice(0, initial), defaultQuant(t), initial+cycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dyn.lazy == nil {
-		t.Fatal("Dynamic-PIM leads with no lazy stage")
-	}
-	if got := dyn.pay.Digested(); got != initial {
-		t.Fatalf("programming %d rows digested %d", initial, got)
-	}
-	colCap, bitCap, colGrows, bitGrows := cap(dyn.column), cap(dyn.lazy.tight), 0, 0
-	for c := 0; c < cycles; c++ {
-		n := initial + c + 1
-		if err := dyn.Add(all.X.Slice(n-1, n)); err != nil {
-			t.Fatal(err)
-		}
-		q := queries.Row(c % queries.N)
-		got := dyn.Search(q, k, arch.NewMeter())
-		sameNeighbors(t, fmt.Sprintf("after %d inserts", c+1), got, NewStandard(all.X.Slice(0, n)).Search(q, k, arch.NewMeter()))
-		if cap(dyn.column) != colCap {
-			colCap, colGrows = cap(dyn.column), colGrows+1
-		}
-		if cap(dyn.lazy.tight) != bitCap {
-			bitCap, bitGrows = cap(dyn.lazy.tight), bitGrows+1
-		}
-	}
-	if colGrows > 7 || bitGrows > 7 {
-		t.Fatalf("%d insert+search cycles regrew the column %d times and the bitset %d times, want at most 7 each", cycles, colGrows, bitGrows)
-	}
-	if got := dyn.pay.Digested(); got != initial+cycles {
-		t.Fatalf("%d one-row appends to %d rows digested %d rows in all, want %d", cycles, initial, got, initial+cycles)
-	}
-}
-
 // TestTightenMatchesLBInto pins the two halves of the lazy column to the
 // exact one for every lazy stage type: the digest's column under-estimates
 // it entry by entry — in floating point, which is what lets the walk prune
@@ -295,7 +241,7 @@ func TestTightenMatchesLBInto(t *testing.T) {
 			}
 		}
 	}
-	for _, typ := range []string{"*knn.fnnFilter", "*knn.edStage", "*knn.edRow"} {
+	for _, typ := range []string{"*knn.fnnFilter", "*knn.edStage"} {
 		if !seen[typ] {
 			t.Fatalf("no lazy stage of type %s was tested", typ)
 		}

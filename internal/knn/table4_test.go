@@ -3,15 +3,12 @@ package knn
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 
 	"pimmine/internal/arch"
-	"pimmine/internal/dataset"
 	"pimmine/internal/measure"
 	"pimmine/internal/obs"
 	"pimmine/internal/plan"
@@ -21,8 +18,9 @@ import (
 // tree with no span code of their own: a pim-dot span per PIM stage, then
 // bound-eval with the seed event and one event per stage carrying
 // in/out/transfer_dims, then refine. On their hand-written loops
-// SearchTraced fell back to a plain Search and the trace stayed empty;
-// Dynamic-PIM had no LastStages either.
+// SearchTraced fell back to a plain Search and the trace stayed empty.
+// SM-PIM at one segment per dimension stands beside them for a lazy
+// LB_PIM-ED first stage.
 func TestMovedSearchersTraced(t *testing.T) {
 	data, queries := testData(t, 300, 64)
 	q := defaultQuant(t)
@@ -34,7 +32,7 @@ func TestMovedSearchersTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := NewDynamicPIM(newEngine(t), data, q, data.N)
+	smFull, err := NewSMPIM(newEngine(t), data, q, data.D, data.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +47,8 @@ func TestMovedSearchersTraced(t *testing.T) {
 			fmt.Sprintf(stage, "UBPIM-CS", "3"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
 		{lemp, []string{`knn\.LEMP`, `bound-eval`, eagerSeed,
 			fmt.Sprintf(stage, "UBpart", "34"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
-		{dyn, []string{`knn\.Dynamic-PIM`, `pim-dot  \[func=LBPIM-ED dots=300 lazy=true\]`, `bound-eval`, fmt.Sprintf(seed, `\d+`, `\d+`, "lazy"),
-			fmt.Sprintf(stage, "LBPIM-ED", "2"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
+		{smFull, []string{`knn\.SM-PIM`, `pim-dot  \[func=LBPIM-SM dots=300 lazy=true\]`, `bound-eval`, fmt.Sprintf(seed, `\d+`, `\d+`, "lazy"),
+			fmt.Sprintf(stage, "LBPIM-SM", "2"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
 	} {
 		tr := obs.NewTracer(1, 1)
 		ctx, root := tr.Start(context.Background(), "root")
@@ -72,53 +70,6 @@ func TestMovedSearchersTraced(t *testing.T) {
 		if stages := tc.s.(Stager).LastStages(); len(stages) != 2 || stages[1].Out != 10 {
 			t.Fatalf("%s: LastStages = %+v, want the bound and the refinement", tc.s.Name(), stages)
 		}
-	}
-}
-
-// DynamicPIM.Add used to build a fresh N+rows matrix and copy the index
-// into it on every call, and EDIndex.AppendRows a floor slice per row:
-// O(N) per insert, O(N²) over a stream. Both now grow in place. A stream
-// of one-row inserts must allocate a small multiple of what it ends up
-// holding, and every search along the way must equal a freshly built index
-// over the same rows to the bit.
-func TestDynamicPIMAddGrowsInPlace(t *testing.T) {
-	const initialN, adds, d = 1024, 256, 32
-	prof := dataset.Profile{Name: "grow", FullN: initialN + adds, D: d, Clusters: 8, Correlation: 0.8, Spread: 0.1}
-	all := dataset.Generate(prof, initialN+adds, 55)
-	query := all.Queries(1, 56).Row(0)
-	q := defaultQuant(t)
-	dyn, err := NewDynamicPIM(newEngine(t), all.X.Slice(0, initialN), q, initialN+adds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var allocated uint64
-	var before, after runtime.MemStats
-	for n := initialN; n < initialN+adds; n++ {
-		runtime.ReadMemStats(&before)
-		if err := dyn.Add(all.X.Slice(n, n+1)); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		allocated += after.TotalAlloc - before.TotalAlloc
-
-		fresh, err := NewDynamicPIM(newEngine(t), all.X.Slice(0, n+1), q, n+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mGot, mWant := arch.NewMeter(), arch.NewMeter()
-		got, want := dyn.Search(query, 10, mGot), fresh.Search(query, 10, mWant)
-		for i := range want {
-			if got[i].Index != want[i].Index || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-				t.Fatalf("after %d rows: neighbour %d is %+v, a fresh index gives %+v", n+1, i, got[i], want[i])
-			}
-		}
-		if !reflect.DeepEqual(mGot, mWant) {
-			t.Fatalf("after %d rows: meter %+v, a fresh index records %+v", n+1, mGot.Total(), mWant.Total())
-		}
-	}
-	final := uint64(dyn.Len() * d * 8)
-	if allocated >= 4*final {
-		t.Fatalf("%d one-row Adds allocated %d bytes, want under 4× the final %d-byte matrix", adds, allocated, final)
 	}
 }
 

@@ -44,8 +44,6 @@ func stageDots(t *testing.T, st stage) [][]int64 {
 		return [][]int64{s.dotsMu, s.dotsSg}
 	case *edStage:
 		return [][]int64{s.dots}
-	case *edRow:
-		return [][]int64{s.dots}
 	case *csRow:
 		return [][]int64{s.dots}
 	case *pccRow:
@@ -86,13 +84,7 @@ func TestLBIntoMatchesLB(t *testing.T) {
 		func() (*Cascade, error) { return NewSimPIM(newEngine(t), data, q, measure.CS, n) },
 		func() (*Cascade, error) { return NewSimPIM(newEngine(t), data, q, measure.PCC, n) },
 		func() (*Cascade, error) { return NewApproxPIM(newEngine(t), data, q, n) },
-		func() (*Cascade, error) {
-			dyn, err := NewDynamicPIM(newEngine(t), data, q, n)
-			if err != nil {
-				return nil, err
-			}
-			return dyn.Cascade, nil
-		},
+		func() (*Cascade, error) { return NewSMPIM(newEngine(t), data, q, d, n) },
 	} {
 		c, err := build()
 		if err != nil {
@@ -131,7 +123,7 @@ func TestLBIntoMatchesLB(t *testing.T) {
 		assertColumn(t, "full-range dots", st, n)
 	}
 	for _, typ := range []string{"*knn.ostStage", "*knn.smStage", "*knn.fnnStage", "*knn.partStage", "*knn.fnnFilter",
-		"*knn.edStage", "*knn.edRow", "*knn.csRow", "*knn.pccRow", "*knn.approxRow", "*knn.hdRow"} {
+		"*knn.edStage", "*knn.csRow", "*knn.pccRow", "*knn.approxRow", "*knn.hdRow"} {
 		if !seen[typ] {
 			t.Fatalf("no stage of type %s was tested", typ)
 		}
@@ -345,8 +337,9 @@ type walkCase struct {
 	build func(eng *pim.Engine) (Searcher, error)
 }
 
-// walkCascades are every constructor of the two transcripts, a cascade
-// with no stage and the similarity searchers, over data.
+// walkCascades are every constructor of the two transcripts, SM-PIM at
+// one segment per dimension, a cascade with no stage and the similarity
+// searchers, over data.
 func walkCascades(t *testing.T, data *vec.Matrix) []walkCase {
 	n := data.N
 	q := defaultQuant(t)
@@ -369,7 +362,7 @@ func walkCascades(t *testing.T, data *vec.Matrix) []walkCase {
 		{"FNN-PIM-optimize", std, func(e *pim.Engine) (Searcher, error) {
 			return newFNNPIM(e, data, q, n, []int{16}, "FNN-PIM-optimize")
 		}},
-		{"Dynamic-PIM", std, func(e *pim.Engine) (Searcher, error) { return NewDynamicPIM(e, data, q, n+8) }},
+		{"SM-PIM full", std, func(e *pim.Engine) (Searcher, error) { return NewSMPIM(e, data, q, data.D, n) }},
 		{"no-stage", std, func(e *pim.Engine) (Searcher, error) { return FromPlan(plan.Plan{}, e, data, q) }},
 		{"CS-PIM", simStd(measure.CS), func(e *pim.Engine) (Searcher, error) { return NewSimPIM(e, data, q, measure.CS, n) }},
 		{"PCC-PIM", simStd(measure.PCC), func(e *pim.Engine) (Searcher, error) { return NewSimPIM(e, data, q, measure.PCC, n) }},
@@ -423,9 +416,6 @@ func TestCeilingMatchesUncapped(t *testing.T) {
 					t.Fatal(err)
 				}
 				c, ok := s.(*Cascade)
-				if dyn, isDyn := s.(*DynamicPIM); isDyn {
-					c, ok = dyn.Cascade, true
-				}
 				if !ok {
 					if eager {
 						continue

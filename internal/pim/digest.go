@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/vec"
@@ -74,26 +73,18 @@ func groupNorms(row, dst []uint32) (uint32, bool) {
 	return largest, true
 }
 
-// extendDigest brings the payload's digest up to its current N rows: the
-// rows programmed since the last call are digested, the others are not
-// touched, and the array grows in place (append's amortised doubling), so a
-// stream of one-row appends costs O(rows appended). A payload whose slab
-// holds a value too wide for the digest gives the digest up for good;
-// UpperAll then refuses every query and its callers sweep.
-func (p *Payload) extendDigest() {
-	if p.digestDims == 0 {
-		return
-	}
-	from := len(p.digest) / p.digestDims
-	p.digest = slices.Grow(p.digest, (p.N-from)*p.digestDims)[:p.N*p.digestDims]
-	for i := from; i < p.N; i++ {
+// buildDigest computes the payload's digest, digestDims ceil group norms
+// per programmed row. A slab holding a value too wide for the digest gives
+// it up; UpperAll then refuses every query and its callers sweep.
+func (p *Payload) buildDigest() {
+	p.digest = make([]uint32, p.N*p.digestDims)
+	for i := 0; i < p.N; i++ {
 		largest, ok := groupNorms(p.Row(i), p.digest[i*p.digestDims:(i+1)*p.digestDims])
 		if !ok {
 			p.digest, p.digestDims = nil, 0
 			return
 		}
 		p.digestMax = max(p.digestMax, largest)
-		p.digested++
 	}
 }
 
@@ -102,11 +93,6 @@ func (p *Payload) extendDigest() {
 // injector (a faulty dot is not the slab's), at one operand bit, or holding
 // a value of 2²⁹ or more.
 func (p *Payload) DigestDims() int { return p.digestDims }
-
-// Digested returns how many rows' group norms the payload has computed
-// since it was programmed. It equals N for as long as the digest lives:
-// Append digests the rows it adds and no others.
-func (p *Payload) Digested() int64 { return p.digested }
 
 // UpperAll sets dst[i] ≥ rowᵢ·input for every programmed row, from the
 // payload's digest and the input's own group norms (written to qd, caller

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"testing"
 
 	"pimmine/internal/arch"
@@ -61,67 +60,12 @@ func TestDigestOnlyWhereTheSlabIsTheArray(t *testing.T) {
 		if got := p.DigestDims(); got != tc.want {
 			t.Fatalf("%s: DigestDims = %d, want %d", tc.name, got, tc.want)
 		}
-		if want := int64(n) * int64(min(tc.want, 1)); p.Digested() != want || len(p.digest) != n*tc.want {
-			t.Fatalf("%s: digested %d rows into %d values, want %d rows", tc.name, p.Digested(), len(p.digest), want)
+		if len(p.digest) != n*tc.want {
+			t.Fatalf("%s: digest holds %d values, want %d", tc.name, len(p.digest), n*tc.want)
 		}
 		input, qd := make([]uint32, dims), make([]uint32, tc.want)
 		if _, ok := tc.eng.UpperAll(p, input, qd, nil); ok != (tc.want > 0) {
 			t.Fatalf("%s: UpperAll accepted = %v", tc.name, ok)
-		}
-	}
-}
-
-// TestDigestExtendsByAppendedRows pins Append's cost: each call digests
-// the rows it adds and no other, and a row too wide for the digest ends it
-// for the payload without disturbing what QueryAll returns.
-func TestDigestExtendsByAppendedRows(t *testing.T) {
-	const dims, initial, appends = 40, 5, 64
-	rng := rand.New(rand.NewSource(3))
-	slab := make([]uint32, (initial+appends+1)*dims)
-	for i := range slab {
-		slab[i] = uint32(rng.Intn(1 << 20))
-	}
-	e := newTestEngine(t, ModeExact)
-	a, err := e.ProgramAppendable("grow", initial, initial+appends+1, dims, 1, 32, flatRows(slab, dims))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < appends; i++ {
-		if _, err := a.Append(1, flatRows(slab, dims)); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := a.Digested(), int64(initial+i+1); got != want {
-			t.Fatalf("after %d one-row appends %d rows were digested in all, want %d", i+1, got, want)
-		}
-	}
-	input, qd := slab[:dims], make([]uint32, a.DigestDims())
-	upper, ok := e.UpperAll(a.Payload, input, qd, nil)
-	if !ok || len(upper) != a.N {
-		t.Fatalf("UpperAll over the grown payload: ok=%v, %d bounds for %d rows", ok, len(upper), a.N)
-	}
-	for i, u := range upper {
-		if exact := vec.IntDotRef(a.Row(i), input); u < exact {
-			t.Fatalf("row %d: upper bound %d below the dot %d", i, u, exact)
-		}
-	}
-
-	slab[(initial+appends)*dims+7] = digestValueLimit
-	if _, err := a.Append(1, flatRows(slab, dims)); err != nil {
-		t.Fatal(err)
-	}
-	if a.DigestDims() != 0 || a.digest != nil {
-		t.Fatal("a row holding a value at the width limit left the digest in place")
-	}
-	if _, ok := e.UpperAll(a.Payload, input, qd, upper); ok {
-		t.Fatal("UpperAll accepted a query against a payload that gave up its digest")
-	}
-	dots, err := e.QueryAll(nil, "f", a.Payload, input, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range dots {
-		if want := vec.IntDotRef(a.Row(i), input); d != want {
-			t.Fatalf("row %d: QueryAll %d, reference %d", i, d, want)
 		}
 	}
 }

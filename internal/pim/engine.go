@@ -43,12 +43,11 @@ const DeadDot = int64(1) << 60
 // FaultInjector is the hook internal/fault implements to model hardware
 // faults (stuck-at cells, conductance drift, read noise, dead crossbars)
 // while keeping filter-and-refine exact. The engine calls Attach once per
-// payload (and again after appends), installs the per-tile read faults in
-// simulate mode, and routes every dot-product batch through Apply.
+// payload, installs the per-tile read faults in simulate mode, and routes
+// every dot-product batch through Apply.
 type FaultInjector interface {
-	// Attach derives the deterministic fault map covering the payload's
-	// current tile grid. It is idempotent and extend-only: tiles already
-	// mapped keep their faults, so appends never reshuffle history.
+	// Attach derives the deterministic fault map of the payload's tile
+	// grid.
 	Attach(p *Payload) error
 	// TileFault returns the cell-read fault hook for tile (group, chunk)
 	// of an attached payload, or nil for a fault-free tile.
@@ -143,12 +142,10 @@ type Payload struct {
 
 	// digest holds N rows of digestDims ceil group norms of the slab's rows
 	// (digest.go), payload-owned; digestDims is 0 for a payload without
-	// one. digestMax is the largest norm in it, digested the rows digested
-	// so far.
+	// one. digestMax is the largest norm in it.
 	digest     []uint32
 	digestDims int
 	digestMax  uint32
-	digested   int64
 
 	// Simulate-mode tiling: groups × chunks crossbars, where each group
 	// holds perGroup vectors and each chunk covers up to m dimensions.
@@ -164,7 +161,7 @@ type Payload struct {
 // programmed levels through this in exact mode).
 func (p *Payload) Row(i int) []uint32 { return p.slab[i*p.Dims : (i+1)*p.Dims] }
 
-// resolveSlab turns the row accessor handed to Program/Append into the
+// resolveSlab turns the row accessor handed to Program into the
 // row-major slab the query path sweeps, visiting every row once and
 // rejecting any whose length is not dims. Every in-repo caller returns
 // back-to-back sub-slices of one array (EDIndex.Floor, FNNIndex.MuFloor,
@@ -203,7 +200,7 @@ func resolveSlab(name string, n, dims int, rows func(i int) []uint32) ([]uint32,
 // mode computes the same layout the simulator would allocate.
 func (p *Payload) Layout() (perGroup, chunks int) { return p.perGroup, p.chunks }
 
-// Groups returns how many crossbar groups cover the payload's current N.
+// Groups returns how many crossbar groups cover the payload's N rows.
 func (p *Payload) Groups() int {
 	if p.perGroup == 0 {
 		return 0
@@ -284,17 +281,16 @@ func (e *Engine) ProgramWidth(name string, n, dims, vectorsPerObject, opBits int
 	// group norm bounds nothing its 32×-denser sweep does not already give.
 	if e.mode == ModeExact && e.inj == nil && opBits > 1 {
 		p.digestDims = (dims + digestGroup - 1) / digestGroup
-		p.extendDigest()
+		p.buildDigest()
 	}
 	e.payloads[name] = p
 	return p, nil
 }
 
-// installFaults (re-)attaches the fault injector to a payload — deriving
-// fault maps for any tiles not yet covered (a power-on self test: dead
-// crossbars are known before the first query) — and, in simulate mode,
-// installs the cell-read hooks on every allocated tile. Idempotent; called
-// at Program time and again after appends extend the tile grid.
+// installFaults attaches the fault injector to a freshly programmed
+// payload — deriving the fault map of every tile (a power-on self test:
+// dead crossbars are known before the first query) — and, in simulate
+// mode, installs the cell-read hooks on every allocated tile.
 func (e *Engine) installFaults(p *Payload) error {
 	if e.inj == nil {
 		return nil

@@ -21,9 +21,9 @@ func slabRows(rng *rand.Rand, n, dims int) []uint32 {
 	return slab
 }
 
-// A row of the wrong length is rejected when the payload is programmed or
-// appended to, with the same error in both modes, so it can never reach
-// the query path (where exact mode would panic inside the kernel).
+// A row of the wrong length is rejected when the payload is programmed,
+// with the same error in both modes, so it can never reach the query path
+// (where exact mode would panic inside the kernel).
 func TestProgramRejectsMisshapenRows(t *testing.T) {
 	const n, dims, bad = 6, 8, 3
 	rowsWith := func(badLen int) func(i int) []uint32 {
@@ -49,16 +49,6 @@ func TestProgramRejectsMisshapenRows(t *testing.T) {
 		}},
 		{"Program/empty", 0, func(e *Engine, rows func(i int) []uint32) error {
 			_, err := e.Program("p", n, dims, 1, rows)
-			return err
-		}},
-		{"Append/short", dims - 3, func(e *Engine, rows func(i int) []uint32) error {
-			a, err := e.ProgramAppendable("p", bad, n, dims, 1, e.cfg.OperandBits, rows)
-			if err != nil {
-				return err
-			}
-			if _, err = a.Append(n-bad, rows); err != nil && a.N != bad {
-				t.Errorf("failed append left N=%d, want %d", a.N, bad)
-			}
 			return err
 		}},
 		{"ProgramPartitioned/short", dims - 3, func(e *Engine, rows func(i int) []uint32) error {
@@ -180,67 +170,6 @@ func TestNonContiguousRowsGiveIdenticalDots(t *testing.T) {
 			if outs[0][i] != want || outs[1][i] != want || outs[2][i] != want {
 				t.Fatalf("mode %d row %d: dots %d/%d/%d, want %d", mode, i, outs[0][i], outs[1][i], outs[2][i], want)
 			}
-		}
-	}
-}
-
-// A row read must cost the same however many appends came before: after
-// 64 single-row appends (the caller's array moving as it grows) the dots
-// are right, Verify passes, the payload aliases the grown array, and
-// neither QueryAll nor Row calls back into the accessor — exactly as for
-// a payload programmed at that size in one go.
-func TestAppendSingleRowsKeepsRowReadsFlat(t *testing.T) {
-	const initial, appends, dims = 4, 64, 10
-	const total = initial + appends
-	rng := rand.New(rand.NewSource(17))
-	input := slabRows(rng, 1, dims)
-	for _, mode := range []Mode{ModeExact, ModeSimulate} {
-		// The caller's array grows by append, as EDIndex.AppendRows does,
-		// so it moves several times over the 64 appends.
-		backing := slabRows(rng, initial, dims)
-		calls := 0
-		rowFn := func(i int) []uint32 {
-			calls++
-			return backing[i*dims : (i+1)*dims]
-		}
-		eng, err := NewEngine(smallCfg(), mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := eng.ProgramAppendable("grow", initial, total, dims, 1, 8, rowFn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < appends; k++ {
-			backing = append(backing, slabRows(rng, 1, dims)...)
-			if _, err := p.Append(1, rowFn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		if &p.Row(0)[0] != &backing[0] {
-			t.Fatalf("mode %d: payload must alias the grown array", mode)
-		}
-		calls = 0
-		out, err := p.QueryAll(arch.NewMeter(), "f", input, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != total {
-			t.Fatalf("mode %d: %d dots, want %d", mode, len(out), total)
-		}
-		for i := range out {
-			if want := vec.IntDotRef(p.Row(i), input); out[i] != want {
-				t.Fatalf("mode %d row %d: dot %d, want %d", mode, i, out[i], want)
-			}
-			if want := vec.IntDotRef(backing[i*dims:(i+1)*dims], input); out[i] != want {
-				t.Fatalf("mode %d row %d: dot %d, want %d from the caller's rows", mode, i, out[i], want)
-			}
-		}
-		if calls != 0 {
-			t.Fatalf("mode %d: query and row reads called the accessor %d times, want 0", mode, calls)
 		}
 	}
 }

@@ -476,7 +476,7 @@ func TestTopKAppendResultsMatchesResults(t *testing.T) {
 // TestTopKReset pins Reset's reuse semantics: emptied, re-armed for the
 // new k, and allocation-free when the retained heap suffices.
 func TestTopKReset(t *testing.T) {
-	t.Parallel()
+	// Not parallel: AllocsPerRun counts every goroutine's mallocs.
 	top := NewTopK(8)
 	for i := 0; i < 20; i++ {
 		top.Push(i, float64(20-i))

@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -97,6 +98,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *maxQueue < 1 || *maxK < 1 || *maxBatch < 1 {
 		fmt.Fprintln(stderr, "pimserve: -max-queue, -max-k and -max-batch must be at least 1")
+		return 2
+	}
+	if *shards < 0 || *workers < 0 || *slots < 0 {
+		fmt.Fprintln(stderr, "pimserve: -shards, -workers and -slots must not be negative (0 = default)")
+		return 2
+	}
+	if !slices.Contains(serve.Variants(), serve.Variant(*variant)) {
+		fmt.Fprintf(stderr, "pimserve: unknown -variant %q (see -list-variants)\n", *variant)
 		return 2
 	}
 

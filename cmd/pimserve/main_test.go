@@ -20,6 +20,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"positional junk", []string{"serve", "now"}, 2},
 		{"bad n", []string{"-n", "0"}, 2},
 		{"bad max-k", []string{"-max-k", "0"}, 2},
+		{"unknown variant", []string{"-variant", "bogus"}, 2},
+		{"negative shards", []string{"-shards", "-1"}, 2},
+		{"negative workers", []string{"-workers", "-2"}, 2},
+		{"negative slots", []string{"-slots", "-1"}, 2},
 		{"tenant no name", []string{"-tenants", ":2:10"}, 2},
 		{"tenant too many fields", []string{"-tenants", "a:1:2:3:4"}, 2},
 		{"tenant bad number", []string{"-tenants", "a:fast"}, 2},

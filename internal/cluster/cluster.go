@@ -89,7 +89,7 @@ type Options struct {
 	// New rejects explicitly-set Replicas > Nodes.
 	Replicas int
 	// Shards partitions the id space (default Nodes, clamped to the row
-	// count like serve.Engine).
+	// count as serve.Options.Shards is).
 	Shards int
 	// VirtualNodes per ring member (default 16).
 	VirtualNodes int
@@ -219,9 +219,10 @@ type ShipStats struct {
 }
 
 // New builds the placement layer over data. The initial image is split
-// into shards exactly like serve.Engine's (route.Partition: the router's
-// placement, or contiguous ranges when unrouted), so the engines agree
-// shard for shard; each shard is then installed on its R preferred nodes.
+// into shards exactly as serve.New and serve.NewMutable split it
+// (route.Partition: the router's placement, or contiguous ranges when
+// unrouted), so the engines agree shard for shard; each shard is then
+// installed on its R preferred nodes.
 func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("cluster: empty dataset")

@@ -32,9 +32,8 @@ import (
 )
 
 // engine is the engine surface the wire layer consumes — satisfied by
-// *serve.Engine, *serve.MutableEngine and *cluster.Engine, so one
-// server fronts the immutable, durable-mutable, or multi-node
-// deployment shape.
+// *serve.Engine and *cluster.Engine, so one server fronts the
+// single-node (static or mutable) or the multi-node deployment shape.
 type engine interface {
 	SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*serve.Result, error)
 	Dims() int
@@ -45,8 +44,8 @@ type engine interface {
 	Close() error
 }
 
-// subscriber is the standing-query surface an engine may also have (the
-// mutable and cluster engines do); New finds it by type assertion.
+// subscriber is the standing-query surface of an engine passed as
+// Options.Mutable or Options.Cluster.
 type subscriber interface {
 	SubscribeKNN(q []float64, k int) (*standing.Subscription, error)
 	SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error)
@@ -67,14 +66,14 @@ const (
 
 // Options configures New.
 type Options struct {
-	// Engine is the sharded query engine to serve. The server takes
-	// ownership of its shutdown: Drain closes it. Exactly one of
-	// Engine, Mutable and Cluster must be set.
+	// Engine is the sharded query engine to serve, queries only. The
+	// server takes ownership of its shutdown: Drain closes it. Exactly
+	// one of Engine, Mutable and Cluster must be set.
 	Engine *serve.Engine
-	// Mutable serves a mutable engine instead: the same query surface
-	// plus POST /v1/subscribe standing-query event streams (and, when
-	// the engine was built with Durability, its WAL semantics — Drain's
-	// close flushes the log).
+	// Mutable serves the same engine type with its subscriptions: the
+	// query surface plus POST /v1/subscribe standing-query event streams
+	// and "mutable": true in /v1/info (and, when the engine was built
+	// with Durability, its WAL semantics — Drain's close flushes the log).
 	Mutable *serve.MutableEngine
 	// Cluster serves a multi-node placement engine: the same query and
 	// subscription surface, with R-way replicated shards failing over
@@ -110,7 +109,7 @@ type Options struct {
 // NewHTTPServer wraps it for h2c. Safe for concurrent use.
 type Server struct {
 	eng   engine
-	sub   subscriber      // non-nil when the engine supports subscriptions
+	sub   subscriber      // non-nil when serving Options.Mutable or Options.Cluster
 	clu   *cluster.Engine // non-nil when serving Options.Cluster
 	opts  Options
 	ten   *tenants
@@ -135,23 +134,23 @@ type Server struct {
 // New builds a server over the configured engine.
 func New(opts Options) (*Server, error) {
 	var eng engine
+	var sub subscriber
 	set := 0
 	if opts.Engine != nil {
 		eng = opts.Engine
 		set++
 	}
 	if opts.Mutable != nil {
-		eng = opts.Mutable
+		eng, sub = opts.Mutable, opts.Mutable
 		set++
 	}
 	if opts.Cluster != nil {
-		eng = opts.Cluster
+		eng, sub = opts.Cluster, opts.Cluster
 		set++
 	}
 	if set != 1 {
 		return nil, fmt.Errorf("netserve: set exactly one of Options.Engine, Options.Mutable and Options.Cluster (%d set)", set)
 	}
-	sub, _ := eng.(subscriber)
 	if opts.Slots <= 0 {
 		opts.Slots = eng.Workers()
 	}

@@ -247,3 +247,71 @@ func TestMutableWireSearch(t *testing.T) {
 	}
 	check("after churn")
 }
+
+// TestSubscribeOnlyWhenServedMutable pins the wire contract to the
+// Options field, not the engine type: one engine passed as
+// Options.Engine mounts no /v1/subscribe and reports "mutable": false,
+// and passed as Options.Mutable streams subscriptions and reports true.
+func TestSubscribeOnlyWhenServedMutable(t *testing.T) {
+	t.Parallel()
+	prof, err := dataset.ByName("MSD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Generate(prof, 60, 17)
+	eng, err := serve.New(ds.X, serve.Options{Shards: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	q := ds.Queries(1, 31).Row(0)
+	for _, mutable := range []bool{false, true} {
+		opts := netserve.Options{Engine: eng}
+		if mutable {
+			opts = netserve.Options{Mutable: eng}
+		}
+		srv, err := netserve.New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+
+		resp, err := ts.Client().Get(ts.URL + "/v1/info")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info struct {
+			Mutable bool `json:"mutable"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mutable != mutable {
+			t.Errorf("served as Mutable=%v: /v1/info mutable = %v", mutable, info.Mutable)
+		}
+
+		resp, sc := subscribeStream(t, ts, netserve.SubscribeRequest{Query: q, K: 3, MaxEvents: 1})
+		if !mutable {
+			if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("served as Engine: /v1/subscribe status %d, want 404 or 405", resp.StatusCode)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("served as Mutable: /v1/subscribe status %d", resp.StatusCode)
+		}
+		if !sc.Scan() {
+			t.Fatalf("served as Mutable: no init line: %v", sc.Err())
+		}
+		var init netserve.EventLine
+		if err := json.Unmarshal(sc.Bytes(), &init); err != nil {
+			t.Fatal(err)
+		}
+		if init.Kind != "init" || len(init.Neighbors) != 3 {
+			t.Errorf("served as Mutable: init line = %+v, want kind init with 3 neighbors", init)
+		}
+	}
+}

@@ -1,4 +1,4 @@
-// Durability for the mutable engine: WAL-before-apply mutations,
+// Durability for a mutated engine: WAL-before-apply mutations,
 // checkpoint snapshots that truncate the log, and crash recovery that
 // rebuilds a byte-identical engine. The exactness argument mirrors the
 // delta layer's differential goldens: search transcripts depend only on
@@ -20,7 +20,7 @@ import (
 	"pimmine/internal/wal"
 )
 
-// Durability configures the WAL + snapshot layer of a mutable engine.
+// Durability configures the WAL + snapshot layer of an engine.
 // The zero value (empty Dir) disables durability.
 type Durability struct {
 	// Dir is the directory holding wal-*.seg segments and
@@ -66,7 +66,7 @@ var (
 // the directory with an LSN-0 snapshot of the initial dataset, so
 // recovery always starts from a snapshot. A directory already holding
 // state is refused.
-func (e *MutableEngine) initDurabilityFresh() error {
+func (e *Engine) initDurabilityFresh() error {
 	d := e.opts.Durability
 	if _, err := wal.LatestSnapshot(d.Dir); err == nil {
 		return ErrDurableState
@@ -94,7 +94,7 @@ func (e *MutableEngine) initDurabilityFresh() error {
 // writeSnapshot materializes every shard and writes the checkpoint
 // image covering LSN lsn. Caller must hold e.mu or have exclusive use
 // of the engine.
-func (e *MutableEngine) writeSnapshot(lsn int64) error {
+func (e *Engine) writeSnapshot(lsn int64) error {
 	s := &wal.Snapshot{LSN: lsn, Dims: e.d, NextID: e.nextID, RR: e.rr}
 	for _, st := range e.src.stores {
 		m, ids := st.Materialize()
@@ -113,7 +113,7 @@ func (e *MutableEngine) writeSnapshot(lsn int64) error {
 // the current live state, and truncates the log and older snapshots the
 // new image makes redundant. Mutations stall for the duration (the
 // durability analogue of a compaction pause); queries do not.
-func (e *MutableEngine) Checkpoint() error {
+func (e *Engine) Checkpoint() error {
 	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
@@ -140,7 +140,7 @@ func (e *MutableEngine) Checkpoint() error {
 	return nil
 }
 
-// RecoverMutable rebuilds a mutable engine from its durability
+// RecoverMutable rebuilds an engine from its durability
 // directory: the latest valid snapshot image restores every shard (each
 // re-running the Theorem 4 sizing and re-tightening routing summaries
 // through the same hooks a compaction uses), then the log tail strictly
@@ -153,7 +153,7 @@ func (e *MutableEngine) Checkpoint() error {
 // pre-crash engine across every mining task: its live row set (global
 // ids + Float64bits) is reconstructed exactly, and the delta
 // differential goldens prove transcripts depend on nothing else.
-func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
+func RecoverMutable(opts MutableOptions) (*Engine, error) {
 	d := opts.Durability
 	if d.Dir == "" {
 		return nil, ErrNotDurable
@@ -176,7 +176,7 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 	if opts.CapacityN <= 0 {
 		opts.CapacityN = max(totalLive, 1)
 	}
-	e, err := newMutableEngine(s, snap.Dims, opts, func(e *MutableEngine) error {
+	e, err := newMutableEngine(s, snap.Dims, opts, func(e *Engine) error {
 		// A restored engine's shards hold arbitrary id sets, so every id
 		// routes through the table; there is no owner table.
 		e.nextID, e.rr, e.routes = snap.NextID, snap.RR, make(map[int]int, totalLive)
@@ -229,7 +229,7 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 // recorded mutations the engine had already validated and routed, so a
 // record that fails to apply means the log and snapshot disagree —
 // surfaced as an error, never papered over.
-func (e *MutableEngine) applyReplay(rec wal.Record) error {
+func (e *Engine) applyReplay(rec wal.Record) error {
 	if rec.Shard >= len(e.src.stores) {
 		return fmt.Errorf("%w: record routes to shard %d of %d", wal.ErrCorrupt, rec.Shard, len(e.src.stores))
 	}
@@ -264,7 +264,7 @@ func (e *MutableEngine) applyReplay(rec wal.Record) error {
 // maintained incrementally from the delta. Registration synchronizes
 // with the mutation stream, so the init view plus the event sequence
 // exactly tracks the engine's applied mutations.
-func (e *MutableEngine) SubscribeKNN(q []float64, k int) (*standing.Subscription, error) {
+func (e *Engine) SubscribeKNN(q []float64, k int) (*standing.Subscription, error) {
 	release, err := e.pipe.Acquire()
 	if err != nil {
 		return nil, err
@@ -281,7 +281,7 @@ func (e *MutableEngine) SubscribeKNN(q []float64, k int) (*standing.Subscription
 
 // SubscribeRadius registers a radius watch: a KindMatch event for every
 // future insert within Euclidean distance radius of q.
-func (e *MutableEngine) SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error) {
+func (e *Engine) SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error) {
 	release, err := e.pipe.Acquire()
 	if err != nil {
 		return nil, err
@@ -298,7 +298,7 @@ func (e *MutableEngine) SubscribeRadius(q []float64, radius float64) (*standing.
 
 // Unsubscribe removes a standing subscription and closes its event
 // channel. Safe on unknown ids and after Close.
-func (e *MutableEngine) Unsubscribe(id int) {
+func (e *Engine) Unsubscribe(id int) {
 	if e.standing != nil {
 		e.standing.Unsubscribe(id)
 	}
@@ -306,7 +306,7 @@ func (e *MutableEngine) Unsubscribe(id int) {
 
 // StandingView returns a copy of a kNN subscription's current result
 // view (nil for radius watches or unknown ids).
-func (e *MutableEngine) StandingView(id int) []vec.Neighbor {
+func (e *Engine) StandingView(id int) []vec.Neighbor {
 	if e.standing == nil {
 		return nil
 	}

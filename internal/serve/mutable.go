@@ -1,8 +1,8 @@
-// Mutable serving: the sharded engine whose delta stores (host-side delta
-// buffer, tombstones, endurance-ledgered compaction) take mutations. The
-// shards are the static engine's — the same storeSource, so Factory,
-// breakers, retries, spans and metrics behave identically — and a
-// compaction rebuilds a shard through the same factory. The engine owns
+// Mutation: every shard's delta store (host-side delta buffer,
+// tombstones, endurance-ledgered compaction) takes inserts, updates and
+// deletes, and a compaction rebuilds a shard through the same factory
+// that built it, so Factory, breakers, retries, spans and metrics behave
+// the same before and after. The engine owns
 // the global id space: initial ids live where route.Partition placed them
 // (the router's placement, or contiguous ranges when unrouted), inserted
 // ids round-robin. Because ids are allocated monotonically and
@@ -12,16 +12,13 @@
 package serve
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/delta"
 	"pimmine/internal/obs"
 	"pimmine/internal/pim"
 	"pimmine/internal/quant"
-	"pimmine/internal/route"
 	"pimmine/internal/standing"
 	"pimmine/internal/vec"
 	"pimmine/internal/wal"
@@ -31,8 +28,8 @@ import (
 type MutableOptions struct {
 	// Options carries the shard count, variant or factory, framework,
 	// capacity, worker pool, resilience and observability wiring, with
-	// the same defaults and meaning as on the immutable engine; a
-	// compaction rebuilds its shard through the same Factory or variant.
+	// the same defaults and meaning as for New; a compaction rebuilds
+	// its shard through the same Factory or variant.
 	Options
 
 	// MaxDelta and MaxTombstoneRatio are per-shard compaction triggers
@@ -60,39 +57,11 @@ type MutableOptions struct {
 	StandingBuffer int
 }
 
-// MutableEngine is the sharded mutable query engine: Search/SearchBatch
-// stay lock-free against Insert/Update/Delete and background
-// compaction, per shard, via delta's epoch snapshots. Mutations
-// serialize on the engine's routing lock (mutation throughput is not
-// the design target; query concurrency is).
-type MutableEngine struct {
-	d    int
-	opts MutableOptions
-	src  *storeSource // the shards: one delta store each
-	// owner[id] is the shard initial id id was placed on (nil on a
-	// recovered engine, whose ids all live in routes).
-	owner []int32
-
-	mu     sync.Mutex // guards nextID, rr, routes, and store mutation order
-	nextID int
-	rr     int
-	routes map[int]int // inserted id → shard
-
-	// pipe is the query path over src; its lease gates mutations against
-	// Close too, so Close drains everything in flight.
-	pipe *Pipeline
-
-	// log is the write-ahead log (nil when Durability.Dir is unset).
-	// Mutations append under e.mu before applying, so log order equals
-	// apply order and replay reconstructs the exact mutation sequence.
-	log  *wal.Log
-	walM *wal.Metrics
-
-	// standing is the continuous-query registry; its hooks run under
-	// e.mu after each applied mutation, so every subscription observes
-	// the mutations in the order the engine applied them.
-	standing *standing.Registry
-}
+// MutableEngine is another name for Engine: there is one engine type,
+// and a static engine is one that nobody mutates. The name stays because
+// the end-to-end benchmark (bench/e2e, a module of its own) compiles
+// against it.
+type MutableEngine = Engine
 
 // newMutableEngine applies the option defaults for a dataset of n rows by
 // d dims, lets fill build the opts.Shards stores (fresh or restored) into
@@ -100,7 +69,7 @@ type MutableEngine struct {
 // standing registry's re-query callback is the pipeline's bare fan-out —
 // no engine locks — because it runs while the caller already holds e.mu
 // (member deletes) and the store searches are lock-free by design.
-func newMutableEngine(n, d int, opts MutableOptions, fill func(*MutableEngine) error) (*MutableEngine, error) {
+func newMutableEngine(n, d int, opts MutableOptions, fill func(*Engine) error) (*Engine, error) {
 	res, err := opts.Options.defaults(n, d)
 	if err != nil {
 		return nil, err
@@ -109,7 +78,7 @@ func newMutableEngine(n, d int, opts MutableOptions, fill func(*MutableEngine) e
 	if err != nil {
 		return nil, err
 	}
-	e := &MutableEngine{d: d, opts: opts, routes: make(map[int]int)}
+	e := &Engine{d: d, opts: opts, routes: make(map[int]int)}
 	e.src = newStoreSource(&e.opts.Options, res, build)
 	if err := fill(e); err != nil {
 		return nil, err
@@ -127,7 +96,7 @@ func newMutableEngine(n, d int, opts MutableOptions, fill func(*MutableEngine) e
 // shardDeltaOptions assembles one shard's delta.Options: how it builds
 // (and degrades), what triggers its compactions, and the metrics, routing
 // summary and endurance ledger that ride along.
-func (e *MutableEngine) shardDeltaOptions(id int) (delta.Options, error) {
+func (e *Engine) shardDeltaOptions(id int) (delta.Options, error) {
 	opts := e.opts
 	dopts := delta.Options{
 		Factory:           e.src.factory(id),
@@ -171,11 +140,11 @@ func (e *MutableEngine) shardDeltaOptions(id int) (delta.Options, error) {
 // NewMutable partitions data row-wise into per-shard mutable stores.
 // Rows keep their ids (0..N-1) across mutations and compactions;
 // inserts extend the id space monotonically.
-func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
+func NewMutable(data *vec.Matrix, opts MutableOptions) (*Engine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	e, err := newMutableEngine(data.N, data.D, opts, func(e *MutableEngine) error {
+	e, err := newMutableEngine(data.N, data.D, opts, func(e *Engine) error {
 		e.nextID = data.N
 		place, err := e.src.partition(data, e.opts.Router, e.shardDeltaOptions)
 		if err != nil {
@@ -200,19 +169,9 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 	return e, nil
 }
 
-// NumShards returns the partition count in effect.
-func (e *MutableEngine) NumShards() int { return len(e.src.stores) }
-
-// Router returns the attached shard router (nil when unrouted).
-func (e *MutableEngine) Router() *route.Router { return e.opts.Router }
-
-// DegradedShards returns the ids of shards whose current epoch serves
-// the host fallback.
-func (e *MutableEngine) DegradedShards() []int { return e.src.Degraded() }
-
 // shardOf locates the store owning an id: initial ids by where they were
 // placed, inserted ids through the routing table. Returns -1 when unknown.
-func (e *MutableEngine) shardOf(id int) int {
+func (e *Engine) shardOf(id int) int {
 	if id >= 0 && id < len(e.owner) {
 		return int(e.owner[id])
 	}
@@ -225,7 +184,7 @@ func (e *MutableEngine) shardOf(id int) int {
 // checkVec pre-validates what the store would reject, so a durable
 // engine never logs a record its store then refuses — log order must
 // equal apply order or replay would diverge from the served history.
-func (e *MutableEngine) checkVec(v []float64) error {
+func (e *Engine) checkVec(v []float64) error {
 	if len(v) != e.d {
 		return fmt.Errorf("serve: vector has %d dims, dataset has %d", len(v), e.d)
 	}
@@ -237,7 +196,7 @@ func (e *MutableEngine) checkVec(v []float64) error {
 
 // logMutation appends one record to the WAL (no-op when not durable).
 // Called under e.mu, after validation and before the store apply.
-func (e *MutableEngine) logMutation(op wal.Op, sh, id int, v []float64) error {
+func (e *Engine) logMutation(op wal.Op, sh, id int, v []float64) error {
 	if e.log == nil {
 		return nil
 	}
@@ -251,7 +210,7 @@ func (e *MutableEngine) logMutation(op wal.Op, sh, id int, v []float64) error {
 // across shards. The vector must be normalized (quant.CheckVec). On a
 // durable engine the insert is logged (and, under wal.SyncAlways,
 // fsynced) before it is applied.
-func (e *MutableEngine) Insert(v []float64) (int, error) {
+func (e *Engine) Insert(v []float64) (int, error) {
 	release, err := e.pipe.Acquire()
 	if err != nil {
 		return 0, err
@@ -279,7 +238,7 @@ func (e *MutableEngine) Insert(v []float64) (int, error) {
 
 // Update replaces the vector of an existing id in place (the id, and
 // with it the tie order, is preserved).
-func (e *MutableEngine) Update(id int, v []float64) error {
+func (e *Engine) Update(id int, v []float64) error {
 	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
@@ -305,7 +264,7 @@ func (e *MutableEngine) Update(id int, v []float64) error {
 }
 
 // Delete removes an id.
-func (e *MutableEngine) Delete(id int) error {
+func (e *Engine) Delete(id int) error {
 	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
@@ -328,39 +287,11 @@ func (e *MutableEngine) Delete(id int) error {
 	return nil
 }
 
-// Search answers one exact kNN query over the live rows of every shard.
-// It never blocks on mutations or compactions, and runs the same
-// pipeline as the immutable engine: admission control and deadline-aware
-// shedding with Options.Resilience set (typed resilience.ErrOverloaded /
-// resilience.ErrShedDeadline rejections), Options.QueryTimeout surfacing
-// as ErrQueryTimeout.
-func (e *MutableEngine) Search(ctx context.Context, q []float64, k int) (*Result, error) {
-	return e.pipe.Search(ctx, q, k, route.ModeAuto)
-}
-
-// SearchMode is Search with an explicit routing mode (see
-// Engine.SearchMode; the mutable engine routes over summaries kept
-// fresh through churn by the delta layer's OnMutate/OnCompact hooks).
-func (e *MutableEngine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*Result, error) {
-	return e.pipe.Search(ctx, q, k, mode)
-}
-
-// SearchBatch answers a query matrix through a bounded worker pool,
-// exactly like the immutable engine's batch path.
-func (e *MutableEngine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*BatchResult, error) {
-	return e.pipe.SearchBatch(ctx, queries, k, route.ModeAuto)
-}
-
-// SearchBatchMode is SearchBatch with an explicit routing mode.
-func (e *MutableEngine) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
-	return e.pipe.SearchBatch(ctx, queries, k, mode)
-}
-
 // Compact folds every shard's delta and tombstones into fresh base
 // images (shards compact independently; a shard with nothing to fold is
 // a no-op). The first error aborts and is returned; remaining shards
 // keep their current epochs.
-func (e *MutableEngine) Compact(meter *arch.Meter) error {
+func (e *Engine) Compact(meter *arch.Meter) error {
 	release, err := e.pipe.Acquire()
 	if err != nil {
 		return err
@@ -375,7 +306,7 @@ func (e *MutableEngine) Compact(meter *arch.Meter) error {
 }
 
 // Stats aggregates per-shard delta statistics.
-func (e *MutableEngine) Stats() []delta.Stats {
+func (e *Engine) Stats() []delta.Stats {
 	out := make([]delta.Stats, len(e.src.stores))
 	for i, st := range e.src.stores {
 		out[i] = st.Stats()
@@ -386,54 +317,6 @@ func (e *MutableEngine) Stats() []delta.Stats {
 // Materialize merges every shard's live rows into one matrix in
 // ascending global id order with the id directory — the dataset an
 // equivalent fresh engine would be built from.
-func (e *MutableEngine) Materialize() (*vec.Matrix, []int) {
+func (e *Engine) Materialize() (*vec.Matrix, []int) {
 	return delta.MaterializeAll(e.src.stores)
 }
-
-// Close shuts every shard store down (draining background compactions),
-// closes the standing-query registry, and — on a durable engine —
-// flushes and fsyncs the write-ahead log before returning, so every
-// acknowledged mutation is on disk when Close hands control back.
-// Idempotent: repeated Close on a non-durable engine returns nil (the
-// original contract); on a durable engine it returns ErrClosed, so a
-// caller retrying after a failed flush can tell "already shut down"
-// from a fresh flush failure.
-func (e *MutableEngine) Close() error {
-	if !e.pipe.Close() {
-		if e.log != nil {
-			return ErrClosed
-		}
-		// Non-durable: closing again is harmless and keeps Close's
-		// contract symmetric with the immutable engine.
-		return nil
-	}
-	if e.standing != nil {
-		e.standing.Close()
-	}
-	closeStores(e.src.stores)
-	if e.log != nil {
-		// The log's Close fsyncs the active segment first; a failure
-		// surfaces here (the engine is closed regardless — a second
-		// Close reports ErrClosed, never retries the flush).
-		if err := e.log.Close(); err != nil {
-			return fmt.Errorf("serve: wal close: %w", err)
-		}
-	}
-	return nil
-}
-
-// Dims returns the dataset dimensionality (the wire layer validates
-// query vectors against it).
-func (e *MutableEngine) Dims() int { return e.d }
-
-// Rows returns the current live row count across shards.
-func (e *MutableEngine) Rows() int {
-	total := 0
-	for _, st := range e.src.stores {
-		total += st.Stats().LiveRows
-	}
-	return total
-}
-
-// Workers returns the effective batch worker count.
-func (e *MutableEngine) Workers() int { return e.opts.Workers }

@@ -4,13 +4,12 @@
 //	lease → validate → admission → deadline → shed → ROUTE → fan out → merge → annotate
 //
 // An engine hands the pipeline a ShardSource (how many shards, how to
-// visit one, which are servable, which are degraded). There are two: the
-// static Engine and the MutableEngine share storeSource (delta stores
-// behind breakers), and cluster.Engine has its replica-picking source.
-// Both serve a visit through Attempt. The pipeline never asks which
-// engine it serves.
+// visit one, which are servable, which are degraded). There are two:
+// serve.Engine's storeSource (delta stores behind breakers), and
+// cluster.Engine's replica-picking source. Both serve a visit through
+// Attempt. The pipeline never asks which engine it serves.
 //
-// The pipeline owns every frame around the sources' work, so all three
+// The pipeline owns every frame around the sources' work, so both
 // engines emit the same trace and the same pim_serve_* / pim_route_*
 // metrics from the observer handed to NewPipeline: the engine.search
 // root span with the query counters, and per visited shard a "shard N"

@@ -65,7 +65,7 @@ func TestAdmissionControlRejectsTyped(t *testing.T) {
 	<-started
 	// Wait until the first query actually holds the admission slot.
 	deadline := time.Now().Add(delay)
-	for e.res.lim.InFlight() == 0 {
+	for e.pipe.res.lim.InFlight() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first query never acquired the admission slot")
 		}
@@ -117,11 +117,11 @@ func TestAdmissionQueueAdmitsWaiters(t *testing.T) {
 	results := make(chan error, 2)
 	go func() { _, err := e.Search(context.Background(), queries.Row(0), 3); results <- err }()
 	// Wait for query 1 to hold the slot, then enqueue query 2.
-	for e.res.lim.InFlight() == 0 {
+	for e.pipe.res.lim.InFlight() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	go func() { _, err := e.Search(context.Background(), queries.Row(1), 3); results <- err }()
-	for e.res.lim.Queued() == 0 {
+	for e.pipe.res.lim.Queued() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	// Queue full: query 3 is refused immediately.
@@ -160,7 +160,7 @@ func TestShedDeadlineTyped(t *testing.T) {
 			t.Fatalf("warm-up query %d: %v", i, err)
 		}
 	}
-	p95, n := e.res.shed.P95()
+	p95, n := e.pipe.res.shed.P95()
 	if n < 4 || p95 < 20*time.Millisecond {
 		t.Fatalf("shedder saw p95=%s over %d samples after warm-up", p95, n)
 	}
@@ -458,7 +458,7 @@ func TestRetryBudgetRetriesTransient(t *testing.T) {
 	}
 	// Dead-crossbar recoveries are permanent failures: no retry is spent.
 	calls.Store(10) // any value ≠ 0: the fault-once branch stays off
-	before := e.res.retry.Tokens()
+	before := e.pipe.res.retry.Tokens()
 	e2, err := New(data, Options{
 		Shards: 1,
 		Factory: func(m *vec.Matrix, _ int) (knn.Searcher, error) {
@@ -478,7 +478,7 @@ func TestRetryBudgetRetriesTransient(t *testing.T) {
 	if _, err := e2.Search(context.Background(), queries.Row(0), k); err != nil {
 		t.Fatal(err)
 	}
-	if got := e2.res.retry.Tokens(); got != 4 {
+	if got := e2.pipe.res.retry.Tokens(); got != 4 {
 		t.Fatalf("permanent failure spent retry tokens: %v of 4 left", got)
 	}
 	_ = before
@@ -539,9 +539,9 @@ func TestOverloadGoodputProperty(t *testing.T) {
 	// a goroutine that has not yet offered its query when the gate opens
 	// would be admitted, so the rejections are waited for too).
 	deadline := time.Now().Add(2 * time.Second)
-	for e.res.lim.InFlight() < cap || e.res.lim.Queued() < queue || len(outs) < burst-expect {
+	for e.pipe.res.lim.InFlight() < cap || e.pipe.res.lim.Queued() < queue || len(outs) < burst-expect {
 		if time.Now().After(deadline) {
-			t.Fatalf("load never settled: inflight=%d queued=%d rejected=%d", e.res.lim.InFlight(), e.res.lim.Queued(), len(outs))
+			t.Fatalf("load never settled: inflight=%d queued=%d rejected=%d", e.pipe.res.lim.InFlight(), e.pipe.res.lim.Queued(), len(outs))
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -19,9 +19,9 @@
 // nothing and sharded results are bit-identical to a sequential scan
 // (property-tested in serve_test.go).
 //
-// Every shard of both engines is an internal/delta store — the static
-// Engine's with an empty delta and nothing that can compact it — served
-// through one ShardSource (storeSource). Shard searchers reuse internal
+// Every shard is an internal/delta store — on an engine nobody mutates,
+// one with an empty delta and nothing to compact — served through one
+// ShardSource (storeSource). Shard searchers reuse internal
 // buffers, so searches on one shard serialize on the store's per-epoch
 // searcher lock; queries pipeline across shards, which is where batch
 // throughput comes from. A shard whose searcher construction fails
@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"pimmine/internal/arch"
@@ -45,7 +46,9 @@ import (
 	"pimmine/internal/pim"
 	"pimmine/internal/resilience"
 	"pimmine/internal/route"
+	"pimmine/internal/standing"
 	"pimmine/internal/vec"
+	"pimmine/internal/wal"
 )
 
 // Variant names the per-shard searcher algorithm.
@@ -73,10 +76,10 @@ func Variants() []Variant {
 }
 
 // Factory builds the searcher for one shard: called as factory(m,
-// shardID) on the shard's first build and, on the mutable engine, on
-// every compaction. Custom factories override Options.Variant (tests use
-// them to force the degraded path; callers can plug in searchers the
-// stock variants don't cover).
+// shardID) on the shard's first build and again on every compaction.
+// Custom factories override Options.Variant (tests use them to force the
+// degraded path; callers can plug in searchers the stock variants don't
+// cover).
 type Factory func(shard *vec.Matrix, shardID int) (knn.Searcher, error)
 
 // Options configures New.
@@ -99,7 +102,7 @@ type Options struct {
 	// QueryTimeout, when positive, is the per-query deadline applied on
 	// top of the caller's context.
 	QueryTimeout time.Duration
-	// Factory overrides Variant when non-nil, on both engines.
+	// Factory overrides Variant when non-nil.
 	Factory Factory
 	// Obs, when non-nil, wires the engine into the observability
 	// subsystem (internal/obs): query counters, latency histograms,
@@ -128,7 +131,7 @@ type Options struct {
 	// and shed queries return typed errors (resilience.ErrOverloaded,
 	// resilience.ErrShedDeadline); admitted queries always return exact
 	// results. When MaxConcurrent is set, Workers is clamped to it so a
-	// batch cannot reject its own jobs. Both engines honour all of it.
+	// batch cannot reject its own jobs.
 	Resilience *resilience.Config
 }
 
@@ -136,21 +139,67 @@ type Options struct {
 var ErrClosed = fmt.Errorf("serve: engine closed")
 
 // Engine is the sharded concurrent query engine. It is safe for
-// concurrent use by multiple goroutines.
+// concurrent use by multiple goroutines: Search/SearchBatch stay
+// lock-free against Insert/Update/Delete and background compaction, per
+// shard, via delta's epoch snapshots, and mutations serialize on the
+// engine's routing lock (mutation throughput is not the design target;
+// query concurrency is). A static engine is one that nobody mutates:
+// compaction, the endurance ledger, the write-ahead log and standing
+// queries are off until MutableOptions sets them or a caller subscribes.
 type Engine struct {
-	data *vec.Matrix
-	src  *storeSource // the shards: one store each, never compacted
-	opts Options
-	res  *engineResilience // nil when Options.Resilience is nil
-	pipe *Pipeline         // the query path, over src
+	d    int
+	opts MutableOptions
+	src  *storeSource // the shards: one delta store each
+	// owner[id] is the shard initial id id was placed on (nil on a
+	// recovered engine, whose ids all live in routes).
+	owner []int32
+
+	mu     sync.Mutex // guards nextID, rr, routes, and store mutation order
+	nextID int
+	rr     int
+	routes map[int]int // inserted id → shard
+
+	// pipe is the query path over src; its lease gates mutations against
+	// Close too, so Close drains everything in flight.
+	pipe *Pipeline
+
+	// log is the write-ahead log (nil when Durability.Dir is unset).
+	// Mutations append under e.mu before applying, so log order equals
+	// apply order and replay reconstructs the exact mutation sequence.
+	log  *wal.Log
+	walM *wal.Metrics
+
+	// standing is the continuous-query registry; its hooks run under
+	// e.mu after each applied mutation, so every subscription observes
+	// the mutations in the order the engine applied them.
+	standing *standing.Registry
 }
 
-// Close drains in-flight queries and shuts the engine down; subsequent
-// queries return ErrClosed. It is idempotent — a second (or concurrent)
-// Close neither panics nor deadlocks, it just waits for the same drain.
+// Close drains in-flight queries and shuts every shard store down
+// (draining background compactions), closes the standing-query registry,
+// and — on a durable engine — flushes and fsyncs the write-ahead log
+// before returning, so every acknowledged mutation is on disk when Close
+// hands control back. Subsequent queries return ErrClosed. Idempotent: a
+// second (or concurrent) Close neither panics nor deadlocks, it waits for
+// the same drain and returns nil; on a durable engine it returns
+// ErrClosed, so a caller retrying after a failed flush can tell "already
+// shut down" from a fresh flush failure.
 func (e *Engine) Close() error {
-	if e.pipe.Close() {
-		closeStores(e.src.stores)
+	if !e.pipe.Close() {
+		if e.log != nil {
+			return ErrClosed
+		}
+		return nil
+	}
+	e.standing.Close()
+	closeStores(e.src.stores)
+	if e.log != nil {
+		// The log's Close fsyncs the active segment first; a failure
+		// surfaces here (the engine is closed regardless — a second
+		// Close reports ErrClosed, never retries the flush).
+		if err := e.log.Close(); err != nil {
+			return fmt.Errorf("serve: wal close: %w", err)
+		}
 	}
 	return nil
 }
@@ -206,36 +255,13 @@ func (o *Options) serve(src *storeSource, dims int, res *engineResilience) *Pipe
 	return p
 }
 
-// New partitions data row-wise and builds one searcher per shard. A shard
-// whose construction fails falls back to the exact host scan and is
+// New partitions data row-wise and builds one searcher per shard: it is
+// NewMutable with no mutation options, an engine that nobody mutates. A
+// shard whose construction fails falls back to the exact host scan and is
 // reported by DegradedShards (and on every Result); only configuration
 // errors — unknown variant, missing framework, empty data — fail New.
 func New(data *vec.Matrix, opts Options) (*Engine, error) {
-	if data == nil || data.N == 0 {
-		return nil, fmt.Errorf("serve: empty dataset")
-	}
-	res, err := opts.defaults(data.N, data.D)
-	if err != nil {
-		return nil, err
-	}
-	build, err := opts.builder()
-	if err != nil {
-		return nil, err
-	}
-	// A static shard is built once, sized at its even share of CapacityN.
-	shardCap := shardCapacity(opts)
-	src := newStoreSource(&opts, res, func(m *vec.Matrix, id, _ int) (knn.Searcher, error) {
-		return build(m, id, shardCap)
-	})
-	_, err = src.partition(data, opts.Router, func(id int) (delta.Options, error) {
-		return delta.Options{Factory: src.factory(id)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{data: data, src: src, opts: opts, res: res}
-	e.pipe = opts.serve(src, data.D, res)
-	return e, nil
+	return NewMutable(data, MutableOptions{Options: opts})
 }
 
 // checkAlive gates a freshly built PIM shard searcher on its array's
@@ -280,13 +306,8 @@ func (o *Options) builder() (buildFunc, error) {
 // build).
 func variantBuilder(opts Options) (delta.Factory, error) {
 	fw := opts.Framework
-	needFW := func(v Variant) error {
-		if fw == nil {
-			return fmt.Errorf("serve: variant %q needs Options.Framework", v)
-		}
-		return nil
-	}
-	switch v := opts.Variant; v {
+	var cascade func(eng *pim.Engine, m *vec.Matrix, capacityN int) (*knn.Cascade, error)
+	switch opts.Variant {
 	case VariantStandard:
 		return func(m *vec.Matrix, _ int) (knn.Searcher, error) {
 			return knn.NewStandard(m), nil
@@ -304,56 +325,35 @@ func variantBuilder(opts Options) (delta.Factory, error) {
 			return knn.NewFNN(m)
 		}, nil
 	case VariantStandardPIM:
-		if err := needFW(v); err != nil {
-			return nil, err
+		cascade = func(eng *pim.Engine, m *vec.Matrix, capacityN int) (*knn.Cascade, error) {
+			return knn.NewStandardPIM(eng, m, fw.Quant, capacityN)
 		}
-		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			s, err := knn.NewStandardPIM(eng, m, fw.Quant, capacityN)
-			return checkAlive(s, eng, err)
-		}, nil
 	case VariantOSTPIM:
-		if err := needFW(v); err != nil {
-			return nil, err
+		cascade = func(eng *pim.Engine, m *vec.Matrix, capacityN int) (*knn.Cascade, error) {
+			return knn.NewOSTPIM(eng, m, fw.Quant, m.D/2, capacityN)
 		}
-		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			s, err := knn.NewOSTPIM(eng, m, fw.Quant, m.D/2, capacityN)
-			return checkAlive(s, eng, err)
-		}, nil
 	case VariantSMPIM:
-		if err := needFW(v); err != nil {
-			return nil, err
+		cascade = func(eng *pim.Engine, m *vec.Matrix, capacityN int) (*knn.Cascade, error) {
+			return knn.NewSMPIM(eng, m, fw.Quant, bound.FNNLevels(m.D)[2], capacityN)
 		}
-		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			s, err := knn.NewSMPIM(eng, m, fw.Quant, bound.FNNLevels(m.D)[2], capacityN)
-			return checkAlive(s, eng, err)
-		}, nil
 	case VariantFNNPIM:
-		if err := needFW(v); err != nil {
-			return nil, err
+		cascade = func(eng *pim.Engine, m *vec.Matrix, capacityN int) (*knn.Cascade, error) {
+			return knn.NewFNNPIM(eng, m, fw.Quant, capacityN)
 		}
-		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			s, err := knn.NewFNNPIM(eng, m, fw.Quant, capacityN)
-			return checkAlive(s, eng, err)
-		}, nil
 	default:
 		return nil, fmt.Errorf("serve: unknown variant %q", opts.Variant)
 	}
+	if fw == nil {
+		return nil, fmt.Errorf("serve: variant %q needs Options.Framework", opts.Variant)
+	}
+	return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+		eng, err := fw.NewEngine()
+		if err != nil {
+			return nil, err
+		}
+		s, err := cascade(eng, m, capacityN)
+		return checkAlive(s, eng, err)
+	}, nil
 }
 
 // shardCapacity is the Theorem 4 sizing per shard: each shard answers
@@ -366,10 +366,17 @@ func shardCapacity(opts Options) int {
 func (e *Engine) NumShards() int { return len(e.src.stores) }
 
 // Dims returns the dataset dimensionality (queries must match it).
-func (e *Engine) Dims() int { return e.data.D }
+func (e *Engine) Dims() int { return e.d }
 
-// Rows returns the dataset cardinality.
-func (e *Engine) Rows() int { return e.data.N }
+// Rows returns the live row count across shards: the dataset's
+// cardinality until a mutation changes it.
+func (e *Engine) Rows() int {
+	total := 0
+	for _, n := range e.ShardSizes() {
+		total += n
+	}
+	return total
+}
 
 // Workers returns the batch worker-pool width in effect.
 func (e *Engine) Workers() int { return e.opts.Workers }
@@ -377,7 +384,7 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 // Router returns the attached shard router (nil when unrouted).
 func (e *Engine) Router() *route.Router { return e.opts.Router }
 
-// ShardSizes returns the row count of every shard.
+// ShardSizes returns the live row count of every shard.
 func (e *Engine) ShardSizes() []int {
 	sizes := make([]int, len(e.src.stores))
 	for i, st := range e.src.stores {
@@ -386,8 +393,8 @@ func (e *Engine) ShardSizes() []int {
 	return sizes
 }
 
-// DegradedShards returns the ids of shards serving the host fallback
-// (nil when every shard built its configured searcher).
+// DegradedShards returns the ids of shards whose current epoch serves
+// the host fallback (nil when every shard built its configured searcher).
 func (e *Engine) DegradedShards() []int { return e.src.Degraded() }
 
 // Meter returns a merged snapshot of the cumulative per-shard activity
@@ -427,7 +434,8 @@ type Result struct {
 // deadline-aware shedding (resilience.ErrShedDeadline when the
 // remaining deadline is below the observed p95 service time); both
 // reject in microseconds, before any shard work is dispatched. Search
-// is safe to call concurrently.
+// is safe to call concurrently and never blocks on mutations or
+// compactions.
 //
 // With Options.Router set, Search routes in the router's default mode;
 // SearchMode overrides it per query.
@@ -440,7 +448,9 @@ func (e *Engine) Search(ctx context.Context, q []float64, k int) (*Result, error
 // shards whose summary lower bound proves them out of the top-k;
 // route.ModeApprox visits shards by sketch similarity toward the
 // router's recall target; route.ModeAuto takes the router's default.
-// An explicit mode on an engine without a router is ErrNoRouter.
+// An explicit mode on an engine without a router is ErrNoRouter. Through
+// churn the delta layer's OnMutate/OnCompact hooks keep the routing
+// summaries covering every live row.
 func (e *Engine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*Result, error) {
 	return e.pipe.Search(ctx, q, k, mode)
 }

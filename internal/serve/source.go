@@ -16,12 +16,12 @@ import (
 	"pimmine/internal/vec"
 )
 
-// storeSource is the one ShardSource of both serve engines: shard i is
+// storeSource is the ShardSource of Engine: shard i is
 // the delta.Store stores[i]. A visit is one Attempt behind the shard's
 // breaker and the retry budget (resilience.go), under the shard span the
 // pipeline opened, and lands in the cumulative meter behind
 // Engine.Meter. Stores are lock-free against mutations and compaction,
-// so the mutable engine's churn never blocks a visit.
+// so churn never blocks a visit.
 type storeSource struct {
 	stores []*delta.Store
 	// build constructs shard id's searcher for each epoch; factory wraps
@@ -42,7 +42,7 @@ type storeSource struct {
 	meter *arch.Meter // cumulative activity of every shard
 }
 
-// newStoreSource makes o.Shards empty shard slots; the engines' builders
+// newStoreSource makes o.Shards empty shard slots; the engine's builders
 // fill them (partition, or RecoverMutable's restore).
 func newStoreSource(o *Options, res *engineResilience, build buildFunc) *storeSource {
 	s := &storeSource{

@@ -22,47 +22,53 @@ func closeTestData(n, d int) *vec.Matrix {
 // Regression: Close must be idempotent and must fail queries and
 // mutations issued after it with ErrClosed rather than racing torn-down
 // state, whichever constructor built the engine.
+func checkCloseIdempotent(t *testing.T, data *vec.Matrix, e *Engine) {
+	t.Helper()
+	q := data.Row(0)
+	if _, err := e.Search(context.Background(), q, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if _, err := e.Search(context.Background(), q, 3); !errors.Is(err, ErrClosed) {
+		t.Fatalf("search after close err = %v, want ErrClosed", err)
+	}
+	if _, err := e.SearchBatch(context.Background(), data.Slice(0, 2), 3); !errors.Is(err, ErrClosed) {
+		t.Fatalf("batch after close err = %v, want ErrClosed", err)
+	}
+	if _, err := e.Insert(q); !errors.Is(err, ErrClosed) {
+		t.Fatalf("insert after close err = %v, want ErrClosed", err)
+	}
+	if err := e.Delete(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("delete after close err = %v, want ErrClosed", err)
+	}
+	if err := e.Compact(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("compact after close err = %v, want ErrClosed", err)
+	}
+}
+
 func TestEngineCloseIdempotent(t *testing.T) {
 	t.Parallel()
 	data := closeTestData(64, 8)
-	opts := Options{Shards: 4, Workers: 2}
-	for _, tc := range []struct {
-		name  string
-		build func() (*Engine, error)
-	}{
-		{"New", func() (*Engine, error) { return New(data, opts) }},
-		{"NewMutable", func() (*Engine, error) { return NewMutable(data, MutableOptions{Options: opts}) }},
-	} {
-		e, err := tc.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := data.Row(0)
-		if _, err := e.Search(context.Background(), q, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatalf("%s: second Close: %v", tc.name, err)
-		}
-		if _, err := e.Search(context.Background(), q, 3); !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: search after close err = %v, want ErrClosed", tc.name, err)
-		}
-		if _, err := e.SearchBatch(context.Background(), data.Slice(0, 2), 3); !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: batch after close err = %v, want ErrClosed", tc.name, err)
-		}
-		if _, err := e.Insert(q); !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: insert after close err = %v, want ErrClosed", tc.name, err)
-		}
-		if err := e.Delete(0); !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: delete after close err = %v, want ErrClosed", tc.name, err)
-		}
-		if err := e.Compact(nil); !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: compact after close err = %v, want ErrClosed", tc.name, err)
-		}
+	e, err := New(data, Options{Shards: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkCloseIdempotent(t, data, e)
+}
+
+func TestMutableEngineCloseIdempotent(t *testing.T) {
+	t.Parallel()
+	data := closeTestData(64, 8)
+	e, err := NewMutable(data, MutableOptions{Options: Options{Shards: 4, Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCloseIdempotent(t, data, e)
 }
 
 // Concurrent double Close while queries are in flight: every query

@@ -8,14 +8,14 @@ import (
 	"runtime"
 	"testing"
 
+	"pimmine/internal/dataset"
 	"pimmine/internal/netserve"
 )
 
-// wireBody renders a request of rows d-dimensional queries the way a
-// client marshals it: shortest-form float64s, ~19 bytes an element. One
-// row is a QueryRequest, more a BatchRequest.
-func wireBody(tb testing.TB, rows, d int) []byte {
-	tb.Helper()
+// uniformRows draws rows d-dimensional queries uniformly from [0,1):
+// 16- and 17-digit shortest forms, a third of which need the
+// Eisel–Lemire tier.
+func uniformRows(rows, d int) [][]float64 {
 	rng := rand.New(rand.NewSource(int64(rows*d) + 17))
 	qs := make([][]float64, rows)
 	for i := range qs {
@@ -24,8 +24,32 @@ func wireBody(tb testing.TB, rows, d int) []byte {
 			qs[i][j] = rng.Float64()
 		}
 	}
+	return qs
+}
+
+// workloadRows draws rows queries the way the benchmark workloads do —
+// from a 64-row dataset of the named profile, seed 11: 83 % (Trevi) to
+// 99 % (MSD) of their values take Clinger's exact tier.
+func workloadRows(tb testing.TB, profile string, rows int) [][]float64 {
+	tb.Helper()
+	p, err := dataset.ByName(profile)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q := dataset.Generate(p, 64, 11).Queries(rows, 11)
+	qs := make([][]float64, rows)
+	for i := range qs {
+		qs[i] = q.Row(i)
+	}
+	return qs
+}
+
+// wireBody renders queries the way a client marshals them: shortest-form
+// float64s. One row is a QueryRequest, more a BatchRequest.
+func wireBody(tb testing.TB, qs [][]float64) []byte {
+	tb.Helper()
 	var req any = netserve.QueryRequest{Query: qs[0], K: 10}
-	if rows > 1 {
+	if len(qs) > 1 {
 		req = netserve.BatchRequest{Queries: qs, K: 10}
 	}
 	body, err := json.Marshal(req)
@@ -37,7 +61,8 @@ func wireBody(tb testing.TB, rows, d int) []byte {
 
 // BenchmarkDecode measures the request decoders at the benchmark
 // workloads' shapes (wire-knn d=420, wire-light d=4096, cluster-xbar
-// 8×420), each beside the encoding/json reference it replaced.
+// 8×420), each beside the encoding/json reference it replaced: on
+// uniform values, and (-trevi, -msd) on the values the workloads send.
 func BenchmarkDecode(b *testing.B) {
 	query := func(decode func([]byte, int, int) (*netserve.QueryRequest, error), d int) func([]byte) error {
 		return func(body []byte) error {
@@ -51,7 +76,8 @@ func BenchmarkDecode(b *testing.B) {
 			return err
 		}
 	}
-	q420, q4096, b8x420 := wireBody(b, 1, 420), wireBody(b, 1, 4096), wireBody(b, 8, 420)
+	q420, q4096, b8x420 := wireBody(b, uniformRows(1, 420)), wireBody(b, uniformRows(1, 4096)), wireBody(b, uniformRows(8, 420))
+	trevi, msd := wireBody(b, workloadRows(b, "Trevi", 1)), wireBody(b, workloadRows(b, "MSD", 8))
 	for _, bc := range []struct {
 		name   string
 		body   []byte
@@ -63,6 +89,10 @@ func BenchmarkDecode(b *testing.B) {
 		{"query-4096-ref", q4096, query(netserve.RefDecodeQueryRequest, 4096)},
 		{"batch-8x420", b8x420, batch(netserve.DecodeBatchRequest, 420)},
 		{"batch-8x420-ref", b8x420, batch(netserve.RefDecodeBatchRequest, 420)},
+		{"query-4096-trevi", trevi, query(netserve.DecodeQueryRequest, 4096)},
+		{"query-4096-trevi-ref", trevi, query(netserve.RefDecodeQueryRequest, 4096)},
+		{"batch-8x420-msd", msd, batch(netserve.DecodeBatchRequest, 420)},
+		{"batch-8x420-msd-ref", msd, batch(netserve.RefDecodeBatchRequest, 420)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(bc.body)))
@@ -78,18 +108,27 @@ func BenchmarkDecode(b *testing.B) {
 
 // TestDecodeAllocs guards the two things the scanner is for: a request
 // costs a fixed handful of allocations whatever its dimensionality (the
-// request, its vector — the reflection decoder regrew that ~20 times),
-// and a body the engine could never use is refused at element dims+1,
-// not after it has been parsed whole (an 8 MiB array of zeros used to
-// allocate a 4 M-element slice before the dims check saw it).
+// request, its vector — the reflection decoder regrew that ~20 times;
+// no number allocates, so a batch adds its rows and the slice of them
+// growing), and a body the engine could never use is refused at element
+// dims+1, not after it has been parsed whole (an 8 MiB array of zeros
+// used to allocate a 4 M-element slice before the dims check saw it).
 func TestDecodeAllocs(t *testing.T) {
-	body := wireBody(t, 1, 4096)
+	body := wireBody(t, uniformRows(1, 4096))
 	if n := testing.AllocsPerRun(20, func() {
 		if _, err := netserve.DecodeQueryRequest(body, 4096, netserve.DefaultMaxK); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 3 {
 		t.Errorf("DecodeQueryRequest at d=4096: %v allocs, want <= 3", n)
+	}
+	batch := wireBody(t, uniformRows(8, 420))
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := netserve.DecodeBatchRequest(batch, 420, netserve.DefaultMaxK, netserve.DefaultMaxBatch); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 13 {
+		t.Errorf("DecodeBatchRequest at 8×420: %v allocs, want <= 13", n)
 	}
 
 	const dims, runs = 3, 20

@@ -217,7 +217,7 @@ func (ix *FNNIndex) HostDots(i int, qf FNNQuery) (dotMu, dotSigma int64) {
 // fnnFeatures computes segment stats of the *scaled* vector v̄ = v·α,
 // floors them into mu/sg, and returns Φ(p̂). The per-segment stats are
 // computed inline (bit-identical to vec.SegmentStats, which evaluates the
-// same Mean and Std per segment) so the query path never allocates.
+// same vec.MeanStd per segment) so the query path never allocates.
 func fnnFeatures(v []float64, q quant.Quantizer, segs int, mu, sg []uint32) (float64, error) {
 	if segs <= 0 || len(v)%segs != 0 {
 		return 0, fmt.Errorf("pimbound: cannot split %d dims into %d equal segments", len(v), segs)
@@ -225,9 +225,9 @@ func fnnFeatures(v []float64, q quant.Quantizer, segs int, mu, sg []uint32) (flo
 	l := len(v) / segs
 	var phi float64
 	for i := 0; i < segs; i++ {
-		seg := v[i*l : (i+1)*l]
-		sm := q.Scaled(vec.Mean(seg)) // mean scales linearly with α
-		sd := q.Scaled(vec.Std(seg))  // σ scales linearly with α
+		mean, std := vec.MeanStd(v[i*l : (i+1)*l])
+		sm := q.Scaled(mean) // mean scales linearly with α
+		sd := q.Scaled(std)  // σ scales linearly with α
 		fm := uint32(sm)
 		fd := uint32(sd)
 		mu[i] = fm

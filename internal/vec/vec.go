@@ -248,6 +248,22 @@ func Std(a []float64) float64 {
 	return math.Sqrt(s / float64(len(a)))
 }
 
+// MeanStd returns Mean(a) and Std(a) from one sum of a: the same
+// arithmetic in the same order, so both are bit-identical to the
+// separate calls, whose Std sums a a second time.
+func MeanStd(a []float64) (mean, std float64) {
+	if len(a) == 0 {
+		return 0, 0
+	}
+	mean = Sum(a) / float64(len(a))
+	var s float64
+	for _, v := range a {
+		dv := v - mean
+		s += dv * dv
+	}
+	return mean, math.Sqrt(s / float64(len(a)))
+}
+
 // SegmentStats divides a d-dimensional vector into segs equal segments and
 // returns the per-segment means and population standard deviations. It is
 // the Φ precomputation used by LB_FNN (Hwang et al., CVPR 2012): the vector
@@ -279,9 +295,7 @@ func SegmentStatsInto(v []float64, segs int, mu, sigma []float64) error {
 	}
 	l := d / segs
 	for i := 0; i < segs; i++ {
-		seg := v[i*l : (i+1)*l]
-		mu[i] = Mean(seg)
-		sigma[i] = Std(seg)
+		mu[i], sigma[i] = MeanStd(v[i*l : (i+1)*l])
 	}
 	return nil
 }

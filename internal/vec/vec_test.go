@@ -190,6 +190,30 @@ func TestNormsAndStats(t *testing.T) {
 	}
 }
 
+// TestMeanStdMatchesMeanAndStd pins MeanStd to the separate Mean and Std
+// bit for bit: SegmentStatsInto and pimbound's LB_PIM-FNN features read it
+// in place of the two calls, at build time and per query.
+func TestMeanStdMatchesMeanAndStd(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(5))
+	cases := [][]float64{nil, {0.7}, {0.25, 0.75}, {0.1, 0.9}, {0.3, 0.3, 0.3, 0.3, 0.3}}
+	for _, n := range []int{1, 2, 3, 7, 64, 105} {
+		for rep := 0; rep < 20; rep++ {
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = rng.Float64()
+			}
+			cases = append(cases, a)
+		}
+	}
+	for _, a := range cases {
+		mean, std := MeanStd(a)
+		if math.Float64bits(mean) != math.Float64bits(Mean(a)) || math.Float64bits(std) != math.Float64bits(Std(a)) {
+			t.Fatalf("MeanStd(%v) = (%v, %v), want (%v, %v)", a, mean, std, Mean(a), Std(a))
+		}
+	}
+}
+
 func TestSegmentStats(t *testing.T) {
 	t.Parallel()
 	v := []float64{1, 3, 2, 2, 0, 4}

@@ -34,18 +34,16 @@ import (
 
 // shardOf maps a global id to its shard: initial ids by where they were
 // placed, inserted ids by the consistent-hash id ring (recorded in routes
-// at insert time).
+// at insert time). An id it cannot place is delta.ErrNotFound, as on the
+// serve engine.
 func (e *Engine) shardOf(id int) (int, error) {
-	if id < 0 {
-		return 0, fmt.Errorf("cluster: negative id %d", id)
-	}
-	if id < len(e.owner) {
+	if id >= 0 && id < len(e.owner) {
 		return int(e.owner[id]), nil
 	}
 	if sh, ok := e.routes[id]; ok {
 		return sh, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown id %d", id)
+	return 0, fmt.Errorf("cluster: %w: %d", delta.ErrNotFound, id)
 }
 
 // commitLocked runs op on every writable replica of sh and applies the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"pimmine/internal/delta"
 	"pimmine/internal/vec"
 )
 
@@ -267,5 +268,28 @@ func TestSingleNodeDefaultReplicasClamp(t *testing.T) {
 	}
 	if _, err := New(data, Options{Nodes: 1, Replicas: 2}); err == nil {
 		t.Fatal("explicit replicas > nodes accepted")
+	}
+}
+
+// TestUnknownIDIsErrNotFound pins the cluster's answer to a write that
+// addresses no row — an id never issued, a negative one, one already
+// deleted — to delta.ErrNotFound, the serve engine's sentinel, at every
+// replication factor.
+func TestUnknownIDIsErrNotFound(t *testing.T) {
+	t.Parallel()
+	data := randMatrix(40, 6, 41)
+	for _, r := range []int{1, 2} {
+		eng := newTestEngine(t, data, Options{Nodes: 2, Replicas: r, Shards: 2, Seed: 4})
+		if err := eng.Delete(3); err != nil {
+			t.Fatalf("R=%d: Delete(3): %v", r, err)
+		}
+		for _, id := range []int{999, -1, 3} {
+			if err := eng.Update(id, data.Row(0)); !errors.Is(err, delta.ErrNotFound) {
+				t.Errorf("R=%d: Update(%d) = %v, want delta.ErrNotFound", r, id, err)
+			}
+			if err := eng.Delete(id); !errors.Is(err, delta.ErrNotFound) {
+				t.Errorf("R=%d: Delete(%d) = %v, want delta.ErrNotFound", r, id, err)
+			}
+		}
 	}
 }

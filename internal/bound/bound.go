@@ -182,12 +182,6 @@ func (ix *FNNIndex) QueryStats(q []float64) (mu, sigma []float64, err error) {
 	return vec.SegmentStats(q, ix.Segs)
 }
 
-// QueryStatsInto is QueryStats writing into caller-owned buffers (both
-// len Segs) — the allocation-free form the steady-state search paths use.
-func (ix *FNNIndex) QueryStatsInto(q []float64, mu, sigma []float64) error {
-	return vec.SegmentStatsInto(q, ix.Segs, mu, sigma)
-}
-
 // LB evaluates LB_FNN between dataset object i and query statistics.
 func (ix *FNNIndex) LB(i int, qMu, qSigma []float64) float64 {
 	pm, ps := ix.Mu.Row(i), ix.Sigma.Row(i)

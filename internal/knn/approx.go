@@ -24,8 +24,8 @@ type approxRow struct {
 	qPhi     float64
 }
 
-func (a *approxRow) prepare(q []float64, meter *arch.Meter) error {
-	if err := a.edRow.prepare(q, meter); err != nil {
+func (a *approxRow) prepare(m *memo, meter *arch.Meter) error {
+	if err := a.edRow.prepare(m, meter); err != nil {
 		return err
 	}
 	a.qPhi = sumSquares(a.floor)
@@ -64,7 +64,7 @@ func NewApproxPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacity
 	if err != nil {
 		return nil, err
 	}
-	st := &approxRow{edRow: *newEDRow(eng, pay, ix, "ED-approx"), phiFloor: make([]float64, data.N)}
+	st := &approxRow{edRow: *newEDRow(eng, pay, ix, "ED-approx", viewWhole), phiFloor: make([]float64, data.N)}
 	for i := range st.phiFloor {
 		st.phiFloor[i] = sumSquares(ix.Floor(i))
 	}

@@ -13,15 +13,18 @@ import (
 	"pimmine/internal/vec"
 )
 
-// stage is one bound of an execution plan (§V-D): query-side features are
-// computed once per query by prepare, after which lb(i) is at most the
-// cascade's exact value for every object — a lower bound on ED, or the
-// negated upper bound of a similarity (the cascade ranks negated
-// similarities, so smaller is always better and one strict prune serves
-// every measure). The host stages wrap the bound package's indexes
-// (host.go, cspcc.go), the PIM stages the pimbound ones plus their
-// programmed payloads (pimknn.go, table4.go); the cascade treats them
-// alike.
+// stage is one bound of an execution plan (§V-D). prepare readies it for
+// the query in flight, after which lb(i) is at most the cascade's exact
+// value for every object — a lower bound on ED, or the negated upper bound
+// of a similarity (the cascade ranks negated similarities, so smaller is
+// always better and one strict prune serves every measure). The query-side
+// features of LB_FNN, LB_PIM-FNN and LB_PIM-ED are read from the query's
+// memo (memo.go), computed once per query and shared by every stage — and
+// every shard — at the same granularity and α; what stays per stage is the
+// dots of its own payload, its digest's group norms and the cascade's
+// column. The host stages wrap the bound package's indexes (host.go,
+// cspcc.go), the PIM stages the pimbound ones plus their programmed
+// payloads (pimknn.go, table4.go); the cascade treats them alike.
 type stage interface {
 	// name is the stage's meter bucket and StageStat name.
 	name() string
@@ -33,9 +36,10 @@ type stage interface {
 	// pimDots is the number of dot products one query runs on the array; 0
 	// marks a bound evaluated on the host.
 	pimDots() int
-	// prepare computes the query's features into the stage's scratch. For
-	// a PIM stage that includes the array pass, metered under name().
-	prepare(q []float64, meter *arch.Meter) error
+	// prepare readies the stage for m's query: its features, read from m
+	// or computed into the stage's scratch, and for a PIM stage the array
+	// pass, metered under name().
+	prepare(m *memo, meter *arch.Meter) error
 	lb(i int) float64
 	// lbInto is the bound as a column: dst[i] = lb(i), to the bit, for the
 	// first len(dst) objects. It is how the walk consults its first stage
@@ -87,6 +91,7 @@ type Cascade struct {
 	exact    exactStep
 	q        []float64 // the query in flight, for the exact step
 	ceil     float64   // the walk in flight returns no row above it
+	own      memo      // the query's features when ctx carries no memo for it
 
 	// lazy is the walk's state over a first stage that answers from a
 	// digest (lazy.go), resolved at construction; nil walks the column as
@@ -201,12 +206,13 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, ceiling 
 	_, sp := obs.StartSpan(ctx, c.spanName)
 	defer sp.End()
 	c.q = q
+	m := memoFor(ctx, q, &c.own)
 	for si, st := range c.stages {
 		var pd *obs.Span
 		if st.pimDots() > 0 {
 			pd = sp.StartChild("pim-dot")
 		}
-		if err := st.prepare(q, meter); err != nil {
+		if err := st.prepare(m, meter); err != nil {
 			panic(fmt.Sprintf("knn: %s: %s query: %v", c.name, st.name(), err)) // shape mismatch is a caller bug
 		}
 		if pd != nil {
@@ -219,6 +225,7 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, ceiling 
 
 	dst = c.walk(sp, k, ceiling, meter, dst)
 	c.q = nil // do not keep the caller's buffer (a row of a batch arena) alive
+	c.own.reset(nil)
 	return dst
 }
 

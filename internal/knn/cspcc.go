@@ -118,11 +118,11 @@ type simRow struct {
 	qf pimbound.CSQuery
 }
 
-func (s *simRow) prepare(q []float64, meter *arch.Meter) error {
-	if err := s.checkDims(q); err != nil {
+func (s *simRow) prepare(m *memo, meter *arch.Meter) error {
+	if err := s.checkDims(m.q); err != nil {
 		return err
 	}
-	s.qf = s.ix.QueryInto(q, s.floor)
+	s.qf = s.ix.QueryInto(m.q, s.floor)
 	return s.pass(meter)
 }
 
@@ -179,8 +179,8 @@ type partStage struct {
 
 func (s *partStage) name() string { return "UBpart" }
 func (s *partStage) segs() int    { return s.ix.D0 }
-func (s *partStage) prepare(q []float64, _ *arch.Meter) error {
-	s.q, s.qTail, s.qNorm = q, s.ix.QueryTail(q), vec.Norm(q)
+func (s *partStage) prepare(m *memo, _ *arch.Meter) error {
+	s.q, s.qTail, s.qNorm = m.q, s.ix.QueryTail(m.q), vec.Norm(m.q)
 	return nil
 }
 func (s *partStage) lb(i int) float64 {

@@ -25,20 +25,25 @@ import (
 // prunes and RecordCosts charges the exact distances alone, so a task is
 // written once against the filter instead of wrapping every bound test in
 // a check for the PIM variant. A filter is one prepared query over the
-// programmed rows: its retained scratch makes a warmed-up Prepare + LB
-// sweep allocation-free and the filter non-reentrant, one per goroutine.
+// programmed rows: its retained scratch and memo make a warmed-up
+// Prepare + LB sweep allocation-free and the filter non-reentrant, one per
+// goroutine.
 type EDFilter struct {
 	*edRow
+	memo     memo  // the prepared row's features
 	consults int64 // LB calls since the last RecordCosts
 }
 
 // edRow is the LB_PIM-ED row of Table 4 (Theorem 1) as a prepared query
-// over programmed floors: Fig 8's operand pair is Φ(p̄) and the dot (Φ(q̄)
-// is computed once per query and cached).
+// over programmed floors: Fig 8's operand pair is Φ(p̄) and the dot. ⌊q̄⌋
+// and Φ(q̄) are computed once per query, in its memo, and shared by every
+// row over the same view, granularity and α — every shard of a request;
+// the dots are the row's own.
 type edRow struct {
 	dotQuery
-	ix *pimbound.EDIndex
-	qf pimbound.EDQuery
+	ix   *pimbound.EDIndex
+	view edView // the vector of the query the floors were programmed against
+	qf   pimbound.EDQuery
 
 	// lazyStage state (see fnnFilter). Only a cascade sets lazy: EDFilter
 	// consults LB(i) row by row, in no order a threshold could lead, and
@@ -48,15 +53,21 @@ type edRow struct {
 	qd    []uint32
 }
 
-func newEDRow(eng *pim.Engine, pay *pim.Payload, ix *pimbound.EDIndex, fn string) *edRow {
-	return &edRow{dotQuery: (&dotPayload{fn: fn, eng: eng, pay: pay, ops: 2}).newQuery(), ix: ix}
+func newEDRow(eng *pim.Engine, pay *pim.Payload, ix *pimbound.EDIndex, fn string, view edView) *edRow {
+	return &edRow{dotQuery: dotQuery{dotPayload: &dotPayload{fn: fn, eng: eng, pay: pay, ops: 2}}, ix: ix, view: view}
 }
 
-func (s *edRow) prepare(q []float64, meter *arch.Meter) error {
-	if err := s.checkDims(q); err != nil {
+func (s *edRow) prepare(m *memo, meter *arch.Meter) error {
+	if s.view == viewWhole {
+		if err := s.checkDims(m.q); err != nil {
+			return err
+		}
+	}
+	f, err := m.pimED(s.ix, s.view)
+	if err != nil {
 		return err
 	}
-	s.qf = s.ix.QueryInto(q, s.floor)
+	s.qf, s.floor = f.ed, f.ed.Floor
 	if s.lazy {
 		if s.dots, s.loose = s.eng.UpperAll(s.pay, s.floor, s.qd, s.dots); s.loose {
 			s.eng.ChargeQuery(meter, s.fn, s.pay)
@@ -111,7 +122,7 @@ func NewEDFilter(eng *pim.Engine, rows *vec.Matrix, q quant.Quantizer, capacityN
 	if err != nil {
 		return nil, err
 	}
-	return &EDFilter{edRow: newEDRow(eng, pay, ix, "LBPIM-ED")}, nil
+	return &EDFilter{edRow: newEDRow(eng, pay, ix, "LBPIM-ED", viewWhole)}, nil
 }
 
 // programED is the offline half of every row over LB_PIM-ED's floors.
@@ -125,18 +136,21 @@ func programED(eng *pim.Engine, rows *vec.Matrix, q quant.Quantizer, capacityN i
 }
 
 // Fork returns another prepared query over the filter's programmed rows,
-// with scratch and consultation count of its own.
+// with scratch, memo and consultation count of its own.
 func (f *EDFilter) Fork() *EDFilter {
-	return &EDFilter{edRow: &edRow{dotQuery: f.newQuery(), ix: f.ix}}
+	return &EDFilter{edRow: &edRow{dotQuery: dotQuery{dotPayload: f.dotPayload}, ix: f.ix, view: viewWhole}}
 }
 
-// Prepare quantizes the query row into the retained scratch and runs its
-// PIM pass; LB then answers for every programmed row.
+// Prepare quantizes the query row into the filter's memo and runs its PIM
+// pass; LB then answers for every programmed row.
 func (f *EDFilter) Prepare(row []float64, meter *arch.Meter) error {
 	if f == nil {
 		return nil
 	}
-	return f.prepare(row, meter)
+	f.memo.reset(row)
+	err := f.prepare(&f.memo, meter)
+	f.memo.reset(nil) // do not keep the caller's row alive
+	return err
 }
 
 // LB returns LB_PIM-ED between programmed row i and the prepared query

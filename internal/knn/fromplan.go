@@ -30,15 +30,17 @@ func Candidates(data, pilot *vec.Matrix, k int, pimAlg, baseline *Cascade) ([]pl
 	exact := NewStandard(data)
 	sums := make([]float64, len(stages))
 	lbs := make([]float64, data.N)
+	var m memo
 	for qi := 0; qi < pilot.N; qi++ {
 		q := pilot.Row(qi)
 		nn := exact.Search(q, k, arch.NewMeter())
 		threshold := nn[len(nn)-1].Dist
+		m.reset(q)
 		for si, st := range stages {
 			var err error
 			if si == 0 {
-				err = filter.hostBounds(q, lbs)
-			} else if err = st.prepare(q, nil); err == nil {
+				err = filter.hostBounds(&m, lbs)
+			} else if err = st.prepare(&m, nil); err == nil {
 				st.lbInto(lbs)
 			}
 			if err != nil {

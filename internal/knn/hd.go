@@ -73,7 +73,7 @@ type hdRow struct {
 
 // prepare is a stage's float-vector entry point, which a packed code does
 // not come through: HDPIM.SearchAppend prepares the row itself.
-func (s *hdRow) prepare([]float64, *arch.Meter) error {
+func (s *hdRow) prepare(*memo, *arch.Meter) error {
 	return errors.New("knn: the HD stage takes a packed code")
 }
 

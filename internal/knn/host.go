@@ -67,8 +67,8 @@ type ostStage struct {
 
 func (s *ostStage) name() string { return "LBOST" }
 func (s *ostStage) segs() int    { return s.ix.D0 }
-func (s *ostStage) prepare(q []float64, _ *arch.Meter) error {
-	s.q, s.qTail = q, s.ix.QueryTail(q)
+func (s *ostStage) prepare(m *memo, _ *arch.Meter) error {
+	s.q, s.qTail = m.q, s.ix.QueryTail(m.q)
 	return nil
 }
 func (s *ostStage) lb(i int) float64 { return s.ix.LB(i, s.q, s.qTail) }
@@ -97,8 +97,8 @@ type smStage struct {
 
 func (s *smStage) name() string { return "LBSM" }
 func (s *smStage) segs() int    { return s.ix.Segs }
-func (s *smStage) prepare(q []float64, _ *arch.Meter) error {
-	return s.ix.QueryMuInto(q, s.qMu)
+func (s *smStage) prepare(m *memo, _ *arch.Meter) error {
+	return s.ix.QueryMuInto(m.q, s.qMu)
 }
 func (s *smStage) lb(i int) float64 { return s.ix.LB(i, s.qMu) }
 func (s *smStage) lbInto(dst []float64) {
@@ -121,13 +121,18 @@ type fnnStage struct {
 	hostBound
 	ix        *bound.FNNIndex
 	fname     string    // cached, so the hot path never fmt.Sprintfs
-	mu, sigma []float64 // query segment-statistics scratch
+	mu, sigma []float64 // the query's segment statistics, read from its memo
 }
 
 func (s *fnnStage) name() string { return s.fname }
 func (s *fnnStage) segs() int    { return s.ix.Segs }
-func (s *fnnStage) prepare(q []float64, _ *arch.Meter) error {
-	return s.ix.QueryStatsInto(q, s.mu, s.sigma)
+func (s *fnnStage) prepare(m *memo, _ *arch.Meter) error {
+	f, err := m.fnnStats(s.ix.Segs)
+	if err != nil {
+		return err
+	}
+	s.mu, s.sigma = f.mu, f.sigma
+	return nil
 }
 func (s *fnnStage) lb(i int) float64 { return s.ix.LB(i, s.mu, s.sigma) }
 func (s *fnnStage) lbInto(dst []float64) {
@@ -156,10 +161,7 @@ func fnnStages(data *vec.Matrix, segCounts []int, covered int) ([]stage, error) 
 		if err != nil {
 			return nil, err
 		}
-		stages = append(stages, &fnnStage{
-			hostBound: hostBound{ix.TransferDims()}, ix: ix, fname: fmt.Sprintf("LBFNN-%d", segs),
-			mu: make([]float64, segs), sigma: make([]float64, segs),
-		})
+		stages = append(stages, &fnnStage{hostBound: hostBound{ix.TransferDims()}, ix: ix, fname: fmt.Sprintf("LBFNN-%d", segs)})
 	}
 	return stages, nil
 }

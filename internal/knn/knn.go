@@ -188,8 +188,10 @@ func costExactRefine(c *arch.Counters, n int64, d int) {
 
 // costPIMBound records the host-side cost of combining PIM results with
 // the precomputed Φ values (function G of Eq. 3): per consulted object the
-// CPU moves `operands` values (Fig 8: Φ(p) and the dot product(s); Φ(q) is
-// computed once and cached) and spends a handful of ops.
+// CPU moves `operands` values (Fig 8: Φ(p) and the dot product(s)) and
+// spends a handful of ops. Φ(q) is not charged per object: it is computed
+// once per query, in the query's memo, and shared by every shard the
+// query visits, while each shard's own dots and combine are charged here.
 func costPIMBound(c *arch.Counters, n int64, operands int) {
 	c.Ops += n * int64(2*operands+4)
 	c.SeqBytes += n * int64(operands) * operandBytes

@@ -208,8 +208,10 @@ func TestTightenMatchesLBInto(t *testing.T) {
 		}
 		st := c.lazy.lazyStage
 		seen[fmt.Sprintf("%T", st)] = true
+		var m memo
 		for qi := 0; qi < queries.N; qi++ {
-			if err := st.prepare(queries.Row(qi), nil); err != nil {
+			m.reset(queries.Row(qi))
+			if err := st.prepare(&m, nil); err != nil {
 				t.Fatal(err)
 			}
 			if !st.isLoose() {

@@ -20,17 +20,16 @@ type fnnFilter struct {
 	muPay *pim.Payload
 	sgPay *pim.Payload
 	fname string            // cached, so the hot path never fmt.Sprintfs
-	qf    pimbound.FNNQuery // the prepared query's features; aliases qMu, qSg
+	qf    pimbound.FNNQuery // the prepared query's features, read from its memo
 
-	// Steady-state scratch: the QueryAllParallel argument slices, the
-	// query feature buffers and the dot-product destinations are built
-	// once so prepare performs zero heap allocations per query.
-	pays     []*pim.Payload
-	inputs   [][]uint32
-	dsts     [][]int64
-	qMu, qSg []uint32
-	dotsMu   []int64
-	dotsSg   []int64
+	// Steady-state scratch: the QueryAllParallel argument slices and the
+	// dot-product destinations are built once so prepare performs zero
+	// heap allocations per query.
+	pays   []*pim.Payload
+	inputs [][]uint32
+	dsts   [][]int64
+	dotsMu []int64
+	dotsSg []int64
 
 	// lazyStage state: whether a cascade leads with this stage over
 	// digested payloads, the query's group norms against each, and whether
@@ -59,8 +58,6 @@ func newFNNFilter(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, segs int
 	f.pays = []*pim.Payload{f.muPay, f.sgPay}
 	f.inputs = make([][]uint32, 2)
 	f.dsts = make([][]int64, 2)
-	f.qMu = make([]uint32, segs)
-	f.qSg = make([]uint32, segs)
 	return f, nil
 }
 
@@ -68,24 +65,27 @@ func (f *fnnFilter) name() string { return f.fname }
 func (f *fnnFilter) segs() int    { return f.ix.Segs }
 
 // operands is the per-consultation transfer: Φ(p̂) plus two dot products
-// (Φ(q̂) is cached) — Fig 8's 3·b bits.
+// — Fig 8's 3·b bits. Φ(q̂) is not among them: it is computed once per
+// query, in the query's memo, and shared by every shard's filter at the
+// same granularity and α.
 func (f *fnnFilter) operands() int { return 3 }
 func (f *fnnFilter) pimDots() int  { return 2 * f.ix.N() }
 
-// prepare runs the query's PIM passes; bounds are then available for
-// every object via lb. The ⌊µ⌋ and ⌊σ⌋ payloads live in disjoint crossbar
-// groups (Fig 10's crossbar a / crossbar b), so both dot products come
-// out of one concurrent pass (§V-C's parallel function groups).
-func (f *fnnFilter) prepare(q []float64, meter *arch.Meter) error {
-	qf, err := f.ix.QueryInto(q, f.qMu, f.qSg)
+// prepare reads the query's features from its memo and runs the query's
+// PIM passes; bounds are then available for every object via lb. The ⌊µ⌋
+// and ⌊σ⌋ payloads live in disjoint crossbar groups (Fig 10's crossbar a /
+// crossbar b), so both dot products come out of one concurrent pass
+// (§V-C's parallel function groups).
+func (f *fnnFilter) prepare(m *memo, meter *arch.Meter) error {
+	feat, err := m.pimFNN(f.ix)
 	if err != nil {
 		return err
 	}
-	f.qf = qf
+	f.qf = feat.fnn
 	if f.lazy {
 		var okMu, okSg bool
-		f.dotsMu, okMu = f.eng.UpperAll(f.muPay, qf.MuFloor, f.qdMu, f.dotsMu)
-		f.dotsSg, okSg = f.eng.UpperAll(f.sgPay, qf.SigmaFloor, f.qdSg, f.dotsSg)
+		f.dotsMu, okMu = f.eng.UpperAll(f.muPay, f.qf.MuFloor, f.qdMu, f.dotsMu)
+		f.dotsSg, okSg = f.eng.UpperAll(f.sgPay, f.qf.SigmaFloor, f.qdSg, f.dotsSg)
 		if f.loose = okMu && okSg; f.loose {
 			f.eng.ChargeQuery(meter, f.fname, f.pays...)
 			return nil
@@ -146,15 +146,16 @@ func (f *fnnFilter) tighten(rows []int, col []float64) {
 
 func (f *fnnFilter) cost(c *arch.Counters, n int64) { costPIMBound(c, n, f.operands()) }
 
-// hostBounds fills lbs with the bound of every object against q from dot
-// products taken on the host, which a healthy array returns bit for bit:
-// §V-D's offline measurement reads the bound without running, metering or
-// (under a fault model) disturbing the array.
-func (f *fnnFilter) hostBounds(q []float64, lbs []float64) error {
-	qf, err := f.ix.QueryInto(q, f.qMu, f.qSg)
+// hostBounds fills lbs with the bound of every object against m's query
+// from dot products taken on the host, which a healthy array returns bit
+// for bit: §V-D's offline measurement reads the bound without running,
+// metering or (under a fault model) disturbing the array.
+func (f *fnnFilter) hostBounds(m *memo, lbs []float64) error {
+	feat, err := m.pimFNN(f.ix)
 	if err != nil {
 		return err
 	}
+	qf := feat.fnn
 	for i := range lbs {
 		dotMu, dotSg := f.ix.HostDots(i, qf)
 		lbs[i] = f.ix.LB(i, qf, dotMu, dotSg)
@@ -227,21 +228,18 @@ func newFNNPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN i
 type edStage struct {
 	*edRow
 	scale float64   // SM: l; otherwise 1
-	qMu   []float64 // SM: query segment-mean scratch; nil selects the head prefix
-	qSg   []float64 // SM: query segment-σ scratch (computed, discarded)
 	tail  []float64 // OST: ‖p_tail‖ per object
 	qTail float64
 }
 
-func (e *edStage) prepare(q []float64, meter *arch.Meter) error {
-	if e.qMu == nil {
-		e.qTail = vec.Norm(q[e.segs():])
-		return e.edRow.prepare(q[:e.segs()], meter)
+// prepare reads the projected query's features from the memo — SM's
+// segment means and their floors, OST's head floors — and adds OST's
+// tail norm, the one feature this stage computes itself.
+func (e *edStage) prepare(m *memo, meter *arch.Meter) error {
+	if e.tail != nil {
+		e.qTail = vec.Norm(m.q[e.segs():])
 	}
-	if err := vec.SegmentStatsInto(q, len(e.qMu), e.qMu, e.qSg); err != nil {
-		return err
-	}
-	return e.edRow.prepare(e.qMu, meter)
+	return e.edRow.prepare(m, meter)
 }
 
 // lb rounds both products before they are summed, so none fuses into the
@@ -310,10 +308,7 @@ func NewSMPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, segs, capaci
 	if err != nil {
 		return nil, err
 	}
-	return newCascade(data, "SM-PIM", &edStage{
-		edRow: newEDRow(eng, pay, ix, "LBPIM-SM"), scale: float64(data.D / segs),
-		qMu: make([]float64, segs), qSg: sigma,
-	}), nil
+	return newCascade(data, "SM-PIM", &edStage{edRow: newEDRow(eng, pay, ix, "LBPIM-SM", viewMeans), scale: float64(data.D / segs)}), nil
 }
 
 // NewOSTPIM builds the PIM-optimized orthogonal-search-tree searcher with
@@ -339,7 +334,7 @@ func NewOSTPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, d0, capacit
 	if err != nil {
 		return nil, err
 	}
-	row := newEDRow(eng, pay, ix, "LBPIM-OST")
+	row := newEDRow(eng, pay, ix, "LBPIM-OST", viewHead)
 	row.ops = 3 // Φ, the dot and ‖p_tail‖
 	return newCascade(data, "OST-PIM", &edStage{edRow: row, scale: 1, tail: tails}), nil
 }

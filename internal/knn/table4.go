@@ -40,10 +40,12 @@ func (p *dotPayload) RecordPreprocessing(meter *arch.Meter) {
 	pim.RecordProgramCost(meter, p.fn, p.pay)
 }
 
-// dotQuery is one prepared query against a payload: its ⌊q̄⌋ in retained
-// scratch and the dot with every programmed row (a row adds Φ(q̄)). It is
-// apart from the payload so that one payload can have any number of
-// queries in flight: a searcher holds one, kmeans.Assist one per centre.
+// dotQuery is one prepared query against a payload: its ⌊q̄⌋ and the dot
+// with every programmed row (a row adds Φ(q̄)). It is apart from the
+// payload so that one payload can have any number of queries in flight: a
+// searcher holds one, kmeans.Assist one per centre. The dots are its own;
+// ⌊q̄⌋ is retained scratch (newQuery), or LB_PIM-ED's, read from the
+// query's memo (edRow).
 type dotQuery struct {
 	*dotPayload
 	floor []uint32
@@ -55,8 +57,8 @@ func (p *dotPayload) newQuery() dotQuery {
 }
 
 func (s *dotQuery) checkDims(q []float64) error {
-	if len(q) != len(s.floor) {
-		return fmt.Errorf("knn: %s query has %d dims, payload has %d", s.fn, len(q), len(s.floor))
+	if len(q) != s.pay.Dims {
+		return fmt.Errorf("knn: %s query has %d dims, payload has %d", s.fn, len(q), s.pay.Dims)
 	}
 	return nil
 }

@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/knn"
 	"pimmine/internal/obs"
 	"pimmine/internal/pool"
 	"pimmine/internal/route"
@@ -221,7 +222,15 @@ func (p *Pipeline) Search(ctx context.Context, q []float64, k int, mode route.Mo
 		return nil, serr
 	}
 
-	outs, info, err := p.route(ctx, root, q, k, mode)
+	// Every visit reads the query's features from one memo (§V-A's Φ(q),
+	// once per query). fanOut leaves a visit running only when ctx ends,
+	// so while ctx is live every visit has returned and the memo can go
+	// back to its pool.
+	qc := knn.WithQuery(ctx, q)
+	outs, info, err := p.route(qc, root, q, k, mode)
+	if ctx.Err() == nil {
+		qc.Release()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,8 @@ import (
 
 // Admin operations drive the failure model; the chaos harness calls
 // them, and operators (or tests) can too. All placement-affecting ops
-// serialize on the engine mutation lock so reads always observe a
-// consistent replica list.
+// take the writer's mutation lock (serve.Writer.Lock), the lock every
+// write holds, so reads always observe a consistent replica list.
 
 func (e *Engine) nodeByID(id int) (*node, error) {
 	if id < 0 || id >= len(e.nodes) {
@@ -22,17 +22,15 @@ func (e *Engine) nodeByID(id int) (*node, error) {
 // closed), as if the DIMM lost power. Shards it hosted drop below R
 // until Repair re-ships them. Killing a dead node is a no-op.
 func (e *Engine) KillNode(id int) error {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer unlock()
 	n, err := e.nodeByID(id)
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if n.state.Load() == nodeDown {
 		return nil
 	}
@@ -40,7 +38,8 @@ func (e *Engine) KillNode(id int) error {
 	return nil
 }
 
-// killLocked destroys n's replicas and marks it down. Caller holds e.mu.
+// killLocked destroys n's replicas and marks it down. Caller holds the
+// mutation lock.
 func (e *Engine) killLocked(n *node) {
 	n.state.Store(nodeDown)
 	for _, sh := range e.shards {
@@ -63,17 +62,15 @@ func (e *Engine) killLocked(n *node) {
 // RestoreNode brings a killed or paused node back up, empty. Replicas
 // it lost come back only through Repair (anti-entropy re-replication).
 func (e *Engine) RestoreNode(id int) error {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer unlock()
 	n, err := e.nodeByID(id)
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n.state.Store(nodeUp)
 	e.met.nodesUp(e.NodesUp())
 	return nil
@@ -83,17 +80,15 @@ func (e *Engine) RestoreNode(id int) error {
 // its state; under churn its replicas go stale and are excluded from
 // reads until Repair catches them up. Pausing a dead node is an error.
 func (e *Engine) PauseNode(id int) error {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer unlock()
 	n, err := e.nodeByID(id)
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if n.state.Load() == nodeDown {
 		return fmt.Errorf("cluster: pause node %d: %w", id, ErrNodeDown)
 	}
@@ -106,17 +101,15 @@ func (e *Engine) PauseNode(id int) error {
 // still current (no writes landed meanwhile) — otherwise Repair must
 // re-ship first.
 func (e *Engine) UnpauseNode(id int) error {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer unlock()
 	n, err := e.nodeByID(id)
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if n.state.Load() == nodeDown {
 		return fmt.Errorf("cluster: unpause node %d: %w", id, ErrNodeDown)
 	}
@@ -167,29 +160,25 @@ func (e *Engine) InjectFaults(id, count int) error {
 // unreachable for queries and writes (an asymmetric partition: node 3
 // could still ship snapshots out if its outbound links are up).
 func (e *Engine) SetLink(from, to int, up bool) error {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer unlock()
 	if from < -1 || from >= len(e.nodes) || to < -1 || to >= len(e.nodes) {
 		return fmt.Errorf("cluster: link %d->%d outside -1..%d", from, to, len(e.nodes)-1)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.links[from+1][to+1].Store(up)
 	return nil
 }
 
 // HealLinks restores every link.
 func (e *Engine) HealLinks() error {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return err
 	}
-	defer release()
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer unlock()
 	for i := range e.links {
 		for j := range e.links[i] {
 			e.links[i][j].Store(true)
@@ -241,27 +230,25 @@ const (
 )
 
 // The *IfSafe helpers decide quorum safety and apply the state change
-// under one e.mu critical section: checking canDisable and then calling
-// KillNode/PauseNode/SetLink separately would let a concurrent admin op
-// or write invalidate the check in between. The chaos harness routes
-// every disabling step through these so its safety bound ("a query
-// issued at any point between steps can always be answered") holds even
-// against concurrent mutation.
+// under one hold of the mutation lock: checking canDisable and then
+// calling KillNode/PauseNode/SetLink separately would let a concurrent
+// admin op or write invalidate the check in between. The chaos harness
+// routes every disabling step through these so its safety bound ("a
+// query issued at any point between steps can always be answered")
+// holds even against concurrent mutation.
 
 // killNodeIfSafe kills node id iff it is not already down and (force or
 // quorum-safe).
 func (e *Engine) killNodeIfSafe(id int, force bool) (disableResult, error) {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return 0, err
 	}
-	defer release()
+	defer unlock()
 	n, err := e.nodeByID(id)
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if n.state.Load() == nodeDown {
 		return disableRedundant, nil
 	}
@@ -274,17 +261,15 @@ func (e *Engine) killNodeIfSafe(id int, force bool) (disableResult, error) {
 
 // pauseNodeIfSafe pauses node id iff it is up and (force or quorum-safe).
 func (e *Engine) pauseNodeIfSafe(id int, force bool) (disableResult, error) {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return 0, err
 	}
-	defer release()
+	defer unlock()
 	n, err := e.nodeByID(id)
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if n.state.Load() != nodeUp {
 		return disableRedundant, nil
 	}
@@ -299,17 +284,15 @@ func (e *Engine) pauseNodeIfSafe(id int, force bool) (disableResult, error) {
 // severCoordLinkIfSafe severs the coordinator->id link iff it is intact,
 // the node is up, and (force or quorum-safe).
 func (e *Engine) severCoordLinkIfSafe(id int, force bool) (disableResult, error) {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return 0, err
 	}
-	defer release()
+	defer unlock()
 	n, err := e.nodeByID(id)
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !e.reachable(-1, id) {
 		return disableRedundant, nil
 	}
@@ -323,7 +306,7 @@ func (e *Engine) severCoordLinkIfSafe(id int, force bool) (disableResult, error)
 // canDisable reports whether taking node id out of service (kill,
 // pause, or partition from the coordinator) leaves every shard at least
 // one live, reachable, current replica. Callers that act on the answer
-// must hold e.mu across check and action (see the *IfSafe helpers).
+// must hold the mutation lock across check and action (see the *IfSafe helpers).
 func (e *Engine) canDisable(id int) bool {
 	for _, sh := range e.shards {
 		others := slices.DeleteFunc(sh.snapshot(), func(r *replica) bool { return r.node.id == id })

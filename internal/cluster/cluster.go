@@ -22,13 +22,13 @@
 // shard N → cluster.pick-replica → knn.* and exports the pipeline's
 // pim_serve_* and pim_route_* metrics beside its own pim_cluster_* ones.
 //
-// Writes apply to every writable (live and current) replica under the
-// engine mutation lock; replicas on paused or partitioned nodes go stale
-// (their version falls behind the shard's) and are excluded from reads
-// and later writes until anti-entropy (Repair) ships them a fresh
-// PIMSNAP1 snapshot — the same image format
-// the durability layer uses on disk, priced against the inter-node link
-// bandwidth like any other data movement. Typed errors tell callers what
+// Writes go through a serve.Writer, the serve engine's write path, and
+// apply to every writable (live and current) replica under its mutation
+// lock; replicas on paused or partitioned nodes go stale (their version
+// falls behind the shard's) and are excluded from reads and later writes
+// until anti-entropy (Repair) ships them a fresh PIMSNAP1 snapshot — the
+// same image format the durability layer uses on disk, priced against
+// the inter-node link bandwidth like any other data movement. Typed errors tell callers what
 // retrying buys: ErrNoQuorum (no live replica at all), ErrRebalancing
 // (replicas exist but are stale — anti-entropy will catch them up),
 // ErrNodeDown (an admin op addressed a dead node).
@@ -185,24 +185,20 @@ type Engine struct {
 	nodes    []*node
 	breakers *resilience.BreakerSet // one breaker per node
 	shards   []*cshard
-	owner    []int32 // owner[id]: the shard initial id id was placed on (route.Partition)
-	idRing   *ring   // inserted ids -> shards
+	idRing   *ring // inserted ids -> shards
 
 	// links[from][to]: directed reachability; index 0 is the
 	// coordinator/host, 1+i is node i. Asymmetric partitions sever
 	// individual directions.
 	links [][]atomic.Bool
 
-	mu     sync.Mutex // mutation + placement lock
-	nextID int
-	routes map[int]int // inserted id -> shard
-
 	// pipe is the query path; its lease gates mutations and admin
 	// operations against Close as well.
 	pipe *serve.Pipeline
-
-	standing *standing.Registry
-	met      *metrics
+	// w is the write path: the id directory, validation, standing
+	// queries, and the mutation lock that also orders placement changes.
+	w   *serve.Writer
+	met *metrics
 
 	shipMu sync.Mutex
 	ship   ShipStats
@@ -289,13 +285,7 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	e := &Engine{
-		d:      data.D,
-		opts:   opts,
-		nextID: data.N,
-		routes: make(map[int]int),
-		owner:  make([]int32, data.N),
-	}
+	e := &Engine{d: data.D, opts: opts}
 	e.met = newMetrics(opts.Obs, opts.Nodes)
 
 	e.breakers = resilience.NewBreakerSet(opts.Nodes, opts.Breaker)
@@ -318,11 +308,8 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	for id, ids := range place {
 		sh := &cshard{id: id}
 		part := data.Rows(ids)
-		for _, gid := range ids {
-			e.owner[gid] = int32(id)
-		}
 		for _, nid := range nodeRing.pref(fmt.Sprintf("shard-%d", id), opts.Replicas) {
-			dopts := e.replicaDeltaOptions()
+			dopts := e.replicaDeltaOptions(id)
 			dopts.IDs = ids
 			st, err := delta.New(part, dopts)
 			if err != nil {
@@ -339,23 +326,26 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	e.met.nodesUp(opts.Nodes)
 
 	e.pipe = serve.NewPipeline(source{e}, data.D, opts.Router, opts.Workers, opts.Obs)
-	// The requery hook runs under e.mu via the mutation hooks, so it is
-	// the pipeline's bare fan-out: it must not re-acquire engine locks.
-	reg, err := standing.NewRegistry(standing.Options{Requery: e.pipe.Requery, Buffer: opts.StandingBuffer})
-	if err != nil {
-		e.closeStores()
-		return nil, err
-	}
-	e.standing = reg
+	// Inserted ids go to the shard the id ring names.
+	placeID := func(id int, _ []float64) int { return e.idRing.owner(fmt.Sprintf("id-%d", id)) }
+	e.w = serve.NewWriter(e.pipe, place, data.N, opts.StandingBuffer, placeID, e.commitLocked)
 	return e, nil
 }
 
-func (e *Engine) replicaDeltaOptions() delta.Options {
-	return delta.Options{
+// replicaDeltaOptions configures one replica's store of shard id. With a
+// router, every inserted or updated row grows the shard's summary before
+// it becomes visible, as on the serve engine, so exact routing never
+// skips a shard that holds a written row.
+func (e *Engine) replicaDeltaOptions(id int) delta.Options {
+	dopts := delta.Options{
 		Factory:           e.opts.Factory,
 		MaxDelta:          e.opts.MaxDelta,
 		MaxTombstoneRatio: e.opts.MaxTombstoneRatio,
 	}
+	if r := e.opts.Router; r != nil {
+		dopts.OnMutate = func(v []float64) { r.Observe(id, v) }
+	}
+	return dopts
 }
 
 func (e *Engine) closeStores() {
@@ -446,7 +436,7 @@ func (e *Engine) BreakerStates() []resilience.State {
 // standing subscriptions end and every replica store closes.
 func (e *Engine) Close() error {
 	if e.pipe.Close() {
-		e.standing.Close()
+		_ = e.w.Close() // no log to flush, so it cannot fail
 		e.closeStores()
 	}
 	return nil
@@ -576,6 +566,37 @@ func (s source) Available(id int) bool {
 func (s source) Visit(ctx context.Context, id int, q []float64, k int, ceiling float64) (serve.ShardAnswer, error) {
 	return s.e.searchShard(ctx, s.e.shards[id], q, k, ceiling)
 }
+
+// Insert adds a vector under the next global id, on the shard the id
+// ring names; it lands on every writable replica of that shard.
+func (e *Engine) Insert(v []float64) (int, error) { return e.w.Insert(v) }
+
+// Update replaces the vector stored under id on every writable replica.
+func (e *Engine) Update(id int, v []float64) error { return e.w.Update(id, v) }
+
+// Delete removes id from every writable replica.
+func (e *Engine) Delete(id int) error { return e.w.Delete(id) }
+
+// SubscribeKNN opens a standing k-nearest-neighbors subscription whose
+// events stay lockstep-equivalent to one-shot re-queries — including
+// across replica fail-over, because the requery hook serves from
+// whatever current replicas survive.
+func (e *Engine) SubscribeKNN(q []float64, k int) (*standing.Subscription, error) {
+	return e.w.SubscribeKNN(q, k)
+}
+
+// SubscribeRadius opens a standing radius watch.
+func (e *Engine) SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error) {
+	return e.w.SubscribeRadius(q, radius)
+}
+
+// StandingView returns a copy of a kNN subscription's current result
+// view (nil for unknown or radius subscriptions).
+func (e *Engine) StandingView(id int) []vec.Neighbor { return e.w.StandingView(id) }
+
+// Unsubscribe tears down a standing subscription. Safe on unknown ids
+// and after Close (which already ended every subscription).
+func (e *Engine) Unsubscribe(id int) { e.w.Unsubscribe(id) }
 
 // Search returns the exact k nearest neighbors of q under the engine's
 // default routing mode.

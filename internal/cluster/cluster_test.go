@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,7 +11,9 @@ import (
 	"time"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/delta"
 	"pimmine/internal/knn"
+	"pimmine/internal/quant"
 	"pimmine/internal/resilience"
 	"pimmine/internal/route"
 	"pimmine/internal/serve"
@@ -333,11 +336,7 @@ func TestWriteRefusedWithoutQuorum(t *testing.T) {
 	// Find an id whose shard lost its only replica.
 	target := -1
 	for id := 0; id < data.N; id++ {
-		sh, err := eng.shardOf(id)
-		if err != nil {
-			t.Fatalf("shardOf: %v", err)
-		}
-		if len(eng.shards[sh].snapshot()) == 0 {
+		if len(eng.shards[eng.w.Shard(id)].snapshot()) == 0 {
 			target = id
 			break
 		}
@@ -374,13 +373,28 @@ func TestAdminOpsOnDeadNode(t *testing.T) {
 	}
 }
 
+// TestMutationsMatchSingleStoreModel drives one seeded write history
+// through the cluster and through a one-shard serve engine, its model,
+// at every replication factor. Valid writes must leave both with
+// Float64bits-identical answers after every step. Writes that must be
+// rejected — a value outside [0, 1], a wrong-dims vector, an unknown
+// id, a negative id, a double delete — must be rejected by both with
+// the same sentinel and the same message, never as one error per
+// replica, and must change nothing.
 func TestMutationsMatchSingleStoreModel(t *testing.T) {
 	t.Parallel()
 	data := randMatrix(100, 8, 11)
-	eng := newTestEngine(t, data, Options{Nodes: 4, Replicas: 2, Shards: 4, Seed: 5})
+	for _, r := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
+			t.Parallel()
+			mutationsMatchModel(t, data, r)
+		})
+	}
+}
+
+func mutationsMatchModel(t *testing.T, data *vec.Matrix, replicas int) {
+	eng := newTestEngine(t, data, Options{Nodes: 4, Replicas: replicas, Shards: 4, Seed: 5})
 	ctx := context.Background()
-	// Model: a plain mutable serve engine over the same data sees the
-	// same logical dataset; answers must agree bit-for-bit.
 	model, err := serve.NewMutable(data, serve.MutableOptions{Options: serve.Options{Shards: 1}})
 	if err != nil {
 		t.Fatalf("NewMutable: %v", err)
@@ -393,13 +407,32 @@ func TestMutationsMatchSingleStoreModel(t *testing.T) {
 		live[i] = true
 	}
 	nextID := data.N
-	for step := 0; step < 120; step++ {
-		switch op := rng.Intn(3); {
+	randVec := func(d int) []float64 {
+		v := make([]float64, d)
+		for j := range v {
+			v[j] = rng.Float64()
+		}
+		return v
+	}
+	// rejected applies one write that must fail to both engines.
+	rejected := func(step int, what string, sentinel error, write func(mutator) error) {
+		t.Helper()
+		got, want := write(eng), write(model)
+		switch {
+		case got == nil || want == nil:
+			t.Fatalf("step %d %s: cluster %v, model %v: want both rejected", step, what, got, want)
+		case sentinel != nil && (!errors.Is(got, sentinel) || !errors.Is(want, sentinel)):
+			t.Fatalf("step %d %s: cluster %v, model %v: want %v", step, what, got, want, sentinel)
+		case got.Error() != want.Error():
+			t.Fatalf("step %d %s: cluster %q, model %q", step, what, got, want)
+		case joined(got):
+			t.Fatalf("step %d %s: one error per replica: %v", step, what, got)
+		}
+	}
+	for step := 0; step < 150; step++ {
+		switch op := rng.Intn(4); {
 		case op == 0:
-			v := make([]float64, 8)
-			for j := range v {
-				v[j] = rng.Float64()
-			}
+			v := randVec(8)
 			id, err := eng.Insert(v)
 			if err != nil {
 				t.Fatalf("step %d insert: %v", step, err)
@@ -413,12 +446,9 @@ func TestMutationsMatchSingleStoreModel(t *testing.T) {
 			}
 			live[id] = true
 			nextID++
-		case op == 1 && len(live) > 0:
+		case op == 1:
 			id := pickLive(rng, live)
-			v := make([]float64, 8)
-			for j := range v {
-				v[j] = rng.Float64()
-			}
+			v := randVec(8)
 			if err := eng.Update(id, v); err != nil {
 				t.Fatalf("step %d update %d: %v", step, id, err)
 			}
@@ -434,23 +464,45 @@ func TestMutationsMatchSingleStoreModel(t *testing.T) {
 				t.Fatalf("model delete: %v", err)
 			}
 			delete(live, id)
+			if rng.Intn(2) == 0 {
+				rejected(step, "double delete", delta.ErrNotFound, func(m mutator) error { return m.Delete(id) })
+			}
+		case op == 3:
+			id := pickLive(rng, live)
+			switch rng.Intn(5) {
+			case 0:
+				v := randVec(8)
+				v[rng.Intn(8)] = 1 + rng.Float64()
+				rejected(step, "out-of-range insert", quant.ErrOutOfRange, func(m mutator) error { _, err := m.Insert(v); return err })
+			case 1:
+				v := randVec(8)
+				v[rng.Intn(8)] = -rng.Float64() - 0.01
+				rejected(step, "out-of-range update", quant.ErrOutOfRange, func(m mutator) error { return m.Update(id, v) })
+			case 2:
+				v := randVec(7)
+				rejected(step, "wrong-dims insert", nil, func(m mutator) error { _, err := m.Insert(v); return err })
+				rejected(step, "wrong-dims update", nil, func(m mutator) error { return m.Update(id, v) })
+			case 3:
+				unknown := nextID + 1 + rng.Intn(50)
+				rejected(step, "unknown-id update", delta.ErrNotFound, func(m mutator) error { return m.Update(unknown, randVec(8)) })
+				rejected(step, "unknown-id delete", delta.ErrNotFound, func(m mutator) error { return m.Delete(unknown) })
+			case 4:
+				neg := -1 - rng.Intn(50)
+				rejected(step, "negative-id update", delta.ErrNotFound, func(m mutator) error { return m.Update(neg, randVec(8)) })
+				rejected(step, "negative-id delete", delta.ErrNotFound, func(m mutator) error { return m.Delete(neg) })
+			}
 		}
-		if step%20 == 19 {
-			q := make([]float64, 8)
-			for j := range q {
-				q[j] = rng.Float64()
-			}
-			got, err := eng.Search(ctx, q, 6)
-			if err != nil {
-				t.Fatalf("step %d search: %v", step, err)
-			}
-			want, err := model.Search(ctx, q, 6)
-			if err != nil {
-				t.Fatalf("model search: %v", err)
-			}
-			if !sameNeighbors(got.Neighbors, want.Neighbors) {
-				t.Fatalf("step %d: cluster diverged from model", step)
-			}
+		q := randVec(8)
+		got, err := eng.Search(ctx, q, 6)
+		if err != nil {
+			t.Fatalf("step %d search: %v", step, err)
+		}
+		want, err := model.Search(ctx, q, 6)
+		if err != nil {
+			t.Fatalf("model search: %v", err)
+		}
+		if !sameNeighbors(got.Neighbors, want.Neighbors) {
+			t.Fatalf("step %d: cluster diverged from model", step)
 		}
 	}
 	// Materialize agrees with the model's flattened view.
@@ -472,6 +524,23 @@ func TestMutationsMatchSingleStoreModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mutator is the write surface the cluster and its serve model share.
+type mutator interface {
+	Insert(v []float64) (int, error)
+	Update(id int, v []float64) error
+	Delete(id int) error
+}
+
+// joined reports whether err's chain holds an errors.Join.
+func joined(err error) bool {
+	for ; err != nil; err = errors.Unwrap(err) {
+		if _, ok := err.(interface{ Unwrap() []error }); ok {
+			return true
+		}
+	}
+	return false
 }
 
 func pickLive(rng *rand.Rand, live map[int]bool) int {

@@ -20,8 +20,8 @@ import (
 // destination.
 
 // shipLocked copies sh's state from src onto node dst and returns the
-// installed replica. Caller holds e.mu. The source node must be up and
-// its link to dst intact.
+// installed replica. Caller holds the mutation lock. The source node
+// must be up and its link to dst intact.
 func (e *Engine) shipLocked(sh *cshard, src *replica, dst *node) (*replica, error) {
 	if src.node.state.Load() != nodeUp {
 		return nil, fmt.Errorf("cluster: ship shard %d from node %d: %w", sh.id, src.node.id, ErrNodeDown)
@@ -41,7 +41,7 @@ func (e *Engine) shipLocked(sh *cshard, src *replica, dst *node) (*replica, erro
 	if err != nil {
 		return nil, fmt.Errorf("cluster: ship shard %d: %w", sh.id, err)
 	}
-	st, err := restoreShard(dec, 0, e.replicaDeltaOptions())
+	st, err := restoreShard(dec, 0, e.replicaDeltaOptions(sh.id))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: install shard %d on node %d: %w", sh.id, dst.id, err)
 	}
@@ -74,13 +74,11 @@ func restoreShard(snap *wal.Snapshot, shard int, opts delta.Options) (*delta.Sto
 // all cannot be repaired and contributes an ErrNoQuorum to the joined
 // error; the other shards are still repaired.
 func (e *Engine) Repair() (int, error) {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return 0, err
 	}
-	defer release()
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer unlock()
 	ships := 0
 	var errs []error
 	for _, sh := range e.shards {
@@ -178,13 +176,11 @@ func (e *Engine) leastWornTargetLocked(sh *cshard, src *replica) *node {
 // could take it, and returns whether a move happened. Wear only grows
 // on install, so repeated calls converge instead of ping-ponging.
 func (e *Engine) Rebalance() (bool, error) {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return false, err
 	}
-	defer release()
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer unlock()
 	// Find the most-worn node hosting at least one movable replica.
 	var worst *node
 	for _, n := range e.nodes {

@@ -2,8 +2,16 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+
+	"pimmine/internal/arch"
+	"pimmine/internal/knn"
+	"pimmine/internal/vec"
 )
 
 // TestStandingLockstepAcrossFailover is the satellite subscription
@@ -133,4 +141,130 @@ func TestStandingLockstepAcrossFailover(t *testing.T) {
 		}
 		eng.Unsubscribe(id)
 	}
+}
+
+// gatedSearcher runs visit before every search of its shard's base.
+type gatedSearcher struct {
+	knn.Searcher
+	visit func()
+}
+
+func (g gatedSearcher) Search(q []float64, k int, m *arch.Meter) []vec.Neighbor {
+	g.visit()
+	return g.Searcher.Search(q, k, m)
+}
+
+// TestSubscribeSeesConcurrentInsert pins that a kNN subscription opened
+// while an insert commits holds that insert. The subscription's initial
+// query visits both shards; the visit to the shard the insert does not
+// go to is held open until the insert has either committed or parked
+// behind the mutation lock. Registration holds that lock, so the insert
+// lands before the initial view is computed or after the subscription is
+// registered, never in between, and the view ends up equal to a fresh
+// search, which holds the inserted row at distance 0.
+func TestSubscribeSeesConcurrentInsert(t *testing.T) {
+	t.Parallel()
+	data := randMatrix(40, 6, 43)
+	var builds, held atomic.Int32
+	var armed atomic.Bool
+	visited, release := make(chan struct{}, 2), make(chan struct{})
+	factory := func(base *vec.Matrix, _ int) (knn.Searcher, error) {
+		// R = 1: New builds shard 0's one replica, then shard 1's.
+		shard := builds.Add(1) - 1
+		return gatedSearcher{Searcher: knn.NewStandard(base), visit: func() {
+			if !armed.Load() {
+				return
+			}
+			visited <- struct{}{}
+			if shard == held.Load() {
+				<-release
+			}
+		}}, nil
+	}
+	eng := newTestEngine(t, data, Options{Nodes: 2, Replicas: 1, Shards: 2, Seed: 9, Factory: factory})
+	if eng.shards[0].replicas[0].node == eng.shards[1].replicas[0].node {
+		t.Fatal("both shards on one node: its visits would serialize")
+	}
+	// Hold the visit to the shard the next insert does not go to.
+	held.Store(int32(1 - eng.idRing.owner(fmt.Sprintf("id-%d", data.N))))
+
+	const k = 3
+	q := randMatrix(1, data.D, 44).Row(0)
+	armed.Store(true)
+	type subscribed struct {
+		id  int
+		err error
+	}
+	subDone := make(chan subscribed, 1)
+	go func() {
+		sub, err := eng.SubscribeKNN(q, k)
+		if err != nil {
+			subDone <- subscribed{err: err}
+			return
+		}
+		subDone <- subscribed{id: sub.ID()}
+	}()
+	// Both shards' snapshots are pinned once their visits have begun.
+	<-visited
+	<-visited
+	armed.Store(false)
+
+	inserted := make(chan error, 1)
+	go func() {
+		_, err := eng.Insert(q)
+		inserted <- err
+	}()
+	var insertErr error
+	returned := false
+	for !returned && !insertParked() {
+		select {
+		case insertErr = <-inserted:
+			returned = true
+		default:
+			runtime.Gosched()
+		}
+	}
+	close(release)
+	sub := <-subDone
+	if sub.err != nil {
+		t.Fatalf("SubscribeKNN: %v", sub.err)
+	}
+	if !returned {
+		insertErr = <-inserted
+	}
+	if insertErr != nil {
+		t.Fatalf("Insert: %v", insertErr)
+	}
+	res, err := eng.Search(context.Background(), q, k)
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	if res.Neighbors[0].Index != data.N || res.Neighbors[0].Dist != 0 {
+		t.Fatalf("fresh search %v misses the inserted row %d", res.Neighbors, data.N)
+	}
+	if view := eng.StandingView(sub.id); !sameNeighbors(view, res.Neighbors) {
+		t.Fatalf("standing view %v, fresh search %v", view, res.Neighbors)
+	}
+}
+
+// insertParked reports whether the Insert that
+// TestSubscribeSeesConcurrentInsert started is blocked acquiring a
+// mutex: the only one it can wait on is the mutation lock.
+func insertParked() bool {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[sync.Mutex.Lock") &&
+			strings.Contains(g, "cluster.(*Engine).Insert(") &&
+			strings.Contains(g, "created by pimmine/internal/cluster.TestSubscribeSeesConcurrentInsert") {
+			return true
+		}
+	}
+	return false
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"pimmine/internal/delta"
+	"pimmine/internal/route"
 	"pimmine/internal/vec"
+	"pimmine/internal/wal"
 )
 
 // vecConcat stacks matrices row-wise into one dataset model.
@@ -129,14 +131,17 @@ func TestPartialWriteFailureCommitsAndMarksFailedStale(t *testing.T) {
 
 	// Partial failure: replica 0 applies, the victim fails.
 	v := data.Row(1)
-	eng.mu.Lock()
-	err := eng.commitLocked(sh, func(r *replica) error {
-		if r == victim {
+	unlock, err := eng.w.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = eng.commitLocked(0, wal.OpUpdate, func(st *delta.Store) error {
+		if st == victim.store {
 			return boom
 		}
-		return r.store.Update(0, v)
+		return st.Update(0, v)
 	})
-	eng.mu.Unlock()
+	unlock()
 	if err != nil {
 		t.Fatalf("partial failure did not commit: %v", err)
 	}
@@ -149,9 +154,11 @@ func TestPartialWriteFailureCommitsAndMarksFailedStale(t *testing.T) {
 
 	// Total failure: no replica applies, nothing commits, the surviving
 	// current replica keeps its version.
-	eng.mu.Lock()
-	err = eng.commitLocked(sh, func(*replica) error { return boom })
-	eng.mu.Unlock()
+	if unlock, err = eng.w.Lock(); err != nil {
+		t.Fatal(err)
+	}
+	err = eng.commitLocked(0, wal.OpUpdate, func(*delta.Store) error { return boom })
+	unlock()
 	if !errors.Is(err, boom) {
 		t.Fatalf("all-replica failure: got %v, want the joined op error", err)
 	}
@@ -231,11 +238,7 @@ func TestWriteRefusedWhenOnlyStaleReplicasSurvive(t *testing.T) {
 	// survives there.
 	target := -1
 	for id := 0; id < data.N; id++ {
-		sh, err := eng.shardOf(id)
-		if err != nil {
-			t.Fatalf("shardOf: %v", err)
-		}
-		if eng.shards[sh].version.Load() > 0 {
+		if eng.shards[eng.w.Shard(id)].version.Load() > 0 {
 			target = id
 			break
 		}
@@ -290,6 +293,80 @@ func TestUnknownIDIsErrNotFound(t *testing.T) {
 			if err := eng.Delete(id); !errors.Is(err, delta.ErrNotFound) {
 				t.Errorf("R=%d: Delete(%d) = %v, want delta.ErrNotFound", r, id, err)
 			}
+		}
+	}
+}
+
+// TestDeleteDropsDirectoryEntry pins that a delete leaves nothing behind
+// in the writer's id directory, which would otherwise grow with every
+// insert ever made: the deleted id is unknown to it, and a later Update
+// or Delete of it is delta.ErrNotFound, at every replication factor.
+func TestDeleteDropsDirectoryEntry(t *testing.T) {
+	t.Parallel()
+	data := randMatrix(40, 6, 42)
+	for _, r := range []int{1, 2} {
+		eng := newTestEngine(t, data, Options{Nodes: 2, Replicas: r, Shards: 2, Seed: 4})
+		id, err := eng.Insert(data.Row(5))
+		if err != nil {
+			t.Fatalf("R=%d: Insert: %v", r, err)
+		}
+		if err := eng.Delete(id); err != nil {
+			t.Fatalf("R=%d: Delete(%d): %v", r, id, err)
+		}
+		if sh := eng.w.Shard(id); sh >= 0 {
+			t.Errorf("R=%d: directory still routes deleted id %d to shard %d", r, id, sh)
+		}
+		if err := eng.Update(id, data.Row(0)); !errors.Is(err, delta.ErrNotFound) {
+			t.Errorf("R=%d: Update(%d) = %v, want delta.ErrNotFound", r, id, err)
+		}
+		if err := eng.Delete(id); !errors.Is(err, delta.ErrNotFound) {
+			t.Errorf("R=%d: Delete(%d) = %v, want delta.ErrNotFound", r, id, err)
+		}
+	}
+}
+
+// TestRoutedWritesStayExact pins that exact routing on a routed cluster
+// sees written rows: each replica's insert or update grows its shard's
+// routing summary before the row is visible, as the serve engine's
+// stores do, so no shard holding a written row is routed away. Every
+// written row is a built row nudged by 0.001, on the shard the id ring
+// names or the one its id was built on, and the query is that row.
+func TestRoutedWritesStayExact(t *testing.T) {
+	t.Parallel()
+	data := clusteredData(t, 240, 16, 6, 21)
+	r, err := route.NewEven(route.Config{}, data, 6)
+	if err != nil {
+		t.Fatalf("route.NewEven: %v", err)
+	}
+	eng := newTestEngine(t, data, Options{Nodes: 6, Replicas: 2, Shards: 6, Router: r})
+	model := data.Clone()
+	for i := 0; i < 40; i++ {
+		row := vec.NewMatrix(1, data.D)
+		v := row.Row(0)
+		copy(v, data.Row(i*6%data.N))
+		if v[0] > 0.5 {
+			v[0] -= 0.001
+		} else {
+			v[0] += 0.001
+		}
+		if i%2 == 0 {
+			if _, err := eng.Insert(v); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+			model = vecConcat(model, row)
+		} else {
+			id := (i*6 + 120) % data.N
+			if err := eng.Update(id, v); err != nil {
+				t.Fatalf("update %d: %v", id, err)
+			}
+			copy(model.Row(id), v)
+		}
+		res, err := eng.SearchMode(context.Background(), v, 3, route.ModeExact)
+		if err != nil {
+			t.Fatalf("write %d: routed search: %v", i, err)
+		}
+		if want := exactTruth(model, v, 3); !sameNeighbors(res.Neighbors, want) {
+			t.Fatalf("write %d: routed exact %v, want %v", i, res.Neighbors, want)
 		}
 	}
 }

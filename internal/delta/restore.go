@@ -70,7 +70,7 @@ func Restore(data *vec.Matrix, ids []int, nextID int, opts Options) (*Store, err
 	if data.N == 0 {
 		// Tombstoned placeholder: buildBase and the searchers need at
 		// least one physical row; the tombstone masks it everywhere
-		// (Search, Materialize, Has, Update/Delete addressing).
+		// (Search, Materialize, Update/Delete addressing).
 		data = vec.NewMatrix(1, live.D)
 		baseIDs = []int{0}
 		tomb[0] = struct{}{}
@@ -90,24 +90,6 @@ func Restore(data *vec.Matrix, ids []int, nextID int, opts Options) (*Store, err
 		opts.OnCompact(live)
 	}
 	return st, nil
-}
-
-// Has reports whether id is currently live in the store (delta-resident,
-// or base-resident and not tombstoned).
-func (st *Store) Has(id int) bool {
-	if st.closed.Load() {
-		return false
-	}
-	sn := st.pin()
-	defer sn.base.unref()
-	if pos := sort.SearchInts(sn.deltaIDs, id); pos < len(sn.deltaIDs) && sn.deltaIDs[pos] == id {
-		return true
-	}
-	if sn.base.localOf(id) >= 0 {
-		_, dead := sn.tomb[id]
-		return !dead
-	}
-	return false
 }
 
 // NextID returns the id the next self-assigned Insert would take — the

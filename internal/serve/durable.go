@@ -82,20 +82,19 @@ func (e *Engine) initDurabilityFresh() error {
 		log.Close()
 		return ErrDurableState
 	}
-	e.log = log
 	if err := e.writeSnapshot(0); err != nil {
 		log.Close()
-		e.log = nil
 		return err
 	}
+	e.w.log = log
 	return nil
 }
 
 // writeSnapshot materializes every shard and writes the checkpoint
-// image covering LSN lsn. Caller must hold e.mu or have exclusive use
-// of the engine.
+// image covering LSN lsn. Caller must hold the mutation lock or have
+// exclusive use of the engine.
 func (e *Engine) writeSnapshot(lsn int64) error {
-	s := &wal.Snapshot{LSN: lsn, Dims: e.d, NextID: e.nextID, RR: e.rr}
+	s := &wal.Snapshot{LSN: lsn, Dims: e.d, NextID: e.w.nextID, RR: e.rr}
 	for _, st := range e.src.stores {
 		m, ids := st.Materialize()
 		s.Shards = append(s.Shards, wal.ShardState{IDs: ids, Data: m.Data})
@@ -114,24 +113,23 @@ func (e *Engine) writeSnapshot(lsn int64) error {
 // new image makes redundant. Mutations stall for the duration (the
 // durability analogue of a compaction pause); queries do not.
 func (e *Engine) Checkpoint() error {
-	release, err := e.pipe.Acquire()
+	unlock, err := e.w.Lock()
 	if err != nil {
 		return err
 	}
-	defer release()
-	if e.log == nil {
+	defer unlock()
+	log := e.w.log
+	if log == nil {
 		return ErrNotDurable
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	lsn := e.log.NextLSN() - 1
-	if err := e.log.Rotate(); err != nil {
+	lsn := log.NextLSN() - 1
+	if err := log.Rotate(); err != nil {
 		return fmt.Errorf("serve: checkpoint rotate: %w", err)
 	}
 	if err := e.writeSnapshot(lsn); err != nil {
 		return fmt.Errorf("serve: checkpoint snapshot: %w", err)
 	}
-	if err := e.log.TruncateBefore(lsn); err != nil {
+	if err := log.TruncateBefore(lsn); err != nil {
 		return fmt.Errorf("serve: checkpoint truncate: %w", err)
 	}
 	if err := wal.RemoveSnapshotsBefore(e.opts.Durability.Dir, lsn); err != nil {
@@ -176,24 +174,21 @@ func RecoverMutable(opts MutableOptions) (*Engine, error) {
 	if opts.CapacityN <= 0 {
 		opts.CapacityN = max(totalLive, 1)
 	}
-	e, err := newMutableEngine(s, snap.Dims, opts, func(e *Engine) error {
-		// A restored engine's shards hold arbitrary id sets, so every id
-		// routes through the table; there is no owner table.
-		e.nextID, e.rr, e.routes = snap.NextID, snap.RR, make(map[int]int, totalLive)
+	e, err := newMutableEngine(s, snap.Dims, opts, func(e *Engine) ([][]int, int, error) {
+		e.rr = snap.RR
+		parts := make([][]int, s)
 		for id, sh := range snap.Shards {
 			dopts, err := e.shardDeltaOptions(id)
 			if err != nil {
-				return err
+				return nil, 0, err
 			}
 			m := &vec.Matrix{N: len(sh.IDs), D: snap.Dims, Data: sh.Data}
 			if e.src.stores[id], err = delta.Restore(m, sh.IDs, snap.NextID, dopts); err != nil {
-				return fmt.Errorf("serve: restoring shard %d: %w", id, err)
+				return nil, 0, fmt.Errorf("serve: restoring shard %d: %w", id, err)
 			}
-			for _, gid := range sh.IDs {
-				e.routes[gid] = id
-			}
+			parts[id] = sh.IDs
 		}
-		return nil
+		return parts, snap.NextID, nil
 	})
 	if err != nil {
 		return nil, err
@@ -210,14 +205,14 @@ func RecoverMutable(opts MutableOptions) (*Engine, error) {
 	replayed := 0
 	err = wal.Replay(d.Dir, snap.LSN, func(lsn int64, rec wal.Record) error {
 		replayed++
-		return e.applyReplay(rec)
+		return e.w.replay(rec)
 	})
 	if err != nil {
 		log.Close()
 		closeStores(e.src.stores)
 		return nil, fmt.Errorf("serve: replaying wal: %w", err)
 	}
-	e.log = log
+	e.w.log = log
 	if e.walM != nil {
 		e.walM.ReplayedRecords.Set(int64(replayed))
 		e.walM.ReplaySeconds.Observe(time.Since(start).Seconds())
@@ -225,90 +220,22 @@ func RecoverMutable(opts MutableOptions) (*Engine, error) {
 	return e, nil
 }
 
-// applyReplay re-applies one logged mutation during recovery. The log
-// recorded mutations the engine had already validated and routed, so a
-// record that fails to apply means the log and snapshot disagree —
-// surfaced as an error, never papered over.
-func (e *Engine) applyReplay(rec wal.Record) error {
-	if rec.Shard >= len(e.src.stores) {
-		return fmt.Errorf("%w: record routes to shard %d of %d", wal.ErrCorrupt, rec.Shard, len(e.src.stores))
-	}
-	switch rec.Op {
-	case wal.OpInsert:
-		if err := e.src.stores[rec.Shard].InsertAt(rec.ID, rec.Vec); err != nil {
-			return err
-		}
-		e.routes[rec.ID] = rec.Shard
-		if rec.ID >= e.nextID {
-			e.nextID = rec.ID + 1
-		}
-		e.rr = (rec.Shard + 1) % len(e.src.stores)
-	case wal.OpUpdate:
-		if err := e.src.stores[rec.Shard].Update(rec.ID, rec.Vec); err != nil {
-			return err
-		}
-	case wal.OpDelete:
-		if err := e.src.stores[rec.Shard].Delete(rec.ID); err != nil {
-			return err
-		}
-		delete(e.routes, rec.ID)
-	default:
-		return fmt.Errorf("%w: unknown op %d", wal.ErrCorrupt, rec.Op)
-	}
-	return nil
-}
-
 // SubscribeKNN registers a standing k-nearest-neighbor query (see
-// internal/standing): the returned subscription carries the initial
-// result view and then an event for every mutation that changes it,
-// maintained incrementally from the delta. Registration synchronizes
-// with the mutation stream, so the init view plus the event sequence
-// exactly tracks the engine's applied mutations.
+// Writer.SubscribeKNN).
 func (e *Engine) SubscribeKNN(q []float64, k int) (*standing.Subscription, error) {
-	release, err := e.pipe.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(q) != e.d {
-		return nil, fmt.Errorf("%w: query has %d dims, dataset has %d",
-			standing.ErrBadSubscription, len(q), e.d)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.standing.SubscribeKNN(q, k)
+	return e.w.SubscribeKNN(q, k)
 }
 
 // SubscribeRadius registers a radius watch: a KindMatch event for every
 // future insert within Euclidean distance radius of q.
 func (e *Engine) SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error) {
-	release, err := e.pipe.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(q) != e.d {
-		return nil, fmt.Errorf("%w: query has %d dims, dataset has %d",
-			standing.ErrBadSubscription, len(q), e.d)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.standing.SubscribeRadius(q, radius)
+	return e.w.SubscribeRadius(q, radius)
 }
 
 // Unsubscribe removes a standing subscription and closes its event
 // channel. Safe on unknown ids and after Close.
-func (e *Engine) Unsubscribe(id int) {
-	if e.standing != nil {
-		e.standing.Unsubscribe(id)
-	}
-}
+func (e *Engine) Unsubscribe(id int) { e.w.Unsubscribe(id) }
 
 // StandingView returns a copy of a kNN subscription's current result
 // view (nil for radius watches or unknown ids).
-func (e *Engine) StandingView(id int) []vec.Neighbor {
-	if e.standing == nil {
-		return nil
-	}
-	return e.standing.Current(id)
-}
+func (e *Engine) StandingView(id int) []vec.Neighbor { return e.w.StandingView(id) }

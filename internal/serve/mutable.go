@@ -2,13 +2,16 @@
 // tombstones, endurance-ledgered compaction) takes inserts, updates and
 // deletes, and a compaction rebuilds a shard through the same factory
 // that built it, so Factory, breakers, retries, spans and metrics behave
-// the same before and after. The engine owns
-// the global id space: initial ids live where route.Partition placed them
-// (the router's placement, or contiguous ranges when unrouted), inserted
-// ids round-robin. Because ids are allocated monotonically and
-// every store keeps its rows in ascending global-id order, per-shard
-// results are canonical under (dist, id) and the shard merge stays exact
-// — byte-identical to a fresh engine built over the merged live dataset.
+// the same before and after. Every write goes through the engine's
+// Writer (writer.go), the cluster's write path too: it owns the global
+// id space, validation, the log and the standing hooks. This engine
+// hands it two functions: place, round-robin over the shards, and
+// apply, one delta.Store write. Initial ids live where route.Partition
+// placed them (the router's placement, or contiguous ranges when
+// unrouted). Because ids are allocated monotonically and every store
+// keeps its rows in ascending global-id order, per-shard results are
+// canonical under (dist, id) and the shard merge stays exact —
+// byte-identical to a fresh engine built over the merged live dataset.
 package serve
 
 import (
@@ -18,8 +21,6 @@ import (
 	"pimmine/internal/delta"
 	"pimmine/internal/obs"
 	"pimmine/internal/pim"
-	"pimmine/internal/quant"
-	"pimmine/internal/standing"
 	"pimmine/internal/vec"
 	"pimmine/internal/wal"
 )
@@ -65,11 +66,10 @@ type MutableEngine = Engine
 
 // newMutableEngine applies the option defaults for a dataset of n rows by
 // d dims, lets fill build the opts.Shards stores (fresh or restored) into
-// the engine's shard slots, and wires the query path over them. The
-// standing registry's re-query callback is the pipeline's bare fan-out —
-// no engine locks — because it runs while the caller already holds e.mu
-// (member deletes) and the store searches are lock-free by design.
-func newMutableEngine(n, d int, opts MutableOptions, fill func(*Engine) error) (*Engine, error) {
+// the engine's shard slots, and wires the query path and the write path
+// over them. fill returns the ids each shard holds and the id the next
+// insert takes.
+func newMutableEngine(n, d int, opts MutableOptions, fill func(*Engine) (parts [][]int, nextID int, err error)) (*Engine, error) {
 	res, err := opts.Options.defaults(n, d)
 	if err != nil {
 		return nil, err
@@ -78,19 +78,15 @@ func newMutableEngine(n, d int, opts MutableOptions, fill func(*Engine) error) (
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{d: d, opts: opts, routes: make(map[int]int)}
+	e := &Engine{d: d, opts: opts}
 	e.src = newStoreSource(&e.opts.Options, res, build)
-	if err := fill(e); err != nil {
+	parts, nextID, err := fill(e)
+	if err != nil {
 		return nil, err
 	}
 	e.pipe = e.opts.serve(e.src, d, res)
-	var m *standing.Metrics
-	if reg := opts.Obs.Registry(); reg != nil {
-		m = standing.NewMetrics(reg)
-	}
-	e.standing, err = standing.NewRegistry(standing.Options{
-		Requery: e.pipe.Requery, Buffer: opts.StandingBuffer, Metrics: m})
-	return e, err
+	e.w = NewWriter(e.pipe, parts, nextID, opts.StandingBuffer, e.place, e.apply)
+	return e, nil
 }
 
 // shardDeltaOptions assembles one shard's delta.Options: how it builds
@@ -144,19 +140,9 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*Engine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	e, err := newMutableEngine(data.N, data.D, opts, func(e *Engine) error {
-		e.nextID = data.N
-		place, err := e.src.partition(data, e.opts.Router, e.shardDeltaOptions)
-		if err != nil {
-			return err
-		}
-		e.owner = make([]int32, data.N)
-		for sh, ids := range place {
-			for _, id := range ids {
-				e.owner[id] = int32(sh)
-			}
-		}
-		return nil
+	e, err := newMutableEngine(data.N, data.D, opts, func(e *Engine) ([][]int, int, error) {
+		parts, err := e.src.partition(data, e.opts.Router, e.shardDeltaOptions)
+		return parts, data.N, err
 	})
 	if err != nil {
 		return nil, err
@@ -169,123 +155,32 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*Engine, error) {
 	return e, nil
 }
 
-// shardOf locates the store owning an id: initial ids by where they were
-// placed, inserted ids through the routing table. Returns -1 when unknown.
-func (e *Engine) shardOf(id int) int {
-	if id >= 0 && id < len(e.owner) {
-		return int(e.owner[id])
-	}
-	if sh, ok := e.routes[id]; ok {
-		return sh
-	}
-	return -1
-}
+// place is the serve engine's insert placement: round-robin over the
+// shards, from the shard after the last insert's.
+func (e *Engine) place(int, []float64) int { return e.rr }
 
-// checkVec pre-validates what the store would reject, so a durable
-// engine never logs a record its store then refuses — log order must
-// equal apply order or replay would diverge from the served history.
-func (e *Engine) checkVec(v []float64) error {
-	if len(v) != e.d {
-		return fmt.Errorf("serve: vector has %d dims, dataset has %d", len(v), e.d)
+// apply runs one write on shard sh's store and, for an insert, moves the
+// round-robin past it. Live writes and WAL replay both come through
+// here, so a recovered engine continues the same rotation.
+func (e *Engine) apply(sh int, op wal.Op, write func(*delta.Store) error) error {
+	if err := write(e.src.stores[sh]); err != nil {
+		return err
 	}
-	if err := quant.CheckVec(v); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
-}
-
-// logMutation appends one record to the WAL (no-op when not durable).
-// Called under e.mu, after validation and before the store apply.
-func (e *Engine) logMutation(op wal.Op, sh, id int, v []float64) error {
-	if e.log == nil {
-		return nil
-	}
-	if _, err := e.log.Append(wal.Record{Op: op, Shard: sh, ID: id, Vec: v}); err != nil {
-		return fmt.Errorf("serve: wal append: %w", err)
+	if op == wal.OpInsert {
+		e.rr = (sh + 1) % len(e.src.stores)
 	}
 	return nil
 }
 
 // Insert adds a vector under a fresh global id, placing it round-robin
-// across shards. The vector must be normalized (quant.CheckVec). On a
-// durable engine the insert is logged (and, under wal.SyncAlways,
-// fsynced) before it is applied.
-func (e *Engine) Insert(v []float64) (int, error) {
-	release, err := e.pipe.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	if err := e.checkVec(v); err != nil {
-		return 0, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id := e.nextID
-	sh := e.rr
-	if err := e.logMutation(wal.OpInsert, sh, id, v); err != nil {
-		return 0, err
-	}
-	if err := e.src.stores[sh].InsertAt(id, v); err != nil {
-		return 0, err
-	}
-	e.nextID++
-	e.rr = (e.rr + 1) % len(e.src.stores)
-	e.routes[id] = sh
-	e.standing.OnInsert(id, v)
-	return id, nil
-}
+// across shards (see Writer.Insert).
+func (e *Engine) Insert(v []float64) (int, error) { return e.w.Insert(v) }
 
-// Update replaces the vector of an existing id in place (the id, and
-// with it the tie order, is preserved).
-func (e *Engine) Update(id int, v []float64) error {
-	release, err := e.pipe.Acquire()
-	if err != nil {
-		return err
-	}
-	defer release()
-	if err := e.checkVec(v); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sh := e.shardOf(id)
-	if sh < 0 || !e.src.stores[sh].Has(id) {
-		return fmt.Errorf("%w: %d", delta.ErrNotFound, id)
-	}
-	if err := e.logMutation(wal.OpUpdate, sh, id, v); err != nil {
-		return err
-	}
-	if err := e.src.stores[sh].Update(id, v); err != nil {
-		return err
-	}
-	e.standing.OnUpdate(id, v)
-	return nil
-}
+// Update replaces the vector of an existing id in place.
+func (e *Engine) Update(id int, v []float64) error { return e.w.Update(id, v) }
 
 // Delete removes an id.
-func (e *Engine) Delete(id int) error {
-	release, err := e.pipe.Acquire()
-	if err != nil {
-		return err
-	}
-	defer release()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sh := e.shardOf(id)
-	if sh < 0 || !e.src.stores[sh].Has(id) {
-		return fmt.Errorf("%w: %d", delta.ErrNotFound, id)
-	}
-	if err := e.logMutation(wal.OpDelete, sh, id, nil); err != nil {
-		return err
-	}
-	if err := e.src.stores[sh].Delete(id); err != nil {
-		return err
-	}
-	delete(e.routes, id)
-	e.standing.OnDelete(id)
-	return nil
-}
+func (e *Engine) Delete(id int) error { return e.w.Delete(id) }
 
 // Compact folds every shard's delta and tombstones into fresh base
 // images (shards compact independently; a shard with nothing to fold is

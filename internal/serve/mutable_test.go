@@ -334,7 +334,7 @@ func TestFanOutJoinsAllShardErrors(t *testing.T) {
 func TestShardDeltaOptionsTracksDegraded(t *testing.T) {
 	t.Parallel()
 	builds := 0
-	e, err := newMutableEngine(8, 4, MutableOptions{Options: Options{Shards: 1}}, func(*MutableEngine) error { return nil })
+	e, err := newMutableEngine(8, 4, MutableOptions{Options: Options{Shards: 1}}, func(*MutableEngine) ([][]int, int, error) { return nil, 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"pimmine/internal/arch"
@@ -46,7 +45,6 @@ import (
 	"pimmine/internal/pim"
 	"pimmine/internal/resilience"
 	"pimmine/internal/route"
-	"pimmine/internal/standing"
 	"pimmine/internal/vec"
 	"pimmine/internal/wal"
 )
@@ -141,8 +139,8 @@ var ErrClosed = fmt.Errorf("serve: engine closed")
 // Engine is the sharded concurrent query engine. It is safe for
 // concurrent use by multiple goroutines: Search/SearchBatch stay
 // lock-free against Insert/Update/Delete and background compaction, per
-// shard, via delta's epoch snapshots, and mutations serialize on the
-// engine's routing lock (mutation throughput is not the design target;
+// shard, via delta's epoch snapshots, and mutations serialize on its
+// Writer's mutation lock (mutation throughput is not the design target;
 // query concurrency is). A static engine is one that nobody mutates:
 // compaction, the endurance ledger, the write-ahead log and standing
 // queries are off until MutableOptions sets them or a caller subscribes.
@@ -150,29 +148,17 @@ type Engine struct {
 	d    int
 	opts MutableOptions
 	src  *storeSource // the shards: one delta store each
-	// owner[id] is the shard initial id id was placed on (nil on a
-	// recovered engine, whose ids all live in routes).
-	owner []int32
 
-	mu     sync.Mutex // guards nextID, rr, routes, and store mutation order
-	nextID int
-	rr     int
-	routes map[int]int // inserted id → shard
-
-	// pipe is the query path over src; its lease gates mutations against
+	// pipe is the query path over src; its lease gates writes against
 	// Close too, so Close drains everything in flight.
 	pipe *Pipeline
-
-	// log is the write-ahead log (nil when Durability.Dir is unset).
-	// Mutations append under e.mu before applying, so log order equals
-	// apply order and replay reconstructs the exact mutation sequence.
-	log  *wal.Log
+	// w is the write path: the id directory, the write-ahead log (when
+	// Durability.Dir is set) and the standing queries.
+	w *Writer
+	// rr is the shard the next insert goes to; the writer's mutation
+	// lock guards it.
+	rr   int
 	walM *wal.Metrics
-
-	// standing is the continuous-query registry; its hooks run under
-	// e.mu after each applied mutation, so every subscription observes
-	// the mutations in the order the engine applied them.
-	standing *standing.Registry
 }
 
 // Close drains in-flight queries and shuts every shard store down
@@ -186,22 +172,15 @@ type Engine struct {
 // shut down" from a fresh flush failure.
 func (e *Engine) Close() error {
 	if !e.pipe.Close() {
-		if e.log != nil {
+		if e.w.log != nil {
 			return ErrClosed
 		}
 		return nil
 	}
-	e.standing.Close()
 	closeStores(e.src.stores)
-	if e.log != nil {
-		// The log's Close fsyncs the active segment first; a failure
-		// surfaces here (the engine is closed regardless — a second
-		// Close reports ErrClosed, never retries the flush).
-		if err := e.log.Close(); err != nil {
-			return fmt.Errorf("serve: wal close: %w", err)
-		}
-	}
-	return nil
+	// A log flush failure surfaces here (the engine is closed regardless
+	// — a second Close reports ErrClosed, never retries the flush).
+	return e.w.Close()
 }
 
 // defaults fills the zero fields for a dataset of n rows by d dims,

@@ -52,6 +52,17 @@ func framework(t *testing.T, mode pim.Mode) *core.Framework {
 	return fw
 }
 
+// pimFNN builds an LB_PIM-FNN cascade over m on a fresh engine of fw.
+func pimFNN(fw *core.Framework) func(*vec.Matrix) (*knn.Cascade, error) {
+	return func(m *vec.Matrix) (*knn.Cascade, error) {
+		eng, err := fw.NewEngine()
+		if err != nil {
+			return nil, err
+		}
+		return knn.NewFNNPIM(eng, m, fw.Quant, m.N)
+	}
+}
+
 // privateQuery hands its cascade a copy of every query, so the cascade
 // finds no memo made for that slice and prepares the query itself: what
 // every shard visit did before the shards shared one memo.
@@ -77,15 +88,6 @@ type servedEngine interface {
 func TestSharedPrepareMatchesPrivate(t *testing.T) {
 	t.Parallel()
 	data, queries := sharedData()
-	pimFNN := func(fw *core.Framework) func(*vec.Matrix) (*knn.Cascade, error) {
-		return func(m *vec.Matrix) (*knn.Cascade, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			return knn.NewFNNPIM(eng, m, fw.Quant, m.N)
-		}
-	}
 	cascades := []struct {
 		name  string
 		build func(*vec.Matrix) (*knn.Cascade, error)
@@ -227,8 +229,9 @@ func TestQueryFeaturesComputedOncePerRequest(t *testing.T) {
 }
 
 // TestEngineSearchAllocs pins what one Search allocates, across every
-// goroutine of its fan-out, to no more than before the shards shared a
-// memo: the memo is pooled, and carrying it is the context itself.
+// goroutine of its fan-out: the memo is pooled, carrying it is the
+// context itself, and each visit runs on a parked worker as a frame sent
+// by value, not on a new goroutine with a closure.
 func TestEngineSearchAllocs(t *testing.T) {
 	// Not parallel: AllocsPerRun counts every goroutine's mallocs.
 	if raceEnabled {
@@ -240,7 +243,7 @@ func TestEngineSearchAllocs(t *testing.T) {
 		for _, tc := range []struct {
 			routed bool
 			limit  float64
-		}{{false, 58}, {true, 75}} {
+		}{{false, 54}, {true, 71}} {
 			opts := serve.Options{Shards: sharedShards, Variant: v, Framework: fw, Workers: 1}
 			if tc.routed {
 				r, err := route.NewEven(route.Config{}, data, sharedShards)
@@ -265,9 +268,50 @@ func TestEngineSearchAllocs(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(100, search)
 			eng.Close()
+			t.Logf("%s routed=%v: %v allocations a Search", v, tc.routed, allocs)
 			if allocs > tc.limit {
 				t.Errorf("%s routed=%v: Search allocates %v times, want at most %v", v, tc.routed, allocs, tc.limit)
 			}
+		}
+	}
+}
+
+// TestClusterSearchAllocs is TestEngineSearchAllocs' cluster twin: one
+// unrouted Search on an R = 2 cluster of 4 shards, host LB_FNN and
+// LB_PIM-FNN on a simulated array, counted across every goroutine.
+func TestClusterSearchAllocs(t *testing.T) {
+	// Not parallel: AllocsPerRun counts every goroutine's mallocs.
+	if raceEnabled {
+		t.Skip("the race detector drops pooled memos")
+	}
+	data, queries := sharedData()
+	for _, c := range []struct {
+		name  string
+		build func(*vec.Matrix) (*knn.Cascade, error)
+	}{
+		{"fnn", knn.NewFNN},
+		{"fnn-pim/simulate", pimFNN(framework(t, pim.ModeSimulate))},
+	} {
+		factory := func(m *vec.Matrix, _ int) (knn.Searcher, error) { return c.build(m) }
+		eng, err := cluster.New(data, cluster.Options{Nodes: 3, Replicas: 2, Shards: sharedShards, Workers: 1, Factory: factory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, qi := context.Background(), 0
+		search := func() {
+			if _, err := eng.Search(ctx, queries.Row(qi%queries.N), sharedK); err != nil {
+				t.Fatal(err)
+			}
+			qi++
+		}
+		for range 2 * queries.N {
+			search()
+		}
+		allocs := testing.AllocsPerRun(100, search)
+		eng.Close()
+		t.Logf("%s: %v allocations a Search", c.name, allocs)
+		if allocs > 66 {
+			t.Errorf("%s: cluster Search allocates %v times, want at most 66", c.name, allocs)
 		}
 	}
 }

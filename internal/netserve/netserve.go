@@ -418,10 +418,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range lines {
 		lines[i] = make(chan BatchLine, 1)
 	}
+	// A client that goes away stops the dispatch: every query launched
+	// takes a quota token, so an abandoned batch must not launch the rest.
+	ctx := r.Context()
 	sem := make(chan struct{}, window)
 	go func() {
 		for i := 0; i < n; i++ {
-			sem <- struct{}{}
+			sem <- struct{}{} // a launched query ends soon once ctx is done
+			if ctx.Err() != nil {
+				return
+			}
 			go func(i int) {
 				defer func() { <-sem }()
 				resp, wait, err := s.searchOne(r, tenant, req.Queries[i], req.K, route.Mode(req.Mode))
@@ -441,7 +447,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}()
 	enc := json.NewEncoder(w)
 	for i := 0; i < n; i++ {
-		if err := enc.Encode(<-lines[i]); err != nil {
+		var line BatchLine
+		select {
+		case line = <-lines[i]:
+		case <-ctx.Done():
+			return // client went away; line i may never be launched
+		}
+		if err := enc.Encode(line); err != nil {
 			return // client went away; workers drain into buffered channels
 		}
 		if flusher != nil {

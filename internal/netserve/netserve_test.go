@@ -276,6 +276,77 @@ func TestQuotaRetryAfter(t *testing.T) {
 	}
 }
 
+// TestAbandonedBatchSparesQuota: a client that abandons a batch after its
+// first line stops the batch's dispatch, so the queries it never read
+// take none of the tenant's quota. The quota clock is frozen, so only
+// tokens left in the burst can admit the tenant's next query.
+func TestAbandonedBatchSparesQuota(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	// The second search holds until the batch handler has returned.
+	var calls atomic.Int64
+	hold := make(chan struct{})
+	factory := func(m *vec.Matrix, _ int) (knn.Searcher, error) {
+		inner := knn.NewStandard(m)
+		return knn.SearcherFunc("held", func(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
+			if calls.Add(1) == 2 {
+				<-hold
+			}
+			return inner.Search(q, k, meter)
+		}), nil
+	}
+	eng, ds := buildEngine(t, 120, 1, serve.Options{Factory: factory})
+	srv, err := netserve.New(netserve.Options{
+		Engine:   eng,
+		Tenants:  []netserve.TenantConfig{{Name: "metered", Rate: 1, Burst: n}},
+		Slots:    1,
+		MaxQueue: 1,
+		Now:      func() time.Time { return time.Unix(1000, 0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchDone := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/search/batch" {
+			close(batchDone)
+		}
+	}))
+	defer ts.Close()
+
+	queries := ds.Queries(n, 41)
+	qs := make([][]float64, n)
+	for i := range qs {
+		qs[i] = queries.Row(i)
+	}
+	body, err := json.Marshal(netserve.BatchRequest{Tenant: "metered", Queries: qs, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/search/batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadBytes('\n'); err != nil {
+		t.Fatalf("first batch line: %v", err)
+	}
+	cancel() // abandon the batch: the transport drops the connection
+	resp.Body.Close()
+	<-batchDone
+	close(hold)
+
+	single, data := postJSON(t, ts.Client(), ts.URL+"/v1/search", netserve.QueryRequest{Tenant: "metered", Query: qs[0], K: 3})
+	if single.StatusCode != http.StatusOK {
+		t.Fatalf("query after an abandoned batch: status %d: %s", single.StatusCode, data)
+	}
+}
+
 // pacedFactory pins a per-shard service time so drain and fairness
 // tests have genuinely in-flight work to race against.
 func pacedFactory(delay time.Duration) serve.Factory {

@@ -45,9 +45,13 @@
 // measured recall next to the estimate (the audit work is measurement
 // overhead and deliberately excluded from the result's meters).
 //
-// A skipped shard does no work at all for that query: its goroutine is
-// never started, so neither its searcher, its breaker, nor the breaker's
+// A skipped shard does no work at all for that query: no worker is handed
+// the visit, so neither its searcher, its breaker, nor the breaker's
 // host-scan fallback runs (asserted by TestRoutedSkipNeverHostScans).
+//
+// Visits run on parked, reused worker goroutines (fanOut, work): a worker
+// keeps the stack its first visits grew, so a visit does not pay for
+// stack growth again. Close releases every parked worker.
 package serve
 
 import (
@@ -115,17 +119,26 @@ type Pipeline struct {
 	// closeMu gates every operation against Close: operations hold the
 	// read side for their duration, so Close drains in-flight work.
 	closeMu sync.RWMutex
-	closed  bool
+	// idleMu guards idle, the parked visit workers (most recently parked
+	// last), at most maxIdle of them.
+	idleMu  sync.Mutex
+	idle    []chan visitFrame
+	maxIdle int
+	// closed is written holding both closeMu and idleMu, so either one
+	// suffices to read it.
+	closed bool
 }
 
 // NewPipeline builds the query path over src for dims-dimensional
 // queries, routed by router when non-nil, with at most workers batch
-// queries in flight. A non-nil o registers the pipeline's metrics and
-// samples its traces.
+// queries in flight — and so at most one parked visit worker for every
+// shard of each of them (NumShards × max(workers, 1)). A non-nil o
+// registers the pipeline's metrics and samples its traces.
 func NewPipeline(src ShardSource, dims int, router *route.Router, workers int, o *obs.Observer) *Pipeline {
 	n := src.NumShards()
 	p := &Pipeline{src: src, dims: dims, router: router, workers: workers,
-		all: make([]int, n), names: make([]string, n), avail: src.Available}
+		all: make([]int, n), names: make([]string, n), avail: src.Available,
+		maxIdle: n * max(workers, 1)}
 	for i := range p.all {
 		p.all[i], p.names[i] = i, fmt.Sprintf("shard %d", i)
 	}
@@ -149,15 +162,23 @@ func (p *Pipeline) Acquire() (release func(), err error) {
 	return p.closeMu.RUnlock, nil
 }
 
-// Close drains every lease and refuses new ones. It reports whether this
-// call was the one that closed the pipeline, so an engine tears its
-// shards down exactly once; a second (or concurrent) Close just waits
-// for the same drain.
+// Close drains every lease, refuses new ones and releases every parked
+// visit worker; a worker still busy with an abandoned visit exits once
+// that visit ends. It reports whether this call was the one that closed
+// the pipeline, so an engine tears its shards down exactly once; a second
+// (or concurrent) Close just waits for the same drain.
 func (p *Pipeline) Close() (first bool) {
 	p.closeMu.Lock()
 	defer p.closeMu.Unlock()
+	p.idleMu.Lock()
 	first = !p.closed
 	p.closed = true
+	idle := p.idle
+	p.idle = nil
+	p.idleMu.Unlock()
+	for _, in := range idle {
+		close(in)
+	}
 	return first
 }
 
@@ -492,23 +513,19 @@ func (p *Pipeline) noteRouted(root *obs.Span, info *RouteInfo, routeDur time.Dur
 }
 
 // fanOut visits the given shards in parallel, each with the given ceiling
-// (ShardSource.Visit), and collects every answer.
-// The channel is buffered so a shard goroutine can always deliver and
-// exit, even when the query gave up on its deadline. Every shard's
-// outcome is collected before failing: the caller sees each failed shard
-// joined in shard order (the pool's errors.Join discipline; the
-// placement layer's quorum accounting depends on seeing them all), not
-// whichever one lost the race.
+// (ShardSource.Visit), and collects every answer. Each visit goes to a
+// parked worker, or to a new one when none is parked, so a visit never
+// waits behind another. The channel is buffered so a worker can always
+// deliver and move on, even when the query gave up on its deadline; a
+// visit whose ctx is already done is skipped but still delivers. Every
+// shard's outcome is collected before failing: the caller sees each
+// failed shard joined in shard order (the pool's errors.Join discipline;
+// the placement layer's quorum accounting depends on seeing them all),
+// not whichever one lost the race.
 func (p *Pipeline) fanOut(ctx context.Context, root *obs.Span, q []float64, k int, ceiling float64, ids []int) ([]shardOut, error) {
 	ch := make(chan shardOut, len(ids))
 	for _, id := range ids {
-		go func() {
-			o := shardOut{id: id}
-			if ctx.Err() == nil {
-				o.ShardAnswer, o.err = p.visit(ctx, root, id, q, k, ceiling)
-			}
-			ch <- o
-		}()
+		p.dispatch(visitFrame{ctx: ctx, root: root, id: id, q: q, k: k, ceiling: ceiling, out: ch})
 	}
 	outs := make([]shardOut, 0, len(ids))
 	var errs []error // indexed by shard id: Join skips the nils and keeps shard order
@@ -531,6 +548,64 @@ func (p *Pipeline) fanOut(ctx context.Context, root *obs.Span, q []float64, k in
 		return nil, errors.Join(errs...)
 	}
 	return outs, nil
+}
+
+// visitFrame is one shard visit as a worker receives it, by value.
+type visitFrame struct {
+	ctx     context.Context
+	root    *obs.Span
+	id      int
+	q       []float64
+	k       int
+	ceiling float64
+	out     chan<- shardOut
+}
+
+// dispatch hands f to the most recently parked worker, or starts a new
+// worker when none is parked.
+func (p *Pipeline) dispatch(f visitFrame) {
+	p.idleMu.Lock()
+	if n := len(p.idle) - 1; n >= 0 {
+		in := p.idle[n]
+		p.idle = p.idle[:n]
+		p.idleMu.Unlock()
+		in <- f
+		return
+	}
+	p.idleMu.Unlock()
+	go p.work(f)
+}
+
+// work runs f, then parks for the next frame. It exits when the idle set
+// is full or the pipeline is closed.
+func (p *Pipeline) work(f visitFrame) {
+	in := make(chan visitFrame, 1) // buffered: dispatch never waits on it
+	for {
+		o := shardOut{id: f.id}
+		if f.ctx.Err() == nil {
+			o.ShardAnswer, o.err = p.visit(f.ctx, f.root, f.id, f.q, f.k, f.ceiling)
+		}
+		f.out <- o
+		if !p.park(in) {
+			return
+		}
+		var ok bool
+		if f, ok = <-in; !ok {
+			return // Close released the idle set
+		}
+	}
+}
+
+// park adds a worker's channel to the idle set, unless the set is full
+// or the pipeline is closed.
+func (p *Pipeline) park(in chan visitFrame) bool {
+	p.idleMu.Lock()
+	defer p.idleMu.Unlock()
+	if p.closed || len(p.idle) >= p.maxIdle {
+		return false
+	}
+	p.idle = append(p.idle, in)
+	return true
 }
 
 // visit is one shard's frame, the same on every source: the shard span

@@ -2,7 +2,8 @@
 // 1996) — §II-C of the paper lists "partitioning/density-based
 // clustering" among the similarity-based mining tasks its framework
 // targets. DBSCAN's inner loop is the ε-range query, a pure similarity
-// computation, so the PIM variant prunes every candidate with LB_PIM-ED
+// computation: one knn.EDFilter.Refine pass at the fixed threshold ε²,
+// which on the PIM variant prunes every candidate with LB_PIM-ED
 // (Theorem 1) before the exact distance — the same filter-and-refine
 // recipe as kNN, and like it, exact: host and PIM variants produce
 // identical clusterings (integration-tested).
@@ -13,7 +14,6 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/knn"
-	"pimmine/internal/measure"
 	"pimmine/internal/pim"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
@@ -80,24 +80,19 @@ func (c *Clusterer) Run(eps float64, minPts int, meter *arch.Meter) (*Result, er
 	}
 	visited := make([]bool, n)
 	res := &Result{Labels: labels}
-	var exact int64
 
 	// rangeQuery returns the indices within eps of point i (including i).
 	neighbors := make([]int, 0, 64)
+	inRange := func(j int, d float64) (float64, bool) {
+		if d <= eps2 {
+			neighbors = append(neighbors, j)
+		}
+		return eps2, true
+	}
 	rangeQuery := func(i int) []int {
 		neighbors = neighbors[:0]
-		p := c.Data.Row(i)
-		if err := c.filter.Prepare(p, meter); err != nil {
-			panic(fmt.Sprintf("dbscan: PIM pass: %v", err)) // p is a row of the programmed data
-		}
-		for j := 0; j < n; j++ {
-			if c.filter.LB(j) > eps2 {
-				continue
-			}
-			exact++
-			if measure.SqEuclidean(p, c.Data.Row(j)) <= eps2 {
-				neighbors = append(neighbors, j)
-			}
+		if err := c.filter.Refine(c.Data, c.Data.Row(i), 0, n, 0, 0, eps2, inRange, meter); err != nil {
+			panic(fmt.Sprintf("dbscan: PIM pass: %v", err)) // the query is a row of the programmed data
 		}
 		return neighbors
 	}
@@ -136,7 +131,6 @@ func (c *Clusterer) Run(eps float64, minPts int, meter *arch.Meter) (*Result, er
 	}
 	res.Clusters = cluster
 
-	c.filter.RecordCosts(meter, exact, c.Data.D)
 	meter.C(arch.FuncOther).Ops += int64(n)
 	return res, nil
 }

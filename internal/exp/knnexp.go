@@ -9,8 +9,6 @@ import (
 	"pimmine/internal/lsh"
 	"pimmine/internal/measure"
 	"pimmine/internal/pim"
-	"pimmine/internal/pimbound"
-	"pimmine/internal/plan"
 )
 
 func init() {
@@ -253,61 +251,27 @@ func Fig15(s *Suite) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := w.data
-	exact := knn.NewStandard(data)
-	levels := bound.FNNLevels(data.D)
-
-	sEff := pim.ModelFor(s.Cfg).ChooseS(w.fullN, pim.Divisors(data.D), 2)
-	pimIx, err := pimbound.BuildFNN(data, s.Quant, sEff)
+	eng, err := s.engine()
 	if err != nil {
 		return nil, err
 	}
-	hostIxs := make([]*bound.FNNIndex, 0, len(levels))
-	for _, segs := range levels {
-		ix, err := bound.BuildFNN(data, segs)
-		if err != nil {
-			return nil, err
-		}
-		hostIxs = append(hostIxs, ix)
+	pimAlg, err := knn.NewFNNPIM(eng, w.data, s.Quant, w.fullN)
+	if err != nil {
+		return nil, err
 	}
-
-	hostSum := make([]float64, len(hostIxs))
-	var pimSum float64
-	lbs := make([]float64, data.N)
-	for qi := 0; qi < w.queries.N; qi++ {
-		qv := w.queries.Row(qi)
-		nn := exact.Search(qv, 10, arch.NewMeter())
-		threshold := nn[len(nn)-1].Dist
-		for li, ix := range hostIxs {
-			mu, sigma, err := ix.QueryStats(qv)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < data.N; i++ {
-				lbs[i] = ix.LB(i, mu, sigma)
-			}
-			hostSum[li] += plan.PruneRatio(lbs, threshold)
-		}
-		qf, err := pimIx.Query(qv)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < data.N; i++ {
-			dm, dsg := pimIx.HostDots(i, qf)
-			lbs[i] = pimIx.LB(i, qf, dm, dsg)
-		}
-		pimSum += plan.PruneRatio(lbs, threshold)
+	host, err := knn.NewFNN(w.data)
+	if err != nil {
+		return nil, err
 	}
-	nq := float64(w.queries.N)
-	fullMB := func(transferDims int) string {
-		bytes := float64(w.fullN) * float64(transferDims) * 4
-		return fmt.Sprintf("%.1f", bytes/(1<<20))
+	cands, err := knn.Candidates(w.data, w.queries, 10, pimAlg, host)
+	if err != nil {
+		return nil, err
 	}
-	for li, ix := range hostIxs {
-		t.AddRow(fmt.Sprintf("LBFNN-%d", ix.Segs), pct(hostSum[li]/nq),
-			fmt.Sprintf("%d", ix.TransferDims()), fullMB(ix.TransferDims()))
+	// Candidates lists the array bound first; the figure lists it last.
+	for _, c := range append(cands[1:], cands[0]) {
+		bytes := float64(w.fullN) * float64(c.TransferDims) * 4
+		t.AddRow(c.Name, pct(c.PruneRatio), fmt.Sprintf("%d", c.TransferDims), fmt.Sprintf("%.1f", bytes/(1<<20)))
 	}
-	t.AddRow(fmt.Sprintf("LBPIM-FNN-%d", sEff), pct(pimSum/nq), "3", fullMB(3))
 	t.Note("paper: LB_PIM-FNN-105 prunes ~99%% at 3·b bits/object; original bounds cost d′·b or 2d′·b")
 	return t, nil
 }

@@ -4,10 +4,12 @@
 //   - kNN join: for every object of R, its k nearest neighbors in S;
 //   - ε-join (distance range join): every pair (r, s) with ED(r,s) ≤ ε².
 //
-// The PIM variants program S's quantized floors once (S is the inner,
-// indexed relation) and run one batched dot-product pass per outer row,
-// pruning with LB_PIM-ED exactly as the paper's kNN filter does. Results
-// are exact and integration-tested against nested-loop joins.
+// Each outer row is one knn.EDFilter.Refine pass over S (the inner,
+// indexed relation), at the running k-th distance or the fixed ε². The
+// PIM variants program S's quantized floors once and run one batched
+// dot-product pass per outer row, pruning with LB_PIM-ED exactly as the
+// paper's kNN filter does. Results are exact and integration-tested
+// against nested-loop joins.
 package join
 
 import (
@@ -15,7 +17,6 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/knn"
-	"pimmine/internal/measure"
 	"pimmine/internal/pim"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
@@ -60,58 +61,61 @@ func (j *Joiner) Name() string {
 // KNNRow computes the k nearest inner rows of one outer row, appending
 // them to dst (ascending squared distance) and returning the extended
 // slice. exclude names an inner row to skip (the self-join identity
-// pair), or is negative for none. It is the per-row refine primitive KNN
-// batches over; a warmed-up Joiner performs zero heap allocations per
-// call when dst has capacity for k neighbors.
+// pair), or is negative for none; like KNN, it rejects a k the inner
+// relation cannot fill once that row is left out. It is the per-row
+// refine primitive KNN batches over; a warmed-up Joiner performs zero
+// heap allocations per call when dst has capacity for k neighbors.
 func (j *Joiner) KNNRow(row []float64, k, exclude int, meter *arch.Meter, dst []vec.Neighbor) ([]vec.Neighbor, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("join: k must be >= 1, got %d", k)
+	if err := j.checkK(k, exclude >= 0 && exclude < j.S.N); err != nil {
+		return nil, err
 	}
 	if len(row) != j.S.D {
 		return nil, fmt.Errorf("join: outer d=%d, inner d=%d", len(row), j.S.D)
-	}
-	if err := j.filter.Prepare(row, meter); err != nil {
-		return nil, err
 	}
 	if j.top == nil {
 		j.top = vec.NewTopK(k)
 	} else {
 		j.top.Reset(k)
 	}
-	var exact int64
-	for s := 0; s < j.S.N; s++ {
-		if s == exclude {
-			continue
-		}
-		if j.filter.LB(s) > j.top.Threshold() {
-			continue
-		}
-		exact++
-		j.top.Push(s, measure.SqEuclidean(row, j.S.Row(s)))
+	top := j.top
+	push := func(s int, d float64) (float64, bool) {
+		top.Push(s, d)
+		return top.Threshold(), true
 	}
-	j.filter.RecordCosts(meter, exact, j.S.D)
-	return j.top.AppendResults(dst), nil
+	if err := j.filter.Refine(j.S, row, 0, j.S.N, exclude, exclude+1, top.Threshold(), push, meter); err != nil {
+		return nil, err
+	}
+	return top.AppendResults(dst), nil
+}
+
+// checkK rejects a k below 1 or one the inner relation cannot fill, one
+// row short when self excludes the identity pair.
+func (j *Joiner) checkK(k int, self bool) error {
+	if k < 1 {
+		return fmt.Errorf("join: k must be >= 1, got %d", k)
+	}
+	need := k
+	if self {
+		need++
+	}
+	if j.S.N < need {
+		return fmt.Errorf("join: inner relation has %d rows, need %d", j.S.N, need)
+	}
+	return nil
 }
 
 // KNN computes the kNN join R ⋉ₖ S: result[i] holds the k nearest inner
 // rows of outer row i (squared distances, ascending). When selfJoin is
 // true, R must be S itself and the identity pair (i,i) is excluded.
 func (j *Joiner) KNN(r *vec.Matrix, k int, selfJoin bool, meter *arch.Meter) ([][]vec.Neighbor, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("join: k must be >= 1, got %d", k)
+	if err := j.checkK(k, selfJoin); err != nil {
+		return nil, err
 	}
 	if r.D != j.S.D {
 		return nil, fmt.Errorf("join: outer d=%d, inner d=%d", r.D, j.S.D)
 	}
-	minInner := k
-	if selfJoin {
-		if r != j.S {
-			return nil, fmt.Errorf("join: self-join requires the outer relation to be the inner one")
-		}
-		minInner = k + 1
-	}
-	if j.S.N < minInner {
-		return nil, fmt.Errorf("join: inner relation has %d rows, need %d", j.S.N, minInner)
+	if selfJoin && r != j.S {
+		return nil, fmt.Errorf("join: self-join requires the outer relation to be the inner one")
 	}
 	out := make([][]vec.Neighbor, r.N)
 	// One flat neighbor arena for the whole join: row i appends into the
@@ -154,26 +158,21 @@ func (j *Joiner) Eps(r *vec.Matrix, eps float64, selfJoin bool, meter *arch.Mete
 	}
 	eps2 := eps * eps
 	var out []Pair
-	var exact int64
-	for i := 0; i < r.N; i++ {
-		row := r.Row(i)
-		if err := j.filter.Prepare(row, meter); err != nil {
-			return nil, err
+	var i int
+	inRange := func(s int, d float64) (float64, bool) {
+		if d <= eps2 {
+			out = append(out, Pair{R: i, S: s, DistSq: d})
 		}
+		return eps2, true
+	}
+	for i = 0; i < r.N; i++ {
 		start := 0
 		if selfJoin {
 			start = i + 1
 		}
-		for s := start; s < j.S.N; s++ {
-			if j.filter.LB(s) > eps2 {
-				continue
-			}
-			exact++
-			if d := measure.SqEuclidean(row, j.S.Row(s)); d <= eps2 {
-				out = append(out, Pair{R: i, S: s, DistSq: d})
-			}
+		if err := j.filter.Refine(j.S, r.Row(i), start, j.S.N, 0, 0, eps2, inRange, meter); err != nil {
+			return nil, err
 		}
 	}
-	j.filter.RecordCosts(meter, exact, j.S.D)
 	return out, nil
 }

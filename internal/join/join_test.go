@@ -163,8 +163,21 @@ func TestJoinValidation(t *testing.T) {
 	if _, err := j.KNN(bad, 2, false, arch.NewMeter()); err == nil {
 		t.Fatal("dimension mismatch must be rejected")
 	}
-	if _, err := j.KNN(s, s.N, true, arch.NewMeter()); err == nil {
+	_, selfErr := j.KNN(s, s.N, true, arch.NewMeter())
+	if selfErr == nil {
 		t.Fatal("k >= N self-join must be rejected")
+	}
+	// KNNRow is KNN's per-row primitive and rejects the same k, counting
+	// the excluded row, instead of returning fewer than k neighbors.
+	if _, err := j.KNNRow(s.Row(0), s.N, 0, arch.NewMeter(), nil); err == nil || err.Error() != selfErr.Error() {
+		t.Fatalf("KNNRow with k = N and one row excluded: err = %v, want %v", err, selfErr)
+	}
+	_, outerErr := j.KNN(r, s.N+1, false, arch.NewMeter())
+	if _, err := j.KNNRow(r.Row(0), s.N+1, -1, arch.NewMeter(), nil); outerErr == nil || err == nil || err.Error() != outerErr.Error() {
+		t.Fatalf("KNNRow with k > N: err = %v, want %v", err, outerErr)
+	}
+	if nbs, err := j.KNNRow(s.Row(0), s.N-1, 0, arch.NewMeter(), nil); err != nil || len(nbs) != s.N-1 {
+		t.Fatalf("KNNRow with k = N-1 and one row excluded: %d neighbors, err %v", len(nbs), err)
 	}
 }
 

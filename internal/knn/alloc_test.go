@@ -135,10 +135,10 @@ func TestSearchAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEDFilterZeroAllocs pins the filter every LB_PIM-ED mining task
-// shares: a warmed Prepare quantizes into retained scratch, so a Prepare +
-// LB sweep over all rows never touches the heap (outlier, dbscan and motif
-// used to allocate a floor vector per outer row).
+// TestEDFilterZeroAllocs pins the pass every LB_PIM-ED mining task
+// shares: a warmed Refine quantizes into retained scratch, so a pass over
+// all rows never touches the heap (outlier, dbscan and motif used to
+// allocate a floor vector per outer row).
 func TestEDFilterZeroAllocs(t *testing.T) {
 	data, queries := testData(t, 300, 64)
 	f, err := NewEDFilter(newEngine(t), data, defaultQuant(t), data.N, "alloc/points")
@@ -146,24 +146,26 @@ func TestEDFilterZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	meter := arch.NewMeter()
-	var sum float64
-	var sweeps int64
+	var refined, sweeps int64
+	visit := func(int, float64) (float64, bool) {
+		refined++
+		return 0.05, true
+	}
 	sweep := func(q []float64) {
 		sweeps++
-		if err := f.Prepare(q, meter); err != nil {
+		if err := f.Refine(data, q, 0, data.N, 0, 0, 0.05, visit, meter); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < data.N; i++ {
-			sum += f.LB(i)
-		}
-		f.RecordCosts(meter, 0, data.D)
 	}
 	sweep(queries.Row(1)) // warm up: size the dot buffer, create meter buckets
 	if allocs := testing.AllocsPerRun(20, func() { sweep(queries.Row(0)) }); allocs != 0 {
-		t.Fatalf("warmed Prepare + LB sweep allocated %.1f times, want 0", allocs)
+		t.Fatalf("warmed Refine allocated %.1f times, want 0", allocs)
 	}
 	if c := meter.Get("LBPIM-ED"); c.Calls != sweeps*int64(data.N+1) {
 		t.Fatalf("LBPIM-ED Calls = %d, want %d (one pass and N consultations per sweep)", c.Calls, sweeps*int64(data.N+1))
+	}
+	if c := meter.Get(arch.FuncED); refined == 0 || c.Calls != refined {
+		t.Fatalf("ED Calls = %d, want the %d refined rows (at least one)", c.Calls, refined)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/measure"
 	"pimmine/internal/pim"
 	"pimmine/internal/pimbound"
 	"pimmine/internal/quant"
@@ -16,22 +17,22 @@ import (
 // one batched dot-product pass for a query row, and LB(i) then combines
 // Φ(p̄ᵢ), Φ(q̄) and the dot in O(1) — a lower bound on ED(rowᵢ, query), so
 // a candidate whose bound already exceeds the caller's threshold is
-// discarded without touching its vector and results stay exact. It is the
-// filter of every mining task that consults LB_PIM-ED before an exact
-// distance (outlier, join, dbscan, motif, k-means), and the same Table 4
-// row the SM-PIM and OST-PIM cascades walk (edStage).
+// discarded without touching its vector and results stay exact. Refine is
+// the filter-and-refine pass of every mining task that consults LB_PIM-ED
+// before an exact distance (outlier, join, dbscan, motif); k-means consults
+// LB point by centre instead. It is the same Table 4 row the SM-PIM and
+// OST-PIM cascades walk (edStage).
 //
 // A nil *EDFilter is the host-only path: Prepare does nothing, LB never
-// prunes and RecordCosts charges the exact distances alone, so a task is
+// prunes and Refine charges the exact distances alone, so a task is
 // written once against the filter instead of wrapping every bound test in
 // a check for the PIM variant. A filter is one prepared query over the
-// programmed rows: its retained scratch and memo make a warmed-up
-// Prepare + LB sweep allocation-free and the filter non-reentrant, one per
-// goroutine.
+// programmed rows: its retained scratch and memo make a warmed-up Refine
+// allocation-free and the filter non-reentrant, one per goroutine.
 type EDFilter struct {
 	*edRow
 	memo     memo  // the prepared row's features
-	consults int64 // LB calls since the last RecordCosts
+	consults int64 // LB calls since the last RecordConsults
 }
 
 // edRow is the LB_PIM-ED row of Table 4 (Theorem 1) as a prepared query
@@ -163,12 +164,37 @@ func (f *EDFilter) LB(i int) float64 {
 	return f.lb(i)
 }
 
-// RecordCosts charges one filter-and-refine sweep to the meter: exact
-// d-dimensional distances stream their vectors, and the LB consultations
-// since the last call are charged by RecordConsults.
-func (f *EDFilter) RecordCosts(meter *arch.Meter, exact int64, d int) {
-	costExactRefine(meter.C(arch.FuncED), exact, d)
+// Refine runs one query row's filter-and-refine pass: it prepares q, walks
+// data's rows lo ≤ j < hi in index order past the excluded span
+// skipLo ≤ j < skipHi (the self row, a trivial-match zone), prunes each
+// row whose bound exceeds tau and hands each survivor's exact ED² to
+// visit, which returns the threshold for the rows after it, or false to
+// end the pass. The test is strict: a row whose bound equals tau is
+// refined, which a ≤ rule (a radius) needs and a < rule (a best-so-far)
+// only pays for, since that row cannot improve it. The PIM pass, the
+// consultations and the exact distances are charged to meter.
+func (f *EDFilter) Refine(data *vec.Matrix, q []float64, lo, hi, skipLo, skipHi int, tau float64, visit func(j int, d float64) (float64, bool), meter *arch.Meter) error {
+	if err := f.Prepare(q, meter); err != nil {
+		return err
+	}
+	var exact int64
+	for j := lo; j < hi; j++ {
+		if j >= skipLo && j < skipHi {
+			j = skipHi - 1
+			continue
+		}
+		if f.LB(j) > tau {
+			continue
+		}
+		exact++
+		var more bool
+		if tau, more = visit(j, measure.SqEuclidean(q, data.Row(j))); !more {
+			break
+		}
+	}
+	costExactRefine(meter.C(arch.FuncED), exact, data.D)
 	f.RecordConsults(meter)
+	return nil
 }
 
 // RecordConsults charges the host combine of every LB consultation since

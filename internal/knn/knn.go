@@ -58,9 +58,9 @@
 // one type (table4.go). The constructors only assemble stage lists.
 // Standard, SimStandard and HDStandard stay separate exact scans because
 // every differential test compares against them. EDFilter (edfilter.go)
-// is the LB_PIM-ED row on its own, shared with the mining tasks that
-// filter with it outside a kNN search (outlier, join, dbscan, motif,
-// k-means).
+// is the LB_PIM-ED row on its own: its Refine is the one filter-and-refine
+// pass of the mining tasks outside a kNN search (outlier, join, dbscan,
+// motif), and k-means consults its LB point by centre.
 //
 // Every algorithm performs the real computation — results are exact and
 // integration tests assert each variant returns the same neighbor set as

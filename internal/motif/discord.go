@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pimmine/internal/arch"
-	"pimmine/internal/measure"
 )
 
 // Discord discovery is motif discovery's dual and the paper's other named
@@ -14,12 +13,11 @@ import (
 // neighbor — the most anomalous window of the series (Keogh's HOT SAX
 // formulation).
 //
-// The scan uses the classic early-abandon structure: window i is
-// disqualified the moment any neighbor closer than the best discord
-// score is found. The PIM path strengthens this with LB_PIM-ED — a
-// neighbor whose *lower bound* already exceeds the running nearest
-// distance can't improve it, and an exact distance below the current
-// best score disqualifies i immediately.
+// The scan uses the classic early-abandon structure: window i is one
+// knn.EDFilter.Refine pass at its running nearest distance, ended the
+// moment any neighbor no farther than the best discord score is found.
+// The PIM path strengthens this with LB_PIM-ED — a neighbor whose *lower
+// bound* already exceeds the running nearest distance can't improve it.
 
 // Discord is the most anomalous window.
 type Discord struct {
@@ -36,35 +34,23 @@ func (f *Finder) Discord(meter *arch.Meter) (Discord, error) {
 	}
 	best := Discord{I: -1, Dist: -1}
 	bestSq := -1.0
-	var exact int64
-	for i := 0; i < n; i++ {
-		p := f.Win.Row(i)
-		if err := f.filter.Prepare(p, meter); err != nil {
-			return Discord{}, err
+	var nnSq float64
+	nearer := func(_ int, d float64) (float64, bool) {
+		if d < nnSq {
+			nnSq = d
 		}
-		nnSq := math.Inf(1)
-		for j := 0; j < n; j++ {
-			if absInt(i-j) < f.W {
-				continue // trivial match exclusion
-			}
-			// A neighbor provably farther than the current nearest cannot
-			// shrink it.
-			if f.filter.LB(j) >= nnSq {
-				continue
-			}
-			exact++
-			if d := measure.SqEuclidean(p, f.Win.Row(j)); d < nnSq {
-				nnSq = d
-				if nnSq <= bestSq {
-					break // i cannot beat the best discord: abandon early
-				}
-			}
+		return nnSq, nnSq > bestSq // at or below the best discord, i cannot beat it: abandon early
+	}
+	for i := 0; i < n; i++ {
+		nnSq = math.Inf(1)
+		// Windows within w of i are trivial matches, not neighbors.
+		if err := f.filter.Refine(f.Win, f.Win.Row(i), 0, n, i-f.W+1, i+f.W, nnSq, nearer, meter); err != nil {
+			return Discord{}, err
 		}
 		if nnSq > bestSq && !math.IsInf(nnSq, 1) {
 			bestSq = nnSq
 			best = Discord{I: i, Dist: math.Sqrt(nnSq)}
 		}
 	}
-	f.filter.RecordCosts(meter, exact, f.W)
 	return best, nil
 }

@@ -4,11 +4,12 @@
 // and a window length w, find the pair of non-overlapping subsequences
 // with the smallest Euclidean distance (the top motif, Mueen [3]).
 //
-// The host algorithm is the classic scan with early abandonment; the
-// PIM-optimized variant quantizes the sliding windows onto the PIM array
-// once and consults LB_PIM-ED (Theorem 1) before every exact distance —
-// the same filter-and-refine recipe the paper applies to kNN, so the
-// discovered motif is exact (tested against brute force).
+// Each window is one knn.EDFilter.Refine pass over the windows after it,
+// at the best distance so far. The host algorithm is the classic scan;
+// the PIM-optimized variant quantizes the sliding windows onto the PIM
+// array once and consults LB_PIM-ED (Theorem 1) before every exact
+// distance — the same filter-and-refine recipe the paper applies to kNN,
+// so the discovered motif is exact (tested against brute force).
 package motif
 
 import (
@@ -18,7 +19,6 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/knn"
-	"pimmine/internal/measure"
 	"pimmine/internal/pim"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
@@ -99,24 +99,19 @@ func (f *Finder) Top(meter *arch.Meter) (Motif, error) {
 	}
 	best := Motif{I: -1, J: -1, Dist: math.Inf(1)}
 	bestSq := math.Inf(1)
-	var exact int64
-	for i := 0; i < n; i++ {
-		p := f.Win.Row(i)
-		if err := f.filter.Prepare(p, meter); err != nil {
+	var i int
+	improve := func(j int, d float64) (float64, bool) {
+		if d < bestSq {
+			bestSq = d
+			best = Motif{I: i, J: j, Dist: math.Sqrt(d)}
+		}
+		return bestSq, true
+	}
+	for i = 0; i < n; i++ {
+		if err := f.filter.Refine(f.Win, f.Win.Row(i), i+f.W, n, 0, 0, bestSq, improve, meter); err != nil {
 			return Motif{}, err
 		}
-		for j := i + f.W; j < n; j++ {
-			if f.filter.LB(j) >= bestSq {
-				continue
-			}
-			exact++
-			if d := measure.SqEuclidean(p, f.Win.Row(j)); d < bestSq {
-				bestSq = d
-				best = Motif{I: i, J: j, Dist: math.Sqrt(d)}
-			}
-		}
 	}
-	f.filter.RecordCosts(meter, exact, f.W)
 	return best, nil
 }
 
@@ -141,27 +136,23 @@ func (f *Finder) TopK(k int, meter *arch.Meter) ([]Motif, error) {
 		sq float64
 	}
 	cands := make([]cand, 0, n)
-	var exact int64
-	for i := 0; i < n; i++ {
-		p := f.Win.Row(i)
-		if err := f.filter.Prepare(p, meter); err != nil {
-			return nil, err
+	var bi cand
+	var i int
+	improve := func(j int, d float64) (float64, bool) {
+		if d < bi.sq {
+			bi = cand{m: Motif{I: i, J: j, Dist: math.Sqrt(d)}, sq: d}
 		}
-		bi := cand{m: Motif{I: -1}, sq: math.Inf(1)}
-		for j := i + f.W; j < n; j++ {
-			if f.filter.LB(j) >= bi.sq {
-				continue
-			}
-			exact++
-			if d := measure.SqEuclidean(p, f.Win.Row(j)); d < bi.sq {
-				bi = cand{m: Motif{I: i, J: j, Dist: math.Sqrt(d)}, sq: d}
-			}
+		return bi.sq, true
+	}
+	for i = 0; i < n; i++ {
+		bi = cand{m: Motif{I: -1}, sq: math.Inf(1)}
+		if err := f.filter.Refine(f.Win, f.Win.Row(i), i+f.W, n, 0, 0, bi.sq, improve, meter); err != nil {
+			return nil, err
 		}
 		if bi.m.I >= 0 {
 			cands = append(cands, bi)
 		}
 	}
-	f.filter.RecordCosts(meter, exact, f.W)
 	// Greedy selection by ascending distance with exclusion zones.
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].sq != cands[b].sq {

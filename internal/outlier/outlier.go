@@ -8,12 +8,14 @@
 //   - Top-n kNN-distance outliers (Ramaswamy et al., SIGMOD 2000): the n
 //     objects with the largest distance to their k-th nearest neighbor.
 //
-// Both are built on the same ED primitive as the paper's tasks, so both
-// get a PIM-optimized variant: LB_PIM-ED (Theorem 1) is consulted before
-// every exact distance, and — because the bound is a *lower* bound — a
-// neighbor candidate whose bound already exceeds r (or the current k-NN
-// threshold) is discarded without touching its vector. Results are exact
-// (integration-tested against the naive scans).
+// Both are built on the same ED primitive as the paper's tasks: each
+// object's test is one knn.EDFilter.Refine pass over the others, at r² or
+// at the running k-NN threshold. On the PIM-optimized variant LB_PIM-ED
+// (Theorem 1) is consulted before every exact distance, and — because the
+// bound is a *lower* bound — a neighbor candidate whose bound already
+// exceeds r (or the current k-NN threshold) is discarded without touching
+// its vector. Results are exact (integration-tested against the naive
+// scans).
 package outlier
 
 import (
@@ -23,7 +25,6 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/knn"
-	"pimmine/internal/measure"
 	"pimmine/internal/pim"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
@@ -70,32 +71,24 @@ func (d *Detector) DB(r float64, pi float64, meter *arch.Meter) ([]int, error) {
 	need := int(math.Ceil(pi * float64(n)))
 	r2 := r * r
 	var out []int
-	var exact int64
-	for i := 0; i < n; i++ {
-		p := d.Data.Row(i)
-		if err := d.filter.Prepare(p, meter); err != nil {
-			return nil, err
+	var neighbors int
+	// An object with ≥ need in-range neighbors is not an outlier; the pass
+	// can stop counting early either way.
+	inRange := func(_ int, d float64) (float64, bool) {
+		if d <= r2 {
+			neighbors++
 		}
-		neighbors := 0
-		// An object with ≥ need in-range neighbors is not an outlier; we
-		// can stop counting early either way.
-		for j := 0; j < n && neighbors < need; j++ {
-			if j == i {
-				continue
-			}
-			if d.filter.LB(j) > r2 {
-				continue // provably out of range
-			}
-			exact++
-			if measure.SqEuclidean(p, d.Data.Row(j)) <= r2 {
-				neighbors++
-			}
+		return r2, neighbors < need
+	}
+	for i := 0; i < n; i++ {
+		neighbors = 0
+		if err := d.filter.Refine(d.Data, d.Data.Row(i), 0, n, i, i+1, r2, inRange, meter); err != nil {
+			return nil, err
 		}
 		if neighbors < need {
 			out = append(out, i)
 		}
 	}
-	d.filter.RecordCosts(meter, exact, d.Data.D)
 	return out, nil
 }
 
@@ -115,28 +108,20 @@ func (d *Detector) TopN(n, k int, meter *arch.Meter) ([]Outlier, error) {
 	if k >= d.Data.N {
 		return nil, fmt.Errorf("outlier: k=%d must be below N=%d", k, d.Data.N)
 	}
-	var exact int64
 	scores := make([]Outlier, d.Data.N)
+	top := vec.NewTopK(k)
+	push := func(j int, dist float64) (float64, bool) {
+		top.Push(j, dist)
+		return top.Threshold(), true
+	}
 	for i := 0; i < d.Data.N; i++ {
-		p := d.Data.Row(i)
-		if err := d.filter.Prepare(p, meter); err != nil {
+		top.Reset(k)
+		if err := d.filter.Refine(d.Data, d.Data.Row(i), 0, d.Data.N, i, i+1, top.Threshold(), push, meter); err != nil {
 			return nil, err
 		}
-		top := vec.NewTopK(k)
-		for j := 0; j < d.Data.N; j++ {
-			if j == i {
-				continue
-			}
-			if d.filter.LB(j) > top.Threshold() {
-				continue
-			}
-			exact++
-			top.Push(j, measure.SqEuclidean(p, d.Data.Row(j)))
-		}
-		nn := top.Results()
-		scores[i] = Outlier{Index: i, Score: math.Sqrt(nn[len(nn)-1].Dist)}
+		// k < N, so the collector is full and its threshold is the k-th distance.
+		scores[i] = Outlier{Index: i, Score: math.Sqrt(top.Threshold())}
 	}
-	d.filter.RecordCosts(meter, exact, d.Data.D)
 	sort.Slice(scores, func(a, b int) bool {
 		if scores[a].Score != scores[b].Score {
 			return scores[a].Score > scores[b].Score

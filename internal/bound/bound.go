@@ -194,6 +194,30 @@ func (ix *FNNIndex) LB(i int, qMu, qSigma []float64) float64 {
 	return float64(ix.L) * s * lbSlack
 }
 
+// LB4 is LB for objects i0, i1, i2 and i3, each to the bit: every object
+// keeps its own sum in ascending segment order, and the four sums run in
+// lockstep. Objects may repeat.
+func (ix *FNNIndex) LB4(i0, i1, i2, i3 int, qMu, qSigma []float64) (b0, b1, b2, b3 float64) {
+	n := ix.Segs
+	m0, m1, m2, m3 := ix.Mu.Row(i0)[:n], ix.Mu.Row(i1)[:n], ix.Mu.Row(i2)[:n], ix.Mu.Row(i3)[:n]
+	g0, g1, g2, g3 := ix.Sigma.Row(i0)[:n], ix.Sigma.Row(i1)[:n], ix.Sigma.Row(i2)[:n], ix.Sigma.Row(i3)[:n]
+	qMu, qSigma = qMu[:n], qSigma[:n]
+	var s0, s1, s2, s3 float64
+	for j, qm := range qMu {
+		qs := qSigma[j]
+		dm, dsg := m0[j]-qm, g0[j]-qs
+		s0 += dm*dm + dsg*dsg
+		dm, dsg = m1[j]-qm, g1[j]-qs
+		s1 += dm*dm + dsg*dsg
+		dm, dsg = m2[j]-qm, g2[j]-qs
+		s2 += dm*dm + dsg*dsg
+		dm, dsg = m3[j]-qm, g3[j]-qs
+		s3 += dm*dm + dsg*dsg
+	}
+	l := float64(ix.L)
+	return l * s0 * lbSlack, l * s1 * lbSlack, l * s2 * lbSlack, l * s3 * lbSlack
+}
+
 // TransferDims reports operands moved per object to evaluate the bound
 // (mean and σ per segment).
 func (ix *FNNIndex) TransferDims() int { return 2 * ix.Segs }

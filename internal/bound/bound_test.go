@@ -140,6 +140,37 @@ func TestFNNFullGranularityIsExact(t *testing.T) {
 	}
 }
 
+// LB4 is LB per object, to the bit, for every granularity of a few
+// dimensionalities and for objects that repeat within the four, as the
+// cascade's padded groups pass them.
+func TestLB4MatchesLB(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{1, 7, 12, 60, 420} {
+		m := randMatrix(rng, 9, d)
+		q := randMatrix(rng, 1, d).Row(0)
+		for segs := 1; segs <= d; segs++ {
+			if d%segs != 0 {
+				continue
+			}
+			ix, err := BuildFNN(m, segs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qMu, qSigma, _ := ix.QueryStats(q)
+			for _, rows := range [][4]int{{0, 1, 2, 3}, {8, 5, 1, 4}, {6, 6, 6, 6}, {2, 7, 2, 2}} {
+				var got [4]float64
+				got[0], got[1], got[2], got[3] = ix.LB4(rows[0], rows[1], rows[2], rows[3], qMu, qSigma)
+				for r, i := range rows {
+					if want := ix.LB(i, qMu, qSigma); math.Float64bits(got[r]) != math.Float64bits(want) {
+						t.Fatalf("d=%d segs=%d rows %v: LB4[%d] = %x, LB(%d) = %x", d, segs, rows, r, math.Float64bits(got[r]), i, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFNNLevels(t *testing.T) {
 	t.Parallel()
 	// MSD's d=420 must yield the paper's granularities 7, 28, 105.

@@ -154,6 +154,45 @@ func ExtKernels(s *Suite) (*Table, error) {
 	}
 	_, _ = sink, isink
 
+	// The exact step of a grouped walk: four rows against one query as
+	// four SqEuclidean calls, one dependency chain each and one after
+	// another (Ref), and as one SqEuclidean4, the four chains in lockstep
+	// (Opt), at MSD's d and at Trevi's.
+	for _, d4 := range []int{d, 4096} {
+		var rows [4][]float64
+		for r := range rows {
+			rows[r] = make([]float64, d4)
+			for i := range rows[r] {
+				rows[r][i] = rng.NormFloat64()
+			}
+		}
+		q4 := make([]float64, d4)
+		for i := range q4 {
+			q4[i] = rng.NormFloat64()
+		}
+		var got [4]float64
+		got[0], got[1], got[2], got[3] = measure.SqEuclidean4(rows[0], rows[1], rows[2], rows[3], q4)
+		for r, row := range rows {
+			if math.Float64bits(got[r]) != math.Float64bits(measure.SqEuclideanRef(row, q4)) {
+				return nil, fmt.Errorf("ext-kernels: SqEuclidean4 diverges from its reference at row %d, d=%d", r, d4)
+			}
+		}
+		refNs := benchNs(func() {
+			for _, row := range rows {
+				sink += measure.SqEuclidean(row, q4)
+			}
+		})
+		optNs := benchNs(func() {
+			a, b, c, e := measure.SqEuclidean4(rows[0], rows[1], rows[2], rows[3], q4)
+			sink += a + b + c + e
+		})
+		name := "SqEuclidean4"
+		if d4 != d {
+			name = fmt.Sprintf("SqEuclidean4-%d", d4)
+		}
+		t.AddRow(name, fmt.Sprintf("4 rows, d=%d", d4), ms2(refNs), ms2(optNs), speedup(refNs, optNs))
+	}
+
 	// The exact-mode payload sweep: one blocked IntDotRows call over a
 	// row-major slab (one serving shard's ⌊µ⌋ payload: N=5000, s=210) vs
 	// the per-row reference loop. The Opt column is whichever body of the
@@ -324,7 +363,8 @@ func ExtKernels(s *Suite) (*Table, error) {
 	t.Note("IntDotRows-residency is not a ref/opt pair: equal MACs streamed from eight 4.2 MB slabs (Ref column) and from one cache-resident 168 KB slab (Opt column); the ratio is the most a sweep could gain from never missing cache. Near 1x the sweep is bound by the multiplier (the Go body reads 1.1-1.3x); the AVX2 body reads ~2x with the streaming column near 4.2 MB in 0.2 ms, 20 GB/s: it waits for bytes, so bytes per row and queries per byte read are what is left to take")
 	t.Note("IntDotGather is the fix-ups alone: 150 listed rows spread over a streamed slab, each a cache miss of its own, one vec.IntDot at a time (Ref, what pim.DotRows ran before it gathered) against one vec.IntDotGather pass that walks four listed rows in lockstep (Opt: the AVX2 body where CPUID allows it, the Go four-row body elsewhere)")
 	t.Note("IntDotRows-digest and -miss are not ref/opt pairs of one kernel either: Ref is the engine's full exact-mode sweep of a 5000 x 210 payload, Opt what a cascade's lazy first stage runs in its place, both over the eight round-robin slabs. 150 fix-ups is the measured mean a wire-knn shard visit tightens (153.1 of 5000 rows, 64 pool queries at seed 11, per payload), computed as one gathered pass (pim.DotRows); -miss is a query the digest proves nothing about, expected near 0.9x: the digest's sweep reads 1/32 of the bytes again")
-	t.Note("measured wall clock (best of 3), not modeled PIM time; float kernels keep the reference's evaluation order, so their win is bounds-check elimination only; an integer sweep (IntDotRows) walks four rows in lockstep, one per quarter of the slab, eight columns an instruction in the AVX2 assembly body where CPUID allows it (3-4x the per-row reference) and in the 4-wide index-blocked Go body elsewhere (1.4-1.7x); IntDot is a lone row and always the Go body")
+	t.Note("SqEuclidean4 is not a ref/opt pair of one kernel: Ref is four SqEuclidean calls, Opt one SqEuclidean4 over the same four rows, each row still one accumulator in ascending order and bit-identical, the four chains in lockstep; it is the exact step of the cascade's grouped walk and of the Standard scan")
+	t.Note("measured wall clock (best of 3), not modeled PIM time; float kernels keep the reference's evaluation order, so a one-row body's win is bounds-check elimination only; an integer sweep (IntDotRows) walks four rows in lockstep, one per quarter of the slab, eight columns an instruction in the AVX2 assembly body where CPUID allows it (3-4x the per-row reference) and in the 4-wide index-blocked Go body elsewhere (1.4-1.7x); IntDot is a lone row and always the Go body")
 	return t, nil
 }
 

@@ -50,6 +50,18 @@ type stage interface {
 	cost(c *arch.Counters, n int64)
 }
 
+// groupSize is how many candidate rows the walk takes through the later
+// stages and the exact step at once. Four independent sums fill the float
+// adder's pipeline that one sum leaves waiting on each add's latency
+// (measure.SqEuclidean4); eight spill registers and run slower.
+const groupSize = 4
+
+// quadStage is a stage with a four-row form of its bound: lb4 sets dst[r]
+// to lb(rows[r]), to the bit, for every r. Rows may repeat.
+type quadStage interface {
+	lb4(rows *[groupSize]int, dst *[groupSize]float64)
+}
+
 // exactStep is what a cascade does with an object no stage pruned: the
 // measure's exact value against the query in flight, and the meter rule
 // of computing it n times. The zero fn marks a cascade without one — its
@@ -60,7 +72,10 @@ type exactStep struct {
 	fn   string // meter bucket and StageStat name
 	dims int    // operands one evaluation moves (StageStat.TransferDims)
 	dist func(i int) float64
-	cost func(c *arch.Counters, n int64)
+	// dist4 is dist's four-row form, nil where the measure has none: it
+	// sets dst[r] to dist(rows[r]), to the bit. Rows may repeat.
+	dist4 func(rows *[groupSize]int, dst *[groupSize]float64)
+	cost  func(c *arch.Counters, n int64)
 }
 
 // Cascade is the paper's filter-and-refine loop (§III-B, Fig 12a) over an
@@ -75,6 +90,11 @@ type exactStep struct {
 // The walk does not consume that batch one object at a time against a
 // threshold that starts at +Inf: Fig 12a's loop spends its first k objects,
 // and k·ln(n/k) more, just finding a threshold. See walk for its passes.
+// Nor does it take the candidates past the first stage one at a time: it
+// takes them in groups of four, each later bound and the exact value
+// computed for the group's rows at once, and then replays the one-row
+// walk's decisions over what it computed (flush), so every answer and
+// every count is the one-row walk's.
 //
 // A prune is strict (lb > threshold): an object whose bound ties the
 // current k-th distance may still tie it exactly and win on the smaller
@@ -98,6 +118,9 @@ type Cascade struct {
 	// the stage's sweep left it.
 	lazy *lazyWalk
 
+	// quads holds each stage's four-row form, nil where it has none.
+	quads []quadStage
+
 	// Retained per-query scratch: a warmed-up search allocates nothing.
 	column    []float64      // the first stage's bound of every object
 	top       *vec.TopK      // the answer
@@ -107,6 +130,18 @@ type Cascade struct {
 	stats     []StageStat
 	timed     bool // the walk in flight is traced: time the exact step
 	refineDur time.Duration
+
+	// The group in flight (flush): its rows in visiting order, each one's
+	// bound at every stage it reached (grpLB[0] is its column entry) and
+	// its exact value; live lists the rows still unpruned at the group's
+	// threshold, at their places liveAt, with liveVal their latest value.
+	grp     [groupSize]int
+	grpN    int
+	grpLB   [][groupSize]float64
+	grpVal  [groupSize]float64
+	live    [groupSize]int
+	liveAt  [groupSize]int
+	liveVal [groupSize]float64
 }
 
 // newWalk builds a cascade over n objects without an exact step; the
@@ -114,8 +149,13 @@ type Cascade struct {
 func newWalk(name string, n int, stages ...stage) *Cascade {
 	c := &Cascade{
 		name: name, spanName: "knn." + name, n: n, stages: stages,
+		quads:  make([]quadStage, len(stages)),
 		passed: make([]int, len(stages)),
 		stats:  make([]StageStat, 0, len(stages)+1),
+		grpLB:  make([][groupSize]float64, max(len(stages), 1)),
+	}
+	for si, st := range stages {
+		c.quads[si], _ = st.(quadStage)
 	}
 	if len(stages) > 0 {
 		c.column = make([]float64, n)
@@ -139,6 +179,9 @@ func newCascade(data *vec.Matrix, name string, stages ...stage) *Cascade {
 	c.exact = exactStep{
 		fn: arch.FuncED, dims: data.D,
 		dist: func(i int) float64 { return measure.SqEuclidean(data.Row(i), c.q) },
+		dist4: func(rows *[groupSize]int, dst *[groupSize]float64) {
+			dst[0], dst[1], dst[2], dst[3] = measure.SqEuclidean4(data.Row(rows[0]), data.Row(rows[1]), data.Row(rows[2]), data.Row(rows[3]), c.q)
+		},
 		cost: func(ctr *arch.Counters, n int64) { costExactRefine(ctr, n, data.D) },
 	}
 	return c
@@ -235,12 +278,15 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, ceiling 
 // visited first, in that order, so the threshold is the k-th distance among
 // the most promising objects before anything is tested against it; (3)
 // scan — the rest in index order, pruned on the column. A cascade without
-// stages is a plain scan. walk is apart from searchAppend so that a
+// stages is a plain scan. Every pass hands the rows it visits to the group
+// in flight (add), four at a time, and flush takes each group on through
+// the later stages and the exact step, then replays the one-row walk's
+// decisions in visiting order. walk is apart from searchAppend so that a
 // searcher whose query is not a []float64 (HD's packed code) prepares its
 // stage itself and runs the same loop. A nil span is the untraced walk.
 //
 // Every prune is against threshold(): the lesser of ceiling and the k-th
-// distance so far, and refine keeps no row above ceiling. A row of the
+// distance so far, and the walk keeps no row above ceiling. A row of the
 // uncapped answer at or below ceiling is never pruned — its bound is at
 // most its distance, and the k-th distance never falls below the final
 // one — so the walk returns exactly the uncapped answer's rows at or
@@ -252,8 +298,9 @@ func (c *Cascade) walk(sp *obs.Span, k int, ceiling float64, meter *arch.Meter, 
 	clear(c.passed)
 	if len(c.stages) == 0 {
 		for i := 0; i < c.n; i++ {
-			c.refine(i, 0)
+			c.add(i, 0, false)
 		}
+		c.flush(false)
 	} else {
 		c.seedAndScan(be, k)
 	}
@@ -303,6 +350,12 @@ func (c *Cascade) walk(sp *obs.Span, k int, ceiling float64, meter *arch.Meter, 
 // LB ≥ LB′ > τ, and τ only falls: `col[i] > tau` prunes it as it would have
 // pruned its exact bound. A pass that would list more than n/tightenShare
 // rows is replaced by the stage's sweep and the exact column.
+//
+// The seeds go to the group in flight in seed order and the group is
+// flushed after the last one, so τ is what the seeds leave. Then the scan
+// adds each row with col[i] ≤ τ, τ read at the last flush; the replay
+// tests the row on its column entry again, against the threshold as it
+// stands by then.
 func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 	col := c.column
 	var t0 time.Time
@@ -327,8 +380,9 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 			c.seedBuf = c.seedBuf[:i]
 			break
 		}
-		c.visit(s.Index, s.Dist)
+		c.add(s.Index, s.Dist, false)
 	}
+	c.flush(false)
 	tau := c.threshold()
 	if lazy != nil && lazy.exit == exitLazy && !lazy.tightenBelow(col, tau) {
 		lazy.sweepColumn(col, exitTau)
@@ -351,9 +405,10 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 		if _, seeded := slices.BinarySearchFunc(c.seedBuf, i, func(s vec.Neighbor, i int) int { return s.Index - i }); seeded {
 			continue
 		}
-		c.visit(i, b)
+		c.add(i, b, true)
 		tau = c.threshold()
 	}
+	c.flush(true)
 }
 
 // threshold is what the walk prunes against: the lesser of the ceiling and
@@ -381,34 +436,113 @@ func (c *Cascade) selectSeeds(col []float64, k int) {
 	c.seedBuf = c.seeds.AppendResults(c.seedBuf[:0])
 }
 
-// visit takes object i, whose first-stage bound b did not prune it, through
-// the remaining stages and on to refine.
-func (c *Cascade) visit(i int, b float64) {
-	c.passed[0]++
-	for si, st := range c.stages[1:] {
-		if b = st.lb(i); b > c.threshold() {
-			return
-		}
-		c.passed[si+1]++
+// add appends row i, whose first-stage bound b did not prune it, to the
+// group in flight, and flushes the group once it is full. scan marks a row
+// of the scan, which the replay tests on its column entry again; a seed is
+// visited whatever its entry.
+func (c *Cascade) add(i int, b float64, scan bool) {
+	c.grp[c.grpN], c.grpLB[0][c.grpN] = i, b
+	if c.grpN++; c.grpN == groupSize {
+		c.flush(scan)
 	}
-	c.refine(i, b)
 }
 
-// refine offers object i to the answer at its exact value, or, in a cascade
-// without an exact step, at b, the last bound computed for it — unless that
-// is above the ceiling.
-func (c *Cascade) refine(i int, b float64) {
-	if c.exact.dist != nil {
+// flush takes the group in flight through the remaining stages and the
+// exact step, as the one-row walk would take each row in turn: the same
+// rows pass each stage, the same rows reach the answer and the counts are
+// the same. It does so in two passes.
+//
+// Compute: against tau0, the threshold the group started with, each later
+// stage bounds the rows it has not pruned — in one call where the stage
+// has a four-row form and two or more rows are live, the empty slots
+// padded with the first live row — and then the exact step takes the
+// survivors, in one call where it can.
+//
+// Replay: row by row in visiting order, every decision of the one-row walk
+// against the threshold as it stands — the scan's column test, each
+// stage's prune, the counts, the ceiling and the push. The threshold never
+// rises, so a row the replay takes past a stage passed it at tau0 too and
+// its next value was computed; a row computed and then pruned on replay
+// is counted nowhere. Every test is the strict b > threshold, in both
+// passes, so a NaN bound prunes in neither.
+func (c *Cascade) flush(scan bool) {
+	n := c.grpN
+	if n == 0 {
+		return
+	}
+	c.grpN = 0
+	tau0 := c.threshold()
+	m := n
+	for r := range n {
+		c.live[r], c.liveAt[r] = c.grp[r], r
+	}
+	for si := 1; si < len(c.stages) && m > 0; si++ {
+		c.bound(si, m)
+		lbs, kept := &c.grpLB[si], 0
+		for j := range m {
+			lbs[c.liveAt[j]] = c.liveVal[j]
+			if !(c.liveVal[j] > tau0) {
+				c.live[kept], c.liveAt[kept] = c.live[j], c.liveAt[j]
+				kept++
+			}
+		}
+		m = kept
+	}
+	if c.exact.dist == nil {
+		c.grpVal = c.grpLB[max(len(c.stages)-1, 0)] // the last bound is the answer
+	} else if m > 0 {
+		var t0 time.Time
 		if c.timed {
-			t0 := time.Now()
-			b = c.exact.dist(i)
-			c.refineDur += time.Since(t0)
+			t0 = time.Now()
+		}
+		if c.exact.dist4 != nil && m > 1 {
+			c.pad(m)
+			c.exact.dist4(&c.live, &c.liveVal)
 		} else {
-			b = c.exact.dist(i)
+			for j := range m {
+				c.liveVal[j] = c.exact.dist(c.live[j])
+			}
+		}
+		for j := range m {
+			c.grpVal[c.liveAt[j]] = c.liveVal[j]
+		}
+		if c.timed {
+			c.refineDur += time.Since(t0)
 		}
 	}
-	if b <= c.ceil {
-		c.top.Push(i, b)
+
+replay:
+	for r := range n {
+		for si := range c.stages {
+			if (si > 0 || scan) && c.grpLB[si][r] > c.threshold() {
+				continue replay
+			}
+			c.passed[si]++
+		}
+		if v := c.grpVal[r]; v <= c.ceil {
+			c.top.Push(c.grp[r], v)
+		}
+	}
+}
+
+// bound leaves in liveVal stage si's bound of the first m live rows.
+func (c *Cascade) bound(si, m int) {
+	if q := c.quads[si]; q != nil && m > 1 {
+		c.pad(m)
+		q.lb4(&c.live, &c.liveVal)
+		return
+	}
+	st := c.stages[si]
+	for j := range m {
+		c.liveVal[j] = st.lb(c.live[j])
+	}
+}
+
+// pad fills the live slots past the first m with the first live row, so a
+// four-row form computes the m rows and repeats one.
+func (c *Cascade) pad(m int) {
+	for j := m; j < groupSize; j++ {
+		c.live[j] = c.live[0]
 	}
 }
 

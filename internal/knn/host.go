@@ -33,8 +33,16 @@ func (s *Standard) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor 
 // SearchAppend implements AppendSearcher.
 func (s *Standard) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
 	s.top = reuseTopK(s.top, k)
-	for i := 0; i < s.Data.N; i++ {
-		s.top.Push(i, measure.SqEuclidean(s.Data.Row(i), q))
+	data, i := s.Data, 0
+	for ; i+4 <= data.N; i += 4 {
+		d0, d1, d2, d3 := measure.SqEuclidean4(data.Row(i), data.Row(i+1), data.Row(i+2), data.Row(i+3), q)
+		s.top.Push(i, d0)
+		s.top.Push(i+1, d1)
+		s.top.Push(i+2, d2)
+		s.top.Push(i+3, d3)
+	}
+	for ; i < data.N; i++ {
+		s.top.Push(i, measure.SqEuclidean(data.Row(i), q))
 	}
 	costExactRefine(meter.C(arch.FuncED), int64(s.Data.N), s.Data.D)
 	meter.C(arch.FuncOther).Ops += int64(s.Data.N) // heap maintenance
@@ -135,8 +143,19 @@ func (s *fnnStage) prepare(m *memo, _ *arch.Meter) error {
 	return nil
 }
 func (s *fnnStage) lb(i int) float64 { return s.ix.LB(i, s.mu, s.sigma) }
+
+func (s *fnnStage) lb4(rows *[groupSize]int, dst *[groupSize]float64) {
+	dst[0], dst[1], dst[2], dst[3] = s.ix.LB4(rows[0], rows[1], rows[2], rows[3], s.mu, s.sigma)
+}
+
+// lbInto bounds four objects at a time (bound.FNNIndex.LB4), the
+// len(dst)%4 left over one at a time.
 func (s *fnnStage) lbInto(dst []float64) {
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s.ix.LB4(i, i+1, i+2, i+3, s.mu, s.sigma)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = s.ix.LB(i, s.mu, s.sigma)
 	}
 }

@@ -27,10 +27,16 @@
 // starts at the k-th distance among the most promising objects rather than
 // at +Inf; the rest are scanned in index order and pruned on the column.
 // An object that survives takes the later stages lazily, then the exact
-// step. The order cannot change the answer: TopK is a total (dist, index)
-// order and every prune is strict against a threshold that never rises,
-// so whatever is pruned lies strictly outside the final k in any order,
-// ties included. It changes only how few objects get past the first stage.
+// step — four objects at a time, each stage's bound and the exact ED
+// computed for the four in lockstep (bound.FNNIndex.LB4,
+// measure.SqEuclidean4) at the threshold the four started with, after
+// which every decision is replayed one object at a time against the
+// threshold as it stands, so the answer and every count are those of a
+// walk that takes one object at a time. The order cannot change the
+// answer: TopK is a total (dist, index) order and every prune is strict
+// against a threshold that never rises, so whatever is pruned lies
+// strictly outside the final k in any order, ties included. It changes
+// only how few objects get past the first stage.
 //
 // On an exact-mode array the LB_PIM-FNN and LB_PIM-ED stages that lead an
 // ED cascade do not compute the dot products the walk will never read

@@ -60,6 +60,18 @@ func SqEuclidean(p, q []float64) float64 {
 	return sqEuclideanKernel(p, q)
 }
 
+// SqEuclidean4 returns SqEuclidean(p0, q), …, SqEuclidean(p3, q), each to
+// the bit: every row keeps its own accumulator in ascending index order,
+// and the four sums run in lockstep, so they take about the time of two
+// rather than four. Rows may alias one another. Panics on a length
+// mismatch.
+func SqEuclidean4(p0, p1, p2, p3, q []float64) (d0, d1, d2, d3 float64) {
+	if n := len(q); len(p0) != n || len(p1) != n || len(p2) != n || len(p3) != n {
+		panic(fmt.Sprintf("measure: ED of rows of lengths %d, %d, %d and %d against %d", len(p0), len(p1), len(p2), len(p3), n))
+	}
+	return sqEuclidean4Kernel(p0, p1, p2, p3, q)
+}
+
 // Cosine returns CS(p,q) = p·q / (‖p‖‖q‖). If either vector has zero norm
 // the similarity is defined as 0.
 func Cosine(p, q []float64) float64 {

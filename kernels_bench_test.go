@@ -76,7 +76,9 @@ func BenchmarkCrossbarDot(b *testing.B) {
 }
 
 // BenchmarkVecDistance times the unrolled distance kernels against their
-// retained references at a Table 6 dimensionality (MSD, d=420).
+// retained references at a Table 6 dimensionality (MSD, d=420), and four
+// rows' ED as four SqEuclidean calls (ref) against one SqEuclidean4 (opt)
+// there and at Trevi's d=4096.
 func BenchmarkVecDistance(b *testing.B) {
 	const d = 420
 	rng := rand.New(rand.NewSource(2))
@@ -86,8 +88,34 @@ func BenchmarkVecDistance(b *testing.B) {
 		fa[i], fb[i] = rng.NormFloat64(), rng.NormFloat64()
 		ia[i], ib[i] = rng.Uint32()&0xff, rng.Uint32()&0xff
 	}
+	var rows [4][]float64
+	for r := range rows {
+		rows[r] = make([]float64, 4096)
+		for i := range rows[r] {
+			rows[r][i] = rng.NormFloat64()
+		}
+	}
+	q4 := make([]float64, 4096)
+	for i := range q4 {
+		q4[i] = rng.NormFloat64()
+	}
 	var fsink float64
 	var isink int64
+	four := func(n int) (ref, opt func()) {
+		q := q4[:n]
+		ref = func() {
+			for _, row := range rows {
+				fsink += measure.SqEuclidean(row[:n], q)
+			}
+		}
+		opt = func() {
+			a, b, c, e := measure.SqEuclidean4(rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n], q)
+			fsink += a + b + c + e
+		}
+		return ref, opt
+	}
+	ref420, opt420 := four(d)
+	ref4096, opt4096 := four(4096)
 	for _, bc := range []struct {
 		name string
 		fn   func()
@@ -100,6 +128,10 @@ func BenchmarkVecDistance(b *testing.B) {
 		{"SqNorm/opt", func() { fsink = vec.SqNorm(fa) }},
 		{"SqEuclidean/ref", func() { fsink = measure.SqEuclideanRef(fa, fb) }},
 		{"SqEuclidean/opt", func() { fsink = measure.SqEuclidean(fa, fb) }},
+		{"SqEuclidean4/ref", ref420},
+		{"SqEuclidean4/opt", opt420},
+		{"SqEuclidean4-4096/ref", ref4096},
+		{"SqEuclidean4-4096/opt", opt4096},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

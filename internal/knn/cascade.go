@@ -336,20 +336,25 @@ func (c *Cascade) walk(sp *obs.Span, k int, ceiling float64, meter *arch.Meter, 
 
 // seedAndScan is the three passes of walk; be receives the seed event of a
 // traced walk: how many objects seeded the threshold, where that left it,
-// what the column cost, and how a lazy first stage ended and what its
-// tighten passes cost.
+// what the column cost, and how a lazy first stage ended — rows listed
+// (loose), made exact (tightened) and left partial — and what its tighten
+// passes cost.
 //
 // Over a loose column — under-estimates LB′ ≤ LB from the digest — it makes
-// the decisions it makes over the exact one, to the row. (1) The k smallest
-// LB′ are tightened; θ, the largest exact bound among them, has k exact
-// bounds at or below it, so every one of the k smallest (LB, index) has
-// LB′ ≤ LB ≤ θ: tightening the rest of the rows with LB′ ≤ θ makes them
-// all exact, every entry still loose exceeds θ, and the selection picks the
-// seeds it would pick from the exact column. (2) The seeds leave τ; every
-// row still loose with LB′ ≤ τ is tightened. (3) A loose entry now has
-// LB ≥ LB′ > τ, and τ only falls: `col[i] > tau` prunes it as it would have
-// pruned its exact bound. A pass that would list more than n/tightenShare
-// rows is replaced by the stage's sweep and the exact column.
+// the decisions it makes over the exact one, to the row. An entry is at
+// one of three precisions, each at most the next: the digest's; partial,
+// where a stage of two payloads has the first one's exact dot; and exact.
+// (1) tightenSeeds makes every entry at or below θ₂ exact, where k exact
+// bounds lie at or below θ₂, so every one of the k smallest (LB, index) at
+// or below the ceiling has LB′ ≤ LB ≤ θ₂ and is exact, every other entry
+// exceeds θ₂, and the selection picks the seeds it would pick from the
+// exact column. (2) The seeds leave τ; every row still loose with LB′ ≤ τ
+// is listed, its entry made at least partial and exact where it stays at
+// or below τ — none is loose when τ ≤ θ₂. (3) A loose entry now has
+// LB ≥ LB′ > τ, and τ only falls: `col[i] > tau` prunes it as it would
+// have pruned its exact bound. A pass that would list more than
+// n/tightenShare rows of the whole column is replaced by the stage's
+// sweep and the exact column.
 //
 // The seeds go to the group in flight in seed order and the group is
 // flushed after the last one, so τ is what the seeds leave. Then the scan
@@ -388,13 +393,13 @@ func (c *Cascade) seedAndScan(be *obs.Span, k int) {
 		lazy.sweepColumn(col, exitTau)
 	}
 	if c.timed {
-		exit, loose, tightened, tightenDur := exitEager, 0, 0, time.Duration(0)
+		exit, loose, tightened, partial, tightenDur := exitEager, 0, 0, 0, time.Duration(0)
 		if lazy != nil {
-			exit, loose, tightened, tightenDur = lazy.exit, lazy.nLoose, lazy.nTight, lazy.tightenDur
+			exit, loose, tightened, partial, tightenDur = lazy.exit, lazy.nLoose, lazy.nTight, lazy.nPart, lazy.tightenDur
 		}
 		be.Annotate("seed", obs.A("k", len(c.seedBuf)), obs.A("tau", tau), obs.A("ceiling", c.ceil),
 			obs.A("column_us", micros(columnDur)), obs.A("loose", loose), obs.A("tightened", tightened),
-			obs.A("tighten_us", micros(tightenDur)), obs.A("exit", exit))
+			obs.A("partial", partial), obs.A("tighten_us", micros(tightenDur)), obs.A("exit", exit))
 	}
 
 	slices.SortFunc(c.seedBuf, func(a, b vec.Neighbor) int { return a.Index - b.Index })

@@ -104,15 +104,17 @@ func (s *edRow) lbInto(dst []float64) {
 	}
 }
 
-// tighten is lbInto for the listed rows, over their exact dots.
-func (s *edRow) tighten(rows []int, col []float64) {
-	s.eng.DotRows(s.pay, s.floor, rows, s.dots)
+// tighten is lbInto for the listed rows, over their exact dots: with one
+// payload, every listed row is made exact whatever thr.
+func (s *edRow) tighten(rows []int, col []float64, thr float64) []int {
+	gatherDots(s.eng, s.pay, s.floor, rows, s.dots)
 	a2 := s.ix.Q.Alpha * s.ix.Q.Alpha
 	qPhi, d2 := s.qf.Phi, float64(2*float64(s.ix.D))
 	phi, dots := s.ix.Phi[:len(col)], s.dots[:len(col)]
 	for _, i := range rows {
 		col[i] = (phi[i] + qPhi - float64(2*float64(dots[i])) - d2) / a2
 	}
+	return rows
 }
 
 // NewEDFilter checks Theorem 4's capacity constraint for capacityN objects

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/pim"
 )
 
 // lazyStage is a first stage that need not run its array pass to start the
@@ -26,25 +27,51 @@ type lazyStage interface {
 	// isLoose reports whether the last prepare left upper bounds in the dot
 	// arrays, so that lb and lbInto now under-estimate.
 	isLoose() bool
-	// tighten gives the listed rows their exact dots and overwrites their
-	// entries of col, a column lbInto filled, with lb(i) to the bit.
-	tighten(rows []int, col []float64)
+	// tighten gives the listed rows of col, a column lbInto filled, their
+	// first payload's exact dot, and its remaining payloads' exact dots
+	// where the bound is then still at most thr (all of them at +Inf, none
+	// at −Inf on a stage of two payloads). It moves the rows it made exact
+	// to the front of rows, their order kept, and returns them: their
+	// entries are lb(i) to the bit. Every other listed entry is an
+	// under-estimate above thr, and no entry decreases. A stage of one
+	// payload makes every listed row exact.
+	tighten(rows []int, col []float64, thr float64) []int
 	// sweep runs the whole array pass for the prepared query: afterwards
 	// nothing is loose. prepare has charged the query already, whichever way
 	// it answered, so the walk passes no meter.
 	sweep(meter *arch.Meter) error
 }
 
-// tightenShare bounds one tighten pass: a pass that would list more than
+// dotRowsHook, when set by a test, sees the number of rows every gather of
+// a lazy stage lists, and the payload it gathers from.
+var dotRowsHook func(p *pim.Payload, rows int)
+
+// gatherDots is pim.Engine.DotRows for a lazy stage's tighten.
+func gatherDots(eng *pim.Engine, p *pim.Payload, input []uint32, rows []int, dst []int64) {
+	if len(rows) == 0 {
+		return
+	}
+	if dotRowsHook != nil {
+		dotRowsHook(p, len(rows))
+	}
+	eng.DotRows(p, input, rows, dst)
+}
+
+// tightenShare bounds one listing: a pass that would list more than
 // 1/tightenShare of the rows is not run, the stage sweeps instead. A pass
 // gathers its rows four at a time (pim.Engine.DotRows); over evenly spread
 // rows of 5000×210 payloads visited round-robin (the wire-knn shard) it
 // costs 0.16 of a sweep at n/8, 0.33 at n/4, about half at n/3 and the
 // whole sweep at n/2, where the listed rows pull in every line the sweep
-// streams. Besides the k seeds a walk runs at most two passes, so at n/4 a
-// query the digest carries to the end still costs less than the sweep
-// (2·0.33 plus 0.03 for the digest), and one that falls back has paid at
-// most a third of a sweep for nothing (EXPERIMENTS.md "Gathered fix-ups").
+// streams. Besides the k seeds a walk lists rows out of the whole column
+// at most twice, at θ₁ and at τ (tightenSeeds); its other passes re-list
+// rows of the θ₁ listing, and no row's dot is gathered twice from one
+// payload. So at n/4 a query the digest carries to the end still costs
+// less than the sweep (2·0.33 plus 0.03 for the digest), and one that
+// falls back has paid at most a third of a sweep for nothing
+// (EXPERIMENTS.md "Gathered fix-ups"). On LB_PIM-FNN the second payload
+// is gathered only for the rows its first one's exact dot leaves in play
+// (EXPERIMENTS.md "Three precisions").
 const tightenShare = 4
 
 // The ways a walk ends its first stage, as the seed event's exit attribute
@@ -58,14 +85,21 @@ const (
 
 // lazyWalk is what a cascade keeps for a lazy first stage: the stage, and
 // the retained scratch and counts of the walk over its loose column
-// (Cascade.seedAndScan has the argument).
+// (tightenSeeds has the argument). A column entry is at one of three
+// precisions: the digest's, partial — the first payload's exact dot, the
+// others' digest — or exact.
 type lazyWalk struct {
 	lazyStage
 	tight      []uint64      // bitset of the rows whose column entry is exact
+	part       []uint64      // bitset of the rows whose entry is partial
 	rows       []int         // the rows of one tighten pass
+	listed     []int         // the rows listed at θ₁, for the passes after it
+	theta1     float64       // every row whose entry is the digest's lies above it
+	theta2     float64       // every row at or below it is exact
 	exit       string        // how the last walk left the first stage
-	nLoose     int           // rows at or below the threshold that decided exit
-	nTight     int           // rows tightened
+	nLoose     int           // rows listed, or at a sweep exact or found by the refused listing
+	nTight     int           // rows made exact
+	nPart      int           // rows left partial
 	timed      bool          // the walk is traced: tighten passes are timed
 	tightenDur time.Duration // time in the tighten passes of a timed walk
 }
@@ -77,28 +111,42 @@ func newLazyWalk(first stage, n int) *lazyWalk {
 	if !ok || !ls.startLazy() {
 		return nil
 	}
-	return &lazyWalk{lazyStage: ls, tight: make([]uint64, (n+63)/64), rows: make([]int, 0, n/tightenShare)}
+	words := (n + 63) / 64
+	return &lazyWalk{lazyStage: ls, tight: make([]uint64, words), part: make([]uint64, words),
+		rows: make([]int, 0, n/tightenShare), listed: make([]int, 0, n/tightenShare)}
 }
 
 // begin starts the walk of a prepared query, timing its tighten passes
 // when timed, and reports whether its column is loose.
 func (w *lazyWalk) begin(timed bool) bool {
-	w.exit, w.nLoose, w.nTight, w.timed, w.tightenDur = exitEager, 0, 0, timed, 0
+	w.exit, w.nLoose, w.nTight, w.nPart, w.timed, w.tightenDur = exitEager, 0, 0, 0, timed, 0
 	if !w.isLoose() {
 		return false
 	}
 	w.exit = exitLazy
 	clear(w.tight)
+	clear(w.part)
 	return true
 }
 
-// tightenSeeds is step (1) over a loose column, k ≤ n/tightenShare. It
-// reports false, with the column partly tightened, when more rows lie at or
-// below min(θ, ceiling) than one pass may list. Capping θ keeps the step
-// sound: a row above the ceiling is pruned whatever its exact bound, and
-// every row of the k smallest (LB, index) at or below it has
-// LB′ ≤ LB ≤ min(θ, ceiling), so the seeds the walk visits are still the
-// ones the exact column gives.
+// tightenSeeds runs, over a loose column and k ≤ n/tightenShare, the
+// passes that make the k smallest (LB, index) exact before the seeds are
+// selected:
+//
+//  1. The k smallest entries are made exact. θ, the largest of them, has k
+//     exact bounds at or below it, so θ₁ = min(θ, ceiling) is at least
+//     every bound of the k smallest (LB, index) the walk can visit.
+//  2. Every row still loose with LB′ ≤ θ₁ is listed and made partial.
+//  3. The k smallest listed entries are made exact; θ₂, the lesser of θ₁
+//     and the largest of them, again has k exact bounds at or below it.
+//  4. The listed rows still partial at or below θ₂ are made exact.
+//
+// Afterwards every entry at or below θ₂ is exact — an unlisted row's is
+// above θ₁ and a listed one's above θ₂ — and every other entry under-
+// estimates a bound above θ₂, so selecting from the column picks the seeds
+// the exact column gives, up to the ceiling, where the walk stops visiting
+// them anyway. It reports false, with the column partly tightened, when
+// step 2 would list more rows than one pass may.
 func (c *Cascade) tightenSeeds(col []float64, k int, ceiling float64) bool {
 	w := c.lazy
 	c.selectSeeds(col, k)
@@ -106,49 +154,126 @@ func (c *Cascade) tightenSeeds(col []float64, k int, ceiling float64) bool {
 	for _, s := range c.seedBuf {
 		w.rows = append(w.rows, s.Index)
 	}
-	w.tightenRows(col)
 	theta := math.Inf(-1)
-	for _, i := range w.rows {
+	for _, i := range w.tightenRows(col, w.rows, math.Inf(1)) {
 		theta = max(theta, col[i])
 	}
-	return w.tightenBelow(col, min(theta, ceiling))
+	w.theta1 = min(theta, ceiling)
+	w.theta2 = w.theta1
+
+	if !w.listBelow(col, w.theta1, &w.listed) {
+		return false
+	}
+	w.tightenRows(col, w.listed, math.Inf(-1))
+
+	// The seed scratch holds step 3's selection; the seeds are selected
+	// again from the column afterwards.
+	c.seeds = reuseTopK(c.seeds, k)
+	for _, i := range w.listed {
+		c.seeds.Push(i, col[i])
+	}
+	c.seedBuf = c.seeds.AppendResults(c.seedBuf[:0])
+	w.rows = w.rows[:0]
+	for _, s := range c.seedBuf {
+		if !w.isTight(s.Index) {
+			w.rows = append(w.rows, s.Index)
+		}
+	}
+	w.tightenRows(col, w.rows, math.Inf(1))
+	if len(c.seedBuf) == k {
+		theta = math.Inf(-1)
+		for _, s := range c.seedBuf {
+			theta = max(theta, col[s.Index])
+		}
+		w.theta2 = min(w.theta1, theta)
+	}
+
+	w.rows = w.rows[:0]
+	for _, i := range w.listed {
+		if col[i] <= w.theta2 && !w.isTight(i) {
+			w.rows = append(w.rows, i)
+		}
+	}
+	w.tightenRows(col, w.rows, math.Inf(1))
+	return true
 }
 
-// tightenBelow tightens every row still loose whose entry of col is at most
-// thr, unless they are more than one pass may list: it then reports false
-// and leaves the column as it found it.
-func (w *lazyWalk) tightenBelow(col []float64, thr float64) bool {
-	most, found := len(col)/tightenShare, 0
-	w.rows = w.rows[:0]
-	for i, b := range col {
-		if b <= thr && w.tight[i>>6]&(1<<(i&63)) == 0 {
-			if found < most {
+// tightenBelow makes exact every entry of col still loose at or below
+// tau, the threshold the seeds left, unless they are more than one pass
+// may list: it then reports false. At or below θ₂ every entry is exact
+// already, and at or below θ₁ only the rows listed there can be loose.
+func (w *lazyWalk) tightenBelow(col []float64, tau float64) bool {
+	if tau <= w.theta2 {
+		return true
+	}
+	if tau <= w.theta1 {
+		w.rows = w.rows[:0]
+		for _, i := range w.listed {
+			if col[i] <= tau && !w.isTight(i) {
 				w.rows = append(w.rows, i)
+			}
+		}
+	} else if !w.listBelow(col, tau, &w.rows) {
+		return false
+	}
+	w.tightenRows(col, w.rows, tau)
+	return true
+}
+
+// listBelow sets *dst to every row of col not yet exact whose entry is at
+// most thr, unless they are more than one pass may list: it then reports
+// false, and nLoose counts them with the rows made exact so far.
+func (w *lazyWalk) listBelow(col []float64, thr float64, dst *[]int) bool {
+	most, found := len(col)/tightenShare, 0
+	rows := (*dst)[:0]
+	for i, b := range col {
+		if b <= thr && !w.isTight(i) {
+			if found < most {
+				rows = append(rows, i)
 			}
 			found++
 		}
 	}
-	w.nLoose = w.nTight + found
+	*dst = rows
 	if found > most {
+		w.nLoose = w.nTight + found
 		return false
 	}
-	w.tightenRows(col)
 	return true
 }
 
-// tightenRows runs one tighten pass over w.rows and marks them.
-func (w *lazyWalk) tightenRows(col []float64) {
+func (w *lazyWalk) isTight(i int) bool { return w.tight[i>>6]&(1<<(i&63)) != 0 }
+
+// tightenRows runs one tighten pass over rows at thr, marks the rows it
+// made exact and the rows it left partial, and returns the exact ones.
+func (w *lazyWalk) tightenRows(col []float64, rows []int, thr float64) []int {
+	if len(rows) == 0 {
+		return rows
+	}
+	var exact []int
 	if w.timed {
 		t0 := time.Now()
-		w.tighten(w.rows, col)
+		exact = w.tighten(rows, col, thr)
 		w.tightenDur += time.Since(t0)
 	} else {
-		w.tighten(w.rows, col)
+		exact = w.tighten(rows, col, thr)
 	}
-	for _, i := range w.rows {
+	for _, i := range exact {
+		if w.part[i>>6]&(1<<(i&63)) != 0 {
+			w.part[i>>6] &^= 1 << (i & 63)
+			w.nPart--
+		}
 		w.tight[i>>6] |= 1 << (i & 63)
 	}
-	w.nTight += len(w.rows)
+	for _, i := range rows[len(exact):] {
+		if w.part[i>>6]&(1<<(i&63)) == 0 {
+			w.part[i>>6] |= 1 << (i & 63)
+			w.nPart++
+		}
+	}
+	w.nTight += len(exact)
+	w.nLoose = w.nTight + w.nPart
+	return exact
 }
 
 // sweepColumn gives up on the digest for the query in flight: the stage

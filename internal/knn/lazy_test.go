@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pimmine/internal/arch"
@@ -139,6 +140,134 @@ func TestLazyMatchesEager(t *testing.T) {
 	}
 }
 
+// TestThreePrecisionGathers pins the mechanism of the three-precision walk
+// by counts, on the shape of one wire-knn shard — 5000 MSD rows, FNN-PIM
+// sized for a quarter of the full-scale cardinality (s = 210), k = 10 —
+// with and without a ceiling: the ⌊σ⌋ payload is gathered for at most a
+// quarter of the rows the ⌊µ⌋ payload is, while neighbours, per-stage
+// counts and every meter bucket stay the eager cascade's. A walk that
+// gathers both dots of every row it lists reads the two counts equal.
+func TestThreePrecisionGathers(t *testing.T) {
+	prof, err := dataset.ByName("MSD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Generate(prof, 5000, 11)
+	data, queries := ds.X, ds.Queries(12, 11)
+	const shards, k = 4, 10
+	capacity := (prof.FullN + shards - 1) / shards
+	lazy, err := NewFNNPIM(newEngine(t), data, defaultQuant(t), capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.S() != 210 {
+		t.Fatalf("FNN-PIM at shard capacity %d chose s = %d, not the wire-knn shard's 210", capacity, lazy.S())
+	}
+	eager, err := NewFNNPIM(newEngine(t), data, defaultQuant(t), capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropLazy(t, eager)
+	mu, sigma := lazy.name+"/mu", lazy.name+"/sigma"
+	std, ctx := NewStandard(data), context.Background()
+	for _, capped := range []bool{false, true} {
+		stop := CountDotRows()
+		exits := map[string]int{}
+		for qi := 0; qi < queries.N; qi++ {
+			ceiling := math.Inf(1)
+			if capped {
+				ceiling = std.Search(queries.Row(qi), k, arch.NewMeter())[k/2].Dist
+			}
+			what := fmt.Sprintf("query %d, ceiling %v", qi, ceiling)
+			mGot, mWant := arch.NewMeter(), arch.NewMeter()
+			got := lazy.SearchCeiling(ctx, queries.Row(qi), k, ceiling, mGot)
+			want := eager.SearchCeiling(ctx, queries.Row(qi), k, ceiling, mWant)
+			sameNeighbors(t, what, got, want)
+			if !reflect.DeepEqual(lazy.LastStages(), eager.LastStages()) {
+				t.Fatalf("%s: stages %+v, eager %+v", what, lazy.LastStages(), eager.LastStages())
+			}
+			sameMeters(t, what, mGot, mWant)
+			exits[lazy.lazy.exit]++
+		}
+		counts := stop()
+		t.Logf("capped %v: rows gathered per walk: ⌊µ⌋ %.1f, ⌊σ⌋ %.1f; exits %v", capped,
+			float64(counts[mu])/float64(queries.N), float64(counts[sigma])/float64(queries.N), exits)
+		if exits[exitLazy] == 0 || counts[mu] == 0 {
+			t.Fatalf("capped %v: no walk was carried by the digest (exits %v, gathers %v)", capped, exits, counts)
+		}
+		if 4*counts[sigma] > counts[mu] {
+			t.Fatalf("capped %v: %d ⌊σ⌋ rows gathered for %d ⌊µ⌋ rows, more than a quarter", capped, counts[sigma], counts[mu])
+		}
+	}
+}
+
+// TestCeilingOnPartialBound caps FNN-PIM searches, at k = 1, 2 and 10
+// over duplicated rows, exactly at the partial bound — exact ⌊µ⌋ dot,
+// ⌊σ⌋ digest — of every row whose partial bound lies below its exact one.
+// Where that row is listed at θ₁ = ceiling but is not among the k smallest
+// partial bounds, θ₂ is the ceiling and the walk must still make the row
+// exact: left partial, its entry ties the ceiling and it is visited where
+// the eager cascade prunes it. Answers, per-stage counts and every meter
+// bucket are compared with the eager cascade's.
+func TestCeilingOnPartialBound(t *testing.T) {
+	prof, err := dataset.ByName("MSD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Generate(prof, 100, 5)
+	data, queries := duplicated(ds.X, 100, 4), ds.Queries(6, 5)
+	lazy, err := NewFNNPIM(newEngine(t), data, defaultQuant(t), prof.FullN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := NewFNNPIM(newEngine(t), data, defaultQuant(t), prof.FullN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropLazy(t, eager)
+	st := lazy.lazy.lazyStage
+	ctx := context.Background()
+	all := make([]int, data.N)
+	tested := 0
+	for qi := 0; qi < queries.N; qi++ {
+		var m memo
+		m.reset(queries.Row(qi))
+		if err := st.prepare(&m, nil); err != nil {
+			t.Fatal(err)
+		}
+		part, exact := make([]float64, data.N), make([]float64, data.N)
+		st.lbInto(part)
+		for i := range all {
+			all[i] = i
+		}
+		st.tighten(all, part, math.Inf(-1))
+		if err := st.sweep(nil); err != nil {
+			t.Fatal(err)
+		}
+		st.lbInto(exact)
+		for i := range data.N {
+			if !(part[i] < exact[i]) {
+				continue
+			}
+			tested++
+			for _, k := range []int{1, 2, 10} {
+				what := fmt.Sprintf("query %d, k=%d, capped at row %d's partial bound %v", qi, k, i, part[i])
+				mGot, mWant := arch.NewMeter(), arch.NewMeter()
+				got := lazy.SearchCeiling(ctx, queries.Row(qi), k, part[i], mGot)
+				want := eager.SearchCeiling(ctx, queries.Row(qi), k, part[i], mWant)
+				sameNeighbors(t, what, got, want)
+				if !reflect.DeepEqual(lazy.LastStages(), eager.LastStages()) {
+					t.Fatalf("%s: stages %+v, eager %+v", what, lazy.LastStages(), eager.LastStages())
+				}
+				sameMeters(t, what, mGot, mWant)
+			}
+		}
+	}
+	if tested == 0 {
+		t.Fatal("no row's partial bound lies below its exact bound")
+	}
+}
+
 // TestNoDigestNoLazyStage pins where the capability is absent: under a
 // fault model and in simulate mode no payload is digested, so the same
 // constructors build cascades with no lazy stage, and so do the rows left
@@ -185,10 +314,18 @@ func TestNoDigestNoLazyStage(t *testing.T) {
 	}
 }
 
-// TestTightenMatchesLBInto pins the two halves of the lazy column to the
-// exact one for every lazy stage type: the digest's column under-estimates
-// it entry by entry — in floating point, which is what lets the walk prune
-// on it — and tighten writes lbInto's value, to the bit, over exact dots.
+// TestTightenMatchesLBInto pins the lazy column to the exact one for every
+// lazy stage type: the digest's column under-estimates it entry by entry —
+// in floating point, which is what lets the walk prune on it — and tighten,
+// at thresholds from −Inf through quantiles of the exact column to +Inf,
+// gathers every listed row's first dot and the other payload's dot only
+// for the rows it returns: a prefix of the listed rows, in their order,
+// whose entries are lbInto's over exact dots, to the bit. Every other
+// listed entry is left an under-estimate above the threshold, never below
+// where it started. At some finite threshold LB_PIM-FNN must return a
+// strict subset and leave a row below its exact bound — its ⌊σ⌋ gather
+// skipped — and, given the rows it left partial again, gather their ⌊σ⌋
+// dots alone; a stage of one payload never leaves a row out.
 func TestTightenMatchesLBInto(t *testing.T) {
 	prof, err := dataset.ByName("MSD")
 	if err != nil {
@@ -196,20 +333,17 @@ func TestTightenMatchesLBInto(t *testing.T) {
 	}
 	ds := dataset.Generate(prof, 120, 31)
 	data, queries := ds.X, ds.Queries(4, 32)
-	all := make([]int, data.N)
-	for i := range all {
-		all[i] = i
-	}
-	seen := map[string]bool{}
+	seen, partial := map[string]bool{}, map[string]int{}
 	for _, b := range lazyBuilds {
 		c, err := b.build(newEngine(t), data, prof, t)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := c.lazy.lazyStage
-		seen[fmt.Sprintf("%T", st)] = true
+		typ := fmt.Sprintf("%T", st)
+		seen[typ] = true
 		var m memo
-		for qi := 0; qi < queries.N; qi++ {
+		prepare := func(qi int) {
 			m.reset(queries.Row(qi))
 			if err := st.prepare(&m, nil); err != nil {
 				t.Fatal(err)
@@ -217,10 +351,11 @@ func TestTightenMatchesLBInto(t *testing.T) {
 			if !st.isLoose() {
 				t.Fatalf("%s: the digest refused query %d", b.name, qi)
 			}
-			loose, tightened, exact := make([]float64, data.N), make([]float64, data.N), make([]float64, data.N)
+		}
+		for qi := 0; qi < queries.N; qi++ {
+			prepare(qi)
+			loose, exact := make([]float64, data.N), make([]float64, data.N)
 			st.lbInto(loose)
-			copy(tightened, loose)
-			st.tighten(all, tightened)
 			if err := st.sweep(nil); err != nil {
 				t.Fatal(err)
 			}
@@ -233,13 +368,100 @@ func TestTightenMatchesLBInto(t *testing.T) {
 				if loose[i] < exact[i] {
 					below++
 				}
-				if math.Float64bits(tightened[i]) != math.Float64bits(exact[i]) {
-					t.Fatalf("%s query %d row %d: tighten wrote %v (%016x), lbInto %v (%016x)", b.name, qi, i,
-						tightened[i], math.Float64bits(tightened[i]), exact[i], math.Float64bits(exact[i]))
-				}
 			}
 			if below == 0 {
 				t.Fatalf("%s query %d: no digest bound is below its exact bound: the column was never loose", b.name, qi)
+			}
+			sorted := slices.Clone(exact)
+			slices.Sort(sorted)
+			thresholds := []float64{math.Inf(-1), math.Inf(1)}
+			for _, q := range []float64{0.01, 0.05, 0.25, 0.5, 0.9} {
+				thresholds = append(thresholds, sorted[int(q*float64(len(sorted)-1))])
+			}
+			for _, thr := range thresholds {
+				what := fmt.Sprintf("%s query %d threshold %v", b.name, qi, thr)
+				prepare(qi)
+				col := make([]float64, data.N)
+				st.lbInto(col)
+				rows := make([]int, data.N)
+				for i := range rows {
+					rows[i] = data.N - 1 - i // descending, so a kept order shows
+				}
+				listed := slices.Clone(rows)
+				slices.Sort(listed)
+				stop := CountDotRows()
+				got := st.tighten(rows, col, thr)
+				gathered := stop()
+				wantGathered := map[string]int{}
+				switch s := st.(type) {
+				case *fnnFilter:
+					wantGathered[s.muPay.Name] = len(rows)
+					if len(got) > 0 {
+						wantGathered[s.sgPay.Name] = len(got)
+					}
+				case *edStage:
+					wantGathered[s.pay.Name] = len(rows)
+				}
+				if !reflect.DeepEqual(gathered, wantGathered) {
+					t.Fatalf("%s: tighten gathered %v rows, want %v: each listed row's first dot, the rest only for rows made exact", what, gathered, wantGathered)
+				}
+				if len(got) > 0 && &got[0] != &rows[0] {
+					t.Fatalf("%s: tighten returned rows that are not a prefix of its argument", what)
+				}
+				if !slices.IsSortedFunc(got, func(a, b int) int { return b - a }) {
+					t.Fatalf("%s: tighten reordered the rows it made exact: %v", what, got)
+				}
+				exactRow := make([]bool, data.N)
+				for _, i := range got {
+					exactRow[i] = true
+				}
+				if slices.Sort(rows); !slices.Equal(rows, listed) {
+					t.Fatalf("%s: tighten lost or repeated a listed row", what)
+				}
+				for i := range col {
+					if exactRow[i] {
+						if math.Float64bits(col[i]) != math.Float64bits(exact[i]) {
+							t.Fatalf("%s row %d: tighten wrote %v (%016x), lbInto %v (%016x)", what, i,
+								col[i], math.Float64bits(col[i]), exact[i], math.Float64bits(exact[i]))
+						}
+						continue
+					}
+					if !(thr < col[i] && col[i] <= exact[i] && loose[i] <= col[i]) {
+						t.Fatalf("%s row %d: left at %v, not above the threshold and between the digest's %v and the exact %v",
+							what, i, col[i], loose[i], exact[i])
+					}
+				}
+				if math.IsInf(thr, 1) && len(got) != data.N {
+					t.Fatalf("%s: %d of %d rows made exact", what, len(got), data.N)
+				}
+				if !math.IsInf(thr, 0) && len(got) < data.N {
+					for i := range col {
+						if !exactRow[i] && col[i] < exact[i] {
+							partial[typ]++ // a row whose ⌊σ⌋ dot was not gathered
+							break
+						}
+					}
+				}
+				// The rows left partial, listed again, are made exact from
+				// their ⌊σ⌋ dots alone: no ⌊µ⌋ dot is gathered twice.
+				if f, ok := st.(*fnnFilter); ok {
+					var rest []int
+					for i := range col {
+						if !exactRow[i] {
+							rest = append(rest, i)
+						}
+					}
+					stop := CountDotRows()
+					st.tighten(rest, col, math.Inf(1))
+					if gathered, want := stop(), map[string]int{f.sgPay.Name: len(rest)}; len(rest) > 0 && !reflect.DeepEqual(gathered, want) {
+						t.Fatalf("%s: listing the partial rows again gathered %v, want %v", what, gathered, want)
+					}
+					for i := range col {
+						if math.Float64bits(col[i]) != math.Float64bits(exact[i]) {
+							t.Fatalf("%s row %d: listed again, tighten wrote %v, lbInto %v", what, i, col[i], exact[i])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -247,5 +469,11 @@ func TestTightenMatchesLBInto(t *testing.T) {
 		if !seen[typ] {
 			t.Fatalf("no lazy stage of type %s was tested", typ)
 		}
+	}
+	if partial["*knn.fnnFilter"] == 0 {
+		t.Fatal("LB_PIM-FNN's tighten left no listed row below its exact bound at any threshold: its ⌊σ⌋ gather is never skipped")
+	}
+	if partial["*knn.edStage"] != 0 {
+		t.Fatalf("a stage of one payload left %d listings partial", partial["*knn.edStage"])
 	}
 }

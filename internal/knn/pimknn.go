@@ -32,11 +32,15 @@ type fnnFilter struct {
 	dotsSg []int64
 
 	// lazyStage state: whether a cascade leads with this stage over
-	// digested payloads, the query's group norms against each, and whether
-	// the dot arrays hold the digests' upper bounds for the query in flight.
+	// digested payloads, the query's group norms against each, whether
+	// the dot arrays hold the digests' upper bounds for the query in
+	// flight, and which rows' ⌊µ⌋ dots tighten has made exact since (a
+	// bitset), with the scratch list of the ones a pass still gathers.
 	lazy       bool
 	loose      bool
 	qdMu, qdSg []uint32
+	muTight    []uint64
+	muRows     []int
 }
 
 // newFNNFilter quantizes the dataset's segment statistics at granularity
@@ -87,6 +91,7 @@ func (f *fnnFilter) prepare(m *memo, meter *arch.Meter) error {
 		f.dotsMu, okMu = f.eng.UpperAll(f.muPay, f.qf.MuFloor, f.qdMu, f.dotsMu)
 		f.dotsSg, okSg = f.eng.UpperAll(f.sgPay, f.qf.SigmaFloor, f.qdSg, f.dotsSg)
 		if f.loose = okMu && okSg; f.loose {
+			clear(f.muTight)
 			f.eng.ChargeQuery(meter, f.fname, f.pays...)
 			return nil
 		}
@@ -112,6 +117,10 @@ func (f *fnnFilter) sweep(meter *arch.Meter) error {
 func (f *fnnFilter) startLazy() bool {
 	f.qdMu, f.qdSg = make([]uint32, f.muPay.DigestDims()), make([]uint32, f.sgPay.DigestDims())
 	f.lazy = len(f.qdMu) > 0 && len(f.qdSg) > 0
+	if f.lazy {
+		n := f.ix.N()
+		f.muTight, f.muRows = make([]uint64, (n+63)/64), make([]int, 0, n/tightenShare)
+	}
 	return f.lazy
 }
 
@@ -132,10 +141,35 @@ func (f *fnnFilter) lbInto(dst []float64) {
 	}
 }
 
-// tighten is lbInto for the listed rows, over their exact dots.
-func (f *fnnFilter) tighten(rows []int, col []float64) {
-	f.eng.DotRows(f.muPay, f.qf.MuFloor, rows, f.dotsMu)
-	f.eng.DotRows(f.sgPay, f.qf.SigmaFloor, rows, f.dotsSg)
+// tighten gathers the listed rows' exact ⌊µ⌋ dots — once per query, a row
+// listed again keeps the one gathered — and their ⌊σ⌋ dots only where the
+// bound over the exact ⌊µ⌋ dot and the ⌊σ⌋ digest is still at most thr:
+// on MSD rows nearly all of the digest's slack is in ⌊µ⌋, so few rows need
+// the second gather.
+func (f *fnnFilter) tighten(rows []int, col []float64, thr float64) []int {
+	f.muRows = f.muRows[:0]
+	for _, i := range rows {
+		if f.muTight[i>>6]&(1<<(i&63)) == 0 {
+			f.muTight[i>>6] |= 1 << (i & 63)
+			f.muRows = append(f.muRows, i)
+		}
+	}
+	gatherDots(f.eng, f.muPay, f.qf.MuFloor, f.muRows, f.dotsMu)
+	f.boundRows(rows, col)
+	exact := 0
+	for j, i := range rows {
+		if col[i] <= thr {
+			rows[exact], rows[j] = i, rows[exact]
+			exact++
+		}
+	}
+	gatherDots(f.eng, f.sgPay, f.qf.SigmaFloor, rows[:exact], f.dotsSg)
+	f.boundRows(rows[:exact], col)
+	return rows[:exact]
+}
+
+// boundRows is lbInto for the listed rows, over the dots as they stand.
+func (f *fnnFilter) boundRows(rows []int, col []float64) {
 	a2 := f.ix.Q.Alpha * f.ix.Q.Alpha
 	scale, qPhi, segs4 := float64(f.ix.L)/a2, f.qf.Phi, float64(4*float64(f.ix.Segs))
 	phi, mu, sg := f.ix.Phi[:len(col)], f.dotsMu[:len(col)], f.dotsSg[:len(col)]
@@ -270,20 +304,21 @@ func (e *edStage) lbInto(dst []float64) {
 }
 
 // tighten is lbInto for the listed rows, over their exact dots.
-func (e *edStage) tighten(rows []int, col []float64) {
-	e.edRow.tighten(rows, col)
+func (e *edStage) tighten(rows []int, col []float64, thr float64) []int {
+	e.edRow.tighten(rows, col, thr)
 	scale := e.scale
 	for _, i := range rows {
 		col[i] = float64(scale * col[i])
 	}
 	if e.tail == nil {
-		return
+		return rows
 	}
 	tail, qTail := e.tail[:len(col)], e.qTail
 	for _, i := range rows {
 		dt := tail[i] - qTail
 		col[i] += float64(dt * dt)
 	}
+	return rows
 }
 
 // NewSMPIM builds the PIM-optimized segmented-mean searcher: it derives

@@ -37,8 +37,8 @@ func TestMovedSearchersTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	stage := `[├└]─ %s  \[in=300 out=\d+ pruned=[\d.]+%% transfer_dims=%s\]`
-	seed := `seed  \[k=10 tau=-?[\d.]+ ceiling=\+Inf column_us=[\d.]+ loose=%s tightened=%s tighten_us=[\d.]+ exit=%s\]`
-	eagerSeed := fmt.Sprintf(seed, "0", "0", "eager")
+	seed := `seed  \[k=10 tau=-?[\d.]+ ceiling=\+Inf column_us=[\d.]+ loose=%s tightened=%s partial=%s tighten_us=[\d.]+ exit=%s\]`
+	eagerSeed := fmt.Sprintf(seed, "0", "0", "0", "eager")
 	for _, tc := range []struct {
 		s     Searcher
 		lines []string // one pattern per rendered line under the root
@@ -47,7 +47,7 @@ func TestMovedSearchersTraced(t *testing.T) {
 			fmt.Sprintf(stage, "UBPIM-CS", "3"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
 		{lemp, []string{`knn\.LEMP`, `bound-eval`, eagerSeed,
 			fmt.Sprintf(stage, "UBpart", "34"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
-		{smFull, []string{`knn\.SM-PIM`, `pim-dot  \[func=LBPIM-SM dots=300 lazy=true\]`, `bound-eval`, fmt.Sprintf(seed, `\d+`, `\d+`, "lazy"),
+		{smFull, []string{`knn\.SM-PIM`, `pim-dot  \[func=LBPIM-SM dots=300 lazy=true\]`, `bound-eval`, fmt.Sprintf(seed, `\d+`, `\d+`, "0", "lazy"),
 			fmt.Sprintf(stage, "LBPIM-SM", "2"), `refine  \[in=\d+ out=10 transfer_dims=64\]`}},
 	} {
 		tr := obs.NewTracer(1, 1)

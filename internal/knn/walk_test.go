@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"regexp"
+	"strconv"
 	"testing"
 
 	"pimmine/internal/arch"
@@ -549,9 +550,9 @@ func TestWalkRealisesPredictedPruning(t *testing.T) {
 // one seed event under bound-eval carrying k, the threshold the seeds left,
 // the cost of the column and how a lazy first stage ended — carried by the
 // digest to the end, or fallen back to the sweep, which the pim-dot span
-// and the event then both say — with the time its tighten passes took;
-// and that the exact scan reports its one
-// phase, refinement, with the time it took.
+// and the event then both say — with the rows it made exact and left
+// partial and the time its tighten passes took; and that the exact scan
+// reports its one phase, refinement, with the time it took.
 func TestSeedEvent(t *testing.T) {
 	data, queries := testData(t, 300, 64)
 	fnnPIM, err := NewFNNPIM(newEngine(t), data, defaultQuant(t), data.N)
@@ -566,7 +567,7 @@ func TestSeedEvent(t *testing.T) {
 		return tr.Recent(1)[0].Render()
 	}
 	render := func(s Searcher, k int) string { return renderCapped(s, k, math.Inf(1)) }
-	seedEvent := regexp.MustCompile(`bound-eval[^\n]*\n[^\n]*─ seed  \[k=(\d+) tau=([-+.\de]+) ceiling=([-+.\deInf]+) column_us=[\d.]+ loose=(\d+) tightened=(\d+) tighten_us=([\d.]+) exit=(\w+)\]`)
+	seedEvent := regexp.MustCompile(`bound-eval[^\n]*\n[^\n]*─ seed  \[k=(\d+) tau=([-+.\de]+) ceiling=([-+.\deInf]+) column_us=[\d.]+ loose=(\d+) tightened=(\d+) partial=(\d+) tighten_us=([\d.]+) exit=(\w+)\]`)
 	lazyDot := regexp.MustCompile(`─ pim-dot [^\n]*dots=600 lazy=true\]`)
 
 	tree := render(fnnPIM, 10)
@@ -583,11 +584,16 @@ func TestSeedEvent(t *testing.T) {
 	if tau := fmt.Sprint(want[9].Dist); seed[2] != tau {
 		t.Fatalf("seed event reports tau=%s, the exact 10th distance is %s", seed[2], tau)
 	}
-	// The digest left a few dozen of the 300 rows at or below that
-	// threshold, and those were all the rows given exact dots, in tighten
-	// passes that took time.
-	if !lazyDot.MatchString(tree) || seed[7] != exitLazy || seed[4] != seed[5] || seed[4] == "0" || fnnPIM.lazy.nTight > data.N/4 || seed[6] == "0.0" {
-		t.Fatalf("a search the digest carried reports loose=%s tightened=%s tighten_us=%s exit=%s:\n%s", seed[4], seed[5], seed[6], seed[7], tree)
+	// The digest left a few dozen of the 300 rows at or below the walk's
+	// thresholds: each got its exact ⌊µ⌋ dot, only some their ⌊σ⌋ dot as
+	// well, in tighten passes that took time.
+	loose, _ := strconv.Atoi(seed[4])
+	tightened, _ := strconv.Atoi(seed[5])
+	partial, _ := strconv.Atoi(seed[6])
+	if !lazyDot.MatchString(tree) || seed[8] != exitLazy || loose != tightened+partial || tightened == 0 || partial == 0 ||
+		fnnPIM.lazy.nTight > data.N/4 || seed[7] == "0.0" {
+		t.Fatalf("a search the digest carried reports loose=%s tightened=%s partial=%s tighten_us=%s exit=%s:\n%s",
+			seed[4], seed[5], seed[6], seed[7], seed[8], tree)
 	}
 	if seed[3] != "+Inf" {
 		t.Fatalf("an uncapped search reports ceiling=%s:\n%s", seed[3], tree)
@@ -605,7 +611,7 @@ func TestSeedEvent(t *testing.T) {
 	// a pass may list, so the stage sweeps before anything is seeded or
 	// tightened.
 	tree = render(fnnPIM, data.N/2)
-	if seed = seedEvent.FindStringSubmatch(tree); !lazyDot.MatchString(tree) || seed == nil || seed[7] != exitTheta || seed[5] != "0" || seed[6] != "0.0" {
+	if seed = seedEvent.FindStringSubmatch(tree); !lazyDot.MatchString(tree) || seed == nil || seed[8] != exitTheta || seed[5] != "0" || seed[6] != "0" || seed[7] != "0.0" {
 		t.Fatalf("a search that fell back to the sweep reports %v:\n%s", seed, tree)
 	}
 

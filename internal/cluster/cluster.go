@@ -79,6 +79,7 @@ const (
 )
 
 // Factory builds the per-replica base searcher, mirroring delta.Options.
+// The searcher must be safe for concurrent use (see delta.Factory).
 type Factory = delta.Factory
 
 // Options configures a cluster engine.

@@ -27,7 +27,9 @@ var (
 	ErrAllDeleted = fmt.Errorf("delta: refusing to compact to an empty dataset")
 )
 
-// Factory builds the base searcher over a compacted matrix. capacityN is
+// Factory builds the base searcher over a compacted matrix. The searcher
+// must be safe for concurrent use: every query that pins the epoch runs it,
+// with no lock around it. capacityN is
 // the Theorem 4 sizing cardinality for PIM factories (each rebuild
 // re-runs ChooseS against it, so the compressed dimensionality adapts
 // when occupancy changes); host factories may ignore it. A fresh
@@ -103,19 +105,16 @@ type Options struct {
 }
 
 // baseIndex is one epoch's immutable crossbar-resident index: the
-// compacted matrix, its ascending global-id directory, and the searcher
-// built over it. The searcher reuses internal buffers, so searches
-// serialize on mu (queries still pipeline: the delta scan and merge run
-// outside the lock, and compaction never takes it — a new epoch gets a
-// new baseIndex).
+// compacted matrix, its ascending global-id directory, and the searchers
+// built over it. A searcher is safe for concurrent use, so any number of
+// searches run on one base at once and none waits for another.
 type baseIndex struct {
 	data *vec.Matrix
 	ids  []int // ascending; ids[local] = global id
 	s    int   // Theorem 4 compressed dimensionality (0 = host/unknown)
 
-	mu       sync.Mutex
 	searcher knn.Searcher
-	host     *knn.Standard // SearchHost's exact scan, built on first use
+	host     *knn.Standard // SearchHost's exact scan over the same rows
 
 	ledger *Ledger
 	tiles  []int
@@ -176,8 +175,8 @@ type snapshot struct {
 }
 
 // Store is the mutable index. Queries (Search) are lock-free against
-// mutations and compaction: they pin the current snapshot and only take
-// the short per-epoch searcher mutex. Mutations and compaction serialize
+// mutations, compaction and each other: they pin the current snapshot and
+// run its base's searcher. Mutations and compaction serialize
 // on an internal mutex; a mutation arriving mid-compaction stalls until
 // the swap — that write stall is the "compaction pause" the churn
 // benchmark reports.
@@ -297,8 +296,8 @@ func (st *Store) buildBase(data *vec.Matrix, ids []int) (*baseIndex, error) {
 	}
 	return &baseIndex{
 		data: data, ids: ids, s: chosenS,
-		searcher: searcher,
-		ledger:   st.opts.Ledger, tiles: tiles,
+		searcher: searcher, host: knn.NewStandard(data),
+		ledger: st.opts.Ledger, tiles: tiles,
 	}, nil
 }
 
@@ -564,16 +563,11 @@ func (st *Store) search(ctx context.Context, q []float64, k int, ceiling float64
 	defer sn.base.unref()
 
 	b := sn.base
-	b.mu.Lock()
 	s := b.searcher
 	if host {
-		if b.host == nil {
-			b.host = knn.NewStandard(b.data)
-		}
 		s = b.host
 	}
 	raw := knn.SearchCapped(ctx, s, q, k+len(sn.tomb), ceiling, meter)
-	b.mu.Unlock()
 	// Translate to global ids in place on the searcher's own result,
 	// dropping tombstoned rows: no copy, no allocation of the store's.
 	baseNN := raw[:0]

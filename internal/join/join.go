@@ -25,11 +25,11 @@ import (
 // Joiner joins an outer relation against a fixed inner relation S. With
 // a non-nil filter it runs the PIM-optimized path.
 //
-// A Joiner owns per-row scratch (the top-k collector, and the filter's
-// query floors and dot buffer) reused across outer rows, so the refine
-// loops of KNN/Eps and the public KNNRow primitive perform zero heap
-// allocations per row once warmed up. The scratch makes a Joiner
-// non-reentrant: one Joiner serves one goroutine.
+// A Joiner owns its top-k collector, reused across outer rows (the filter
+// keeps its query scratch itself), so the refine loops of KNN/Eps and the
+// public KNNRow primitive perform zero heap allocations per row once
+// warmed up. The collector makes a Joiner non-reentrant: one Joiner serves
+// one goroutine.
 type Joiner struct {
 	S *vec.Matrix
 

@@ -13,17 +13,18 @@ import (
 // Assist supplies LB_PIM-ED(point, center) bounds to the PIM k-means
 // variants. The data points' floor vectors are programmed onto the PIM
 // array once (the points never change) as a knn.EDFilter; at the start of
-// every iteration each of the k current centers is prepared against it —
-// quantized, one batched dot-product pass — and stays prepared for the
-// whole assign step, so ⌊p̄⌋·⌊c̄⌋ is at hand for every (point, center)
-// pair. Theorem 1 then turns each into a lower bound on the squared
+// every iteration each of the k current centers is prepared against it on
+// a knn.EDQuery of its own — quantized, one batched dot-product pass — and
+// stays prepared for the whole assign step, so ⌊p̄⌋·⌊c̄⌋ is at hand for
+// every (point, center) pair. Theorem 1 then turns each into a lower bound on the squared
 // distance, consulted before any exact ED computation (§VI-D: "The bound
 // contributes to filter far-away centers, and survived ones call exact ED
 // calculation"). A nil *Assist is the host-only variant of an algorithm:
 // it prepares nothing, never prunes and has nothing to charge.
 type Assist struct {
-	centers []*knn.EDFilter // one prepared query per center over one payload
-	clamped []float64       // the center in flight, nudged into [0,1]
+	filter  *knn.EDFilter
+	centers []*knn.EDQuery // one prepared query per center over the filter's payload
+	clamped []float64      // the center in flight, nudged into [0,1]
 }
 
 // AssistFuncName is the meter bucket for PIM bound activity.
@@ -36,11 +37,11 @@ func NewAssist(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacityN i
 	if err != nil {
 		return nil, err
 	}
-	return &Assist{centers: []*knn.EDFilter{f}, clamped: make([]float64, data.D)}, nil
+	return &Assist{filter: f, clamped: make([]float64, data.D)}, nil
 }
 
 // RecordPreprocessing charges the offline payload programming to a meter.
-func (a *Assist) RecordPreprocessing(meter *arch.Meter) { a.centers[0].RecordPreprocessing(meter) }
+func (a *Assist) RecordPreprocessing(meter *arch.Meter) { a.filter.RecordPreprocessing(meter) }
 
 // BeginIteration quantizes the current centers and runs one PIM pass per
 // center, making LB available for every (point, center) pair. Centers are
@@ -51,7 +52,7 @@ func (a *Assist) BeginIteration(centers *vec.Matrix, meter *arch.Meter) error {
 		return nil
 	}
 	for len(a.centers) < centers.N {
-		a.centers = append(a.centers, a.centers[0].Fork())
+		a.centers = append(a.centers, a.filter.NewQuery())
 	}
 	for c := 0; c < centers.N; c++ {
 		for i, x := range centers.Row(c) {

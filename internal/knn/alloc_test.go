@@ -200,32 +200,3 @@ func TestSearchAppendMatchesSearch(t *testing.T) {
 		})
 	}
 }
-
-// TestSearchBatchPerQueryAllocs pins the batch arena: growing the batch
-// must not grow per-query allocations (the fixed overhead — result
-// header, arena, meters, pool — is amortized; each extra query costs 0).
-func TestSearchBatchPerQueryAllocs(t *testing.T) {
-	const k = 5
-	data, _ := testData(t, 300, 64)
-	prof := 64
-	queries := data.Slice(0, prof)
-	std := NewStandard(data)
-	newSearcher := func() (Searcher, error) { return std, nil }
-
-	run := func(n int) float64 {
-		qs := queries.Slice(0, n)
-		return testing.AllocsPerRun(5, func() {
-			if _, err := SearchBatch(newSearcher, qs, k, 1); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	run(8) // warm std's scratch
-	small, large := run(8), run(64)
-	// Per-query cost must be zero: all growth comes from the O(1)-per-call
-	// fixed overhead plus the two O(n) arena/result allocations, which
-	// differ by a handful of allocs, not by one-per-query.
-	if extra := large - small; extra > 8 {
-		t.Fatalf("batch of 64 allocates %.0f more than batch of 8 (%.0f vs %.0f); per-query path is allocating", extra, large, small)
-	}
-}

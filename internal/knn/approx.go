@@ -24,6 +24,10 @@ type approxRow struct {
 	qPhi     float64
 }
 
+func (a *approxRow) fresh() stage {
+	return &approxRow{edRow: *a.edRow.freshRow(), phiFloor: a.phiFloor}
+}
+
 func (a *approxRow) prepare(m *memo, meter *arch.Meter) error {
 	if err := a.edRow.prepare(m, meter); err != nil {
 		return err
@@ -68,5 +72,5 @@ func NewApproxPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, capacity
 	for i := range st.phiFloor {
 		st.phiFloor[i] = sumSquares(ix.Floor(i))
 	}
-	return newWalk("Approx-PIM", data.N, st), nil
+	return newPlan("Approx-PIM", data.N, st), nil
 }

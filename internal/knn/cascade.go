@@ -25,7 +25,11 @@ import (
 // column. The host stages wrap the bound package's indexes (host.go,
 // cspcc.go), the PIM stages the pimbound ones plus their programmed
 // payloads (pimknn.go, table4.go); the cascade treats them alike.
+// A cascade's own stages are never prepared: each walk prepares copies.
 type stage interface {
+	// fresh returns the stage over the same index — payloads, digests, Φ,
+	// bound index — with query-side scratch of its own, unprepared.
+	fresh() stage
 	// name is the stage's meter bucket and StageStat name.
 	name() string
 	// operands is what one consultation moves from memory to the CPU, in
@@ -63,18 +67,18 @@ type quadStage interface {
 }
 
 // exactStep is what a cascade does with an object no stage pruned: the
-// measure's exact value against the query in flight, and the meter rule
-// of computing it n times. The zero fn marks a cascade without one — its
+// measure's exact value against the walk's query, and the meter rule of
+// computing it n times. The zero fn marks a cascade without one — its
 // last stage's value is the answer (HD from a healthy array, the
 // approximate ED of Approx-PIM), and nothing is charged or reported as a
 // refinement.
 type exactStep struct {
 	fn   string // meter bucket and StageStat name
 	dims int    // operands one evaluation moves (StageStat.TransferDims)
-	dist func(i int) float64
+	dist func(w *walk, i int) float64
 	// dist4 is dist's four-row form, nil where the measure has none: it
 	// sets dst[r] to dist(rows[r]), to the bit. Rows may repeat.
-	dist4 func(rows *[groupSize]int, dst *[groupSize]float64)
+	dist4 func(w *walk, rows *[groupSize]int, dst *[groupSize]float64)
 	cost  func(c *arch.Counters, n int64)
 }
 
@@ -103,32 +107,41 @@ type exactStep struct {
 // final k, so the answer does not depend on the order — it equals the exact
 // scan's, ties included. What the order does change is how many objects
 // get past each stage, which is what the per-stage counts report.
+//
+// A Cascade is an immutable index, and every search runs on a walk of its
+// own from a small free list: a Cascade is safe for concurrent use and no
+// search waits for another.
 type Cascade struct {
 	name     string
 	spanName string
-	n        int // objects walked
-	stages   []stage
+	n        int     // objects walked
+	stages   []stage // the plan; walks prepare fresh copies
 	exact    exactStep
-	q        []float64 // the query in flight, for the exact step
-	ceil     float64   // the walk in flight returns no row above it
-	own      memo      // the query's features when ctx carries no memo for it
+	lazy     bool // walks lead with the first stage answering from its digests (lazy.go)
 
-	// lazy is the walk's state over a first stage that answers from a
-	// digest (lazy.go), resolved at construction; nil walks the column as
-	// the stage's sweep left it.
-	lazy *lazyWalk
+	walks freeList[*walk]
+	last  []StageStat // the stats of the walk returned last, under walks.mu
+}
 
-	// quads holds each stage's four-row form, nil where it has none.
-	quads []quadStage
+// walk is one search over a Cascade: everything a query writes — the
+// prepared stages, the column, the heaps, the group in flight, the stats.
+// A warmed-up walk allocates nothing.
+type walk struct {
+	c      *Cascade
+	stages []stage           // fresh copies of c.stages, prepared for the query in flight
+	quads  []quadStage       // each stage's four-row form, nil where it has none
+	q      []float64         // the query in flight, for the exact step
+	code   measure.BitVector // HD-PIM's query in flight
+	ceil   float64           // no row above it is returned
+	own    memo              // the query's features when ctx carries no memo for it
 
-	// Retained per-query scratch: a warmed-up search allocates nothing.
 	column    []float64      // the first stage's bound of every object
 	top       *vec.TopK      // the answer
 	seeds     *vec.TopK      // the k smallest of column
 	seedBuf   []vec.Neighbor // seeds in visiting order, then by index
 	passed    []int          // per stage, the candidates it failed to prune
 	stats     []StageStat
-	timed     bool // the walk in flight is traced: time the exact step
+	timed     bool // the walk is traced: time the exact step
 	refineDur time.Duration
 
 	// The group in flight (flush): its rows in visiting order, each one's
@@ -142,24 +155,29 @@ type Cascade struct {
 	live    [groupSize]int
 	liveAt  [groupSize]int
 	liveVal [groupSize]float64
+
+	// A lazy first stage (nil when eager) and the walk over its loose column
+	// (tightenSeeds): an entry is at one of three precisions, the digest's,
+	// partial — the first payload's exact dot — or exact.
+	lazy       lazyStage
+	tight      []uint64      // bitset of the rows whose column entry is exact
+	part       []uint64      // bitset of the rows whose entry is partial
+	rows       []int         // the rows of one tighten pass
+	listed     []int         // the rows listed at θ₁, for the passes after it
+	theta1     float64       // every row whose entry is the digest's lies above it
+	theta2     float64       // every row at or below it is exact
+	exit       string        // how the walk left the first stage
+	nLoose     int           // rows listed, or at a sweep exact or found by the refused listing
+	nTight     int           // rows made exact
+	nPart      int           // rows left partial
+	tightenDur time.Duration // time in the tighten passes of a timed walk
 }
 
-// newWalk builds a cascade over n objects without an exact step; the
+// newPlan builds a cascade over n objects without an exact step; the
 // constructors of the measures that have one add it.
-func newWalk(name string, n int, stages ...stage) *Cascade {
-	c := &Cascade{
-		name: name, spanName: "knn." + name, n: n, stages: stages,
-		quads:  make([]quadStage, len(stages)),
-		passed: make([]int, len(stages)),
-		stats:  make([]StageStat, 0, len(stages)+1),
-		grpLB:  make([][groupSize]float64, max(len(stages), 1)),
-	}
-	for si, st := range stages {
-		c.quads[si], _ = st.(quadStage)
-	}
-	if len(stages) > 0 {
-		c.column = make([]float64, n)
-	}
+func newPlan(name string, n int, stages ...stage) *Cascade {
+	c := &Cascade{name: name, spanName: "knn." + name, n: n, stages: stages}
+	c.walks.make = c.newWalk
 	return c
 }
 
@@ -172,26 +190,65 @@ func newWalk(name string, n int, stages ...stage) *Cascade {
 // do not yet (ROADMAP item 2) — and so does a PIM stage behind another one,
 // which the walk consults row by row.
 func newCascade(data *vec.Matrix, name string, stages ...stage) *Cascade {
-	c := newWalk(name, data.N, stages...)
+	c := newPlan(name, data.N, stages...)
 	if len(stages) > 0 {
-		c.lazy = newLazyWalk(stages[0], c.n)
+		ls, ok := stages[0].(lazyStage)
+		c.lazy = ok && ls.digested()
 	}
 	c.exact = exactStep{
 		fn: arch.FuncED, dims: data.D,
-		dist: func(i int) float64 { return measure.SqEuclidean(data.Row(i), c.q) },
-		dist4: func(rows *[groupSize]int, dst *[groupSize]float64) {
-			dst[0], dst[1], dst[2], dst[3] = measure.SqEuclidean4(data.Row(rows[0]), data.Row(rows[1]), data.Row(rows[2]), data.Row(rows[3]), c.q)
+		dist: func(w *walk, i int) float64 { return measure.SqEuclidean(data.Row(i), w.q) },
+		dist4: func(w *walk, rows *[groupSize]int, dst *[groupSize]float64) {
+			dst[0], dst[1], dst[2], dst[3] = measure.SqEuclidean4(data.Row(rows[0]), data.Row(rows[1]), data.Row(rows[2]), data.Row(rows[3]), w.q)
 		},
 		cost: func(ctr *arch.Counters, n int64) { costExactRefine(ctr, n, data.D) },
 	}
 	return c
 }
 
+// newWalk builds a walk over c: fresh stages and the scratch to walk them.
+func (c *Cascade) newWalk() *walk {
+	w := &walk{
+		c: c, stages: make([]stage, len(c.stages)), quads: make([]quadStage, len(c.stages)),
+		passed: make([]int, len(c.stages)),
+		stats:  make([]StageStat, 0, len(c.stages)+1),
+		grpLB:  make([][groupSize]float64, max(len(c.stages), 1)),
+	}
+	for si, st := range c.stages {
+		w.stages[si] = st.fresh()
+		w.quads[si], _ = w.stages[si].(quadStage)
+	}
+	if len(c.stages) > 0 {
+		w.column = make([]float64, c.n)
+	}
+	if c.lazy {
+		w.lazy = w.stages[0].(lazyStage)
+		w.lazy.startLazy()
+		words := (c.n + 63) / 64
+		w.tight, w.part = make([]uint64, words), make([]uint64, words)
+		w.rows, w.listed = make([]int, 0, c.n/tightenShare), make([]int, 0, c.n/tightenShare)
+	}
+	return w
+}
+
+// put records w's stats as the cascade's LastStages and takes w back.
+func (c *Cascade) put(w *walk) {
+	c.walks.mu.Lock()
+	c.last = append(c.last[:0], w.stats...)
+	c.walks.mu.Unlock()
+	c.walks.put(w)
+}
+
 // Name implements Searcher.
 func (c *Cascade) Name() string { return c.name }
 
-// LastStages implements Stager.
-func (c *Cascade) LastStages() []StageStat { return c.stats }
+// LastStages implements Stager: the stats of one whole walk, the one that
+// ended last.
+func (c *Cascade) LastStages() []StageStat {
+	c.walks.mu.Lock()
+	defer c.walks.mu.Unlock()
+	return slices.Clone(c.last)
+}
 
 // S returns the granularity of the PIM stage — Theorem 4's compressed
 // dimensionality — or 0 for a host-only cascade.
@@ -248,9 +305,10 @@ func (c *Cascade) SearchCeiling(ctx context.Context, q []float64, k int, ceiling
 func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, ceiling float64, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
 	_, sp := obs.StartSpan(ctx, c.spanName)
 	defer sp.End()
-	c.q = q
-	m := memoFor(ctx, q, &c.own)
-	for si, st := range c.stages {
+	w := c.walks.get()
+	w.q = q
+	m := memoFor(ctx, q, &w.own)
+	for si, st := range w.stages {
 		var pd *obs.Span
 		if st.pimDots() > 0 {
 			pd = sp.StartChild("pim-dot")
@@ -261,14 +319,15 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, ceiling 
 		if pd != nil {
 			pd.SetAttr("func", st.name())
 			pd.SetAttr("dots", st.pimDots())
-			pd.SetAttr("lazy", si == 0 && c.lazy != nil && c.lazy.isLoose())
+			pd.SetAttr("lazy", si == 0 && w.lazy != nil && w.lazy.isLoose())
 			pd.End()
 		}
 	}
 
-	dst = c.walk(sp, k, ceiling, meter, dst)
-	c.q = nil // do not keep the caller's buffer (a row of a batch arena) alive
-	c.own.reset(nil)
+	dst = w.walk(sp, k, ceiling, meter, dst)
+	w.q = nil // do not keep the caller's buffer (a row of a batch arena) alive
+	w.own.reset(nil)
+	c.put(w)
 	return dst
 }
 
@@ -291,47 +350,47 @@ func (c *Cascade) searchAppend(ctx context.Context, q []float64, k int, ceiling 
 // most its distance, and the k-th distance never falls below the final
 // one — so the walk returns exactly the uncapped answer's rows at or
 // below ceiling (+Inf: all of it).
-func (c *Cascade) walk(sp *obs.Span, k int, ceiling float64, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	c.timed, c.refineDur, c.ceil = sp != nil, 0, ceiling
+func (w *walk) walk(sp *obs.Span, k int, ceiling float64, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
+	w.timed, w.refineDur, w.ceil = sp != nil, 0, ceiling
 	be := sp.StartChild("bound-eval")
-	c.top = reuseTopK(c.top, k)
-	clear(c.passed)
-	if len(c.stages) == 0 {
-		for i := 0; i < c.n; i++ {
-			c.add(i, 0, false)
+	w.top = reuseTopK(w.top, k)
+	clear(w.passed)
+	if len(w.stages) == 0 {
+		for i := 0; i < w.c.n; i++ {
+			w.add(i, 0, false)
 		}
-		c.flush(false)
+		w.flush(false)
 	} else {
-		c.seedAndScan(be, k)
+		w.seedAndScan(be, k)
 	}
 
-	c.stats = c.stats[:0]
-	survivors := c.n // of the stages so far
-	for si, st := range c.stages {
+	w.stats = w.stats[:0]
+	survivors := w.c.n // of the stages so far
+	for si, st := range w.stages {
 		st.cost(meter.C(st.name()), int64(survivors))
-		c.stats = append(c.stats, StageStat{Name: st.name(), In: survivors, Out: c.passed[si], TransferDims: st.operands()})
-		survivors = c.passed[si]
+		w.stats = append(w.stats, StageStat{Name: st.name(), In: survivors, Out: w.passed[si], TransferDims: st.operands()})
+		survivors = w.passed[si]
 	}
-	exact := c.exact
+	exact := w.c.exact
 	if exact.fn != "" {
 		exact.cost(meter.C(exact.fn), int64(survivors))
-		c.stats = append(c.stats, StageStat{Name: exact.fn, In: survivors, Out: k, TransferDims: exact.dims})
+		w.stats = append(w.stats, StageStat{Name: exact.fn, In: survivors, Out: k, TransferDims: exact.dims})
 	}
 	other := meter.C(arch.FuncOther)
-	other.Ops += int64(c.n) // heap maintenance
-	if len(c.stages) > 0 {
-		other.Ops += int64(c.n) // selecting the seeds
+	other.Ops += int64(w.c.n) // heap maintenance
+	if len(w.stages) > 0 {
+		other.Ops += int64(w.c.n) // selecting the seeds
 	}
-	if c.timed {
-		for _, st := range c.stats[:len(c.stages)] {
+	if w.timed {
+		for _, st := range w.stats[:len(w.stages)] {
 			be.Annotate(st.Name, stageAttrs(st)...)
 		}
 		if exact.fn != "" {
-			be.AddChild("refine", c.refineDur, obs.A("in", survivors), obs.A("out", k), obs.A("transfer_dims", exact.dims))
+			be.AddChild("refine", w.refineDur, obs.A("in", survivors), obs.A("out", k), obs.A("transfer_dims", exact.dims))
 		}
 		be.End()
 	}
-	return c.top.AppendResults(dst)
+	return w.top.AppendResults(dst)
 }
 
 // seedAndScan is the three passes of walk; be receives the seed event of a
@@ -361,94 +420,89 @@ func (c *Cascade) walk(sp *obs.Span, k int, ceiling float64, meter *arch.Meter, 
 // adds each row with col[i] ≤ τ, τ read at the last flush; the replay
 // tests the row on its column entry again, against the threshold as it
 // stands by then.
-func (c *Cascade) seedAndScan(be *obs.Span, k int) {
-	col := c.column
+func (w *walk) seedAndScan(be *obs.Span, k int) {
+	col := w.column
 	var t0 time.Time
-	if c.timed {
+	if w.timed {
 		t0 = time.Now()
 	}
-	c.stages[0].lbInto(col)
-	lazy := c.lazy
-	if lazy != nil && lazy.begin(c.timed) && (k > c.n/tightenShare || !c.tightenSeeds(col, k, c.ceil)) {
-		lazy.sweepColumn(col, exitTheta)
+	w.stages[0].lbInto(col)
+	if w.begin() && (k > w.c.n/tightenShare || !w.tightenSeeds(col, k, w.ceil)) {
+		w.sweepColumn(col, exitTheta)
 	}
 	var columnDur time.Duration
-	if c.timed {
+	if w.timed {
 		columnDur = time.Since(t0)
 	}
 
-	c.selectSeeds(col, k)
+	w.selectSeeds(col, k)
 	// The seeds come in ascending bound order: once one is above the
 	// ceiling, so is every later one, and the scan prunes them all.
-	for i, s := range c.seedBuf {
-		if s.Dist > c.ceil {
-			c.seedBuf = c.seedBuf[:i]
+	for i, s := range w.seedBuf {
+		if s.Dist > w.ceil {
+			w.seedBuf = w.seedBuf[:i]
 			break
 		}
-		c.add(s.Index, s.Dist, false)
+		w.add(s.Index, s.Dist, false)
 	}
-	c.flush(false)
-	tau := c.threshold()
-	if lazy != nil && lazy.exit == exitLazy && !lazy.tightenBelow(col, tau) {
-		lazy.sweepColumn(col, exitTau)
+	w.flush(false)
+	tau := w.threshold()
+	if w.exit == exitLazy && !w.tightenBelow(col, tau) {
+		w.sweepColumn(col, exitTau)
 	}
-	if c.timed {
-		exit, loose, tightened, partial, tightenDur := exitEager, 0, 0, 0, time.Duration(0)
-		if lazy != nil {
-			exit, loose, tightened, partial, tightenDur = lazy.exit, lazy.nLoose, lazy.nTight, lazy.nPart, lazy.tightenDur
-		}
-		be.Annotate("seed", obs.A("k", len(c.seedBuf)), obs.A("tau", tau), obs.A("ceiling", c.ceil),
-			obs.A("column_us", micros(columnDur)), obs.A("loose", loose), obs.A("tightened", tightened),
-			obs.A("partial", partial), obs.A("tighten_us", micros(tightenDur)), obs.A("exit", exit))
+	if w.timed {
+		be.Annotate("seed", obs.A("k", len(w.seedBuf)), obs.A("tau", tau), obs.A("ceiling", w.ceil),
+			obs.A("column_us", micros(columnDur)), obs.A("loose", w.nLoose), obs.A("tightened", w.nTight),
+			obs.A("partial", w.nPart), obs.A("tighten_us", micros(w.tightenDur)), obs.A("exit", w.exit))
 	}
 
-	slices.SortFunc(c.seedBuf, func(a, b vec.Neighbor) int { return a.Index - b.Index })
+	slices.SortFunc(w.seedBuf, func(a, b vec.Neighbor) int { return a.Index - b.Index })
 	for i, b := range col {
 		if b > tau {
 			continue
 		}
-		if _, seeded := slices.BinarySearchFunc(c.seedBuf, i, func(s vec.Neighbor, i int) int { return s.Index - i }); seeded {
+		if _, seeded := slices.BinarySearchFunc(w.seedBuf, i, func(s vec.Neighbor, i int) int { return s.Index - i }); seeded {
 			continue
 		}
-		c.add(i, b, true)
-		tau = c.threshold()
+		w.add(i, b, true)
+		tau = w.threshold()
 	}
-	c.flush(true)
+	w.flush(true)
 }
 
 // threshold is what the walk prunes against: the lesser of the ceiling and
 // the k-th distance so far.
-func (c *Cascade) threshold() float64 {
-	if t := c.top.Threshold(); t < c.ceil {
+func (w *walk) threshold() float64 {
+	if t := w.top.Threshold(); t < w.ceil {
 		return t
 	}
-	return c.ceil
+	return w.ceil
 }
 
 // selectSeeds leaves in seedBuf the k smallest (bound, index) of col, in
 // that order.
-func (c *Cascade) selectSeeds(col []float64, k int) {
+func (w *walk) selectSeeds(col []float64, k int) {
 	// Rows arrive in index order, so one that ties the k-th smallest bound
 	// so far ranks after it: only a strictly smaller bound gets in.
-	c.seeds = reuseTopK(c.seeds, k)
-	thr := c.seeds.Threshold()
+	w.seeds = reuseTopK(w.seeds, k)
+	thr := w.seeds.Threshold()
 	for i, b := range col {
 		if b < thr {
-			c.seeds.Push(i, b)
-			thr = c.seeds.Threshold()
+			w.seeds.Push(i, b)
+			thr = w.seeds.Threshold()
 		}
 	}
-	c.seedBuf = c.seeds.AppendResults(c.seedBuf[:0])
+	w.seedBuf = w.seeds.AppendResults(w.seedBuf[:0])
 }
 
 // add appends row i, whose first-stage bound b did not prune it, to the
 // group in flight, and flushes the group once it is full. scan marks a row
 // of the scan, which the replay tests on its column entry again; a seed is
 // visited whatever its entry.
-func (c *Cascade) add(i int, b float64, scan bool) {
-	c.grp[c.grpN], c.grpLB[0][c.grpN] = i, b
-	if c.grpN++; c.grpN == groupSize {
-		c.flush(scan)
+func (w *walk) add(i int, b float64, scan bool) {
+	w.grp[w.grpN], w.grpLB[0][w.grpN] = i, b
+	if w.grpN++; w.grpN == groupSize {
+		w.flush(scan)
 	}
 }
 
@@ -470,84 +524,84 @@ func (c *Cascade) add(i int, b float64, scan bool) {
 // its next value was computed; a row computed and then pruned on replay
 // is counted nowhere. Every test is the strict b > threshold, in both
 // passes, so a NaN bound prunes in neither.
-func (c *Cascade) flush(scan bool) {
-	n := c.grpN
+func (w *walk) flush(scan bool) {
+	n := w.grpN
 	if n == 0 {
 		return
 	}
-	c.grpN = 0
-	tau0 := c.threshold()
+	w.grpN = 0
+	tau0 := w.threshold()
 	m := n
 	for r := range n {
-		c.live[r], c.liveAt[r] = c.grp[r], r
+		w.live[r], w.liveAt[r] = w.grp[r], r
 	}
-	for si := 1; si < len(c.stages) && m > 0; si++ {
-		c.bound(si, m)
-		lbs, kept := &c.grpLB[si], 0
+	for si := 1; si < len(w.stages) && m > 0; si++ {
+		w.bound(si, m)
+		lbs, kept := &w.grpLB[si], 0
 		for j := range m {
-			lbs[c.liveAt[j]] = c.liveVal[j]
-			if !(c.liveVal[j] > tau0) {
-				c.live[kept], c.liveAt[kept] = c.live[j], c.liveAt[j]
+			lbs[w.liveAt[j]] = w.liveVal[j]
+			if !(w.liveVal[j] > tau0) {
+				w.live[kept], w.liveAt[kept] = w.live[j], w.liveAt[j]
 				kept++
 			}
 		}
 		m = kept
 	}
-	if c.exact.dist == nil {
-		c.grpVal = c.grpLB[max(len(c.stages)-1, 0)] // the last bound is the answer
+	if w.c.exact.dist == nil {
+		w.grpVal = w.grpLB[max(len(w.stages)-1, 0)] // the last bound is the answer
 	} else if m > 0 {
 		var t0 time.Time
-		if c.timed {
+		if w.timed {
 			t0 = time.Now()
 		}
-		if c.exact.dist4 != nil && m > 1 {
-			c.pad(m)
-			c.exact.dist4(&c.live, &c.liveVal)
+		if w.c.exact.dist4 != nil && m > 1 {
+			w.pad(m)
+			w.c.exact.dist4(w, &w.live, &w.liveVal)
 		} else {
 			for j := range m {
-				c.liveVal[j] = c.exact.dist(c.live[j])
+				w.liveVal[j] = w.c.exact.dist(w, w.live[j])
 			}
 		}
 		for j := range m {
-			c.grpVal[c.liveAt[j]] = c.liveVal[j]
+			w.grpVal[w.liveAt[j]] = w.liveVal[j]
 		}
-		if c.timed {
-			c.refineDur += time.Since(t0)
+		if w.timed {
+			w.refineDur += time.Since(t0)
 		}
 	}
 
 replay:
 	for r := range n {
-		for si := range c.stages {
-			if (si > 0 || scan) && c.grpLB[si][r] > c.threshold() {
+		for si := range w.stages {
+			if (si > 0 || scan) && w.grpLB[si][r] > w.threshold() {
 				continue replay
 			}
-			c.passed[si]++
+			w.passed[si]++
 		}
-		if v := c.grpVal[r]; v <= c.ceil {
-			c.top.Push(c.grp[r], v)
+		if v := w.grpVal[r]; v <= w.ceil {
+			w.top.Push(w.grp[r], v)
 		}
 	}
 }
 
 // bound leaves in liveVal stage si's bound of the first m live rows.
-func (c *Cascade) bound(si, m int) {
-	if q := c.quads[si]; q != nil && m > 1 {
-		c.pad(m)
-		q.lb4(&c.live, &c.liveVal)
+func (w *walk) bound(si, m int) {
+	if q := w.quads[si]; q != nil && m > 1 {
+		w.pad(m)
+		q.lb4(&w.live, &w.liveVal)
 		return
 	}
-	st := c.stages[si]
+	st := w.stages[si]
 	for j := range m {
-		c.liveVal[j] = st.lb(c.live[j])
+		w.liveVal[j] = st.lb(w.live[j])
 	}
 }
 
 // pad fills the live slots past the first m with the first live row, so a
 // four-row form computes the m rows and repeats one.
-func (c *Cascade) pad(m int) {
+func (w *walk) pad(m int) {
 	for j := m; j < groupSize; j++ {
-		c.live[j] = c.live[0]
+		w.live[j] = w.live[0]
 	}
 }
 

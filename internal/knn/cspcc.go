@@ -71,10 +71,10 @@ func newSimCascade(data *vec.Matrix, name string, kind measure.Kind, st stage) *
 	if kind == measure.PCC {
 		fn, sim = arch.FuncPCC, measure.Pearson
 	}
-	c := newWalk(name, data.N, st)
+	c := newPlan(name, data.N, st)
 	c.exact = exactStep{
 		fn: fn, dims: data.D,
-		dist: func(i int) float64 { return -sim(data.Row(i), c.q) },
+		dist: func(w *walk, i int) float64 { return -sim(data.Row(i), w.q) },
 		cost: func(ctr *arch.Counters, n int64) { costExactSim(ctr, n, data.D) },
 	}
 	return c
@@ -99,7 +99,7 @@ func NewSimPIM(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, kind measur
 	}
 	// Per consultation: the dot, Σ⌊p̄⌋ and the norm or Φa (Fig 8; the query
 	// side is cached).
-	row := simRow{dotQuery: (&dotPayload{fn: "UBPIM-" + kind.String(), eng: eng, pay: pay, ops: 3}).newQuery(), ix: ix}
+	row := simRow{dotQuery: dotQuery{dotPayload: &dotPayload{fn: "UBPIM-" + kind.String(), eng: eng, pay: pay, ops: 3}}, ix: ix}
 	var st stage = &csRow{row}
 	if kind == measure.PCC {
 		st = &pccRow{row}
@@ -118,6 +118,8 @@ type simRow struct {
 	qf pimbound.CSQuery
 }
 
+func (s *simRow) freshRow() simRow { return simRow{dotQuery: s.newQuery(), ix: s.ix} }
+
 func (s *simRow) prepare(m *memo, meter *arch.Meter) error {
 	if err := s.checkDims(m.q); err != nil {
 		return err
@@ -127,6 +129,8 @@ func (s *simRow) prepare(m *memo, meter *arch.Meter) error {
 }
 
 type csRow struct{ simRow }
+
+func (s *csRow) fresh() stage { return &csRow{s.freshRow()} }
 
 func (s *csRow) lb(i int) float64 { return -s.ix.UBCS(i, &s.qf, s.dots[i]) }
 
@@ -146,6 +150,8 @@ func (s *csRow) lbInto(dst []float64) {
 }
 
 type pccRow struct{ simRow }
+
+func (s *pccRow) fresh() stage { return &pccRow{s.freshRow()} }
 
 func (s *pccRow) lb(i int) float64 { return -s.ix.UBPCC(i, &s.qf, s.dots[i]) }
 
@@ -177,6 +183,7 @@ type partStage struct {
 	qTail, qNorm float64
 }
 
+func (s *partStage) fresh() stage { return &partStage{hostBound: s.hostBound, ix: s.ix} }
 func (s *partStage) name() string { return "UBpart" }
 func (s *partStage) segs() int    { return s.ix.D0 }
 func (s *partStage) prepare(m *memo, _ *arch.Meter) error {

@@ -2,7 +2,6 @@ package knn
 
 import (
 	"fmt"
-	"math"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/measure"
@@ -13,23 +12,30 @@ import (
 )
 
 // EDFilter is the LB_PIM-ED filter (Theorem 1) over one fixed set of rows:
-// their quantized floors are programmed onto the array once, Prepare runs
-// one batched dot-product pass for a query row, and LB(i) then combines
-// Φ(p̄ᵢ), Φ(q̄) and the dot in O(1) — a lower bound on ED(rowᵢ, query), so
-// a candidate whose bound already exceeds the caller's threshold is
-// discarded without touching its vector and results stay exact. Refine is
-// the filter-and-refine pass of every mining task that consults LB_PIM-ED
-// before an exact distance (outlier, join, dbscan, motif); k-means consults
-// LB point by centre instead. It is the same Table 4 row the SM-PIM and
-// OST-PIM cascades walk (edStage).
+// their quantized floors are programmed onto the array once, a query row
+// is prepared with one batched dot-product pass (EDQuery.Prepare), and
+// LB(i) then combines Φ(p̄ᵢ), Φ(q̄) and the dot in O(1) — a lower bound on
+// ED(rowᵢ, query), so a candidate whose bound already exceeds the caller's
+// threshold is discarded without touching its vector and results stay
+// exact. Refine is the filter-and-refine pass of every mining task that
+// consults LB_PIM-ED before an exact distance (outlier, join, dbscan,
+// motif); k-means holds one EDQuery per centre instead. It is the same
+// Table 4 row the SM-PIM and OST-PIM cascades walk (edStage).
 //
-// A nil *EDFilter is the host-only path: Prepare does nothing, LB never
-// prunes and Refine charges the exact distances alone, so a task is
-// written once against the filter instead of wrapping every bound test in
-// a check for the PIM variant. A filter is one prepared query over the
-// programmed rows: its retained scratch and memo make a warmed-up Refine
-// allocation-free and the filter non-reentrant, one per goroutine.
+// A nil *EDFilter is the host-only path: Refine never prunes and charges
+// the exact distances alone, so a task is written once against the filter
+// instead of wrapping every bound test in a check for the PIM variant.
+// Refine prepares each row on an EDQuery from the filter's free list, so a
+// filter serves any number of goroutines and a warm Refine allocates nothing.
 type EDFilter struct {
+	*edRow  // the programmed rows; never prepared
+	queries freeList[*EDQuery]
+}
+
+// EDQuery is one query row prepared against an EDFilter's rows: its
+// features, its dots and the consultations not yet charged. One EDQuery
+// serves one goroutine.
+type EDQuery struct {
 	*edRow
 	memo     memo  // the prepared row's features
 	consults int64 // LB calls since the last RecordConsults
@@ -46,7 +52,7 @@ type edRow struct {
 	view edView // the vector of the query the floors were programmed against
 	qf   pimbound.EDQuery
 
-	// lazyStage state (see fnnFilter). Only a cascade sets lazy: EDFilter
+	// lazyStage state (see fnnFilter). Only a cascade's walk sets lazy: EDFilter
 	// consults LB(i) row by row, in no order a threshold could lead, and
 	// the rows embedding edRow under another G (approxRow) stay eager too.
 	lazy  bool
@@ -56,6 +62,11 @@ type edRow struct {
 
 func newEDRow(eng *pim.Engine, pay *pim.Payload, ix *pimbound.EDIndex, fn string, view edView) *edRow {
 	return &edRow{dotQuery: dotQuery{dotPayload: &dotPayload{fn: fn, eng: eng, pay: pay, ops: 2}}, ix: ix, view: view}
+}
+
+// freshRow is the row over the same payload with no query prepared.
+func (s *edRow) freshRow() *edRow {
+	return &edRow{dotQuery: dotQuery{dotPayload: s.dotPayload}, ix: s.ix, view: s.view}
 }
 
 func (s *edRow) prepare(m *memo, meter *arch.Meter) error {
@@ -84,10 +95,11 @@ func (s *edRow) sweep(meter *arch.Meter) error {
 	return s.pass(meter)
 }
 
-func (s *edRow) startLazy() bool {
+func (s *edRow) digested() bool { return s.pay.DigestDims() > 0 }
+
+func (s *edRow) startLazy() {
 	s.qd = make([]uint32, s.pay.DigestDims())
-	s.lazy = len(s.qd) > 0
-	return s.lazy
+	s.lazy = true
 }
 
 func (s *edRow) isLoose() bool { return s.loose }
@@ -125,7 +137,9 @@ func NewEDFilter(eng *pim.Engine, rows *vec.Matrix, q quant.Quantizer, capacityN
 	if err != nil {
 		return nil, err
 	}
-	return &EDFilter{edRow: newEDRow(eng, pay, ix, "LBPIM-ED", viewWhole)}, nil
+	f := &EDFilter{edRow: newEDRow(eng, pay, ix, "LBPIM-ED", viewWhole)}
+	f.queries.make = f.NewQuery
+	return f, nil
 }
 
 // programED is the offline half of every row over LB_PIM-ED's floors.
@@ -138,32 +152,24 @@ func programED(eng *pim.Engine, rows *vec.Matrix, q quant.Quantizer, capacityN i
 	return ix, pay, err
 }
 
-// Fork returns another prepared query over the filter's programmed rows,
-// with scratch, memo and consultation count of its own.
-func (f *EDFilter) Fork() *EDFilter {
-	return &EDFilter{edRow: &edRow{dotQuery: dotQuery{dotPayload: f.dotPayload}, ix: f.ix, view: viewWhole}}
-}
+// NewQuery returns a query over the filter's programmed rows, with scratch,
+// memo and consultation count of its own.
+func (f *EDFilter) NewQuery() *EDQuery { return &EDQuery{edRow: f.freshRow()} }
 
-// Prepare quantizes the query row into the filter's memo and runs its PIM
+// Prepare quantizes the query row into the query's memo and runs its PIM
 // pass; LB then answers for every programmed row.
-func (f *EDFilter) Prepare(row []float64, meter *arch.Meter) error {
-	if f == nil {
-		return nil
-	}
-	f.memo.reset(row)
-	err := f.prepare(&f.memo, meter)
-	f.memo.reset(nil) // do not keep the caller's row alive
+func (w *EDQuery) Prepare(row []float64, meter *arch.Meter) error {
+	w.memo.reset(row)
+	err := w.prepare(&w.memo, meter)
+	w.memo.reset(nil) // do not keep the caller's row alive
 	return err
 }
 
 // LB returns LB_PIM-ED between programmed row i and the prepared query
-// row, counting the consultation; −Inf (prunes nothing) without a filter.
-func (f *EDFilter) LB(i int) float64 {
-	if f == nil {
-		return math.Inf(-1)
-	}
-	f.consults++
-	return f.lb(i)
+// row, counting the consultation.
+func (w *EDQuery) LB(i int) float64 {
+	w.consults++
+	return w.lb(i)
 }
 
 // Refine runs one query row's filter-and-refine pass: it prepares q, walks
@@ -176,8 +182,13 @@ func (f *EDFilter) LB(i int) float64 {
 // only pays for, since that row cannot improve it. The PIM pass, the
 // consultations and the exact distances are charged to meter.
 func (f *EDFilter) Refine(data *vec.Matrix, q []float64, lo, hi, skipLo, skipHi int, tau float64, visit func(j int, d float64) (float64, bool), meter *arch.Meter) error {
-	if err := f.Prepare(q, meter); err != nil {
-		return err
+	var w *EDQuery
+	if f != nil {
+		w = f.queries.get()
+		defer f.queries.put(w)
+		if err := w.Prepare(q, meter); err != nil {
+			return err
+		}
 	}
 	var exact int64
 	for j := lo; j < hi; j++ {
@@ -185,7 +196,7 @@ func (f *EDFilter) Refine(data *vec.Matrix, q []float64, lo, hi, skipLo, skipHi 
 			j = skipHi - 1
 			continue
 		}
-		if f.LB(j) > tau {
+		if w != nil && w.LB(j) > tau {
 			continue
 		}
 		exact++
@@ -195,18 +206,20 @@ func (f *EDFilter) Refine(data *vec.Matrix, q []float64, lo, hi, skipLo, skipHi 
 		}
 	}
 	costExactRefine(meter.C(arch.FuncED), exact, data.D)
-	f.RecordConsults(meter)
+	if w != nil {
+		w.RecordConsults(meter)
+	}
 	return nil
 }
 
 // RecordConsults charges the host combine of every LB consultation since
 // the last call and returns how many there were.
-func (f *EDFilter) RecordConsults(meter *arch.Meter) int64 {
-	if f == nil || f.consults == 0 {
+func (w *EDQuery) RecordConsults(meter *arch.Meter) int64 {
+	if w.consults == 0 {
 		return 0
 	}
-	n := f.consults
-	f.consults = 0
-	f.cost(meter.C(f.fn), n)
+	n := w.consults
+	w.consults = 0
+	w.cost(meter.C(w.fn), n)
 	return n
 }

@@ -26,7 +26,10 @@ func Candidates(data, pilot *vec.Matrix, k int, pimAlg, baseline *Cascade) ([]pl
 	if !ok {
 		return nil, fmt.Errorf("knn: %s does not lead with an LB_PIM-FNN bound", pimAlg.name)
 	}
-	stages := append([]stage{filter}, baseline.stages...)
+	stages := []stage{filter}
+	for _, st := range baseline.stages {
+		stages = append(stages, st.fresh())
+	}
 	exact := NewStandard(data)
 	sums := make([]float64, len(stages))
 	lbs := make([]float64, data.N)

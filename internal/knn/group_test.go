@@ -21,13 +21,13 @@ import (
 // returns the answer and the per-stage counts.
 func rowWalk(t *testing.T, c *Cascade, q []float64, k int, ceiling float64, meter *arch.Meter) ([]vec.Neighbor, []StageStat) {
 	t.Helper()
-	if c.lazy != nil {
+	if c.lazy {
 		t.Fatalf("%s: the row walk reads the swept column, not a lazy one", c.name)
 	}
-	c.q = q
-	defer func() { c.q = nil }()
-	m := memoFor(context.Background(), q, &c.own)
-	for _, st := range c.stages {
+	w := c.newWalk()
+	w.q = q
+	m := memoFor(context.Background(), q, &w.own)
+	for _, st := range w.stages {
 		if err := st.prepare(m, meter); err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func rowWalk(t *testing.T, c *Cascade, q []float64, k int, ceiling float64, mete
 	threshold := func() float64 { return min(top.Threshold(), ceiling) }
 	passed := make([]int, len(c.stages))
 	visit := func(i int, b float64) {
-		for si, st := range c.stages {
+		for si, st := range w.stages {
 			if si > 0 {
 				if b = st.lb(i); b > threshold() {
 					return
@@ -45,7 +45,7 @@ func rowWalk(t *testing.T, c *Cascade, q []float64, k int, ceiling float64, mete
 			passed[si]++
 		}
 		if c.exact.dist != nil {
-			b = c.exact.dist(i)
+			b = c.exact.dist(w, i)
 		}
 		if b <= ceiling {
 			top.Push(i, b)
@@ -57,8 +57,8 @@ func rowWalk(t *testing.T, c *Cascade, q []float64, k int, ceiling float64, mete
 			visit(i, 0)
 		}
 	} else {
-		col := c.column
-		c.stages[0].lbInto(col)
+		col := w.column
+		w.stages[0].lbInto(col)
 		order := make([]int, c.n)
 		for i := range order {
 			order[i] = i
@@ -139,12 +139,12 @@ func TestGroupedWalkMatchesRowWalk(t *testing.T) {
 					return s.(*Cascade)
 				}
 				c, ref := build(), build()
-				if ref.lazy != nil {
+				if ref.lazy {
 					dropLazy(t, ref)
 				}
 				name := tc.name
 				if eager {
-					if c.lazy == nil {
+					if !c.lazy {
 						continue
 					}
 					dropLazy(t, c)

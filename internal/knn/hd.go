@@ -71,6 +71,8 @@ type hdRow struct {
 	qOnes int
 }
 
+func (s *hdRow) fresh() stage { return &hdRow{dotQuery: s.newQuery(), ix: s.ix} }
+
 // prepare is a stage's float-vector entry point, which a packed code does
 // not come through: HDPIM.SearchAppend prepares the row itself.
 func (s *hdRow) prepare(*memo, *arch.Meter) error {
@@ -102,9 +104,7 @@ func (s *hdRow) cost(c *arch.Counters, n int64) {
 // two operands moved per object — whose query is a packed code rather
 // than a float vector.
 type HDPIM struct {
-	hdRow
 	c *Cascade
-	q measure.BitVector // the code in flight, for the fault-mode refinement
 }
 
 // NewHDPIM programs the single code payload as 1-bit operands: binary
@@ -139,13 +139,12 @@ func NewHDPIM(eng *pim.Engine, codes []measure.BitVector, capacityN int) (*HDPIM
 	if err != nil {
 		return nil, err
 	}
-	h := &HDPIM{hdRow: hdRow{dotQuery: (&dotPayload{fn: arch.FuncHD, eng: eng, pay: pay, ops: 2}).newQuery(), ix: ix}}
-	h.c = newWalk("Standard-PIM", len(codes), &h.hdRow)
+	h := &HDPIM{c: newPlan("Standard-PIM", len(codes), &hdRow{dotQuery: dotQuery{dotPayload: &dotPayload{fn: arch.FuncHD, eng: eng, pay: pay, ops: 2}}, ix: ix})}
 	if eng.Faulty() {
 		words := int64((ix.D + 63) / 64)
 		h.c.exact = exactStep{
 			fn: arch.FuncHD, dims: (ix.D + 31) / 32,
-			dist: func(i int) float64 { return float64(measure.Hamming(ix.Codes[i], h.q)) },
+			dist: func(w *walk, i int) float64 { return float64(measure.Hamming(ix.Codes[i], w.code)) },
 			// Survivors' codes are fetched with random access and
 			// re-scanned on the host.
 			cost: func(c *arch.Counters, n int64) {
@@ -159,6 +158,9 @@ func NewHDPIM(eng *pim.Engine, codes []measure.BitVector, capacityN int) (*HDPIM
 
 // Name implements HDSearcher.
 func (h *HDPIM) Name() string { return h.c.name }
+
+// RecordPreprocessing charges the offline programming of the code payload.
+func (h *HDPIM) RecordPreprocessing(meter *arch.Meter) { h.c.RecordPreprocessing(meter) }
 
 // Search implements HDSearcher.
 func (h *HDPIM) Search(q measure.BitVector, k int, meter *arch.Meter) []vec.Neighbor {
@@ -174,10 +176,15 @@ func (h *HDPIM) SearchAppend(q measure.BitVector, k int, meter *arch.Meter, dst 
 // searchAppend is SearchAppend returning no row above ceiling (see
 // Cascade.walk).
 func (h *HDPIM) searchAppend(q measure.BitVector, k int, ceiling float64, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	h.q, h.qOnes = q, q.Ones()
-	h.ix.QueryBitsInto(q, h.floor)
-	if err := h.pass(meter); err != nil {
+	w := h.c.walks.get()
+	row := w.stages[0].(*hdRow)
+	w.code, row.qOnes = q, q.Ones()
+	row.ix.QueryBitsInto(q, row.floor)
+	if err := row.pass(meter); err != nil {
 		panic(fmt.Sprintf("knn: HD-PIM query-all: %v", err))
 	}
-	return h.c.walk(nil, k, ceiling, meter, dst)
+	dst = w.walk(nil, k, ceiling, meter, dst)
+	w.code = measure.BitVector{} // do not keep the caller's code alive
+	h.c.put(w)
+	return dst
 }

@@ -16,7 +16,7 @@ import (
 // Standard is the exact ED linear scan over a dataset.
 type Standard struct {
 	Data *vec.Matrix
-	top  *vec.TopK
+	tops freeList[*vec.TopK] // the heaps of searches past
 }
 
 // NewStandard builds the baseline scan.
@@ -32,21 +32,23 @@ func (s *Standard) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor 
 
 // SearchAppend implements AppendSearcher.
 func (s *Standard) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	s.top = reuseTopK(s.top, k)
+	top := reuseTopK(s.tops.get(), k)
 	data, i := s.Data, 0
 	for ; i+4 <= data.N; i += 4 {
 		d0, d1, d2, d3 := measure.SqEuclidean4(data.Row(i), data.Row(i+1), data.Row(i+2), data.Row(i+3), q)
-		s.top.Push(i, d0)
-		s.top.Push(i+1, d1)
-		s.top.Push(i+2, d2)
-		s.top.Push(i+3, d3)
+		top.Push(i, d0)
+		top.Push(i+1, d1)
+		top.Push(i+2, d2)
+		top.Push(i+3, d3)
 	}
 	for ; i < data.N; i++ {
-		s.top.Push(i, measure.SqEuclidean(data.Row(i), q))
+		top.Push(i, measure.SqEuclidean(data.Row(i), q))
 	}
 	costExactRefine(meter.C(arch.FuncED), int64(s.Data.N), s.Data.D)
 	meter.C(arch.FuncOther).Ops += int64(s.Data.N) // heap maintenance
-	return s.top.AppendResults(dst)
+	dst = top.AppendResults(dst)
+	s.tops.put(top)
+	return dst
 }
 
 // ---------------------------------------------------------------------------
@@ -73,6 +75,7 @@ type ostStage struct {
 	qTail float64
 }
 
+func (s *ostStage) fresh() stage { return &ostStage{hostBound: s.hostBound, ix: s.ix} }
 func (s *ostStage) name() string { return "LBOST" }
 func (s *ostStage) segs() int    { return s.ix.D0 }
 func (s *ostStage) prepare(m *memo, _ *arch.Meter) error {
@@ -103,6 +106,9 @@ type smStage struct {
 	qMu []float64 // query segment-mean scratch
 }
 
+func (s *smStage) fresh() stage {
+	return &smStage{hostBound: s.hostBound, ix: s.ix, qMu: make([]float64, s.ix.Segs)}
+}
 func (s *smStage) name() string { return "LBSM" }
 func (s *smStage) segs() int    { return s.ix.Segs }
 func (s *smStage) prepare(m *memo, _ *arch.Meter) error {
@@ -121,7 +127,7 @@ func NewSM(data *vec.Matrix, segs int) (*Cascade, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCascade(data, "SM", &smStage{hostBound: hostBound{ix.TransferDims()}, ix: ix, qMu: make([]float64, ix.Segs)}), nil
+	return newCascade(data, "SM", &smStage{hostBound: hostBound{ix.TransferDims()}, ix: ix}), nil
 }
 
 // fnnStage is LB_FNN at one granularity (Hwang et al. 2012).
@@ -132,6 +138,7 @@ type fnnStage struct {
 	mu, sigma []float64 // the query's segment statistics, read from its memo
 }
 
+func (s *fnnStage) fresh() stage { return &fnnStage{hostBound: s.hostBound, ix: s.ix, fname: s.fname} }
 func (s *fnnStage) name() string { return s.fname }
 func (s *fnnStage) segs() int    { return s.ix.Segs }
 func (s *fnnStage) prepare(m *memo, _ *arch.Meter) error {

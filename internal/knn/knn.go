@@ -18,57 +18,25 @@
 // §V-D, which FromPlan compiles directly (fromplan.go) — and an
 // exact step for the survivors (ED, −CS, −PCC, Hamming, or none where the
 // last stage's value is the answer); that one loop owns the spans, the
-// per-stage counts, the modeled costs and LastStages.
+// per-stage counts, the modeled costs and LastStages. Its walk is columnar
+// first bound → seed → index-order scan, four candidates at a time past the
+// first stage (Cascade, walk); on an exact-mode array the LB_PIM-FNN and
+// LB_PIM-ED stages that lead an ED cascade answer from their payloads'
+// digests and compute only the dots the walk reads (lazy.go). Neither
+// changes an answer, a count or a meter.
 //
-// The walk is columnar first bound → seed → index-order scan. The first
-// stage's bound of every object is written into one column (the array
-// hands all of them back before the host has looked at one object); the k
-// objects with the smallest bound are visited first, so the threshold
-// starts at the k-th distance among the most promising objects rather than
-// at +Inf; the rest are scanned in index order and pruned on the column.
-// An object that survives takes the later stages lazily, then the exact
-// step — four objects at a time, each stage's bound and the exact ED
-// computed for the four in lockstep (bound.FNNIndex.LB4,
-// measure.SqEuclidean4) at the threshold the four started with, after
-// which every decision is replayed one object at a time against the
-// threshold as it stands, so the answer and every count are those of a
-// walk that takes one object at a time. The order cannot change the
-// answer: TopK is a total (dist, index) order and every prune is strict
-// against a threshold that never rises, so whatever is pruned lies
-// strictly outside the final k in any order, ties included. It changes
-// only how few objects get past the first stage.
-//
-// On an exact-mode array the LB_PIM-FNN and LB_PIM-ED stages that lead an
-// ED cascade do not compute the dot products the walk will never read
-// (lazyStage, cascade.go). prepare fills the dot arrays with the payload
-// digest's upper bounds (pim.Engine.UpperAll: 1/32 of the bytes), so the
-// column holds under-estimates LB′ ≤ LB; the walk tightens — exact dots
-// of the listed rows, gathered four at a time (pim.Engine.DotRows), then
-// the bound over them — until every row at or below a bound with k exact
-// bounds under it is exact, which makes the k smallest (LB, index) exact
-// and the seeds the ones it would have picked; visits the seeds; tightens
-// every row still loose at or below the threshold they leave; and scans.
-// LB_PIM-FNN tightens over three precisions: a listed row gets its exact
-// ⌊µ⌋ dot, and its ⌊σ⌋ dot only while the bound over the first is still
-// in play, which on MSD rows is about one listed row in six. A loose entry
-// has LB ≥ LB′ > τ and τ only falls, so it is pruned exactly where its
-// exact bound would have been: no decision differs, to the row, and no
-// meter differs either — the query is charged the array pass the model
-// still runs. When a tighten pass would list more than a quarter of the
-// rows (a weakly correlated dataset, k near n) the stage sweeps once and
-// the walk proceeds on the exact column. Simulate mode, faulty arrays,
-// binary payloads, the CS/PCC and Approx-PIM rows and a PIM stage that is
-// not first have no lazy stage and sweep as before.
-//
-// A stage is a bound with query-side scratch: host stages over the bound
-// package's indexes (host.go, cspcc.go), LB_PIM-FNN over its two payloads
-// (pimknn.go), and every single-payload function of Table 4 as a value of
-// one type (table4.go). The constructors only assemble stage lists.
-// Standard, SimStandard and HDStandard stay separate exact scans because
-// every differential test compares against them. EDFilter (edfilter.go)
-// is the LB_PIM-ED row on its own: its Refine is the one filter-and-refine
-// pass of the mining tasks outside a kNN search (outlier, join, dbscan,
-// motif), and k-means consults its LB point by centre.
+// A stage is a bound over an immutable index plus the query-side scratch
+// of one walk: host stages over the bound package's indexes (host.go,
+// cspcc.go), LB_PIM-FNN over its two payloads (pimknn.go), and every
+// single-payload function of Table 4 as a value of one type (table4.go).
+// A searcher holds the index and hands each search a walk of its own, so
+// every searcher is safe for concurrent use. The constructors only
+// assemble stage lists. Standard, SimStandard and HDStandard stay separate
+// exact scans because every differential test compares against them.
+// EDFilter (edfilter.go) is the LB_PIM-ED row on its own: its Refine is the
+// one filter-and-refine pass of the mining tasks outside a kNN search
+// (outlier, join, dbscan, motif), and k-means consults an EDQuery's LB
+// point by centre.
 //
 // Every algorithm performs the real computation — results are exact and
 // integration tests assert each variant returns the same neighbor set as
@@ -77,12 +45,16 @@
 package knn
 
 import (
+	"runtime"
+	"sync"
+
 	"pimmine/internal/arch"
 	"pimmine/internal/vec"
 )
 
 // Searcher is a kNN algorithm bound to a dataset. Search must append its
-// activity to the meter (which may be shared across queries).
+// activity to the meter (which may be shared across queries). It must be
+// safe for concurrent use, as every searcher of this package is.
 type Searcher interface {
 	Name() string
 	Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor
@@ -91,12 +63,9 @@ type Searcher interface {
 // AppendSearcher is the allocation-free face of a Searcher: SearchAppend
 // appends the k nearest neighbors to dst (in the same ascending
 // (Dist, Index) order Search returns) and returns the extended slice.
-// Searchers reuse internal scratch buffers across calls, so a warmed-up
+// A search's scratch is reused by the searches after it, so a warmed-up
 // searcher performs zero heap allocations per query when dst has capacity
-// for k neighbors — the property the alloc regression tests pin. The
-// scratch makes SearchAppend non-reentrant: one searcher serves one
-// goroutine, exactly as Search always has (SearchBatch builds one per
-// worker).
+// for k neighbors — the property the alloc regression tests pin.
 //
 // Standard and every Cascade implement AppendSearcher, and their Search is
 // defined as SearchAppend(q, k, meter, nil), so both entry points return
@@ -119,9 +88,46 @@ func reuseTopK(t *vec.TopK, k int) *vec.TopK {
 	return t
 }
 
+// maxFree bounds a free list: beyond it, scratch given back is dropped.
+var maxFree = runtime.GOMAXPROCS(0)
+
+// freeList holds a searcher's per-search scratch between searches: get
+// hands out a free one, or else one from make (the zero W without it), so
+// no search waits for another, and put keeps it unless maxFree are kept.
+type freeList[W any] struct {
+	mu   sync.Mutex
+	free []W
+	make func() W
+}
+
+func (l *freeList[W]) get() (w W) {
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		w, l.free[n-1] = l.free[n-1], w
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return w
+	}
+	l.mu.Unlock()
+	if l.make != nil {
+		w = l.make()
+	}
+	return w
+}
+
+func (l *freeList[W]) put(w W) {
+	l.mu.Lock()
+	if len(l.free) < maxFree {
+		l.free = append(l.free, w)
+	}
+	l.mu.Unlock()
+}
+
 // SearcherFunc adapts a function (plus a name) into a Searcher — the
 // closure analogue of http.HandlerFunc, used by tests and by callers
-// plugging ad-hoc searchers into the serving layer's Factory.
+// plugging ad-hoc searchers into the serving layer's Factory. Like every
+// Searcher it must be safe for concurrent use: fn may run for several
+// queries at once.
 func SearcherFunc(name string, fn func(q []float64, k int, meter *arch.Meter) []vec.Neighbor) Searcher {
 	return funcSearcher{name: name, fn: fn}
 }

@@ -20,10 +20,13 @@ import (
 // rows it cannot prune are the ones it asks the stage to tighten.
 type lazyStage interface {
 	stage
-	// startLazy is called once, by the cascade this stage leads: from then
-	// on prepare answers from the digests where they exist and accept the
-	// query. It reports whether they exist; prepare otherwise stays eager.
-	startLazy() bool
+	// digested reports whether the stage's payloads carry digests: a
+	// cascade led by it walks it lazily.
+	digested() bool
+	// startLazy is called once on a walk's own copy of a digested first
+	// stage: from then on its prepare answers from the digests where they
+	// accept the query, and sweeps where they do not.
+	startLazy()
 	// isLoose reports whether the last prepare left upper bounds in the dot
 	// arrays, so that lb and lbInto now under-estimate.
 	isLoose() bool
@@ -83,44 +86,12 @@ const (
 	exitTau   = "tau"   // too many rows at or below the seeded threshold: swept
 )
 
-// lazyWalk is what a cascade keeps for a lazy first stage: the stage, and
-// the retained scratch and counts of the walk over its loose column
-// (tightenSeeds has the argument). A column entry is at one of three
-// precisions: the digest's, partial — the first payload's exact dot, the
-// others' digest — or exact.
-type lazyWalk struct {
-	lazyStage
-	tight      []uint64      // bitset of the rows whose column entry is exact
-	part       []uint64      // bitset of the rows whose entry is partial
-	rows       []int         // the rows of one tighten pass
-	listed     []int         // the rows listed at θ₁, for the passes after it
-	theta1     float64       // every row whose entry is the digest's lies above it
-	theta2     float64       // every row at or below it is exact
-	exit       string        // how the last walk left the first stage
-	nLoose     int           // rows listed, or at a sweep exact or found by the refused listing
-	nTight     int           // rows made exact
-	nPart      int           // rows left partial
-	timed      bool          // the walk is traced: tighten passes are timed
-	tightenDur time.Duration // time in the tighten passes of a timed walk
-}
-
-// newLazyWalk returns the walk state for a cascade of n objects led by
-// first, or nil when first is not a lazy stage over digested payloads.
-func newLazyWalk(first stage, n int) *lazyWalk {
-	ls, ok := first.(lazyStage)
-	if !ok || !ls.startLazy() {
-		return nil
-	}
-	words := (n + 63) / 64
-	return &lazyWalk{lazyStage: ls, tight: make([]uint64, words), part: make([]uint64, words),
-		rows: make([]int, 0, n/tightenShare), listed: make([]int, 0, n/tightenShare)}
-}
-
-// begin starts the walk of a prepared query, timing its tighten passes
-// when timed, and reports whether its column is loose.
-func (w *lazyWalk) begin(timed bool) bool {
-	w.exit, w.nLoose, w.nTight, w.nPart, w.timed, w.tightenDur = exitEager, 0, 0, 0, timed, 0
-	if !w.isLoose() {
+// begin starts the walk of a prepared query and reports whether its
+// column is loose: whether its first stage is lazy and answered from the
+// digests.
+func (w *walk) begin() bool {
+	w.exit, w.nLoose, w.nTight, w.nPart, w.tightenDur = exitEager, 0, 0, 0, 0
+	if w.lazy == nil || !w.lazy.isLoose() {
 		return false
 	}
 	w.exit = exitLazy
@@ -147,11 +118,10 @@ func (w *lazyWalk) begin(timed bool) bool {
 // the exact column gives, up to the ceiling, where the walk stops visiting
 // them anyway. It reports false, with the column partly tightened, when
 // step 2 would list more rows than one pass may.
-func (c *Cascade) tightenSeeds(col []float64, k int, ceiling float64) bool {
-	w := c.lazy
-	c.selectSeeds(col, k)
+func (w *walk) tightenSeeds(col []float64, k int, ceiling float64) bool {
+	w.selectSeeds(col, k)
 	w.rows = w.rows[:0]
-	for _, s := range c.seedBuf {
+	for _, s := range w.seedBuf {
 		w.rows = append(w.rows, s.Index)
 	}
 	theta := math.Inf(-1)
@@ -168,21 +138,21 @@ func (c *Cascade) tightenSeeds(col []float64, k int, ceiling float64) bool {
 
 	// The seed scratch holds step 3's selection; the seeds are selected
 	// again from the column afterwards.
-	c.seeds = reuseTopK(c.seeds, k)
+	w.seeds = reuseTopK(w.seeds, k)
 	for _, i := range w.listed {
-		c.seeds.Push(i, col[i])
+		w.seeds.Push(i, col[i])
 	}
-	c.seedBuf = c.seeds.AppendResults(c.seedBuf[:0])
+	w.seedBuf = w.seeds.AppendResults(w.seedBuf[:0])
 	w.rows = w.rows[:0]
-	for _, s := range c.seedBuf {
+	for _, s := range w.seedBuf {
 		if !w.isTight(s.Index) {
 			w.rows = append(w.rows, s.Index)
 		}
 	}
 	w.tightenRows(col, w.rows, math.Inf(1))
-	if len(c.seedBuf) == k {
+	if len(w.seedBuf) == k {
 		theta = math.Inf(-1)
-		for _, s := range c.seedBuf {
+		for _, s := range w.seedBuf {
 			theta = max(theta, col[s.Index])
 		}
 		w.theta2 = min(w.theta1, theta)
@@ -202,7 +172,7 @@ func (c *Cascade) tightenSeeds(col []float64, k int, ceiling float64) bool {
 // tau, the threshold the seeds left, unless they are more than one pass
 // may list: it then reports false. At or below θ₂ every entry is exact
 // already, and at or below θ₁ only the rows listed there can be loose.
-func (w *lazyWalk) tightenBelow(col []float64, tau float64) bool {
+func (w *walk) tightenBelow(col []float64, tau float64) bool {
 	if tau <= w.theta2 {
 		return true
 	}
@@ -223,7 +193,7 @@ func (w *lazyWalk) tightenBelow(col []float64, tau float64) bool {
 // listBelow sets *dst to every row of col not yet exact whose entry is at
 // most thr, unless they are more than one pass may list: it then reports
 // false, and nLoose counts them with the rows made exact so far.
-func (w *lazyWalk) listBelow(col []float64, thr float64, dst *[]int) bool {
+func (w *walk) listBelow(col []float64, thr float64, dst *[]int) bool {
 	most, found := len(col)/tightenShare, 0
 	rows := (*dst)[:0]
 	for i, b := range col {
@@ -242,21 +212,21 @@ func (w *lazyWalk) listBelow(col []float64, thr float64, dst *[]int) bool {
 	return true
 }
 
-func (w *lazyWalk) isTight(i int) bool { return w.tight[i>>6]&(1<<(i&63)) != 0 }
+func (w *walk) isTight(i int) bool { return w.tight[i>>6]&(1<<(i&63)) != 0 }
 
 // tightenRows runs one tighten pass over rows at thr, marks the rows it
 // made exact and the rows it left partial, and returns the exact ones.
-func (w *lazyWalk) tightenRows(col []float64, rows []int, thr float64) []int {
+func (w *walk) tightenRows(col []float64, rows []int, thr float64) []int {
 	if len(rows) == 0 {
 		return rows
 	}
 	var exact []int
 	if w.timed {
 		t0 := time.Now()
-		exact = w.tighten(rows, col, thr)
+		exact = w.lazy.tighten(rows, col, thr)
 		w.tightenDur += time.Since(t0)
 	} else {
-		exact = w.tighten(rows, col, thr)
+		exact = w.lazy.tighten(rows, col, thr)
 	}
 	for _, i := range exact {
 		if w.part[i>>6]&(1<<(i&63)) != 0 {
@@ -278,10 +248,10 @@ func (w *lazyWalk) tightenRows(col []float64, rows []int, thr float64) []int {
 
 // sweepColumn gives up on the digest for the query in flight: the stage
 // runs its array pass and the column is refilled with exact bounds.
-func (w *lazyWalk) sweepColumn(col []float64, exit string) {
-	if err := w.sweep(nil); err != nil {
-		panic(fmt.Sprintf("knn: %s sweep: %v", w.name(), err)) // prepare accepted this query
+func (w *walk) sweepColumn(col []float64, exit string) {
+	if err := w.lazy.sweep(nil); err != nil {
+		panic(fmt.Sprintf("knn: %s sweep: %v", w.lazy.name(), err)) // prepare accepted this query
 	}
-	w.lbInto(col)
+	w.lazy.lbInto(col)
 	w.exit = exit
 }

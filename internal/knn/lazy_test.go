@@ -18,20 +18,24 @@ import (
 // cascade as it was before its payloads had a digest — prepare sweeps, the
 // walk reads an exact column. It is the reference side of the lazy-vs-eager
 // differential and exists only here; nothing outside a test can ask for it.
+// It drops the walks c keeps, which lead lazily.
 func dropLazy(t *testing.T, c *Cascade) {
 	t.Helper()
-	if c.lazy == nil {
+	if !c.lazy {
 		t.Fatalf("%s leads with no lazy stage", c.name)
 	}
-	switch s := c.stages[0].(type) {
-	case *fnnFilter:
-		s.lazy = false
-	case *edStage:
-		s.lazy = false
-	default:
-		t.Fatalf("%s: lazy stage of type %T has no row in dropLazy", c.name, s)
+	c.lazy = false
+	c.walks.free = nil
+}
+
+// lastWalk returns the walk c's last search ran on: the walk it took back
+// last, which a sequential caller's next search takes out again.
+func lastWalk(t *testing.T, c *Cascade) *walk {
+	t.Helper()
+	if len(c.walks.free) == 0 {
+		t.Fatalf("%s keeps no walk: it has run no search", c.name)
 	}
-	c.lazy = nil
+	return c.walks.free[len(c.walks.free)-1]
 }
 
 // lazyBuilds are the four constructors whose first stage turns lazy.
@@ -122,7 +126,7 @@ func TestLazyMatchesEager(t *testing.T) {
 							t.Fatalf("%s: stages %+v, eager %+v", what, lazy.LastStages(), eager.LastStages())
 						}
 						sameMeters(t, what, mGot, mWant)
-						exits[lazy.lazy.exit]++
+						exits[lastWalk(t, lazy).exit]++
 						ceiling = want[len(want)/2].Dist
 					}
 				}
@@ -187,7 +191,7 @@ func TestThreePrecisionGathers(t *testing.T) {
 				t.Fatalf("%s: stages %+v, eager %+v", what, lazy.LastStages(), eager.LastStages())
 			}
 			sameMeters(t, what, mGot, mWant)
-			exits[lazy.lazy.exit]++
+			exits[lastWalk(t, lazy).exit]++
 		}
 		counts := stop()
 		t.Logf("capped %v: rows gathered per walk: ⌊µ⌋ %.1f, ⌊σ⌋ %.1f; exits %v", capped,
@@ -225,7 +229,7 @@ func TestCeilingOnPartialBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	dropLazy(t, eager)
-	st := lazy.lazy.lazyStage
+	st := lazy.newWalk().lazy
 	ctx := context.Background()
 	all := make([]int, data.N)
 	tested := 0
@@ -288,7 +292,7 @@ func TestNoDigestNoLazyStage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, b.name, err)
 			}
-			if c.lazy != nil {
+			if c.lazy {
 				t.Fatalf("%s array: %s leads with a lazy stage", name, b.name)
 			}
 		}
@@ -297,7 +301,7 @@ func TestNoDigestNoLazyStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if approx.lazy != nil || approx.stages[0].(*approxRow).lazy {
+	if approx.lazy || approx.newWalk().stages[0].(*approxRow).lazy {
 		t.Fatal("Approx-PIM, whose column is its answer, leads with a lazy stage")
 	}
 	// A PIM stage behind another stage is consulted row by row: eager.
@@ -309,8 +313,11 @@ func TestNoDigestNoLazyStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := newCascade(data, "two-pim", lead, second); c.lazy == nil || c.lazy.lazyStage != lazyStage(lead) || !lead.lazy || second.lazy {
-		t.Fatalf("two PIM stages: lazy stage %v, lead lazy %v, second lazy %v", c.lazy, lead.lazy, second.lazy)
+	c := newCascade(data, "two-pim", lead, second)
+	w := c.newWalk()
+	if !c.lazy || w.lazy == nil || w.lazy != w.stages[0] || !w.stages[0].(*fnnFilter).lazy || w.stages[1].(*fnnFilter).lazy {
+		t.Fatalf("two PIM stages: lazy %v, lazy stage %v, lead lazy %v, second lazy %v",
+			c.lazy, w.lazy, w.stages[0].(*fnnFilter).lazy, w.stages[1].(*fnnFilter).lazy)
 	}
 }
 
@@ -339,7 +346,7 @@ func TestTightenMatchesLBInto(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := c.lazy.lazyStage
+		st := c.newWalk().lazy
 		typ := fmt.Sprintf("%T", st)
 		seen[typ] = true
 		var m memo

@@ -19,23 +19,23 @@ type fnnFilter struct {
 	eng   *pim.Engine
 	muPay *pim.Payload
 	sgPay *pim.Payload
+	pays  []*pim.Payload    // muPay, sgPay: QueryAllParallel's argument
 	fname string            // cached, so the hot path never fmt.Sprintfs
 	qf    pimbound.FNNQuery // the prepared query's features, read from its memo
 
 	// Steady-state scratch: the QueryAllParallel argument slices and the
-	// dot-product destinations are built once so prepare performs zero
-	// heap allocations per query.
-	pays   []*pim.Payload
-	inputs [][]uint32
-	dsts   [][]int64
+	// dot-product destinations are kept so prepare performs zero heap
+	// allocations per query.
+	inputs [2][]uint32
+	dsts   [2][]int64
 	dotsMu []int64
 	dotsSg []int64
 
-	// lazyStage state: whether a cascade leads with this stage over
-	// digested payloads, the query's group norms against each, whether
-	// the dot arrays hold the digests' upper bounds for the query in
-	// flight, and which rows' ⌊µ⌋ dots tighten has made exact since (a
-	// bitset), with the scratch list of the ones a pass still gathers.
+	// lazyStage state: whether a walk leads with this stage over digested
+	// payloads, the query's group norms against each, whether the dot
+	// arrays hold the digests' upper bounds for the query in flight, and
+	// which rows' ⌊µ⌋ dots tighten has made exact since (a bitset), with
+	// the scratch list of the ones a pass still gathers.
 	lazy       bool
 	loose      bool
 	qdMu, qdSg []uint32
@@ -60,9 +60,11 @@ func newFNNFilter(eng *pim.Engine, data *vec.Matrix, q quant.Quantizer, segs int
 		return nil, err
 	}
 	f.pays = []*pim.Payload{f.muPay, f.sgPay}
-	f.inputs = make([][]uint32, 2)
-	f.dsts = make([][]int64, 2)
 	return f, nil
+}
+
+func (f *fnnFilter) fresh() stage {
+	return &fnnFilter{ix: f.ix, eng: f.eng, muPay: f.muPay, sgPay: f.sgPay, pays: f.pays, fname: f.fname}
 }
 
 func (f *fnnFilter) name() string { return f.fname }
@@ -106,7 +108,7 @@ func (f *fnnFilter) sweep(meter *arch.Meter) error {
 	f.loose = false
 	f.inputs[0], f.inputs[1] = f.qf.MuFloor, f.qf.SigmaFloor
 	f.dsts[0], f.dsts[1] = f.dotsMu, f.dotsSg
-	dsts, err := f.eng.QueryAllParallel(meter, f.fname, f.pays, f.inputs, f.dsts)
+	dsts, err := f.eng.QueryAllParallel(meter, f.fname, f.pays, f.inputs[:], f.dsts[:])
 	if err != nil {
 		return err
 	}
@@ -114,14 +116,13 @@ func (f *fnnFilter) sweep(meter *arch.Meter) error {
 	return nil
 }
 
-func (f *fnnFilter) startLazy() bool {
+func (f *fnnFilter) digested() bool { return f.muPay.DigestDims() > 0 && f.sgPay.DigestDims() > 0 }
+
+func (f *fnnFilter) startLazy() {
+	n := f.ix.N()
 	f.qdMu, f.qdSg = make([]uint32, f.muPay.DigestDims()), make([]uint32, f.sgPay.DigestDims())
-	f.lazy = len(f.qdMu) > 0 && len(f.qdSg) > 0
-	if f.lazy {
-		n := f.ix.N()
-		f.muTight, f.muRows = make([]uint64, (n+63)/64), make([]int, 0, n/tightenShare)
-	}
-	return f.lazy
+	f.muTight, f.muRows = make([]uint64, (n+63)/64), make([]int, 0, n/tightenShare)
+	f.lazy = true
 }
 
 func (f *fnnFilter) isLoose() bool { return f.loose }
@@ -264,6 +265,10 @@ type edStage struct {
 	scale float64   // SM: l; otherwise 1
 	tail  []float64 // OST: ‖p_tail‖ per object
 	qTail float64
+}
+
+func (e *edStage) fresh() stage {
+	return &edStage{edRow: e.edRow.freshRow(), scale: e.scale, tail: e.tail}
 }
 
 // prepare reads the projected query's features from the memo — SM's

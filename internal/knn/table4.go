@@ -42,10 +42,11 @@ func (p *dotPayload) RecordPreprocessing(meter *arch.Meter) {
 
 // dotQuery is one prepared query against a payload: its ⌊q̄⌋ and the dot
 // with every programmed row (a row adds Φ(q̄)). It is apart from the
-// payload so that one payload can have any number of queries in flight: a
-// searcher holds one, kmeans.Assist one per centre. The dots are its own;
-// ⌊q̄⌋ is retained scratch (newQuery), or LB_PIM-ED's, read from the
-// query's memo (edRow).
+// payload so that one payload can have any number of queries in flight:
+// each walk of a cascade holds one, kmeans.Assist one per centre. The dots
+// are its own; ⌊q̄⌋ is retained scratch (newQuery), or LB_PIM-ED's, read
+// from the query's memo (edRow). A cascade's own row, which is never
+// prepared, holds the payload alone.
 type dotQuery struct {
 	*dotPayload
 	floor []uint32

@@ -91,8 +91,8 @@ func TestLBIntoMatchesLB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Search(queries.Row(0), 5, arch.NewMeter()) // prepares every stage
-		stages = append(stages, c.stages...)
+		c.Search(queries.Row(0), 5, arch.NewMeter()) // prepares every stage of a walk
+		stages = append(stages, lastWalk(t, c).stages...)
 	}
 	hasher := lsh.NewHasher(d, 128, 8)
 	hp, err := NewHDPIM(newEngine(t), hasher.HashAll(data), n)
@@ -100,7 +100,7 @@ func TestLBIntoMatchesLB(t *testing.T) {
 		t.Fatal(err)
 	}
 	hp.Search(hasher.HashAll(queries)[0], 5, arch.NewMeter())
-	stages = append(stages, &hp.hdRow)
+	stages = append(stages, lastWalk(t, hp.c).stages[0])
 
 	seen := map[string]bool{}
 	rng := rand.New(rand.NewSource(23))
@@ -189,7 +189,10 @@ func FuzzLBInto(f *testing.F) {
 			ix:       &pimbound.CSIndex{Q: qz, D: s, SumFlr: phi, Norm: other, PhiA: other, PhiB: phi},
 			qf:       pimbound.CSQuery{SumFlr: qPhi, Norm: phi[1], PhiA: phi[1], PhiB: other[0]},
 		}
-		for _, st := range []stage{
+		for _, st := range []interface {
+			lb(i int) float64
+			lbInto(dst []float64)
+		}{
 			&fnnFilter{
 				ix: &pimbound.FNNIndex{Q: qz, Segs: s, L: s%7 + 1, Phi: phi}, fname: "LBPIM-FNN",
 				qf: pimbound.FNNQuery{Phi: qPhi}, dotsMu: dots, dotsSg: rev,
@@ -315,7 +318,7 @@ func TestWalkOrderInvariant(t *testing.T) {
 				got := ap.Search(queries.Row(qi), k, arch.NewMeter())
 				top := vec.NewTopK(k)
 				for i := 0; i < n; i++ {
-					top.Push(i, ap.stages[0].lb(i))
+					top.Push(i, lastWalk(t, ap).stages[0].lb(i))
 				}
 				sameNeighbors(t, what("Approx-PIM", qi), got, top.Results())
 			}
@@ -425,12 +428,12 @@ func TestCeilingMatchesUncapped(t *testing.T) {
 				}
 				name := tc.name
 				if eager {
-					if c.lazy == nil {
+					if !c.lazy {
 						continue
 					}
 					dropLazy(t, c)
 					name += " (eager)"
-				} else if c.lazy != nil {
+				} else if c.lazy {
 					lazies++
 				}
 				add(name, func(qi, k int, ceiling float64) []vec.Neighbor {
@@ -591,7 +594,7 @@ func TestSeedEvent(t *testing.T) {
 	tightened, _ := strconv.Atoi(seed[5])
 	partial, _ := strconv.Atoi(seed[6])
 	if !lazyDot.MatchString(tree) || seed[8] != exitLazy || loose != tightened+partial || tightened == 0 || partial == 0 ||
-		fnnPIM.lazy.nTight > data.N/4 || seed[7] == "0.0" {
+		lastWalk(t, fnnPIM).nTight > data.N/4 || seed[7] == "0.0" {
 		t.Fatalf("a search the digest carried reports loose=%s tightened=%s partial=%s tighten_us=%s exit=%s:\n%s",
 			seed[4], seed[5], seed[6], seed[7], seed[8], tree)
 	}

@@ -21,10 +21,10 @@
 //
 // Every shard is an internal/delta store — on an engine nobody mutates,
 // one with an empty delta and nothing to compact — served through one
-// ShardSource (storeSource). Shard searchers reuse internal
-// buffers, so searches on one shard serialize on the store's per-epoch
-// searcher lock; queries pipeline across shards, which is where batch
-// throughput comes from. A shard whose searcher construction fails
+// ShardSource (storeSource). A shard searcher is safe for concurrent use —
+// an immutable index whose every search runs on scratch of its own — so
+// a store runs any number of visits to its shard at once, and a held visit
+// holds up no other query's. A shard whose searcher construction fails
 // degrades gracefully to the host-side exact scan for that shard —
 // results stay exact, the degradation is reported on every Result, and
 // the engine keeps serving.
@@ -77,7 +77,8 @@ func Variants() []Variant {
 // shardID) on the shard's first build and again on every compaction.
 // Custom factories override Options.Variant (tests use them to force the
 // degraded path; callers can plug in searchers the stock variants don't
-// cover).
+// cover). The searcher must be safe for concurrent use: the shard's store
+// runs every visit on it at once, with no lock around it.
 type Factory func(shard *vec.Matrix, shardID int) (knn.Searcher, error)
 
 // Options configures New.
@@ -442,8 +443,8 @@ type BatchResult struct {
 	Meter *arch.Meter
 }
 
-// Neighbors flattens the per-query neighbor lists (convenience for
-// callers porting from knn.SearchBatch).
+// Neighbors flattens the per-query neighbor lists, for callers that want
+// the answers alone.
 func (b *BatchResult) Neighbors() [][]vec.Neighbor {
 	out := make([][]vec.Neighbor, len(b.Results))
 	for i, r := range b.Results {

@@ -160,3 +160,60 @@ func TestFanOutNoHeadOfLineBlocking(t *testing.T) {
 	p.Close()
 	waitGoroutines(t, before)
 }
+
+// TestHeldSearcherVisitBlocksNoOtherVisit: while one query's visit to
+// shard 0 is held inside that shard's own searcher (an Options.Factory
+// searcher blocking on a channel), a second query over every shard —
+// shard 0 included, through the same delta store and the same base —
+// returns its exact answer; once the hold is released the first query
+// completes exactly too. The deadline only turns a visit that waits for
+// the held one into a failure instead of a hang.
+func TestHeldSearcherVisitBlocksNoOtherVisit(t *testing.T) {
+	const k = 5
+	data, queries := testData(t, 400, 16, 2)
+	want := oracle(data, queries, k)
+	entered, hold := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	e, err := New(data, Options{Shards: 4, Workers: 2, Factory: func(m *vec.Matrix, id int) (knn.Searcher, error) {
+		exact := knn.NewStandard(m)
+		return knn.SearcherFunc("held", func(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
+			if id == 0 && held.CompareAndSwap(false, true) {
+				close(entered)
+				<-hold
+			}
+			return exact.Search(q, k, meter)
+		}), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+
+	type outcome struct {
+		res *Result
+		err error
+	}
+	first := make(chan outcome, 1)
+	go func() {
+		r, err := e.Search(context.Background(), queries.Row(0), k)
+		first <- outcome{r, err}
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	r, err := e.Search(ctx, queries.Row(1), k)
+	if err != nil {
+		t.Fatalf("second query while shard 0's first visit is held: %v", err)
+	}
+	assertExact(t, "second query", r.Neighbors, want[1])
+
+	release()
+	o := <-first
+	if o.err != nil {
+		t.Fatalf("held query: %v", o.err)
+	}
+	assertExact(t, "held query", o.res.Neighbors, want[0])
+}

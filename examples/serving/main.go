@@ -1,8 +1,8 @@
 // Serving: the sharded concurrent query engine.
 //
 // Partitions an MSD-like dataset across shards (one PIM array per
-// shard), serves a concurrent batch of kNN queries through the bounded
-// worker pool, verifies every answer is exactly the sequential linear
+// shard), serves a concurrent batch of kNN queries with a bounded number
+// in flight, verifies every answer is exactly the sequential linear
 // scan's, and demonstrates per-query deadlines and the degraded-shard
 // fallback.
 //
@@ -35,8 +35,9 @@ func main() {
 	}
 
 	// 2. The engine: 4 shards, an FNN-PIM searcher (own PIM array) per
-	// shard, a per-query deadline, and a bounded batch pool — observed:
-	// the Observer collects live metrics and traces one query in eight.
+	// shard, a per-query deadline, and at most Workers batch queries in
+	// flight — observed: the Observer collects live metrics and traces
+	// one query in eight.
 	observer := pimmine.NewObserver(pimmine.ObserverConfig{SampleRate: 8})
 	eng, err := pimmine.NewQueryEngine(ds.X, pimmine.QueryEngineOptions{
 		Shards:       4,

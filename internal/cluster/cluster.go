@@ -96,7 +96,8 @@ type Options struct {
 	VirtualNodes int
 	// Seed perturbs the placement rings (default 1).
 	Seed int64
-	// Workers bounds SearchBatch fan-out (default GOMAXPROCS).
+	// Workers bounds SearchBatch: how many of its queries are in flight
+	// at once (default GOMAXPROCS).
 	Workers int
 	// Factory builds each replica's base searcher (default exact host
 	// scan, knn.NewStandard).
@@ -382,7 +383,7 @@ func (e *Engine) NumNodes() int { return len(e.nodes) }
 // Replicas returns R.
 func (e *Engine) Replicas() int { return e.opts.Replicas }
 
-// Workers returns the batch fan-out width.
+// Workers returns the SearchBatch in-flight bound.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Router returns the optional shard router.
@@ -618,5 +619,5 @@ func (e *Engine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*
 	if queries != nil {
 		e.met.add(e.met.queries, int64(queries.N))
 	}
-	return e.pipe.SearchBatch(ctx, queries, k, route.ModeAuto)
+	return e.pipe.SearchBatch(ctx, queries, k)
 }

@@ -83,7 +83,7 @@ type Config struct {
 }
 
 // Default returns a production-shaped config sized to a worker count:
-// admission at the worker pool's width with an equal wait queue,
+// admission at the batch workers' width with an equal wait queue,
 // shedding at 1×p95, breakers tripping after 8 consecutive fault-hit
 // queries with a 1s cool-down, and a 5% retry budget.
 func Default(workers int) Config {

@@ -28,7 +28,7 @@ import (
 // MutableOptions configures NewMutable.
 type MutableOptions struct {
 	// Options carries the shard count, variant or factory, framework,
-	// capacity, worker pool, resilience and observability wiring, with
+	// capacity, batch workers, resilience and observability wiring, with
 	// the same defaults and meaning as for New; a compaction rebuilds
 	// its shard through the same Factory or variant.
 	Options

@@ -61,12 +61,12 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
-	"pimmine/internal/pool"
 	"pimmine/internal/route"
 	"pimmine/internal/vec"
 )
@@ -130,9 +130,9 @@ type Pipeline struct {
 }
 
 // NewPipeline builds the query path over src for dims-dimensional
-// queries, routed by router when non-nil, with at most workers batch
-// queries in flight — and so at most one parked visit worker for every
-// shard of each of them (NumShards × max(workers, 1)). A non-nil o
+// queries, routed by router when non-nil, with at most workers queries
+// of a SearchBatch in flight — and so at most one parked visit worker
+// for every shard of each of them (NumShards × max(workers, 1)). A non-nil o
 // registers the pipeline's metrics and samples its traces.
 func NewPipeline(src ShardSource, dims int, router *route.Router, workers int, o *obs.Observer) *Pipeline {
 	n := src.NumShards()
@@ -283,43 +283,57 @@ func (p *Pipeline) Search(ctx context.Context, q []float64, k int, mode route.Mo
 		Degraded: p.src.Degraded(), BreakerOpen: rerouted, Routed: info}, nil
 }
 
-// SearchBatch answers a whole query matrix through a bounded worker
-// pool: at most workers queries are in flight at once, each a full
-// Search (lease, admission and all), so shards stay busy while no single
-// batch monopolizes the engine. An empty batch is an empty result.
-// Cancellation of ctx (or a per-query deadline) aborts the batch with the
-// context's error, and a failed query fails the batch (each worker's
-// first failure is joined). Results are deterministic and identical to
-// issuing the queries sequentially.
-func (p *Pipeline) SearchBatch(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
+// SearchBatch answers a whole query matrix with at most workers queries
+// in flight: each worker claims the next query and runs a full Search on
+// it (lease, admission and all), so shards stay busy while no single
+// batch monopolizes the engine. An empty batch is an empty result. A
+// worker stops when ctx is done or at its own first failure; the batch
+// then fails with ctx's error joined to every worker's first failure (a
+// per-query deadline surfaces as one). Results are in query order and
+// identical to issuing the queries sequentially.
+func (p *Pipeline) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*BatchResult, error) {
 	res := &BatchResult{Meter: arch.NewMeter()}
 	if queries == nil || queries.N == 0 {
 		return res, nil
 	}
-	res.Results = make([]*Result, queries.N)
-	// Batch queue-depth accounting: jobs enter the gauge on submission and
-	// leave exactly once each — when a worker picks them up (JobStart) or
-	// when cancellation/failure drains them (JobSkip). The pool guarantees
-	// one of the two fires per job, so the gauge returns to its prior value
-	// on every exit path.
-	var hooks pool.Hooks
-	if p.eobs != nil {
-		p.eobs.queueDepth.Add(int64(queries.N))
-		dec := func(int) { p.eobs.queueDepth.Add(-1) }
-		hooks.JobStart = dec
-		hooks.JobSkip = dec
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	err := pool.RunHooked(ctx, queries.N, p.workers, func(int) (pool.Worker, error) {
-		return func(qi int) error {
-			r, err := p.Search(ctx, queries.Row(qi), k, mode)
-			if err != nil {
-				return fmt.Errorf("serve: query %d: %w", qi, err)
+	n := queries.N
+	res.Results = make([]*Result, n)
+	// Queue depth: the batch enters the gauge whole and each query leaves
+	// it once — when a worker claims it, or unclaimed after the workers
+	// stop — so the gauge returns to its prior value on every exit path.
+	depth := func(int64) {}
+	if p.eobs != nil {
+		depth = p.eobs.queueDepth.Add
+	}
+	depth(int64(n))
+	var next atomic.Int64
+	errs := make([]error, min(max(p.workers, 1), n))
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				qi := int(next.Add(1) - 1)
+				if qi >= n {
+					return
+				}
+				depth(-1)
+				r, err := p.Search(ctx, queries.Row(qi), k, route.ModeAuto)
+				if err != nil {
+					errs[w] = fmt.Errorf("serve: query %d: %w", qi, err)
+					return
+				}
+				res.Results[qi] = r
 			}
-			res.Results[qi] = r
-			return nil
-		}, nil
-	}, hooks)
-	if err != nil {
+		}()
+	}
+	wg.Wait()
+	depth(-int64(n - min(int(next.Load()), n)))
+	if err := errors.Join(append([]error{ctx.Err()}, errs...)...); err != nil {
 		return nil, err
 	}
 	for _, r := range res.Results {
@@ -519,7 +533,7 @@ func (p *Pipeline) noteRouted(root *obs.Span, info *RouteInfo, routeDur time.Dur
 // deliver and move on, even when the query gave up on its deadline; a
 // visit whose ctx is already done is skipped but still delivers. Every
 // shard's outcome is collected before failing: the caller sees each
-// failed shard joined in shard order (the pool's errors.Join discipline;
+// failed shard joined in shard order (errors.Join;
 // the placement layer's quorum accounting depends on seeing them all),
 // not whichever one lost the race.
 func (p *Pipeline) fanOut(ctx context.Context, root *obs.Span, q []float64, k int, ceiling float64, ids []int) ([]shardOut, error) {

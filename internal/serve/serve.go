@@ -95,8 +95,8 @@ type Options struct {
 	// divided evenly across shards (each shard's integer vectors must fit
 	// its own crossbar budget); defaults to the dataset's N.
 	CapacityN int
-	// Workers bounds the batch worker pool (how many queries are in
-	// flight at once); defaults to GOMAXPROCS.
+	// Workers bounds SearchBatch: how many of its queries are in flight
+	// at once; defaults to GOMAXPROCS.
 	Workers int
 	// QueryTimeout, when positive, is the per-query deadline applied on
 	// top of the caller's context.
@@ -130,7 +130,7 @@ type Options struct {
 	// and shed queries return typed errors (resilience.ErrOverloaded,
 	// resilience.ErrShedDeadline); admitted queries always return exact
 	// results. When MaxConcurrent is set, Workers is clamped to it so a
-	// batch cannot reject its own jobs.
+	// batch cannot reject its own queries.
 	Resilience *resilience.Config
 }
 
@@ -217,8 +217,8 @@ func (o *Options) defaults(n, d int) (*engineResilience, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A batch must not reject its own jobs: the worker pool is the
-	// batch's admission, so it never outnumbers the concurrency cap.
+	// A batch must not reject its own queries: its workers are the
+	// batch's admission, so they never outnumber the concurrency cap.
 	if mc := o.Resilience.MaxConcurrent; mc > 0 && o.Workers > mc {
 		o.Workers = mc
 	}
@@ -358,7 +358,7 @@ func (e *Engine) Rows() int {
 	return total
 }
 
-// Workers returns the batch worker-pool width in effect.
+// Workers returns the SearchBatch in-flight bound in effect.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Router returns the attached shard router (nil when unrouted).
@@ -458,11 +458,5 @@ func (b *BatchResult) Neighbors() [][]vec.Neighbor {
 // SearchBatch answers a whole query matrix with at most Options.Workers
 // queries in flight at once (see Pipeline.SearchBatch).
 func (e *Engine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*BatchResult, error) {
-	return e.pipe.SearchBatch(ctx, queries, k, route.ModeAuto)
-}
-
-// SearchBatchMode is SearchBatch with an explicit routing mode (see
-// SearchMode).
-func (e *Engine) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
-	return e.pipe.SearchBatch(ctx, queries, k, mode)
+	return e.pipe.SearchBatch(ctx, queries, k)
 }

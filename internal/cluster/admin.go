@@ -237,9 +237,9 @@ const (
 // query issued at any point between steps can always be answered")
 // holds even against concurrent mutation.
 
-// killNodeIfSafe kills node id iff it is not already down and (force or
-// quorum-safe).
-func (e *Engine) killNodeIfSafe(id int, force bool) (disableResult, error) {
+// killNodeIfSafe kills node id iff it is not already down and
+// quorum-safe.
+func (e *Engine) killNodeIfSafe(id int) (disableResult, error) {
 	unlock, err := e.w.Lock()
 	if err != nil {
 		return 0, err
@@ -252,15 +252,15 @@ func (e *Engine) killNodeIfSafe(id int, force bool) (disableResult, error) {
 	if n.state.Load() == nodeDown {
 		return disableRedundant, nil
 	}
-	if !force && !e.canDisable(id) {
+	if !e.canDisable(id) {
 		return disableUnsafe, nil
 	}
 	e.killLocked(n)
 	return disableApplied, nil
 }
 
-// pauseNodeIfSafe pauses node id iff it is up and (force or quorum-safe).
-func (e *Engine) pauseNodeIfSafe(id int, force bool) (disableResult, error) {
+// pauseNodeIfSafe pauses node id iff it is up and quorum-safe.
+func (e *Engine) pauseNodeIfSafe(id int) (disableResult, error) {
 	unlock, err := e.w.Lock()
 	if err != nil {
 		return 0, err
@@ -273,7 +273,7 @@ func (e *Engine) pauseNodeIfSafe(id int, force bool) (disableResult, error) {
 	if n.state.Load() != nodeUp {
 		return disableRedundant, nil
 	}
-	if !force && !e.canDisable(id) {
+	if !e.canDisable(id) {
 		return disableUnsafe, nil
 	}
 	n.state.Store(nodePaused)
@@ -282,8 +282,8 @@ func (e *Engine) pauseNodeIfSafe(id int, force bool) (disableResult, error) {
 }
 
 // severCoordLinkIfSafe severs the coordinator->id link iff it is intact,
-// the node is up, and (force or quorum-safe).
-func (e *Engine) severCoordLinkIfSafe(id int, force bool) (disableResult, error) {
+// the node is up, and quorum-safe.
+func (e *Engine) severCoordLinkIfSafe(id int) (disableResult, error) {
 	unlock, err := e.w.Lock()
 	if err != nil {
 		return 0, err
@@ -296,7 +296,7 @@ func (e *Engine) severCoordLinkIfSafe(id int, force bool) (disableResult, error)
 	if !e.reachable(-1, id) {
 		return disableRedundant, nil
 	}
-	if n.state.Load() != nodeUp || (!force && !e.canDisable(id)) {
+	if n.state.Load() != nodeUp || !e.canDisable(id) {
 		return disableUnsafe, nil
 	}
 	e.links[0][id+1].Store(false)

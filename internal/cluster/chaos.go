@@ -14,7 +14,7 @@ import (
 // choice comes from the seeded generator and the engine's state evolves
 // only through the steps themselves.
 //
-// Chaos is safety-bounded by default: it refuses any step that would
+// Chaos is safety-bounded: it refuses any step that would
 // leave some shard without a live, current replica, so a query issued
 // at any point between steps can always be answered — which is what
 // lets the race hammer exactness-verify every success. The quorum check
@@ -36,9 +36,6 @@ type Chaos struct {
 type ChaosConfig struct {
 	// MaxSlow bounds injected per-visit dwell (default 2ms).
 	MaxSlow time.Duration
-	// AllowTotalLoss disables the quorum safety check, letting chaos
-	// kill a shard's last replica (for tests exercising ErrNoQuorum).
-	AllowTotalLoss bool
 }
 
 // NewChaos builds a harness over eng with a seeded schedule.
@@ -85,7 +82,7 @@ func (c *Chaos) apply(op, target int) string {
 	e := c.eng
 	switch op {
 	case 0: // kill
-		res, err := e.killNodeIfSafe(target, c.cfg.AllowTotalLoss)
+		res, err := e.killNodeIfSafe(target)
 		switch {
 		case err != nil:
 			return fmt.Sprintf("kill node%d failed: %v", target, err)
@@ -108,7 +105,7 @@ func (c *Chaos) apply(op, target int) string {
 		}
 		return fmt.Sprintf("restore node%d, repair shipped %d", target, ships)
 	case 2: // pause
-		res, err := e.pauseNodeIfSafe(target, c.cfg.AllowTotalLoss)
+		res, err := e.pauseNodeIfSafe(target)
 		switch {
 		case err != nil:
 			return fmt.Sprintf("pause node%d failed: %v", target, err)
@@ -127,7 +124,7 @@ func (c *Chaos) apply(op, target int) string {
 		}
 		return fmt.Sprintf("unpause node%d", target)
 	case 4: // asymmetric partition: sever coordinator -> target
-		res, err := e.severCoordLinkIfSafe(target, c.cfg.AllowTotalLoss)
+		res, err := e.severCoordLinkIfSafe(target)
 		switch {
 		case err != nil:
 			return fmt.Sprintf("partition node%d failed: %v", target, err)

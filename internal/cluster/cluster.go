@@ -82,6 +82,16 @@ const (
 // The searcher must be safe for concurrent use (see delta.Factory).
 type Factory = delta.Factory
 
+const (
+	// virtualNodes is how many points each member takes on a placement
+	// ring.
+	virtualNodes = 16
+	// linkGBs prices inter-node snapshot shipping, in GB/s == bytes/ns: a
+	// 100 Gb/s fabric, deliberately slower than arch.Config.InternalBusGBs
+	// (crossing nodes costs more than crossing a bus).
+	linkGBs = 12.5
+)
+
 // Options configures a cluster engine.
 type Options struct {
 	// Nodes is the simulated PIM node count (default 4).
@@ -92,8 +102,6 @@ type Options struct {
 	// Shards partitions the id space (default Nodes, clamped to the row
 	// count as serve.Options.Shards is).
 	Shards int
-	// VirtualNodes per ring member (default 16).
-	VirtualNodes int
 	// Seed perturbs the placement rings (default 1).
 	Seed int64
 	// Workers bounds SearchBatch: how many of its queries are in flight
@@ -108,11 +116,6 @@ type Options struct {
 	// Breaker configures the per-node circuit breakers; the zero value
 	// disables them.
 	Breaker resilience.BreakerConfig
-	// LinkGBs prices inter-node snapshot shipping, in GB/s == bytes/ns
-	// (default 12.5, i.e. a 100 Gb/s fabric — deliberately slower than
-	// arch.Config.InternalBusGBs: crossing nodes costs more than
-	// crossing a bus).
-	LinkGBs float64
 	// MaxDelta / MaxTombstoneRatio configure each replica's delta store
 	// (defaults 256 / 0.25).
 	MaxDelta          int
@@ -212,7 +215,7 @@ type ShipStats struct {
 	Ships int
 	// Bytes is total encoded PIMSNAP1 bytes moved between nodes.
 	Bytes int64
-	// ModeledNs is the transfer time those bytes cost at LinkGBs.
+	// ModeledNs is the transfer time those bytes cost at linkGBs.
 	ModeledNs float64
 }
 
@@ -249,9 +252,6 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if opts.Shards > data.N {
 		opts.Shards = data.N
 	}
-	if opts.VirtualNodes <= 0 {
-		opts.VirtualNodes = 16
-	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -262,9 +262,6 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 		opts.Factory = func(base *vec.Matrix, _ int) (knn.Searcher, error) {
 			return knn.NewStandard(base), nil
 		}
-	}
-	if opts.LinkGBs <= 0 {
-		opts.LinkGBs = 12.5
 	}
 	if opts.MaxDelta <= 0 {
 		opts.MaxDelta = 256
@@ -303,8 +300,8 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 		}
 	}
 
-	nodeRing := newRing(opts.Nodes, opts.VirtualNodes, opts.Seed)
-	e.idRing = newRing(opts.Shards, opts.VirtualNodes, opts.Seed+1)
+	nodeRing := newRing(opts.Nodes, virtualNodes, opts.Seed)
+	e.idRing = newRing(opts.Shards, virtualNodes, opts.Seed+1)
 
 	e.shards = make([]*cshard, opts.Shards)
 	for id, ids := range place {

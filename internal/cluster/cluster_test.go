@@ -238,7 +238,7 @@ func TestRepairRestoresReplicationAfterKill(t *testing.T) {
 	if st.Ships != ships || st.Bytes <= 0 || st.ModeledNs <= 0 {
 		t.Fatalf("ship stats %+v inconsistent with %d ships", st, ships)
 	}
-	// Transfer is priced at LinkGBs GB/s == bytes/ns.
+	// Transfer is priced at 12.5 GB/s == bytes/ns.
 	wantNs := float64(st.Bytes) / 12.5
 	if math.Abs(st.ModeledNs-wantNs) > 1e-6*wantNs {
 		t.Fatalf("modeled ns %v, want %v", st.ModeledNs, wantNs)

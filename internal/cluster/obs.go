@@ -42,7 +42,7 @@ func newMetrics(o *obs.Observer, nodes int) *metrics {
 	m.rebalances = reg.Counter("pim_cluster_rebalances_total", "Endurance-leveling replica moves.")
 	m.ships = reg.Counter("pim_cluster_ship_total", "Snapshots shipped between nodes.")
 	m.shipBytes = reg.Counter("pim_cluster_ship_bytes_total", "Encoded PIMSNAP1 bytes shipped between nodes.")
-	m.shipNs = reg.Counter("pim_cluster_ship_ns_total", "Modeled inter-node transfer time at LinkGBs, in ns.")
+	m.shipNs = reg.Counter("pim_cluster_ship_ns_total", "Modeled inter-node transfer time over a 12.5 GB/s link, in ns.")
 	m.upGauge = reg.Gauge("pim_cluster_nodes_up", "Nodes currently up.")
 	m.wear = make([]*obs.Gauge, nodes)
 	for i := range m.wear {

@@ -13,7 +13,7 @@ import (
 // writes to disk, so a shipped replica is byte-for-byte the image a
 // crash recovery would install. The transfer is priced like any other
 // data movement in this repo: bytes over a link running at
-// Options.LinkGBs (GB/s == bytes/ns), accumulated in ShipStats and the
+// linkGBs (GB/s == bytes/ns), accumulated in ShipStats and the
 // pim_cluster_ship_* metrics. Installing the image programs the target
 // node's crossbars, so the target's wear counter advances — which is
 // exactly what Repair and Rebalance consult to pick the least-worn
@@ -46,7 +46,7 @@ func (e *Engine) shipLocked(sh *cshard, src *replica, dst *node) (*replica, erro
 		return nil, fmt.Errorf("cluster: install shard %d on node %d: %w", sh.id, dst.id, err)
 	}
 	bytes := int64(len(img))
-	ns := float64(bytes) / e.opts.LinkGBs
+	ns := float64(bytes) / linkGBs
 	e.shipMu.Lock()
 	e.ship.Ships++
 	e.ship.Bytes += bytes

@@ -14,9 +14,6 @@ type Stats struct {
 	DeltaRows  int
 	Tombstones int
 	LiveRows   int
-	// ChosenS is the Theorem 4 compressed dimensionality of the current
-	// base image (0 for host-only factories).
-	ChosenS int
 	// Compactions / CompactionFailures count finished compaction
 	// attempts; LastCompactionS and MaxPauseS time the mutation stall
 	// each one caused.
@@ -24,9 +21,6 @@ type Stats struct {
 	CompactionFailures int
 	LastCompactionS    float64
 	MaxPauseS          float64
-	// Endurance is the wear-leveling ledger snapshot, nil when the store
-	// runs without endurance metering.
-	Endurance *LedgerStats
 }
 
 // Stats snapshots the store's counters. It does not take the mutation
@@ -41,29 +35,15 @@ func (st *Store) Stats() Stats {
 	out.DeltaRows = len(sn.deltaIDs)
 	out.Tombstones = len(sn.tomb)
 	out.LiveRows = out.BaseRows - out.Tombstones + out.DeltaRows
-	out.ChosenS = sn.base.s
-	if st.opts.Ledger != nil {
-		ls := st.opts.Ledger.Stats()
-		out.Endurance = &ls
-	}
 	return out
 }
 
-// needsCompaction reports whether any compaction trigger has tripped:
-// delta fill, tombstone ratio, or modeled per-query delta cost.
+// needsCompaction reports whether a compaction trigger has tripped:
+// delta fill or tombstone ratio.
 func (st *Store) needsCompaction(sn *snapshot) bool {
-	if len(sn.deltaIDs) >= st.opts.MaxDelta {
-		return true
-	}
-	if n := len(sn.base.ids); n > 0 &&
-		float64(len(sn.tomb)) > st.opts.MaxTombstoneRatio*float64(n) {
-		return true
-	}
-	if st.opts.MaxQueryCost > 0 &&
-		knn.DeltaCost(len(sn.deltaIDs), st.d, len(sn.tomb)) > st.opts.MaxQueryCost {
-		return true
-	}
-	return false
+	n := len(sn.base.ids)
+	return len(sn.deltaIDs) >= st.opts.MaxDelta ||
+		(n > 0 && float64(len(sn.tomb)) > st.opts.MaxTombstoneRatio*float64(n))
 }
 
 // maybeCompact starts one background compaction when AutoCompact is on
@@ -92,18 +72,16 @@ func (st *Store) maybeCompact() {
 //
 //  1. materialize the live rows (base minus tombstones, merged with the
 //     delta in ascending id order),
-//  2. re-run Theorem 4's dimension selection against the new occupancy
-//     and price the image in crossbar tiles,
-//  3. acquire least-worn tiles from the wear-leveling ledger — refusing
-//     with ErrEndurance when the write budget is spent,
-//  4. build the new searcher and atomically swap the snapshot,
-//  5. retire the old epoch; its tiles free once the last pinned reader
-//     drains.
+//  2. build the new searcher through the Factory, sized for
+//     max(CapacityRows, live rows) so Theorem 4's dimension selection
+//     follows the new occupancy,
+//  3. atomically swap the snapshot.
 //
 // Queries never block: they either hold the old epoch (still fully
-// resident) or pick up the new one. A nil meter is allowed; otherwise
-// the modeled re-programming cost is recorded by searchers implementing
-// knn.Preprocessor.
+// resident) or pick up the new one. A failed build returns its error,
+// counts in Stats.CompactionFailures and keeps the old epoch serving. A
+// nil meter is allowed; otherwise the modeled re-programming cost is
+// recorded by searchers implementing knn.Preprocessor.
 func (st *Store) Compact(meter *arch.Meter) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -133,16 +111,13 @@ func (st *Store) Compact(meter *arch.Meter) error {
 			p.RecordPreprocessing(meter)
 		}
 	}
-	old := sn.base
 	st.newSnap(base, nil, nil, nil)
-	old.retire()
 	st.statsMu.Lock()
 	st.stats.Compactions++
 	st.stats.LastCompactionS = elapsed
 	if elapsed > st.stats.MaxPauseS {
 		st.stats.MaxPauseS = elapsed
 	}
-	st.stats.ChosenS = base.s
 	st.statsMu.Unlock()
 	st.opts.Metrics.compactionDone(elapsed)
 	if st.opts.OnCompact != nil {

@@ -5,23 +5,16 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pimmine/internal/arch"
+	"pimmine/internal/knn"
 	"pimmine/internal/obs"
-	"pimmine/internal/pim"
+	"pimmine/internal/vec"
 )
-
-// testModel is a small Theorem 4 model so tile pricing is a handful of
-// crossbars, not thousands.
-func testModel() *pim.CapacityModel {
-	return &pim.CapacityModel{
-		M: 64, CellBits: 2, OperandBits: 32,
-		Crossbars: 4096, Utilization: 0.5,
-	}
-}
 
 func TestCompactFoldsDeltaAndTombstones(t *testing.T) {
 	t.Parallel()
@@ -105,84 +98,145 @@ func TestCompactRefusesEmpty(t *testing.T) {
 	}
 }
 
-// TestCompactionEnduranceBudgetProperty is the acceptance-criteria
-// property test: across random mutate/compact schedules, no crossbar
-// tile is ever programmed past its configured write-cycle budget, and
-// once the array is spent further compactions are refused with
-// ErrEndurance while queries stay exact.
-func TestCompactionEnduranceBudgetProperty(t *testing.T) {
+// TestFailedCompactionKeepsOldEpoch builds a store whose Factory fails on
+// its second build. That compaction must return the factory's error, count
+// in Stats and in pim_delta_compaction_failures_total, and leave the old
+// epoch serving every query to the bit; the next build is healthy, and its
+// compaction must fold the delta as usual.
+func TestFailedCompactionKeepsOldEpoch(t *testing.T) {
 	t.Parallel()
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(100 + int64(trial)))
-		model := testModel()
-		const budget = 3
-		tiles := 2 + rng.Intn(6)
-		ledger, err := NewLedger(tiles, budget)
-		if err != nil {
+	rng := rand.New(rand.NewSource(16))
+	errDead := errors.New("dead crossbars")
+	builds := 0
+	factory := func(m *vec.Matrix, _ int) (knn.Searcher, error) {
+		if builds++; builds == 2 {
+			return nil, errDead
+		}
+		return knn.NewStandard(m), nil
+	}
+	reg := obs.NewRegistry()
+	metrics := NewMetrics(reg)
+	st, err := New(randMatrix(rng, 30, 4), Options{Factory: factory, Metrics: metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 6; i++ {
+		if _, err := st.Insert(randVec(rng, 4)); err != nil {
 			t.Fatal(err)
 		}
-		st, err := New(randMatrix(rng, 20, 4), Options{
-			Factory: hostFactory,
-			Ledger:  ledger,
-			Model:   model,
-			// One image of 20..40 rows at s=4 costs 1 data crossbar
-			// (×2 payloads); leave thresholds out of the way.
-			MaxDelta:         1 << 20,
-			VectorsPerObject: 1,
-		})
-		if errors.Is(err, ErrEndurance) {
-			continue // tiny ledger cannot even hold the initial image
-		}
-		if err != nil {
+	}
+	for _, id := range []int{2, 9, 31} {
+		if err := st.Delete(id); err != nil {
 			t.Fatal(err)
 		}
-		spent := false
-		for step := 0; step < 40; step++ {
-			switch rng.Intn(3) {
-			case 0:
-				if _, err := st.Insert(randVec(rng, 4)); err != nil {
-					t.Fatal(err)
-				}
-			case 1:
-				_, ids := st.Materialize()
-				if len(ids) > 5 {
-					if err := st.Delete(ids[rng.Intn(len(ids))]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 2:
-				err := st.Compact(nil)
-				if err != nil && !errors.Is(err, ErrEndurance) {
-					t.Fatal(err)
-				}
-				if errors.Is(err, ErrEndurance) {
-					spent = true
-					if fails := st.Stats().CompactionFailures; fails == 0 {
-						t.Fatal("refused compaction not counted as failure")
-					}
-				}
+	}
+	queries := make([][]float64, 8)
+	before := make([][]vec.Neighbor, len(queries))
+	for i := range queries {
+		queries[i] = randVec(rng, 4)
+		if before[i], err = st.Search(context.Background(), queries[i], 7, math.Inf(1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameBits := func(when string) {
+		t.Helper()
+		for i, q := range queries {
+			got, err := st.Search(context.Background(), q, 7, math.Inf(1), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if s := ledger.Stats(); s.MaxWear > budget {
-				t.Fatalf("trial %d step %d: wear %d exceeds budget %d", trial, step, s.MaxWear, budget)
+			if len(got) != len(before[i]) {
+				t.Fatalf("%s, query %d: %d neighbors, want %d", when, i, len(got), len(before[i]))
 			}
-			// Queries stay exact regardless of endurance state.
-			if step%10 == 9 {
-				q := randVec(rng, 4)
-				got, err := st.Search(context.Background(), q, 3, math.Inf(1), nil)
-				if err != nil {
-					t.Fatal(err)
+			for r := range got {
+				if got[r].Index != before[i][r].Index || math.Float64bits(got[r].Dist) != math.Float64bits(before[i][r].Dist) {
+					t.Fatalf("%s, query %d row %d: %+v, want %+v", when, i, r, got[r], before[i][r])
 				}
-				assertSameNeighbors(t, got, refSearch(st, q, 3), "endurance churn")
 			}
 		}
-		if spent {
-			// Once refused, the budget must genuinely be unable to host
-			// a fresh image while the current one is held.
-			if err := st.Compact(nil); err == nil {
-				t.Fatal("compaction succeeded after the array was reported spent")
+	}
+	epoch := st.Epoch()
+
+	if err := st.Compact(nil); !errors.Is(err, errDead) {
+		t.Fatalf("compaction over a failing build: err = %v, want %v", err, errDead)
+	}
+	s := st.Stats()
+	if s.CompactionFailures != 1 || s.Compactions != 0 {
+		t.Fatalf("after the failed build: %d failures, %d compactions; want 1, 0", s.CompactionFailures, s.Compactions)
+	}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "pim_delta_compaction_failures_total 1\n") {
+		t.Fatalf("exposition lacks the failure count:\n%s", text.String())
+	}
+	if st.Epoch() != epoch || s.DeltaRows != 5 || s.Tombstones != 2 {
+		t.Fatalf("a failed build moved the epoch: epoch %d -> %d, %+v", epoch, st.Epoch(), s)
+	}
+	sameBits("after the failed build")
+
+	if err := st.Compact(nil); err != nil {
+		t.Fatalf("healthy compaction after a failed one: %v", err)
+	}
+	s = st.Stats()
+	if s.Compactions != 1 || s.CompactionFailures != 1 || s.DeltaRows != 0 || s.Tombstones != 0 {
+		t.Fatalf("after the healthy build: %+v", s)
+	}
+	if metrics.Compactions.Value() != 1 || metrics.CompactionFailures.Value() != 1 {
+		t.Fatalf("counters after the healthy build: %d compactions, %d failures",
+			metrics.Compactions.Value(), metrics.CompactionFailures.Value())
+	}
+	sameBits("after the healthy build")
+}
+
+// TestCompactionGrowsCapacityN pins the sizing cardinality each build is
+// handed: CapacityRows while the rows fit under it, the live row count once
+// inserts pass it, so a PIM factory's Theorem 4 choice follows occupancy.
+func TestCompactionGrowsCapacityN(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(13))
+	var capacities []int
+	factory := func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+		capacities = append(capacities, capacityN)
+		return knn.NewStandard(m), nil
+	}
+	st, err := New(randMatrix(rng, 20, 8), Options{Factory: factory, CapacityRows: 40, MaxDelta: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	grow := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := st.Insert(randVec(rng, 8)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		st.Close()
+		if err := st.Compact(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grow(10) // 30 live rows, under CapacityRows
+	grow(30) // 60 live rows, past it
+	if err := st.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{40, 40, 60, 59}
+	if len(capacities) != len(want) {
+		t.Fatalf("capacityN per build = %v, want %v", capacities, want)
+	}
+	for i := range want {
+		if capacities[i] != want[i] {
+			t.Fatalf("capacityN per build = %v, want %v", capacities, want)
+		}
+	}
+	if live := st.Stats().LiveRows; live != 59 {
+		t.Fatalf("live rows = %d, want 59", live)
 	}
 }
 
@@ -218,51 +272,13 @@ func TestAutoCompactTriggers(t *testing.T) {
 	assertSameNeighbors(t, got, refSearch(st, q, 5), "after auto-compact")
 }
 
-func TestCompactionChoosesTheorem4S(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(13))
-	model := testModel()
-	st, err := New(randMatrix(rng, 50, 8), Options{
-		Factory:          hostFactory,
-		Model:            model,
-		VectorsPerObject: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	wantS := model.ChooseS(50, pim.Divisors(8), 2)
-	if got := st.Stats().ChosenS; got != wantS {
-		t.Fatalf("initial ChosenS = %d, want %d", got, wantS)
-	}
-	// Grow occupancy past CapacityRows; the rebuild re-runs ChooseS
-	// against the larger cardinality.
-	for i := 0; i < 30; i++ {
-		if _, err := st.Insert(randVec(rng, 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Compact(nil); err != nil {
-		t.Fatal(err)
-	}
-	wantS = model.ChooseS(80, pim.Divisors(8), 2)
-	if got := st.Stats().ChosenS; got != wantS {
-		t.Fatalf("post-growth ChosenS = %d, want %d", got, wantS)
-	}
-}
-
 func TestMetricsPublished(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(14))
 	reg := obs.NewRegistry()
 	metrics := NewMetrics(reg)
-	ledger, err := NewLedger(64, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := New(randMatrix(rng, 20, 4), Options{
 		Factory: hostFactory,
-		Ledger:  ledger,
 		Metrics: metrics,
 	})
 	if err != nil {
@@ -278,7 +294,6 @@ func TestMetricsPublished(t *testing.T) {
 	if metrics.DeltaRows.Value() != 1 || metrics.Tombstones.Value() != 1 {
 		t.Fatalf("gauges = %d, %d", metrics.DeltaRows.Value(), metrics.Tombstones.Value())
 	}
-	before := metrics.EnduranceRemaining.Value()
 	if err := st.Compact(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +305,6 @@ func TestMetricsPublished(t *testing.T) {
 	}
 	if metrics.DeltaRows.Value() != 0 || metrics.Tombstones.Value() != 0 {
 		t.Fatal("gauges not reset after compaction")
-	}
-	if after := metrics.EnduranceRemaining.Value(); after >= before {
-		t.Fatalf("endurance remaining did not drop: %d -> %d", before, after)
 	}
 }
 

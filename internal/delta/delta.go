@@ -1,3 +1,18 @@
+// Package delta implements the mutable-index subsystem: an LSM-style
+// split between the immutable crossbar-resident base index and a small
+// host-side delta buffer absorbing inserts, updates and deletes.
+//
+// ReRAM writes are the scarce resource (§V-C; the UPMEM studies
+// arXiv:2207.07886 and arXiv:2205.14647 both identify host→PIM (re)loads
+// as the dominant cost), so mutations never touch the crossbars:
+// inserted and updated vectors live in host memory as exact floats and
+// are brute-force searched into every query's candidate set, while
+// deleted and updated rows that still occupy crossbar cells are masked
+// by tombstones. A compactor folds the delta back into a freshly
+// quantized, freshly programmed base image only when a threshold trips.
+// Queries stay exact and lock-free throughout via epoch snapshots: a
+// query loads the current one and runs it to the end, and an epoch no
+// query holds any more is left to the garbage collector.
 package delta
 
 import (
@@ -10,7 +25,6 @@ import (
 	"pimmine/internal/arch"
 	"pimmine/internal/bound"
 	"pimmine/internal/knn"
-	"pimmine/internal/pim"
 	"pimmine/internal/quant"
 	"pimmine/internal/vec"
 )
@@ -28,14 +42,14 @@ var (
 )
 
 // Factory builds the base searcher over a compacted matrix. The searcher
-// must be safe for concurrent use: every query that pins the epoch runs it,
-// with no lock around it. capacityN is
-// the Theorem 4 sizing cardinality for PIM factories (each rebuild
+// must be safe for concurrent use: every query that loads the epoch runs
+// it, with no lock around it. capacityN is the Theorem 4 sizing
+// cardinality for PIM factories, max(CapacityRows, rows) (each rebuild
 // re-runs ChooseS against it, so the compressed dimensionality adapts
-// when occupancy changes); host factories may ignore it. A fresh
+// when occupancy grows); host factories may ignore it. A fresh
 // pim.Engine must be created per call — re-programming an existing
-// payload name is rejected by the engine precisely because it burns
-// endurance outside the ledger's accounting.
+// payload name is rejected by the engine, because a payload is
+// programmed once (§V-C).
 type Factory func(base *vec.Matrix, capacityN int) (knn.Searcher, error)
 
 // Options configures New.
@@ -51,22 +65,6 @@ type Options struct {
 	// fraction of base rows (default 0.25): dead rows still burn base
 	// search work because queries over-fetch k+tombstones candidates.
 	MaxTombstoneRatio float64
-	// MaxQueryCost triggers compaction when knn.DeltaCost's modeled
-	// per-query overhead of the delta+tombstones exceeds this value
-	// (0 disables the cost trigger).
-	MaxQueryCost float64
-	// Ledger, when non-nil, meters programming cycles: every compaction
-	// (and the initial build) must acquire tiles for the new image and
-	// is refused with ErrEndurance when the array is spent.
-	Ledger *Ledger
-	// Model, when non-nil, prices a base image in crossbar tiles
-	// (Theorem 4) for the ledger and records the chosen compressed
-	// dimensionality in Stats. Required if Ledger is set alongside a
-	// PIM factory; when nil, each image is charged a single tile.
-	Model *pim.CapacityModel
-	// VectorsPerObject is Theorem 4's payload replication factor
-	// (default 2, the µ and σ payloads of LB_PIM-FNN).
-	VectorsPerObject int
 	// CapacityRows floors the Theorem 4 sizing cardinality so the
 	// compressed dimensionality does not thrash when occupancy
 	// fluctuates (default: the initial dataset's N).
@@ -81,8 +79,8 @@ type Options struct {
 	// directory, and the caller must not modify it afterwards.
 	IDs []int
 	// Metrics, when wired (see NewMetrics), publishes delta fill,
-	// tombstone count, compaction counters/latency and remaining
-	// endurance budget to an obs registry.
+	// tombstone count and compaction counters/latency to an obs
+	// registry.
 	Metrics Metrics
 	// OnCompact, when non-nil, is invoked at the end of every successful
 	// compaction with the freshly materialized live base image (rows in
@@ -111,43 +109,9 @@ type Options struct {
 type baseIndex struct {
 	data *vec.Matrix
 	ids  []int // ascending; ids[local] = global id
-	s    int   // Theorem 4 compressed dimensionality (0 = host/unknown)
 
 	searcher knn.Searcher
 	host     *knn.Standard // SearchHost's exact scan over the same rows
-
-	ledger *Ledger
-	tiles  []int
-
-	refs     atomic.Int64 // pinned readers
-	retired  atomic.Bool  // no longer the live epoch
-	released atomic.Bool  // tiles handed back (exactly once)
-}
-
-// unref drops a reader pin; the last reader of a retired epoch returns
-// its tiles to the ledger.
-func (b *baseIndex) unref() {
-	if b.refs.Add(-1) == 0 && b.retired.Load() {
-		b.release()
-	}
-}
-
-// retire marks the epoch dead (called after the snapshot swap). If no
-// reader holds it, its tiles free immediately; otherwise the last unref
-// does it.
-func (b *baseIndex) retire() {
-	b.retired.Store(true)
-	if b.refs.Load() == 0 {
-		b.release()
-	}
-}
-
-// release frees the tiles exactly once (retire and unref can race; the
-// CAS picks a single winner).
-func (b *baseIndex) release() {
-	if b.released.CompareAndSwap(false, true) && b.ledger != nil {
-		b.ledger.Release(b.tiles)
-	}
 }
 
 // localOf returns the base-local row of a global id, or -1.
@@ -164,7 +128,7 @@ func (b *baseIndex) localOf(id int) int {
 // global-id order, so scan order equals id order and the merge's
 // (dist, id) tie handling is exact — see knn.DeltaScan). Mutations
 // publish a fresh snapshot via copy-on-write of the small parts; readers
-// pin one pointer and never observe a half-applied mutation.
+// load one pointer and never observe a half-applied mutation.
 type snapshot struct {
 	epoch    uint64
 	base     *baseIndex
@@ -175,8 +139,8 @@ type snapshot struct {
 }
 
 // Store is the mutable index. Queries (Search) are lock-free against
-// mutations, compaction and each other: they pin the current snapshot and
-// run its base's searcher. Mutations and compaction serialize
+// mutations, compaction and each other: they load the current snapshot
+// and run its base's searcher. Mutations and compaction serialize
 // on an internal mutex; a mutation arriving mid-compaction stalls until
 // the swap — that write stall is the "compaction pause" the churn
 // benchmark reports.
@@ -206,18 +170,7 @@ func New(data *vec.Matrix, opts Options) (*Store, error) {
 	if opts.Factory == nil {
 		return nil, fmt.Errorf("delta: Options.Factory is required")
 	}
-	if opts.MaxDelta <= 0 {
-		opts.MaxDelta = 256
-	}
-	if opts.MaxTombstoneRatio <= 0 {
-		opts.MaxTombstoneRatio = 0.25
-	}
-	if opts.VectorsPerObject <= 0 {
-		opts.VectorsPerObject = 2
-	}
-	if opts.CapacityRows <= 0 {
-		opts.CapacityRows = data.N
-	}
+	opts = opts.withDefaults(data.N)
 	ids := opts.IDs
 	if ids == nil {
 		ids = make([]int, data.N)
@@ -234,12 +187,24 @@ func New(data *vec.Matrix, opts Options) (*Store, error) {
 		return nil, err
 	}
 	st.snap.Store(&snapshot{epoch: 1, base: base})
-	st.statsMu.Lock()
-	st.stats.Epoch = 1
-	st.stats.ChosenS = base.s
-	st.statsMu.Unlock()
 	st.publishGauges(st.snap.Load())
 	return st, nil
+}
+
+// withDefaults fills the compaction triggers (256 delta rows, a 0.25
+// tombstone ratio) and floors CapacityRows at the initial row count, or
+// at 1 for an empty image.
+func (o Options) withDefaults(rows int) Options {
+	if o.MaxDelta <= 0 {
+		o.MaxDelta = 256
+	}
+	if o.MaxTombstoneRatio <= 0 {
+		o.MaxTombstoneRatio = 0.25
+	}
+	if o.CapacityRows <= 0 {
+		o.CapacityRows = max(rows, 1)
+	}
+	return o
 }
 
 // checkIDs validates an id directory of n rows: one non-negative id per
@@ -256,64 +221,14 @@ func checkIDs(ids []int, n int) error {
 	return nil
 }
 
-// buildBase prices, reserves endurance for, and constructs one epoch's
-// base index. On any failure the reserved tiles are returned unworn-free
-// (the wear itself is spent — Acquire models the physical write).
+// buildBase constructs one epoch's base index, its searcher sized for
+// max(CapacityRows, rows) rows.
 func (st *Store) buildBase(data *vec.Matrix, ids []int) (*baseIndex, error) {
-	capacityN := st.opts.CapacityRows
-	if data.N > capacityN {
-		capacityN = data.N
-	}
-	chosenS := 0
-	demand := 0
-	if st.opts.Model != nil {
-		chosenS = st.opts.Model.ChooseS(capacityN, pim.Divisors(st.d), st.opts.VectorsPerObject)
-		if chosenS == 0 {
-			return nil, fmt.Errorf("delta: %d vectors of %d dims do not fit the PIM array at any compressed dimensionality", capacityN, st.d)
-		}
-		nd, ng := st.opts.Model.Cost(data.N, chosenS)
-		demand = st.opts.VectorsPerObject * int(nd+ng)
-		if demand == 0 {
-			demand = 1
-		}
-	} else if st.opts.Ledger != nil {
-		demand = 1 // whole image charged as one batch without a price model
-	}
-	var tiles []int
-	if st.opts.Ledger != nil {
-		var err error
-		tiles, err = st.opts.Ledger.Acquire(demand)
-		if err != nil {
-			return nil, err
-		}
-	}
-	searcher, err := st.opts.Factory(data, capacityN)
+	searcher, err := st.opts.Factory(data, max(st.opts.CapacityRows, data.N))
 	if err != nil {
-		if st.opts.Ledger != nil {
-			st.opts.Ledger.Release(tiles)
-		}
 		return nil, fmt.Errorf("delta: building base searcher: %w", err)
 	}
-	return &baseIndex{
-		data: data, ids: ids, s: chosenS,
-		searcher: searcher, host: knn.NewStandard(data),
-		ledger: st.opts.Ledger, tiles: tiles,
-	}, nil
-}
-
-// pin returns the current snapshot with its base refcounted. The double
-// check makes the pin race-free against a concurrent swap: if the
-// snapshot changed between load and ref, the ref may have landed on an
-// already-released epoch, so drop it and retry.
-func (st *Store) pin() *snapshot {
-	for {
-		sn := st.snap.Load()
-		sn.base.refs.Add(1)
-		if st.snap.Load() == sn {
-			return sn
-		}
-		sn.base.unref()
-	}
+	return &baseIndex{data: data, ids: ids, searcher: searcher, host: knn.NewStandard(data)}, nil
 }
 
 // newSnap assembles and publishes a successor snapshot. Callers hold
@@ -538,7 +453,7 @@ func (st *Store) Search(ctx context.Context, q []float64, k int, ceiling float64
 	return st.search(ctx, q, k, ceiling, meter, false)
 }
 
-// SearchHost is Search with the pinned epoch's base served by the exact
+// SearchHost is Search with the loaded epoch's base served by the exact
 // host scan (knn.Standard over the same rows) instead of its searcher —
 // the path a circuit breaker reroutes a fault-storming array to. Masking,
 // the delta merge and the answer are Search's.
@@ -559,9 +474,7 @@ func (st *Store) search(ctx context.Context, q []float64, k int, ceiling float64
 	if meter == nil {
 		meter = arch.NewMeter() // searchers require one; discard the activity
 	}
-	sn := st.pin()
-	defer sn.base.unref()
-
+	sn := st.snap.Load()
 	b := sn.base
 	s := b.searcher
 	if host {
@@ -597,11 +510,9 @@ func (st *Store) search(ctx context.Context, q []float64, k int, ceiling float64
 
 // Materialize returns the live rows in ascending id order plus their
 // ids: the dataset an equivalent fresh index would be built from. The
-// copy is taken against one pinned snapshot.
+// copy is taken against one snapshot.
 func (st *Store) Materialize() (*vec.Matrix, []int) {
-	sn := st.pin()
-	defer sn.base.unref()
-	return materialize(sn, st.d)
+	return materialize(st.snap.Load(), st.d)
 }
 
 // MaterializeAll merges the live rows of several stores that share one

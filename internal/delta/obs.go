@@ -17,9 +17,6 @@ type Metrics struct {
 	Compactions        *obs.Counter
 	CompactionFailures *obs.Counter
 	CompactionSeconds  *obs.Histogram
-	// EnduranceRemaining is the ledger's total write budget left,
-	// summed over tiles.
-	EnduranceRemaining *obs.Gauge
 }
 
 // NewMetrics registers the standard delta metric set on a registry.
@@ -34,12 +31,10 @@ func NewMetrics(reg *obs.Registry, labels ...obs.Label) Metrics {
 		Compactions: reg.Counter("pim_delta_compactions_total",
 			"Compactions that rebuilt and swapped the base image.", labels...),
 		CompactionFailures: reg.Counter("pim_delta_compaction_failures_total",
-			"Compaction attempts refused (endurance) or failed (factory).", labels...),
+			"Compaction attempts whose rebuild failed (the old epoch keeps serving).", labels...),
 		CompactionSeconds: reg.Histogram("pim_delta_compaction_seconds",
 			"Wall-clock compaction duration (also the mutation stall).",
 			obs.ExpBuckets(1e-4, 4, 10), labels...),
-		EnduranceRemaining: reg.Gauge("pim_delta_endurance_remaining",
-			"Total crossbar write-cycle budget remaining across ledger tiles.", labels...),
 	}
 }
 
@@ -48,9 +43,6 @@ func (st *Store) publishGauges(sn *snapshot) {
 	m := st.opts.Metrics
 	m.DeltaRows.Set(int64(len(sn.deltaIDs)))
 	m.Tombstones.Set(int64(len(sn.tomb)))
-	if st.opts.Ledger != nil {
-		m.EnduranceRemaining.Set(int64(st.opts.Ledger.Stats().Remaining))
-	}
 }
 
 // compactionDone records a successful compaction.
@@ -59,7 +51,7 @@ func (m Metrics) compactionDone(seconds float64) {
 	m.CompactionSeconds.Observe(seconds)
 }
 
-// compactionFailed records a refused or failed compaction.
+// compactionFailed records a failed compaction.
 func (m Metrics) compactionFailed() {
 	m.CompactionFailures.Inc()
 }

@@ -48,21 +48,7 @@ func Restore(data *vec.Matrix, ids []int, nextID int, opts Options) (*Store, err
 	if opts.Factory == nil {
 		return nil, fmt.Errorf("delta: Options.Factory is required")
 	}
-	if opts.MaxDelta <= 0 {
-		opts.MaxDelta = 256
-	}
-	if opts.MaxTombstoneRatio <= 0 {
-		opts.MaxTombstoneRatio = 0.25
-	}
-	if opts.VectorsPerObject <= 0 {
-		opts.VectorsPerObject = 2
-	}
-	if opts.CapacityRows <= 0 {
-		opts.CapacityRows = data.N
-		if opts.CapacityRows == 0 {
-			opts.CapacityRows = 1
-		}
-	}
+	opts = opts.withDefaults(data.N)
 
 	live := data
 	tomb := map[int]struct{}{}
@@ -81,10 +67,6 @@ func Restore(data *vec.Matrix, ids []int, nextID int, opts Options) (*Store, err
 		return nil, err
 	}
 	st.snap.Store(&snapshot{epoch: 1, base: base, tomb: tomb})
-	st.statsMu.Lock()
-	st.stats.Epoch = 1
-	st.stats.ChosenS = base.s
-	st.statsMu.Unlock()
 	st.publishGauges(st.snap.Load())
 	if opts.OnCompact != nil && live.N > 0 {
 		opts.OnCompact(live)

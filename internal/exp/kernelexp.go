@@ -137,10 +137,6 @@ func ExtKernels(s *Suite) (*Table, error) {
 	pairs := []pair{
 		{"IntDot", func() { isink = vec.IntDotRef(ia, ib) }, func() { isink = vec.IntDot(ia, ib) },
 			vec.IntDot(ia, ib) == vec.IntDotRef(ia, ib)},
-		{"Dot", func() { sink = vec.DotRef(fa, fb) }, func() { sink = vec.Dot(fa, fb) },
-			math.Float64bits(vec.Dot(fa, fb)) == math.Float64bits(vec.DotRef(fa, fb))},
-		{"SqNorm", func() { sink = vec.SqNormRef(fa) }, func() { sink = vec.SqNorm(fa) },
-			math.Float64bits(vec.SqNorm(fa)) == math.Float64bits(vec.SqNormRef(fa))},
 		{"SqEuclidean", func() { sink = measure.SqEuclideanRef(fa, fb) }, func() { sink = measure.SqEuclidean(fa, fb) },
 			math.Float64bits(measure.SqEuclidean(fa, fb)) == math.Float64bits(measure.SqEuclideanRef(fa, fb))},
 	}

@@ -57,17 +57,3 @@ func DeltaScan(delta *vec.Matrix, ix *bound.OSTIndex, q []float64, k int, cap fl
 	}
 	return top.Results()
 }
-
-// DeltaCost returns the modeled per-query host cost of scanning a delta
-// of n rows (bound stage + worst-case full refine) in abstract "work"
-// units comparable across deltas; the compactor uses it as the
-// query-cost trigger. It intentionally over-approximates (assumes no
-// pruning) so compaction fires before real latency degrades.
-func DeltaCost(n, d int, tombstones int) float64 {
-	if n <= 0 && tombstones <= 0 {
-		return 0
-	}
-	// Bound stage moves d/2+1 operands per row, refine moves d; each
-	// tombstone forces the base search to over-fetch one extra result.
-	return float64(n)*(float64(d)*1.5+1) + float64(tombstones)*float64(d)
-}

@@ -14,8 +14,7 @@ import (
 // per-tenant handles are registered lazily on each tenant's first
 // request.
 type netObs struct {
-	o       *obs.Observer
-	buckets []float64
+	o *obs.Observer
 
 	mu        sync.Mutex
 	perTenant map[string]*tenantMetrics
@@ -31,7 +30,6 @@ type tenantMetrics struct {
 func newNetObs(s *Server, o *obs.Observer) *netObs {
 	no := &netObs{
 		o:         o,
-		buckets:   o.LatencyBuckets(),
 		perTenant: make(map[string]*tenantMetrics),
 	}
 	o.Registry().RegisterCollector(s.collectMetrics)
@@ -55,7 +53,7 @@ func (no *netObs) tenant(name string) *tenantMetrics {
 			ok: reg.Counter("pim_net_ok_total",
 				"Wire queries answered successfully, per tenant.", lbl),
 			latency: reg.Histogram("pim_net_latency_seconds",
-				"Wall-clock admission-to-answer latency per wire query.", no.buckets, lbl),
+				"Wall-clock admission-to-answer latency per wire query.", obs.DefLatencyBuckets(), lbl),
 		}
 		no.perTenant[name] = tm
 	}

@@ -32,9 +32,6 @@ type Config struct {
 	// TraceBuffer is the ring-buffer capacity for recent completed traces
 	// (default 64).
 	TraceBuffer int
-	// LatencyBuckets overrides the query-latency histogram buckets
-	// (seconds, ascending upper bounds; default DefLatencyBuckets).
-	LatencyBuckets []float64
 }
 
 // Observer bundles a metrics registry with a tracer; it is the single
@@ -44,7 +41,6 @@ type Observer struct {
 	reg        *Registry
 	tracer     *Tracer
 	events     *eventRing
-	cfg        Config
 	expvarOnce sync.Once
 }
 
@@ -54,14 +50,10 @@ func New(cfg Config) *Observer {
 	if cfg.TraceBuffer <= 0 {
 		cfg.TraceBuffer = 64
 	}
-	if len(cfg.LatencyBuckets) == 0 {
-		cfg.LatencyBuckets = DefLatencyBuckets()
-	}
 	return &Observer{
 		reg:    NewRegistry(),
 		tracer: NewTracer(cfg.SampleRate, cfg.TraceBuffer),
 		events: newEventRing(cfg.TraceBuffer),
-		cfg:    cfg,
 	}
 }
 
@@ -79,14 +71,6 @@ func (o *Observer) Tracer() *Tracer {
 		return nil
 	}
 	return o.tracer
-}
-
-// LatencyBuckets returns the configured latency histogram bounds.
-func (o *Observer) LatencyBuckets() []float64 {
-	if o == nil {
-		return DefLatencyBuckets()
-	}
-	return o.cfg.LatencyBuckets
 }
 
 // Event records a timestamped out-of-band event (plan decisions, shard

@@ -71,9 +71,6 @@ type Config struct {
 	// histogram must hold before shedding engages (default 32) — the
 	// p95 of a cold histogram is noise, not a service-time estimate.
 	MinShedSamples int
-	// ShedBuckets overrides the service-time histogram bounds (seconds,
-	// ascending; default obs.DefLatencyBuckets).
-	ShedBuckets []float64
 	// Breaker configures the per-shard circuit breakers; the zero value
 	// (FailureThreshold 0) disables them.
 	Breaker BreakerConfig
@@ -125,11 +122,6 @@ func (c Config) Validate() error {
 	}
 	if c.MinShedSamples < 0 {
 		return fmt.Errorf("resilience: negative MinShedSamples %d", c.MinShedSamples)
-	}
-	for i := 1; i < len(c.ShedBuckets); i++ {
-		if !(c.ShedBuckets[i] > c.ShedBuckets[i-1]) {
-			return fmt.Errorf("resilience: ShedBuckets not ascending at %d", i)
-		}
 	}
 	if err := c.Breaker.Validate(); err != nil {
 		return err

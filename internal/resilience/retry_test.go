@@ -101,7 +101,6 @@ func TestConfigValidate(t *testing.T) {
 		{MaxQueue: 3}, // queue without a concurrency cap
 		{ShedFactor: -0.5},
 		{MinShedSamples: -1},
-		{ShedFactor: 1, ShedBuckets: []float64{2, 1}},
 		{Breaker: BreakerConfig{FailureThreshold: -1}},
 		{Breaker: BreakerConfig{FailureThreshold: 1, CoolDown: -time.Second}},
 		{Retry: RetryConfig{Ratio: 2}},

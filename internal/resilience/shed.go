@@ -22,21 +22,18 @@ type Shedder struct {
 	minSamples int64
 }
 
-// NewShedder builds a shedder; nil is returned for a disabled factor
-// (≤ 0), and a nil *Shedder never sheds. buckets defaults to
-// obs.DefLatencyBuckets; minSamples to 32.
-func NewShedder(factor float64, minSamples int, buckets []float64) *Shedder {
+// NewShedder builds a shedder over obs.DefLatencyBuckets; nil is returned
+// for a disabled factor (≤ 0), and a nil *Shedder never sheds. minSamples
+// defaults to 32.
+func NewShedder(factor float64, minSamples int) *Shedder {
 	if factor <= 0 {
 		return nil
-	}
-	if len(buckets) == 0 {
-		buckets = obs.DefLatencyBuckets()
 	}
 	if minSamples <= 0 {
 		minSamples = 32
 	}
 	return &Shedder{
-		hist:       obs.NewHistogram(buckets),
+		hist:       obs.NewHistogram(obs.DefLatencyBuckets()),
 		factor:     factor,
 		minSamples: int64(minSamples),
 	}

@@ -12,7 +12,7 @@ import (
 // with the typed sentinel while a roomy deadline passes.
 func TestShedderWarmupAndTrigger(t *testing.T) {
 	t.Parallel()
-	s := NewShedder(1, 4, nil)
+	s := NewShedder(1, 4)
 
 	tight, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
@@ -46,8 +46,8 @@ func TestShedderWarmupAndTrigger(t *testing.T) {
 // TestShedderFactorScalesThreshold: a larger factor sheds earlier.
 func TestShedderFactorScalesThreshold(t *testing.T) {
 	t.Parallel()
-	lax := NewShedder(0.5, 1, nil)
-	strict := NewShedder(4, 1, nil)
+	lax := NewShedder(0.5, 1)
+	strict := NewShedder(4, 1)
 	for _, s := range []*Shedder{lax, strict} {
 		for i := 0; i < 8; i++ {
 			s.Observe(20 * time.Millisecond)
@@ -69,7 +69,7 @@ func TestShedderFactorScalesThreshold(t *testing.T) {
 // methods are safe no-ops.
 func TestShedderDisabledAndNil(t *testing.T) {
 	t.Parallel()
-	s := NewShedder(0, 1, nil)
+	s := NewShedder(0, 1)
 	if s != nil {
 		t.Fatal("factor 0 must yield a nil shedder")
 	}

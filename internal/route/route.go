@@ -86,13 +86,14 @@ func ParseMode(s string) (Mode, error) {
 // time.
 var ErrShardMismatch = errors.New("route: router shard count disagrees with engine")
 
+// sketchSample is the KMV sample size of each shard's sketch.
+const sketchSample = 32
+
 // Config shapes a Router. The zero value takes every default.
 type Config struct {
 	// Bits is the SimHash code width of the approximate-routing sketches
 	// (default 64).
 	Bits int
-	// Sample is the KMV sample size per shard (default 32).
-	Sample int
 	// Seed drives sketch hashing; explicit so routed results are
 	// reproducible across runs (default 1).
 	Seed int64
@@ -118,9 +119,6 @@ type Config struct {
 func (c Config) withDefaults() (Config, error) {
 	if c.Bits <= 0 {
 		c.Bits = 64
-	}
-	if c.Sample <= 0 {
-		c.Sample = 32
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -382,7 +380,7 @@ func (r *Router) Placement() [][]int { return r.place }
 
 // build constructs one shard's summary (tight bounds + fresh sketch).
 func (r *Router) build(m *vec.Matrix) *Summary {
-	sk := lsh.NewSketch(r.hasher, r.cfg.Sample, r.cfg.Seed)
+	sk := lsh.NewSketch(r.hasher, sketchSample, r.cfg.Seed)
 	return buildSummary(m, sk, r.center)
 }
 

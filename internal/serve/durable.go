@@ -178,12 +178,9 @@ func RecoverMutable(opts MutableOptions) (*Engine, error) {
 		e.rr = snap.RR
 		parts := make([][]int, s)
 		for id, sh := range snap.Shards {
-			dopts, err := e.shardDeltaOptions(id)
-			if err != nil {
-				return nil, 0, err
-			}
 			m := &vec.Matrix{N: len(sh.IDs), D: snap.Dims, Data: sh.Data}
-			if e.src.stores[id], err = delta.Restore(m, sh.IDs, snap.NextID, dopts); err != nil {
+			var err error
+			if e.src.stores[id], err = delta.Restore(m, sh.IDs, snap.NextID, e.shardDeltaOptions(id)); err != nil {
 				return nil, 0, fmt.Errorf("serve: restoring shard %d: %w", id, err)
 			}
 			parts[id] = sh.IDs

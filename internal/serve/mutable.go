@@ -1,6 +1,5 @@
 // Mutation: every shard's delta store (host-side delta buffer,
-// tombstones, endurance-ledgered compaction) takes inserts, updates and
-// deletes, and a compaction rebuilds a shard through the same factory
+// tombstones, compaction) takes inserts, updates and deletes, and a compaction rebuilds a shard through the same factory
 // that built it, so Factory, breakers, retries, spans and metrics behave
 // the same before and after. Every write goes through the engine's
 // Writer (writer.go), the cluster's write path too: it owns the global
@@ -20,7 +19,6 @@ import (
 	"pimmine/internal/arch"
 	"pimmine/internal/delta"
 	"pimmine/internal/obs"
-	"pimmine/internal/pim"
 	"pimmine/internal/vec"
 	"pimmine/internal/wal"
 )
@@ -40,12 +38,6 @@ type MutableOptions struct {
 	// AutoCompact lets each store compact in the background when a
 	// trigger trips; otherwise call Compact explicitly.
 	AutoCompact bool
-	// WriteBudget, when positive, meters compaction endurance: each
-	// shard gets a wear-leveling ledger whose tiles allow this many
-	// programming cycles. PIM variants price images in Theorem 4
-	// crossbars; host variants charge one tile per image against a
-	// two-tile (double-buffered) ledger. Zero disables metering.
-	WriteBudget uint32
 
 	// Durability, when Dir is set, makes the engine crash-safe: every
 	// accepted mutation is appended to a write-ahead log before it is
@@ -90,9 +82,9 @@ func newMutableEngine(n, d int, opts MutableOptions, fill func(*Engine) (parts [
 }
 
 // shardDeltaOptions assembles one shard's delta.Options: how it builds
-// (and degrades), what triggers its compactions, and the metrics, routing
-// summary and endurance ledger that ride along.
-func (e *Engine) shardDeltaOptions(id int) (delta.Options, error) {
+// (and degrades), what triggers its compactions, and the metrics and
+// routing summary that ride along.
+func (e *Engine) shardDeltaOptions(id int) delta.Options {
 	opts := e.opts
 	dopts := delta.Options{
 		Factory:           e.src.factory(id),
@@ -114,23 +106,7 @@ func (e *Engine) shardDeltaOptions(id int) (delta.Options, error) {
 		dopts.OnMutate = func(v []float64) { r.Observe(id, v) }
 		dopts.OnCompact = func(base *vec.Matrix) { r.Refresh(id, base) }
 	}
-	if opts.WriteBudget > 0 {
-		// PIM variants price images in Theorem 4 crossbars. Host
-		// variants get image-granularity accounting with double
-		// buffering (the old epoch holds its tile until the last reader
-		// drains).
-		tiles := 2
-		if opts.Framework != nil {
-			model := pim.ModelFor(opts.Framework.Cfg)
-			dopts.Model = &model
-			tiles = opts.Framework.Cfg.NumCrossbars()
-		}
-		var err error
-		if dopts.Ledger, err = delta.NewLedger(tiles, opts.WriteBudget); err != nil {
-			return dopts, err
-		}
-	}
-	return dopts, nil
+	return dopts
 }
 
 // NewMutable partitions data row-wise into per-shard mutable stores.

@@ -344,10 +344,7 @@ func TestShardDeltaOptionsTracksDegraded(t *testing.T) {
 		}
 		return knn.NewStandard(m), nil
 	}
-	dopts, err := e.shardDeltaOptions(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dopts := e.shardDeltaOptions(0)
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)

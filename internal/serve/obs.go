@@ -66,7 +66,7 @@ func newEngineObs(o *obs.Observer, shards int) *engineObs {
 		queries: reg.Counter("pim_serve_queries_total", "Queries answered by the sharded engine."),
 		errors:  reg.Counter("pim_serve_query_errors_total", "Queries that returned an error (cancellation, deadline, validation)."),
 		latency: reg.Histogram("pim_serve_query_latency_seconds",
-			"Wall-clock latency of Engine.Search.", o.LatencyBuckets()),
+			"Wall-clock latency of Engine.Search.", obs.DefLatencyBuckets()),
 		inflight:   reg.Gauge("pim_serve_inflight_queries", "Queries currently executing."),
 		queueDepth: reg.Gauge("pim_serve_batch_queue_depth", "Batch jobs accepted but not yet started."),
 		rejected: reg.Counter("pim_serve_rejected_total",
@@ -82,7 +82,7 @@ func newEngineObs(o *obs.Observer, shards int) *engineObs {
 		routeAudits: reg.Counter("pim_route_audits_total",
 			"Approximate queries audited against the full fan-out."),
 		routeLatency: reg.Histogram("pim_route_decision_seconds",
-			"Wall-clock time spent deciding the visit set.", o.LatencyBuckets()),
+			"Wall-clock time spent deciding the visit set.", obs.DefLatencyBuckets()),
 		routeEstRecall: reg.Histogram("pim_route_est_recall",
 			"Router-estimated recall of approximate answers.", recallBuckets),
 		routeMeasuredRecall: reg.Histogram("pim_route_measured_recall",

@@ -45,7 +45,7 @@ func newEngineResilience(cfg *resilience.Config) (*engineResilience, error) {
 		return nil, err
 	}
 	r := &engineResilience{
-		shed:  resilience.NewShedder(cfg.ShedFactor, cfg.MinShedSamples, cfg.ShedBuckets),
+		shed:  resilience.NewShedder(cfg.ShedFactor, cfg.MinShedSamples),
 		retry: resilience.NewRetryBudget(cfg.Retry),
 	}
 	if cfg.MaxConcurrent > 0 {

@@ -143,8 +143,8 @@ var ErrClosed = fmt.Errorf("serve: engine closed")
 // shard, via delta's epoch snapshots, and mutations serialize on its
 // Writer's mutation lock (mutation throughput is not the design target;
 // query concurrency is). A static engine is one that nobody mutates:
-// compaction, the endurance ledger, the write-ahead log and standing
-// queries are off until MutableOptions sets them or a caller subscribes.
+// compaction, the write-ahead log and standing queries are off until
+// MutableOptions sets them or a caller subscribes.
 type Engine struct {
 	d    int
 	opts MutableOptions
@@ -280,10 +280,9 @@ func (o *Options) builder() (buildFunc, error) {
 }
 
 // variantBuilder maps a Variant to a capacity-parameterized searcher
-// constructor. PIM variants build a fresh array per call — programming
-// is what burns endurance, so reuse is deliberately impossible here and
-// accounted for by the caller (the delta ledger or the one-shot shard
-// build).
+// constructor. PIM variants build a fresh array per call: a payload is
+// programmed once (§V-C), so a shard's first build and each compaction
+// program a new one, Theorem 4-sized for the capacityN they are handed.
 func variantBuilder(opts Options) (delta.Factory, error) {
 	fw := opts.Framework
 	var cascade func(eng *pim.Engine, m *vec.Matrix, capacityN int) (*knn.Cascade, error)

@@ -62,8 +62,7 @@ func newStoreSource(o *Options, res *engineResilience, build buildFunc) *storeSo
 // factory is shard id's delta.Factory. Graceful degradation: a failed
 // build (e.g. dead crossbars after fault injection) serves the exact
 // host scan for that epoch and is reported, never fatal; the next
-// healthy build clears the report. A ledger charge stands — the
-// programming attempt happened.
+// healthy build clears the report.
 func (s *storeSource) factory(id int) delta.Factory {
 	return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
 		srch, err := s.build(m, id, capacityN)
@@ -80,16 +79,13 @@ func (s *storeSource) factory(id int) delta.Factory {
 // unrouted — as a view of data's rows (vec.Matrix.Rows: no copy) whose id
 // directory is the shard's ascending id list, with the options dopts gives
 // shard id. It returns the placement.
-func (s *storeSource) partition(data *vec.Matrix, router *route.Router, dopts func(id int) (delta.Options, error)) ([][]int, error) {
+func (s *storeSource) partition(data *vec.Matrix, router *route.Router, dopts func(id int) delta.Options) ([][]int, error) {
 	place, err := route.Partition(router, data.N, len(s.stores))
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	for id, ids := range place {
-		opts, err := dopts(id)
-		if err != nil {
-			return nil, err
-		}
+		opts := dopts(id)
 		opts.IDs = ids
 		if s.stores[id], err = delta.New(data.Rows(ids), opts); err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", id, err)

@@ -8,53 +8,15 @@ import (
 	"testing"
 )
 
-// The unrolled kernels must be BIT-identical to the retained references —
-// not merely close. For the float kernels that requires the kernels to
-// preserve the references' accumulator structure and evaluation order
-// (IEEE 754 float addition is not associative); the integer kernel is free
-// to reassociate. These differential tests and the fuzzer below are what
-// license the optimized kernels to replace the references everywhere,
-// including under the byte-identical eval goldens.
+// The unrolled integer kernels must equal the retained reference exactly
+// (integer addition is associative, so they are free to reassociate).
+// These differential tests and the fuzzer below are what license the
+// optimized kernels to replace the reference everywhere, including under
+// the byte-identical eval goldens.
 
 // lengths crosses every unroll boundary: the 4-wide body, the tail, and
 // the empty case.
 var lengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 100, 128, 257}
-
-func randFloats(rng *rand.Rand, n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
-	}
-	return v
-}
-
-func TestDotMatchesRef(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range lengths {
-		for rep := 0; rep < 4; rep++ {
-			a, b := randFloats(rng, n), randFloats(rng, n)
-			got, want := Dot(a, b), DotRef(a, b)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d: Dot=%x, DotRef=%x", n, math.Float64bits(got), math.Float64bits(want))
-			}
-		}
-	}
-}
-
-func TestSqNormMatchesRef(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range lengths {
-		for rep := 0; rep < 4; rep++ {
-			a := randFloats(rng, n)
-			got, want := SqNorm(a), SqNormRef(a)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d: SqNorm=%x, SqNormRef=%x", n, math.Float64bits(got), math.Float64bits(want))
-			}
-		}
-	}
-}
 
 func TestIntDotMatchesRef(t *testing.T) {
 	t.Parallel()
@@ -355,32 +317,16 @@ func TestKernelsPanicOnMismatch(t *testing.T) {
 	mustPanic("IntDotRows/dst", func() { IntDotRows(make([]uint32, 4), 2, make([]uint32, 2), make([]int64, 3)) })
 }
 
-// floatsFromBytes decodes len(data)/8 float64s, mapping non-finite values
-// to small finite ones so equality stays meaningful (NaN != NaN would make
-// every comparison vacuous, and Inf−Inf poisons the reference too).
-func floatsFromBytes(data []byte) []float64 {
-	n := len(data) / 8
-	v := make([]float64, n)
-	for i := 0; i < n; i++ {
-		f := math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			f = float64(i) * 0.5
-		}
-		v[i] = f
-	}
-	return v
-}
-
-// FuzzVecKernelEquivalence drives arbitrary float and integer payloads
-// through the optimized kernels and their references, requiring
-// bit-identical results at every split of the payload into (a, b), and —
+// FuzzVecKernelEquivalence drives arbitrary integer payloads through the
+// optimized kernels and their reference, requiring identical results at
+// every split of the payload into (a, b), and —
 // the rows target — at every carving of the payload into a query and a
 // row-major slab of 1..24-wide rows, swept whole and gathered at a list of
 // its rows.
 func FuzzVecKernelEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte("0123456789abcdef0123456789abcdef0123456789abcdef"), uint8(3))
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\xf0\x7f\x01\x02\x03\x04\x05\x06\x07\x08"), uint8(1)) // +Inf bits
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\xf0\x7f\x01\x02\x03\x04\x05\x06\x07\x08"), uint8(1))
 	seed := make([]byte, 8*33)
 	for i := range seed {
 		seed[i] = byte(i * 37)
@@ -392,25 +338,19 @@ func FuzzVecKernelEquivalence(f *testing.F) {
 	f.Add(seed, uint8(5))  // rows target: 10 rows 6 wide: two lockstep passes and 2 left over
 	f.Fuzz(func(t *testing.T, data []byte, splitRaw uint8) {
 		fuzzIntDotRows(t, data, 1+int(splitRaw)%24)
-		all := floatsFromBytes(data)
-		if len(all) == 0 {
+		words := len(data) / 8
+		if words == 0 {
 			return
 		}
-		// Split into two equal-length operands at a fuzzed offset.
-		n := len(all) / 2
-		off := int(splitRaw) % (len(all) - n + 1)
-		a, b := all[:n], all[off:off+n]
-		if got, want := Dot(a, b), DotRef(a, b); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: Dot=%x, DotRef=%x", n, math.Float64bits(got), math.Float64bits(want))
-		}
-		if got, want := SqNorm(all), SqNormRef(all); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: SqNorm=%x, SqNormRef=%x", len(all), math.Float64bits(got), math.Float64bits(want))
-		}
+		// Split the 64-bit words into two equal-length operands at a
+		// fuzzed offset: a takes the low halves, b the high ones.
+		n := words / 2
+		off := int(splitRaw) % (words - n + 1)
 		ia := make([]uint32, n)
 		ib := make([]uint32, n)
 		for i := 0; i < n; i++ {
-			ia[i] = uint32(math.Float64bits(a[i]))
-			ib[i] = uint32(math.Float64bits(b[i]) >> 32)
+			ia[i] = uint32(binary.LittleEndian.Uint64(data[i*8:]))
+			ib[i] = uint32(binary.LittleEndian.Uint64(data[(off+i)*8:]) >> 32)
 		}
 		if got, want := IntDot(ia, ib), IntDotRef(ia, ib); got != want {
 			t.Fatalf("n=%d: IntDot=%d, IntDotRef=%d", n, got, want)

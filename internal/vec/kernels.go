@@ -1,8 +1,10 @@
 package vec
 
-// This file holds the unrolled hot-loop kernels behind Dot, IntDot,
-// IntDotRows, IntDotGather and SqNorm; the retained scalar references the
-// kernel-equivalence harness pins them against live in kernels_ref.go.
+// This file holds the unrolled hot-loop kernels behind IntDot, IntDotRows
+// and IntDotGather; the retained scalar reference the kernel-equivalence
+// harness pins them against lives in kernels_ref.go. Dot and SqNorm are
+// plain loops in vec.go: their callers (LSH hashing, the router's norms)
+// are not on a shard visit.
 //
 // Two bodies are assembly (intdot_amd64.s), both four rows in lockstep at
 // eight columns an instruction, past the one IMULQ a cycle the Go step is
@@ -24,38 +26,13 @@ package vec
 // -gcflags=-d=ssa/check_bce` reports no IsInBounds in this file but the
 // one per listed index where intDotGatherGo writes its slot, which the CI
 // kernel-verify job asserts. Bounds-check-free is necessary, not
-// sufficient: the float kernels use the slice-advancing idiom (index
-// constants under a len guard, then a=a[4:]), which has no checks at all
-// but rewrites two three-word slice headers per step; the integer kernel
-// is index-blocked (one IsSliceInBounds re-slice per row per 4-element
-// block, a plain induction variable), which measured ~1.35× faster than
-// the slice-advancing form of the same body on a 5000×210 sweep.
-//
-// CRITICAL INVARIANT — float kernels preserve evaluation order. The float
-// accumulations run in strictly ascending index order into a single
-// accumulator, exactly like the references: reassociating float adds
-// (e.g. four partial sums) would change low-order bits and break the
-// byte-identical differential goldens in internal/eval. Only the integer
-// kernel uses multiple accumulators, because integer addition is
+// sufficient: the integer kernel is index-blocked (one IsSliceInBounds
+// re-slice per row per 4-element block, a plain induction variable), which
+// measured ~1.35× faster than the slice-advancing form of the same body
+// (index constants under a len guard, then a=a[4:], no checks at all but
+// two three-word slice headers rewritten per step) on a 5000×210 sweep.
+// Its bodies keep several accumulators because integer addition is
 // associative and the reassociation is exact.
-
-// dotKernel is the unrolled float dot product. Single accumulator,
-// ascending index order — bit-identical to DotRef.
-func dotKernel(a, b []float64) float64 {
-	var s float64
-	for len(a) >= 4 && len(b) >= 4 {
-		s += a[0] * b[0]
-		s += a[1] * b[1]
-		s += a[2] * b[2]
-		s += a[3] * b[3]
-		a, b = a[4:], b[4:]
-	}
-	for len(a) > 0 && len(b) > 0 {
-		s += a[0] * b[0]
-		a, b = a[1:], b[1:]
-	}
-	return s
-}
 
 // intDotQuadsGo is the quad body in Go, the only one off amd64 and on x86
 // without AVX2: dst[r+i·h] = rows[(r+i·h)·len(q):][:len(q)]·q for r < h and
@@ -189,21 +166,3 @@ func intDotGatherKernel(slab, q []uint32, rows []int, dst []int64) {
 // into calls of ~25 µs at the streaming rate (a full-scale MSD payload,
 // 992 272 × 210, swept in one call would hold its P for ~40 ms).
 const quadCallElems = 1 << 17
-
-// sqNormKernel is the unrolled squared norm. Single accumulator,
-// ascending index order — bit-identical to SqNormRef.
-func sqNormKernel(a []float64) float64 {
-	var s float64
-	for len(a) >= 4 {
-		s += a[0] * a[0]
-		s += a[1] * a[1]
-		s += a[2] * a[2]
-		s += a[3] * a[3]
-		a = a[4:]
-	}
-	for len(a) > 0 {
-		s += a[0] * a[0]
-		a = a[1:]
-	}
-	return s
-}

@@ -1,23 +1,11 @@
 package vec
 
-// Retained scalar reference kernels — the executable specifications the
-// kernel-equivalence harness (tests, fuzzers, ext-kernels benchmarks)
-// pins the optimized kernels in kernels.go against. These live in their
-// own file because they keep their natural bounds checks: the CI
-// kernel-verify job asserts kernels.go compiles with zero IsInBounds
-// under -d=ssa/check_bce, and these references are exempt by design.
-
-// DotRef is the retained scalar reference for Dot, the executable
-// specification the equivalence tests and fuzzers pin dotKernel against.
-// It must never be optimized. Panics on length mismatch like Dot.
-func DotRef(a, b []float64) float64 {
-	checkLens("dot", a, b)
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
+// The retained scalar reference kernel — the executable specification the
+// kernel-equivalence harness (tests, fuzzers, ext-kernels benchmarks) pins
+// the optimized integer kernels in kernels.go against. It lives in its own
+// file because it keeps its natural bounds checks: the CI kernel-verify
+// job asserts kernels.go compiles with zero IsInBounds under
+// -d=ssa/check_bce, and this reference is exempt by design.
 
 // IntDotRef is the retained scalar reference for IntDot.
 func IntDotRef(a, b []uint32) int64 {
@@ -27,15 +15,6 @@ func IntDotRef(a, b []uint32) int64 {
 	var s int64
 	for i := range a {
 		s += int64(a[i]) * int64(b[i])
-	}
-	return s
-}
-
-// SqNormRef is the retained scalar reference for SqNorm.
-func SqNormRef(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v * v
 	}
 	return s
 }

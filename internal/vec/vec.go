@@ -142,11 +142,13 @@ func panicLens(op string, la, lb int) {
 
 // Dot returns the inner product of a and b. It panics if the lengths differ,
 // because a length mismatch is always a programming error in this codebase.
-// The unrolled kernel is bit-identical to DotRef (same accumulator, same
-// evaluation order — differentially tested).
 func Dot(a, b []float64) float64 {
 	checkLens("dot", a, b)
-	return dotKernel(a, b)
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }
 
 // IntDot returns the inner product of two non-negative integer vectors as
@@ -206,10 +208,13 @@ func Resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// SqNorm returns the squared L2 norm Σ aᵢ². Differentially tested
-// bit-identical to SqNormRef.
+// SqNorm returns the squared L2 norm Σ aᵢ².
 func SqNorm(a []float64) float64 {
-	return sqNormKernel(a)
+	var s float64
+	for _, v := range a {
+		s += v * v
+	}
+	return s
 }
 
 // Norm returns the L2 norm.

@@ -120,12 +120,8 @@ func BenchmarkVecDistance(b *testing.B) {
 		name string
 		fn   func()
 	}{
-		{"Dot/ref", func() { fsink = vec.DotRef(fa, fb) }},
-		{"Dot/opt", func() { fsink = vec.Dot(fa, fb) }},
 		{"IntDot/ref", func() { isink = vec.IntDotRef(ia, ib) }},
 		{"IntDot/opt", func() { isink = vec.IntDot(ia, ib) }},
-		{"SqNorm/ref", func() { fsink = vec.SqNormRef(fa) }},
-		{"SqNorm/opt", func() { fsink = vec.SqNorm(fa) }},
 		{"SqEuclidean/ref", func() { fsink = measure.SqEuclideanRef(fa, fb) }},
 		{"SqEuclidean/opt", func() { fsink = measure.SqEuclidean(fa, fb) }},
 		{"SqEuclidean4/ref", ref420},

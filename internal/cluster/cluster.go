@@ -24,14 +24,17 @@
 //
 // Writes go through a serve.Writer, the serve engine's write path, and
 // apply to every writable (live and current) replica under its mutation
-// lock; replicas on paused or partitioned nodes go stale (their version
-// falls behind the shard's) and are excluded from reads and later writes
-// until anti-entropy (Repair) ships them a fresh PIMSNAP1 snapshot — the
-// same image format the durability layer uses on disk, priced against
-// the inter-node link bandwidth like any other data movement. Typed errors tell callers what
-// retrying buys: ErrNoQuorum (no live replica at all), ErrRebalancing
-// (replicas exist but are stale — anti-entropy will catch them up),
-// ErrNodeDown (an admin op addressed a dead node).
+// lock. A replica whose delta trigger trips (delta's 256 rows, or
+// tombstones above a quarter of its base) folds in that same commit,
+// and the fold counts in its node's wear as an install does. Replicas on
+// paused or partitioned nodes go stale (their version falls behind the
+// shard's) and are excluded from reads and later writes until
+// anti-entropy (Repair) ships them a fresh PIMSNAP1 snapshot — the same
+// image format the durability layer uses on disk, priced against the
+// inter-node link bandwidth like any other data movement. Typed errors
+// tell callers what retrying buys: ErrNoQuorum (no live replica at all),
+// ErrRebalancing (replicas exist but are stale — anti-entropy will catch
+// them up), ErrNodeDown (an admin op addressed a dead node).
 package cluster
 
 import (
@@ -116,10 +119,6 @@ type Options struct {
 	// Breaker configures the per-node circuit breakers; the zero value
 	// disables them.
 	Breaker resilience.BreakerConfig
-	// MaxDelta / MaxTombstoneRatio configure each replica's delta store
-	// (defaults 256 / 0.25).
-	MaxDelta          int
-	MaxTombstoneRatio float64
 	// StandingBuffer sizes standing-subscription event channels.
 	StandingBuffer int
 	// Obs, when set, exports the pim_cluster_* metrics and the query
@@ -133,7 +132,7 @@ type node struct {
 	state    atomic.Int32
 	slow     atomic.Int64 // injected extra dwell, ns
 	faults   atomic.Int64 // injected search failures remaining
-	wear     atomic.Int64 // crossbar programmings (replica installs)
+	wear     atomic.Int64 // crossbar programmings (replica installs and folds)
 	inflight atomic.Int64
 	breaker  *resilience.Breaker
 }
@@ -263,12 +262,6 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 			return knn.NewStandard(base), nil
 		}
 	}
-	if opts.MaxDelta <= 0 {
-		opts.MaxDelta = 256
-	}
-	if opts.MaxTombstoneRatio <= 0 {
-		opts.MaxTombstoneRatio = 0.25
-	}
 	if opts.Router != nil {
 		if opts.Router.NumShards() != opts.Shards {
 			return nil, fmt.Errorf("cluster: router covers %d shards, engine has %d: %w",
@@ -331,18 +324,17 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// replicaDeltaOptions configures one replica's store of shard id. With a
+// replicaDeltaOptions configures one replica's store of shard id, on
+// delta's default triggers; commitLocked folds it when one trips. With a
 // router, every inserted or updated row grows the shard's summary before
-// it becomes visible, as on the serve engine, so exact routing never
-// skips a shard that holds a written row.
+// it becomes visible, and every fold or shipped install rebuilds the
+// summary tight from the live image, as on the serve engine, so exact
+// routing never skips a shard that holds a written row.
 func (e *Engine) replicaDeltaOptions(id int) delta.Options {
-	dopts := delta.Options{
-		Factory:           e.opts.Factory,
-		MaxDelta:          e.opts.MaxDelta,
-		MaxTombstoneRatio: e.opts.MaxTombstoneRatio,
-	}
+	dopts := delta.Options{Factory: e.opts.Factory}
 	if r := e.opts.Router; r != nil {
 		dopts.OnMutate = func(v []float64) { r.Observe(id, v) }
+		dopts.OnCompact = func(base *vec.Matrix) { r.Refresh(id, base) }
 	}
 	return dopts
 }
@@ -397,7 +389,9 @@ func (e *Engine) NodesUp() int {
 	return up
 }
 
-// Wear returns per-node crossbar-programming counts (replica installs).
+// Wear returns per-node crossbar-programming counts: one per replica
+// installed on the node (built or shipped) and one per fold of a replica
+// it holds.
 func (e *Engine) Wear() []int64 {
 	out := make([]int64, len(e.nodes))
 	for i, n := range e.nodes {

@@ -35,6 +35,12 @@ import (
 // writable replica at all is refused before touching anything:
 // ErrRebalancing when live-but-stale replicas exist (anti-entropy will
 // make a retry succeed), ErrNoQuorum when no replica is live.
+//
+// Fold rule: after a commit, each replica that applied the write and
+// whose trigger has tripped folds (delta.Store.CompactIfDue), still under
+// the mutation lock, so a fold never races a ship, a kill or another
+// replica's apply. A fold counts in the node's wear as an install does;
+// a failed one keeps the old epoch and leaves the write committed.
 
 // commitLocked runs write on every writable replica of shard id and
 // applies the commit rule. It is the apply function the engine hands its
@@ -66,6 +72,12 @@ func (e *Engine) commitLocked(id int, _ wal.Op, write func(*delta.Store) error) 
 		// Failed replicas stay at the old version: stale, excluded
 		// from reads and writes, re-shipped by the next Repair.
 		e.met.inc(e.met.degradedWrites)
+	}
+	for _, r := range applied {
+		if folded, _ := r.store.CompactIfDue(); folded {
+			r.node.wear.Add(1)
+			e.met.wearAdd(r.node.id, 1)
+		}
 	}
 	return nil
 }

@@ -46,7 +46,7 @@ func newMetrics(o *obs.Observer, nodes int) *metrics {
 	m.upGauge = reg.Gauge("pim_cluster_nodes_up", "Nodes currently up.")
 	m.wear = make([]*obs.Gauge, nodes)
 	for i := range m.wear {
-		m.wear[i] = reg.Gauge("pim_cluster_node_wear", "Crossbar programmings (replica installs) per node.",
+		m.wear[i] = reg.Gauge("pim_cluster_node_wear", "Crossbar programmings (replica installs and folds) per node.",
 			obs.Label{Key: "node", Value: strconv.Itoa(i)})
 	}
 	return m

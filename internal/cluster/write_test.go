@@ -3,9 +3,12 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"pimmine/internal/delta"
+	"pimmine/internal/knn"
 	"pimmine/internal/route"
 	"pimmine/internal/vec"
 	"pimmine/internal/wal"
@@ -367,6 +370,179 @@ func TestRoutedWritesStayExact(t *testing.T) {
 		}
 		if want := exactTruth(model, v, 3); !sameNeighbors(res.Neighbors, want) {
 			t.Fatalf("write %d: routed exact %v, want %v", i, res.Neighbors, want)
+		}
+	}
+}
+
+// TestReplicaFoldsKeepAnswersExact pins the cluster's fold rule: a
+// routed 2-shard R = 2 cluster takes enough inserts, updates and deletes
+// that each shard's delta passes delta's 256-row trigger at least twice.
+// Every current replica must then have folded (Compactions > 0,
+// DeltaRows < 256), each node's wear must have risen by exactly the
+// folds of the replicas it holds, and routed-exact answers, during the
+// writes and after them, must be Float64bits-equal to a sequential scan
+// over Materialize(). The kill case runs the writes with one node down
+// and Repairs after them.
+func TestReplicaFoldsKeepAnswersExact(t *testing.T) {
+	t.Parallel()
+	for _, kill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("kill=%v", kill), func(t *testing.T) {
+			t.Parallel()
+			data := clusteredData(t, 200, 8, 4, 31)
+			r, err := route.NewEven(route.Config{}, data, 2)
+			if err != nil {
+				t.Fatalf("route.NewEven: %v", err)
+			}
+			eng := newTestEngine(t, data, Options{Nodes: 3, Replicas: 2, Shards: 2, Router: r})
+			if kill {
+				if err := eng.KillNode(eng.shards[0].replicas[0].node.id); err != nil {
+					t.Fatalf("KillNode: %v", err)
+				}
+			}
+			wear0 := eng.Wear()
+			ctx := context.Background()
+			exactNow := func(when string, q []float64) {
+				t.Helper()
+				m, ids, err := eng.Materialize()
+				if err != nil {
+					t.Fatalf("%s: Materialize: %v", when, err)
+				}
+				want := exactTruth(m, q, 5)
+				for i := range want {
+					want[i].Index = ids[want[i].Index]
+				}
+				res, err := eng.SearchMode(ctx, q, 5, route.ModeExact)
+				if err != nil {
+					t.Fatalf("%s: routed search: %v", when, err)
+				}
+				if !sameNeighbors(res.Neighbors, want) {
+					t.Fatalf("%s: routed exact %v, want %v", when, res.Neighbors, want)
+				}
+			}
+
+			rng := rand.New(rand.NewSource(41))
+			live := make([]int, data.N)
+			for i := range live {
+				live[i] = i
+			}
+			for w := 0; w < 2000; w++ {
+				v := make([]float64, data.D)
+				copy(v, data.Row(rng.Intn(data.N)))
+				for j := range v {
+					v[j] = min(1, max(0, v[j]+0.02*(rng.Float64()-0.5)))
+				}
+				switch p := rng.Intn(10); {
+				case p < 8:
+					id, err := eng.Insert(v)
+					if err != nil {
+						t.Fatalf("write %d: insert: %v", w, err)
+					}
+					live = append(live, id)
+				case p < 9:
+					if err := eng.Update(live[rng.Intn(len(live))], v); err != nil {
+						t.Fatalf("write %d: update: %v", w, err)
+					}
+				default:
+					i := rng.Intn(len(live))
+					if err := eng.Delete(live[i]); err != nil {
+						t.Fatalf("write %d: delete: %v", w, err)
+					}
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+				if w%100 == 99 {
+					exactNow(fmt.Sprintf("write %d", w), v)
+				}
+			}
+
+			folds := make([]int64, len(eng.nodes))
+			for _, sh := range eng.shards {
+				reps, err := eng.current(sh, sh.snapshot(), nil)
+				if err != nil {
+					t.Fatalf("shard %d: %v", sh.id, err)
+				}
+				for _, rep := range reps {
+					st := rep.store.Stats()
+					if st.Compactions < 2 || st.DeltaRows >= 256 || st.CompactionFailures != 0 {
+						t.Fatalf("shard %d on node %d: %+v, want 2+ folds, a delta under 256 rows and no failures",
+							sh.id, rep.node.id, st)
+					}
+					folds[rep.node.id] += int64(st.Compactions)
+				}
+			}
+			for n, w := range eng.Wear() {
+				if w-wear0[n] != folds[n] {
+					t.Fatalf("node %d wear rose by %d, want its replicas' %d folds", n, w-wear0[n], folds[n])
+				}
+			}
+
+			if kill {
+				ships, err := eng.Repair()
+				if err != nil || ships == 0 {
+					t.Fatalf("Repair = %d, %v; want ships", ships, err)
+				}
+				for _, sh := range eng.shards {
+					reps, err := eng.current(sh, sh.snapshot(), nil)
+					if err != nil || len(reps) != 2 {
+						t.Fatalf("shard %d after Repair: %d current replicas, %v", sh.id, len(reps), err)
+					}
+				}
+			}
+			for i := 0; i < 20; i++ {
+				q := make([]float64, data.D)
+				for j := range q {
+					q[j] = rng.Float64()
+				}
+				exactNow(fmt.Sprintf("query %d", i), q)
+			}
+		})
+	}
+}
+
+// TestFailedFoldKeepsWriteCommitted pins the other half of the fold
+// rule: a fold whose rebuild fails does not fail the write that tripped
+// it, does not mark the replica stale and costs no wear. Both replicas
+// keep their old epoch, count the failure and stay current, and answers
+// stay exact over the unfolded delta.
+func TestFailedFoldKeepsWriteCommitted(t *testing.T) {
+	t.Parallel()
+	data := randMatrix(64, 6, 51)
+	eng := newTestEngine(t, data, Options{Nodes: 2, Replicas: 2, Shards: 1,
+		Factory: func(base *vec.Matrix, _ int) (knn.Searcher, error) {
+			if base.N > data.N {
+				return nil, errors.New("crossbar programming failed")
+			}
+			return knn.NewStandard(base), nil
+		}})
+	wear0 := eng.Wear()
+	rows := randMatrix(256, data.D, 52)
+	for i := 0; i < rows.N; i++ {
+		if _, err := eng.Insert(rows.Row(i)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	sh := eng.shards[0]
+	reps, err := eng.current(sh, sh.snapshot(), nil)
+	if err != nil || len(reps) != 2 {
+		t.Fatalf("%d current replicas after a failed fold (%v), want 2", len(reps), err)
+	}
+	for _, rep := range reps {
+		if st := rep.store.Stats(); st.Compactions != 0 || st.CompactionFailures != 1 || st.DeltaRows != 256 {
+			t.Fatalf("node %d: %+v, want one failed fold and the delta kept", rep.node.id, st)
+		}
+	}
+	if w := eng.Wear(); w[0] != wear0[0] || w[1] != wear0[1] {
+		t.Fatalf("wear %v after a failed fold, want %v", w, wear0)
+	}
+	all := vecConcat(data, rows)
+	for i := 0; i < 10; i++ {
+		q := all.Row(i * 31 % all.N)
+		res, err := eng.Search(context.Background(), q, 4)
+		if err != nil {
+			t.Fatalf("search %d: %v", i, err)
+		}
+		if !sameNeighbors(res.Neighbors, exactTruth(all, q, 4)) {
+			t.Fatalf("search %d inexact after a failed fold", i)
 		}
 	}
 }

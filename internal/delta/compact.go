@@ -38,22 +38,28 @@ func (st *Store) Stats() Stats {
 	return out
 }
 
-// needsCompaction reports whether a compaction trigger has tripped:
-// delta fill or tombstone ratio.
-func (st *Store) needsCompaction(sn *snapshot) bool {
+// maxTombstoneRatio is the tombstone trigger: a fold is due once
+// tombstones exceed this fraction of the base rows, because dead rows
+// still burn base search work (queries over-fetch k+tombstones
+// candidates).
+const maxTombstoneRatio = 0.25
+
+// due reports whether a compaction trigger has tripped on sn: the delta
+// holds MaxDelta rows, or tombstones exceed maxTombstoneRatio of the
+// base rows.
+func (st *Store) due(sn *snapshot) bool {
 	n := len(sn.base.ids)
 	return len(sn.deltaIDs) >= st.opts.MaxDelta ||
-		(n > 0 && float64(len(sn.tomb)) > st.opts.MaxTombstoneRatio*float64(n))
+		(n > 0 && float64(len(sn.tomb)) > maxTombstoneRatio*float64(n))
 }
 
-// maybeCompact starts one background compaction when AutoCompact is on
-// and a trigger has tripped. At most one runs at a time; mutations keep
-// landing (they stall only for the final swap... in this implementation
-// the compactor holds the mutation lock for the whole rebuild, so the
-// stall IS the rebuild — the churn benchmark reports it as the
-// compaction pause).
+// maybeCompact starts one background CompactIfDue when AutoCompact is on
+// and a trigger has tripped; at most one runs at a time. newSnap calls
+// it after every publication. The compactor holds the mutation lock for
+// the whole rebuild, so mutations arriving meanwhile stall until the
+// swap: that stall is the compaction pause the churn benchmark reports.
 func (st *Store) maybeCompact() {
-	if !st.opts.AutoCompact || st.closed.Load() || !st.needsCompaction(st.snap.Load()) {
+	if !st.opts.AutoCompact || st.closed.Load() || !st.due(st.snap.Load()) {
 		return
 	}
 	if !st.compacting.CompareAndSwap(false, true) {
@@ -63,7 +69,7 @@ func (st *Store) maybeCompact() {
 	go func() {
 		defer st.wg.Done()
 		defer st.compacting.Store(false)
-		_ = st.Compact(nil) // failure keeps serving the old epoch; counted in stats
+		_, _ = st.CompactIfDue() // failure keeps serving the old epoch; counted in stats
 	}()
 }
 
@@ -83,19 +89,28 @@ func (st *Store) maybeCompact() {
 // nil meter is allowed; otherwise the modeled re-programming cost is
 // recorded by searchers implementing knn.Preprocessor.
 func (st *Store) Compact(meter *arch.Meter) error {
+	_, err := st.compact(meter, false)
+	return err
+}
+
+// CompactIfDue is Compact run only when a trigger has tripped (checked
+// under the mutation lock); it reports whether it folded.
+func (st *Store) CompactIfDue() (bool, error) { return st.compact(nil, true) }
+
+func (st *Store) compact(meter *arch.Meter, ifDue bool) (bool, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed.Load() {
-		return ErrClosed
+		return false, ErrClosed
 	}
 	sn := st.snap.Load()
-	if len(sn.deltaIDs) == 0 && len(sn.tomb) == 0 {
-		return nil // already compact
+	if (ifDue && !st.due(sn)) || (len(sn.deltaIDs) == 0 && len(sn.tomb) == 0) {
+		return false, nil // not due, or already compact
 	}
 	start := time.Now()
 	data, ids := materialize(sn, st.d)
 	if data.N == 0 {
-		return ErrAllDeleted
+		return false, ErrAllDeleted
 	}
 	base, err := st.buildBase(data, ids)
 	elapsed := time.Since(start).Seconds()
@@ -104,7 +119,7 @@ func (st *Store) Compact(meter *arch.Meter) error {
 		st.statsMu.Lock()
 		st.stats.CompactionFailures++
 		st.statsMu.Unlock()
-		return err
+		return false, err
 	}
 	if meter != nil {
 		if p, ok := base.searcher.(knn.Preprocessor); ok {
@@ -123,5 +138,5 @@ func (st *Store) Compact(meter *arch.Meter) error {
 	if st.opts.OnCompact != nil {
 		st.opts.OnCompact(data)
 	}
-	return nil
+	return true, nil
 }

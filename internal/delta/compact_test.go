@@ -202,7 +202,7 @@ func TestCompactionGrowsCapacityN(t *testing.T) {
 		capacities = append(capacities, capacityN)
 		return knn.NewStandard(m), nil
 	}
-	st, err := New(randMatrix(rng, 20, 8), Options{Factory: factory, CapacityRows: 40, MaxDelta: 1 << 20})
+	st, err := New(randMatrix(rng, 20, 8), Options{Factory: factory, CapacityRows: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,34 +242,68 @@ func TestCompactionGrowsCapacityN(t *testing.T) {
 
 func TestAutoCompactTriggers(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(12))
-	st, err := New(randMatrix(rng, 20, 4), Options{
-		Factory:     hostFactory,
-		MaxDelta:    8,
-		AutoCompact: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	waitCompactions := func(t *testing.T, st *Store, want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for st.Stats().Compactions < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("auto-compaction never ran: %+v", st.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	defer st.Close()
-	for i := 0; i < 40; i++ {
-		if _, err := st.Insert(randVec(rng, 4)); err != nil {
+	t.Run("delta fill", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		st, err := New(randMatrix(rng, 20, 4), Options{
+			Factory:     hostFactory,
+			MaxDelta:    8,
+			AutoCompact: true,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for st.Stats().Compactions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-compaction never ran")
+		defer st.Close()
+		for i := 0; i < 40; i++ {
+			if _, err := st.Insert(randVec(rng, 4)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		time.Sleep(time.Millisecond)
-	}
-	q := randVec(rng, 4)
-	got, err := st.Search(context.Background(), q, 5, math.Inf(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameNeighbors(t, got, refSearch(st, q, 5), "after auto-compact")
+		waitCompactions(t, st, 1)
+		q := randVec(rng, 4)
+		got, err := st.Search(context.Background(), q, 5, math.Inf(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameNeighbors(t, got, refSearch(st, q, 5), "after auto-compact")
+	})
+	t.Run("tombstone ratio", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		st, err := New(randMatrix(rng, 20, 4), Options{Factory: hostFactory, AutoCompact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		// 5 of 20 base rows (= 0.25) is not above the ratio: no fold.
+		for id := 0; id < 5; id++ {
+			if err := st.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if folded, err := st.CompactIfDue(); folded || err != nil {
+			t.Fatalf("CompactIfDue at 5/20 tombstones = %v, %v; want no fold", folded, err)
+		}
+		if s := st.Stats(); s.Compactions != 0 || s.Tombstones != 5 {
+			t.Fatalf("at 5/20 tombstones: %+v, want no fold", s)
+		}
+		// A 6th (> 0.25) folds them away.
+		if err := st.Delete(5); err != nil {
+			t.Fatal(err)
+		}
+		waitCompactions(t, st, 1)
+		if s := st.Stats(); s.Tombstones != 0 || s.BaseRows != 14 {
+			t.Fatalf("after the fold: %+v, want 14 base rows and no tombstones", s)
+		}
+	})
 }
 
 func TestMetricsPublished(t *testing.T) {

@@ -59,18 +59,16 @@ type Options struct {
 	// MaxDelta triggers compaction when the delta buffer reaches this
 	// many rows (default 256). The delta is brute-force scanned per
 	// query, so this bounds both query overhead and the cost of the
-	// copy-on-write snapshots mutations publish.
+	// copy-on-write snapshots mutations publish. The other trigger,
+	// tombstones above a quarter of the base rows, is fixed.
 	MaxDelta int
-	// MaxTombstoneRatio triggers compaction when tombstones exceed this
-	// fraction of base rows (default 0.25): dead rows still burn base
-	// search work because queries over-fetch k+tombstones candidates.
-	MaxTombstoneRatio float64
 	// CapacityRows floors the Theorem 4 sizing cardinality so the
 	// compressed dimensionality does not thrash when occupancy
 	// fluctuates (default: the initial dataset's N).
 	CapacityRows int
 	// AutoCompact runs compaction in a background goroutine when a
-	// threshold trips; otherwise callers compact explicitly.
+	// trigger trips; otherwise callers compact explicitly (Compact, or
+	// CompactIfDue on the same triggers).
 	AutoCompact bool
 	// IDs is the ascending global id of each initial row, one per row
 	// (default 0..N-1). Sharded engines hand each store its shard's
@@ -191,15 +189,11 @@ func New(data *vec.Matrix, opts Options) (*Store, error) {
 	return st, nil
 }
 
-// withDefaults fills the compaction triggers (256 delta rows, a 0.25
-// tombstone ratio) and floors CapacityRows at the initial row count, or
-// at 1 for an empty image.
+// withDefaults fills the delta trigger (256 rows) and floors
+// CapacityRows at the initial row count, or at 1 for an empty image.
 func (o Options) withDefaults(rows int) Options {
 	if o.MaxDelta <= 0 {
 		o.MaxDelta = 256
-	}
-	if o.MaxTombstoneRatio <= 0 {
-		o.MaxTombstoneRatio = 0.25
 	}
 	if o.CapacityRows <= 0 {
 		o.CapacityRows = max(rows, 1)
@@ -231,8 +225,9 @@ func (st *Store) buildBase(data *vec.Matrix, ids []int) (*baseIndex, error) {
 	return &baseIndex{data: data, ids: ids, searcher: searcher, host: knn.NewStandard(data)}, nil
 }
 
-// newSnap assembles and publishes a successor snapshot. Callers hold
-// st.mu. deltaIDs must be ascending and rows must match ids positionally.
+// newSnap assembles and publishes a successor snapshot, then starts a
+// background fold if one is due. Callers hold st.mu. deltaIDs must be
+// ascending and rows must match ids positionally.
 func (st *Store) newSnap(base *baseIndex, tomb map[int]struct{}, delta *vec.Matrix, deltaIDs []int) {
 	sn := &snapshot{
 		epoch: st.snap.Load().epoch + 1,
@@ -249,6 +244,7 @@ func (st *Store) newSnap(base *baseIndex, tomb map[int]struct{}, delta *vec.Matr
 	}
 	st.snap.Store(sn)
 	st.publishGauges(sn)
+	st.maybeCompact()
 }
 
 // cloneTomb copies the tombstone set for copy-on-write publication.
@@ -331,8 +327,8 @@ func (st *Store) insert(forcedID int, v []float64) (int, error) {
 		return 0, fmt.Errorf("delta: insert: %w", err)
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.closed.Load() {
-		st.mu.Unlock()
 		return 0, ErrClosed
 	}
 	sn := st.snap.Load()
@@ -340,7 +336,6 @@ func (st *Store) insert(forcedID int, v []float64) (int, error) {
 	if id < 0 {
 		id = st.nextID
 	} else if id < st.nextID {
-		st.mu.Unlock()
 		return 0, fmt.Errorf("delta: id %d not monotone (next is %d)", id, st.nextID)
 	}
 	st.nextID = id + 1
@@ -349,8 +344,6 @@ func (st *Store) insert(forcedID int, v []float64) (int, error) {
 		st.opts.OnMutate(v)
 	}
 	st.newSnap(sn.base, sn.tomb, delta, ids)
-	st.mu.Unlock()
-	st.maybeCompact()
 	return id, nil
 }
 
@@ -366,66 +359,50 @@ func (st *Store) Update(id int, v []float64) error {
 		return fmt.Errorf("delta: update: %w", err)
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.closed.Load() {
-		st.mu.Unlock()
 		return ErrClosed
 	}
 	sn := st.snap.Load()
+	tomb := sn.tomb
+	var delta *vec.Matrix
+	var ids []int
 	if pos := sort.SearchInts(sn.deltaIDs, id); pos < len(sn.deltaIDs) && sn.deltaIDs[pos] == id {
-		delta, ids := st.cloneDeltaReplace(sn, pos, v)
-		if st.opts.OnMutate != nil {
-			st.opts.OnMutate(v)
-		}
-		st.newSnap(sn.base, sn.tomb, delta, ids)
-		st.mu.Unlock()
-		st.maybeCompact()
-		return nil
+		delta, ids = st.cloneDeltaReplace(sn, pos, v)
+	} else if _, dead := sn.tomb[id]; !dead && sn.base.localOf(id) >= 0 {
+		tomb = cloneTomb(sn.tomb)
+		tomb[id] = struct{}{}
+		delta, ids = st.cloneDeltaInsert(sn, id, v)
+	} else {
+		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	if local := sn.base.localOf(id); local >= 0 {
-		if _, dead := sn.tomb[id]; !dead {
-			tomb := cloneTomb(sn.tomb)
-			tomb[id] = struct{}{}
-			delta, ids := st.cloneDeltaInsert(sn, id, v)
-			if st.opts.OnMutate != nil {
-				st.opts.OnMutate(v)
-			}
-			st.newSnap(sn.base, tomb, delta, ids)
-			st.mu.Unlock()
-			st.maybeCompact()
-			return nil
-		}
+	if st.opts.OnMutate != nil {
+		st.opts.OnMutate(v)
 	}
-	st.mu.Unlock()
-	return fmt.Errorf("%w: %d", ErrNotFound, id)
+	st.newSnap(sn.base, tomb, delta, ids)
+	return nil
 }
 
 // Delete removes an id: a delta row is dropped, a live base row is
 // tombstoned (its crossbar cells stay programmed until compaction).
 func (st *Store) Delete(id int) error {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.closed.Load() {
-		st.mu.Unlock()
 		return ErrClosed
 	}
 	sn := st.snap.Load()
 	if pos := sort.SearchInts(sn.deltaIDs, id); pos < len(sn.deltaIDs) && sn.deltaIDs[pos] == id {
 		delta, ids := st.cloneDeltaWithout(sn, pos)
 		st.newSnap(sn.base, sn.tomb, delta, ids)
-		st.mu.Unlock()
-		st.maybeCompact()
 		return nil
 	}
-	if local := sn.base.localOf(id); local >= 0 {
-		if _, dead := sn.tomb[id]; !dead {
-			tomb := cloneTomb(sn.tomb)
-			tomb[id] = struct{}{}
-			st.newSnap(sn.base, tomb, sn.delta, sn.deltaIDs)
-			st.mu.Unlock()
-			st.maybeCompact()
-			return nil
-		}
+	if _, dead := sn.tomb[id]; !dead && sn.base.localOf(id) >= 0 {
+		tomb := cloneTomb(sn.tomb)
+		tomb[id] = struct{}{}
+		st.newSnap(sn.base, tomb, sn.delta, sn.deltaIDs)
+		return nil
 	}
-	st.mu.Unlock()
 	return fmt.Errorf("%w: %d", ErrNotFound, id)
 }
 
@@ -577,9 +554,6 @@ func (st *Store) Epoch() uint64 { return st.snap.Load().epoch }
 // Close shuts the store down idempotently: further operations return
 // ErrClosed, and Close waits for any background compaction to finish.
 func (st *Store) Close() {
-	if st.closed.Swap(true) {
-		st.wg.Wait() // concurrent Close also waits for quiescence
-		return
-	}
+	st.closed.Store(true)
 	st.wg.Wait()
 }

@@ -70,7 +70,7 @@ func assertSameNeighbors(t *testing.T, got, want []vec.Neighbor, ctx string) {
 func TestStoreMutationsAndExactSearch(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(1))
-	st, err := New(randMatrix(rng, 40, 6), Options{Factory: hostFactory, MaxDelta: 1 << 20})
+	st, err := New(randMatrix(rng, 40, 6), Options{Factory: hostFactory})
 	if err != nil {
 		t.Fatal(err)
 	}

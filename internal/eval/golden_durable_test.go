@@ -159,7 +159,6 @@ func assertDurableGolden(t *testing.T, name, recovered, reference string) {
 func durableOpts(dir string, shards int) serve.MutableOptions {
 	return serve.MutableOptions{
 		Options:    serve.Options{Shards: shards, Workers: 2},
-		MaxDelta:   1 << 20, // compaction is scripted, never auto
 		Durability: serve.Durability{Dir: dir},
 	}
 }
@@ -311,7 +310,6 @@ func TestGoldenDurableStandingSequence(t *testing.T) {
 	mkEngine := func() *serve.MutableEngine {
 		e, err := serve.NewMutable(ds.X.Clone(), serve.MutableOptions{
 			Options:        serve.Options{Shards: 2, Workers: 2},
-			MaxDelta:       1 << 20,
 			StandingBuffer: 4 * (len(script) + 1),
 		})
 		if err != nil {

@@ -47,8 +47,7 @@ func ExtDurable(s *Suite) (*Table, error) {
 	defer os.RemoveAll(dir)
 
 	opts := serve.MutableOptions{
-		Options:  serve.Options{Shards: 4, Workers: 2, Obs: s.Obs},
-		MaxDelta: w.data.N * 4,
+		Options: serve.Options{Shards: 4, Workers: 2, Obs: s.Obs},
 		Durability: serve.Durability{
 			Dir: dir,
 			// Small segments so rotation and checkpoint truncation are

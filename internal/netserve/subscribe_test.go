@@ -26,7 +26,6 @@ func buildMutableServer(t *testing.T, n, shards int) (*netserve.Server, *serve.M
 	ds := dataset.Generate(prof, n, 17)
 	eng, err := serve.NewMutable(ds.X, serve.MutableOptions{
 		Options:        serve.Options{Shards: shards, Workers: 2},
-		MaxDelta:       1 << 20,
 		StandingBuffer: 256,
 	})
 	if err != nil {

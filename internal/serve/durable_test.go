@@ -121,7 +121,6 @@ func TestDurableCrashRecoverByteIdentical(t *testing.T) {
 	data := durableTestData(90, 6, 1)
 	opts := MutableOptions{
 		Options:    Options{Shards: 3, Workers: 2},
-		MaxDelta:   1 << 20,
 		Durability: Durability{Dir: dir},
 	}
 	e, err := NewMutable(data, opts)
@@ -179,7 +178,6 @@ func TestDurableRecoveredContinuesIdentically(t *testing.T) {
 	data := durableTestData(40, 5, 10)
 	opts := MutableOptions{
 		Options:    Options{Shards: 2, Workers: 2},
-		MaxDelta:   1 << 20,
 		Durability: Durability{Dir: dir},
 	}
 	orig, err := NewMutable(data, opts)
@@ -225,7 +223,6 @@ func TestDurableEmptyShardRecovery(t *testing.T) {
 	data := durableTestData(6, 4, 20)
 	opts := MutableOptions{
 		Options:    Options{Shards: 3, Workers: 1},
-		MaxDelta:   1 << 20,
 		Durability: Durability{Dir: dir},
 	}
 	e, err := NewMutable(data, opts)
@@ -291,7 +288,6 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	data := durableTestData(30, 4, 30)
 	opts := MutableOptions{
 		Options:    Options{Shards: 2, Workers: 1},
-		MaxDelta:   1 << 20,
 		Durability: Durability{Dir: dir, SegmentBytes: 1 << 10},
 	}
 	e, err := NewMutable(data, opts)
@@ -339,7 +335,6 @@ func TestDurableTornTailRecovery(t *testing.T) {
 	data := durableTestData(20, 4, 40)
 	opts := MutableOptions{
 		Options:    Options{Shards: 2, Workers: 1},
-		MaxDelta:   1 << 20,
 		Durability: Durability{Dir: dir},
 	}
 	e, err := NewMutable(data, opts)
@@ -510,7 +505,6 @@ func TestMutableStandingSubscription(t *testing.T) {
 	data := durableTestData(40, 4, 80)
 	e, err := NewMutable(data, MutableOptions{
 		Options:        Options{Shards: 2, Workers: 2},
-		MaxDelta:       1 << 20,
 		StandingBuffer: 512,
 	})
 	if err != nil {

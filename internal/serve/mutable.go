@@ -31,10 +31,9 @@ type MutableOptions struct {
 	// its shard through the same Factory or variant.
 	Options
 
-	// MaxDelta and MaxTombstoneRatio are per-shard compaction triggers
-	// (see delta.Options; defaults 256 rows and 0.25).
-	MaxDelta          int
-	MaxTombstoneRatio float64
+	// MaxDelta is the per-shard delta-fill compaction trigger (see
+	// delta.Options; default 256 rows).
+	MaxDelta int
 	// AutoCompact lets each store compact in the background when a
 	// trigger trips; otherwise call Compact explicitly.
 	AutoCompact bool
@@ -87,11 +86,10 @@ func newMutableEngine(n, d int, opts MutableOptions, fill func(*Engine) (parts [
 func (e *Engine) shardDeltaOptions(id int) delta.Options {
 	opts := e.opts
 	dopts := delta.Options{
-		Factory:           e.src.factory(id),
-		MaxDelta:          opts.MaxDelta,
-		MaxTombstoneRatio: opts.MaxTombstoneRatio,
-		AutoCompact:       opts.AutoCompact,
-		CapacityRows:      shardCapacity(opts.Options),
+		Factory:      e.src.factory(id),
+		MaxDelta:     opts.MaxDelta,
+		AutoCompact:  opts.AutoCompact,
+		CapacityRows: shardCapacity(opts.Options),
 	}
 	if reg := opts.Obs.Registry(); reg != nil {
 		dopts.Metrics = delta.NewMetrics(reg, obs.Label{Key: "shard", Value: fmt.Sprint(id)})

@@ -28,8 +28,7 @@ func TestMutableDifferentialVsFresh(t *testing.T) {
 		data.Data[i] = rng.Float64()
 	}
 	me, err := NewMutable(data, MutableOptions{
-		Options:  Options{Shards: 3, Workers: 2},
-		MaxDelta: 1 << 20, // no auto trigger; compaction is explicit below
+		Options: Options{Shards: 3, Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +381,6 @@ func TestShardDeltaOptionsTracksDegraded(t *testing.T) {
 			}
 			return knn.NewFNN(m)
 		}},
-		MaxDelta: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -316,7 +316,7 @@ func TestBreakerTripsToHostAndRecovers(t *testing.T) {
 		var trips func() int64
 		var churn func() // mutates a mutable engine's live rows; want follows
 		if mutable {
-			me, err := NewMutable(data, MutableOptions{Options: opts, MaxDelta: 1 << 20})
+			me, err := NewMutable(data, MutableOptions{Options: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
